@@ -7,6 +7,7 @@
 #   scripts/ci.sh release     # Release build + smoke-labeled benches + ctest
 #   scripts/ci.sh tsan        # ThreadSanitizer leg: concurrency-prone suites
 #   scripts/ci.sh simd        # SIMD matrix: -msse4.1, scalar-only, ASan/UBSan
+#   scripts/ci.sh perfbench   # benchmark harness tests + a short traced serve run
 #
 # ctest labels (tests/CMakeLists.txt, bench/CMakeLists.txt) slice the suite:
 # unit, query, server, smoke.
@@ -95,14 +96,32 @@ simd() {
   ./build-asan/tests/view_fuzz_test
 }
 
+perfbench() {
+  echo "== perfbench: harness tests + a traced serve run =="
+  # The benchmark drives StreamingServer::Run with a CellSource decorator
+  # installed through SessionOptions::cell_source; this leg guards that
+  # facade and decorator contract. It shares run.py's build tree.
+  cmake -S perfbench -B .bench_build -DCMAKE_BUILD_TYPE=Release
+  cmake --build .bench_build -j"$JOBS" --target perfbench_tests
+  ./.bench_build/perfbench_tests
+  python3 perfbench/run.py --workload serve --seed 1 --seconds 3 --trace 1 |
+    tail -n 1 |
+    python3 -c '
+import json, sys
+result = json.load(sys.stdin)
+print("perfbench serve: correct=%s failed=%s" % (result["correct"], result["failed"]))
+sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)'
+}
+
 case "${1:-all}" in
   tier1)   tier1 ;;
   release) release ;;
   tsan)    tsan ;;
   simd)    simd ;;
-  all)     tier1; release; tsan; simd ;;
+  perfbench) perfbench ;;
+  all)     tier1; release; tsan; simd; perfbench ;;
   *)
-    echo "usage: scripts/ci.sh [tier1|release|tsan|simd|all]" >&2
+    echo "usage: scripts/ci.sh [tier1|release|tsan|simd|perfbench|all]" >&2
     exit 2
     ;;
 esac

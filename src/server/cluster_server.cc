@@ -15,9 +15,6 @@ Status ClusterOptions::Validate() const {
   if (nodes < 1) {
     return Status::InvalidArgument("ClusterOptions.nodes must be >= 1");
   }
-  if (balance_slack < 0) {
-    return Status::InvalidArgument("ClusterOptions.balance_slack must be >= 0");
-  }
   return node.Validate();
 }
 
@@ -25,17 +22,20 @@ namespace {
 
 enum class EventKind { kPublish, kArrival, kStep };
 
-/// One scheduler entry. `seq` (assigned in push order, cluster-wide) breaks
-/// time ties exactly as in the single-node server; `node` completes the
-/// tiebreak so the order is total even for events sharing a seq source.
-/// Arrivals carry node -1 — their node is decided by placement at pop time.
-/// Publish events (live runs) also carry node -1 and reuse `viewer` for the
-/// segment index; they are pushed before any arrival, so their seqs win
-/// every time tie — the catalog grows before viewers act.
+/// Placement's balance guard: a node is eligible only while its active
+/// sessions are under the cluster mean (rounded down) + 1 + this slack, so
+/// co-scheduling a hot scene cannot pile every viewer onto one node.
+constexpr int kBalanceSlack = 1;
+
+/// One scheduler entry. `seq` (assigned in push order) breaks time ties, so
+/// the event order — and therefore the whole run — is deterministic.
+/// Publish events (live runs) reuse `viewer` for the segment index; they
+/// are pushed before any arrival, so their seqs win every time tie — the
+/// catalog grows before viewers act. A step runs on the node its viewer
+/// was placed on.
 struct Event {
   double time;
   uint64_t seq;
-  int node;
   EventKind kind;
   int viewer;
 };
@@ -43,19 +43,36 @@ struct Event {
 struct EventLater {
   bool operator()(const Event& a, const Event& b) const {
     if (a.time != b.time) return a.time > b.time;
-    if (a.seq != b.seq) return a.seq > b.seq;
-    return a.node > b.node;
+    return a.seq > b.seq;
   }
 };
 
+/// `after - before` for every counter; bytes_cached is a level, so the
+/// delta keeps `after`'s value.
+CacheStats Delta(const CacheStats& after, const CacheStats& before) {
+  CacheStats d = after;
+  d.hits -= before.hits;
+  d.misses -= before.misses;
+  d.evictions -= before.evictions;
+  d.coalesced -= before.coalesced;
+  d.rejected_oversize -= before.rejected_oversize;
+  d.prefetch_issued -= before.prefetch_issued;
+  d.prefetch_hits -= before.prefetch_hits;
+  d.prefetch_wasted -= before.prefetch_wasted;
+  return d;
+}
+
 /// Mutable per-node serving state.
 struct NodeState {
-  std::unique_ptr<ShardedStore::Node> view;  ///< L1-over-L2 read path.
+  /// The node's L1-over-L2 read path; null on a one-node run, whose node
+  /// reads through the storage manager itself.
+  std::unique_ptr<ShardedStore::Node> tiers;
+  CellSource* source = nullptr;  ///< Where the node's sessions read cells.
+  CacheStats cache_before;
   std::unique_ptr<PredictivePrefetcher> prefetcher;
   int active = 0;
   double admitted_bps = 0.0;
   std::vector<int> video_active;  ///< Active sessions per catalog video.
-  double host_seconds = 0.0;
   ClusterNodeStats stats;
 };
 
@@ -63,67 +80,85 @@ struct NodeState {
 
 ClusterServer::ClusterServer(ShardedStore* store,
                              const ClusterOptions& options)
-    : store_(store), options_(options) {}
+    : store_(store),
+      storage_(store != nullptr ? store->shard(0) : nullptr),
+      options_(options) {}
+
+ClusterServer::ClusterServer(StorageManager* storage,
+                             const ServerOptions& options)
+    : storage_(storage) {
+  options_.node = options;
+}
 
 Result<ClusterStats> ClusterServer::Run(
     const std::vector<VideoMetadata>& videos,
     const std::vector<ViewerRequest>& viewers,
     const SceneGenerator* reference) {
-  if (videos.empty()) {
-    return Status::InvalidArgument("cluster requires at least one video");
-  }
-  for (const VideoMetadata& video : videos) {
-    if (video.segment_count() == 0) {
-      return Status::InvalidArgument("video has no segments");
-    }
-  }
-  return RunInternal(&videos, nullptr, viewers, reference);
+  return RunInternal(videos.data(), static_cast<int>(videos.size()), nullptr,
+                     viewers, reference);
 }
 
 Result<ClusterStats> ClusterServer::RunLive(
     LiveFeed* feed, const std::vector<ViewerRequest>& viewers,
     const SceneGenerator* reference) {
-  if (feed == nullptr) {
-    return Status::InvalidArgument("RunLive requires a live feed");
-  }
-  if (feed->published_segments() != 0) {
-    return Status::InvalidArgument("live feed already partially published");
-  }
-  return RunInternal(nullptr, feed, viewers, reference);
+  return RunInternal(nullptr, 1, feed, viewers, reference);
 }
 
 Result<ClusterStats> ClusterServer::RunInternal(
-    const std::vector<VideoMetadata>* static_videos, LiveFeed* live,
+    const VideoMetadata* static_videos, int video_count, LiveFeed* live,
     const std::vector<ViewerRequest>& viewers,
     const SceneGenerator* reference) {
   VC_RETURN_IF_ERROR(options_.Validate());
-  if (store_ == nullptr) {
-    return Status::InvalidArgument("cluster requires a sharded store");
+  if (storage_ == nullptr) {
+    return Status::InvalidArgument("server requires a storage backend");
+  }
+  if (static_videos == nullptr) {
+    if (live == nullptr) {
+      return Status::InvalidArgument("RunLive requires a live feed");
+    }
+    if (live->published_segments() != 0) {
+      return Status::InvalidArgument("live feed already partially published");
+    }
+  } else {
+    if (video_count == 0) {
+      return Status::InvalidArgument("server requires at least one video");
+    }
+    for (int v = 0; v < video_count; ++v) {
+      if (static_videos[v].segment_count() == 0) {
+        return Status::InvalidArgument("video has no segments");
+      }
+    }
   }
   // A live run serves a one-video catalog whose metadata is the feed's
   // growing snapshot; `video_of` reads the newest published state.
-  const size_t video_count = live != nullptr ? 1 : static_videos->size();
   auto video_of = [&](int video) -> const VideoMetadata& {
-    return live != nullptr ? live->snapshot() : (*static_videos)[video];
+    return live != nullptr ? live->snapshot() : static_videos[video];
   };
   for (const ViewerRequest& viewer : viewers) {
     if (viewer.arrival_seconds < 0) {
       return Status::InvalidArgument("viewer arrival_seconds must be >= 0");
     }
-    if (viewer.video < 0 ||
-        viewer.video >= static_cast<int>(video_count)) {
+    if (viewer.video < 0 || viewer.video >= video_count) {
       return Status::InvalidArgument("viewer video index out of range");
     }
   }
 
+  const ServerOptions& node_options = options_.node;
   MetricRegistry& registry = MetricRegistry::Global();
+  Gauge* active_gauge = registry.GetGauge("server.active_sessions");
+  Gauge* queue_gauge = registry.GetGauge("server.queue_depth");
+  Counter* admitted_counter = registry.GetCounter("server.sessions_admitted");
+  Counter* rejected_counter = registry.GetCounter("server.sessions_rejected");
+  Counter* completed_counter =
+      registry.GetCounter("server.sessions_completed");
   Counter* locality_counter =
       registry.GetCounter("server.cluster.locality_placements");
   Counter* spillover_counter =
       registry.GetCounter("server.cluster.spillovers");
 
   const Stopwatch host_clock;
-  const CacheStats l2_before = store_->l2_stats();
+  const CacheStats l2_before =
+      store_ != nullptr ? store_->l2_stats() : CacheStats{};
 
   // One popularity model per catalog video, shared by every node: viewers
   // of a video teach each other where to look no matter where they were
@@ -131,8 +166,8 @@ Result<ClusterStats> ClusterServer::RunInternal(
   // fixed by the (time, seq) event order — placement never perturbs it.
   std::vector<std::unique_ptr<PopularityModel>> popularity;
   popularity.reserve(video_count);
-  for (size_t v = 0; v < video_count; ++v) {
-    const VideoMetadata& video = video_of(static_cast<int>(v));
+  for (int v = 0; v < video_count; ++v) {
+    const VideoMetadata& video = video_of(v);
     popularity.push_back(std::make_unique<PopularityModel>(
         video.tile_grid(), video.segment_duration_seconds(),
         live != nullptr ? live->final_segment_count()
@@ -145,44 +180,67 @@ Result<ClusterStats> ClusterServer::RunInternal(
   // outcomes byte-identical across node counts and with the cache off.
   std::vector<std::unique_ptr<PlanCache>> plan_caches;
   plan_caches.reserve(video_count);
-  for (size_t v = 0; v < video_count; ++v) {
+  for (int v = 0; v < video_count; ++v) {
     plan_caches.push_back(std::make_unique<PlanCache>());
   }
 
+  // Speculative loading rides alongside the scheduler: it only warms a
+  // node's cache, so the event loop stays logically deterministic. Without
+  // an I/O pool there is nothing to overlap, so the mode degrades to off.
   std::vector<NodeState> nodes(options_.nodes);
   for (int n = 0; n < options_.nodes; ++n) {
-    nodes[n].view = store_->CreateNode(options_.l1_capacity_bytes);
-    nodes[n].video_active.assign(video_count, 0);
-    nodes[n].stats.node_id = n;
-    if (options_.node.prefetch != PrefetchMode::kOff &&
-        nodes[n].view->io_pool() != nullptr) {
-      PrefetcherOptions prefetch_options = options_.node.prefetcher;
-      prefetch_options.mode = options_.node.prefetch;
-      nodes[n].prefetcher = std::make_unique<PredictivePrefetcher>(
-          nodes[n].view.get(), prefetch_options);
+    NodeState& node = nodes[n];
+    if (store_ != nullptr) {
+      node.tiers = store_->CreateNode(options_.l1_capacity_bytes);
+      node.source = node.tiers.get();
+    } else {
+      node.source = storage_;
+    }
+    node.cache_before = node.source->cache_stats();
+    node.video_active.assign(video_count, 0);
+    node.stats.node_id = n;
+    if (node_options.prefetch != PrefetchMode::kOff &&
+        node.source->io_pool() != nullptr) {
+      PrefetcherOptions prefetch_options;
+      prefetch_options.mode = node_options.prefetch;
+      node.prefetcher = std::make_unique<PredictivePrefetcher>(
+          node.source, prefetch_options);
     }
   }
 
   ClusterStats stats;
   ServerStats& totals = stats.totals;
   std::vector<std::unique_ptr<ClientSession>> sessions(viewers.size());
+  // Which node each admitted viewer runs on.
+  std::vector<int> placed_on(viewers.size(), -1);
   std::priority_queue<Event, std::vector<Event>, EventLater> events;
   std::deque<int> waiting;  // cluster-wide FIFO for the admission limits
   uint64_t seq = 0;
   int total_active = 0;
 
+  // Arrivals before the first publish are clamped to it (nothing exists to
+  // join earlier), mirroring a player that holds its join until the stream
+  // goes up.
   if (live != nullptr) {
     for (int s = 0; s < live->final_segment_count(); ++s) {
       events.push(
-          Event{live->PublishTimeOf(s), seq++, -1, EventKind::kPublish, s});
+          Event{live->PublishTimeOf(s), seq++, EventKind::kPublish, s});
     }
   }
   for (size_t i = 0; i < viewers.size(); ++i) {
     double at = viewers[i].arrival_seconds;
     if (live != nullptr) at = std::max(at, live->PublishTimeOf(0));
-    events.push(Event{at, seq++, -1, EventKind::kArrival,
-                      static_cast<int>(i)});
+    events.push(Event{at, seq++, EventKind::kArrival, static_cast<int>(i)});
   }
+
+  auto enqueue_prefetch = [&](NodeState& node, int viewer, double deadline) {
+    if (node.prefetcher == nullptr) return;
+    int video = viewers[viewer].video;
+    node.prefetcher->EnqueueSegment(
+        video_of(video), sessions[viewer]->NextPrefetchHint(),
+        node_options.shared_popularity ? popularity[video].get() : nullptr,
+        deadline);
+  };
 
   // Popularity-locality placement with a balance guard. Among nodes that
   // can admit the viewer *and* sit under the balance limit, pick the one
@@ -191,7 +249,7 @@ Result<ClusterStats> ClusterServer::RunInternal(
   auto place = [&](int viewer) -> int {
     double viewer_bps = viewers[viewer].session.network.bandwidth_bps;
     int video = viewers[viewer].video;
-    int limit = total_active / options_.nodes + 1 + options_.balance_slack;
+    int limit = total_active / options_.nodes + 1 + kBalanceSlack;
     auto better = [&](int a, int b) {  // is node a a better target than b?
       if (b < 0) return true;
       const NodeState& na = nodes[a];
@@ -208,10 +266,10 @@ Result<ClusterStats> ClusterServer::RunInternal(
       if (better(n, preferred)) preferred = n;
       const NodeState& node = nodes[n];
       bool admissible =
-          node.active < options_.node.max_concurrent_sessions &&
-          (options_.node.bandwidth_budget_bps <= 0 ||
+          node.active < node_options.max_concurrent_sessions &&
+          (node_options.bandwidth_budget_bps <= 0 ||
            node.admitted_bps + viewer_bps <=
-               options_.node.bandwidth_budget_bps + 1e-9);
+               node_options.bandwidth_budget_bps + 1e-9);
       if (admissible && node.active < limit && better(n, chosen)) chosen = n;
     }
     if (chosen < 0) return -1;
@@ -230,25 +288,27 @@ Result<ClusterStats> ClusterServer::RunInternal(
     NodeState& node = nodes[node_id];
     int video = viewers[viewer].video;
     SessionOptions session_options = viewers[viewer].session;
-    session_options.fetch_cells = options_.node.fetch_cells;
-    session_options.cell_source = node.view.get();
+    session_options.fetch_cells = true;
+    // A viewer's own cell source (e.g. an instrumenting decorator) wins.
+    if (session_options.cell_source == nullptr) {
+      session_options.cell_source = node.source;
+    }
     session_options.live = live;
-    if (options_.node.shared_popularity) {
+    if (node_options.shared_popularity) {
       session_options.popularity = popularity[video].get();
       session_options.popularity_sink = popularity[video].get();
-      session_options.popularity_coverage = options_.node.popularity_coverage;
     }
-    if (options_.node.share_plans) {
+    if (node_options.share_plans) {
       session_options.plan_cache = plan_caches[video].get();
     }
     Stopwatch node_clock;
     std::unique_ptr<ClientSession> session;
     VC_ASSIGN_OR_RETURN(
-        session,
-        ClientSession::Create(store_->shard(0), video_of(video),
-                              viewers[viewer].trace, session_options,
-                              reference));
+        session, ClientSession::Create(storage_, video_of(video),
+                                       viewers[viewer].trace, session_options,
+                                       reference));
     sessions[viewer] = std::move(session);
+    placed_on[viewer] = node_id;
     ++node.active;
     ++total_active;
     ++node.video_active[video];
@@ -257,30 +317,20 @@ Result<ClusterStats> ClusterServer::RunInternal(
         std::max(node.stats.max_active_sessions, node.active);
     node.admitted_bps += viewers[viewer].session.network.bandwidth_bps;
     ++totals.sessions_admitted;
+    admitted_counter->Add();
     totals.max_active_sessions =
         std::max(totals.max_active_sessions, total_active);
+    active_gauge->Set(total_active);
     double deadline = std::max(now, sessions[viewer]->NextDeadline());
-    events.push(Event{deadline, seq++, node_id, EventKind::kStep, viewer});
-    if (node.prefetcher != nullptr) {
-      node.prefetcher->EnqueueSegment(
-          video_of(video), sessions[viewer]->NextPrefetchHint(),
-          options_.node.shared_popularity ? popularity[video].get() : nullptr,
-          deadline);
-    }
-    node.host_seconds += node_clock.ElapsedSeconds();
+    events.push(Event{deadline, seq++, EventKind::kStep, viewer});
+    enqueue_prefetch(node, viewer, deadline);
+    node.stats.host_seconds += node_clock.ElapsedSeconds();
     return Status::OK();
   };
-
-  // Which node each admitted viewer runs on, for completion bookkeeping.
-  std::vector<int> placed_on(viewers.size(), -1);
 
   while (!events.empty()) {
     const Event event = events.top();
     events.pop();
-
-    if (event.node >= 0 && nodes[event.node].prefetcher != nullptr) {
-      nodes[event.node].prefetcher->Pump(event.time);
-    }
 
     if (event.kind == EventKind::kPublish) {
       VC_RETURN_IF_ERROR(live->Publish(event.viewer));
@@ -290,10 +340,12 @@ Result<ClusterStats> ClusterServer::RunInternal(
     if (event.kind == EventKind::kArrival) {
       ++totals.sessions_offered;
       double viewer_bps = viewers[event.viewer].session.network.bandwidth_bps;
-      if (options_.node.bandwidth_budget_bps > 0 &&
-          viewer_bps > options_.node.bandwidth_budget_bps + 1e-9) {
-        // Exceeds a whole node's budget: no placement could ever admit it.
+      if (node_options.bandwidth_budget_bps > 0 &&
+          viewer_bps > node_options.bandwidth_budget_bps + 1e-9) {
+        // Exceeds a whole node's budget: no placement could ever admit it,
+        // so reject instead of queueing it forever.
         ++totals.sessions_rejected;
+        rejected_counter->Add();
         continue;
       }
       int node_id = place(event.viewer);
@@ -302,31 +354,29 @@ Result<ClusterStats> ClusterServer::RunInternal(
         ++totals.sessions_queued;
         totals.max_queue_depth = std::max(totals.max_queue_depth,
                                           static_cast<int>(waiting.size()));
+        queue_gauge->Set(static_cast<double>(waiting.size()));
         continue;
       }
-      placed_on[event.viewer] = node_id;
       VC_RETURN_IF_ERROR(admit(event.viewer, node_id, event.time));
       continue;
     }
 
-    NodeState& node = nodes[event.node];
+    // Advance the stepping node's speculation to the event's simulated
+    // time: reap finished loads, cancel requests whose demand moment has
+    // arrived, dispatch the best of what remains.
+    NodeState& node = nodes[placed_on[event.viewer]];
+    if (node.prefetcher != nullptr) node.prefetcher->Pump(event.time);
     ClientSession* session = sessions[event.viewer].get();
     Stopwatch node_clock;
     Status stepped = session->Step(event.time);
-    node.host_seconds += node_clock.ElapsedSeconds();
+    node.stats.host_seconds += node_clock.ElapsedSeconds();
     VC_RETURN_IF_ERROR(stepped);
     if (!session->done()) {
+      // The session just told us when it will want its next segment; start
+      // warming the cells its predictor expects it to ask for.
       double deadline = session->NextDeadline();
-      events.push(Event{deadline, seq++, event.node, EventKind::kStep,
-                        event.viewer});
-      if (node.prefetcher != nullptr) {
-        int video = viewers[event.viewer].video;
-        node.prefetcher->EnqueueSegment(
-            video_of(video), session->NextPrefetchHint(),
-            options_.node.shared_popularity ? popularity[video].get()
-                                            : nullptr,
-            deadline);
-      }
+      events.push(Event{deadline, seq++, EventKind::kStep, event.viewer});
+      enqueue_prefetch(node, event.viewer, deadline);
       continue;
     }
 
@@ -334,9 +384,11 @@ Result<ClusterStats> ClusterServer::RunInternal(
     // waiters (head of line first — FIFO fairness over placement greed).
     --node.active;
     --total_active;
+    active_gauge->Set(total_active);
     --node.video_active[viewers[event.viewer].video];
     node.admitted_bps -= viewers[event.viewer].session.network.bandwidth_bps;
     ++totals.sessions_completed;
+    completed_counter->Add();
     totals.wall_seconds =
         std::max(totals.wall_seconds, session->wall_seconds());
     while (!waiting.empty()) {
@@ -344,9 +396,9 @@ Result<ClusterStats> ClusterServer::RunInternal(
       int next_node = place(next);
       if (next_node < 0) break;  // head of line waits for capacity
       waiting.pop_front();
-      placed_on[next] = next_node;
       VC_RETURN_IF_ERROR(admit(next, next_node, event.time));
     }
+    queue_gauge->Set(static_cast<double>(waiting.size()));
   }
 
   for (size_t i = 0; i < viewers.size(); ++i) {
@@ -366,8 +418,8 @@ Result<ClusterStats> ClusterServer::RunInternal(
 
   if (live != nullptr) totals.live = live->stats();
 
-  // Settle speculation, then read each node's L1 (created fresh for this
-  // run, so its counters are the run's deltas) and publish per-node gauges.
+  // Settle speculation before reading the cache counters, so every
+  // prefetched value has been classified as hit or wasted-so-far.
   stats.nodes.reserve(nodes.size());
   for (NodeState& node : nodes) {
     if (node.prefetcher != nullptr) {
@@ -379,40 +431,27 @@ Result<ClusterStats> ClusterServer::RunInternal(
       totals.prefetch.deduped += node.stats.prefetch.deduped;
       totals.prefetch.stale_skipped += node.stats.prefetch.stale_skipped;
     }
-    node.stats.l1 = node.view->cache_stats();
-    node.stats.host_seconds = node.host_seconds;
-    totals.cache.hits += node.stats.l1.hits;
-    totals.cache.misses += node.stats.l1.misses;
-    totals.cache.evictions += node.stats.l1.evictions;
-    totals.cache.coalesced += node.stats.l1.coalesced;
-    totals.cache.rejected_oversize += node.stats.l1.rejected_oversize;
-    totals.cache.admission_rejects += node.stats.l1.admission_rejects;
-    totals.cache.bytes_cached += node.stats.l1.bytes_cached;
-    totals.cache.prefetch_issued += node.stats.l1.prefetch_issued;
-    totals.cache.prefetch_hits += node.stats.l1.prefetch_hits;
-    totals.cache.prefetch_wasted += node.stats.l1.prefetch_wasted;
-    std::string prefix = "server.node." + std::to_string(node.stats.node_id);
-    registry.GetGauge(prefix + ".cache_hit_rate")
-        ->Set(node.stats.l1.HitRate());
-    registry.GetGauge(prefix + ".host_seconds")->Set(node.host_seconds);
+    node.stats.l1 = Delta(node.source->cache_stats(), node.cache_before);
+    const CacheStats& l1 = node.stats.l1;
+    totals.cache.hits += l1.hits;
+    totals.cache.misses += l1.misses;
+    totals.cache.evictions += l1.evictions;
+    totals.cache.coalesced += l1.coalesced;
+    totals.cache.rejected_oversize += l1.rejected_oversize;
+    totals.cache.bytes_cached += l1.bytes_cached;
+    totals.cache.prefetch_issued += l1.prefetch_issued;
+    totals.cache.prefetch_hits += l1.prefetch_hits;
+    totals.cache.prefetch_wasted += l1.prefetch_wasted;
+    if (store_ != nullptr) {
+      std::string prefix =
+          "server.node." + std::to_string(node.stats.node_id);
+      registry.GetGauge(prefix + ".cache_hit_rate")->Set(l1.HitRate());
+      registry.GetGauge(prefix + ".host_seconds")
+          ->Set(node.stats.host_seconds);
+    }
     stats.nodes.push_back(node.stats);
   }
-
-  const CacheStats l2_after = store_->l2_stats();
-  stats.l2.hits = l2_after.hits - l2_before.hits;
-  stats.l2.misses = l2_after.misses - l2_before.misses;
-  stats.l2.evictions = l2_after.evictions - l2_before.evictions;
-  stats.l2.coalesced = l2_after.coalesced - l2_before.coalesced;
-  stats.l2.rejected_oversize =
-      l2_after.rejected_oversize - l2_before.rejected_oversize;
-  stats.l2.admission_rejects =
-      l2_after.admission_rejects - l2_before.admission_rejects;
-  stats.l2.bytes_cached = l2_after.bytes_cached;
-  stats.l2.prefetch_issued =
-      l2_after.prefetch_issued - l2_before.prefetch_issued;
-  stats.l2.prefetch_hits = l2_after.prefetch_hits - l2_before.prefetch_hits;
-  stats.l2.prefetch_wasted =
-      l2_after.prefetch_wasted - l2_before.prefetch_wasted;
+  if (store_ != nullptr) stats.l2 = Delta(store_->l2_stats(), l2_before);
 
   for (const std::unique_ptr<PlanCache>& cache : plan_caches) {
     PlanCache::Stats plan = cache->stats();
@@ -420,6 +459,8 @@ Result<ClusterStats> ClusterServer::RunInternal(
     totals.plan.misses += plan.misses;
   }
   registry.GetGauge("server.plan_cache_hit_rate")->Set(totals.plan.HitRate());
+  registry.GetGauge("server.cache_hit_rate")->Set(totals.cache.HitRate());
+  registry.GetGauge("server.rebuffer_ratio")->Set(totals.RebufferRatio());
 
   totals.host_seconds = host_clock.ElapsedSeconds();
   return stats;

@@ -16,10 +16,6 @@ struct ClusterOptions {
   int nodes = 1;
   /// Per-node private L1 cache capacity.
   size_t l1_capacity_bytes = 16ull << 20;
-  /// Balance guard on locality placement: a node is only eligible while its
-  /// active-session count is under ceil(mean) + slack, so co-scheduling a
-  /// hot scene cannot pile every viewer onto one node.
-  int balance_slack = 1;
   /// Per-node admission, sharing, and prefetch settings
   /// (max_concurrent_sessions and bandwidth_budget_bps apply per node).
   ServerOptions node;
@@ -44,7 +40,8 @@ struct ClusterNodeStats {
   /// work). The per-node share of the run's real cost: roughly flat as
   /// nodes are added is the scale-out goal.
   double host_seconds = 0.0;
-  /// The node's private L1 activity during the run.
+  /// The node's private L1 activity during the run (counter deltas;
+  /// bytes_cached is the end-of-run level).
   CacheStats l1;
   /// The node's prefetch request-queue accounting.
   PrefetcherStats prefetch;
@@ -73,19 +70,20 @@ struct ClusterStats {
 /// N serving nodes share one ShardedStore: every node reads any cell
 /// through its private L1 over the cluster's shared L2, with cold reads
 /// routed to the cell's owning backend by consistent hash. One global
-/// deterministic scheduler drives all nodes — events order by
-/// (time, seq, node), with seq assigned in push order exactly as the
-/// single-node server does, so a run's simulated outcome (served bytes,
-/// QoE, admission and fault accounting) is a pure function of the viewer
-/// cohort: byte-identical across host timing, prefetch settings, and —
-/// when admission never queues — across node counts. Only host_seconds and
-/// cache hit rates may move.
+/// deterministic scheduler drives all nodes — events order by (time, seq),
+/// with seq assigned in push order — so a run's simulated outcome (served
+/// bytes, QoE, admission and fault accounting) is a pure function of the
+/// viewer cohort: byte-identical across host timing, prefetch settings,
+/// and — when admission never queues — across node counts. Only
+/// host_seconds and cache hit rates may move. This is the repo's only
+/// serving scheduler: StreamingServer is a one-node run of it.
 ///
 /// Sessions are placed by popularity locality: an arriving viewer goes to
 /// the admissible node with the most active sessions of its video (ties to
-/// the emptier node, then the lower id), bounded by the balance guard, so
-/// hot scenes co-schedule and share L1s without starving the rest of the
-/// cluster.
+/// the emptier node, then the lower id), bounded by a balance guard (a node
+/// is eligible only while its active sessions are under the cluster mean,
+/// rounded down, plus 2), so hot scenes co-schedule and share L1s without
+/// starving the rest of the cluster.
 class ClusterServer {
  public:
   ClusterServer(ShardedStore* store, const ClusterOptions& options);
@@ -98,12 +96,12 @@ class ClusterServer {
                            const SceneGenerator* reference = nullptr);
 
   /// Streams a still-growing feed (single-video catalog) exactly as
-  /// StreamingServer::RunLive does: publish events carry the lowest seqs
-  /// (cluster-wide), so the event order — and the simulated outcome — is
-  /// identical to the single-node live run and across node counts. The
-  /// feed must ingest into the same store root the cluster's backends
-  /// share — published cells are then readable by every node through its
-  /// L1/L2 tiers, exactly as for static videos.
+  /// StreamingServer::RunLive does: publish events carry the lowest seqs,
+  /// so the event order — and the simulated outcome — is identical to the
+  /// single-node live run and across node counts. The feed must ingest
+  /// into the same store root the cluster's backends share — published
+  /// cells are then readable by every node through its L1/L2 tiers,
+  /// exactly as for static videos.
   Result<ClusterStats> RunLive(LiveFeed* feed,
                                const std::vector<ViewerRequest>& viewers,
                                const SceneGenerator* reference = nullptr);
@@ -111,12 +109,23 @@ class ClusterServer {
   const ClusterOptions& options() const { return options_; }
 
  private:
-  Result<ClusterStats> RunInternal(const std::vector<VideoMetadata>* videos,
-                                   LiveFeed* live,
+  friend class StreamingServer;
+
+  /// A one-node run whose node is `storage` itself: sessions read through
+  /// its own (persistent) cache, with no L1/L2 tiers.
+  ClusterServer(StorageManager* storage, const ServerOptions& options);
+
+  /// The scheduler. Serves `video_count` videos from `videos`, or — when
+  /// `videos` is null — the one growing video of `live`.
+  Result<ClusterStats> RunInternal(const VideoMetadata* videos,
+                                   int video_count, LiveFeed* live,
                                    const std::vector<ViewerRequest>& viewers,
                                    const SceneGenerator* reference);
 
-  ShardedStore* store_;
+  ShardedStore* store_ = nullptr;  ///< Null on a one-node run.
+  /// Catalog and quality-evaluation reads (the store's shard 0 under a
+  /// cluster); the node itself on a one-node run.
+  StorageManager* storage_ = nullptr;
   ClusterOptions options_;
 };
 

@@ -1,12 +1,8 @@
 #include "server/streaming_server.h"
 
-#include <algorithm>
-#include <deque>
-#include <memory>
-#include <queue>
+#include <utility>
 
-#include "common/stopwatch.h"
-#include "obs/metrics.h"
+#include "server/cluster_server.h"
 
 namespace vc {
 
@@ -17,40 +13,8 @@ Status ServerOptions::Validate() const {
   if (bandwidth_budget_bps < 0) {
     return Status::InvalidArgument("bandwidth_budget_bps must be >= 0");
   }
-  if (popularity_coverage <= 0 || popularity_coverage > 1.0) {
-    return Status::InvalidArgument("popularity_coverage must be in (0, 1]");
-  }
-  if (prefetcher.max_queue < 1) {
-    return Status::InvalidArgument("prefetcher.max_queue must be >= 1");
-  }
-  if (prefetcher.max_inflight < 0) {
-    return Status::InvalidArgument("prefetcher.max_inflight must be >= 0");
-  }
   return Status::OK();
 }
-
-namespace {
-
-enum class EventKind { kPublish, kArrival, kStep };
-
-/// One scheduler entry. `seq` (assigned in push order) breaks time ties, so
-/// the event order — and therefore the whole run — is deterministic. For
-/// kPublish events, `viewer` carries the segment index instead.
-struct Event {
-  double time;
-  uint64_t seq;
-  EventKind kind;
-  int viewer;
-};
-
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
-
-}  // namespace
 
 StreamingServer::StreamingServer(StorageManager* storage,
                                  const ServerOptions& options)
@@ -59,262 +23,21 @@ StreamingServer::StreamingServer(StorageManager* storage,
 Result<ServerStats> StreamingServer::Run(
     const VideoMetadata& metadata, const std::vector<ViewerRequest>& viewers,
     const SceneGenerator* reference) {
-  if (metadata.segment_count() == 0) {
-    return Status::InvalidArgument("video has no segments");
-  }
-  return RunInternal(&metadata, nullptr, viewers, reference);
+  ClusterStats stats;
+  VC_ASSIGN_OR_RETURN(stats, ClusterServer(storage_, options_)
+                                 .RunInternal(&metadata, 1, nullptr, viewers,
+                                              reference));
+  return std::move(stats.totals);
 }
 
 Result<ServerStats> StreamingServer::RunLive(
     LiveFeed* feed, const std::vector<ViewerRequest>& viewers,
     const SceneGenerator* reference) {
-  if (feed == nullptr) {
-    return Status::InvalidArgument("RunLive requires a live feed");
-  }
-  if (feed->published_segments() != 0) {
-    return Status::InvalidArgument("live feed already partially published");
-  }
-  return RunInternal(nullptr, feed, viewers, reference);
-}
-
-Result<ServerStats> StreamingServer::RunInternal(
-    const VideoMetadata* static_metadata, LiveFeed* live,
-    const std::vector<ViewerRequest>& viewers,
-    const SceneGenerator* reference) {
-  VC_RETURN_IF_ERROR(options_.Validate());
-  if (storage_ == nullptr) {
-    return Status::InvalidArgument("server requires a storage manager");
-  }
-  // Under a live feed the catalog grows during the run: `metadata` is a
-  // reference to the feed's stable-address snapshot, so every use below
-  // reads the newest published state.
-  const VideoMetadata& metadata =
-      live != nullptr ? live->snapshot() : *static_metadata;
-  for (const ViewerRequest& viewer : viewers) {
-    if (viewer.arrival_seconds < 0) {
-      return Status::InvalidArgument("viewer arrival_seconds must be >= 0");
-    }
-  }
-
-  MetricRegistry& registry = MetricRegistry::Global();
-  Gauge* active_gauge = registry.GetGauge("server.active_sessions");
-  Gauge* queue_gauge = registry.GetGauge("server.queue_depth");
-  Counter* admitted_counter = registry.GetCounter("server.sessions_admitted");
-  Counter* rejected_counter = registry.GetCounter("server.sessions_rejected");
-  Counter* completed_counter =
-      registry.GetCounter("server.sessions_completed");
-  Gauge* hit_rate_gauge = registry.GetGauge("server.cache_hit_rate");
-  Gauge* rebuffer_gauge = registry.GetGauge("server.rebuffer_ratio");
-
-  const Stopwatch host_clock;
-  const CacheStats cache_before = storage_->cache_stats();
-
-  // Speculative loading rides alongside the scheduler: it only warms the
-  // shared cache, so the event loop below stays logically deterministic —
-  // identical simulated outcomes with prefetch on or off. Without an I/O
-  // pool there is nothing to overlap, so the mode degrades to off.
-  std::unique_ptr<PredictivePrefetcher> prefetcher;
-  if (options_.prefetch != PrefetchMode::kOff &&
-      storage_->io_pool() != nullptr) {
-    PrefetcherOptions prefetch_options = options_.prefetcher;
-    prefetch_options.mode = options_.prefetch;
-    prefetcher =
-        std::make_unique<PredictivePrefetcher>(storage_, prefetch_options);
-  }
-
-  // One popularity model per run: written by every admitted session's live
-  // orientation feed, read by every kVisualCloud plan. The event loop is
-  // single-threaded, so sessions see each other's gaze history with no
-  // locking and no ordering ambiguity.
-  PopularityModel popularity(metadata.tile_grid(),
-                             metadata.segment_duration_seconds(),
-                             live != nullptr ? live->final_segment_count()
-                                             : metadata.segment_count());
-
-  // One plan cache per run (this server streams one video): sessions with
-  // identical planning inputs flyweight one TileQualityPlan. Exact
-  // memoization — only host time and `stats.plan` move when this is on.
-  PlanCache plan_cache;
-
-  ServerStats stats;
-  std::vector<std::unique_ptr<ClientSession>> sessions(viewers.size());
-  std::priority_queue<Event, std::vector<Event>, EventLater> events;
-  std::deque<int> waiting;  // FIFO queue for the concurrency limit
-  uint64_t seq = 0;
-  int active = 0;
-  double admitted_bps = 0.0;
-
-  // Publish events first: their seqs are the lowest, so at equal times the
-  // catalog grows before any viewer arrives or steps — a session blocked
-  // at the live edge finds the segment it was waiting for. Arrivals before
-  // the first publish are clamped to it (nothing exists to join earlier),
-  // mirroring a player that holds its join until the stream goes up.
-  if (live != nullptr) {
-    for (int s = 0; s < live->final_segment_count(); ++s) {
-      events.push(
-          Event{live->PublishTimeOf(s), seq++, EventKind::kPublish, s});
-    }
-  }
-  for (size_t i = 0; i < viewers.size(); ++i) {
-    double at = viewers[i].arrival_seconds;
-    if (live != nullptr) at = std::max(at, live->PublishTimeOf(0));
-    events.push(Event{at, seq++, EventKind::kArrival, static_cast<int>(i)});
-  }
-
-  auto admit = [&](int viewer, double now) -> Status {
-    SessionOptions session_options = viewers[viewer].session;
-    session_options.fetch_cells = options_.fetch_cells;
-    session_options.live = live;
-    if (options_.shared_popularity) {
-      session_options.popularity = &popularity;
-      session_options.popularity_sink = &popularity;
-      session_options.popularity_coverage = options_.popularity_coverage;
-    }
-    if (options_.share_plans) session_options.plan_cache = &plan_cache;
-    std::unique_ptr<ClientSession> session;
-    VC_ASSIGN_OR_RETURN(
-        session, ClientSession::Create(storage_, metadata,
-                                       viewers[viewer].trace, session_options,
-                                       reference));
-    sessions[viewer] = std::move(session);
-    ++active;
-    ++stats.sessions_admitted;
-    admitted_counter->Add();
-    admitted_bps += viewers[viewer].session.network.bandwidth_bps;
-    stats.max_active_sessions = std::max(stats.max_active_sessions, active);
-    active_gauge->Set(active);
-    double deadline = std::max(now, sessions[viewer]->NextDeadline());
-    events.push(Event{deadline, seq++, EventKind::kStep, viewer});
-    if (prefetcher != nullptr) {
-      prefetcher->EnqueueSegment(
-          metadata, sessions[viewer]->NextPrefetchHint(),
-          options_.shared_popularity ? &popularity : nullptr, deadline);
-    }
-    return Status::OK();
-  };
-
-  while (!events.empty()) {
-    const Event event = events.top();
-    events.pop();
-
-    // Advance speculation to the event's simulated time: reap finished
-    // loads, cancel requests whose demand moment has arrived, dispatch the
-    // best of what remains.
-    if (prefetcher != nullptr) prefetcher->Pump(event.time);
-
-    if (event.kind == EventKind::kPublish) {
-      VC_RETURN_IF_ERROR(live->Publish(event.viewer));
-      continue;
-    }
-
-    if (event.kind == EventKind::kArrival) {
-      ++stats.sessions_offered;
-      double viewer_bps = viewers[event.viewer].session.network.bandwidth_bps;
-      if (options_.bandwidth_budget_bps > 0 &&
-          viewer_bps > options_.bandwidth_budget_bps + 1e-9) {
-        // This client alone exceeds the whole uplink budget: it could
-        // never be admitted, so reject instead of queueing it forever.
-        ++stats.sessions_rejected;
-        rejected_counter->Add();
-        continue;
-      }
-      if (active >= options_.max_concurrent_sessions ||
-          (options_.bandwidth_budget_bps > 0 &&
-           admitted_bps + viewer_bps >
-               options_.bandwidth_budget_bps + 1e-9)) {
-        waiting.push_back(event.viewer);
-        ++stats.sessions_queued;
-        stats.max_queue_depth =
-            std::max(stats.max_queue_depth, static_cast<int>(waiting.size()));
-        queue_gauge->Set(static_cast<double>(waiting.size()));
-        continue;
-      }
-      VC_RETURN_IF_ERROR(admit(event.viewer, event.time));
-      continue;
-    }
-
-    ClientSession* session = sessions[event.viewer].get();
-    VC_RETURN_IF_ERROR(session->Step(event.time));
-    if (!session->done()) {
-      double deadline = session->NextDeadline();
-      events.push(Event{deadline, seq++, EventKind::kStep, event.viewer});
-      // The session just told us when it will want its next segment; start
-      // warming the cells its predictor expects it to ask for.
-      if (prefetcher != nullptr) {
-        prefetcher->EnqueueSegment(
-            metadata, session->NextPrefetchHint(),
-            options_.shared_popularity ? &popularity : nullptr, deadline);
-      }
-      continue;
-    }
-
-    // Session completed: free its slot and bandwidth, admit waiters.
-    --active;
-    active_gauge->Set(active);
-    ++stats.sessions_completed;
-    completed_counter->Add();
-    admitted_bps -= viewers[event.viewer].session.network.bandwidth_bps;
-    stats.wall_seconds = std::max(stats.wall_seconds, session->wall_seconds());
-    while (!waiting.empty() && active < options_.max_concurrent_sessions) {
-      int next = waiting.front();
-      double next_bps = viewers[next].session.network.bandwidth_bps;
-      if (options_.bandwidth_budget_bps > 0 &&
-          admitted_bps + next_bps > options_.bandwidth_budget_bps + 1e-9) {
-        break;  // head of line waits for more bandwidth to free up
-      }
-      waiting.pop_front();
-      VC_RETURN_IF_ERROR(admit(next, event.time));
-    }
-    queue_gauge->Set(static_cast<double>(waiting.size()));
-  }
-
-  for (size_t i = 0; i < viewers.size(); ++i) {
-    if (sessions[i] == nullptr) continue;  // rejected
-    const SessionStats& session = sessions[i]->stats();
-    stats.sessions.push_back(session);
-    stats.admitted.push_back(static_cast<int>(i));
-    stats.bytes_sent += session.bytes_sent;
-    stats.media_seconds += session.duration_seconds;
-    stats.stall_seconds += session.stall_seconds;
-    stats.stall_events += session.stall_events;
-    stats.transfer_faults += session.transfer_faults;
-    stats.transfer_retries += session.transfer_retries;
-    stats.segments_skipped += session.segments_skipped;
-  }
-
-  if (live != nullptr) stats.live = live->stats();
-
-  // Settle speculation before reading the cache counters, so every
-  // prefetched value has been classified as hit or wasted-so-far.
-  if (prefetcher != nullptr) {
-    prefetcher->Drain();
-    stats.prefetch = prefetcher->stats();
-  }
-
-  const CacheStats cache_after = storage_->cache_stats();
-  stats.cache.hits = cache_after.hits - cache_before.hits;
-  stats.cache.misses = cache_after.misses - cache_before.misses;
-  stats.cache.evictions = cache_after.evictions - cache_before.evictions;
-  stats.cache.coalesced = cache_after.coalesced - cache_before.coalesced;
-  stats.cache.bytes_cached = cache_after.bytes_cached;
-  stats.cache.prefetch_issued =
-      cache_after.prefetch_issued - cache_before.prefetch_issued;
-  stats.cache.prefetch_hits =
-      cache_after.prefetch_hits - cache_before.prefetch_hits;
-  stats.cache.prefetch_wasted =
-      cache_after.prefetch_wasted - cache_before.prefetch_wasted;
-  stats.cache.rejected_oversize =
-      cache_after.rejected_oversize - cache_before.rejected_oversize;
-  stats.cache.admission_rejects =
-      cache_after.admission_rejects - cache_before.admission_rejects;
-
-  stats.plan = plan_cache.stats();
-  registry.GetGauge("server.plan_cache_hit_rate")->Set(stats.plan.HitRate());
-
-  hit_rate_gauge->Set(stats.cache.HitRate());
-  rebuffer_gauge->Set(stats.RebufferRatio());
-  stats.host_seconds = host_clock.ElapsedSeconds();
-  return stats;
+  ClusterStats stats;
+  VC_ASSIGN_OR_RETURN(stats, ClusterServer(storage_, options_)
+                                 .RunInternal(nullptr, 1, feed, viewers,
+                                              reference));
+  return std::move(stats.totals);
 }
 
 }  // namespace vc

@@ -7,7 +7,6 @@
 #include "core/session.h"
 #include "predict/popularity.h"
 #include "server/live_feed.h"
-#include "storage/cache.h"
 #include "storage/prefetcher.h"
 #include "storage/storage_manager.h"
 
@@ -20,7 +19,8 @@ struct ViewerRequest {
   SessionOptions session;
   double arrival_seconds = 0.0;
   /// Which catalog video the viewer streams — an index into the video list
-  /// given to ClusterServer::Run. A single-video StreamingServer ignores it.
+  /// given to ClusterServer::Run. Range-checked like any other input, so a
+  /// single-video StreamingServer run accepts only 0.
   int video = 0;
 };
 
@@ -34,15 +34,11 @@ struct ServerOptions {
   /// (it could never be admitted); others wait in the queue until enough
   /// bandwidth and a slot free up. 0 disables the budget.
   double bandwidth_budget_bps = 0.0;
-  /// Route every delivered cell through the storage manager's shared
-  /// buffer cache (ClientSession fetch_cells). This is what makes
-  /// concurrent viewers of one video share reads.
-  bool fetch_cells = true;
-  /// Maintain one popularity model per run, fed by every admitted
-  /// session's live orientations and consulted by every kVisualCloud
-  /// plan — viewers teach each other where to look.
+  /// Maintain one popularity model per run (per video under a cluster),
+  /// fed by every admitted session's live orientations and consulted by
+  /// every kVisualCloud plan — viewers teach each other where to look. Each
+  /// session's own SessionOptions::popularity_coverage applies.
   bool shared_popularity = true;
-  double popularity_coverage = 0.8;
 
   /// Maintain one PlanCache per run (per video under a cluster): sessions
   /// with identical planning inputs share one computed TileQualityPlan.
@@ -58,11 +54,8 @@ struct ServerOptions {
   /// degrades to kOff. Prefetching never changes a run's simulated
   /// outcome — served bytes, QoE, admission, and fault accounting are
   /// byte-identical with it on or off — only host wall time and cache
-  /// statistics move.
+  /// statistics move. The prefetcher runs with PrefetcherOptions' defaults.
   PrefetchMode prefetch = PrefetchMode::kOff;
-  /// Queue/in-flight bounds of the prefetcher; `prefetcher.mode` is
-  /// ignored (`prefetch` above wins).
-  PrefetcherOptions prefetcher;
 
   Status Validate() const;
 };
@@ -124,13 +117,14 @@ struct ServerStats {
 /// \brief A multi-viewer VisualCloud streaming server simulation.
 ///
 /// Runs N concurrent ClientSessions over one shared StorageManager (and
-/// its LRU cell cache) under a deterministic discrete-event scheduler: a
-/// min-heap over session deadlines, ties broken by insertion order, so a
-/// run's outcome is a pure function of its inputs — identical viewer
-/// requests and seeds give bit-identical stats regardless of host timing.
-/// Admission control bounds concurrency (FIFO wait queue) and aggregate
-/// client bandwidth (reject), and an optional shared popularity model is
-/// fed live by every session and consulted by every plan.
+/// its LRU cell cache, which stays warm across Run calls). This is a
+/// one-node run of ClusterServer's deterministic scheduler whose node is
+/// the storage manager itself — no L1/L2 tiers — so a run's outcome is a
+/// pure function of its inputs: identical viewer requests and seeds give
+/// bit-identical stats regardless of host timing. Admission control bounds
+/// concurrency (FIFO wait queue) and aggregate client bandwidth (reject),
+/// and an optional shared popularity model is fed live by every session
+/// and consulted by every plan.
 class StreamingServer {
  public:
   StreamingServer(StorageManager* storage, const ServerOptions& options);
@@ -157,11 +151,6 @@ class StreamingServer {
   const ServerOptions& options() const { return options_; }
 
  private:
-  Result<ServerStats> RunInternal(const VideoMetadata* static_metadata,
-                                  LiveFeed* live,
-                                  const std::vector<ViewerRequest>& viewers,
-                                  const SceneGenerator* reference);
-
   StorageManager* storage_;
   ServerOptions options_;
 };

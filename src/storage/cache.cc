@@ -47,11 +47,6 @@ Counter* RejectedOversizeCounter() {
       MetricRegistry::Global().GetCounter("cache.rejected_oversize");
   return counter;
 }
-Counter* AdmissionRejectCounter() {
-  static Counter* counter =
-      MetricRegistry::Global().GetCounter("cache.l2_admission_rejects");
-  return counter;
-}
 
 }  // namespace
 
@@ -90,10 +85,7 @@ Result<LruCache::Value> LruCache::AsyncHandle::Wait() const {
   return state_->value;
 }
 
-LruCache::LruCache(size_t capacity_bytes)
-    : LruCache(LruCacheOptions{capacity_bytes}) {}
-
-LruCache::LruCache(const LruCacheOptions& options) : options_(options) {}
+LruCache::LruCache(size_t capacity_bytes) : capacity_bytes_(capacity_bytes) {}
 
 LruCache::Value LruCache::Get(PackedCellKey key) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -340,7 +332,7 @@ void LruCache::PutLocked(Table::iterator it, Value value, bool prefetched) {
     return;
   }
   Slot& slot = it->second;
-  if (value->size() > options_.capacity_bytes) {
+  if (value->size() > capacity_bytes_) {
     // Too big to ever fit: refuse to cache, but loudly. Waiters still get
     // the value (Complete resolves their state before calling us).
     ++stats_.rejected_oversize;
@@ -366,16 +358,6 @@ void LruCache::PutLocked(Table::iterator it, Value value, bool prefetched) {
     stats_.bytes_cached += slot.entry->value->size();
     lru_.splice(lru_.begin(), lru_, slot.entry);
   } else {
-    if (options_.admit_on_second_touch && !AdmitLocked(it->first)) {
-      ++stats_.admission_rejects;
-      AdmissionRejectCounter()->Add();
-      if (prefetched) {
-        ++stats_.prefetch_wasted;
-        PrefetchWastedCounter()->Add();
-      }
-      EraseSlotIfEmptyLocked(it);
-      return;
-    }
     lru_.push_front(Entry{it->first, std::move(value), prefetched});
     slot.entry = lru_.begin();
     slot.cached = true;
@@ -384,17 +366,8 @@ void LruCache::PutLocked(Table::iterator it, Value value, bool prefetched) {
   EvictIfNeededLocked();
 }
 
-bool LruCache::AdmitLocked(PackedCellKey key) {
-  if (touch_filter_.erase(key) > 0) return true;
-  if (touch_filter_.size() >= options_.touch_filter_keys) {
-    touch_filter_.clear();
-  }
-  touch_filter_.insert(key);
-  return false;
-}
-
 void LruCache::EvictIfNeededLocked() {
-  while (stats_.bytes_cached > options_.capacity_bytes && !lru_.empty()) {
+  while (stats_.bytes_cached > capacity_bytes_ && !lru_.empty()) {
     const Entry& victim = lru_.back();
     if (victim.prefetched) {
       ++stats_.prefetch_wasted;

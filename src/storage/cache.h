@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -39,11 +38,6 @@ struct CacheStats {
   /// cell shows up here instead of thrashing invisibly.
   uint64_t rejected_oversize = 0;
 
-  /// New values the admit-on-second-touch policy refused to cache (first
-  /// touch goes into the filter, not the cache). Zero unless the policy is
-  /// enabled. The value is still delivered to every waiter.
-  uint64_t admission_rejects = 0;
-
   /// Speculative loads actually dispatched (not already cached/in flight).
   uint64_t prefetch_issued = 0;
   /// Prefetched values later consumed by a demand read — including demand
@@ -51,9 +45,9 @@ struct CacheStats {
   /// promotions credited via CreditPrefetchConsumption.
   uint64_t prefetch_hits = 0;
   /// Prefetched values that never served a demand read: evicted, erased,
-  /// dropped by Clear, displaced by a later Put, rejected as oversize or by
-  /// admission, or failed to load. Every issued prefetch eventually lands
-  /// in exactly one of hits/wasted (or is still cached/in flight), so
+  /// dropped by Clear, displaced by a later Put, rejected as oversize, or
+  /// failed to load. Every issued prefetch eventually lands in exactly one
+  /// of hits/wasted (or is still cached/in flight), so
   ///   prefetch_issued == prefetch_hits + prefetch_wasted
   /// holds once the cache is drained and cleared.
   uint64_t prefetch_wasted = 0;
@@ -62,22 +56,6 @@ struct CacheStats {
     uint64_t total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) / total;
   }
-};
-
-/// Construction options for LruCache.
-struct LruCacheOptions {
-  /// Zero disables caching entirely.
-  size_t capacity_bytes = 0;
-  /// Admit a *new* key only on its second load within the filter's memory:
-  /// the first load parks the key in a small touch filter and the value is
-  /// delivered but not cached; a later load of the same key admits it.
-  /// Filters one-touch-wonder scans out of a shared tier (the classic L2
-  /// problem: 10k viewers each touching a cold tail cell once would churn
-  /// the whole tier). Replacements of already-cached keys always proceed.
-  bool admit_on_second_touch = false;
-  /// Touch-filter capacity in keys; when full it is cleared wholesale (a
-  /// deterministic, allocation-stable approximation of aging out).
-  size_t touch_filter_keys = 4096;
 };
 
 /// \brief Byte-bounded LRU cache from packed 64-bit cell keys to immutable
@@ -123,7 +101,6 @@ class LruCache {
 
   /// `capacity_bytes` of zero disables caching entirely.
   explicit LruCache(size_t capacity_bytes);
-  explicit LruCache(const LruCacheOptions& options);
 
   /// Returns the cached value or nullptr, updating recency and stats.
   Value Get(PackedCellKey key);
@@ -182,7 +159,7 @@ class LruCache {
   void Clear();
 
   CacheStats stats() const;
-  size_t capacity_bytes() const { return options_.capacity_bytes; }
+  size_t capacity_bytes() const { return capacity_bytes_; }
 
  private:
   struct Entry {
@@ -214,21 +191,18 @@ class LruCache {
   bool TouchLocked(Entry* entry);
 
   /// Stores `value` into the slot at `it` (which must be in table_),
-  /// applying oversize and admission policy; erases the slot when it ends
-  /// up neither cached nor in flight.
+  /// refusing oversize values; erases the slot when it ends up neither
+  /// cached nor in flight.
   void PutLocked(Table::iterator it, Value value, bool prefetched);
-  /// Second-touch filter decision for a new key; true = admit now.
-  bool AdmitLocked(PackedCellKey key);
   void EvictIfNeededLocked();
   /// Erases the slot when it holds neither a cached entry nor an in-flight
   /// load.
   void EraseSlotIfEmptyLocked(Table::iterator it);
 
-  const LruCacheOptions options_;
+  const size_t capacity_bytes_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // front = most recent
   Table table_;
-  std::unordered_set<PackedCellKey, CellKeyHash> touch_filter_;
   CacheStats stats_;
 };
 

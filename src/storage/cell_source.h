@@ -10,6 +10,25 @@
 
 namespace vc {
 
+class Counter;
+class Histogram;
+
+/// The `storage.*` read metrics every CellSource reports under, so
+/// session-level observability cannot tell which topology served a read.
+struct CellReadMetrics {
+  Counter* reads;                  ///< storage.cell_reads (demand only)
+  Counter* read_bytes;             ///< storage.cell_read_bytes
+  Histogram* read_seconds;         ///< storage.read_seconds
+  Histogram* demand_miss_seconds;  ///< storage.demand_miss_seconds
+
+  static const CellReadMetrics& Get();
+
+  /// Records one finished demand read that took `seconds` and was (`hit`)
+  /// or was not served from the reader's nearest cache.
+  void Observe(const Result<LruCache::Value>& value, double seconds,
+               bool hit) const;
+};
+
 /// \brief Read-side interface over stored segment cells.
 ///
 /// Sessions and the prefetcher only ever *read* cells, so this is the seam
@@ -36,10 +55,13 @@ class CellSource {
       LoadKind kind = LoadKind::kDemand) = 0;
 
   /// Demand-reads one cell per tile of `segment` at the planned qualities
-  /// (`tile_qualities[t]` is tile t's ladder rung). Returns the first error
-  /// in tile order.
+  /// (`tile_qualities[t]` is tile t's ladder rung). Without an I/O pool the
+  /// tiles are read one by one through ReadCell, so a cache hit costs no
+  /// more than ReadCell's own lookup. With one, every tile's load is issued
+  /// first (cold tiles overlap on the pool), then awaited in tile order.
+  /// Either way the first error in tile order wins.
   virtual Status ReadPlannedCells(const VideoMetadata& metadata, int segment,
-                                  const std::vector<int>& tile_qualities) = 0;
+                                  const std::vector<int>& tile_qualities);
 
   /// The async cell-load pool, or nullptr when every read is synchronous.
   virtual ThreadPool* io_pool() const = 0;

@@ -4,37 +4,9 @@
 
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "storage/cell_key.h"
 
 namespace vc {
-
-namespace {
-
-// Same metric names as StorageManager's read path: session-level
-// observability should not care which topology served the read.
-Counter* CellReadsCounter() {
-  static Counter* counter =
-      MetricRegistry::Global().GetCounter("storage.cell_reads");
-  return counter;
-}
-Counter* CellReadBytesCounter() {
-  static Counter* counter =
-      MetricRegistry::Global().GetCounter("storage.cell_read_bytes");
-  return counter;
-}
-Histogram* ReadSecondsHistogram() {
-  static Histogram* histogram =
-      MetricRegistry::Global().GetHistogram("storage.read_seconds");
-  return histogram;
-}
-Histogram* DemandMissHistogram() {
-  static Histogram* histogram =
-      MetricRegistry::Global().GetHistogram("storage.demand_miss_seconds");
-  return histogram;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
     const ShardedStoreOptions& options) {
@@ -64,8 +36,7 @@ ShardedStore::ShardedStore(const ShardedStoreOptions& options,
                            std::vector<std::unique_ptr<StorageManager>> shards)
     : options_(options),
       shard_map_(options.shards, options.vnodes_per_shard),
-      l2_(LruCacheOptions{options.l2_capacity_bytes,
-                          options.l2_admit_on_second_touch}),
+      l2_(options.l2_capacity_bytes),
       shards_(std::move(shards)) {}
 
 std::unique_ptr<ShardedStore::Node> ShardedStore::CreateNode(
@@ -88,8 +59,8 @@ Result<LruCache::Value> ShardedStore::Node::ReadCell(
   if (!cell.InRange(metadata)) {
     return Status::InvalidArgument("cell coordinates out of range");
   }
-  CellReadsCounter()->Add();
-  ScopedTimer timer(ReadSecondsHistogram());
+  const CellReadMetrics& metrics = CellReadMetrics::Get();
+  metrics.reads->Add();
   PackedCellKey key = cell.Packed(metadata);
   StorageManager* backend = store_->shard(store_->shard_map_.ShardFor(key));
   bool was_hit = false;
@@ -101,8 +72,7 @@ Result<LruCache::Value> ShardedStore::Node::ReadCell(
         return backend->CellLoader(metadata, segment, tile, quality)();
       },
       &was_hit);
-  if (!was_hit) DemandMissHistogram()->Observe(stopwatch.ElapsedSeconds());
-  if (value.ok()) CellReadBytesCounter()->Add((*value)->size());
+  metrics.Observe(value, stopwatch.ElapsedSeconds(), was_hit);
   return value;
 }
 
@@ -113,7 +83,7 @@ Result<LruCache::AsyncHandle> ShardedStore::Node::ReadCellAsync(
   if (!cell.InRange(metadata)) {
     return Status::InvalidArgument("cell coordinates out of range");
   }
-  if (kind == LoadKind::kDemand) CellReadsCounter()->Add();
+  if (kind == LoadKind::kDemand) CellReadMetrics::Get().reads->Add();
   PackedCellKey key = cell.Packed(metadata);
   StorageManager* backend = store_->shard(store_->shard_map_.ShardFor(key));
   // The load is dispatched on the *owning* backend's pool, so each shard's
@@ -122,40 +92,6 @@ Result<LruCache::AsyncHandle> ShardedStore::Node::ReadCellAsync(
   return tiers_.GetOrComputeAsync(
       key, backend->CellLoader(metadata, segment, tile, quality),
       backend->io_pool(), kind);
-}
-
-Status ShardedStore::Node::ReadPlannedCells(
-    const VideoMetadata& metadata, int segment,
-    const std::vector<int>& tile_qualities) {
-  if (static_cast<int>(tile_qualities.size()) != metadata.tile_count()) {
-    return Status::InvalidArgument("one quality per tile required");
-  }
-  // Batch-issue so cold tiles overlap across their owning shards' pools,
-  // then collect in tile order (first error wins) — same contract as
-  // StorageManager::ReadPlannedCells. With synchronous backends the handles
-  // come back resolved and this degenerates to the sequential path.
-  std::vector<LruCache::AsyncHandle> handles;
-  handles.reserve(tile_qualities.size());
-  for (int tile = 0; tile < metadata.tile_count(); ++tile) {
-    auto handle = ReadCellAsync(metadata, segment, tile, tile_qualities[tile],
-                                LoadKind::kDemand);
-    if (!handle.ok()) return handle.status();
-    handles.push_back(std::move(*handle));
-  }
-  Status first_error = Status::OK();
-  for (const LruCache::AsyncHandle& handle : handles) {
-    Stopwatch stopwatch;
-    Result<LruCache::Value> value = handle.Wait();
-    double waited = stopwatch.ElapsedSeconds();
-    ReadSecondsHistogram()->Observe(waited);
-    if (!handle.hit()) DemandMissHistogram()->Observe(waited);
-    if (value.ok()) {
-      CellReadBytesCounter()->Add((*value)->size());
-    } else if (first_error.ok()) {
-      first_error = value.status();
-    }
-  }
-  return first_error;
 }
 
 }  // namespace vc

@@ -22,11 +22,6 @@ struct ShardedStoreOptions {
   int vnodes_per_shard = 64;
   /// Cluster-shared L2 cache over all backends.
   size_t l2_capacity_bytes = 256ull << 20;
-  /// Admit new keys into the shared L2 only on their second load (see
-  /// LruCacheOptions.admit_on_second_touch). Off by default; flipping it
-  /// never changes served bytes or outcomes, only which loads the L2
-  /// retains.
-  bool l2_admit_on_second_touch = false;
 };
 
 /// \brief Cells consistent-hashed across N storage backends under a shared
@@ -55,8 +50,6 @@ class ShardedStore {
     Result<LruCache::AsyncHandle> ReadCellAsync(
         const VideoMetadata& metadata, int segment, int tile, int quality,
         LoadKind kind = LoadKind::kDemand) override;
-    Status ReadPlannedCells(const VideoMetadata& metadata, int segment,
-                            const std::vector<int>& tile_qualities) override;
     /// A representative backend pool (the prefetcher sizes its in-flight
     /// cap from it); loads are actually dispatched on the owning shard's
     /// pool per cell. Null when backends run synchronous.

@@ -8,18 +8,11 @@
 #include "common/crc32.h"
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "storage/cell_key.h"
 
 namespace vc {
 
 namespace {
-
-Histogram* DemandMissHistogram() {
-  static Histogram* histogram =
-      MetricRegistry::Global().GetHistogram("storage.demand_miss_seconds");
-  return histogram;
-}
 
 constexpr char kMetadataPrefix[] = "metadata.v";
 constexpr char kMetadataSuffix[] = ".vcmf";
@@ -248,9 +241,9 @@ Result<VideoMetadata> StorageManager::GetVideoVersion(
   return VideoMetadata::Parse(Slice(*bytes));
 }
 
-LruCache::Loader StorageManager::MakeCellLoader(const VideoMetadata& metadata,
-                                                int segment, int tile,
-                                                int quality) const {
+LruCache::Loader StorageManager::CellLoader(const VideoMetadata& metadata,
+                                            int segment, int tile,
+                                            int quality) const {
   // Owning captures only: the loader may run on an I/O pool thread after
   // the calling frame (and its metadata reference) is gone.
   std::string path = VideoDir(metadata.name) + "/" + metadata.DataDir() +
@@ -274,17 +267,12 @@ LruCache::Loader StorageManager::MakeCellLoader(const VideoMetadata& metadata,
 
 Result<LruCache::Value> StorageManager::ReadCell(
     const VideoMetadata& metadata, int segment, int tile, int quality) {
-  static Counter* cell_reads =
-      MetricRegistry::Global().GetCounter("storage.cell_reads");
-  static Counter* cell_read_bytes =
-      MetricRegistry::Global().GetCounter("storage.cell_read_bytes");
-  static Histogram* read_seconds =
-      MetricRegistry::Global().GetHistogram("storage.read_seconds");
-  if (!CellKey{segment, tile, quality}.InRange(metadata)) {
+  CellKey cell{segment, tile, quality};
+  if (!cell.InRange(metadata)) {
     return Status::InvalidArgument("cell coordinates out of range");
   }
-  ScopedTimer timer(read_seconds);
-  cell_reads->Add();
+  const CellReadMetrics& metrics = CellReadMetrics::Get();
+  metrics.reads->Add();
   // Single-flight through the cache: when many concurrent sessions miss on
   // the same popular cell, exactly one hits the filesystem; the rest share
   // its result. The packed cache key is three shifts and an OR (the hot
@@ -292,78 +280,30 @@ Result<LruCache::Value> StorageManager::ReadCell(
   // inside the loader, which runs on misses.
   bool was_hit = false;
   Stopwatch stopwatch;
-  Result<LruCache::Value> value =
-      cache_.GetOrCompute(CellKey{segment, tile, quality}.Packed(metadata),
-                          [this, &metadata, segment, tile,
-                           quality]() -> Result<LruCache::Value> {
-                            return MakeCellLoader(metadata, segment, tile,
-                                                  quality)();
-                          },
-                          &was_hit);
-  if (!was_hit) DemandMissHistogram()->Observe(stopwatch.ElapsedSeconds());
-  if (value.ok()) cell_read_bytes->Add((*value)->size());
+  Result<LruCache::Value> value = cache_.GetOrCompute(
+      cell.Packed(metadata),
+      [this, &metadata, segment, tile, quality]() -> Result<LruCache::Value> {
+        return CellLoader(metadata, segment, tile, quality)();
+      },
+      &was_hit);
+  metrics.Observe(value, stopwatch.ElapsedSeconds(), was_hit);
   return value;
 }
 
 Result<LruCache::AsyncHandle> StorageManager::ReadCellAsync(
     const VideoMetadata& metadata, int segment, int tile, int quality,
     LoadKind kind) {
-  static Counter* cell_reads =
-      MetricRegistry::Global().GetCounter("storage.cell_reads");
-  if (!CellKey{segment, tile, quality}.InRange(metadata)) {
+  CellKey cell{segment, tile, quality};
+  if (!cell.InRange(metadata)) {
     return Status::InvalidArgument("cell coordinates out of range");
   }
-  if (kind == LoadKind::kDemand) cell_reads->Add();
+  if (kind == LoadKind::kDemand) CellReadMetrics::Get().reads->Add();
   // A null pool makes GetOrComputeAsync run the load synchronously and
   // return a resolved handle, so callers need not care whether the store
   // has an I/O pipeline.
-  return cache_.GetOrComputeAsync(
-      CellKey{segment, tile, quality}.Packed(metadata),
-      MakeCellLoader(metadata, segment, tile, quality), io_pool_.get(), kind);
-}
-
-Status StorageManager::ReadPlannedCells(const VideoMetadata& metadata,
-                                        int segment,
-                                        const std::vector<int>& tile_qualities) {
-  static Counter* cell_read_bytes =
-      MetricRegistry::Global().GetCounter("storage.cell_read_bytes");
-  static Histogram* read_seconds =
-      MetricRegistry::Global().GetHistogram("storage.read_seconds");
-  if (static_cast<int>(tile_qualities.size()) != metadata.tile_count()) {
-    return Status::InvalidArgument("one quality per tile required");
-  }
-  if (io_pool_ == nullptr) {
-    for (int tile = 0; tile < metadata.tile_count(); ++tile) {
-      auto cell = ReadCell(metadata, segment, tile, tile_qualities[tile]);
-      if (!cell.ok()) return cell.status();
-    }
-    return Status::OK();
-  }
-  // Issue the whole segment's loads at once so cold tiles overlap on the
-  // I/O pool, then collect in tile order (first error wins, as in the
-  // sequential path).
-  std::vector<LruCache::AsyncHandle> handles;
-  handles.reserve(tile_qualities.size());
-  for (int tile = 0; tile < metadata.tile_count(); ++tile) {
-    auto handle = ReadCellAsync(metadata, segment, tile,
-                                tile_qualities[tile], LoadKind::kDemand);
-    if (!handle.ok()) return handle.status();
-    handles.push_back(std::move(*handle));
-  }
-  Status first_error = Status::OK();
-  for (const LruCache::AsyncHandle& handle : handles) {
-    Stopwatch stopwatch;
-    Result<LruCache::Value> value = handle.Wait();
-    double waited = stopwatch.ElapsedSeconds();
-    read_seconds->Observe(waited);
-    if (!handle.hit()) DemandMissHistogram()->Observe(waited);
-    if (value.ok()) {
-      cell_read_bytes->Add((*value)->size());
-    } else if (first_error.ok()) {
-      first_error = value.status();
-    }
-  }
-  return first_error;
+  return cache_.GetOrComputeAsync(cell.Packed(metadata),
+                                  CellLoader(metadata, segment, tile, quality),
+                                  io_pool_.get(), kind);
 }
 
 void StorageManager::ClearCache() { cache_.Clear(); }

@@ -120,13 +120,6 @@ class StorageManager : public CellSource {
       const VideoMetadata& metadata, int segment, int tile, int quality,
       LoadKind kind = LoadKind::kDemand) override;
 
-  /// Demand-reads one cell per tile of `segment` at the planned qualities
-  /// (`tile_qualities[t]` is tile t's ladder rung). With an I/O pool the
-  /// loads are issued as one batch and overlap; without one they run
-  /// sequentially. Returns the first error in tile order.
-  Status ReadPlannedCells(const VideoMetadata& metadata, int segment,
-                          const std::vector<int>& tile_qualities) override;
-
   /// Removes a video and all of its versions from disk and cache.
   Status DropVideo(const std::string& name);
 
@@ -147,19 +140,13 @@ class StorageManager : public CellSource {
   /// caller returns. Sharded stores use this to route a cell to its owning
   /// backend while caching in their own tiers.
   LruCache::Loader CellLoader(const VideoMetadata& metadata, int segment,
-                              int tile, int quality) const {
-    return MakeCellLoader(metadata, segment, tile, quality);
-  }
+                              int tile, int quality) const;
 
  private:
   explicit StorageManager(const StorageOptions& options);
 
   std::string VideoDir(const std::string& name) const;
   std::string MetadataPath(const std::string& name, uint32_t version) const;
-  /// Builds the (owning) loader that reads and checksum-verifies one cell;
-  /// safe to run on a pool thread after the caller returns.
-  LruCache::Loader MakeCellLoader(const VideoMetadata& metadata, int segment,
-                                  int tile, int quality) const;
 
   StorageOptions options_;
   LruCache cache_;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -7,6 +9,7 @@
 #include "common/env.h"
 #include "core/session.h"
 #include "core/visualcloud.h"
+#include "obs/metrics.h"
 #include "predict/trace_synthesizer.h"
 #include "server/cluster_server.h"
 #include "server/live_feed.h"
@@ -380,15 +383,6 @@ TEST_F(ServerTest, ServerOptionsValidate) {
   options = ServerOptions{};
   options.bandwidth_budget_bps = -1;
   EXPECT_FALSE(options.Validate().ok());
-  options = ServerOptions{};
-  options.popularity_coverage = 0.0;
-  EXPECT_FALSE(options.Validate().ok());
-  options = ServerOptions{};
-  options.prefetcher.max_queue = 0;
-  EXPECT_FALSE(options.Validate().ok());
-  options = ServerOptions{};
-  options.prefetcher.max_inflight = -1;
-  EXPECT_FALSE(options.Validate().ok());
 }
 
 // ------------------------------------------------------- cluster runs
@@ -399,11 +393,155 @@ TEST_F(ServerTest, ClusterOptionsValidate) {
   options.nodes = 0;
   EXPECT_FALSE(options.Validate().ok());
   options = ClusterOptions{};
-  options.balance_slack = -1;
-  EXPECT_FALSE(options.Validate().ok());
-  options = ClusterOptions{};
   options.node.max_concurrent_sessions = 0;
   EXPECT_FALSE(options.Validate().ok());
+}
+
+/// Forwards to `base`, counting every demand cell read asked of it.
+class CountingCellSource : public CellSource {
+ public:
+  explicit CountingCellSource(CellSource* base) : base_(base) {}
+
+  Result<LruCache::Value> ReadCell(const VideoMetadata& metadata, int segment,
+                                   int tile, int quality) override {
+    ++demand_reads_;
+    return base_->ReadCell(metadata, segment, tile, quality);
+  }
+  Result<LruCache::AsyncHandle> ReadCellAsync(const VideoMetadata& metadata,
+                                              int segment, int tile,
+                                              int quality,
+                                              LoadKind kind) override {
+    if (kind == LoadKind::kDemand) ++demand_reads_;
+    return base_->ReadCellAsync(metadata, segment, tile, quality, kind);
+  }
+  ThreadPool* io_pool() const override { return base_->io_pool(); }
+  CacheStats cache_stats() const override { return base_->cache_stats(); }
+
+  uint64_t demand_reads() const { return demand_reads_.load(); }
+
+ private:
+  CellSource* base_;
+  std::atomic<uint64_t> demand_reads_{0};
+};
+
+TEST_F(ServerTest, CallerCellSourceIsHonouredByBothServers) {
+  // A viewer's own SessionOptions::cell_source (an instrumenting decorator,
+  // say) wins over the serving node's: every demand read passes through
+  // it, and the outcome matches the undecorated run.
+  VideoMetadata metadata = Metadata();
+  std::vector<VideoMetadata> videos = {metadata};
+  CountingCellSource counting(db_->storage());
+  std::vector<ViewerRequest> plain = MakeViewers(6);
+  std::vector<ViewerRequest> decorated = MakeViewers(6);
+  for (ViewerRequest& viewer : decorated) {
+    viewer.session.cell_source = &counting;
+  }
+  auto lookups = [](const CacheStats& cache) {
+    return cache.hits + cache.misses;
+  };
+  auto expect_same_sessions = [](const ServerStats& a, const ServerStats& b) {
+    EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+    ASSERT_EQ(a.sessions.size(), b.sessions.size());
+    for (size_t i = 0; i < a.sessions.size(); ++i) {
+      ExpectSameStats(a.sessions[i], b.sessions[i]);
+    }
+  };
+
+  // Single node: the decorator wraps the server's own storage manager, so
+  // its count equals the cache lookups either run makes.
+  StreamingServer server(db_->storage(), ServerOptions{});
+  auto single = server.Run(metadata, plain);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  auto single_decorated = server.Run(metadata, decorated);
+  ASSERT_TRUE(single_decorated.ok()) << single_decorated.status().ToString();
+  EXPECT_GT(counting.demand_reads(), 0u);
+  EXPECT_EQ(counting.demand_reads(), lookups(single->cache));
+  EXPECT_EQ(counting.demand_reads(), lookups(single_decorated->cache));
+  expect_same_sessions(*single, *single_decorated);
+
+  // Two-node cluster: decorated sessions read through the decorator
+  // instead of their node's L1, which therefore sees no lookups at all.
+  ShardedStoreOptions store_options;
+  store_options.backend.env = env_;
+  store_options.backend.root = "/vcdb";
+  store_options.shards = 2;
+  auto store = ShardedStore::Open(store_options);
+  ASSERT_TRUE(store.ok());
+  ClusterOptions options;
+  options.nodes = 2;
+  ClusterServer cluster(store->get(), options);
+  auto clustered = cluster.Run(videos, plain);
+  ASSERT_TRUE(clustered.ok()) << clustered.status().ToString();
+  uint64_t before = counting.demand_reads();
+  auto clustered_decorated = cluster.Run(videos, decorated);
+  ASSERT_TRUE(clustered_decorated.ok())
+      << clustered_decorated.status().ToString();
+  EXPECT_EQ(counting.demand_reads() - before,
+            lookups(clustered->totals.cache));
+  EXPECT_EQ(lookups(clustered_decorated->totals.cache), 0u);
+  expect_same_sessions(clustered->totals, clustered_decorated->totals);
+  expect_same_sessions(*single, clustered->totals);
+}
+
+TEST_F(ServerTest, ServerMetricsPublishedByBothServers) {
+  // Both topologies run the same scheduler, so one cohort moves the
+  // server.* admission counters by equal deltas and leaves the gauges at
+  // the run's own values.
+  VideoMetadata metadata = Metadata();
+  std::vector<VideoMetadata> videos = {metadata};
+  std::vector<ViewerRequest> viewers = MakeViewers(6);
+  viewers[5].session.network.bandwidth_bps = 1e9;  // over budget: rejected
+  ServerOptions server_options;
+  server_options.bandwidth_budget_bps = 500e6;
+
+  MetricRegistry& registry = MetricRegistry::Global();
+  const std::vector<std::string> counters = {"server.sessions_admitted",
+                                             "server.sessions_rejected",
+                                             "server.sessions_completed"};
+  const std::vector<std::string> gauges = {
+      "server.active_sessions", "server.queue_depth", "server.cache_hit_rate",
+      "server.rebuffer_ratio"};
+  auto measure = [&](const std::function<Result<ServerStats>()>& run) {
+    for (const std::string& gauge : gauges) registry.GetGauge(gauge)->Set(-1);
+    std::vector<uint64_t> moved;
+    for (const std::string& counter : counters) {
+      moved.push_back(registry.GetCounter(counter)->Value());
+    }
+    Result<ServerStats> stats = run();
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    for (size_t i = 0; i < counters.size(); ++i) {
+      moved[i] = registry.GetCounter(counters[i])->Value() - moved[i];
+    }
+    EXPECT_EQ(registry.GetGauge("server.active_sessions")->Value(), 0.0);
+    EXPECT_EQ(registry.GetGauge("server.queue_depth")->Value(), 0.0);
+    EXPECT_EQ(registry.GetGauge("server.cache_hit_rate")->Value(),
+              stats->cache.HitRate());
+    EXPECT_EQ(registry.GetGauge("server.rebuffer_ratio")->Value(),
+              stats->RebufferRatio());
+    return moved;
+  };
+
+  StreamingServer server(db_->storage(), server_options);
+  std::vector<uint64_t> single =
+      measure([&] { return server.Run(metadata, viewers); });
+  EXPECT_EQ(single, (std::vector<uint64_t>{5, 1, 5}));
+
+  ShardedStoreOptions store_options;
+  store_options.backend.env = env_;
+  store_options.backend.root = "/vcdb";
+  store_options.shards = 2;
+  auto store = ShardedStore::Open(store_options);
+  ASSERT_TRUE(store.ok());
+  ClusterOptions options;
+  options.nodes = 2;
+  options.node = server_options;
+  ClusterServer cluster(store->get(), options);
+  std::vector<uint64_t> clustered = measure([&]() -> Result<ServerStats> {
+    auto run = cluster.Run(videos, viewers);
+    if (!run.ok()) return run.status();
+    return run->totals;
+  });
+  EXPECT_EQ(clustered, single);
 }
 
 TEST_F(ServerTest, ShardedClusterPreservesSimulatedOutcome) {
@@ -924,44 +1062,6 @@ TEST_F(ServerTest, IdenticalViewersShareEveryPlanAfterTheFirst) {
   EXPECT_GE(stats->plan.HitRate(), 0.75);
   EXPECT_GE(stats->plan.hits,
             4 * static_cast<uint64_t>(metadata.segment_count()));
-}
-
-TEST_F(ServerTest, L2AdmissionToggleKeepsClusterOutcomeByteIdentical) {
-  // Admit-on-second-touch only decides what the shared L2 *retains*; every
-  // read still delivers the same bytes, so cluster outcomes are invariant.
-  VideoMetadata metadata = Metadata();
-  std::vector<VideoMetadata> videos = {metadata};
-
-  auto run_with = [&](bool second_touch) {
-    ShardedStoreOptions store_options;
-    store_options.backend.env = env_;
-    store_options.backend.root = "/vcdb";
-    store_options.shards = 2;
-    store_options.l2_admit_on_second_touch = second_touch;
-    auto store = ShardedStore::Open(store_options);
-    EXPECT_TRUE(store.ok());
-    ClusterOptions options;
-    options.nodes = 2;
-    ClusterServer cluster(store->get(), options);
-    auto run = cluster.Run(videos, MakeViewers(6));
-    EXPECT_TRUE(run.ok()) << run.status().ToString();
-    return *run;
-  };
-
-  ClusterStats filtered = run_with(true);
-  ClusterStats open = run_with(false);
-
-  EXPECT_EQ(filtered.totals.bytes_sent, open.totals.bytes_sent);
-  EXPECT_EQ(filtered.totals.stall_seconds, open.totals.stall_seconds);
-  ASSERT_EQ(filtered.totals.sessions.size(), open.totals.sessions.size());
-  for (size_t i = 0; i < filtered.totals.sessions.size(); ++i) {
-    ExpectSameStats(filtered.totals.sessions[i], open.totals.sessions[i]);
-  }
-  // The policy visibly filtered first touches out of the L2...
-  EXPECT_GT(filtered.l2.admission_rejects, 0u);
-  EXPECT_EQ(open.l2.admission_rejects, 0u);
-  // ...and each rejected first touch showed up as an extra L2 miss.
-  EXPECT_GE(filtered.l2.misses, open.l2.misses);
 }
 
 TEST_F(ServerTest, PrefetchChurnCountersSurfaceInServerStats) {

@@ -630,34 +630,76 @@ TEST_F(StorageManagerTest, AsyncReadsMatchSyncReads) {
 }
 
 TEST_F(StorageManagerTest, ReadPlannedCellsLoadsEveryTile) {
+  // CellSource's one ReadPlannedCells, through both topologies and both
+  // I/O modes: tile-by-tile ReadCell without a pool, batched async handles
+  // with one.
   VideoMetadata m = StoreSample("video", 2);
-  StorageOptions options;
-  options.env = env_.get();
-  options.root = "/store";
-  options.io_threads = 2;
-  auto store = StorageManager::Open(options);
-  ASSERT_TRUE(store.ok());
-
   std::vector<int> plan(m.tile_count(), 0);
   plan[1] = 1;
-  ASSERT_TRUE((*store)->ReadPlannedCells(m, 1, plan).ok());
-  CacheStats stats = (*store)->cache_stats();
-  EXPECT_EQ(stats.misses, 2u);  // one cold load per tile
 
-  // The batch warmed the cache: repeating it is all hits, and the cells
-  // match what the synchronous path reads.
-  ASSERT_TRUE((*store)->ReadPlannedCells(m, 1, plan).ok());
-  EXPECT_EQ((*store)->cache_stats().hits, 2u);
-  for (int tile = 0; tile < m.tile_count(); ++tile) {
-    auto batched = (*store)->ReadCell(m, 1, tile, plan[tile]);
-    ASSERT_TRUE(batched.ok());
-    auto direct = store_->ReadCell(m, 1, tile, plan[tile]);
-    ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(**batched, **direct);
+  // Corrupt segment 0's later tile behind every reader's back.
+  std::string path = "/store/video/v1/" + m.CellFileName(0, 1, plan[1]);
+  auto bytes = env_->ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  (*bytes)[10] ^= 0xff;
+  ASSERT_TRUE(env_->WriteFile(path, Slice(*bytes)).ok());
+
+  for (bool sharded : {false, true}) {
+    for (int io_threads : {0, 2}) {
+      SCOPED_TRACE(std::string(sharded ? "ShardedStore::Node" :
+                                         "StorageManager") +
+                   " io_threads=" + std::to_string(io_threads));
+      StorageOptions options;
+      options.env = env_.get();
+      options.root = "/store";
+      options.io_threads = io_threads;
+      std::unique_ptr<StorageManager> storage;
+      std::unique_ptr<ShardedStore> store;
+      std::unique_ptr<ShardedStore::Node> node;
+      CellSource* source = nullptr;
+      if (sharded) {
+        ShardedStoreOptions store_options;
+        store_options.backend = options;
+        store_options.shards = 2;
+        auto opened = ShardedStore::Open(store_options);
+        ASSERT_TRUE(opened.ok());
+        store = std::move(*opened);
+        node = store->CreateNode(1 << 20);
+        source = node.get();
+      } else {
+        auto opened = StorageManager::Open(options);
+        ASSERT_TRUE(opened.ok());
+        storage = std::move(*opened);
+        source = storage.get();
+      }
+
+      ASSERT_TRUE(source->ReadPlannedCells(m, 1, plan).ok());
+      EXPECT_EQ(source->cache_stats().misses, 2u);  // one cold load per tile
+
+      // The batch warmed the cache: repeating it is all hits, and the cells
+      // match what the synchronous path reads.
+      ASSERT_TRUE(source->ReadPlannedCells(m, 1, plan).ok());
+      EXPECT_EQ(source->cache_stats().hits, 2u);
+      for (int tile = 0; tile < m.tile_count(); ++tile) {
+        auto batched = source->ReadCell(m, 1, tile, plan[tile]);
+        ASSERT_TRUE(batched.ok());
+        auto direct = store_->ReadCell(m, 1, tile, plan[tile]);
+        ASSERT_TRUE(direct.ok());
+        EXPECT_EQ(**batched, **direct);
+      }
+
+      // A plan must cover every tile.
+      EXPECT_TRUE(source->ReadPlannedCells(m, 1, {0}).IsInvalidArgument());
+
+      // The corrupted later tile fails the read, but the earlier tile
+      // still loaded: reading it again is a cache hit.
+      Status corrupted = source->ReadPlannedCells(m, 0, plan);
+      EXPECT_TRUE(corrupted.IsCorruption()) << corrupted.ToString();
+      uint64_t hits = source->cache_stats().hits;
+      ASSERT_TRUE(source->ReadCell(m, 0, 0, plan[0]).ok());
+      EXPECT_EQ(source->cache_stats().hits, hits + 1);
+    }
   }
-
-  // A plan must cover every tile.
-  EXPECT_TRUE((*store)->ReadPlannedCells(m, 1, {0}).IsInvalidArgument());
 }
 
 TEST_F(StorageManagerTest, PrefetcherWarmsPredictedCells) {
@@ -1423,92 +1465,6 @@ TEST(CellKeyHashTest, UnifiedIndexHashesOncePerHit) {
       43, []() -> Result<LruCache::Value> { return Bytes(64, 2); });
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(CellKeyHash::invocations.load() - before, 2u);
-}
-
-// ------------------------------------------------------ Admission control
-
-TEST(LruCacheTest, SecondTouchAdmissionFiltersOneTouchWonders) {
-  LruCacheOptions options;
-  options.capacity_bytes = 1 << 16;
-  options.admit_on_second_touch = true;
-  LruCache cache(options);
-  int loads = 0;
-  auto loader = [&loads]() -> Result<LruCache::Value> {
-    ++loads;
-    return Bytes(128, 5);
-  };
-
-  // First touch: delivered but not cached — the key parks in the filter.
-  auto first = cache.GetOrCompute(7, loader);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ((*first)->size(), 128u);
-  EXPECT_EQ(cache.stats().bytes_cached, 0u);
-  EXPECT_EQ(cache.stats().admission_rejects, 1u);
-
-  // Second touch: admitted, cached, and the filter forgets the key.
-  auto second = cache.GetOrCompute(7, loader);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(loads, 2);
-  EXPECT_EQ(cache.stats().bytes_cached, 128u);
-  EXPECT_EQ(cache.stats().admission_rejects, 1u);
-
-  // Third: plain hit.
-  ASSERT_TRUE(cache.GetOrCompute(7, loader).ok());
-  EXPECT_EQ(loads, 2);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // Replacing an already-cached key is never filtered.
-  cache.Put(7, Bytes(256, 6));
-  EXPECT_EQ(cache.stats().bytes_cached, 256u);
-  EXPECT_EQ(cache.stats().admission_rejects, 1u);
-}
-
-TEST(LruCacheTest, AdmissionPolicyNeverChangesDeliveredBytes) {
-  // The policy only decides what is *retained*; every caller gets the same
-  // bytes either way. Replay one randomized op sequence against a filtered
-  // and an unfiltered cache and demand byte-identical deliveries.
-  LruCacheOptions filtered;
-  filtered.capacity_bytes = 4096;
-  filtered.admit_on_second_touch = true;
-  filtered.touch_filter_keys = 8;  // force wholesale filter clears too
-  LruCache with(filtered);
-  LruCache without(4096);
-
-  std::mt19937 rng(123u);
-  for (int i = 0; i < 2000; ++i) {
-    PackedCellKey key = rng() % 32;
-    auto loader = [key]() -> Result<LruCache::Value> {
-      return Bytes(64 + key * 8, static_cast<uint8_t>(key));
-    };
-    auto a = with.GetOrCompute(key, loader);
-    auto b = without.GetOrCompute(key, loader);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(**a, **b) << "admission policy changed delivered bytes";
-  }
-  EXPECT_GT(with.stats().admission_rejects, 0u);
-  EXPECT_EQ(without.stats().admission_rejects, 0u);
-}
-
-TEST(LruCacheAsyncTest, AdmissionRejectedPrefetchCountsWasted) {
-  LruCacheOptions options;
-  options.capacity_bytes = 1 << 16;
-  options.admit_on_second_touch = true;
-  LruCache cache(options);
-  // A first-touch prefetch is speculation the filter refuses to retain: it
-  // can never serve a demand read from this cache, so it closes as wasted.
-  ASSERT_TRUE(cache
-                  .GetOrComputeAsync(
-                      9,
-                      []() -> Result<LruCache::Value> { return Bytes(32, 1); },
-                      /*pool=*/nullptr, LoadKind::kPrefetch)
-                  .Wait()
-                  .ok());
-  CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.admission_rejects, 1u);
-  EXPECT_EQ(stats.prefetch_issued, 1u);
-  EXPECT_EQ(stats.prefetch_wasted, 1u);
-  EXPECT_EQ(stats.bytes_cached, 0u);
 }
 
 // ------------------------------------------------------- Prefetch churn
