@@ -45,6 +45,9 @@ tsan() {
     --target server_test storage_test query_test obs_test common_test
   # Where races would live: the single-flight/async cache loader (including
   # oversize rejection and prefetch attribution under concurrency), the
+  # planned-read hit runs under the cache lock (storage_test's
+  # PlannedReadTest.ConcurrentPlannedReadsOverAHalfSizeCache: 8 readers
+  # over a cache holding half the working set), the
   # tiered L1/L2 path through the sharded store, the prefetcher, the
   # multi-session server scheduler, the query executor's batched async cell
   # fetches, and the sharded metrics registry.

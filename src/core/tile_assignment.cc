@@ -37,6 +37,9 @@ TileQualityPlan FitPlanToBudget(const VideoMetadata& metadata, int segment,
                                 TileQualityPlan plan,
                                 const Orientation& predicted,
                                 double budget_bytes) {
+  uint64_t bytes = PlanBytes(metadata, segment, plan);
+  if (static_cast<double>(bytes) <= budget_bytes) return plan;
+
   TileGrid grid = metadata.tile_grid();
   const int lowest = metadata.quality_count() - 1;
 
@@ -51,7 +54,6 @@ TileQualityPlan FitPlanToBudget(const VideoMetadata& metadata, int segment,
     return distance[a] > distance[b];
   });
 
-  uint64_t bytes = PlanBytes(metadata, segment, plan);
   while (static_cast<double>(bytes) > budget_bytes) {
     bool degraded = false;
     for (int tile : order) {

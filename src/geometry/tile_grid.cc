@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <set>
 #include <sstream>
 
 namespace vc {
@@ -46,7 +45,10 @@ std::vector<TileId> TileGrid::TilesInViewport(const Orientation& orientation,
   int row_hi = Clamp(static_cast<int>((pitch_hi - 1e-9) / tile_pitch_extent()),
                      0, rows_ - 1);
 
-  std::set<TileId> tiles;
+  // Rows are visited in order and each row's columns are marked, then
+  // emitted in order, so the result is sorted row-major with no duplicates.
+  std::vector<TileId> tiles;
+  std::vector<char> covered(cols_);
   for (int row = row_lo; row <= row_hi; ++row) {
     bool polar_row =
         (over_top && row == 0) || (over_bottom && row == rows_ - 1);
@@ -64,7 +66,7 @@ std::vector<TileId> TileGrid::TilesInViewport(const Orientation& orientation,
     double effective_half_yaw =
         worst_sin > 1e-3 ? std::min(kPi, fov_yaw / 2.0 / worst_sin) : kPi;
     if (polar_row || effective_half_yaw >= kPi - 1e-9) {
-      for (int col = 0; col < cols_; ++col) tiles.insert(TileId{row, col});
+      for (int col = 0; col < cols_; ++col) tiles.push_back(TileId{row, col});
       continue;
     }
     double yaw_lo = center.yaw - effective_half_yaw;
@@ -72,15 +74,18 @@ std::vector<TileId> TileGrid::TilesInViewport(const Orientation& orientation,
     // Walk the covered yaw arc in tile-width steps, wrapping at the seam.
     int first = static_cast<int>(std::floor(yaw_lo / tile_yaw_extent()));
     int last = static_cast<int>(std::floor((yaw_hi - 1e-9) / tile_yaw_extent()));
+    std::fill(covered.begin(), covered.end(), 0);
     for (int c = first; c <= last; ++c) {
-      int col = ((c % cols_) + cols_) % cols_;
-      tiles.insert(TileId{row, col});
+      covered[((c % cols_) + cols_) % cols_] = 1;
+    }
+    for (int col = 0; col < cols_; ++col) {
+      if (covered[col]) tiles.push_back(TileId{row, col});
     }
   }
   // A viewport over a pole also sees the adjacent rows on the far side;
   // approximating with full polar rows (above) is sufficient for quality
   // assignment, which only needs a superset of visible tiles near poles.
-  return std::vector<TileId>(tiles.begin(), tiles.end());
+  return tiles;
 }
 
 Result<TileGrid::PixelRect> TileGrid::PixelRectOf(TileId tile, int width,

@@ -1,5 +1,6 @@
 #include "storage/cache.h"
 
+#include "common/stopwatch.h"
 #include "obs/metrics.h"
 
 namespace vc {
@@ -112,7 +113,8 @@ void LruCache::Put(PackedCellKey key, Value value) {
 Result<LruCache::Value> LruCache::GetOrCompute(PackedCellKey key,
                                                const Loader& loader,
                                                bool* was_hit,
-                                               bool* consumed_prefetch) {
+                                               bool* consumed_prefetch,
+                                               double* miss_seconds) {
   if (was_hit != nullptr) *was_hit = false;
   if (consumed_prefetch != nullptr) *consumed_prefetch = false;
   std::unique_lock<std::mutex> lock(mu_);
@@ -132,6 +134,11 @@ Result<LruCache::Value> LruCache::GetOrCompute(PackedCellKey key,
   }
   ++stats_.misses;
   MissCounter()->Add();
+  Stopwatch stopwatch;
+  auto finish = [&](Result<Value> outcome) {
+    if (miss_seconds != nullptr) *miss_seconds = stopwatch.ElapsedSeconds();
+    return outcome;
+  };
 
   if (slot.inflight != nullptr) {
     // Someone else is already loading this key: wait for their result.
@@ -150,8 +157,8 @@ Result<LruCache::Value> LruCache::GetOrCompute(PackedCellKey key,
     lock.unlock();
     std::unique_lock<std::mutex> state_lock(state->mu);
     state->cv.wait(state_lock, [&state] { return state->done; });
-    if (!state->status.ok()) return state->status;
-    return state->value;
+    if (!state->status.ok()) return finish(state->status);
+    return finish(state->value);
   }
 
   // We are the loader for this key.
@@ -161,7 +168,28 @@ Result<LruCache::Value> LruCache::GetOrCompute(PackedCellKey key,
   lock.unlock();
   Result<Value> loaded = loader();
   Complete(key, state, loaded);
-  return loaded;
+  return finish(std::move(loaded));
+}
+
+size_t LruCache::TouchCachedRun(const PackedCellKey* keys, size_t n,
+                                uint64_t* bytes) {
+  if (n == 0) return 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t run = 0;
+  for (; run < n; ++run) {
+    auto it = table_.find(keys[run]);
+    if (it == table_.end() || !it->second.cached ||
+        it->second.entry->prefetched) {
+      break;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second.entry);
+    *bytes += it->second.entry->value->size();
+  }
+  if (run > 0) {
+    stats_.hits += run;
+    HitCounter()->Add(run);
+  }
+  return run;
 }
 
 LruCache::AsyncHandle LruCache::GetOrComputeAsync(PackedCellKey key,

@@ -122,10 +122,14 @@ class LruCache {
   /// value was served from cache without waiting on any load. When
   /// `consumed_prefetch` is non-null it is set to whether this call was the
   /// first demand touch of a prefetched value (tiered callers use this to
-  /// credit the copy in the other tier via CreditPrefetchConsumption).
+  /// credit the copy in the other tier via CreditPrefetchConsumption). When
+  /// `miss_seconds` is non-null and the call was not a hit, it is set to
+  /// the host time from the miss to the outcome (this caller's load, or its
+  /// wait on another's); a hit leaves it untouched and reads no clock.
   Result<Value> GetOrCompute(PackedCellKey key, const Loader& loader,
                              bool* was_hit = nullptr,
-                             bool* consumed_prefetch = nullptr);
+                             bool* consumed_prefetch = nullptr,
+                             double* miss_seconds = nullptr);
 
   /// Asynchronous GetOrCompute: the load is dispatched to `pool` (demand
   /// loads on the high-priority lane, prefetch loads on the low lane) and a
@@ -142,6 +146,15 @@ class LruCache {
   AsyncHandle GetOrComputeAsync(PackedCellKey key, Loader loader,
                                 ThreadPool* pool, LoadKind kind,
                                 bool* consumed_prefetch = nullptr);
+
+  /// Serves a run of demand hits under one lock: walks `keys[0..n)` in
+  /// order and, for each key cached and not tagged as prefetched, gives it
+  /// exactly the recency and statistics a GetOrCompute hit would, adding
+  /// its size to `*bytes`. Stops at the first key that is not such an entry
+  /// (absent, in flight only, or prefetched) and returns the run length;
+  /// the caller reads that key through the full GetOrCompute path, which
+  /// handles loading, coalescing and prefetch credit. One hash per key.
+  size_t TouchCachedRun(const PackedCellKey* keys, size_t n, uint64_t* bytes);
 
   /// Tier-promotion credit: a demand read consumed `key`'s copy held by
   /// another cache tier (e.g. a node's private L1 over this shared L2). If

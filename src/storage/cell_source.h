@@ -16,17 +16,16 @@ class Histogram;
 /// The `storage.*` read metrics every CellSource reports under, so
 /// session-level observability cannot tell which topology served a read.
 struct CellReadMetrics {
-  Counter* reads;                  ///< storage.cell_reads (demand only)
-  Counter* read_bytes;             ///< storage.cell_read_bytes
-  Histogram* read_seconds;         ///< storage.read_seconds
-  Histogram* demand_miss_seconds;  ///< storage.demand_miss_seconds
+  Counter* reads;           ///< storage.cell_reads (every demand read)
+  Counter* read_bytes;      ///< storage.cell_read_bytes
+  Histogram* read_seconds;  ///< storage.read_seconds (misses only)
 
   static const CellReadMetrics& Get();
 
-  /// Records one finished demand read that took `seconds` and was (`hit`)
-  /// or was not served from the reader's nearest cache.
-  void Observe(const Result<LruCache::Value>& value, double seconds,
-               bool hit) const;
+  /// Records one finished demand read: its bytes and, when it missed the
+  /// reader's nearest cache (`miss_seconds >= 0`), its latency. A hit
+  /// passes a negative value: hits are counted, never timed.
+  void Record(const Result<LruCache::Value>& value, double miss_seconds) const;
 };
 
 /// \brief Read-side interface over stored segment cells.
@@ -56,12 +55,21 @@ class CellSource {
 
   /// Demand-reads one cell per tile of `segment` at the planned qualities
   /// (`tile_qualities[t]` is tile t's ladder rung). Without an I/O pool the
-  /// tiles are read one by one through ReadCell, so a cache hit costs no
-  /// more than ReadCell's own lookup. With one, every tile's load is issued
-  /// first (cold tiles overlap on the pool), then awaited in tile order.
-  /// Either way the first error in tile order wins.
+  /// tiles are read in order as runs of consecutive hits in nearest_cache(),
+  /// each run under one cache lock (LruCache::TouchCachedRun), with
+  /// ReadCell called only on the tile where a run stops: a miss, an entry
+  /// still tagged as prefetched, or an out-of-range cell. With a pool,
+  /// every tile's load is issued first (cold tiles overlap on the pool),
+  /// then awaited in tile order. Either way the first error in tile order
+  /// wins and no later tile is read.
   virtual Status ReadPlannedCells(const VideoMetadata& metadata, int segment,
                                   const std::vector<int>& tile_qualities);
+
+  /// The cache closest to this reader in which a hit is a complete demand
+  /// read (nothing left to load, credit or promote): ReadPlannedCells
+  /// serves runs of such hits straight from it. The default, nullptr,
+  /// sends every tile through ReadCell.
+  virtual LruCache* nearest_cache() { return nullptr; }
 
   /// The async cell-load pool, or nullptr when every read is synchronous.
   virtual ThreadPool* io_pool() const = 0;

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/stopwatch.h"
 #include "obs/metrics.h"
 #include "storage/cell_key.h"
 
@@ -63,16 +62,11 @@ Result<LruCache::Value> ShardedStore::Node::ReadCell(
   metrics.reads->Add();
   PackedCellKey key = cell.Packed(metadata);
   StorageManager* backend = store_->shard(store_->shard_map_.ShardFor(key));
-  bool was_hit = false;
-  Stopwatch stopwatch;
+  CellLoad load{backend, metadata, segment, tile, quality};
+  double miss_seconds = -1.0;
   Result<LruCache::Value> value = tiers_.GetOrCompute(
-      key,
-      [backend, &metadata, segment, tile,
-       quality]() -> Result<LruCache::Value> {
-        return backend->CellLoader(metadata, segment, tile, quality)();
-      },
-      &was_hit);
-  metrics.Observe(value, stopwatch.ElapsedSeconds(), was_hit);
+      key, [&load] { return load(); }, nullptr, &miss_seconds);
+  metrics.Record(value, miss_seconds);
   return value;
 }
 

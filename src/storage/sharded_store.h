@@ -56,6 +56,10 @@ class ShardedStore {
     ThreadPool* io_pool() const override;
     /// This node's private L1 statistics.
     CacheStats cache_stats() const override { return tiers_.l1_stats(); }
+    /// The private L1. A hit there is complete unless the entry is still
+    /// tagged as prefetched (its L2 copy must be credited), and
+    /// LruCache::TouchCachedRun stops at exactly those.
+    LruCache* nearest_cache() override { return tiers_.l1(); }
 
     int node_id() const { return node_id_; }
     /// Drops the node's L1 (stats preserved).

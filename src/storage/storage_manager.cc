@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/crc32.h"
-#include "common/stopwatch.h"
 #include "obs/metrics.h"
 #include "storage/cell_key.h"
 
@@ -275,18 +274,14 @@ Result<LruCache::Value> StorageManager::ReadCell(
   metrics.reads->Add();
   // Single-flight through the cache: when many concurrent sessions miss on
   // the same popular cell, exactly one hits the filesystem; the rest share
-  // its result. The packed cache key is three shifts and an OR (the hot
-  // path of a warm server is this lookup); the file path is only built
-  // inside the loader, which runs on misses.
-  bool was_hit = false;
-  Stopwatch stopwatch;
-  Result<LruCache::Value> value = cache_.GetOrCompute(
-      cell.Packed(metadata),
-      [this, &metadata, segment, tile, quality]() -> Result<LruCache::Value> {
-        return CellLoader(metadata, segment, tile, quality)();
-      },
-      &was_hit);
-  metrics.Observe(value, stopwatch.ElapsedSeconds(), was_hit);
+  // its result. The packed cache key is three shifts and an OR; the file
+  // path and the clock are only touched on misses.
+  CellLoad load{this, metadata, segment, tile, quality};
+  double miss_seconds = -1.0;
+  Result<LruCache::Value> value =
+      cache_.GetOrCompute(cell.Packed(metadata), [&load] { return load(); },
+                          nullptr, nullptr, &miss_seconds);
+  metrics.Record(value, miss_seconds);
   return value;
 }
 

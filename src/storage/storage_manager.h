@@ -126,6 +126,9 @@ class StorageManager : public CellSource {
   /// Buffer-cache statistics.
   CacheStats cache_stats() const override { return cache_.stats(); }
 
+  /// The buffer cache: every hit in it is a complete demand read.
+  LruCache* nearest_cache() override { return &cache_; }
+
   /// Drops every cached cell (statistics are preserved). Benchmarks use
   /// this to measure cold-vs-warm cache behaviour between runs.
   void ClearCache();
@@ -154,6 +157,25 @@ class StorageManager : public CellSource {
   /// in-flight loader can touch a dead cache.
   std::unique_ptr<ThreadPool> io_pool_;
   mutable std::mutex writer_mu_;  ///< serializes version assignment
+};
+
+/// \brief The backing-store read of one cell (`store`'s CellLoader) as a
+/// synchronous cache loader.
+///
+/// Hand it to a cache through a lambda that captures only a reference to
+/// it: std::function stores such a lambda inline, so a read that turns out
+/// to be a hit allocates nothing, and the loader and file path are built
+/// only by the read that runs the load.
+struct CellLoad {
+  const StorageManager* store;
+  const VideoMetadata& metadata;
+  int segment;
+  int tile;
+  int quality;
+
+  Result<LruCache::Value> operator()() const {
+    return store->CellLoader(metadata, segment, tile, quality)();
+  }
 };
 
 }  // namespace vc

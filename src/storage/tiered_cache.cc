@@ -8,16 +8,23 @@ TieredCache::TieredCache(size_t l1_capacity_bytes, LruCache* l2)
     : l1_(l1_capacity_bytes), l2_(l2) {}
 
 Result<LruCache::Value> TieredCache::GetOrCompute(
-    PackedCellKey key, const LruCache::Loader& loader, bool* was_hit) {
+    PackedCellKey key, const LruCache::Loader& loader, bool* was_hit,
+    double* miss_seconds) {
   bool consumed_l1_prefetch = false;
+  // The reference capture is safe here: a synchronous loader runs inside
+  // this call, on this thread. Capturing one reference to a stack struct
+  // keeps the std::function inline, so an L1 hit allocates nothing.
+  struct L2Load {
+    LruCache* l2;
+    PackedCellKey key;
+    const LruCache::Loader& loader;
+  } l2_load{l2_, key, loader};
   Result<LruCache::Value> value = l1_.GetOrCompute(
       key,
-      // The reference capture is safe here: a synchronous loader runs
-      // inside this call, on this thread.
-      [this, key, &loader]() -> Result<LruCache::Value> {
-        return l2_->GetOrCompute(key, loader);
+      [&l2_load] {
+        return l2_load.l2->GetOrCompute(l2_load.key, l2_load.loader);
       },
-      was_hit, &consumed_l1_prefetch);
+      was_hit, &consumed_l1_prefetch, miss_seconds);
   if (consumed_l1_prefetch) l2_->CreditPrefetchConsumption(key);
   return value;
 }

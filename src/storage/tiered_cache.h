@@ -29,10 +29,13 @@ class TieredCache {
   TieredCache(size_t l1_capacity_bytes, LruCache* l2);
 
   /// Synchronous tiered read: L1, then L2, then `loader`. `was_hit` reports
-  /// an L1 hit (the cheap, node-local case).
+  /// an L1 hit (the cheap, node-local case); `miss_seconds` is as in
+  /// LruCache::GetOrCompute for the L1 (an L1 miss times the L2 lookup and
+  /// any load below it).
   Result<LruCache::Value> GetOrCompute(PackedCellKey key,
                                        const LruCache::Loader& loader,
-                                       bool* was_hit = nullptr);
+                                       bool* was_hit = nullptr,
+                                       double* miss_seconds = nullptr);
 
   /// Asynchronous tiered read: the L1 dispatches one task to `pool` (use
   /// the owning backend's I/O pool so load concurrency is bounded per
@@ -43,6 +46,7 @@ class TieredCache {
                                           ThreadPool* pool, LoadKind kind);
 
   CacheStats l1_stats() const { return l1_.stats(); }
+  LruCache* l1() { return &l1_; }
   LruCache* l2() const { return l2_; }
 
   /// Drops the L1 (stats preserved); the shared L2 is left alone.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/env.h"
 #include "codec/decoder.h"
 #include "core/export.h"
@@ -264,6 +266,52 @@ TEST_F(CoreTest, PlanBytesAndBudgetFitting) {
       FitPlanToBudget(*metadata, 0, plan, gaze, mid_budget);
   TileGrid grid = metadata->tile_grid();
   EXPECT_EQ(degraded[grid.IndexOf(grid.TileFor(gaze))], 0);
+}
+
+TEST_F(CoreTest, FitPlanToBudgetBoundaries) {
+  auto metadata = db_->Describe("venice");
+  ASSERT_TRUE(metadata.ok());
+  const int lowest = metadata->quality_count() - 1;
+  Orientation gaze{1.0, kPi / 3};
+  TileQualityPlan plan =
+      AssignTileQualities(*metadata, gaze, AssignmentOptions{});
+  const uint64_t bytes = PlanBytes(*metadata, 0, plan);
+
+  // A plan that exactly fits comes back unchanged.
+  EXPECT_EQ(FitPlanToBudget(*metadata, 0, plan, gaze,
+                            static_cast<double>(bytes)),
+            plan);
+
+  // One byte short: exactly one rung is dropped, on the tile farthest from
+  // the gaze among those that can still degrade.
+  TileQualityPlan fitted = FitPlanToBudget(*metadata, 0, plan, gaze,
+                                           static_cast<double>(bytes - 1));
+  TileGrid grid = metadata->tile_grid();
+  auto distance = [&](int tile) {
+    return AngularDistance(grid.CenterOf(grid.TileAt(tile)), gaze);
+  };
+  double farthest = -1.0;
+  for (int tile = 0; tile < grid.tile_count(); ++tile) {
+    if (plan[tile] < lowest) farthest = std::max(farthest, distance(tile));
+  }
+  ASSERT_GE(farthest, 0.0);
+  int changed = 0;
+  for (int tile = 0; tile < grid.tile_count(); ++tile) {
+    if (fitted[tile] == plan[tile]) continue;
+    ++changed;
+    EXPECT_EQ(fitted[tile], plan[tile] + 1);
+    EXPECT_EQ(distance(tile), farthest);
+  }
+  EXPECT_EQ(changed, 1);
+  EXPECT_LT(PlanBytes(*metadata, 0, fitted), bytes);
+
+  // Every tile already at the lowest rung: nothing can degrade, whatever
+  // the budget.
+  TileQualityPlan floor(grid.tile_count(), lowest);
+  EXPECT_EQ(FitPlanToBudget(*metadata, 0, floor, gaze, 1.0), floor);
+  const double floor_bytes =
+      static_cast<double>(PlanBytes(*metadata, 0, floor));
+  EXPECT_EQ(FitPlanToBudget(*metadata, 0, floor, gaze, floor_bytes), floor);
 }
 
 // ----------------------------------------------------------------- Session

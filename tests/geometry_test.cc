@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
+#include <set>
 
 #include "common/math_util.h"
 #include "geometry/orientation.h"
@@ -88,6 +90,97 @@ TEST(TileGridTest, CenterOfIsInsideTile) {
     TileId tile = grid.TileAt(i);
     EXPECT_EQ(grid.TileFor(grid.CenterOf(tile)), tile);
   }
+}
+
+/// TilesInViewport as it was first written, collecting into a std::set:
+/// the reference the set-free version must match exactly.
+std::vector<TileId> ReferenceTilesInViewport(const TileGrid& grid,
+                                             const Orientation& orientation,
+                                             double fov_yaw,
+                                             double fov_pitch) {
+  Orientation center = orientation.Normalized();
+  double pitch_lo = center.pitch - fov_pitch / 2.0;
+  double pitch_hi = center.pitch + fov_pitch / 2.0;
+  bool over_top = pitch_lo < 0.0;
+  bool over_bottom = pitch_hi > kPi;
+  pitch_lo = Clamp(pitch_lo, 0.0, kPi);
+  pitch_hi = Clamp(pitch_hi, 0.0, kPi);
+  const double row_extent = grid.tile_pitch_extent();
+  const double col_extent = grid.tile_yaw_extent();
+  int row_lo =
+      Clamp(static_cast<int>(pitch_lo / row_extent), 0, grid.rows() - 1);
+  int row_hi = Clamp(static_cast<int>((pitch_hi - 1e-9) / row_extent), 0,
+                     grid.rows() - 1);
+  std::set<TileId> tiles;
+  for (int row = row_lo; row <= row_hi; ++row) {
+    bool polar_row =
+        (over_top && row == 0) || (over_bottom && row == grid.rows() - 1);
+    double row_pitch_lo = std::max(pitch_lo, row * row_extent);
+    double row_pitch_hi = std::min(pitch_hi, (row + 1) * row_extent);
+    double worst_sin =
+        std::min(std::sin(row_pitch_lo), std::sin(row_pitch_hi));
+    double effective_half_yaw =
+        worst_sin > 1e-3 ? std::min(kPi, fov_yaw / 2.0 / worst_sin) : kPi;
+    if (polar_row || effective_half_yaw >= kPi - 1e-9) {
+      for (int col = 0; col < grid.cols(); ++col) {
+        tiles.insert(TileId{row, col});
+      }
+      continue;
+    }
+    double yaw_lo = center.yaw - effective_half_yaw;
+    double yaw_hi = center.yaw + effective_half_yaw;
+    int first = static_cast<int>(std::floor(yaw_lo / col_extent));
+    int last = static_cast<int>(std::floor((yaw_hi - 1e-9) / col_extent));
+    const int cols = grid.cols();
+    for (int c = first; c <= last; ++c) {
+      tiles.insert(TileId{row, ((c % cols) + cols) % cols});
+    }
+  }
+  return std::vector<TileId>(tiles.begin(), tiles.end());
+}
+
+TEST(TileGridTest, ViewportMatchesSetReferenceOverSeededSweep) {
+  // ~10k orientations per run: uniform ones, plus picks pinned to the yaw
+  // seam, tile boundaries and both poles, with FOVs from zero past 2π.
+  const std::vector<TileGrid> grids = {TileGrid(1, 1), TileGrid(6, 8),
+                                       TileGrid(4, 4), TileGrid(3, 5),
+                                       TileGrid(2, 12)};
+  const double special_yaws[] = {0.0, 1e-12, kTwoPi - 1e-12, kTwoPi,
+                                 -1e-9, kPi, kTwoPi / 8, 3 * kTwoPi / 8};
+  const double special_pitches[] = {0.0, 1e-12, kPi, kPi - 1e-12,
+                                    kPi / 2, kPi / 6, 0.02, kPi - 0.02};
+  const double special_fovs[] = {0.0, 1e-6, kPi, kTwoPi, kTwoPi + 0.5,
+                                 DegToRad(100), DegToRad(90)};
+  std::mt19937 rng(14);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  int cases = 0;
+  for (const TileGrid& grid : grids) {
+    for (int i = 0; i < 2000; ++i) {
+      Orientation o{unit(rng) * kTwoPi, unit(rng) * kPi};
+      double fov_yaw = unit(rng) * 1.2 * kTwoPi;
+      double fov_pitch = unit(rng) * 1.2 * kPi;
+      switch (i % 4) {
+        case 1:
+          o.yaw = special_yaws[rng() % std::size(special_yaws)];
+          break;
+        case 2:
+          o.pitch = special_pitches[rng() % std::size(special_pitches)];
+          break;
+        case 3:
+          fov_yaw = special_fovs[rng() % std::size(special_fovs)];
+          fov_pitch = special_fovs[rng() % std::size(special_fovs)];
+          break;
+        default:
+          break;
+      }
+      ASSERT_EQ(grid.TilesInViewport(o, fov_yaw, fov_pitch),
+                ReferenceTilesInViewport(grid, o, fov_yaw, fov_pitch))
+          << grid.ToString() << " yaw=" << o.yaw << " pitch=" << o.pitch
+          << " fov=" << fov_yaw << "x" << fov_pitch;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 10000);
 }
 
 TEST(TileGridTest, ViewportCoversGazeTile) {

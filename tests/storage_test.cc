@@ -12,6 +12,7 @@
 #include "common/env.h"
 #include "common/math_util.h"
 #include "image/scene.h"
+#include "obs/metrics.h"
 #include "storage/cache.h"
 #include "storage/cell_source.h"
 #include "storage/metadata.h"
@@ -1550,6 +1551,420 @@ TEST(ShardMapTest, PackedOverloadDeterministicAndSpreads) {
   }
   ShardMap one(1);
   EXPECT_EQ(one.ShardFor(PackedCellKey{12345}), 0);
+}
+
+// ------------------------------------------------- Planned-read hit runs
+
+/// Forwards to MemEnv, logging every ReadFile path in order: the cold-read
+/// sequence of a reader, which pins its miss and eviction order.
+class ReadLogEnv : public Env {
+ public:
+  explicit ReadLogEnv(Env* base) : base_(base) {}
+
+  Status WriteFile(const std::string& path, Slice contents) override {
+    return base_->WriteFile(path, contents);
+  }
+  Status AppendFile(const std::string& path, Slice contents) override {
+    return base_->AppendFile(path, contents);
+  }
+  Result<std::vector<uint8_t>> ReadFile(const std::string& path) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      reads_.push_back(path);
+    }
+    return base_->ReadFile(path);
+  }
+  Result<std::vector<uint8_t>> ReadFileRange(const std::string& path,
+                                             uint64_t offset,
+                                             uint64_t length) override {
+    return base_->ReadFileRange(path, offset, length);
+  }
+  Result<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status CreateDirs(const std::string& path) override {
+    return base_->CreateDirs(path);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& path) override {
+    return base_->ListDir(path);
+  }
+  Status RemoveDirRecursive(const std::string& path) override {
+    return base_->RemoveDirRecursive(path);
+  }
+
+  std::vector<std::string> reads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return reads_;
+  }
+
+ private:
+  Env* base_;
+  mutable std::mutex mu_;
+  std::vector<std::string> reads_;
+};
+
+/// The process-wide counters a planned read moves.
+struct ReadCounters {
+  uint64_t cache_hits;
+  uint64_t cell_reads;
+  uint64_t cell_read_bytes;
+  uint64_t read_seconds_count;
+
+  static ReadCounters Now() {
+    MetricRegistry& registry = MetricRegistry::Global();
+    return ReadCounters{
+        registry.GetCounter("cache.hits")->Value(),
+        registry.GetCounter("storage.cell_reads")->Value(),
+        registry.GetCounter("storage.cell_read_bytes")->Value(),
+        registry.GetHistogram("storage.read_seconds")->Snapshot().count};
+  }
+  ReadCounters operator-(const ReadCounters& b) const {
+    return ReadCounters{cache_hits - b.cache_hits, cell_reads - b.cell_reads,
+                        cell_read_bytes - b.cell_read_bytes,
+                        read_seconds_count - b.read_seconds_count};
+  }
+};
+
+void ExpectSameStats(const CacheStats& a, const CacheStats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.bytes_cached, b.bytes_cached);
+  EXPECT_EQ(a.coalesced, b.coalesced);
+  EXPECT_EQ(a.prefetch_issued, b.prefetch_issued);
+  EXPECT_EQ(a.prefetch_hits, b.prefetch_hits);
+  EXPECT_EQ(a.prefetch_wasted, b.prefetch_wasted);
+}
+
+/// Reads a planned segment the way ReadPlannedCells did before hit runs:
+/// ReadCell tile by tile, stopping at the first error.
+Status ReadCellByCell(CellSource* source, const VideoMetadata& metadata,
+                      int segment, const std::vector<int>& plan) {
+  for (int tile = 0; tile < metadata.tile_count(); ++tile) {
+    auto cell = source->ReadCell(metadata, segment, tile, plan[tile]);
+    if (!cell.ok()) return cell.status();
+  }
+  return Status::OK();
+}
+
+class PlannedReadTest : public ::testing::Test {
+ protected:
+  static constexpr int kSegments = 4;
+  static constexpr int kQualities = 2;
+
+  void SetUp() override {
+    mem_ = NewMemEnv();
+    env_ = std::make_unique<ReadLogEnv>(mem_.get());
+    StorageOptions options;
+    options.env = mem_.get();
+    options.root = "/store";
+    auto writer_store = StorageManager::Open(options);
+    ASSERT_TRUE(writer_store.ok());
+    VideoMetadata layout;
+    layout.name = "video";
+    layout.width = 96;
+    layout.height = 64;
+    layout.frames_per_segment = 4;
+    layout.tile_rows = 2;
+    layout.tile_cols = 3;
+    layout.ladder = {{"high", 14}, {"low", 40}};
+    auto writer = (*writer_store)->NewVideoWriter(layout);
+    ASSERT_TRUE(writer.ok());
+    for (int s = 0; s < kSegments; ++s) {
+      std::vector<std::vector<uint8_t>> cells;
+      for (int t = 0; t < layout.tile_count(); ++t) {
+        for (int q = 0; q < kQualities; ++q) {
+          cells.push_back(std::vector<uint8_t>(
+              100 + (s * 37 + t * 11 + q * 53) % 90,
+              static_cast<uint8_t>(s * 16 + t * 2 + q)));
+        }
+      }
+      ASSERT_TRUE((*writer)->AddSegment(4, cells).ok());
+    }
+    auto version = (*writer)->Commit();
+    ASSERT_TRUE(version.ok());
+    auto metadata = (*writer_store)->GetVideoVersion("video", *version);
+    ASSERT_TRUE(metadata.ok());
+    metadata_ = *metadata;
+  }
+
+  StorageOptions ReaderOptions(size_t cache_bytes) const {
+    StorageOptions options;
+    options.env = env_.get();
+    options.root = "/store";
+    options.cache_capacity_bytes = cache_bytes;
+    return options;
+  }
+
+  /// Bytes of every cell of the video.
+  size_t WorkingSetBytes() const {
+    size_t total = 0;
+    for (const CellInfo& cell : metadata_.cells) total += cell.byte_size;
+    return total;
+  }
+
+  std::unique_ptr<Env> mem_;
+  std::unique_ptr<ReadLogEnv> env_;
+  VideoMetadata metadata_;
+};
+
+TEST_F(PlannedReadTest, HitRunsMatchCellByCellReads) {
+  // Drive a tight cache through a seeded mix of warm, cold and evicting
+  // segments (plus a few synchronous prefetches) twice per topology: once
+  // through ReadPlannedCells' hit runs, once through a per-tile ReadCell
+  // loop. Statistics, process counters and the cold-read sequence (which
+  // pins the eviction order) must agree exactly.
+  const size_t tight = WorkingSetBytes() * 3 / 10;
+  for (bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "ShardedStore::Node" : "StorageManager");
+    struct Outcome {
+      CacheStats nearest;
+      CacheStats l2;
+      ReadCounters counters{};
+      std::vector<std::string> cold_reads;
+    };
+    Outcome outcomes[2];
+    for (int batched = 0; batched < 2; ++batched) {
+      std::unique_ptr<StorageManager> storage;
+      std::unique_ptr<ShardedStore> store;
+      std::unique_ptr<ShardedStore::Node> node;
+      CellSource* source = nullptr;
+      if (sharded) {
+        ShardedStoreOptions options;
+        options.backend = ReaderOptions(0);
+        options.shards = 2;
+        options.l2_capacity_bytes = tight * 2;
+        auto opened = ShardedStore::Open(options);
+        ASSERT_TRUE(opened.ok());
+        store = std::move(*opened);
+        node = store->CreateNode(tight);
+        source = node.get();
+      } else {
+        auto opened = StorageManager::Open(ReaderOptions(tight));
+        ASSERT_TRUE(opened.ok());
+        storage = std::move(*opened);
+        source = storage.get();
+      }
+      ASSERT_EQ(source->io_pool(), nullptr);
+      const size_t log_start = env_->reads().size();
+      const ReadCounters before = ReadCounters::Now();
+      std::mt19937 rng(20171);
+      for (int step = 0; step < 200; ++step) {
+        // Mostly revisit segments 0-1 (warm runs), sometimes jump to 2-3
+        // (cold tiles that evict).
+        int segment = rng() % 10 < 7 ? rng() % 2 : 2 + rng() % 2;
+        std::vector<int> plan(metadata_.tile_count());
+        for (int& quality : plan) quality = rng() % 4 == 0 ? 1 : 0;
+        if (step % 17 == 5) {
+          int tile = rng() % metadata_.tile_count();
+          auto handle = source->ReadCellAsync(metadata_, (segment + 1) % 4,
+                                              tile, 0, LoadKind::kPrefetch);
+          ASSERT_TRUE(handle.ok());
+          ASSERT_TRUE(handle->Wait().ok());
+        }
+        Status status = batched
+                            ? source->ReadPlannedCells(metadata_, segment, plan)
+                            : ReadCellByCell(source, metadata_, segment, plan);
+        ASSERT_TRUE(status.ok()) << status.ToString();
+      }
+      Outcome& outcome = outcomes[batched];
+      outcome.counters = ReadCounters::Now() - before;
+      outcome.nearest = source->cache_stats();
+      if (store != nullptr) outcome.l2 = store->l2_stats();
+      std::vector<std::string> reads = env_->reads();
+      outcome.cold_reads.assign(reads.begin() + log_start, reads.end());
+    }
+    const Outcome& per_tile = outcomes[0];
+    const Outcome& runs = outcomes[1];
+    // The workload really mixed hits, misses, evictions and prefetches.
+    EXPECT_GT(per_tile.nearest.hits, 0u);
+    EXPECT_GT(per_tile.nearest.misses, 0u);
+    EXPECT_GT(per_tile.nearest.evictions, 0u);
+    EXPECT_GT(per_tile.nearest.prefetch_hits, 0u);
+    ExpectSameStats(runs.nearest, per_tile.nearest);
+    ExpectSameStats(runs.l2, per_tile.l2);
+    EXPECT_EQ(runs.counters.cache_hits, per_tile.counters.cache_hits);
+    EXPECT_EQ(runs.counters.cell_reads, per_tile.counters.cell_reads);
+    EXPECT_EQ(runs.counters.cell_reads, 200u * metadata_.tile_count());
+    EXPECT_EQ(runs.counters.cell_read_bytes,
+              per_tile.counters.cell_read_bytes);
+    EXPECT_EQ(runs.cold_reads, per_tile.cold_reads);
+    // Only misses of the nearest cache are timed.
+    EXPECT_EQ(runs.counters.read_seconds_count,
+              per_tile.counters.read_seconds_count);
+    EXPECT_EQ(runs.counters.read_seconds_count, per_tile.nearest.misses);
+  }
+}
+
+TEST_F(PlannedReadTest, WarmSegmentHashesOncePerTileAndIsNotTimed) {
+  for (bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "ShardedStore::Node" : "StorageManager");
+    std::unique_ptr<StorageManager> storage;
+    std::unique_ptr<ShardedStore> store;
+    std::unique_ptr<ShardedStore::Node> node;
+    CellSource* source = nullptr;
+    if (sharded) {
+      ShardedStoreOptions options;
+      options.backend = ReaderOptions(0);
+      options.shards = 2;
+      auto opened = ShardedStore::Open(options);
+      ASSERT_TRUE(opened.ok());
+      store = std::move(*opened);
+      node = store->CreateNode(1 << 20);
+      source = node.get();
+    } else {
+      auto opened = StorageManager::Open(ReaderOptions(1 << 20));
+      ASSERT_TRUE(opened.ok());
+      storage = std::move(*opened);
+      source = storage.get();
+    }
+    std::vector<int> plan = {0, 1, 0, 1, 1, 0};
+    ASSERT_TRUE(source->ReadPlannedCells(metadata_, 2, plan).ok());
+
+    const uint64_t hashes = CellKeyHash::invocations.load();
+    const ReadCounters before = ReadCounters::Now();
+    ASSERT_TRUE(source->ReadPlannedCells(metadata_, 2, plan).ok());
+    const ReadCounters delta = ReadCounters::Now() - before;
+    EXPECT_EQ(CellKeyHash::invocations.load() - hashes,
+              static_cast<uint64_t>(metadata_.tile_count()));
+    EXPECT_EQ(delta.cache_hits, static_cast<uint64_t>(metadata_.tile_count()));
+    EXPECT_EQ(delta.cell_reads, static_cast<uint64_t>(metadata_.tile_count()));
+    uint64_t plan_bytes = 0;
+    for (int tile = 0; tile < metadata_.tile_count(); ++tile) {
+      plan_bytes += metadata_.cells[metadata_.CellIndex(2, tile, plan[tile])]
+                        .byte_size;
+    }
+    EXPECT_EQ(delta.cell_read_bytes, plan_bytes);
+    EXPECT_EQ(delta.read_seconds_count, 0u);  // hits are counted, not timed
+    EXPECT_EQ(source->cache_stats().hits,
+              static_cast<uint64_t>(metadata_.tile_count()));
+  }
+}
+
+TEST_F(PlannedReadTest, PrefetchedL1EntryMidSegmentCreditsL2) {
+  ShardedStoreOptions options;
+  options.backend = ReaderOptions(0);
+  options.shards = 2;
+  auto store = ShardedStore::Open(options);
+  ASSERT_TRUE(store.ok());
+  auto node = (*store)->CreateNode(1 << 20);
+  std::vector<int> plan(metadata_.tile_count(), 0);
+  const int middle = metadata_.tile_count() / 2;
+
+  // The prefetch tags the middle tile in both tiers; the other tiles are
+  // demand-read, so the next planned read is all L1 hits with one
+  // prefetched entry in the middle of the run.
+  auto prefetch = node->ReadCellAsync(metadata_, 1, middle, plan[middle],
+                                      LoadKind::kPrefetch);
+  ASSERT_TRUE(prefetch.ok());
+  ASSERT_TRUE(prefetch->Wait().ok());
+  for (int tile = 0; tile < metadata_.tile_count(); ++tile) {
+    if (tile == middle) continue;
+    ASSERT_TRUE(node->ReadCell(metadata_, 1, tile, 0).ok());
+  }
+  const CacheStats l1_before = node->cache_stats();
+  const CacheStats l2_before = (*store)->l2_stats();
+  EXPECT_EQ(l2_before.prefetch_issued, 1u);
+  EXPECT_EQ(l2_before.prefetch_hits, 0u);
+
+  ASSERT_TRUE(node->ReadPlannedCells(metadata_, 1, plan).ok());
+  const CacheStats l1 = node->cache_stats();
+  const CacheStats l2 = (*store)->l2_stats();
+  EXPECT_EQ(l1.hits - l1_before.hits,
+            static_cast<uint64_t>(metadata_.tile_count()));
+  EXPECT_EQ(l1.misses, l1_before.misses);
+  EXPECT_EQ(l1.prefetch_hits, l1_before.prefetch_hits + 1);
+  // The L1 consumption was credited to the L2 copy, without a demand hit
+  // there.
+  EXPECT_EQ(l2.prefetch_hits, 1u);
+  EXPECT_EQ(l2.hits, l2_before.hits);
+}
+
+TEST_F(PlannedReadTest, CorruptTileStopsTheSegment) {
+  const int corrupt = 3;
+  std::vector<int> plan(metadata_.tile_count(), 1);
+  std::string path =
+      "/store/video/v1/" + metadata_.CellFileName(0, corrupt, plan[corrupt]);
+  auto bytes = mem_->ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  (*bytes)[7] ^= 0x5a;
+  ASSERT_TRUE(mem_->WriteFile(path, Slice(*bytes)).ok());
+
+  auto store = StorageManager::Open(ReaderOptions(1 << 20));
+  ASSERT_TRUE(store.ok());
+  // Warm the first tile so the segment starts with a hit run.
+  ASSERT_TRUE((*store)->ReadCell(metadata_, 0, 0, plan[0]).ok());
+
+  const size_t log_start = env_->reads().size();
+  const ReadCounters before = ReadCounters::Now();
+  Status status = (*store)->ReadPlannedCells(metadata_, 0, plan);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_EQ((ReadCounters::Now() - before).cell_reads,
+            static_cast<uint64_t>(corrupt + 1));
+  // Tiles 1..corrupt were read from the store, nothing after them.
+  std::vector<std::string> reads = env_->reads();
+  std::vector<std::string> cold(reads.begin() + log_start, reads.end());
+  ASSERT_EQ(cold.size(), static_cast<size_t>(corrupt));
+  for (int tile = 1; tile <= corrupt; ++tile) {
+    EXPECT_EQ(cold[tile - 1],
+              "/store/video/v1/" + metadata_.CellFileName(0, tile, plan[tile]));
+  }
+  // The tiles before the corrupt one are cached.
+  const uint64_t hits = (*store)->cache_stats().hits;
+  for (int tile = 0; tile < corrupt; ++tile) {
+    ASSERT_TRUE((*store)->ReadCell(metadata_, 0, tile, plan[tile]).ok());
+  }
+  EXPECT_EQ((*store)->cache_stats().hits, hits + corrupt);
+
+  // An out-of-range quality ends a hit run the same way: ReadCell reports
+  // it, in tile order.
+  std::vector<int> bad = plan;
+  bad[1] = kQualities;
+  EXPECT_TRUE(
+      (*store)->ReadPlannedCells(metadata_, 0, bad).IsInvalidArgument());
+}
+
+TEST_F(PlannedReadTest, ConcurrentPlannedReadsOverAHalfSizeCache) {
+  // Run under TSan (scripts/ci.sh tsan): eight readers share one store
+  // whose cache holds about half the working set, so hit runs, misses,
+  // coalesced loads and evictions interleave under the one cache lock.
+  auto store = StorageManager::Open(ReaderOptions(WorkingSetBytes() / 2));
+  ASSERT_TRUE(store.ok());
+  constexpr int kThreads = 8;
+  constexpr int kSegmentsPerThread = 150;
+  std::atomic<int> failures{0};
+  const CacheStats before = (*store)->cache_stats();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(1000 + t);
+      std::vector<int> plan(metadata_.tile_count());
+      for (int i = 0; i < kSegmentsPerThread; ++i) {
+        for (int& quality : plan) quality = rng() % kQualities;
+        if (!(*store)->ReadPlannedCells(metadata_, rng() % kSegments, plan)
+                 .ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  const CacheStats after = (*store)->cache_stats();
+  EXPECT_EQ((after.hits - before.hits) + (after.misses - before.misses),
+            static_cast<uint64_t>(kThreads) * kSegmentsPerThread *
+                metadata_.tile_count());
+  EXPECT_GT(after.hits, before.hits);
+  EXPECT_GT(after.evictions, before.evictions);
 }
 
 TEST_F(MonolithicTest, RangeValidation) {
