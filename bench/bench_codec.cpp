@@ -249,13 +249,12 @@ void PrintIngestReuseTable() {
   WriteBenchJsonKey("BENCH_codec.json", "ingest_reuse", json);
 }
 
-// --------------------------------------- SIMD + entropy profile end-to-end
+// ----------------------------------------------- SIMD kernels end-to-end
 
-/// One segment-encode configuration: kernels tier x entropy profile.
+/// One segment-encode configuration: scalar or SIMD kernels.
 struct CodecMode {
   const char* name;
   bool simd;
-  EntropyProfile profile;
 };
 
 struct CodecModeResult {
@@ -274,23 +273,21 @@ double MeanLumaPsnr(const std::vector<Frame>& reference,
   return total / static_cast<double>(reference.size());
 }
 
-void PrintSimdHuffmanTable() {
-  Banner("M1c: SIMD kernels + entropy profile on the segment codec path",
-         "expect: SIMD speeds encode/decode at a byte-identical stream; "
-         "Huffman cuts bits at an identical reconstruction");
+void PrintSimdSegmentTable() {
+  Banner("M1c: SIMD kernels on the segment codec path",
+         "expect: SIMD speeds encode/decode at a byte-identical stream");
   constexpr int kReps = 5;
   auto frames = SceneFrames("venice", kSegmentFrames);  // one 1-s segment
 
   const CodecMode modes[] = {
-      {"scalar+eg", false, EntropyProfile::kExpGolomb},
-      {"simd+eg", true, EntropyProfile::kExpGolomb},
-      {"simd+huffman", true, EntropyProfile::kHuffman},
+      {"scalar+eg", false},
+      {"simd+eg", true},
   };
-  constexpr int kModes = 3;
+  constexpr int kModes = 2;
 
-  EncoderOptions base = BaseOptions(28);
-  base.tile_rows = kTileRows;
-  base.tile_cols = kTileCols;
+  EncoderOptions options = BaseOptions(28);
+  options.tile_rows = kTileRows;
+  options.tile_cols = kTileCols;
 
   const bool simd_prior = simd::Enabled();
   CodecModeResult results[kModes];
@@ -301,8 +298,6 @@ void PrintSimdHuffmanTable() {
   for (int rep = 0; rep < kReps; ++rep) {
     for (int m = 0; m < kModes; ++m) {
       simd::SetEnabled(modes[m].simd);
-      EncoderOptions options = base;
-      options.entropy_profile = modes[m].profile;
       Stopwatch encode_watch;
       auto video = CheckOk(EncodeVideo(frames, options), "encode");
       double encode_seconds = encode_watch.ElapsedSeconds();
@@ -325,17 +320,12 @@ void PrintSimdHuffmanTable() {
   }
   simd::SetEnabled(simd_prior);
 
-  // The central claims, checked rather than eyeballed: SIMD changes the
-  // stream by not one byte, and the entropy profile changes the
-  // reconstruction by not one pixel (so its PSNR delta is exactly 0).
+  // The central claim, checked rather than eyeballed: SIMD changes the
+  // stream by not one byte.
   CheckOk(streams[0] == streams[1]
               ? Status::OK()
               : Status::Internal("scalar and SIMD streams differ"),
           "simd bit-exactness");
-  CheckOk(results[1].psnr_db == results[2].psnr_db
-              ? Status::OK()
-              : Status::Internal("entropy profile changed reconstruction"),
-          "huffman psnr");
 
   std::printf("\n%-13s %9s %8s %9s %9s %9s %9s\n", "mode", "enc s", "seg/s",
               "dec s", "bytes", "PSNR dB", "speedup");
@@ -346,58 +336,10 @@ void PrintSimdHuffmanTable() {
                 results[m].psnr_db,
                 results[0].encode_seconds / results[m].encode_seconds);
   }
-  std::printf("decode speedup: simd+eg %.2fx, simd+huffman %.2fx; "
-              "huffman bytes: %.1f%% of eg\n",
-              results[0].decode_seconds / results[1].decode_seconds,
-              results[0].decode_seconds / results[2].decode_seconds,
-              100.0 * static_cast<double>(results[2].bytes) /
-                  static_cast<double>(results[0].bytes));
+  std::printf("decode speedup: simd+eg %.2fx\n\n",
+              results[0].decode_seconds / results[1].decode_seconds);
 
-  // Bitrate at equal PSNR across the QP range: the entropy profile is
-  // lossless relative to Exp-Golomb, so "equal PSNR" is exact, not a tuned
-  // operating point. Swept across tile grids because the per-payload
-  // code-length table amortizes over payload size: coarse grids (one table
-  // per big payload) show the real coding gain, while the canonical 6x8
-  // grid's ~30-byte tile payloads often stay on the Exp-Golomb fallback —
-  // whose 1-bit-per-payload cost is the worst case by construction.
-  std::printf("\nEntropy profile bitrate sweep (venice, %d frames):\n",
-              kSegmentFrames);
-  std::printf("%-7s %-5s %12s %14s %10s %12s\n", "grid", "qp", "eg bytes",
-              "huffman bytes", "saved", "PSNR delta");
-  std::string sweep_json;
-  for (auto [grid_rows, grid_cols] : {std::pair{1, 1}, {kTileRows,
-                                                        kTileCols}}) {
-    for (int qp : {14, 28, 42}) {
-      EncoderOptions eg_options = BaseOptions(qp);
-      eg_options.tile_rows = grid_rows;
-      eg_options.tile_cols = grid_cols;
-      EncoderOptions hf_options = eg_options;
-      hf_options.entropy_profile = EntropyProfile::kHuffman;
-      auto eg_video = CheckOk(EncodeVideo(frames, eg_options), "encode");
-      auto hf_video = CheckOk(EncodeVideo(frames, hf_options), "encode");
-      double eg_psnr =
-          MeanLumaPsnr(frames, CheckOk(DecodeVideo(eg_video), "decode"));
-      double hf_psnr =
-          MeanLumaPsnr(frames, CheckOk(DecodeVideo(hf_video), "decode"));
-      double saved = 1.0 - static_cast<double>(hf_video.size_bytes()) /
-                               static_cast<double>(eg_video.size_bytes());
-      std::printf("%dx%-5d %-5d %12zu %14zu %9.1f%% %12.4f\n", grid_rows,
-                  grid_cols, qp, eg_video.size_bytes(), hf_video.size_bytes(),
-                  100.0 * saved, hf_psnr - eg_psnr);
-      char row[256];
-      std::snprintf(
-          row, sizeof(row),
-          "%s\n   {\"grid\": \"%dx%d\", \"qp\": %d, \"eg_bytes\": %zu, "
-          "\"huffman_bytes\": %zu, \"saved\": %.4f, \"psnr_delta_db\": %.6f}",
-          sweep_json.empty() ? "" : ",", grid_rows, grid_cols, qp,
-          eg_video.size_bytes(), hf_video.size_bytes(), saved,
-          hf_psnr - eg_psnr);
-      sweep_json += row;
-    }
-  }
-  std::printf("\n");
-
-  char json[2048];
+  char json[1024];
   std::snprintf(
       json, sizeof(json),
       "{\n  \"best_tier\": \"%s\",\n  \"segment\": {\n"
@@ -405,23 +347,15 @@ void PrintSimdHuffmanTable() {
       "%.4f, \"bytes\": %zu, \"psnr_db\": %.3f},\n"
       "   \"simd_eg\": {\"encode_seconds\": %.4f, \"decode_seconds\": %.4f, "
       "\"bytes\": %zu, \"psnr_db\": %.3f},\n"
-      "   \"simd_huffman\": {\"encode_seconds\": %.4f, \"decode_seconds\": "
-      "%.4f, \"bytes\": %zu, \"psnr_db\": %.3f},\n"
       "   \"simd_encode_speedup\": %.3f, \"simd_decode_speedup\": %.3f,\n"
-      "   \"huffman_encode_speedup\": %.3f, \"huffman_decode_speedup\": "
-      "%.3f,\n"
-      "   \"psnr_delta_db\": 0.0, \"stream_bit_identical\": true},\n"
-      "  \"bitrate_sweep\": [%s]\n }",
+      "   \"stream_bit_identical\": true}\n }",
       simd::LevelName(simd::ActiveLevel()), results[0].encode_seconds,
       results[0].decode_seconds, results[0].bytes, results[0].psnr_db,
       results[1].encode_seconds, results[1].decode_seconds, results[1].bytes,
-      results[1].psnr_db, results[2].encode_seconds,
-      results[2].decode_seconds, results[2].bytes, results[2].psnr_db,
+      results[1].psnr_db,
       results[0].encode_seconds / results[1].encode_seconds,
-      results[0].decode_seconds / results[1].decode_seconds,
-      results[0].encode_seconds / results[2].encode_seconds,
-      results[0].decode_seconds / results[2].decode_seconds, sweep_json.c_str());
-  WriteBenchJsonKey("BENCH_codec.json", "simd_huffman", json);
+      results[0].decode_seconds / results[1].decode_seconds);
+  WriteBenchJsonKey("BENCH_codec.json", "simd_segment", json);
 }
 
 // ------------------------------------------------------- google-benchmark
@@ -487,7 +421,7 @@ BENCHMARK(BM_DecodeSingleTile);
 int main(int argc, char** argv) {
   PrintRdTable();
   PrintIngestReuseTable();
-  PrintSimdHuffmanTable();
+  PrintSimdSegmentTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   EmitMetricsSnapshot("M1");

@@ -1,20 +1,16 @@
 // M1k — codec kernel microbenchmark: scalar vs SIMD throughput for each hot
-// kernel (SAD, forward/inverse DCT, quantization), plus entropy-coder
-// throughput and density (Exp-Golomb vs canonical Huffman).
+// kernel (SAD, forward/inverse DCT, quantization), plus the Exp-Golomb
+// residual coder's throughput and density.
 //
 // Expected shape: the SIMD columns are several-fold faster than scalar for
-// every vectorized kernel (the issue targets >=3x aggregate); Huffman emits
-// fewer bits per block than Exp-Golomb at identical reconstruction, at a
-// comparable encode rate and a faster table-driven decode than bit-serial
-// Exp-Golomb on dense blocks.
+// every vectorized kernel (the target is >=3x aggregate).
 //
 // Every lap re-verifies that the SIMD and scalar kernels produce identical
-// outputs (and that both entropy coders round-trip) before timing — a
+// outputs (and that the entropy coder round-trips) before timing — a
 // throughput number for a wrong kernel is worse than none. `--smoke` runs
 // the verification on shrunk workloads and skips the JSON snapshot; CI
 // registers it so the agreement checks run on every build.
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -276,37 +272,28 @@ std::vector<KernelRow> BenchTransforms(const TransformData& data, int reps) {
   return rows;
 }
 
-// --------------------------------------------------------- entropy coders
+// ---------------------------------------------------------- entropy coder
 
 struct EntropyRow {
-  std::string name;
   double encode_mbs = 0.0;
   double decode_mbs = 0.0;
   double bits_per_block = 0.0;
 };
 
-std::vector<EntropyRow> BenchEntropy(const TransformData& data, int reps) {
+/// Exp-Golomb run-level coding of the quantized blocks, with all-zero blocks
+/// written as the single UE(0) the tile encoder emits for them.
+EntropyRow BenchExpGolomb(const TransformData& data, int reps) {
   const int blocks = static_cast<int>(data.levels.size());
   const double bytes = static_cast<double>(blocks) * kBlockPixels;
-  std::vector<CodedBlock> coded(blocks);
-  for (int i = 0; i < blocks; ++i) {
-    coded[i].nonzero = data.nonzero[i];
-    if (data.nonzero[i] > 0) coded[i].levels = data.levels[i];
-  }
-
-  std::vector<EntropyRow> rows;
-
-  // Exp-Golomb.
   EntropyRow eg;
-  eg.name = "expgolomb";
   std::vector<uint8_t> eg_bytes;
   eg.encode_mbs = bytes / BestSeconds(reps, [&] {
     BitWriter writer;
     for (int i = 0; i < blocks; ++i) {
-      if (coded[i].nonzero == 0) {
+      if (data.nonzero[i] == 0) {
         writer.WriteUE(0);
       } else {
-        EncodeLevelBlock(coded[i].levels, &writer);
+        EncodeLevelBlock(data.levels[i], &writer);
       }
     }
     eg_bytes = writer.Finish();
@@ -320,53 +307,14 @@ std::vector<EntropyRow> BenchEntropy(const TransformData& data, int reps) {
     }
   }) / 1e6;
   // Round-trip check on the last lap's state.
-  {
-    BitReader reader{Slice(eg_bytes)};
-    for (int i = 0; i < blocks; ++i) {
-      CheckOk(DecodeLevelBlock(&reader, &scratch), "eg decode");
-      Check(coded[i].nonzero == 0 || scratch == coded[i].levels,
-            "Exp-Golomb round-trip");
-    }
+  BitReader reader{Slice(eg_bytes)};
+  for (int i = 0; i < blocks; ++i) {
+    int nonzero = -1;
+    CheckOk(DecodeLevelBlock(&reader, &scratch, &nonzero), "eg decode");
+    Check(nonzero == data.nonzero[i] && scratch == data.levels[i],
+          "Exp-Golomb round-trip");
   }
-  rows.push_back(eg);
-
-  // Canonical Huffman (per-payload table, as the tile encoder uses it).
-  EntropyRow hf;
-  hf.name = "huffman";
-  HuffmanBlockEncoder encoder;
-  for (const CodedBlock& block : coded) encoder.CountBlock(block);
-  encoder.Finalize();
-  std::vector<uint8_t> hf_bytes;
-  hf.encode_mbs = bytes / BestSeconds(reps, [&] {
-    BitWriter writer;
-    encoder.WriteTable(&writer);
-    for (const CodedBlock& block : coded) encoder.WriteBlock(block, &writer);
-    hf_bytes = writer.Finish();
-  }) / 1e6;
-  hf.bits_per_block = static_cast<double>(hf_bytes.size()) * 8 / blocks;
-  HuffmanBlockDecoder decoder;
-  hf.decode_mbs = bytes / BestSeconds(reps, [&] {
-    BitReader reader{Slice(hf_bytes)};
-    CheckOk(decoder.Init(&reader), "huffman table");
-    for (int i = 0; i < blocks; ++i) {
-      CheckOk(decoder.DecodeBlock(&reader, &scratch), "huffman decode");
-    }
-  }) / 1e6;
-  {
-    BitReader reader{Slice(hf_bytes)};
-    CheckOk(decoder.Init(&reader), "huffman table");
-    for (int i = 0; i < blocks; ++i) {
-      CheckOk(decoder.DecodeBlock(&reader, &scratch), "huffman decode");
-      Check(coded[i].nonzero == 0 || scratch == coded[i].levels,
-            "Huffman round-trip");
-      Check(coded[i].nonzero != 0 ||
-                std::all_of(scratch.begin(), scratch.end(),
-                            [](int32_t v) { return v == 0; }),
-            "Huffman zero block");
-    }
-  }
-  rows.push_back(hf);
-  return rows;
+  return eg;
 }
 
 std::string Escape(double v) {
@@ -385,9 +333,9 @@ int main(int argc, char** argv) {
   const int sad_blocks = g_smoke ? 512 : 32768;
   const int reps = g_smoke ? 2 : 7;
 
-  Banner("M1k: codec kernel throughput (scalar vs SIMD) and entropy coders",
-         "expect: multi-x SIMD speedups at bit-identical outputs; Huffman "
-         "denser than Exp-Golomb");
+  Banner("M1k: codec kernel throughput (scalar vs SIMD) and entropy coder",
+         "expect: multi-x SIMD speedups at bit-identical outputs; Exp-Golomb "
+         "blocks round-trip exactly");
   std::printf("compiled SIMD level: %s, active: %s\n",
               simd::LevelName(simd::CompiledLevel()),
               simd::LevelName(simd::ActiveLevel()));
@@ -428,15 +376,11 @@ int main(int argc, char** argv) {
   }
 
   simd::SetEnabled(true);
-  std::vector<EntropyRow> entropy = BenchEntropy(data, reps);
+  const EntropyRow entropy = BenchExpGolomb(data, reps);
   std::printf("\n%-13s %13s %13s %11s\n", "entropy", "enc MB/s", "dec MB/s",
               "bits/block");
-  for (const EntropyRow& row : entropy) {
-    std::printf("%-13s %13.1f %13.1f %11.1f\n", row.name.c_str(),
-                row.encode_mbs, row.decode_mbs, row.bits_per_block);
-  }
-  std::printf("Huffman density vs Exp-Golomb: %.1f%% of the bits\n\n",
-              100.0 * entropy[1].bits_per_block / entropy[0].bits_per_block);
+  std::printf("%-13s %13.1f %13.1f %11.1f\n\n", "expgolomb",
+              entropy.encode_mbs, entropy.decode_mbs, entropy.bits_per_block);
 
   simd::SetEnabled(simd_was_enabled);
   if (g_smoke) {
@@ -473,13 +417,9 @@ int main(int argc, char** argv) {
       tail, sizeof(tail),
       "},\n  \"speedup_geomean\": %.2f,\n  \"entropy\": {\n"
       "   \"expgolomb\": {\"encode_mb_per_s\": %s, \"decode_mb_per_s\": %s, "
-      "\"bits_per_block\": %.1f},\n"
-      "   \"huffman\": {\"encode_mb_per_s\": %s, \"decode_mb_per_s\": %s, "
       "\"bits_per_block\": %.1f}}\n }",
-      geomean, Escape(entropy[0].encode_mbs).c_str(),
-      Escape(entropy[0].decode_mbs).c_str(), entropy[0].bits_per_block,
-      Escape(entropy[1].encode_mbs).c_str(),
-      Escape(entropy[1].decode_mbs).c_str(), entropy[1].bits_per_block);
+      geomean, Escape(entropy.encode_mbs).c_str(),
+      Escape(entropy.decode_mbs).c_str(), entropy.bits_per_block);
   kernels_json += tail;
   WriteBenchJsonKey("BENCH_codec.json", "kernels", kernels_json);
   return 0;

@@ -62,7 +62,7 @@ simd() {
   # Leg 1: widened baseline ISA (-msse4.1). The codec suite proves every
   # runtime-dispatchable tier (scalar, sse2, avx2 where the host has it)
   # produces bit-identical streams, and the kernel micro-bench smoke
-  # re-verifies kernel-level agreement plus both entropy-coder round-trips.
+  # re-verifies kernel-level agreement plus the Exp-Golomb round-trip.
   cmake -B build-sse41 -S . -DCMAKE_CXX_FLAGS=-msse4.1
   cmake --build build-sse41 -j"$JOBS" --target codec_test codec_fuzz_test \
     common_test bench_kernels

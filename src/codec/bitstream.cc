@@ -74,8 +74,7 @@ Result<SequenceHeader> SequenceHeader::Parse(Slice data) {
       header.tile_cols == 0 || header.qp > kMaxQp) {
     return Status::Corruption("sequence header has invalid parameters");
   }
-  constexpr uint8_t kKnownFlags = SequenceHeader::kFlagMotionConstrainedTiles |
-                                  SequenceHeader::kFlagHuffmanEntropy;
+  constexpr uint8_t kKnownFlags = SequenceHeader::kFlagMotionConstrainedTiles;
   if ((header.flags & ~kKnownFlags) != 0) {
     return Status::Corruption("sequence header has unknown flags");
   }

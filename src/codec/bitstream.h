@@ -20,18 +20,6 @@ enum class FrameType : uint8_t {
 /// Intra prediction modes (per macroblock).
 enum class IntraMode : uint8_t { kDc = 0, kHorizontal = 1, kVertical = 2 };
 
-/// \brief How quantized coefficient levels are entropy-coded.
-///
-/// `kExpGolomb` is the original profile: per-block nonzero count plus
-/// (run, level) pairs, all Exp-Golomb. `kHuffman` is the canonical-Huffman
-/// profile: each tile payload carries a compact code-length table built from
-/// that payload's own (zero-run, level-size) token histogram, followed by the
-/// tokens — with a per-payload escape back to Exp-Golomb when the table
-/// overhead would not pay for itself, so the profile never loses bitrate.
-/// Both profiles code identical quantized levels, so reconstructions (and
-/// therefore PSNR) are bit-identical between them.
-enum class EntropyProfile : uint8_t { kExpGolomb = 0, kHuffman = 1 };
-
 /// \brief Stream-level parameters, written once at the head of every encoded
 /// video stream ("VCC1" bitstream). Everything a decoder needs to begin.
 struct SequenceHeader {
@@ -42,19 +30,12 @@ struct SequenceHeader {
   uint8_t qp = 28;             ///< Base quantization parameter.
   uint8_t tile_rows = 1;       ///< Spatial tiling inside the stream.
   uint8_t tile_cols = 1;
-  uint8_t flags = 0;  ///< Bit 0: motion constrained to tiles. Bit 1: Huffman
-                      ///< entropy profile.
+  uint8_t flags = 0;  ///< Bit 0: motion constrained to tiles.
 
   static constexpr uint8_t kFlagMotionConstrainedTiles = 0x1;
-  static constexpr uint8_t kFlagHuffmanEntropy = 0x2;
 
   bool motion_constrained_tiles() const {
     return (flags & kFlagMotionConstrainedTiles) != 0;
-  }
-  bool huffman_entropy() const { return (flags & kFlagHuffmanEntropy) != 0; }
-  EntropyProfile entropy_profile() const {
-    return huffman_entropy() ? EntropyProfile::kHuffman
-                             : EntropyProfile::kExpGolomb;
   }
   double fps() const { return fps_times_100 / 100.0; }
   TileGrid tile_grid() const { return TileGrid(tile_rows, tile_cols); }

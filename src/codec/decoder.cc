@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "codec/entropy.h"
 #include "codec/mb_common.h"
 #include "codec/motion.h"
 #include "common/math_util.h"
@@ -85,20 +84,6 @@ Status Decoder::DecodeTilePayload(Slice payload,
   uint8_t recon_y[kMbSize * kMbSize];
   uint8_t recon_c[kBlockSize * kBlockSize];
 
-  // Huffman-profile payloads lead with one bit choosing between the
-  // canonical table (1) and a plain Exp-Golomb payload (0). Streams without
-  // the header flag have no profile bit at all.
-  HuffmanBlockDecoder huffman_decoder;
-  const HuffmanBlockDecoder* huffman = nullptr;
-  if (header_.huffman_entropy()) {
-    bool use_huffman = false;
-    VC_RETURN_IF_ERROR(reader.ReadBit(&use_huffman));
-    if (use_huffman) {
-      VC_RETURN_IF_ERROR(huffman_decoder.Init(&reader));
-      huffman = &huffman_decoder;
-    }
-  }
-
   for (int ly = rect.y; ly < rect.y + rect.height; ly += kMbSize) {
     for (int lx = rect.x; lx < rect.x + rect.width; lx += kMbSize) {
       bool use_inter = false;
@@ -137,7 +122,7 @@ Status Decoder::DecodeTilePayload(Slice payload,
         IntraPredict(rec_y, lx, ly, kMbSize, intra_mode, tile_bounds, pred_y);
       }
       VC_RETURN_IF_ERROR(
-          DecodeResidual(&reader, pred_y, kMbSize, qstep, recon_y, huffman));
+          DecodeResidual(&reader, pred_y, kMbSize, qstep, recon_y));
       StoreBlock(recon_y, kMbSize, recon_.y_plane().data(), recon_.width(), lx,
                  ly);
 
@@ -154,8 +139,7 @@ Status Decoder::DecodeTilePayload(Slice payload,
                        chroma_tile_bounds, pred_c);
         }
         VC_RETURN_IF_ERROR(
-            DecodeResidual(&reader, pred_c, kBlockSize, qstep, recon_c,
-                           huffman));
+            DecodeResidual(&reader, pred_c, kBlockSize, qstep, recon_c));
         uint8_t* plane_data = plane == 0 ? recon_.u_plane().data()
                                          : recon_.v_plane().data();
         StoreBlock(recon_c, kBlockSize, plane_data, recon_.chroma_width(), cx,

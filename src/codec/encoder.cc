@@ -1,11 +1,9 @@
 #include "codec/encoder.h"
 
-#include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <utility>
 
-#include "codec/entropy.h"
 #include "codec/mb_common.h"
 #include "common/math_util.h"
 #include "obs/metrics.h"
@@ -72,9 +70,6 @@ SequenceHeader EncoderOptions::ToHeader() const {
   header.flags = motion_constrained_tiles
                      ? SequenceHeader::kFlagMotionConstrainedTiles
                      : 0;
-  if (entropy_profile == EntropyProfile::kHuffman) {
-    header.flags |= SequenceHeader::kFlagHuffmanEntropy;
-  }
   return header;
 }
 
@@ -220,117 +215,10 @@ int Encoder::NextFrameQp() const {
                kMaxQp);
 }
 
-namespace {
-
-/// Writes one macroblock's mode/motion syntax (shared by the streaming sink
-/// and the Huffman re-emit pass so the two can never drift).
-void WriteMbSyntax(FrameType type, bool use_inter, MotionVector mv,
-                   IntraMode intra_mode, BitWriter* writer) {
-  if (type == FrameType::kInter) {
-    writer->WriteBit(use_inter);
-  }
-  if (use_inter) {
-    writer->WriteSE(mv.dx);
-    writer->WriteSE(mv.dy);
-  } else {
-    writer->WriteBits(static_cast<uint64_t>(intra_mode), 2);
-  }
-}
-
-/// Streaming sink: Exp-Golomb levels written as they are produced. This is
-/// the pre-Huffman encode path, byte for byte.
-struct DirectSink {
-  FrameType type;
-  BitWriter* writer;
-
-  void Syntax(bool use_inter, MotionVector mv, IntraMode intra_mode) {
-    WriteMbSyntax(type, use_inter, mv, intra_mode, writer);
-  }
-  void Residual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
-                int size, double qstep, uint8_t* recon) {
-    codec_internal::EncodeResidual(cur, cur_stride, pred, size, qstep, writer,
-                                   recon);
-  }
-};
-
-/// Buffering sink for the two-pass Huffman profile: syntax decisions and
-/// quantized blocks are captured in bitstream order and emitted after the
-/// tile-wide histogram has chosen a code.
-struct BufferSink {
-  struct MbSyntax {
-    bool use_inter;
-    MotionVector mv;
-    IntraMode intra_mode;
-  };
-  std::vector<MbSyntax> mbs;
-  std::vector<CodedBlock> blocks;
-
-  void Syntax(bool use_inter, MotionVector mv, IntraMode intra_mode) {
-    mbs.push_back(MbSyntax{use_inter, mv, intra_mode});
-  }
-  void Residual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
-                int size, double qstep, uint8_t* recon) {
-    codec_internal::AnalyzeResidual(cur, cur_stride, pred, size, qstep,
-                                    &blocks, recon);
-  }
-};
-
-}  // namespace
-
 void Encoder::EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
                          FrameType type, double qstep,
                          const BlockHint* reuse_row, BlockHint* capture_row,
                          BitWriter* writer) {
-  if (options_.entropy_profile == EntropyProfile::kExpGolomb) {
-    DirectSink sink{type, writer};
-    AnalyzeTile(frame, rect, type, qstep, reuse_row, capture_row, &sink);
-    return;
-  }
-
-  // Huffman profile, pass 1: analyze the whole tile, buffering syntax and
-  // quantized blocks in bitstream order. The reconstruction is built here —
-  // intra prediction feeds on it — and is entropy-independent, so pass 2 is
-  // pure bit emission.
-  BufferSink sink;
-  AnalyzeTile(frame, rect, type, qstep, reuse_row, capture_row, &sink);
-
-  HuffmanBlockEncoder entropy;
-  for (const CodedBlock& block : sink.blocks) entropy.CountBlock(block);
-  const bool use_huffman = entropy.Finalize();
-
-  // Pass 2: a leading profile bit records the per-payload choice, then the
-  // table (Huffman only) and the macroblock data in the usual order.
-  writer->WriteBit(use_huffman);
-  if (use_huffman) entropy.WriteTable(writer);
-  const size_t blocks_per_mb =
-      sink.mbs.empty() ? 0 : sink.blocks.size() / sink.mbs.size();
-  // Every macroblock must contribute the same block count (currently 6): the
-  // division above truncates otherwise and pass 2 would emit blocks
-  // misaligned with the macroblock syntax, an undecodable stream.
-  assert(sink.blocks.size() == sink.mbs.size() * blocks_per_mb);
-  size_t block_index = 0;
-  for (const BufferSink::MbSyntax& mb : sink.mbs) {
-    WriteMbSyntax(type, mb.use_inter, mb.mv, mb.intra_mode, writer);
-    for (size_t i = 0; i < blocks_per_mb; ++i, ++block_index) {
-      const CodedBlock& block = sink.blocks[block_index];
-      if (use_huffman) {
-        entropy.WriteBlock(block, writer);
-      } else if (block.nonzero == 0) {
-        // All-zero blocks never fill `levels`; the Exp-Golomb encoding of
-        // such a block is exactly UE(0).
-        writer->WriteUE(0);
-      } else {
-        EncodeLevelBlock(block.levels, writer);
-      }
-    }
-  }
-}
-
-template <typename Sink>
-void Encoder::AnalyzeTile(const Frame& frame, const TileGrid::PixelRect& rect,
-                          FrameType type, double qstep,
-                          const BlockHint* reuse_row, BlockHint* capture_row,
-                          Sink* sink) {
   using namespace codec_internal;  // NOLINT
 
   const MotionBounds luma_bounds =
@@ -457,7 +345,15 @@ void Encoder::AnalyzeTile(const Frame& frame, const TileGrid::PixelRect& rect,
       }
 
       // --- Syntax -------------------------------------------------------
-      sink->Syntax(use_inter, mv, intra_mode);
+      if (type == FrameType::kInter) {
+        writer->WriteBit(use_inter);
+      }
+      if (use_inter) {
+        writer->WriteSE(mv.dx);
+        writer->WriteSE(mv.dy);
+      } else {
+        writer->WriteBits(static_cast<uint64_t>(intra_mode), 2);
+      }
 
       // --- Luma ----------------------------------------------------------
       if (use_inter) {
@@ -465,8 +361,8 @@ void Encoder::AnalyzeTile(const Frame& frame, const TileGrid::PixelRect& rect,
       } else {
         IntraPredict(rec_y, lx, ly, kMbSize, intra_mode, tile_bounds, pred_y);
       }
-      sink->Residual(cur_y.data + static_cast<size_t>(ly) * cur_y.stride + lx,
-                     cur_y.stride, pred_y, kMbSize, qstep, recon_y);
+      EncodeResidual(cur_y.data + static_cast<size_t>(ly) * cur_y.stride + lx,
+                     cur_y.stride, pred_y, kMbSize, qstep, writer, recon_y);
       StoreBlock(recon_y, kMbSize, recon_.y_plane().data(), recon_.width(), lx,
                  ly);
 
@@ -485,9 +381,9 @@ void Encoder::AnalyzeTile(const Frame& frame, const TileGrid::PixelRect& rect,
           IntraPredict(rec_c, cx, cy, kBlockSize, IntraMode::kDc,
                        chroma_tile_bounds, pred_c);
         }
-        sink->Residual(
+        EncodeResidual(
             cur_c.data + static_cast<size_t>(cy) * cur_c.stride + cx,
-            cur_c.stride, pred_c, kBlockSize, qstep, recon_c);
+            cur_c.stride, pred_c, kBlockSize, qstep, writer, recon_c);
         uint8_t* plane_data = plane == 0 ? recon_.u_plane().data()
                                          : recon_.v_plane().data();
         StoreBlock(recon_c, kBlockSize, plane_data, recon_.chroma_width(), cx,

@@ -85,13 +85,6 @@ struct EncoderOptions {
   /// hints are ignored entirely (clean fallback to unhinted search). Not
   /// owned; must outlive the encoder.
   const MotionHints* reuse_hints = nullptr;
-  /// Residual entropy coder. The Huffman profile buffers each tile's
-  /// quantized blocks, builds a canonical code per tile payload, and falls
-  /// back to Exp-Golomb per payload whenever the table would cost more than
-  /// it saves — so it never loses bitrate. Reconstructions are bit-identical
-  /// across profiles (entropy coding is lossless and the analysis never
-  /// looks at entropy cost).
-  EntropyProfile entropy_profile = EntropyProfile::kExpGolomb;
 
   /// Validates all fields; returns InvalidArgument with a reason otherwise.
   Status Validate() const;
@@ -134,22 +127,15 @@ class Encoder {
   /// Picks the QP for the next frame (rate control when enabled).
   int NextFrameQp() const;
 
+  /// Analyzes one tile and writes its mode/motion syntax and Exp-Golomb
+  /// residuals to `writer` in a single pass, building the reconstruction as
+  /// it goes (intra prediction feeds on it).
   /// `reuse_row`, when non-null, points at this frame's per-macroblock hints
   /// (indexed by global raster macroblock index); `capture_row` likewise
   /// receives this frame's decisions.
   void EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
                   FrameType type, double qstep, const BlockHint* reuse_row,
                   BlockHint* capture_row, BitWriter* writer);
-
-  /// The analysis/prediction/transform loop shared by both entropy profiles.
-  /// `Sink` receives each macroblock's syntax decision and residual blocks in
-  /// bitstream order: the Exp-Golomb sink streams bits directly (the
-  /// pre-profile byte-identical path) while the Huffman sink buffers
-  /// everything for the two-pass emit in EncodeTile.
-  template <typename Sink>
-  void AnalyzeTile(const Frame& frame, const TileGrid::PixelRect& rect,
-                   FrameType type, double qstep, const BlockHint* reuse_row,
-                   BlockHint* capture_row, Sink* sink);
 
   /// Per-frame analysis accounting, flushed to the metrics registry at the
   /// end of each Encode() call.

@@ -1,103 +1,6 @@
 #include "codec/entropy.h"
 
-#include <algorithm>
-#include <bit>
-#include <queue>
-#include <utility>
-
 namespace vc {
-
-namespace {
-
-/// Bit cost of WriteUE(value).
-inline uint64_t UeLength(uint64_t value) {
-  int bits = 64 - std::countl_zero(value + 1);
-  return 2 * static_cast<uint64_t>(bits) - 1;
-}
-
-/// Bit cost of WriteSE(value).
-inline uint64_t SeLength(int64_t value) {
-  uint64_t mapped = value > 0 ? static_cast<uint64_t>(value) * 2 - 1
-                              : static_cast<uint64_t>(-value) * 2;
-  return UeLength(mapped);
-}
-
-inline uint32_t LevelMagnitude(int32_t level) {
-  return level < 0 ? 0u - static_cast<uint32_t>(level)
-                   : static_cast<uint32_t>(level);
-}
-
-/// Streams one buffered block as (symbol, level, run) tokens — the single
-/// definition of the token syntax, shared by the histogram pass and the emit
-/// pass so they can never disagree.
-template <typename Fn>
-void TokenizeBlock(const CodedBlock& block, Fn&& fn) {
-  if (block.nonzero == 0) {
-    fn(kHuffmanEob, int32_t{0}, 0);
-    return;
-  }
-  const auto& zigzag = ZigzagOrder();
-  int run = 0;
-  int remaining = block.nonzero;
-  int after_last = 0;
-  for (int i = 0; i < kBlockPixels && remaining > 0; ++i) {
-    int32_t level = block.levels[zigzag[i]];
-    if (level == 0) {
-      ++run;
-      continue;
-    }
-    while (run >= 16) {
-      fn(kHuffmanZrl, int32_t{0}, 0);
-      run -= 16;
-    }
-    uint32_t magnitude = LevelMagnitude(level);
-    int size = 32 - std::countl_zero(magnitude);
-    if (size <= kHuffmanMaxCodeLength) {
-      fn(2 + run * kHuffmanMaxCodeLength + (size - 1), level, run);
-    } else {
-      fn(kHuffmanEscape, level, run);
-    }
-    run = 0;
-    --remaining;
-    after_last = i + 1;
-  }
-  if (after_last < kBlockPixels) fn(kHuffmanEob, int32_t{0}, 0);
-}
-
-/// Computes Huffman code lengths for the `present` symbols under weights `w`
-/// (all > 0). Deterministic: ties in the merge heap break on node creation
-/// order, so identical histograms always yield identical lengths.
-void BuildLengths(const std::array<uint64_t, kHuffmanAlphabetSize>& w,
-                  const std::vector<int>& present,
-                  std::array<uint8_t, kHuffmanAlphabetSize>* length) {
-  const int n = static_cast<int>(present.size());
-  if (n == 1) {
-    (*length)[present[0]] = 1;
-    return;
-  }
-  using Node = std::pair<uint64_t, int>;  // (weight, node id), min-heap
-  std::priority_queue<Node, std::vector<Node>, std::greater<Node>> heap;
-  std::vector<int> parent(2 * n - 1, -1);
-  for (int i = 0; i < n; ++i) heap.emplace(w[present[i]], i);
-  int next = n;
-  while (heap.size() > 1) {
-    Node a = heap.top();
-    heap.pop();
-    Node b = heap.top();
-    heap.pop();
-    parent[a.second] = next;
-    parent[b.second] = next;
-    heap.emplace(a.first + b.first, next);
-    ++next;
-  }
-  for (int i = 0; i < n; ++i) {
-    int depth = 0;
-    for (int p = parent[i]; p != -1; p = parent[p]) ++depth;
-    (*length)[present[i]] = static_cast<uint8_t>(depth);
-  }
-}
-
-}  // namespace
 
 int EncodeLevelBlock(const LevelBlock& levels, BitWriter* writer) {
   // The count is order-independent, so scan in raster order — no zigzag
@@ -140,10 +43,12 @@ Status DecodeLevelBlock(BitReader* reader, LevelBlock* levels,
     VC_RETURN_IF_ERROR(reader->ReadUE(&run));
     int64_t level;
     VC_RETURN_IF_ERROR(reader->ReadSE(&level));
-    position += static_cast<int>(run);
-    if (run >= kBlockPixels || position >= kBlockPixels || level == 0) {
+    // Range-check the run against the space left before adding it: a
+    // crafted run near INT_MAX would otherwise overflow `position`.
+    if (run >= static_cast<uint64_t>(kBlockPixels - position) || level == 0) {
       return Status::Corruption("level block run past end");
     }
+    position += static_cast<int>(run);
     if (level < INT32_MIN || level > INT32_MAX) {
       return Status::Corruption("level magnitude out of range");
     }
@@ -151,255 +56,6 @@ Status DecodeLevelBlock(BitReader* reader, LevelBlock* levels,
     ++position;
   }
   if (nonzero_count != nullptr) *nonzero_count = static_cast<int>(nonzero);
-  return Status::OK();
-}
-
-void HuffmanBlockEncoder::CountBlock(const CodedBlock& block) {
-  TokenizeBlock(block, [this](int symbol, int32_t level, int run) {
-    ++freq_[symbol];
-    if (symbol >= 2 && symbol < kHuffmanEscape) {
-      amplitude_bits_ += static_cast<uint64_t>((symbol - 2) % 16 + 1);
-    } else if (symbol == kHuffmanEscape) {
-      amplitude_bits_ += UeLength(static_cast<uint64_t>(run)) + SeLength(level);
-    }
-  });
-  // Exact Exp-Golomb cost of this block, mirroring EncodeLevelBlock.
-  eg_bits_ += UeLength(static_cast<uint64_t>(block.nonzero));
-  if (block.nonzero > 0) {
-    const auto& zigzag = ZigzagOrder();
-    int run = 0;
-    int remaining = block.nonzero;
-    for (int i = 0; i < kBlockPixels && remaining > 0; ++i) {
-      int32_t level = block.levels[zigzag[i]];
-      if (level == 0) {
-        ++run;
-        continue;
-      }
-      eg_bits_ += UeLength(static_cast<uint64_t>(run)) + SeLength(level);
-      run = 0;
-      --remaining;
-    }
-  }
-}
-
-bool HuffmanBlockEncoder::Finalize() {
-  std::vector<int> present;
-  present.reserve(64);
-  for (int s = 0; s < kHuffmanAlphabetSize; ++s) {
-    if (freq_[s] > 0) present.push_back(s);
-  }
-  if (present.empty()) return false;
-
-  // Build lengths; if any exceeds the 16-bit ceiling, flatten the histogram
-  // (halving preserves relative order, keeps every weight ≥ 1) and rebuild.
-  // Each round shrinks the weight spread, so depth ≤ 16 is reached quickly.
-  std::array<uint64_t, kHuffmanAlphabetSize> weights = freq_;
-  while (true) {
-    BuildLengths(weights, present, &length_);
-    int max_length = 0;
-    for (int s : present) max_length = std::max(max_length, int{length_[s]});
-    if (max_length <= kHuffmanMaxCodeLength) break;
-    for (int s : present) weights[s] = (weights[s] + 1) >> 1;
-  }
-
-  // Canonical code assignment: codes ordered by (length, symbol).
-  std::array<int32_t, kHuffmanMaxCodeLength + 1> count{};
-  for (int s : present) ++count[length_[s]];
-  std::array<uint32_t, kHuffmanMaxCodeLength + 2> next{};
-  uint32_t code = 0;
-  for (int len = 1; len <= kHuffmanMaxCodeLength; ++len) {
-    next[len] = code;
-    code = (code + static_cast<uint32_t>(count[len])) << 1;
-  }
-  for (int len = 1; len <= kHuffmanMaxCodeLength; ++len) {
-    for (int s : present) {
-      if (length_[s] == len) code_[s] = next[len]++;
-    }
-  }
-
-  table_bits_ = UeLength(present.size() - 1);
-  int prev = -1;
-  for (int s : present) {
-    table_bits_ += UeLength(static_cast<uint64_t>(s - prev - 1)) + 4;
-    prev = s;
-  }
-  token_bits_ = amplitude_bits_;
-  for (int s : present) token_bits_ += freq_[s] * length_[s];
-  return huffman_bits() < eg_bits_;
-}
-
-void HuffmanBlockEncoder::WriteTable(BitWriter* writer) const {
-  int present = 0;
-  for (int s = 0; s < kHuffmanAlphabetSize; ++s) present += freq_[s] > 0;
-  writer->WriteUE(static_cast<uint64_t>(present - 1));
-  int prev = -1;
-  for (int s = 0; s < kHuffmanAlphabetSize; ++s) {
-    if (freq_[s] == 0) continue;
-    writer->WriteUE(static_cast<uint64_t>(s - prev - 1));
-    writer->WriteBits(static_cast<uint64_t>(length_[s] - 1), 4);
-    prev = s;
-  }
-}
-
-void HuffmanBlockEncoder::WriteBlock(const CodedBlock& block,
-                                     BitWriter* writer) const {
-  TokenizeBlock(block, [this, writer](int symbol, int32_t level, int run) {
-    writer->WriteBits(code_[symbol], length_[symbol]);
-    if (symbol >= 2 && symbol < kHuffmanEscape) {
-      int size = (symbol - 2) % 16 + 1;
-      uint32_t magnitude = LevelMagnitude(level);
-      uint64_t extra = magnitude - (uint64_t{1} << (size - 1));
-      uint64_t sign = level < 0 ? 1 : 0;
-      writer->WriteBits((sign << (size - 1)) | extra, size);
-    } else if (symbol == kHuffmanEscape) {
-      writer->WriteUE(static_cast<uint64_t>(run));
-      writer->WriteSE(level);
-    }
-  });
-}
-
-Status HuffmanBlockDecoder::Init(BitReader* reader) {
-  uint64_t present_minus_one;
-  VC_RETURN_IF_ERROR(reader->ReadUE(&present_minus_one));
-  if (present_minus_one >= kHuffmanAlphabetSize) {
-    return Status::Corruption("huffman table symbol count out of range");
-  }
-  const int present = static_cast<int>(present_minus_one) + 1;
-
-  first_code_.fill(0);
-  count_.fill(0);
-  offset_.fill(0);
-  lut_.fill(LutEntry{});
-  sorted_.clear();
-
-  std::vector<std::pair<int, int>> symbols;  // (symbol, length), ascending
-  symbols.reserve(present);
-  int prev = -1;
-  uint64_t kraft = 0;
-  for (int i = 0; i < present; ++i) {
-    uint64_t delta;
-    VC_RETURN_IF_ERROR(reader->ReadUE(&delta));
-    // Bound the delta before any signed cast: ReadUE can return values up to
-    // 2^64-2, which would wrap negative and slip past the range check below.
-    if (delta >= kHuffmanAlphabetSize) {
-      return Status::Corruption("huffman table symbol delta out of range");
-    }
-    const int64_t symbol = int64_t{prev} + 1 + static_cast<int64_t>(delta);
-    if (symbol >= kHuffmanAlphabetSize) {
-      return Status::Corruption("huffman table symbol out of range");
-    }
-    uint64_t length_minus_one;
-    VC_RETURN_IF_ERROR(reader->ReadBits(4, &length_minus_one));
-    int length = static_cast<int>(length_minus_one) + 1;
-    symbols.emplace_back(static_cast<int>(symbol), length);
-    ++count_[length];
-    kraft += uint64_t{1} << (kHuffmanMaxCodeLength - length);
-    prev = static_cast<int>(symbol);
-  }
-  if (kraft > (uint64_t{1} << kHuffmanMaxCodeLength)) {
-    return Status::Corruption("huffman table violates kraft inequality");
-  }
-
-  // Canonical reconstruction, same (length, symbol) order as the encoder.
-  uint32_t code = 0;
-  int index = 0;
-  sorted_.reserve(present);
-  for (int len = 1; len <= kHuffmanMaxCodeLength; ++len) {
-    first_code_[len] = static_cast<int32_t>(code);
-    offset_[len] = index;
-    for (const auto& [symbol, length] : symbols) {
-      if (length != len) continue;
-      sorted_.push_back(static_cast<uint16_t>(symbol));
-      if (len <= kLutBits) {
-        uint32_t base = code << (kLutBits - len);
-        uint32_t span = uint32_t{1} << (kLutBits - len);
-        for (uint32_t j = 0; j < span; ++j) {
-          lut_[base + j] =
-              LutEntry{static_cast<int16_t>(symbol), static_cast<uint8_t>(len)};
-        }
-      }
-      ++code;
-      ++index;
-    }
-    code <<= 1;
-  }
-  return Status::OK();
-}
-
-Status HuffmanBlockDecoder::DecodeSymbol(BitReader* reader,
-                                         int* symbol) const {
-  const uint64_t peek = reader->PeekBits(kLutBits);
-  const LutEntry& entry = lut_[peek];
-  if (entry.length != 0) {
-    VC_RETURN_IF_ERROR(reader->SkipBits(entry.length));
-    *symbol = entry.symbol;
-    return Status::OK();
-  }
-  const uint64_t window = reader->PeekBits(kHuffmanMaxCodeLength);
-  for (int len = kLutBits + 1; len <= kHuffmanMaxCodeLength; ++len) {
-    auto candidate =
-        static_cast<int32_t>(window >> (kHuffmanMaxCodeLength - len));
-    int32_t rank = candidate - first_code_[len];
-    if (rank >= 0 && rank < count_[len]) {
-      VC_RETURN_IF_ERROR(reader->SkipBits(len));
-      *symbol = sorted_[offset_[len] + rank];
-      return Status::OK();
-    }
-  }
-  return Status::Corruption("invalid huffman code");
-}
-
-Status HuffmanBlockDecoder::DecodeBlock(BitReader* reader, LevelBlock* levels,
-                                        int* nonzero_count) const {
-  levels->fill(0);
-  const auto& zigzag = ZigzagOrder();
-  int position = 0;
-  int nonzero = 0;
-  while (position < kBlockPixels) {
-    int symbol;
-    VC_RETURN_IF_ERROR(DecodeSymbol(reader, &symbol));
-    if (symbol < 0 || symbol >= kHuffmanAlphabetSize) {
-      return Status::Corruption("huffman symbol out of range");
-    }
-    if (symbol == kHuffmanEob) break;
-    if (symbol == kHuffmanZrl) {
-      position += 16;
-      if (position > kBlockPixels) {
-        return Status::Corruption("huffman zero run past block end");
-      }
-      continue;
-    }
-    int run;
-    int64_t level;
-    if (symbol == kHuffmanEscape) {
-      uint64_t raw_run;
-      VC_RETURN_IF_ERROR(reader->ReadUE(&raw_run));
-      VC_RETURN_IF_ERROR(reader->ReadSE(&level));
-      if (raw_run >= kBlockPixels || level == 0 || level < INT32_MIN ||
-          level > INT32_MAX) {
-        return Status::Corruption("huffman escape token invalid");
-      }
-      run = static_cast<int>(raw_run);
-    } else {
-      run = (symbol - 2) / 16;
-      const int size = (symbol - 2) % 16 + 1;
-      uint64_t amplitude;
-      VC_RETURN_IF_ERROR(reader->ReadBits(size, &amplitude));
-      const uint64_t sign = amplitude >> (size - 1);
-      const uint64_t extra = amplitude & ((uint64_t{1} << (size - 1)) - 1);
-      const auto magnitude =
-          static_cast<int64_t>((uint64_t{1} << (size - 1)) | extra);
-      level = sign != 0 ? -magnitude : magnitude;
-    }
-    position += run;
-    if (position >= kBlockPixels) {
-      return Status::Corruption("huffman run past block end");
-    }
-    (*levels)[zigzag[position]] = static_cast<int32_t>(level);
-    ++position;
-    ++nonzero;
-  }
-  if (nonzero_count != nullptr) *nonzero_count = nonzero;
   return Status::OK();
 }
 

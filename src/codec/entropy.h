@@ -1,10 +1,6 @@
 #ifndef VC_CODEC_ENTROPY_H_
 #define VC_CODEC_ENTROPY_H_
 
-#include <array>
-#include <cstdint>
-#include <vector>
-
 #include "codec/transform.h"
 #include "common/bitio.h"
 #include "common/status.h"
@@ -24,111 +20,6 @@ int EncodeLevelBlock(const LevelBlock& levels, BitWriter* writer);
 /// caller avoids a rescan).
 Status DecodeLevelBlock(BitReader* reader, LevelBlock* levels,
                         int* nonzero_count = nullptr);
-
-/// A quantized block buffered between the encoder's analysis and emit passes
-/// (the Huffman profile is two-pass: histogram first, then tokens).
-/// `nonzero == 0` means the block is all zero and `levels` was never filled.
-struct CodedBlock {
-  LevelBlock levels;
-  int nonzero = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Canonical-Huffman profile (EntropyProfile::kHuffman).
-//
-// Blocks become token sequences over a 259-symbol alphabet:
-//   0            EOB — no more nonzeros in this block (omitted when the last
-//                nonzero sits at the final zigzag position)
-//   1            ZRL — 16 consecutive zeros (repeatable; keeps run ≤ 15)
-//   2..257       (run, size): `run` ∈ [0,15] zeros then a level whose
-//                magnitude has `size` ∈ [1,16] significant bits; followed by
-//                `size` raw amplitude bits (sign, then magnitude minus the
-//                leading power of two)
-//   258          escape: UE(run) + SE(level) in plain Exp-Golomb, for levels
-//                too large for a (run, size) token
-//
-// Per tile payload the encoder histograms all tokens, builds a canonical code
-// (lengths ≤ 16, deterministic tie-breaking), and emits a compact code-length
-// table followed by the token stream — or falls back to Exp-Golomb for that
-// payload when the table would cost more than it saves (a leading profile bit
-// records the choice, so the fallback is transparent to the decoder).
-// ---------------------------------------------------------------------------
-
-inline constexpr int kHuffmanAlphabetSize = 259;
-inline constexpr int kHuffmanEob = 0;
-inline constexpr int kHuffmanZrl = 1;
-inline constexpr int kHuffmanEscape = 258;
-inline constexpr int kHuffmanMaxCodeLength = 16;
-
-/// \brief Two-pass Huffman encoder for the quantized blocks of one tile
-/// payload: CountBlock every block, Finalize once, then WriteTable +
-/// WriteBlock in the same block order.
-class HuffmanBlockEncoder {
- public:
-  /// Accumulates the token histogram (and the exact Exp-Golomb cost of the
-  /// same block, for the fallback decision).
-  void CountBlock(const CodedBlock& block);
-
-  /// Builds the canonical code from the histogram. Returns true when the
-  /// Huffman payload (table + tokens + amplitudes) beats the Exp-Golomb
-  /// encoding of the same blocks; callers should fall back when false.
-  bool Finalize();
-
-  /// Serializes the code-length table. Requires Finalize().
-  void WriteTable(BitWriter* writer) const;
-
-  /// Emits one block's tokens. Requires Finalize(); the block must have been
-  /// counted (its symbols must all have codes).
-  void WriteBlock(const CodedBlock& block, BitWriter* writer) const;
-
-  /// Total Huffman cost in bits (table + tokens), valid after Finalize().
-  uint64_t huffman_bits() const { return table_bits_ + token_bits_; }
-  /// Exp-Golomb cost of the same blocks in bits.
-  uint64_t expgolomb_bits() const { return eg_bits_; }
-
- private:
-  std::array<uint64_t, kHuffmanAlphabetSize> freq_{};
-  std::array<uint8_t, kHuffmanAlphabetSize> length_{};
-  std::array<uint32_t, kHuffmanAlphabetSize> code_{};
-  uint64_t amplitude_bits_ = 0;
-  uint64_t eg_bits_ = 0;
-  uint64_t table_bits_ = 0;
-  uint64_t token_bits_ = 0;
-};
-
-/// \brief Table-driven decoder for blocks written by HuffmanBlockEncoder.
-///
-/// Init parses the code-length table and builds a primary lookup table
-/// (kLutBits bits resolve short codes — the common case — in one peek) plus
-/// canonical first-code/offset arrays for longer codes.
-class HuffmanBlockDecoder {
- public:
-  /// Parses the code-length table at the reader's position and builds decode
-  /// tables. Fails on malformed or Kraft-violating tables.
-  Status Init(BitReader* reader);
-
-  /// Decodes one block (mirror of HuffmanBlockEncoder::WriteBlock). Writes
-  /// the number of nonzero levels to `*nonzero_count` when non-null.
-  Status DecodeBlock(BitReader* reader, LevelBlock* levels,
-                     int* nonzero_count = nullptr) const;
-
- private:
-  static constexpr int kLutBits = 10;
-
-  Status DecodeSymbol(BitReader* reader, int* symbol) const;
-
-  struct LutEntry {
-    int16_t symbol = 0;
-    uint8_t length = 0;  // 0 ⇒ not resolvable in kLutBits, take the slow path
-  };
-  std::array<LutEntry, size_t{1} << kLutBits> lut_{};
-  // Canonical decode state per code length: the first code value, the number
-  // of codes, and the index of the first symbol in `sorted_`.
-  std::array<int32_t, kHuffmanMaxCodeLength + 1> first_code_{};
-  std::array<int32_t, kHuffmanMaxCodeLength + 1> count_{};
-  std::array<int32_t, kHuffmanMaxCodeLength + 1> offset_{};
-  std::vector<uint16_t> sorted_;
-};
 
 }  // namespace vc
 

@@ -68,9 +68,8 @@ Result<EncodedVideo> MergeTileStreams(const std::vector<EncodedVideo>& parts,
     if (!h.motion_constrained_tiles()) {
       return Status::NotSupported("merging requires motion-constrained parts");
     }
-    // Flags must match exactly: the merged header carries one flags byte, and
-    // e.g. a Huffman-profile tile payload (leading profile bit + table) is
-    // not decodable under a header without the flag, or vice versa.
+    // Flags must match exactly: the merged header carries one flags byte,
+    // and every flag describes how all of its tile payloads were coded.
     if (h.gop_length != first.header.gop_length ||
         h.fps_times_100 != first.header.fps_times_100 ||
         h.flags != first.header.flags ||

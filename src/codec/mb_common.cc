@@ -196,16 +196,11 @@ inline void ReconstructBlock(const uint8_t* pred, int size, int bx, int by,
   }
 }
 
-/// Shared core of EncodeResidual and AnalyzeResidual: transform, quantize,
-/// and reconstruct each 8×8 block, handing the quantized result to `sink` as
-/// `sink(const LevelBlock* levels, int nonzero)` — `levels == nullptr` for a
-/// provably-zero block. The sink is the only difference between writing the
-/// stream directly (Exp-Golomb) and buffering for a two-pass profile, so the
-/// analysis/reconstruction can never drift between them.
-template <typename Sink>
-void ForEachResidualBlock(const uint8_t* cur, int cur_stride,
-                          const uint8_t* pred, int size, double qstep,
-                          uint8_t* recon, Sink&& sink) {
+}  // namespace
+
+void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
+                    int size, double qstep, BitWriter* writer,
+                    uint8_t* recon) {
   ResidualBlock residual;
   CoeffBlock coeffs;
   LevelBlock levels;
@@ -230,16 +225,15 @@ void ForEachResidualBlock(const uint8_t* cur, int cur_stride,
             static_cast<double>(ResidualSsd(residual)) < zero_bound * zero_bound;
       }
       if (provably_zero) {
-        sink(static_cast<const LevelBlock*>(nullptr), 0);
+        // As EncodeLevelBlock writes an all-zero block.
+        writer->WriteUE(0);
         CopyPredBlock(pred, size, bx, by, recon);
         continue;
       }
 
       ForwardDct(residual, &coeffs);
       Quantize(coeffs, qstep, &levels);
-      int nonzero = 0;
-      for (int i = 0; i < kBlockPixels; ++i) nonzero += levels[i] != 0;
-      sink(&levels, nonzero);
+      const int nonzero = EncodeLevelBlock(levels, writer);
       // Reconstruct exactly as the decoder will, with the same all-zero /
       // sparse / dense inverse-transform dispatch so both reconstructions
       // stay bit-identical.
@@ -258,36 +252,8 @@ void ForEachResidualBlock(const uint8_t* cur, int cur_stride,
   }
 }
 
-}  // namespace
-
-void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
-                    int size, double qstep, BitWriter* writer,
-                    uint8_t* recon) {
-  ForEachResidualBlock(cur, cur_stride, pred, size, qstep, recon,
-                       [writer](const LevelBlock* levels, int /*nonzero*/) {
-                         if (levels == nullptr) {
-                           // As EncodeLevelBlock writes an all-zero block.
-                           writer->WriteUE(0);
-                           return;
-                         }
-                         EncodeLevelBlock(*levels, writer);
-                       });
-}
-
-void AnalyzeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
-                     int size, double qstep, std::vector<CodedBlock>* blocks,
-                     uint8_t* recon) {
-  ForEachResidualBlock(cur, cur_stride, pred, size, qstep, recon,
-                       [blocks](const LevelBlock* levels, int nonzero) {
-                         CodedBlock& block = blocks->emplace_back();
-                         block.nonzero = levels == nullptr ? 0 : nonzero;
-                         if (block.nonzero > 0) block.levels = *levels;
-                       });
-}
-
 Status DecodeResidual(BitReader* reader, const uint8_t* pred, int size,
-                      double qstep, uint8_t* recon,
-                      const HuffmanBlockDecoder* huffman) {
+                      double qstep, uint8_t* recon) {
   ResidualBlock residual;
   CoeffBlock coeffs;
   LevelBlock levels;
@@ -296,11 +262,7 @@ Status DecodeResidual(BitReader* reader, const uint8_t* pred, int size,
       // Mirror the encoder's all-zero / sparse / dense dispatch exactly so
       // both reconstructions stay bit-identical.
       int nonzero = 0;
-      if (huffman != nullptr) {
-        VC_RETURN_IF_ERROR(huffman->DecodeBlock(reader, &levels, &nonzero));
-      } else {
-        VC_RETURN_IF_ERROR(DecodeLevelBlock(reader, &levels, &nonzero));
-      }
+      VC_RETURN_IF_ERROR(DecodeLevelBlock(reader, &levels, &nonzero));
       if (nonzero == 0) {
         CopyPredBlock(pred, size, bx, by, recon);
         continue;

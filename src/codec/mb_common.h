@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "codec/bitstream.h"
-#include "codec/entropy.h"
 #include "codec/motion.h"
 #include "codec/transform.h"
 #include "common/bitio.h"
@@ -52,22 +51,9 @@ void IntraPredict(PlaneView plane, int x, int y, int size, IntraMode mode,
 void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
                     int size, double qstep, BitWriter* writer, uint8_t* recon);
 
-/// Analysis half of EncodeResidual for two-pass entropy profiles: identical
-/// transform/quantization/reconstruction, but the quantized blocks are
-/// appended to `blocks` (in the exact order EncodeResidual would emit them)
-/// instead of being entropy-coded. Emitting each buffered block afterwards
-/// with EncodeLevelBlock (or UE(0) when `nonzero == 0`) reproduces
-/// EncodeResidual's bitstream byte for byte.
-void AnalyzeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
-                     int size, double qstep, std::vector<CodedBlock>* blocks,
-                     uint8_t* recon);
-
-/// Decoder mirror of EncodeResidual: reads levels and reconstructs. When
-/// `huffman` is non-null the levels are read as Huffman tokens (the tile
-/// payload's canonical table), otherwise as Exp-Golomb.
+/// Decoder mirror of EncodeResidual: reads levels and reconstructs.
 Status DecodeResidual(BitReader* reader, const uint8_t* pred, int size,
-                      double qstep, uint8_t* recon,
-                      const HuffmanBlockDecoder* huffman = nullptr);
+                      double qstep, uint8_t* recon);
 
 /// Writes a contiguous `size`×`size` block into a frame plane.
 void StoreBlock(const uint8_t* block, int size, uint8_t* plane, int stride,

@@ -45,7 +45,6 @@ EncoderOptions IngestOptions::MakeEncoderOptions(int width, int height,
   encoder.qp = ladder[quality].qp;
   encoder.motion_range = motion_range;
   encoder.motion_constrained_tiles = motion_constrained_tiles;
-  encoder.entropy_profile = entropy_profile;
   return encoder;
 }
 

@@ -44,11 +44,6 @@ struct IngestOptions {
   /// produced streams are ordinary valid streams. Disable to force every
   /// rung through the full search (e.g. for A/B benchmarking).
   bool reuse_motion_analysis = true;
-  /// Residual entropy coder for every encoded cell. The Huffman profile
-  /// builds a canonical code per tile payload and falls back to Exp-Golomb
-  /// whenever that is smaller, so it strictly reduces storage at identical
-  /// reconstruction (entropy coding is lossless).
-  EntropyProfile entropy_profile = EntropyProfile::kExpGolomb;
 
   Status Validate() const;
 

@@ -19,8 +19,7 @@
 namespace vc {
 namespace {
 
-std::vector<uint8_t> EncodeFixture(EntropyProfile profile, int tile_rows,
-                                   int tile_cols) {
+std::vector<uint8_t> EncodeFixture(int tile_rows, int tile_cols) {
   SceneOptions scene_options;
   scene_options.width = 64;
   scene_options.height = 32;
@@ -34,7 +33,6 @@ std::vector<uint8_t> EncodeFixture(EntropyProfile profile, int tile_rows,
   options.qp = 30;
   options.tile_rows = tile_rows;
   options.tile_cols = tile_cols;
-  options.entropy_profile = profile;
   auto video = EncodeVideo(frames, options);
   EXPECT_TRUE(video.ok());
   return video->Serialize();
@@ -54,10 +52,10 @@ void DriveDecoder(const std::vector<uint8_t>& bytes) {
   }
 }
 
-class FuzzTest : public ::testing::TestWithParam<EntropyProfile> {};
+class FuzzTest : public ::testing::Test {};
 
-TEST_P(FuzzTest, TruncatedStreamsFailCleanly) {
-  auto bytes = EncodeFixture(GetParam(), 2, 2);
+TEST_F(FuzzTest, TruncatedStreamsFailCleanly) {
+  auto bytes = EncodeFixture(2, 2);
   ASSERT_GT(bytes.size(), 64u);
   // Every length in the header region, then a deterministic sample of the
   // payload region (every length would be quadratic in stream size).
@@ -71,8 +69,8 @@ TEST_P(FuzzTest, TruncatedStreamsFailCleanly) {
   }
 }
 
-TEST_P(FuzzTest, BitFlippedStreamsFailCleanly) {
-  auto bytes = EncodeFixture(GetParam(), 2, 2);
+TEST_F(FuzzTest, BitFlippedStreamsFailCleanly) {
+  auto bytes = EncodeFixture(2, 2);
   Random rng(971);
   for (int trial = 0; trial < 400; ++trial) {
     std::vector<uint8_t> mutant = bytes;
@@ -86,11 +84,11 @@ TEST_P(FuzzTest, BitFlippedStreamsFailCleanly) {
   }
 }
 
-TEST_P(FuzzTest, MutatedTilePayloadsFailCleanly) {
+TEST_F(FuzzTest, MutatedTilePayloadsFailCleanly) {
   // Mutations aimed past the container framing, straight at tile payloads:
   // parse the valid stream once, corrupt frame payload bytes after the tile
   // offset table, and decode single tiles.
-  auto bytes = EncodeFixture(GetParam(), 2, 2);
+  auto bytes = EncodeFixture(2, 2);
   auto video = EncodedVideo::Parse(Slice(bytes));
   ASSERT_TRUE(video.ok());
   Random rng(4242);
@@ -119,8 +117,8 @@ TEST_P(FuzzTest, MutatedTilePayloadsFailCleanly) {
   }
 }
 
-TEST_P(FuzzTest, ZeroAndPatternFilledPayloadsFailCleanly) {
-  auto bytes = EncodeFixture(GetParam(), 1, 1);
+TEST_F(FuzzTest, ZeroAndPatternFilledPayloadsFailCleanly) {
+  auto bytes = EncodeFixture(1, 1);
   for (uint8_t fill : {0x00, 0xff, 0xaa, 0x41}) {
     std::vector<uint8_t> mutant = bytes;
     // Keep the header so decoding reaches the entropy layer.
@@ -131,16 +129,6 @@ TEST_P(FuzzTest, ZeroAndPatternFilledPayloadsFailCleanly) {
     DriveDecoder(mutant);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(BothProfiles, FuzzTest,
-                         ::testing::Values(EntropyProfile::kExpGolomb,
-                                           EntropyProfile::kHuffman),
-                         [](const ::testing::TestParamInfo<EntropyProfile>&
-                                info) {
-                           return info.param == EntropyProfile::kHuffman
-                                      ? "huffman"
-                                      : "expgolomb";
-                         });
 
 }  // namespace
 }  // namespace vc
