@@ -53,21 +53,17 @@ void Check(bool ok, const char* what) {
   }
 }
 
-/// One kernel's per-tier result, in MB/s of 8-bit pixels processed (64 bytes
-/// per 8x8 block, 256 per 16x16 SAD) so rates are comparable across kernels.
-/// `sse2_mbs` is only populated on hosts whose best tier is above the x86
-/// baseline (i.e. when AVX2 dispatch kicks in), so the table shows what each
-/// tier buys.
+/// One kernel's result, in MB/s of 8-bit pixels processed (64 bytes per 8x8
+/// block, 256 per 16x16 SAD) so rates are comparable across kernels.
 struct KernelRow {
   std::string name;
   double scalar_mbs = 0.0;
-  double sse2_mbs = 0.0;
-  double simd_mbs = 0.0;  // strongest dispatchable tier
+  double simd_mbs = 0.0;  // the active vector tier
   double speedup() const { return simd_mbs / scalar_mbs; }
 };
 
-/// Times `fn` at every dispatchable tier. `bytes` is the pixel volume one
-/// call of `fn` processes.
+/// Times `fn` on the scalar path and on the active vector tier. `bytes` is
+/// the pixel volume one call of `fn` processes.
 template <typename Fn>
 KernelRow TimeKernel(const std::string& name, double bytes, int reps,
                      Fn&& fn) {
@@ -76,12 +72,6 @@ KernelRow TimeKernel(const std::string& name, double bytes, int reps,
   simd::SetEnabled(false);
   row.scalar_mbs = bytes / BestSeconds(reps, fn) / 1e6;
   simd::SetEnabled(true);
-  if (simd::ActiveLevel() == simd::Level::kAvx2) {
-    const simd::Level cap = simd::LevelCap();
-    simd::SetLevelCap(simd::Level::kSse2);
-    row.sse2_mbs = bytes / BestSeconds(reps, fn) / 1e6;
-    simd::SetLevelCap(cap);
-  }
   row.simd_mbs = bytes / BestSeconds(reps, fn) / 1e6;
   return row;
 }
@@ -350,30 +340,16 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  bool has_mid_tier = false;
-  for (const KernelRow& row : rows) has_mid_tier |= row.sse2_mbs > 0;
   double geomean = 1.0;
-  if (has_mid_tier) {
-    std::printf("\n%-13s %13s %13s %13s %9s\n", "kernel", "scalar MB/s",
-                "sse2 MB/s", "best MB/s", "speedup");
-    for (const KernelRow& row : rows) {
-      std::printf("%-13s %13.1f %13.1f %13.1f %8.2fx\n", row.name.c_str(),
-                  row.scalar_mbs, row.sse2_mbs, row.simd_mbs, row.speedup());
-      geomean *= row.speedup();
-    }
-    geomean = std::pow(geomean, 1.0 / static_cast<double>(rows.size()));
-    std::printf("%-13s %51.2fx (geomean)\n", "", geomean);
-  } else {
-    std::printf("\n%-13s %13s %13s %9s\n", "kernel", "scalar MB/s",
-                "SIMD MB/s", "speedup");
-    for (const KernelRow& row : rows) {
-      std::printf("%-13s %13.1f %13.1f %8.2fx\n", row.name.c_str(),
-                  row.scalar_mbs, row.simd_mbs, row.speedup());
-      geomean *= row.speedup();
-    }
-    geomean = std::pow(geomean, 1.0 / static_cast<double>(rows.size()));
-    std::printf("%-13s %37.2fx (geomean)\n", "", geomean);
+  std::printf("\n%-13s %13s %13s %9s\n", "kernel", "scalar MB/s",
+              "SIMD MB/s", "speedup");
+  for (const KernelRow& row : rows) {
+    std::printf("%-13s %13.1f %13.1f %8.2fx\n", row.name.c_str(),
+                row.scalar_mbs, row.simd_mbs, row.speedup());
+    geomean *= row.speedup();
   }
+  geomean = std::pow(geomean, 1.0 / static_cast<double>(rows.size()));
+  std::printf("%-13s %37.2fx (geomean)\n", "", geomean);
 
   simd::SetEnabled(true);
   const EntropyRow entropy = BenchExpGolomb(data, reps);
@@ -394,22 +370,12 @@ int main(int argc, char** argv) {
   kernels_json += "\",\n  \"pixel_mb_per_s\": {";
   for (size_t i = 0; i < rows.size(); ++i) {
     char buffer[320];
-    if (rows[i].sse2_mbs > 0) {
-      std::snprintf(buffer, sizeof(buffer),
-                    "%s\n   \"%s\": {\"scalar\": %s, \"sse2\": %s, "
-                    "\"best\": %s, \"speedup\": %.2f}",
-                    i == 0 ? "" : ",", rows[i].name.c_str(),
-                    Escape(rows[i].scalar_mbs).c_str(),
-                    Escape(rows[i].sse2_mbs).c_str(),
-                    Escape(rows[i].simd_mbs).c_str(), rows[i].speedup());
-    } else {
-      std::snprintf(buffer, sizeof(buffer),
-                    "%s\n   \"%s\": {\"scalar\": %s, \"best\": %s, "
-                    "\"speedup\": %.2f}",
-                    i == 0 ? "" : ",", rows[i].name.c_str(),
-                    Escape(rows[i].scalar_mbs).c_str(),
-                    Escape(rows[i].simd_mbs).c_str(), rows[i].speedup());
-    }
+    std::snprintf(buffer, sizeof(buffer),
+                  "%s\n   \"%s\": {\"scalar\": %s, \"best\": %s, "
+                  "\"speedup\": %.2f}",
+                  i == 0 ? "" : ",", rows[i].name.c_str(),
+                  Escape(rows[i].scalar_mbs).c_str(),
+                  Escape(rows[i].simd_mbs).c_str(), rows[i].speedup());
     kernels_json += buffer;
   }
   char tail[512];

@@ -59,9 +59,9 @@ tsan() {
 
 simd() {
   echo "== simd: cross-ISA bit-exactness + memory-safety matrix =="
-  # Leg 1: widened baseline ISA (-msse4.1). The codec suite proves every
-  # runtime-dispatchable tier (scalar, sse2, avx2 where the host has it)
-  # produces bit-identical streams, and the kernel micro-bench smoke
+  # Leg 1: widened baseline ISA (-msse4.1). The codec suite proves the
+  # host's vector path (AVX2 transforms and SSE2 SAD/residual kernels on x86)
+  # produces streams bit-identical to scalar, and the kernel micro-bench smoke
   # re-verifies kernel-level agreement plus the Exp-Golomb round-trip.
   cmake -B build-sse41 -S . -DCMAKE_CXX_FLAGS=-msse4.1
   cmake --build build-sse41 -j"$JOBS" --target codec_test codec_fuzz_test \
@@ -73,7 +73,7 @@ simd() {
 
   # Leg 2: scalar-only build (-DVC_DISABLE_SIMD=ON removes every intrinsics
   # path at compile time). The same codec suite passing here pins the scalar
-  # fallbacks as the reference the vector tiers are measured against.
+  # fallbacks as the reference the vector paths are measured against.
   cmake -B build-scalar -S . -DVC_DISABLE_SIMD=ON
   cmake --build build-scalar -j"$JOBS" --target codec_test codec_fuzz_test
   ./build-scalar/tests/codec_test

@@ -11,122 +11,58 @@ namespace {
 Level DetectCompiledLevel() {
 #if defined(VC_SIMD_NEON)
   return Level::kNeon;
-#elif defined(VC_SIMD_X86_AVX2_DISPATCH)
+#elif defined(VC_SIMD_X86)
   // AVX2 kernel variants are compiled in via per-function `target`
   // attributes even when the baseline ISA is SSE2; the capability probe
   // below decides whether they may actually run.
   return Level::kAvx2;
-#elif defined(VC_SIMD_X86_SSE41)
-  return Level::kSse41;
-#elif defined(VC_SIMD_X86)
-  return Level::kSse2;
 #else
   return Level::kScalar;
 #endif
-}
-
-// Runtime capability guard: a binary carrying code for a wider ISA than the
-// host supports must fall back to a narrower tier instead of faulting on an
-// illegal instruction. SSE2 is architectural on x86-64 and NEON on aarch64,
-// so only the optional extensions need a probe.
-bool HostSupports(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return true;
-#if defined(VC_SIMD_X86)
-    case Level::kSse2:
-      return true;
-    case Level::kSse41:
-#if defined(__GNUC__) || defined(__clang__)
-      return __builtin_cpu_supports("sse4.1") != 0;
-#else
-      return false;
-#endif
-    case Level::kAvx2:
-#if defined(__GNUC__) || defined(__clang__)
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-#elif defined(VC_SIMD_NEON)
-    case Level::kNeon:
-      return true;
-#endif
-    default:
-      return false;
-  }
 }
 
 /// The strongest compiled-in tier this host can execute. The baseline tier
-/// (SSE2/NEON) is architectural, so on x86 this is at least kSse2 whenever
-/// any vector path is compiled in.
+/// (SSE2/NEON) is architectural; only AVX2 needs a probe, so a binary
+/// carrying AVX2 code falls back to SSE2 on an older CPU instead of faulting
+/// on an illegal instruction.
 Level DetectHostLevel() {
-  Level best = Level::kScalar;
-  for (Level level : {Level::kSse2, Level::kSse41, Level::kAvx2,
-                      Level::kNeon}) {
-    if (level <= DetectCompiledLevel() && HostSupports(level)) best = level;
-  }
-  return best;
-}
-
-Level ParseLevelName(const char* name) {
-  if (std::strcmp(name, "scalar") == 0) return Level::kScalar;
-  if (std::strcmp(name, "sse2") == 0) return Level::kSse2;
-  if (std::strcmp(name, "sse4.1") == 0) return Level::kSse41;
-  if (std::strcmp(name, "avx2") == 0) return Level::kAvx2;
-  if (std::strcmp(name, "neon") == 0) return Level::kNeon;
-  // Unrecognized values fail safe: a user setting VC_SIMD is trying to cap or
-  // disable SIMD, so a typo must not silently run the full vector paths.
-  // Warn once — the cap is evaluated from several startup initializers.
-  static const bool warned = [name] {
-    std::fprintf(stderr,
-                 "vc: unrecognized VC_SIMD value '%s' (expected off, scalar, "
-                 "sse2, sse4.1, avx2, or neon); forcing scalar\n",
-                 name);
-    return true;
-  }();
-  (void)warned;
-  return Level::kScalar;
-}
-
-Level InitialLevelCap() {
-  const char* env = std::getenv("VC_SIMD");
-  if (env == nullptr) return Level::kNeon;  // strongest tier == no cap
-  if (std::strcmp(env, "off") == 0) return Level::kScalar;
-  return ParseLevelName(env);
-}
-
-bool SimdUsable() {
-#if defined(VC_SIMD_ANY)
-  // VC_SIMD=off|scalar is a hard kill: SetEnabled(true) cannot override it.
-  if (InitialLevelCap() == Level::kScalar) return false;
-  return DetectHostLevel() > Level::kScalar;
+#if defined(VC_SIMD_X86)
+  return __builtin_cpu_supports("avx2") != 0 ? Level::kAvx2 : Level::kSse2;
 #else
-  return false;
+  return DetectCompiledLevel();
 #endif
 }
 
-// Evaluated once; SetEnabled(true) may not exceed this, and SetLevelCap
-// cannot raise ActiveLevel above what the host supports.
-const bool g_usable = SimdUsable();
-const Level g_host_level = DetectHostLevel();
+/// Whether VC_SIMD leaves the vector paths on. Unset means on; `off` (or its
+/// alias `scalar`) is the kill switch. Any other value fails safe: a user
+/// setting VC_SIMD is trying to disable SIMD, so a typo must not silently
+/// run the vector paths.
+bool EnvAllowsSimd() {
+  const char* env = std::getenv("VC_SIMD");
+  if (env == nullptr) return true;
+  if (std::strcmp(env, "off") != 0 && std::strcmp(env, "scalar") != 0) {
+    std::fprintf(stderr,
+                 "vc: unrecognized VC_SIMD value '%s' (expected off or "
+                 "scalar); forcing scalar\n",
+                 env);
+  }
+  return false;
+}
 
-std::atomic<Level> g_level_cap{InitialLevelCap()};
+// Evaluated once; SetEnabled(true) may not exceed this. VC_SIMD=off is a
+// hard kill that SetEnabled(true) cannot override.
+const Level g_host_level = DetectHostLevel();
+const bool g_usable = EnvAllowsSimd() && g_host_level > Level::kScalar;
 
 }  // namespace
 
 namespace internal {
-std::atomic<bool> g_enabled{SimdUsable() &&
-                            InitialLevelCap() > Level::kScalar};
+std::atomic<bool> g_enabled{g_usable};
 }  // namespace internal
 
 Level CompiledLevel() { return DetectCompiledLevel(); }
 
-Level ActiveLevel() {
-  if (!Enabled()) return Level::kScalar;
-  const Level cap = g_level_cap.load(std::memory_order_relaxed);
-  return g_host_level < cap ? g_host_level : cap;
-}
+Level ActiveLevel() { return Enabled() ? g_host_level : Level::kScalar; }
 
 const char* LevelName(Level level) {
   switch (level) {
@@ -134,8 +70,6 @@ const char* LevelName(Level level) {
       return "scalar";
     case Level::kSse2:
       return "sse2";
-    case Level::kSse41:
-      return "sse4.1";
     case Level::kAvx2:
       return "avx2";
     case Level::kNeon:
@@ -143,13 +77,6 @@ const char* LevelName(Level level) {
   }
   return "unknown";
 }
-
-Level SetLevelCap(Level level) {
-  g_level_cap.store(level, std::memory_order_relaxed);
-  return ActiveLevel();
-}
-
-Level LevelCap() { return g_level_cap.load(std::memory_order_relaxed); }
 
 bool SetEnabled(bool enabled) {
   const bool value = enabled && g_usable;

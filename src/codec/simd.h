@@ -3,43 +3,33 @@
 
 // Portable-intrinsics layer for the codec hot kernels.
 //
-// Selection happens at two levels:
-//  - Compile time: the best ISA the compiler was asked to target (SSE2 is
-//    the x86-64 baseline, SSE4.1 under -msse4.1, NEON on aarch64). Building
-//    with -DVC_DISABLE_SIMD removes every intrinsics path outright, leaving
-//    the scalar fallbacks — the configuration the CI `simd` leg uses to
-//    prove both paths bit-identical.
-//  - Run time: a capability guard (`ActiveLevel`) verifies the CPU actually
-//    supports what was compiled in and exposes a kill-switch
-//    (`SetEnabled(false)`, or VC_SIMD=off in the environment) so a single
-//    binary can run either path — which is how the bit-exactness tests and
-//    the scalar-vs-SIMD micro-benchmarks compare them.
+// Each kernel has one scalar reference and at most one vector path:
+//  - The transform family (ForwardDct, InverseDct, InverseDctSparse,
+//    Quantize) has an AVX2 path, compiled into every x86 build through
+//    per-function `target("avx2")` attributes and dispatched only when the
+//    host CPU reports AVX2. Any other host runs the scalar transforms.
+//  - The SAD and residual/reconstruction kernels have an SSE2 path on x86
+//    (architectural on x86-64) and a NEON path on aarch64.
 //
-// Every vector kernel in the codec is written to be *bit-identical* to its
-// scalar fallback: integer kernels trivially so, floating-point kernels by
-// performing the same operations in the same per-element order (no FMA
-// contraction, no reassociation). Tests enforce this; see
-// codec_test.cc (SimdTest.*).
+// Building with -DVC_DISABLE_SIMD removes every intrinsics path outright,
+// leaving the scalar references — the configuration the CI `simd` leg uses
+// to prove both paths bit-identical. At run time the kill-switch
+// (`SetEnabled(false)`, or VC_SIMD=off in the environment) lets one binary
+// run either path, which is how the bit-exactness tests and the
+// scalar-vs-SIMD micro-benchmarks compare them.
+//
+// Every vector kernel is *bit-identical* to its scalar reference: integer
+// kernels trivially so, floating-point kernels by performing the same
+// operations in the same per-element order (no FMA contraction, no
+// reassociation). Tests enforce this; see codec_test.cc (SimdTest.*).
 
 #include <atomic>
 
 #if !defined(VC_DISABLE_SIMD)
-#if defined(__x86_64__) || defined(_M_X64) || defined(__SSE2__)
+#if defined(__x86_64__) || defined(__SSE2__)
 #define VC_SIMD_X86 1
-#include <emmintrin.h>
-#if defined(__SSE4_1__)
-#define VC_SIMD_X86_SSE41 1
-#include <smmintrin.h>
-#endif
-#if defined(__GNUC__) || defined(__clang__)
-// GCC/Clang support per-function ISA selection (`target` attribute), so even
-// an SSE2-baseline binary carries AVX2 variants of the hottest kernels and
-// picks them at run time behind the capability guard. MSVC has no equivalent;
-// there the SSE2 paths are the ceiling.
-#define VC_SIMD_X86_AVX2_DISPATCH 1
 #define VC_AVX2_FN __attribute__((target("avx2")))
 #include <immintrin.h>
-#endif
 #elif defined(__ARM_NEON) || defined(__aarch64__)
 #define VC_SIMD_NEON 1
 #include <arm_neon.h>
@@ -53,36 +43,21 @@
 namespace vc {
 namespace simd {
 
-/// Instruction-set tiers the codec kernels dispatch over, in strength order.
-enum class Level { kScalar = 0, kSse2 = 1, kSse41 = 2, kAvx2 = 3, kNeon = 4 };
+/// Instruction-set tiers the codec kernels run at, in strength order.
+enum class Level { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };
 
-/// The best tier with code compiled into this binary. With GCC/Clang on
-/// x86-64 this is kAvx2 even for an SSE2-baseline build, because the AVX2
-/// kernel variants are compiled via per-function `target` attributes and
-/// only dispatched to when the host CPU passes the capability probe.
+/// The best tier with code compiled into this binary: kAvx2 on x86 (the
+/// AVX2 transform variants are always compiled in and only dispatched to
+/// when the host CPU passes the capability probe), kNeon on aarch64.
 Level CompiledLevel();
 
 /// The tier kernels actually run at: `CompiledLevel()` clamped by the
-/// runtime capability guard (a binary carrying AVX2 or SSE4.1 paths refuses
-/// to dispatch them on a CPU without that extension rather than fault), by
-/// the `SetLevelCap` ceiling, and by the `SetEnabled` kill-switch.
+/// runtime capability guard (an x86 CPU without AVX2 runs at kSse2 rather
+/// than fault) and by the `SetEnabled` kill-switch.
 Level ActiveLevel();
 
-/// Human-readable tier name ("scalar", "sse2", "sse4.1", "avx2", "neon").
+/// Human-readable tier name ("scalar", "sse2", "avx2", "neon").
 const char* LevelName(Level level);
-
-/// Caps `ActiveLevel` at `level` (e.g. kSse2 forces the SSE2 paths on an
-/// AVX2 host, which is how the bit-exactness tests and the tier-by-tier
-/// micro-benchmarks exercise every compiled path on one machine). Also
-/// settable at startup via VC_SIMD=scalar|sse2|sse4.1|avx2|neon. Only
-/// kernels with multiple vector tiers consult the cap; baseline-tier
-/// kernels (e.g. the SSE2 SAD) consult just the `SetEnabled` kill-switch,
-/// which remains the way to force fully scalar execution. Returns the
-/// resulting `ActiveLevel`.
-Level SetLevelCap(Level level);
-
-/// The current `SetLevelCap` ceiling (defaults to the strongest tier).
-Level LevelCap();
 
 namespace internal {
 extern std::atomic<bool> g_enabled;
@@ -105,34 +80,6 @@ inline uint32_t HorizontalSadSum(__m128i sad) {
   return static_cast<uint32_t>(
       _mm_cvtsi128_si32(_mm_add_epi32(sad, _mm_srli_si128(sad, 8))));
 }
-
-/// Transposes an 8x8 block of doubles held as 8 rows x 4 __m128d registers.
-/// `m[r][c]` covers columns 2c, 2c+1 of row r. Pure data movement — values
-/// are untouched, so it cannot perturb bit-exactness.
-inline void Transpose8x8(__m128d m[8][4]) {
-  for (int r = 0; r < 8; r += 2) {
-    for (int c = 0; c < 8; c += 2) {
-      __m128d a = m[r][c / 2];
-      __m128d b = m[r + 1][c / 2];
-      m[r][c / 2] = _mm_unpacklo_pd(a, b);
-      m[r + 1][c / 2] = _mm_unpackhi_pd(a, b);
-    }
-  }
-  // The 2x2 tiles above transposed in place only the diagonal; swap the
-  // off-diagonal tiles. Done as a second pass to keep the loop above simple.
-  for (int r = 0; r < 8; r += 2) {
-    for (int c = r + 2; c < 8; c += 2) {
-      __m128d t0 = m[r][c / 2];
-      __m128d t1 = m[r + 1][c / 2];
-      m[r][c / 2] = m[c][r / 2];
-      m[r + 1][c / 2] = m[c + 1][r / 2];
-      m[c][r / 2] = t0;
-      m[c + 1][r / 2] = t1;
-    }
-  }
-}
-
-#if defined(VC_SIMD_X86_AVX2_DISPATCH)
 
 /// Transposes a 4x4 block of doubles held in four __m256d registers.
 VC_AVX2_FN inline void Transpose4x4(__m256d* r0, __m256d* r1, __m256d* r2,
@@ -166,8 +113,6 @@ VC_AVX2_FN inline void Transpose8x8(__m256d m[8][2]) {
   m[6][0] = b2;
   m[7][0] = b3;
 }
-
-#endif  // VC_SIMD_X86_AVX2_DISPATCH
 
 #endif  // VC_SIMD_X86
 

@@ -154,173 +154,14 @@ void QuantizeScalar(const CoeffBlock& coeffs, double inv_qstep,
 // The vector DCT works "column-parallel": instead of an 8-point butterfly on
 // one row at a time, each stage runs the butterfly on all 8 rows at once with
 // the row index spread across vector lanes. Two 8×8 transposes put the data
-// in lane order for each stage. Per lane, the adds/multiplies happen in
-// exactly the order ForwardDct8/InverseDct8 perform them (accumulators start
-// at zero and fold terms in ascending i/k, no FMA contraction), so every
-// output element is bit-identical to the scalar path — which the tests and
-// the encoder/decoder bit-exactness contract rely on.
-
-/// Loads a row-major int16 block into 8 rows × 4 __m128d registers.
-inline void LoadResidualRows(const ResidualBlock& input, __m128d m[8][4]) {
-  for (int y = 0; y < kBlockSize; ++y) {
-    __m128i v16 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(&input[y * kBlockSize]));
-    // Sign-extend int16 → int32 without SSE4.1: duplicate then arithmetic
-    // shift right.
-    __m128i lo32 = _mm_srai_epi32(_mm_unpacklo_epi16(v16, v16), 16);
-    __m128i hi32 = _mm_srai_epi32(_mm_unpackhi_epi16(v16, v16), 16);
-    m[y][0] = _mm_cvtepi32_pd(lo32);
-    m[y][1] = _mm_cvtepi32_pd(_mm_unpackhi_epi64(lo32, lo32));
-    m[y][2] = _mm_cvtepi32_pd(hi32);
-    m[y][3] = _mm_cvtepi32_pd(_mm_unpackhi_epi64(hi32, hi32));
-  }
-}
-
-/// Forward butterfly stage on 8 lanes-worth of 8-point inputs: `in[i]` holds
-/// sample i across lanes, `out[u]` receives frequency u across lanes.
-inline void ForwardStage(const __m128d in[8][4], __m128d out[8][4],
-                         const DctBasis& b) {
-  __m128d e[kHalf][4], o[kHalf][4];
-  for (int i = 0; i < kHalf; ++i) {
-    for (int j = 0; j < 4; ++j) {
-      e[i][j] = _mm_add_pd(in[i][j], in[kBlockSize - 1 - i][j]);
-      o[i][j] = _mm_sub_pd(in[i][j], in[kBlockSize - 1 - i][j]);
-    }
-  }
-  for (int k = 0; k < kHalf; ++k) {
-    for (int j = 0; j < 4; ++j) {
-      __m128d se = _mm_setzero_pd();
-      __m128d so = _mm_setzero_pd();
-      for (int i = 0; i < kHalf; ++i) {
-        se = _mm_add_pd(se, _mm_mul_pd(e[i][j], _mm_set1_pd(b.even[k][i])));
-        so = _mm_add_pd(so, _mm_mul_pd(o[i][j], _mm_set1_pd(b.odd[k][i])));
-      }
-      out[2 * k][j] = se;
-      out[2 * k + 1][j] = so;
-    }
-  }
-}
-
-/// Inverse butterfly stage, mirroring InverseDct8 lane-wise.
-inline void InverseStage(const __m128d in[8][4], __m128d out[8][4],
-                         const DctBasis& b) {
-  for (int i = 0; i < kHalf; ++i) {
-    for (int j = 0; j < 4; ++j) {
-      __m128d e = _mm_setzero_pd();
-      __m128d o = _mm_setzero_pd();
-      for (int k = 0; k < kHalf; ++k) {
-        e = _mm_add_pd(e, _mm_mul_pd(in[2 * k][j], _mm_set1_pd(b.even[k][i])));
-        o = _mm_add_pd(o,
-                       _mm_mul_pd(in[2 * k + 1][j], _mm_set1_pd(b.odd[k][i])));
-      }
-      out[i][j] = _mm_add_pd(e, o);
-      out[kBlockSize - 1 - i][j] = _mm_sub_pd(e, o);
-    }
-  }
-}
-
-/// Rounds half-away-from-zero, clamps to int16 range, and stores one
-/// row-major block row. Matches the scalar `copysign(0.5)` + Clamp + cast
-/// sequence bit for bit (min/max_pd compose to the same ternary, cvttpd
-/// truncates like the cast).
-inline void StoreRoundedRow(const __m128d row[4], int16_t* out) {
-  const __m128d sign_mask = _mm_set1_pd(-0.0);
-  const __m128d half = _mm_set1_pd(0.5);
-  const __m128d lo = _mm_set1_pd(-32768.0);
-  const __m128d hi = _mm_set1_pd(32767.0);
-  __m128i quads[4];
-  for (int j = 0; j < 4; ++j) {
-    __m128d v = row[j];
-    __m128d signed_half = _mm_or_pd(_mm_and_pd(v, sign_mask), half);
-    __m128d rounded = _mm_add_pd(v, signed_half);
-    __m128d clamped = _mm_max_pd(_mm_min_pd(rounded, hi), lo);
-    quads[j] = _mm_cvttpd_epi32(clamped);
-  }
-  __m128i lo32 = _mm_unpacklo_epi64(quads[0], quads[1]);
-  __m128i hi32 = _mm_unpacklo_epi64(quads[2], quads[3]);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
-                   _mm_packs_epi32(lo32, hi32));
-}
-
-void ForwardDctSse2(const ResidualBlock& input, CoeffBlock* output) {
-  const auto& b = Basis();
-  __m128d m[8][4], t[8][4];
-  LoadResidualRows(input, m);
-  simd::Transpose8x8(m);      // m[x] spans rows y across lanes
-  ForwardStage(m, t, b);      // t[u][y lanes] == scalar temp[u][y]
-  simd::Transpose8x8(t);      // t[y] spans columns u across lanes
-  ForwardStage(t, m, b);      // m[v][u lanes] == output row v
-  for (int v = 0; v < kBlockSize; ++v) {
-    for (int j = 0; j < 4; ++j) {
-      _mm_storeu_pd(&(*output)[v * kBlockSize + 2 * j], m[v][j]);
-    }
-  }
-}
-
-void InverseDctSse2(const CoeffBlock& input, ResidualBlock* output) {
-  const auto& b = Basis();
-  __m128d m[8][4], t[8][4];
-  for (int v = 0; v < kBlockSize; ++v) {
-    for (int j = 0; j < 4; ++j) {
-      m[v][j] = _mm_loadu_pd(&input[v * kBlockSize + 2 * j]);
-    }
-  }
-  simd::Transpose8x8(m);      // m[u] spans rows v across lanes
-  InverseStage(m, t, b);      // t[x][v lanes] == scalar temp[x][v]
-  simd::Transpose8x8(t);      // t[v] spans columns x across lanes
-  InverseStage(t, m, b);      // m[y][x lanes] == output row y
-  for (int y = 0; y < kBlockSize; ++y) {
-    StoreRoundedRow(m[y], &(*output)[y * kBlockSize]);
-  }
-}
-
-void QuantizeSse2(const CoeffBlock& coeffs, double inv_qstep, double dead_zone,
-                  LevelBlock* levels) {
-  const __m128d inv = _mm_set1_pd(inv_qstep);
-  const __m128d dz = _mm_set1_pd(dead_zone);
-  const __m128d abs_mask =
-      _mm_castsi128_pd(_mm_srli_epi64(_mm_set1_epi32(-1), 1));
-  const __m128d zero = _mm_setzero_pd();
-  for (int i = 0; i < kBlockPixels; i += 4) {
-    __m128d s0 = _mm_mul_pd(_mm_loadu_pd(&coeffs[i]), inv);
-    __m128d s1 = _mm_mul_pd(_mm_loadu_pd(&coeffs[i + 2]), inv);
-    __m128d m0 = _mm_add_pd(_mm_and_pd(s0, abs_mask), dz);
-    __m128d m1 = _mm_add_pd(_mm_and_pd(s1, abs_mask), dz);
-    __m128i magnitude = _mm_unpacklo_epi64(_mm_cvttpd_epi32(m0),
-                                           _mm_cvttpd_epi32(m1));
-    // Compact the two 64-bit `scaled < 0` masks into four 32-bit lanes, then
-    // negate the flagged lanes via (x ^ m) - m.
-    __m128i neg = _mm_castps_si128(
-        _mm_shuffle_ps(_mm_castpd_ps(_mm_cmplt_pd(s0, zero)),
-                       _mm_castpd_ps(_mm_cmplt_pd(s1, zero)),
-                       _MM_SHUFFLE(2, 0, 2, 0)));
-    __m128i level = _mm_sub_epi32(_mm_xor_si128(magnitude, neg), neg);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(&(*levels)[i]), level);
-  }
-}
-
-void DequantizeSse2(const LevelBlock& levels, double qstep,
-                    CoeffBlock* coeffs) {
-  const __m128d step = _mm_set1_pd(qstep);
-  for (int i = 0; i < kBlockPixels; i += 4) {
-    __m128i quad =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&levels[i]));
-    __m128d lo = _mm_cvtepi32_pd(quad);
-    __m128d hi = _mm_cvtepi32_pd(_mm_unpackhi_epi64(quad, quad));
-    _mm_storeu_pd(&(*coeffs)[i], _mm_mul_pd(lo, step));
-    _mm_storeu_pd(&(*coeffs)[i + 2], _mm_mul_pd(hi, step));
-  }
-}
-
-#if defined(VC_SIMD_X86_AVX2_DISPATCH)
-
-// AVX2 variants of the same column-parallel scheme with 4 lanes per register:
-// the 8×8 double working set is 8 rows × 2 __m256d, i.e. exactly the 16 ymm
-// registers — no spills between stages, which is where the 2-lane SSE2
-// version loses time. Per lane the arithmetic order is unchanged (no FMA
-// contraction — the `target` attribute enables AVX2 only, not FMA;
-// accumulators fold terms in ascending i/k), so every output stays
-// bit-identical to the scalar and SSE2 paths.
+// in lane order for each stage. With 4 lanes per register the 8×8 double
+// working set is 8 rows × 2 __m256d, i.e. exactly the 16 ymm registers — no
+// spills between stages. Per lane, the adds/multiplies happen in exactly the
+// order ForwardDct8/InverseDct8 perform them (accumulators start at zero and
+// fold terms in ascending i/k; the `target` attribute enables AVX2 only, not
+// FMA, so nothing is contracted), so every output element is bit-identical
+// to the scalar path — which the tests and the encoder/decoder bit-exactness
+// contract rely on.
 
 VC_AVX2_FN inline void LoadResidualRowsAvx2(const ResidualBlock& input,
                                             __m256d m[8][2]) {
@@ -483,27 +324,8 @@ VC_AVX2_FN void QuantizeAvx2(const CoeffBlock& coeffs, double inv_qstep,
   }
 }
 
-VC_AVX2_FN void DequantizeAvx2(const LevelBlock& levels, double qstep,
-                               CoeffBlock* coeffs) {
-  const __m256d step = _mm256_set1_pd(qstep);
-  for (int i = 0; i < kBlockPixels; i += 8) {
-    __m128i q0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&levels[i]));
-    __m128i q1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&levels[i + 4]));
-    _mm256_storeu_pd(&(*coeffs)[i],
-                     _mm256_mul_pd(_mm256_cvtepi32_pd(q0), step));
-    _mm256_storeu_pd(&(*coeffs)[i + 4],
-                     _mm256_mul_pd(_mm256_cvtepi32_pd(q1), step));
-  }
-}
-
-/// Whether the tiered transform kernels should take their AVX2 variant.
-inline bool DispatchAvx2() {
-  return simd::ActiveLevel() >= simd::Level::kAvx2;
-}
-
-#endif  // VC_SIMD_X86_AVX2_DISPATCH
+/// Whether the transform kernels should take their AVX2 variant.
+inline bool UseAvx2() { return simd::ActiveLevel() == simd::Level::kAvx2; }
 
 #endif  // VC_SIMD_X86
 
@@ -511,14 +333,8 @@ inline bool DispatchAvx2() {
 
 void ForwardDct(const ResidualBlock& input, CoeffBlock* output) {
 #if defined(VC_SIMD_X86)
-  if (simd::Enabled()) {
-#if defined(VC_SIMD_X86_AVX2_DISPATCH)
-    if (DispatchAvx2()) {
-      ForwardDctAvx2(input, output);
-      return;
-    }
-#endif
-    ForwardDctSse2(input, output);
+  if (UseAvx2()) {
+    ForwardDctAvx2(input, output);
     return;
   }
 #endif
@@ -527,14 +343,8 @@ void ForwardDct(const ResidualBlock& input, CoeffBlock* output) {
 
 void InverseDct(const CoeffBlock& input, ResidualBlock* output) {
 #if defined(VC_SIMD_X86)
-  if (simd::Enabled()) {
-#if defined(VC_SIMD_X86_AVX2_DISPATCH)
-    if (DispatchAvx2()) {
-      InverseDctAvx2(input, output);
-      return;
-    }
-#endif
-    InverseDctSse2(input, output);
+  if (UseAvx2()) {
+    InverseDctAvx2(input, output);
     return;
   }
 #endif
@@ -556,12 +366,8 @@ void InverseDctSparse(const CoeffBlock& input, int nonzero_count,
     output->fill(pixel);
     return;
   }
-  // No SSE2 tier here: a 2-lane version of the outer-product accumulator
-  // measured *slower* than the autovectorized scalar loop (the 32-register
-  // double working set spills), so sparse blocks dispatch straight from
-  // AVX2 (where the accumulators fit in ymm registers) to scalar.
-#if defined(VC_SIMD_X86_AVX2_DISPATCH)
-  if (simd::Enabled() && DispatchAvx2()) {
+#if defined(VC_SIMD_X86)
+  if (UseAvx2()) {
     InverseDctSparseAvx2(input, nonzero_count, output);
     return;
   }
@@ -582,14 +388,8 @@ void Quantize(const CoeffBlock& coeffs, double qstep, LevelBlock* levels) {
   constexpr double kDeadZone = 0.4;
   const double inv_qstep = 1.0 / qstep;
 #if defined(VC_SIMD_X86)
-  if (simd::Enabled()) {
-#if defined(VC_SIMD_X86_AVX2_DISPATCH)
-    if (DispatchAvx2()) {
-      QuantizeAvx2(coeffs, inv_qstep, kDeadZone, levels);
-      return;
-    }
-#endif
-    QuantizeSse2(coeffs, inv_qstep, kDeadZone, levels);
+  if (UseAvx2()) {
+    QuantizeAvx2(coeffs, inv_qstep, kDeadZone, levels);
     return;
   }
 #endif
@@ -597,18 +397,8 @@ void Quantize(const CoeffBlock& coeffs, double qstep, LevelBlock* levels) {
 }
 
 void Dequantize(const LevelBlock& levels, double qstep, CoeffBlock* coeffs) {
-#if defined(VC_SIMD_X86)
-  if (simd::Enabled()) {
-#if defined(VC_SIMD_X86_AVX2_DISPATCH)
-    if (DispatchAvx2()) {
-      DequantizeAvx2(levels, qstep, coeffs);
-      return;
-    }
-#endif
-    DequantizeSse2(levels, qstep, coeffs);
-    return;
-  }
-#endif
+  // The compiler vectorizes this loop; hand-written SSE2/AVX2 versions
+  // measured no faster, so it has no intrinsics path.
 #pragma omp simd
   for (int i = 0; i < kBlockPixels; ++i) {
     (*coeffs)[i] = levels[i] * qstep;

@@ -76,36 +76,6 @@ Status BitReader::ReadSE(int64_t* value) {
   return Status::OK();
 }
 
-uint64_t BitReader::PeekBits(int bits) const {
-  assert(bits >= 0 && bits <= 57);
-  if (failed_ || bits == 0) return 0;
-  // Gather whole bytes into an accumulator, then shift so the requested bits
-  // land at the bottom. Bytes past the end read as zero (the padding a
-  // decode-then-SkipBits caller relies on being rejected at consume time).
-  uint64_t acc = 0;
-  int have = -static_cast<int>(bit_pos_ % 8);
-  size_t byte_index = bit_pos_ / 8;
-  while (have < bits) {
-    uint8_t byte = byte_index < data_.size() ? data_[byte_index] : 0;
-    acc = (acc << 8) | byte;
-    have += 8;
-    ++byte_index;
-  }
-  return (acc >> (have - bits)) & ((uint64_t{1} << bits) - 1);
-}
-
-Status BitReader::SkipBits(int bits) {
-  if (failed_) return Status::OutOfRange("bit reader in failed state");
-  if (bits < 0) {
-    return Fail(Status::InvalidArgument("bit count out of range"));
-  }
-  if (bit_pos_ + static_cast<size_t>(bits) > data_.size() * 8) {
-    return Fail(Status::OutOfRange("bit stream exhausted"));
-  }
-  bit_pos_ += static_cast<size_t>(bits);
-  return Status::OK();
-}
-
 void BitReader::AlignToByte() {
   bit_pos_ = (bit_pos_ + 7) / 8 * 8;
 }

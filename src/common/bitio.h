@@ -123,18 +123,6 @@ class BitReader {
   /// Reads a signed Exp-Golomb code.
   Status ReadSE(int64_t* value);
 
-  /// Returns the next `bits` bits (MSB-first) without consuming them,
-  /// zero-padded past the end of the stream. Never fails and never moves the
-  /// position — the caller that acts on peeked bits must consume them with
-  /// SkipBits, which does bounds-check. `bits` in [0, 57] (the zero-padding
-  /// shift must stay well-defined). Returns 0 once the reader has failed.
-  uint64_t PeekBits(int bits) const;
-
-  /// Consumes `bits` bits previously examined with PeekBits. Consuming more
-  /// bits than remain fails (stickily) — this is what catches a truncated
-  /// stream whose zero padding happened to look like a valid code.
-  Status SkipBits(int bits);
-
   /// Skips forward to the next byte boundary.
   void AlignToByte();
 

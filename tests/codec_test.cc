@@ -979,43 +979,17 @@ INSTANTIATE_TEST_SUITE_P(
 // both paths. On machines where no SIMD path is compiled in or usable, both
 // runs take the scalar path and the tests pass vacuously.
 
-/// Toggles the SIMD kill-switch (and optionally the tier cap) for a scope,
-/// restoring the prior state.
+/// Toggles the SIMD kill-switch for a scope, restoring the prior state.
 class ScopedSimd {
  public:
-  explicit ScopedSimd(bool enabled)
-      : previous_enabled_(simd::Enabled()), previous_cap_(simd::LevelCap()) {
+  explicit ScopedSimd(bool enabled) : previous_enabled_(simd::Enabled()) {
     simd::SetEnabled(enabled);
   }
-  ScopedSimd(bool enabled, simd::Level cap) : ScopedSimd(enabled) {
-    simd::SetLevelCap(cap);
-  }
-  ~ScopedSimd() {
-    simd::SetEnabled(previous_enabled_);
-    simd::SetLevelCap(previous_cap_);
-  }
+  ~ScopedSimd() { simd::SetEnabled(previous_enabled_); }
 
  private:
   bool previous_enabled_;
-  simd::Level previous_cap_;
 };
-
-/// The distinct vector tiers this binary + host can actually run (e.g.
-/// {sse2, avx2} on a modern x86), so the bit-exactness tests prove *every*
-/// dispatchable path equals scalar, not just the strongest one.
-std::vector<simd::Level> VectorTiers() {
-  std::vector<simd::Level> tiers;
-  for (simd::Level cap :
-       {simd::Level::kSse2, simd::Level::kAvx2, simd::Level::kNeon}) {
-    ScopedSimd on(true, cap);
-    simd::Level active = simd::ActiveLevel();
-    if (active > simd::Level::kScalar &&
-        (tiers.empty() || tiers.back() != active)) {
-      tiers.push_back(active);
-    }
-  }
-  return tiers;
-}
 
 TEST(SimdTest, TransformKernelsMatchScalarBitExactly) {
   Random rng(501);
@@ -1043,23 +1017,23 @@ TEST(SimdTest, TransformKernelsMatchScalarBitExactly) {
       Dequantize(levels_scalar, qstep, &dq_scalar);
       InverseDct(dq_scalar, &out_scalar);
     }
-    for (simd::Level tier : VectorTiers()) {
-      CoeffBlock coeffs_simd, dq_simd;
-      LevelBlock levels_simd;
-      ResidualBlock out_simd;
-      ScopedSimd on(true, tier);
+    CoeffBlock coeffs_simd, dq_simd;
+    LevelBlock levels_simd;
+    ResidualBlock out_simd;
+    {
+      ScopedSimd on(true);
       ForwardDct(residual, &coeffs_simd);
       Quantize(coeffs_simd, qstep, &levels_simd);
       Dequantize(levels_simd, qstep, &dq_simd);
       InverseDct(dq_simd, &out_simd);
-      // Exact equality, including on the doubles: every SIMD tier performs
-      // the same IEEE operations in the same per-element order.
-      const char* name = simd::LevelName(tier);
-      ASSERT_EQ(coeffs_scalar, coeffs_simd) << "trial " << trial << " " << name;
-      ASSERT_EQ(levels_scalar, levels_simd) << "trial " << trial << " " << name;
-      ASSERT_EQ(dq_scalar, dq_simd) << "trial " << trial << " " << name;
-      ASSERT_EQ(out_scalar, out_simd) << "trial " << trial << " " << name;
     }
+    // Exact equality, including on the doubles: the vector path performs
+    // the same IEEE operations in the same per-element order.
+    const char* name = simd::LevelName(simd::ActiveLevel());
+    ASSERT_EQ(coeffs_scalar, coeffs_simd) << "trial " << trial << " " << name;
+    ASSERT_EQ(levels_scalar, levels_simd) << "trial " << trial << " " << name;
+    ASSERT_EQ(dq_scalar, dq_simd) << "trial " << trial << " " << name;
+    ASSERT_EQ(out_scalar, out_simd) << "trial " << trial << " " << name;
   }
 }
 
@@ -1082,13 +1056,13 @@ TEST(SimdTest, SparseInverseDctMatchesScalarBitExactly) {
       ScopedSimd off(false);
       InverseDctSparse(coeffs, nonzero, &out_scalar);
     }
-    for (simd::Level tier : VectorTiers()) {
-      ResidualBlock out_simd;
-      ScopedSimd on(true, tier);
+    ResidualBlock out_simd;
+    {
+      ScopedSimd on(true);
       InverseDctSparse(coeffs, nonzero, &out_simd);
-      ASSERT_EQ(out_scalar, out_simd)
-          << "trial " << trial << " " << simd::LevelName(tier);
     }
+    ASSERT_EQ(out_scalar, out_simd)
+        << "trial " << trial << " " << simd::LevelName(simd::ActiveLevel());
   }
 }
 
@@ -1140,14 +1114,12 @@ TEST(SimdTest, FullEncodeIsBitIdenticalToScalar) {
     ASSERT_TRUE(video.ok());
     bytes_scalar = video->Serialize();
   }
-  for (simd::Level tier : VectorTiers()) {
-    ScopedSimd on(true, tier);
-    auto video = EncodeVideo(frames, options);
-    ASSERT_TRUE(video.ok());
-    EXPECT_EQ(bytes_scalar, video->Serialize())
-        << "the " << simd::LevelName(tier)
-        << " tier and scalar encodes must produce identical streams";
-  }
+  ScopedSimd on(true);
+  auto video = EncodeVideo(frames, options);
+  ASSERT_TRUE(video.ok());
+  EXPECT_EQ(bytes_scalar, video->Serialize())
+      << "the " << simd::LevelName(simd::ActiveLevel())
+      << " tier and scalar encodes must produce identical streams";
 }
 
 }  // namespace

@@ -211,8 +211,6 @@ TEST(BitIoTest, ReadPastEndIsSticky) {
   bool bit;
   EXPECT_TRUE(reader.ReadBit(&bit).IsOutOfRange());
   EXPECT_TRUE(reader.ReadUE(&v).IsOutOfRange());
-  EXPECT_TRUE(reader.SkipBits(1).IsOutOfRange());
-  EXPECT_EQ(reader.PeekBits(8), 0u);
 }
 
 TEST(BitIoTest, NegativeOrOversizedBitCountFails) {
@@ -233,11 +231,6 @@ TEST(BitIoTest, NegativeOrOversizedBitCountFails) {
     EXPECT_TRUE(reader.ReadBits(65, &v).IsInvalidArgument());
     EXPECT_TRUE(reader.failed());
   }
-  {
-    BitReader reader{Slice(bytes)};
-    EXPECT_TRUE(reader.SkipBits(-1).IsInvalidArgument());
-    EXPECT_TRUE(reader.failed());
-  }
 }
 
 TEST(BitIoTest, CorruptGolombIsSticky) {
@@ -247,54 +240,6 @@ TEST(BitIoTest, CorruptGolombIsSticky) {
   EXPECT_TRUE(reader.ReadUE(&v).IsCorruption());
   EXPECT_TRUE(reader.failed());
   EXPECT_TRUE(reader.ReadBits(8, &v).IsOutOfRange());
-}
-
-TEST(BitIoTest, PeekDoesNotAdvanceAndZeroPads) {
-  BitWriter writer;
-  writer.WriteBits(0xA5, 8);
-  writer.WriteBits(0x3, 2);
-  auto bytes = writer.Finish();  // 0xA5, 0b11...... (10 data bits)
-  BitReader reader{Slice(bytes)};
-  EXPECT_EQ(reader.PeekBits(8), 0xA5u);
-  EXPECT_EQ(reader.PeekBits(8), 0xA5u);  // no advance
-  EXPECT_EQ(reader.PeekBits(4), 0xAu);
-  // Peeking past the end zero-pads instead of failing: decoders peek a full
-  // LUT window near the end of a valid stream whose last code is short.
-  EXPECT_EQ(reader.PeekBits(57) >> 47, 0x297u);  // 0xA5 0xC0 0x00... top 10
-  EXPECT_FALSE(reader.failed());
-  ASSERT_TRUE(reader.SkipBits(8).ok());
-  EXPECT_EQ(reader.PeekBits(2), 0x3u);
-  // Unaligned peeks assemble across byte boundaries.
-  ASSERT_TRUE(reader.SkipBits(1).ok());
-  EXPECT_EQ(reader.PeekBits(1), 0x1u);
-}
-
-TEST(BitIoTest, SkipPastEndFails) {
-  std::vector<uint8_t> two = {0x12, 0x34};
-  BitReader reader{Slice(two)};
-  ASSERT_TRUE(reader.SkipBits(15).ok());
-  EXPECT_TRUE(reader.SkipBits(2).IsOutOfRange());
-  EXPECT_TRUE(reader.failed());
-}
-
-TEST(BitIoTest, PeekMatchesRead) {
-  Random rng(404);
-  BitWriter writer;
-  for (int i = 0; i < 64; ++i) {
-    int width = 1 + i % 13;
-    writer.WriteBits(rng.Next() & ((uint64_t{1} << width) - 1), width);
-  }
-  auto bytes = writer.Finish();
-  BitReader peeker{Slice(bytes)};
-  BitReader reader{Slice(bytes)};
-  for (int i = 0; i < 64; ++i) {
-    int width = 1 + i % 13;
-    uint64_t peeked = peeker.PeekBits(width);
-    ASSERT_TRUE(peeker.SkipBits(width).ok());
-    uint64_t read;
-    ASSERT_TRUE(reader.ReadBits(width, &read).ok());
-    ASSERT_EQ(peeked, read) << "offset " << i;
-  }
 }
 
 // Property: random UE/SE sequences round-trip.
