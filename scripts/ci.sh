@@ -85,11 +85,14 @@ simd() {
   # query text parser (truncations, token surgery, integer-overflow
   # arguments), and the VCVIEW materialized-view definition parser — plus
   # the kernel/bit-IO suites. Out-of-bounds reads in any decoder or
-  # misaligned vector loads fail loudly here.
+  # misaligned vector loads fail loudly here. The geometry, predict and
+  # core suites cover the session step's index arithmetic: the head-trace
+  # cursor, the wrapped viewport column spans and the budget-fitting
+  # cursor.
   cmake -B build-asan -S . -DVC_SANITIZE=address+undefined
   cmake --build build-asan -j"$JOBS" --target codec_fuzz_test codec_test \
     common_test manifest_fuzz_test container_fuzz_test query_fuzz_test \
-    view_fuzz_test
+    view_fuzz_test geometry_test predict_test core_test
   ./build-asan/tests/codec_fuzz_test
   ./build-asan/tests/codec_test
   ./build-asan/tests/common_test
@@ -97,6 +100,9 @@ simd() {
   ./build-asan/tests/container_fuzz_test
   ./build-asan/tests/query_fuzz_test
   ./build-asan/tests/view_fuzz_test
+  ./build-asan/tests/geometry_test
+  ./build-asan/tests/predict_test
+  ./build-asan/tests/core_test
 }
 
 perfbench() {

@@ -27,22 +27,27 @@ std::string ApproachName(StreamingApproach approach) {
 
 Status SessionOptions::Validate() const {
   VC_RETURN_IF_ERROR(network.Validate());
-  if (viewport_margin < 0 || viewport_margin > kPi) {
+  // Every range check is written !(lo <= x && x <= hi) so NaN fails it.
+  if (!(0 < viewport.fov_yaw && viewport.fov_yaw < kPi) ||
+      !(0 < viewport.fov_pitch && viewport.fov_pitch < kPi)) {
+    return Status::InvalidArgument("viewport FOV must be in (0, pi)");
+  }
+  if (!(0 <= viewport_margin && viewport_margin <= kPi)) {
     return Status::InvalidArgument("viewport margin out of range");
   }
   if (high_quality < 0) {
     return Status::InvalidArgument("high_quality must be >= 0");
   }
-  if (budget_safety <= 0 || budget_safety > 1.0) {
+  if (!(0 < budget_safety && budget_safety <= 1.0)) {
     return Status::InvalidArgument("budget_safety must be in (0, 1]");
   }
-  if (feed_rate_hz <= 0 || feed_rate_hz > 1000) {
+  if (!(0 < feed_rate_hz && feed_rate_hz <= 1000)) {
     return Status::InvalidArgument("feed rate out of range");
   }
   if (eval_frames_per_segment < 1) {
     return Status::InvalidArgument("eval_frames_per_segment must be >= 1");
   }
-  if (buffer_ahead_seconds < 0 || buffer_ahead_seconds > 3600) {
+  if (!(0 <= buffer_ahead_seconds && buffer_ahead_seconds <= 3600)) {
     return Status::InvalidArgument("buffer_ahead_seconds out of range");
   }
   return Status::OK();
@@ -380,7 +385,7 @@ Status ClientSession::Step(double now) {
   // report up to "now".
   for (double t = (last_fed_ < 0 ? 0.0 : last_fed_ + feed_dt_);
        t <= media_now; t += feed_dt_) {
-    Orientation seen = trace_.At(t);
+    Orientation seen = trace_.At(t, &feed_cursor_);
     predictor_->Observe(t, seen);
     if (options_.popularity_sink != nullptr) {
       // The shared model is indexed by stream media time, so mid-join
@@ -500,23 +505,21 @@ Status ClientSession::Step(double now) {
   {
     TileGrid grid = metadata_.tile_grid();
     Orientation actual = trace_.At(media_mid);
-    auto visible = grid.TilesInViewport(actual, options_.viewport.fov_yaw,
-                                        options_.viewport.fov_pitch);
-    for (const TileId& tile : visible) {
-      inview_quality_sum_ += skipped ? lowest : plan[grid.IndexOf(tile)];
-      ++inview_quality_count_;
-    }
+    grid.ForEachTileInViewport(
+        actual, options_.viewport.fov_yaw, options_.viewport.fov_pitch,
+        [&](TileId tile) {
+          inview_quality_sum_ += skipped ? lowest : plan[grid.IndexOf(tile)];
+          ++inview_quality_count_;
+        });
     // Predictor accuracy as the session experienced it: did the viewport
     // planned around the prediction (FOV + selection margin) cover the
     // tile the viewer actually gazed at mid-segment? The oracle is
     // excluded — its "prediction" is the ground truth.
     if (options_.approach != StreamingApproach::kOracle) {
-      auto covered = grid.TilesInViewport(
+      bool hit = grid.ViewportContains(
           predicted, options_.viewport.fov_yaw + 2 * options_.viewport_margin,
-          options_.viewport.fov_pitch + 2 * options_.viewport_margin);
-      TileId gaze = grid.TileFor(actual);
-      bool hit =
-          std::find(covered.begin(), covered.end(), gaze) != covered.end();
+          options_.viewport.fov_pitch + 2 * options_.viewport_margin,
+          grid.TileFor(actual));
       (hit ? predict_hits_ : predict_misses_)->Add();
     }
   }

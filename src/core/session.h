@@ -238,6 +238,8 @@ class ClientSession {
   double play_start_ = -1.0;
   double stall_total_ = 0.0;
   double last_fed_ = -1.0;
+  /// HeadTrace::At cursor of the feedback loop, whose times only rise.
+  size_t feed_cursor_ = 0;
   double psnr_sum_ = 0.0;
   double psnr_min_;
   double inview_quality_sum_ = 0.0;

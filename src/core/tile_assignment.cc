@@ -1,6 +1,7 @@
 #include "core/tile_assignment.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace vc {
 
@@ -14,12 +15,10 @@ TileQualityPlan AssignTileQualities(const VideoMetadata& metadata,
   int high = Clamp(options.high_quality, 0, metadata.quality_count() - 1);
 
   TileQualityPlan plan(grid.tile_count(), low);
-  auto visible = grid.TilesInViewport(predicted,
-                                      options.fov_yaw + 2 * options.margin,
-                                      options.fov_pitch + 2 * options.margin);
-  for (const TileId& tile : visible) {
-    plan[grid.IndexOf(tile)] = high;
-  }
+  grid.ForEachTileInViewport(
+      predicted, options.fov_yaw + 2 * options.margin,
+      options.fov_pitch + 2 * options.margin,
+      [&](TileId tile) { plan[grid.IndexOf(tile)] = high; });
   return plan;
 }
 
@@ -46,31 +45,33 @@ TileQualityPlan FitPlanToBudget(const VideoMetadata& metadata, int segment,
   // Tiles ordered farthest-from-gaze first.
   std::vector<int> order(grid.tile_count());
   for (int i = 0; i < grid.tile_count(); ++i) order[i] = i;
+  const Vec3 gaze = predicted.ToVector();
   std::vector<double> distance(grid.tile_count());
   for (int i = 0; i < grid.tile_count(); ++i) {
-    distance[i] = AngularDistance(grid.CenterOf(grid.TileAt(i)), predicted);
+    // AngularDistance(center, predicted), with the gaze vector hoisted.
+    distance[i] = std::acos(Clamp(
+        grid.CenterOf(grid.TileAt(i)).ToVector().Dot(gaze), -1.0, 1.0));
   }
   std::sort(order.begin(), order.end(), [&distance](int a, int b) {
     return distance[a] > distance[b];
   });
 
+  // Each pass degrades the farthest tile not yet at the lowest rung by one
+  // rung. Rungs only rise, so that tile's position in `order` never moves
+  // back: a forward cursor finds it without rescanning from the start.
+  size_t next = 0;
   while (static_cast<double>(bytes) > budget_bytes) {
-    bool degraded = false;
-    for (int tile : order) {
-      if (plan[tile] < lowest) {
-        uint64_t before =
-            metadata.cells[metadata.CellIndex(segment, tile, plan[tile])]
-                .byte_size;
-        plan[tile] += 1;
-        uint64_t after =
-            metadata.cells[metadata.CellIndex(segment, tile, plan[tile])]
-                .byte_size;
-        bytes = bytes - before + after;
-        degraded = true;
-        break;
-      }
-    }
-    if (!degraded) break;  // everything already at the lowest rung
+    while (next < order.size() && plan[order[next]] >= lowest) ++next;
+    if (next == order.size()) break;  // everything already at the lowest rung
+    const int tile = order[next];
+    uint64_t before =
+        metadata.cells[metadata.CellIndex(segment, tile, plan[tile])]
+            .byte_size;
+    plan[tile] += 1;
+    uint64_t after =
+        metadata.cells[metadata.CellIndex(segment, tile, plan[tile])]
+            .byte_size;
+    bytes = bytes - before + after;
   }
   return plan;
 }

@@ -28,7 +28,13 @@ struct Vec3 {
 };
 
 /// Wraps a yaw angle into [0, 2π).
+///
+/// std::fmod(x, 2π) is exact and returns x itself when |x| < 2π, so the
+/// common within-one-turn inputs skip the call; the result is bit-identical
+/// to the fmod form for every input, ±0 and NaN included.
 inline double WrapYaw(double yaw) {
+  if (yaw >= 0 && yaw < kTwoPi) return yaw;
+  if (yaw < 0 && yaw > -kTwoPi) return yaw + kTwoPi;
   yaw = std::fmod(yaw, kTwoPi);
   if (yaw < 0) yaw += kTwoPi;
   return yaw;
@@ -39,8 +45,10 @@ inline double WrapYaw(double yaw) {
 inline double ClampPitch(double pitch) { return Clamp(pitch, 0.0, kPi); }
 
 /// Signed shortest angular difference a − b for yaw angles, in (−π, π].
+/// Like WrapYaw, calls fmod only when the difference is a turn or more.
 inline double YawDifference(double a, double b) {
-  double d = std::fmod(a - b, kTwoPi);
+  double d = a - b;
+  if (!(std::fabs(d) < kTwoPi)) d = std::fmod(d, kTwoPi);
   if (d > kPi) d -= kTwoPi;
   if (d <= -kPi) d += kTwoPi;
   return d;

@@ -1,6 +1,7 @@
 #ifndef VC_GEOMETRY_TILE_GRID_H_
 #define VC_GEOMETRY_TILE_GRID_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,6 +68,29 @@ class TileGrid {
   std::vector<TileId> TilesInViewport(const Orientation& orientation,
                                       double fov_yaw, double fov_pitch) const;
 
+  /// Calls `visit(TileId)` for each tile TilesInViewport returns, in the
+  /// same row-major order, without allocating.
+  template <typename Visit>
+  void ForEachTileInViewport(const Orientation& orientation, double fov_yaw,
+                             double fov_pitch, Visit&& visit) const {
+    const ViewportRows rows = RowsOf(orientation, fov_pitch);
+    for (int row = rows.row_lo; row <= rows.row_hi; ++row) {
+      const ColumnSpan span = SpanOf(rows, row, fov_yaw);
+      // The span's columns in ascending order: the part wrapped past the
+      // seam (if any) starts at column 0, then the rest up to the last one.
+      const int end = span.first + span.count;
+      for (int col = 0; col < end - cols_; ++col) visit(TileId{row, col});
+      for (int col = span.first; col < std::min(end, cols_); ++col) {
+        visit(TileId{row, col});
+      }
+    }
+  }
+
+  /// True iff `tile` is among TilesInViewport(orientation, fov_yaw,
+  /// fov_pitch). Evaluates only the tile's own row: at most two sin calls.
+  bool ViewportContains(const Orientation& orientation, double fov_yaw,
+                        double fov_pitch, TileId tile) const;
+
   /// Pixel rectangle of a tile inside a `width`×`height` equirectangular
   /// frame. Pixel edges are rounded to multiples of `align` (e.g. 16 for the
   /// codec's block size); the last row/column absorbs the remainder.
@@ -86,6 +110,26 @@ class TileGrid {
   std::string ToString() const;
 
  private:
+  /// The pitch band a viewport covers, computed once per viewport.
+  struct ViewportRows {
+    Orientation center;  ///< Normalized viewport center.
+    double pitch_lo = 0.0;  ///< Band edges, clamped to [0, π].
+    double pitch_hi = 0.0;
+    bool over_top = false;  ///< The viewport reaches past a pole.
+    bool over_bottom = false;
+    int row_lo = 0;  ///< First and last covered rows.
+    int row_hi = -1;
+  };
+  /// The covered columns of one row: `count` columns starting at `first`
+  /// and wrapping past the seam. first ∈ [0, C), count ∈ [0, C].
+  struct ColumnSpan {
+    int first = 0;
+    int count = 0;
+  };
+
+  ViewportRows RowsOf(const Orientation& orientation, double fov_pitch) const;
+  ColumnSpan SpanOf(const ViewportRows& rows, int row, double fov_yaw) const;
+
   int rows_;
   int cols_;
 };

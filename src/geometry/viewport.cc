@@ -40,8 +40,8 @@ Result<Frame> RenderViewport(const Frame& panorama,
       spec.height % 2 != 0) {
     return Status::InvalidArgument("viewport dimensions must be even");
   }
-  if (spec.fov_yaw <= 0 || spec.fov_yaw >= kPi || spec.fov_pitch <= 0 ||
-      spec.fov_pitch >= kPi) {
+  if (!(0 < spec.fov_yaw && spec.fov_yaw < kPi) ||
+      !(0 < spec.fov_pitch && spec.fov_pitch < kPi)) {
     return Status::InvalidArgument("viewport FOV must be in (0, pi)");
   }
 

@@ -21,8 +21,9 @@ PredictionAccuracy EvaluatePredictor(Predictor* predictor,
   double next_eval = options.eval_interval;
   const double end = trace.duration() - options.lookahead_seconds;
 
+  size_t cursor = 0;
   for (double t = 0.0; t <= trace.duration() + 1e-9; t += dt) {
-    predictor->Observe(t, trace.At(t));
+    predictor->Observe(t, trace.At(t, &cursor));
     if (t >= next_eval && t <= end) {
       next_eval += options.eval_interval;
       Orientation predicted = predictor->Predict(options.lookahead_seconds);
@@ -30,11 +31,8 @@ PredictionAccuracy EvaluatePredictor(Predictor* predictor,
       errors.push_back(AngularDistance(predicted, actual));
       // Tile hit: would the viewport streamed for the prediction contain
       // the tile the user actually looks at?
-      auto covered =
-          grid.TilesInViewport(predicted, options.fov_yaw, options.fov_pitch);
-      TileId actual_tile = grid.TileFor(actual);
-      bool hit = std::find(covered.begin(), covered.end(), actual_tile) !=
-                 covered.end();
+      bool hit = grid.ViewportContains(predicted, options.fov_yaw,
+                                       options.fov_pitch, grid.TileFor(actual));
       if (hit) hits += 1;
       // Per-model accuracy counters, so sweeps over many traces accumulate
       // an aggregate hit/miss tally in the metrics registry.

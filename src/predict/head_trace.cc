@@ -7,6 +7,12 @@
 
 namespace vc {
 
+namespace {
+
+bool SampleBefore(const TraceSample& sample, double t) { return sample.t < t; }
+
+}  // namespace
+
 Result<HeadTrace> HeadTrace::FromSamples(std::vector<TraceSample> samples) {
   if (samples.empty()) {
     return Status::InvalidArgument("trace must contain samples");
@@ -32,19 +38,44 @@ Orientation HeadTrace::At(double t) const {
   if (t <= samples_.front().t) return samples_.front().orientation;
   if (t >= samples_.back().t) return samples_.back().orientation;
   // Binary search for the bracketing pair.
-  auto it = std::lower_bound(
-      samples_.begin(), samples_.end(), t,
-      [](const TraceSample& s, double value) { return s.t < value; });
-  const TraceSample& hi = *it;
-  const TraceSample& lo = *(it - 1);
-  double f = (t - lo.t) / (hi.t - lo.t);
+  auto it = std::lower_bound(samples_.begin(), samples_.end(), t,
+                             SampleBefore);
+  return Interpolate(static_cast<size_t>(it - samples_.begin()), t);
+}
+
+Orientation HeadTrace::At(double t, size_t* cursor) const {
+  if (samples_.empty()) return Orientation{};
+  if (t <= samples_.front().t) return samples_.front().orientation;
+  if (t >= samples_.back().t) return samples_.back().orientation;
+  // Here front().t < t < back().t, so the trace has at least two samples
+  // and the walk below stops before the last one.
+  size_t hi = Clamp<size_t>(*cursor, 1, samples_.size() - 1);
+  if (!(samples_[hi - 1].t < t)) {
+    // `t` is at or below the remembered bracket: search as At(t) does.
+    hi = static_cast<size_t>(
+        std::lower_bound(samples_.begin(), samples_.end(), t,
+                         SampleBefore) -
+        samples_.begin());
+  } else {
+    // Every sample before `hi` is below `t`; the first one at or above it
+    // is lower_bound's answer.
+    while (samples_[hi].t < t) ++hi;
+  }
+  *cursor = hi;
+  return Interpolate(hi, t);
+}
+
+Orientation HeadTrace::Interpolate(size_t hi, double t) const {
+  const TraceSample& upper = samples_[hi];
+  const TraceSample& lower = samples_[hi - 1];
+  double f = (t - lower.t) / (upper.t - lower.t);
   // Shortest-path interpolation in yaw, linear in pitch.
-  double dyaw = YawDifference(hi.orientation.yaw, lo.orientation.yaw);
+  double dyaw = YawDifference(upper.orientation.yaw, lower.orientation.yaw);
   Orientation out;
-  out.yaw = WrapYaw(lo.orientation.yaw + f * dyaw);
+  out.yaw = WrapYaw(lower.orientation.yaw + f * dyaw);
   out.pitch =
-      ClampPitch(lo.orientation.pitch +
-                 f * (hi.orientation.pitch - lo.orientation.pitch));
+      ClampPitch(lower.orientation.pitch +
+                 f * (upper.orientation.pitch - lower.orientation.pitch));
   return out;
 }
 

@@ -34,6 +34,12 @@ class HeadTrace {
   /// in yaw, linear in pitch) and clamping outside the sampled range.
   Orientation At(double t) const;
 
+  /// Returns exactly At(t), walking forward from the bracket remembered in
+  /// `*cursor` (start it at 0) instead of searching the whole trace, and
+  /// updates `*cursor`. Built for monotone sweeps such as a feedback loop;
+  /// a `t` below the remembered bracket falls back to the search.
+  Orientation At(double t, size_t* cursor) const;
+
   double duration() const {
     return samples_.empty() ? 0.0 : samples_.back().t;
   }
@@ -48,6 +54,10 @@ class HeadTrace {
   static Result<HeadTrace> FromCsv(Slice csv);
 
  private:
+  /// Interpolates between samples_[hi - 1] and samples_[hi], the pair
+  /// bracketing `t` (shortest-path in yaw, linear in pitch).
+  Orientation Interpolate(size_t hi, double t) const;
+
   std::vector<TraceSample> samples_;
 };
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <random>
+#include <utility>
 
 #include "common/env.h"
 #include "codec/decoder.h"
@@ -314,6 +317,76 @@ TEST_F(CoreTest, FitPlanToBudgetBoundaries) {
   EXPECT_EQ(FitPlanToBudget(*metadata, 0, floor, gaze, floor_bytes), floor);
 }
 
+/// FitPlanToBudget as it was first written: every pass rescans the
+/// farthest-first order from the start. The reference the forward-cursor
+/// loop must match exactly.
+TileQualityPlan ReferenceFitPlanToBudget(const VideoMetadata& metadata,
+                                         int segment, TileQualityPlan plan,
+                                         const Orientation& predicted,
+                                         double budget_bytes) {
+  uint64_t bytes = PlanBytes(metadata, segment, plan);
+  if (static_cast<double>(bytes) <= budget_bytes) return plan;
+  TileGrid grid = metadata.tile_grid();
+  const int lowest = metadata.quality_count() - 1;
+  std::vector<int> order(grid.tile_count());
+  for (int i = 0; i < grid.tile_count(); ++i) order[i] = i;
+  std::vector<double> distance(grid.tile_count());
+  for (int i = 0; i < grid.tile_count(); ++i) {
+    distance[i] = AngularDistance(grid.CenterOf(grid.TileAt(i)), predicted);
+  }
+  std::sort(order.begin(), order.end(), [&distance](int a, int b) {
+    return distance[a] > distance[b];
+  });
+  while (static_cast<double>(bytes) > budget_bytes) {
+    bool degraded = false;
+    for (int tile : order) {
+      if (plan[tile] < lowest) {
+        uint64_t before =
+            metadata.cells[metadata.CellIndex(segment, tile, plan[tile])]
+                .byte_size;
+        plan[tile] += 1;
+        uint64_t after =
+            metadata.cells[metadata.CellIndex(segment, tile, plan[tile])]
+                .byte_size;
+        bytes = bytes - before + after;
+        degraded = true;
+        break;
+      }
+    }
+    if (!degraded) break;
+  }
+  return plan;
+}
+
+TEST_F(CoreTest, FitPlanToBudgetMatchesRestartScanReference) {
+  auto metadata = db_->Describe("venice");
+  ASSERT_TRUE(metadata.ok());
+  const int tiles = metadata->tile_count();
+  const int lowest = metadata->quality_count() - 1;
+  std::mt19937 rng(31);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  // Pole and tile-center gazes put many tiles at exactly equal distances,
+  // so the unstable sort's tie order is exercised too.
+  const Orientation special_gazes[] = {
+      {0.0, 0.0}, {1.0, kPi}, {kPi / 4, kPi / 8}, {0.0, kPi / 2}};
+  for (int i = 0; i < 2000; ++i) {
+    const int segment = static_cast<int>(rng() % metadata->segment_count());
+    Orientation gaze{unit(rng) * kTwoPi, unit(rng) * kPi};
+    if (i % 5 == 0) gaze = special_gazes[rng() % std::size(special_gazes)];
+    TileQualityPlan plan(tiles);
+    for (int& q : plan) q = static_cast<int>(rng() % (lowest + 1));
+    const TileQualityPlan floor(tiles, lowest);
+    const double low = static_cast<double>(PlanBytes(*metadata, segment, floor));
+    const double high = static_cast<double>(PlanBytes(*metadata, segment, plan));
+    // Budgets from below the all-lowest floor to above the plan itself.
+    const double budget = 0.8 * low + unit(rng) * (1.1 * high - 0.8 * low);
+    ASSERT_EQ(FitPlanToBudget(*metadata, segment, plan, gaze, budget),
+              ReferenceFitPlanToBudget(*metadata, segment, plan, gaze, budget))
+        << "case " << i << " segment " << segment << " gaze " << gaze.yaw
+        << "," << gaze.pitch << " budget " << budget;
+  }
+}
+
 // ----------------------------------------------------------------- Session
 
 TEST_F(CoreTest, VisualCloudSendsFewerBytesThanMonolithic) {
@@ -402,6 +475,38 @@ TEST_F(CoreTest, SessionValidation) {
   options = BaseSession(StreamingApproach::kVisualCloud);
   options.predictor = "psychic";
   EXPECT_FALSE(SimulateSession(db_->storage(), *metadata, trace, options).ok());
+}
+
+TEST_F(CoreTest, SessionOptionsRejectNonFiniteValues) {
+  auto metadata = db_->Describe("venice");
+  ASSERT_TRUE(metadata.ok());
+  HeadTrace trace = MakeTrace();
+  auto rejected = [&](const SessionOptions& options) {
+    return ClientSession::Create(db_->storage(), *metadata, trace, options)
+        .status()
+        .IsInvalidArgument();
+  };
+  ASSERT_FALSE(rejected(BaseSession(StreamingApproach::kVisualCloud)));
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, double SessionOptions::*>> fields =
+      {{"viewport_margin", &SessionOptions::viewport_margin},
+       {"budget_safety", &SessionOptions::budget_safety},
+       {"feed_rate_hz", &SessionOptions::feed_rate_hz},
+       {"buffer_ahead_seconds", &SessionOptions::buffer_ahead_seconds}};
+  for (const auto& [name, field] : fields) {
+    SessionOptions options = BaseSession(StreamingApproach::kVisualCloud);
+    options.*field = nan;
+    EXPECT_TRUE(rejected(options)) << name;
+  }
+  for (double fov : {nan, 0.0, kPi}) {
+    SessionOptions options = BaseSession(StreamingApproach::kVisualCloud);
+    options.viewport.fov_yaw = fov;
+    EXPECT_TRUE(rejected(options)) << "fov_yaw " << fov;
+    options = BaseSession(StreamingApproach::kVisualCloud);
+    options.viewport.fov_pitch = fov;
+    EXPECT_TRUE(rejected(options)) << "fov_pitch " << fov;
+  }
 }
 
 TEST_F(CoreTest, PopularityModelExpandsHighQualitySet) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <set>
 
@@ -58,6 +61,59 @@ TEST(OrientationTest, SeamDistanceIsSmall) {
   Orientation a{0.05, kPi / 2};
   Orientation b{kTwoPi - 0.05, kPi / 2};
   EXPECT_LT(AngularDistance(a, b), 0.2);
+}
+
+/// WrapYaw and YawDifference as they were first written, always calling
+/// fmod: the references the fast paths must match bit for bit.
+double ReferenceWrapYaw(double yaw) {
+  yaw = std::fmod(yaw, kTwoPi);
+  if (yaw < 0) yaw += kTwoPi;
+  return yaw;
+}
+
+double ReferenceYawDifference(double a, double b) {
+  double d = std::fmod(a - b, kTwoPi);
+  if (d > kPi) d -= kTwoPi;
+  if (d <= -kPi) d += kTwoPi;
+  return d;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST(OrientationTest, YawHelpersMatchFmodReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> specials = {0.0,     -0.0,       kPi,    -kPi,
+                                  kTwoPi,  -kTwoPi,    1e-300, -1e-300,
+                                  3 * kPi, -7.5 * kPi, 1e6,    -1e6,
+                                  1e300,   -1e300,     inf,    -inf,
+                                  nan,     0.5,        -0.5,   kTwoPi - 0.5};
+  // The one-ulp neighbours of every boundary the fast paths test.
+  for (double edge : {0.0, kPi, -kPi, kTwoPi, -kTwoPi, 2 * kTwoPi}) {
+    specials.push_back(std::nextafter(edge, inf));
+    specials.push_back(std::nextafter(edge, -inf));
+  }
+  for (double a : specials) {
+    EXPECT_EQ(Bits(WrapYaw(a)), Bits(ReferenceWrapYaw(a))) << "yaw=" << a;
+    for (double b : specials) {
+      EXPECT_EQ(Bits(YawDifference(a, b)), Bits(ReferenceYawDifference(a, b)))
+          << "a=" << a << " b=" << b;
+    }
+  }
+  // Multi-turn values on both sides of zero.
+  std::mt19937 rng(17);
+  std::uniform_real_distribution<double> turns(-3.0, 3.0);
+  for (int i = 0; i < 10000; ++i) {
+    double a = turns(rng) * kTwoPi;
+    double b = turns(rng) * kTwoPi;
+    ASSERT_EQ(Bits(WrapYaw(a)), Bits(ReferenceWrapYaw(a))) << "yaw=" << a;
+    ASSERT_EQ(Bits(YawDifference(a, b)), Bits(ReferenceYawDifference(a, b)))
+        << "a=" << a << " b=" << b;
+  }
 }
 
 // ---------------------------------------------------------------- TileGrid
@@ -177,6 +233,70 @@ TEST(TileGridTest, ViewportMatchesSetReferenceOverSeededSweep) {
                 ReferenceTilesInViewport(grid, o, fov_yaw, fov_pitch))
           << grid.ToString() << " yaw=" << o.yaw << " pitch=" << o.pitch
           << " fov=" << fov_yaw << "x" << fov_pitch;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 10000);
+}
+
+TEST(TileGridTest, VisitorAndContainsMatchTilesInViewportOverSeededSweep) {
+  // The sweep of ViewportMatchesSetReferenceOverSeededSweep: same grids,
+  // seed, special values and FOVs from zero past 2π.
+  const std::vector<TileGrid> grids = {TileGrid(1, 1), TileGrid(6, 8),
+                                       TileGrid(4, 4), TileGrid(3, 5),
+                                       TileGrid(2, 12)};
+  const double special_yaws[] = {0.0, 1e-12, kTwoPi - 1e-12, kTwoPi,
+                                 -1e-9, kPi, kTwoPi / 8, 3 * kTwoPi / 8};
+  const double special_pitches[] = {0.0, 1e-12, kPi, kPi - 1e-12,
+                                    kPi / 2, kPi / 6, 0.02, kPi - 0.02};
+  const double special_fovs[] = {0.0, 1e-6, kPi, kTwoPi, kTwoPi + 0.5,
+                                 DegToRad(100), DegToRad(90)};
+  std::mt19937 rng(14);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  int cases = 0;
+  for (const TileGrid& grid : grids) {
+    for (int i = 0; i < 2000; ++i) {
+      Orientation o{unit(rng) * kTwoPi, unit(rng) * kPi};
+      double fov_yaw = unit(rng) * 1.2 * kTwoPi;
+      double fov_pitch = unit(rng) * 1.2 * kPi;
+      switch (i % 4) {
+        case 1:
+          o.yaw = special_yaws[rng() % std::size(special_yaws)];
+          break;
+        case 2:
+          o.pitch = special_pitches[rng() % std::size(special_pitches)];
+          break;
+        case 3:
+          fov_yaw = special_fovs[rng() % std::size(special_fovs)];
+          fov_pitch = special_fovs[rng() % std::size(special_fovs)];
+          break;
+        default:
+          break;
+      }
+      std::vector<TileId> visited;
+      grid.ForEachTileInViewport(o, fov_yaw, fov_pitch, [&](TileId tile) {
+        visited.push_back(tile);
+      });
+      const std::vector<TileId> reference =
+          ReferenceTilesInViewport(grid, o, fov_yaw, fov_pitch);
+      ASSERT_EQ(visited, grid.TilesInViewport(o, fov_yaw, fov_pitch));
+      ASSERT_EQ(visited, reference)
+          << grid.ToString() << " yaw=" << o.yaw << " pitch=" << o.pitch
+          << " fov=" << fov_yaw << "x" << fov_pitch;
+      const std::set<TileId> members(reference.begin(), reference.end());
+      for (int index = 0; index < grid.tile_count(); ++index) {
+        TileId tile = grid.TileAt(index);
+        ASSERT_EQ(grid.ViewportContains(o, fov_yaw, fov_pitch, tile),
+                  members.count(tile) == 1)
+            << grid.ToString() << " tile=" << tile.row << "," << tile.col
+            << " yaw=" << o.yaw << " pitch=" << o.pitch
+            << " fov=" << fov_yaw << "x" << fov_pitch;
+      }
+      // Tiles outside the grid are never in view.
+      for (TileId outside : {TileId{-1, 0}, TileId{0, -1},
+                             TileId{grid.rows(), 0}, TileId{0, grid.cols()}}) {
+        ASSERT_FALSE(grid.ViewportContains(o, fov_yaw, fov_pitch, outside));
+      }
       ++cases;
     }
   }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
 
 #include "predict/accuracy.h"
 #include "predict/head_trace.h"
@@ -40,6 +42,66 @@ TEST(HeadTraceTest, InterpolatesAcrossYawSeam) {
   // Midpoint is the seam itself, not yaw π.
   Orientation mid = trace->At(0.5);
   EXPECT_LT(std::min(mid.yaw, kTwoPi - mid.yaw), 0.01);
+}
+
+TEST(HeadTraceTest, CursorMatchesAtBitExactly) {
+  // Irregular sample spacing, a first sample after t = 0, and orientations
+  // drawn anew per sample (yaw jumps across the seam, pitch across the
+  // sphere), so interpolating to a sample's own time from the pair below
+  // it is not bit-exact: a cursor that picks a different bracket shows.
+  std::mt19937 rng(23);
+  std::uniform_real_distribution<double> gap(0.005, 0.2);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<TraceSample> samples;
+  double t = 0.5;
+  for (int i = 0; i < 400; ++i) {
+    samples.push_back({t, {unit(rng) * kTwoPi, unit(rng) * kPi}});
+    t += gap(rng);
+  }
+  auto trace = HeadTrace::FromSamples(std::move(samples));
+  ASSERT_TRUE(trace.ok());
+  const double first = trace->samples().front().t;
+  const double last = trace->duration();
+
+  auto expect_same = [&](double at, size_t* cursor) {
+    Orientation searched = trace->At(at);
+    Orientation walked = trace->At(at, cursor);
+    ASSERT_EQ(std::memcmp(&searched.yaw, &walked.yaw, sizeof(double)), 0)
+        << "t=" << at;
+    ASSERT_EQ(std::memcmp(&searched.pitch, &walked.pitch, sizeof(double)), 0)
+        << "t=" << at;
+  };
+
+  // Monotone sweeps from before the first sample to past the last, at
+  // rates finer and coarser than the sample spacing, plus exact sample
+  // times.
+  for (double dt : {1.0 / 90, 1.0 / 30, 1.0 / 7, 0.013, 1.7}) {
+    size_t cursor = 0;
+    for (double at = 0.0; at <= last + 1.0; at += dt) {
+      expect_same(at, &cursor);
+      expect_same(at, &cursor);  // the same t twice
+    }
+  }
+  {
+    size_t cursor = 0;
+    for (const TraceSample& sample : trace->samples()) {
+      expect_same(sample.t, &cursor);
+      expect_same(std::nextafter(sample.t, last + 1), &cursor);
+    }
+  }
+  // Backward jumps take the search fallback and leave a usable cursor.
+  size_t cursor = 0;
+  expect_same(last - 0.01, &cursor);
+  expect_same(first + 0.01, &cursor);
+  expect_same(first + 0.02, &cursor);
+  expect_same(first - 1.0, &cursor);
+  expect_same(last + 1.0, &cursor);
+  expect_same((first + last) / 2, &cursor);
+  expect_same(first, &cursor);
+  expect_same(last, &cursor);
+  // A stale cursor from past the end is clamped, not trusted.
+  cursor = trace->size() + 10;
+  expect_same((first + last) / 3, &cursor);
 }
 
 TEST(HeadTraceTest, CsvRoundTrip) {
