@@ -1,15 +1,17 @@
 // M1k — codec kernel microbenchmark: scalar vs SIMD throughput for each hot
 // kernel (SAD, forward/inverse DCT, quantization), plus the Exp-Golomb
-// residual coder's throughput and density.
+// residual coder's throughput and density and the cell CRC's throughput
+// against a byte-at-a-time reference.
 //
 // Expected shape: the SIMD columns are several-fold faster than scalar for
 // every vectorized kernel (the target is >=3x aggregate).
 //
 // Every lap re-verifies that the SIMD and scalar kernels produce identical
 // outputs (and that the entropy coder round-trips) before timing — a
-// throughput number for a wrong kernel is worse than none. `--smoke` runs
-// the verification on shrunk workloads and skips the JSON snapshot; CI
-// registers it so the agreement checks run on every build.
+// throughput number for a wrong kernel is worse than none. The CRC row checks
+// the sliced Crc32 against the byte-loop reference on every timed lap.
+// `--smoke` runs the verification on shrunk workloads and skips the JSON
+// snapshot; CI registers it so the agreement checks run on every build.
 
 #include <cmath>
 #include <cstring>
@@ -22,6 +24,7 @@
 #include "codec/simd.h"
 #include "codec/transform.h"
 #include "common/bitio.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 
@@ -307,6 +310,65 @@ EntropyRow BenchExpGolomb(const TransformData& data, int reps) {
   return eg;
 }
 
+// ------------------------------------------------------------- cell CRC
+
+struct CrcRow {
+  double bytewise_mbs = 0.0;
+  double sliced_mbs = 0.0;
+  double speedup() const { return sliced_mbs / bytewise_mbs; }
+};
+
+/// CRC-32 one byte per table lookup: the reference the sliced Crc32 must
+/// match.
+uint32_t BytewiseCrc32(Slice data) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = 0xffffffffu;
+  for (size_t i = 0; i < data.size(); ++i) {
+    c = table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
+}
+
+/// CRCs of cell-sized chunks (1 B to 8 KiB, at every byte alignment) of a
+/// `bytes`-byte buffer, as the cell loader checks them after a read.
+CrcRow BenchCrc32(size_t bytes, int reps) {
+  Random rng(7003);
+  std::vector<uint8_t> buffer(bytes);
+  for (auto& v : buffer) v = static_cast<uint8_t>(rng.Uniform(256));
+  std::vector<Slice> chunks;
+  for (size_t pos = 0; pos < bytes;) {
+    size_t size = 1 + rng.Uniform(8192);
+    if (size > bytes - pos) size = bytes - pos;
+    chunks.push_back(Slice(buffer.data() + pos, size));
+    pos += size;
+  }
+  auto lap = [&](uint32_t (*crc)(Slice)) {
+    uint32_t acc = 0;
+    for (const Slice& chunk : chunks) acc = acc * 31 + crc(chunk);
+    return acc;
+  };
+  uint32_t expect = 0;
+  CrcRow row;
+  row.bytewise_mbs = static_cast<double>(bytes) / BestSeconds(reps, [&] {
+    expect = lap(BytewiseCrc32);
+  }) / 1e6;
+  row.sliced_mbs = static_cast<double>(bytes) / BestSeconds(reps, [&] {
+    Check(lap([](Slice s) { return Crc32(s); }) == expect,
+          "Crc32 sliced/bytewise");
+  }) / 1e6;
+  return row;
+}
+
 std::string Escape(double v) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.1f", v);
@@ -358,10 +420,17 @@ int main(int argc, char** argv) {
   std::printf("%-13s %13.1f %13.1f %11.1f\n\n", "expgolomb",
               entropy.encode_mbs, entropy.decode_mbs, entropy.bits_per_block);
 
+  const CrcRow crc =
+      BenchCrc32(g_smoke ? size_t{1} << 16 : size_t{1} << 24, reps);
+  std::printf("%-13s %13s %13s %9s\n", "checksum", "bytewise MB/s",
+              "sliced MB/s", "speedup");
+  std::printf("%-13s %13.1f %13.1f %8.2fx\n\n", "crc32", crc.bytewise_mbs,
+              crc.sliced_mbs, crc.speedup());
+
   simd::SetEnabled(simd_was_enabled);
   if (g_smoke) {
-    std::printf("smoke: all scalar/SIMD agreement and round-trip checks "
-                "passed\n");
+    std::printf("smoke: all scalar/SIMD agreement, round-trip and CRC "
+                "checks passed\n");
     return 0;
   }
 
@@ -378,14 +447,18 @@ int main(int argc, char** argv) {
                   Escape(rows[i].simd_mbs).c_str(), rows[i].speedup());
     kernels_json += buffer;
   }
-  char tail[512];
+  char tail[768];
   std::snprintf(
       tail, sizeof(tail),
       "},\n  \"speedup_geomean\": %.2f,\n  \"entropy\": {\n"
       "   \"expgolomb\": {\"encode_mb_per_s\": %s, \"decode_mb_per_s\": %s, "
-      "\"bits_per_block\": %.1f}}\n }",
+      "\"bits_per_block\": %.1f}},\n  \"checksum\": {\n"
+      "   \"crc32\": {\"bytewise_mb_per_s\": %s, \"sliced_mb_per_s\": %s, "
+      "\"speedup\": %.2f}}\n }",
       geomean, Escape(entropy.encode_mbs).c_str(),
-      Escape(entropy.decode_mbs).c_str(), entropy.bits_per_block);
+      Escape(entropy.decode_mbs).c_str(), entropy.bits_per_block,
+      Escape(crc.bytewise_mbs).c_str(), Escape(crc.sliced_mbs).c_str(),
+      crc.speedup());
   kernels_json += tail;
   WriteBenchJsonKey("BENCH_codec.json", "kernels", kernels_json);
   return 0;

@@ -73,26 +73,32 @@ simd() {
 
   # Leg 2: scalar-only build (-DVC_DISABLE_SIMD=ON removes every intrinsics
   # path at compile time). The same codec suite passing here pins the scalar
-  # fallbacks as the reference the vector paths are measured against.
+  # fallbacks as the reference the vector paths are measured against; the
+  # common suite re-checks the windowed bit reader and the sliced CRC against
+  # their bit- and byte-at-a-time references in this configuration too.
   cmake -B build-scalar -S . -DVC_DISABLE_SIMD=ON
-  cmake --build build-scalar -j"$JOBS" --target codec_test codec_fuzz_test
+  cmake --build build-scalar -j"$JOBS" --target codec_test codec_fuzz_test \
+    common_test
   ./build-scalar/tests/codec_test
   ./build-scalar/tests/codec_fuzz_test
+  ./build-scalar/tests/common_test
 
   # Leg 3: ASan + UBSan over the deterministic fuzz corpora — the codec
   # bitstream (truncated and bit-flipped streams), the VCMPD manifest
   # parser (plan + live overlays), the VCMF container box walker, the
   # query text parser (truncations, token surgery, integer-overflow
   # arguments), and the VCVIEW materialized-view definition parser — plus
-  # the kernel/bit-IO suites. Out-of-bounds reads in any decoder or
-  # misaligned vector loads fail loudly here. The geometry, predict and
+  # the kernel/bit-IO suites and the kernel micro-bench smoke. Out-of-bounds
+  # reads in any decoder, the bit reader's 8-byte window loads near the end
+  # of a slice, the CRC's 8-byte steps and misaligned vector loads fail
+  # loudly here. The geometry, predict and
   # core suites cover the session step's index arithmetic: the head-trace
   # cursor, the wrapped viewport column spans and the budget-fitting
   # cursor.
   cmake -B build-asan -S . -DVC_SANITIZE=address+undefined
   cmake --build build-asan -j"$JOBS" --target codec_fuzz_test codec_test \
     common_test manifest_fuzz_test container_fuzz_test query_fuzz_test \
-    view_fuzz_test geometry_test predict_test core_test
+    view_fuzz_test geometry_test predict_test core_test bench_kernels
   ./build-asan/tests/codec_fuzz_test
   ./build-asan/tests/codec_test
   ./build-asan/tests/common_test
@@ -103,6 +109,7 @@ simd() {
   ./build-asan/tests/geometry_test
   ./build-asan/tests/predict_test
   ./build-asan/tests/core_test
+  ./build-asan/bench/bench_kernels --smoke
 }
 
 perfbench() {

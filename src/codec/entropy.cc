@@ -39,10 +39,13 @@ Status DecodeLevelBlock(BitReader* reader, LevelBlock* levels,
   }
   int position = 0;
   for (uint64_t i = 0; i < nonzero; ++i) {
-    uint64_t run;
-    VC_RETURN_IF_ERROR(reader->ReadUE(&run));
-    int64_t level;
-    VC_RETURN_IF_ERROR(reader->ReadSE(&level));
+    // Both codes of a (run, level) pair usually fit one reader window.
+    uint64_t run, mapped;
+    if (!reader->ReadUEPair(&run, &mapped)) {
+      VC_RETURN_IF_ERROR(reader->ReadUE(&run));
+      VC_RETURN_IF_ERROR(reader->ReadUE(&mapped));
+    }
+    const int64_t level = BitReader::SignedFromUE(mapped);
     // Range-check the run against the space left before adding it: a
     // crafted run near INT_MAX would otherwise overflow `position`.
     if (run >= static_cast<uint64_t>(kBlockPixels - position) || level == 0) {

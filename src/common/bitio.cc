@@ -14,7 +14,7 @@ std::vector<uint8_t> BitWriter::Finish() {
   return std::move(buffer_);
 }
 
-Status BitReader::ReadBits(int bits, uint64_t* value) {
+Status BitReader::ReadBitsChecked(int bits, uint64_t* value) {
   if (failed_) return Status::OutOfRange("bit reader in failed state");
   // Hard check, not just an assert: a caller deriving a width from stream
   // data must not wrap the bounds check below in NDEBUG builds.
@@ -42,37 +42,19 @@ Status BitReader::ReadBits(int bits, uint64_t* value) {
   return Status::OK();
 }
 
-Status BitReader::ReadBit(bool* bit) {
-  uint64_t v = 0;
-  VC_RETURN_IF_ERROR(ReadBits(1, &v));
-  *bit = v != 0;
-  return Status::OK();
-}
-
-Status BitReader::ReadUE(uint64_t* value) {
+Status BitReader::ReadUEChecked(uint64_t* value) {
   int zeros = 0;
   while (true) {
-    bool bit = false;
-    VC_RETURN_IF_ERROR(ReadBit(&bit));
+    uint64_t bit = 0;
+    VC_RETURN_IF_ERROR(ReadBitsChecked(1, &bit));
     if (bit) break;
     if (++zeros > 63) {
       return Fail(Status::Corruption("exp-golomb code too long"));
     }
   }
   uint64_t suffix = 0;
-  VC_RETURN_IF_ERROR(ReadBits(zeros, &suffix));
+  VC_RETURN_IF_ERROR(ReadBitsChecked(zeros, &suffix));
   *value = ((uint64_t{1} << zeros) | suffix) - 1;
-  return Status::OK();
-}
-
-Status BitReader::ReadSE(int64_t* value) {
-  uint64_t mapped;
-  VC_RETURN_IF_ERROR(ReadUE(&mapped));
-  if (mapped % 2 == 1) {
-    *value = static_cast<int64_t>((mapped + 1) / 2);
-  } else {
-    *value = -static_cast<int64_t>(mapped / 2);
-  }
   return Status::OK();
 }
 

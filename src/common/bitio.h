@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/slice.h"
@@ -19,7 +20,8 @@ namespace vc {
 ///
 /// Pending bits live in a 64-bit accumulator and drain to the byte buffer in
 /// whole bytes; the hot methods are header-inline because the entropy layer
-/// calls them on the order of 10⁸ times per encoded segment.
+/// calls them on the order of 10⁵ times per encoded segment (at most
+/// 3 rungs × 15 frames × 128 macroblocks × 6 blocks = 34,560 level blocks).
 class BitWriter {
  public:
   BitWriter() = default;
@@ -107,21 +109,86 @@ class BitWriter {
 /// the end or on a malformed code — every subsequent read fails too, so a
 /// caller that checks status only at a coarser granularity can never consume
 /// phantom data from a truncated stream.
+///
+/// The hot reads are header-inline and work on a 64-bit window: while at
+/// least 8 bytes remain from the current byte, those bytes are loaded
+/// big-endian and shifted left by the bit offset, which leaves at least
+/// `kWindowBits` valid bits at the top. A field or Exp-Golomb code that fits
+/// in them decodes with one count-leading-zeros and one shift. Everything
+/// else — the last 7 bytes of the slice, longer codes, an out-of-range bit
+/// count, a failed reader — takes the checked bit loop in bitio.cc, which is
+/// the only code that produces errors. Both paths return the same values.
 class BitReader {
  public:
   explicit BitReader(Slice data) : data_(data) {}
 
   /// Reads `bits` bits (MSB-first) into `*value`. `bits` in [0, 64].
-  Status ReadBits(int bits, uint64_t* value);
+  Status ReadBits(int bits, uint64_t* value) {
+    uint64_t window;
+    if (bits >= 1 && bits <= kWindowBits && Window(&window)) {
+      *value = window >> (64 - bits);
+      bit_pos_ += static_cast<size_t>(bits);
+      return Status::OK();
+    }
+    return ReadBitsChecked(bits, value);
+  }
 
   /// Reads a single bit.
-  Status ReadBit(bool* bit);
+  Status ReadBit(bool* bit) {
+    uint64_t v = 0;
+    VC_RETURN_IF_ERROR(ReadBits(1, &v));
+    *bit = v != 0;
+    return Status::OK();
+  }
 
   /// Reads an order-0 unsigned Exp-Golomb code.
-  Status ReadUE(uint64_t* value);
+  Status ReadUE(uint64_t* value) {
+    uint64_t window;
+    if (Window(&window)) {
+      const int zeros = std::countl_zero(window);
+      if (zeros <= kMaxWindowZeros) {
+        const int length = 2 * zeros + 1;
+        *value = (window >> (64 - length)) - 1;
+        bit_pos_ += static_cast<size_t>(length);
+        return Status::OK();
+      }
+    }
+    return ReadUEChecked(value);
+  }
 
   /// Reads a signed Exp-Golomb code.
-  Status ReadSE(int64_t* value);
+  Status ReadSE(int64_t* value) {
+    uint64_t mapped;
+    VC_RETURN_IF_ERROR(ReadUE(&mapped));
+    *value = SignedFromUE(mapped);
+    return Status::OK();
+  }
+
+  /// Reads two consecutive unsigned Exp-Golomb codes from one window. Returns
+  /// false and consumes nothing when the pair does not fit wholly inside a
+  /// full window (or the reader has failed); the caller then makes two
+  /// ReadUE calls, which yield the same values or the error.
+  bool ReadUEPair(uint64_t* first, uint64_t* second) {
+    uint64_t window;
+    if (!Window(&window)) return false;
+    const int zeros1 = std::countl_zero(window);
+    if (zeros1 > kMaxWindowZeros) return false;
+    const int length1 = 2 * zeros1 + 1;
+    const uint64_t rest = window << length1;
+    const int length2 = 2 * std::countl_zero(rest) + 1;
+    if (length1 + length2 > kWindowBits) return false;
+    *first = (window >> (64 - length1)) - 1;
+    *second = (rest >> (64 - length2)) - 1;
+    bit_pos_ += static_cast<size_t>(length1 + length2);
+    return true;
+  }
+
+  /// Maps an unsigned Exp-Golomb value to its signed value (0, 1, -1, 2, -2,
+  /// ... order), as ReadSE does.
+  static int64_t SignedFromUE(uint64_t mapped) {
+    return mapped % 2 == 1 ? static_cast<int64_t>((mapped + 1) / 2)
+                           : -static_cast<int64_t>(mapped / 2);
+  }
 
   /// Skips forward to the next byte boundary.
   void AlignToByte();
@@ -141,6 +208,31 @@ class BitReader {
   bool failed() const { return failed_; }
 
  private:
+  /// Valid bits a window always holds: 64 minus the largest bit offset.
+  static constexpr int kWindowBits = 57;
+  /// Longest Exp-Golomb prefix whose whole code (2 * zeros + 1 bits) fits.
+  static constexpr int kMaxWindowZeros = (kWindowBits - 1) / 2;
+
+  /// Loads the 64 bits starting at the current byte, MSB-first, shifted so
+  /// the next unread bit is the top bit. False when fewer than 8 bytes remain
+  /// or the reader has failed.
+  bool Window(uint64_t* window) const {
+    const size_t byte = bit_pos_ / 8;
+    if (failed_ || byte + 8 > data_.size()) return false;
+    uint64_t word;
+    std::memcpy(&word, data_.data() + byte, sizeof(word));
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap64(word);
+    }
+    *window = word << (bit_pos_ % 8);
+    return true;
+  }
+
+  // The checked bit-at-a-time paths: end of stream, long codes, bad counts
+  // and failed readers.
+  Status ReadBitsChecked(int bits, uint64_t* value);
+  Status ReadUEChecked(uint64_t* value);
+
   Status Fail(Status status) {
     failed_ = true;
     return status;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ios>
 #include <vector>
 
 #include "codec/bitstream.h"
@@ -13,8 +14,9 @@
 // bit flips, and every mutant is pushed through EncodedVideo::Parse and full
 // tile decoding. The contract under test is totality — every input either
 // decodes or returns a clean error Status. Crashes, hangs, and out-of-bounds
-// access (the ASan/UBSan CI leg runs this suite) are the failures; which
-// mutants happen to decode is irrelevant.
+// access (the ASan/UBSan CI leg runs this suite) are the failures. One test
+// additionally pins which mutants decode, and to what, so a change to the
+// entropy reader must accept and reject exactly the same inputs.
 
 namespace vc {
 namespace {
@@ -54,34 +56,105 @@ void DriveDecoder(const std::vector<uint8_t>& bytes) {
 
 class FuzzTest : public ::testing::Test {};
 
-TEST_F(FuzzTest, TruncatedStreamsFailCleanly) {
-  auto bytes = EncodeFixture(2, 2);
-  ASSERT_GT(bytes.size(), 64u);
-  // Every length in the header region, then a deterministic sample of the
-  // payload region (every length would be quadratic in stream size).
+/// Every length in the header region, then a deterministic sample of the
+/// payload region (every length would be quadratic in stream size).
+std::vector<std::vector<uint8_t>> TruncationCorpus(
+    const std::vector<uint8_t>& bytes) {
+  std::vector<std::vector<uint8_t>> corpus;
   for (size_t keep = 0; keep < 64; ++keep) {
-    DriveDecoder(std::vector<uint8_t>(bytes.begin(), bytes.begin() + keep));
+    corpus.emplace_back(bytes.begin(), bytes.begin() + keep);
   }
   Random rng(20260808);
   for (int i = 0; i < 200; ++i) {
     size_t keep = 64 + rng.Uniform(static_cast<uint32_t>(bytes.size() - 64));
-    DriveDecoder(std::vector<uint8_t>(bytes.begin(), bytes.begin() + keep));
+    corpus.emplace_back(bytes.begin(), bytes.begin() + keep);
   }
+  return corpus;
 }
 
-TEST_F(FuzzTest, BitFlippedStreamsFailCleanly) {
-  auto bytes = EncodeFixture(2, 2);
+/// Seeded bit flips: 1–8 per mutant; single flips probe every layer, bursts
+/// corrupt deeper.
+std::vector<std::vector<uint8_t>> BitFlipCorpus(
+    const std::vector<uint8_t>& bytes) {
+  std::vector<std::vector<uint8_t>> corpus;
   Random rng(971);
   for (int trial = 0; trial < 400; ++trial) {
     std::vector<uint8_t> mutant = bytes;
-    // 1–8 flips; single flips probe every layer, bursts corrupt deeper.
     int flips = 1 + static_cast<int>(rng.Uniform(8));
     for (int i = 0; i < flips; ++i) {
       size_t bit = rng.Uniform(static_cast<uint32_t>(mutant.size() * 8));
       mutant[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
     }
-    DriveDecoder(mutant);
+    corpus.push_back(std::move(mutant));
   }
+  return corpus;
+}
+
+/// FNV-1a over `size` bytes, continuing from `hash`.
+uint64_t Fnv1a(uint64_t hash, const void* data, size_t size) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    hash = (hash ^ bytes[i]) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/// Folds one mutant's outcome into `hash`: its corpus index, the bytes of
+/// every frame that decoded, and the status (code and message) that stopped
+/// decoding (OK when every frame decoded).
+uint64_t HashOutcome(uint64_t hash, uint64_t index,
+                     const std::vector<uint8_t>& bytes) {
+  hash = Fnv1a(hash, &index, sizeof(index));
+  Status status;
+  auto video = EncodedVideo::Parse(Slice(bytes));
+  if (!video.ok()) {
+    status = video.status();
+  } else if (auto decoder = Decoder::Create(video->header); !decoder.ok()) {
+    status = decoder.status();
+  } else {
+    for (const EncodedFrame& frame : video->frames) {
+      auto decoded = (*decoder)->Decode(Slice(frame.payload));
+      if (!decoded.ok()) {
+        status = decoded.status();
+        break;
+      }
+      for (const auto* plane :
+           {&decoded->y_plane(), &decoded->u_plane(), &decoded->v_plane()}) {
+        hash = Fnv1a(hash, plane->data(), plane->size());
+      }
+    }
+  }
+  const auto code = static_cast<uint8_t>(status.code());
+  hash = Fnv1a(hash, &code, sizeof(code));
+  return Fnv1a(hash, status.message().data(), status.message().size());
+}
+
+TEST_F(FuzzTest, TruncatedStreamsFailCleanly) {
+  auto bytes = EncodeFixture(2, 2);
+  ASSERT_GT(bytes.size(), 64u);
+  for (const auto& mutant : TruncationCorpus(bytes)) DriveDecoder(mutant);
+}
+
+TEST_F(FuzzTest, BitFlippedStreamsFailCleanly) {
+  auto bytes = EncodeFixture(2, 2);
+  for (const auto& mutant : BitFlipCorpus(bytes)) DriveDecoder(mutant);
+}
+
+TEST_F(FuzzTest, OutcomeDigestIsPinned) {
+  // The constant was computed with the bit-at-a-time entropy reader; the
+  // windowed reader must accept, reject and decode every mutant the same.
+  auto bytes = EncodeFixture(2, 2);
+  ASSERT_GT(bytes.size(), 64u);
+  uint64_t hash = 0xcbf29ce484222325ull;
+  uint64_t index = 0;
+  for (const auto& corpus : {TruncationCorpus(bytes), BitFlipCorpus(bytes)}) {
+    for (const auto& mutant : corpus) {
+      hash = HashOutcome(hash, index++, mutant);
+    }
+  }
+  EXPECT_EQ(index, 664u);
+  EXPECT_EQ(hash, 0x8ca6d3d7c1679133ull)
+      << std::hex << "actual digest 0x" << hash;
 }
 
 TEST_F(FuzzTest, MutatedTilePayloadsFailCleanly) {

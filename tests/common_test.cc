@@ -263,6 +263,270 @@ TEST(BitIoTest, RandomizedRoundTrip) {
   }
 }
 
+// The bit-at-a-time reader that BitReader's windowed reads replaced, kept as
+// the reference they must match call for call: values, Status code and
+// message, bit position and stickiness.
+class ReferenceBitReader {
+ public:
+  explicit ReferenceBitReader(Slice data) : data_(data) {}
+
+  Status ReadBits(int bits, uint64_t* value) {
+    if (failed_) return Status::OutOfRange("bit reader in failed state");
+    if (bits < 0 || bits > 64) {
+      return Fail(Status::InvalidArgument("bit count out of range"));
+    }
+    if (bit_pos_ + static_cast<size_t>(bits) > data_.size() * 8) {
+      return Fail(Status::OutOfRange("bit stream exhausted"));
+    }
+    uint64_t result = 0;
+    int remaining = bits;
+    while (remaining > 0) {
+      size_t byte_index = bit_pos_ / 8;
+      int bit_offset = static_cast<int>(bit_pos_ % 8);
+      int available = 8 - bit_offset;
+      int take = remaining < available ? remaining : available;
+      uint8_t byte = data_[byte_index];
+      uint8_t chunk = static_cast<uint8_t>(
+          (byte >> (available - take)) & ((1u << take) - 1));
+      result = (result << take) | chunk;
+      bit_pos_ += take;
+      remaining -= take;
+    }
+    *value = result;
+    return Status::OK();
+  }
+
+  Status ReadBit(bool* bit) {
+    uint64_t v = 0;
+    VC_RETURN_IF_ERROR(ReadBits(1, &v));
+    *bit = v != 0;
+    return Status::OK();
+  }
+
+  Status ReadUE(uint64_t* value) {
+    int zeros = 0;
+    while (true) {
+      bool bit = false;
+      VC_RETURN_IF_ERROR(ReadBit(&bit));
+      if (bit) break;
+      if (++zeros > 63) {
+        return Fail(Status::Corruption("exp-golomb code too long"));
+      }
+    }
+    uint64_t suffix = 0;
+    VC_RETURN_IF_ERROR(ReadBits(zeros, &suffix));
+    *value = ((uint64_t{1} << zeros) | suffix) - 1;
+    return Status::OK();
+  }
+
+  Status ReadSE(int64_t* value) {
+    uint64_t mapped;
+    VC_RETURN_IF_ERROR(ReadUE(&mapped));
+    if (mapped % 2 == 1) {
+      *value = static_cast<int64_t>((mapped + 1) / 2);
+    } else {
+      *value = -static_cast<int64_t>(mapped / 2);
+    }
+    return Status::OK();
+  }
+
+  size_t bit_position() const { return bit_pos_; }
+  bool failed() const { return failed_; }
+
+ private:
+  Status Fail(Status status) {
+    failed_ = true;
+    return status;
+  }
+
+  Slice data_;
+  size_t bit_pos_ = 0;
+  bool failed_ = false;
+};
+
+struct ReadOp {
+  enum Kind { kBits, kBit, kUE, kSE, kPair } kind;
+  int bits = 0;  // kBits only
+};
+
+/// Expects one read's outcome to match the reference's.
+template <typename T>
+void ExpectSameRead(const Status& got, T got_value, const Status& want,
+                    T want_value) {
+  EXPECT_EQ(got.ToString(), want.ToString());
+  if (got.ok() && want.ok()) {
+    EXPECT_EQ(got_value, want_value);
+  }
+}
+
+/// Runs `ops` on a BitReader and on the reference over `data`, comparing
+/// after every call. The pair read must either consume exactly the
+/// reference's two UE codes or consume nothing, after which the two ordinary
+/// ReadUE calls its callers make are compared instead.
+void ExpectReadersAgree(Slice data, const std::vector<ReadOp>& ops) {
+  BitReader reader(data);
+  ReferenceBitReader reference(data);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    SCOPED_TRACE("op " + std::to_string(i) + " of a " +
+                 std::to_string(data.size()) + "-byte slice");
+    const ReadOp& op = ops[i];
+    uint64_t got = ~0ull, want = ~0ull;
+    switch (op.kind) {
+      case ReadOp::kBits: {
+        Status s = reader.ReadBits(op.bits, &got);
+        Status r = reference.ReadBits(op.bits, &want);
+        ExpectSameRead(s, got, r, want);
+        break;
+      }
+      case ReadOp::kBit: {
+        bool got_bit = false, want_bit = false;
+        Status s = reader.ReadBit(&got_bit);
+        Status r = reference.ReadBit(&want_bit);
+        ExpectSameRead(s, got_bit, r, want_bit);
+        break;
+      }
+      case ReadOp::kUE: {
+        Status s = reader.ReadUE(&got);
+        Status r = reference.ReadUE(&want);
+        ExpectSameRead(s, got, r, want);
+        break;
+      }
+      case ReadOp::kSE: {
+        int64_t got_se = 0, want_se = 0;
+        Status s = reader.ReadSE(&got_se);
+        Status r = reference.ReadSE(&want_se);
+        ExpectSameRead(s, got_se, r, want_se);
+        break;
+      }
+      case ReadOp::kPair: {
+        const size_t before = reader.bit_position();
+        uint64_t got2 = ~0ull, want2 = ~0ull;
+        if (reader.ReadUEPair(&got, &got2)) {
+          ASSERT_TRUE(reference.ReadUE(&want).ok());
+          ASSERT_TRUE(reference.ReadUE(&want2).ok());
+          EXPECT_EQ(got, want);
+          EXPECT_EQ(got2, want2);
+        } else {
+          EXPECT_EQ(reader.bit_position(), before);
+          Status s = reader.ReadUE(&got);
+          Status r = reference.ReadUE(&want);
+          ExpectSameRead(s, got, r, want);
+          s = reader.ReadUE(&got2);
+          r = reference.ReadUE(&want2);
+          ExpectSameRead(s, got2, r, want2);
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(reader.bit_position(), reference.bit_position());
+    ASSERT_EQ(reader.failed(), reference.failed());
+  }
+}
+
+/// Runs `ops` over every prefix of `bytes`, so every read also meets the
+/// slice end and the checked tail path.
+void ExpectReadersAgreeOnEveryTruncation(const std::vector<uint8_t>& bytes,
+                                         const std::vector<ReadOp>& ops) {
+  for (size_t keep = 0; keep <= bytes.size(); ++keep) {
+    ExpectReadersAgree(Slice(bytes.data(), keep), ops);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// A value of a random bit length in [0, max_bits].
+uint64_t RandomWidthValue(Random* rng, int max_bits) {
+  const int bits = static_cast<int>(rng->Uniform(max_bits + 1));
+  return bits == 0 ? 0 : rng->Next() >> (64 - bits);
+}
+
+TEST(BitIoTest, WindowReaderMatchesBitwiseReference) {
+  Random rng(20261017);
+  // Seeded mixes of every read, written so most reads parse, plus one
+  // stream of noise where codes land anywhere. A rare out-of-range bit count
+  // exercises the sticky InvalidArgument path.
+  for (int trial = 0; trial < 60; ++trial) {
+    BitWriter writer;
+    std::vector<ReadOp> ops;
+    const int count = 8 + static_cast<int>(rng.Uniform(40));
+    for (int i = 0; i < count; ++i) {
+      switch (rng.Uniform(5)) {
+        case 0: {
+          if (rng.Uniform(40) == 0) {
+            ops.push_back({ReadOp::kBits, rng.Uniform(2) ? -1 : 65});
+            break;
+          }
+          const int bits = static_cast<int>(rng.Uniform(65));
+          const uint64_t value = bits == 0 ? 0 : rng.Next() >> (64 - bits);
+          writer.WriteBits(value, bits);
+          ops.push_back({ReadOp::kBits, bits});
+          break;
+        }
+        case 1:
+          writer.WriteBit(rng.Uniform(2) == 1);
+          ops.push_back({ReadOp::kBit});
+          break;
+        case 2:
+          writer.WriteUE(RandomWidthValue(&rng, 40));
+          ops.push_back({ReadOp::kUE});
+          break;
+        case 3: {
+          const int64_t magnitude =
+              static_cast<int64_t>(RandomWidthValue(&rng, 30));
+          writer.WriteSE(rng.Uniform(2) ? magnitude : -magnitude);
+          ops.push_back({ReadOp::kSE});
+          break;
+        }
+        case 4:
+          writer.WriteUE(RandomWidthValue(&rng, 20));
+          writer.WriteUE(RandomWidthValue(&rng, 20));
+          ops.push_back({ReadOp::kPair});
+          break;
+      }
+    }
+    std::vector<uint8_t> bytes = writer.Finish();
+    ExpectReadersAgreeOnEveryTruncation(bytes, ops);
+    if (HasFatalFailure()) return;
+    // The same reads over noise of the same length.
+    for (auto& byte : bytes) byte = static_cast<uint8_t>(rng.Uniform(256));
+    ExpectReadersAgreeOnEveryTruncation(bytes, ops);
+    if (HasFatalFailure()) return;
+  }
+
+  // Crafted codes: a `prefix`-bit field puts the code at every bit offset;
+  // the first code has 0–64 leading zeros (28 is the longest one window
+  // decodes, 29+ and 57+ take the checked path, 64 is corrupt), so codes
+  // end on, just before and just after the window edge; a second code
+  // makes the pair read straddle the edge too. Every truncation then moves
+  // the codes into the last 7 bytes.
+  for (int prefix = 0; prefix < 16; ++prefix) {
+    for (int zeros1 = 0; zeros1 <= 64; ++zeros1) {
+      for (int zeros2 : {0, 1, 13, 26, 27, 28, 29, 30}) {
+        BitWriter writer;
+        writer.WriteBits(prefix == 0 ? 0 : rng.Next() >> (64 - prefix),
+                         prefix);
+        for (int zeros : {zeros1, zeros2}) {
+          writer.WriteBits(0, zeros > 32 ? 32 : zeros);
+          if (zeros > 32) writer.WriteBits(0, zeros - 32);
+          writer.WriteBit(true);
+          if (zeros > 0 && zeros < 64) {
+            writer.WriteBits(rng.Next() >> (64 - zeros), zeros);
+          }
+        }
+        writer.WriteBits(rng.Next() >> 40, 24);
+        const std::vector<uint8_t> bytes = writer.Finish();
+        const ReadOp field{ReadOp::kBits, prefix};
+        ExpectReadersAgreeOnEveryTruncation(
+            bytes, {field, {ReadOp::kUE}, {ReadOp::kUE}, {ReadOp::kBits, 24}});
+        ExpectReadersAgreeOnEveryTruncation(
+            bytes, {field, {ReadOp::kPair}, {ReadOp::kBits, 57}});
+        ExpectReadersAgreeOnEveryTruncation(
+            bytes, {field, {ReadOp::kSE}, {ReadOp::kBit}, {ReadOp::kBits, 64}});
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------------------- CRC32
 
 TEST(Crc32Test, KnownVector) {
@@ -276,6 +540,36 @@ TEST(Crc32Test, DetectsCorruption) {
   uint32_t clean = Crc32(Slice(data));
   data[50] ^= 1;
   EXPECT_NE(clean, Crc32(Slice(data)));
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseReference) {
+  // The byte-at-a-time CRC over the same reflected polynomial.
+  auto reference = [](const uint8_t* data, size_t size, uint32_t seed) {
+    uint32_t c = seed ^ 0xffffffffu;
+    for (size_t i = 0; i < size; ++i) {
+      c ^= data[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
+      }
+    }
+    return c ^ 0xffffffffu;
+  };
+  Random rng(3141);
+  std::vector<uint8_t> buffer(8 + 300);
+  for (auto& byte : buffer) byte = static_cast<uint8_t>(rng.Uniform(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 300; ++size) {
+      const uint8_t* data = buffer.data() + offset;
+      ASSERT_EQ(Crc32(Slice(data, size)), reference(data, size, 0))
+          << "offset " << offset << " size " << size;
+      // Chaining: Crc32(b, Crc32(a)) == Crc32(a‖b) at every split.
+      const size_t split = size / 3;
+      ASSERT_EQ(Crc32(Slice(data + split, size - split),
+                      Crc32(Slice(data, split))),
+                Crc32(Slice(data, size)))
+          << "offset " << offset << " size " << size;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Random
