@@ -94,11 +94,13 @@ simd() {
   # loudly here. The geometry, predict and
   # core suites cover the session step's index arithmetic: the head-trace
   # cursor, the wrapped viewport column spans and the budget-fitting
-  # cursor.
+  # cursor. The storage suite parses on-disk catalog names and listings,
+  # and the streaming suite covers the network model's transfer arithmetic.
   cmake -B build-asan -S . -DVC_SANITIZE=address+undefined
   cmake --build build-asan -j"$JOBS" --target codec_fuzz_test codec_test \
     common_test manifest_fuzz_test container_fuzz_test query_fuzz_test \
-    view_fuzz_test geometry_test predict_test core_test bench_kernels
+    view_fuzz_test geometry_test predict_test core_test storage_test \
+    streaming_test bench_kernels
   ./build-asan/tests/codec_fuzz_test
   ./build-asan/tests/codec_test
   ./build-asan/tests/common_test
@@ -109,6 +111,8 @@ simd() {
   ./build-asan/tests/geometry_test
   ./build-asan/tests/predict_test
   ./build-asan/tests/core_test
+  ./build-asan/tests/storage_test
+  ./build-asan/tests/streaming_test
   ./build-asan/bench/bench_kernels --smoke
 }
 

@@ -53,9 +53,10 @@ struct SequenceHeader {
 /// \brief One encoded frame: its type plus the payload bytes.
 ///
 /// Payload layout: `[type:u8][qp:u8][tile offsets: u32 × T][tile data]`.
-/// The per-frame QP enables rate control; the embedded tile-offset table
-/// lets individual tiles be located (and decoded, or byte-copied
-/// homomorphically) without parsing the rest.
+/// The decoder dequantizes with the frame's own QP, not the sequence
+/// header's; the embedded tile-offset table lets individual tiles be
+/// located (and decoded, or byte-copied homomorphically) without parsing
+/// the rest.
 struct EncodedFrame {
   FrameType type = FrameType::kIntra;
   std::vector<uint8_t> payload;

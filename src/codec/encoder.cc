@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "codec/mb_common.h"
-#include "common/math_util.h"
 #include "obs/metrics.h"
 
 namespace vc {
@@ -22,11 +21,13 @@ namespace {
 /// refines that still improve the coarse rungs by several tenths of a dB.
 constexpr uint32_t kHintAcceptSad = 2u * kMbSize * kMbSize;
 
+/// Largest |mv| component the motion search considers, in luma pixels.
+constexpr int kMotionRange = 16;
+
 bool HintsCompatible(const MotionHints* hints, const EncoderOptions& options) {
   return hints != nullptr && hints->width == options.width &&
          hints->height == options.height &&
-         hints->gop_length == options.gop_length &&
-         hints->motion_range == options.motion_range;
+         hints->gop_length == options.gop_length;
 }
 
 }  // namespace
@@ -48,12 +49,6 @@ Status EncoderOptions::Validate() const {
   }
   if (tile_rows <= 0 || tile_cols <= 0 || tile_rows > 255 || tile_cols > 255) {
     return Status::InvalidArgument("tile grid must be in [1, 255] per axis");
-  }
-  if (motion_range < 0 || motion_range > 127) {
-    return Status::InvalidArgument("motion_range must be in [0, 127]");
-  }
-  if (target_bitrate_bps < 0 || target_bitrate_bps > 1e12) {
-    return Status::InvalidArgument("target bitrate out of range");
   }
   return Status::OK();
 }
@@ -93,7 +88,6 @@ Encoder::Encoder(const EncoderOptions& options,
     : options_(options),
       tile_rects_(std::move(tile_rects)),
       reuse_ok_(HintsCompatible(options.reuse_hints, options)),
-      control_qp_(options.qp),
       recon_(options.width, options.height),
       reference_(options.width, options.height) {}
 
@@ -106,8 +100,7 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
     type = FrameType::kIntra;
     force_keyframe_ = false;
   }
-  const int frame_qp = NextFrameQp();
-  const double qstep = QStepForQp(frame_qp);
+  const double qstep = QStepForQp(options_.qp);
 
   // The previous frame's reconstruction becomes the reference by swapping
   // buffers: every tile rect is fully re-encoded below, so recon_ is
@@ -124,7 +117,6 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
       hints->width = options_.width;
       hints->height = options_.height;
       hints->gop_length = options_.gop_length;
-      hints->motion_range = options_.motion_range;
     }
     hints->frames.emplace_back(mb_count);
     capture_row = hints->frames.back().data();
@@ -175,7 +167,7 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
   encoded.type = type;
   auto& out = encoded.payload;
   out.push_back(static_cast<uint8_t>(type));
-  out.push_back(static_cast<uint8_t>(frame_qp));
+  out.push_back(static_cast<uint8_t>(options_.qp));
   uint32_t offset =
       2 + static_cast<uint32_t>(tile_payloads.size()) * 4;
   for (const auto& payload : tile_payloads) {
@@ -189,30 +181,8 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
     out.insert(out.end(), payload.begin(), payload.end());
   }
 
-  if (options_.target_bitrate_bps > 0) {
-    double budget = options_.target_bitrate_bps / 8.0 / options_.fps;
-    double bytes = static_cast<double>(encoded.payload.size());
-    backlog_bytes_ += bytes - budget;
-    // Walk the control QP toward the rate target: our quantizer roughly
-    // halves the rate every +6 QP, so the log2 rate ratio is a QP error.
-    // The 1.5 gain (of 6) converges in a few frames without oscillating on
-    // the intra/inter frame-size alternation.
-    double step = Clamp(1.5 * std::log2(bytes / budget), -3.0, 3.0);
-    control_qp_ = Clamp(control_qp_ + step, 0.0,
-                        static_cast<double>(kMaxQp));
-  }
   ++frame_index_;
   return encoded;
-}
-
-int Encoder::NextFrameQp() const {
-  if (options_.target_bitrate_bps <= 0) return options_.qp;
-  // A leaky-bucket term on top of the adaptive control QP repays any
-  // accumulated surplus or backlog.
-  double budget = options_.target_bitrate_bps / 8.0 / options_.fps;
-  double buffer_delta = Clamp(0.2 * backlog_bytes_ / budget, -6.0, 6.0);
-  return Clamp(static_cast<int>(std::lround(control_qp_ + buffer_delta)), 0,
-               kMaxQp);
 }
 
 void Encoder::EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
@@ -288,12 +258,12 @@ void Encoder::EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
                 kHintAcceptSad,
                 hint->sad + hint->sad / 16 + kMbSize * kMbSize / 4u);
             mv = RefineMotion(cur_y, ref_y, lx, ly, kMbSize,
-                              options_.motion_range, luma_bounds, hint->mv,
+                              kMotionRange, luma_bounds, hint->mv,
                               good_enough, &inter_sad, &scratch_);
             ++frame_stats_.hinted_searches;
           } else {
             mv = SearchMotion(cur_y, ref_y, lx, ly, kMbSize,
-                              options_.motion_range, luma_bounds, &inter_sad,
+                              kMotionRange, luma_bounds, &inter_sad,
                               &scratch_);
             ++frame_stats_.full_searches;
           }

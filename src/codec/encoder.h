@@ -43,13 +43,12 @@ struct MotionHints {
   int width = 0;         ///< Luma width of the captured stream.
   int height = 0;        ///< Luma height.
   int gop_length = 0;    ///< Keyframe cadence (frame types must align).
-  int motion_range = 0;  ///< Search range the vectors were found under.
   /// Per frame, one hint per macroblock in raster order
   /// ((height/16) × (width/16) entries).
   std::vector<std::vector<BlockHint>> frames;
 
   void Clear() {
-    width = height = gop_length = motion_range = 0;
+    width = height = gop_length = 0;
     frames.clear();
   }
 };
@@ -63,14 +62,9 @@ struct EncoderOptions {
   int height = 0;       ///< Luma height; multiple of 16.
   double fps = 30.0;    ///< Nominal frame rate (metadata only).
   int gop_length = 30;  ///< Keyframe interval; the temporal partition unit.
-  int qp = 28;          ///< Base quantization parameter, 0 (best) … 51.
-  /// When positive, enables rate control: the encoder adapts the per-frame
-  /// QP around `qp` (carried in each frame header) so the output rate
-  /// tracks this target. Zero means constant-QP encoding.
-  double target_bitrate_bps = 0.0;
+  int qp = 28;          ///< Quantization parameter of every frame, 0 … 51.
   int tile_rows = 1;    ///< In-stream spatial tiling.
   int tile_cols = 1;
-  int motion_range = 16;  ///< Max |mv| component, luma pixels.
   /// Motion-constrained tile sets: when true (the default, and what the
   /// tiled-streaming design requires), inter prediction never references
   /// pixels outside the current tile, so each tile is independently
@@ -124,9 +118,6 @@ class Encoder {
   Encoder(const EncoderOptions& options,
           std::vector<TileGrid::PixelRect> tile_rects);
 
-  /// Picks the QP for the next frame (rate control when enabled).
-  int NextFrameQp() const;
-
   /// Analyzes one tile and writes its mode/motion syntax and Exp-Golomb
   /// residuals to `writer` in a single pass, building the reconstruction as
   /// it goes (intra prediction feeds on it).
@@ -148,8 +139,6 @@ class Encoder {
   const EncoderOptions options_;
   const std::vector<TileGrid::PixelRect> tile_rects_;
   const bool reuse_ok_;  ///< reuse_hints present and geometry-compatible.
-  double backlog_bytes_ = 0.0;  ///< rate-control virtual buffer fullness
-  double control_qp_ = 0.0;     ///< adaptive rate-control QP state
   Frame recon_;      ///< reconstruction of the current frame (in progress)
   Frame reference_;  ///< reconstruction of the previous frame
   int frame_index_ = 0;

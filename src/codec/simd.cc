@@ -1,9 +1,5 @@
 #include "codec/simd.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 namespace vc {
 namespace simd {
 namespace {
@@ -33,26 +29,9 @@ Level DetectHostLevel() {
 #endif
 }
 
-/// Whether VC_SIMD leaves the vector paths on. Unset means on; `off` (or its
-/// alias `scalar`) is the kill switch. Any other value fails safe: a user
-/// setting VC_SIMD is trying to disable SIMD, so a typo must not silently
-/// run the vector paths.
-bool EnvAllowsSimd() {
-  const char* env = std::getenv("VC_SIMD");
-  if (env == nullptr) return true;
-  if (std::strcmp(env, "off") != 0 && std::strcmp(env, "scalar") != 0) {
-    std::fprintf(stderr,
-                 "vc: unrecognized VC_SIMD value '%s' (expected off or "
-                 "scalar); forcing scalar\n",
-                 env);
-  }
-  return false;
-}
-
-// Evaluated once; SetEnabled(true) may not exceed this. VC_SIMD=off is a
-// hard kill that SetEnabled(true) cannot override.
+// Evaluated once; SetEnabled(true) may not exceed this.
 const Level g_host_level = DetectHostLevel();
-const bool g_usable = EnvAllowsSimd() && g_host_level > Level::kScalar;
+const bool g_usable = g_host_level > Level::kScalar;
 
 }  // namespace
 

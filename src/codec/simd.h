@@ -14,9 +14,8 @@
 // Building with -DVC_DISABLE_SIMD removes every intrinsics path outright,
 // leaving the scalar references — the configuration the CI `simd` leg uses
 // to prove both paths bit-identical. At run time the kill-switch
-// (`SetEnabled(false)`, or VC_SIMD=off in the environment) lets one binary
-// run either path, which is how the bit-exactness tests and the
-// scalar-vs-SIMD micro-benchmarks compare them.
+// `SetEnabled(false)` lets one binary run either path, which is how the
+// bit-exactness tests and the scalar-vs-SIMD micro-benchmarks compare them.
 //
 // Every vector kernel is *bit-identical* to its scalar reference: integer
 // kernels trivially so, floating-point kernels by performing the same

@@ -114,6 +114,12 @@ class PosixEnv final : public Env {
          !ec && it != fs::directory_iterator(); it.increment(ec)) {
       names.push_back(it->path().filename().string());
     }
+    // A missing directory (or a path that is not one) is an answer, not a
+    // failure: callers tell "nothing there yet" from a failed listing.
+    if (ec == std::errc::no_such_file_or_directory ||
+        ec == std::errc::not_a_directory) {
+      return Status::NotFound("list '" + path + "': " + ec.message());
+    }
     if (ec) return Status::IOError("list '" + path + "': " + ec.message());
     return names;
   }

@@ -48,6 +48,9 @@ class Env {
   virtual Status CreateDirs(const std::string& path) = 0;
 
   /// Lists immediate children (names only, no paths) of a directory.
+  /// Returns NotFound when `path` is not an existing directory and IOError
+  /// when listing it fails; an implementation may instead list a missing
+  /// directory as empty.
   virtual Result<std::vector<std::string>> ListDir(const std::string& path) = 0;
 
   /// Recursively removes a directory tree (used by DROP and tests).

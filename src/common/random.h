@@ -9,8 +9,8 @@ namespace vc {
 /// \brief Deterministic, seedable PRNG (xorshift128+).
 ///
 /// All randomness in VisualCloud (synthetic scenes, head-trace synthesis,
-/// network jitter) flows through explicitly-seeded `Random` instances so that
-/// every experiment is bit-reproducible.
+/// network fault schedules) flows through explicitly-seeded `Random`
+/// instances so that every experiment is bit-reproducible.
 class Random {
  public:
   explicit Random(uint64_t seed) {

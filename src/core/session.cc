@@ -11,6 +11,18 @@
 
 namespace vc {
 
+namespace {
+
+/// Derating applied to the throughput estimate when budgeting a segment.
+constexpr double kBudgetSafety = 0.85;
+/// Frames per delivered segment whose in-viewport PSNR is measured when
+/// `evaluate_quality` is set.
+constexpr int kEvalFramesPerSegment = 2;
+/// Seconds between the orientation reports fed to the predictor.
+constexpr double kFeedDt = 1.0 / kOrientationFeedHz;
+
+}  // namespace
+
 std::string ApproachName(StreamingApproach approach) {
   switch (approach) {
     case StreamingApproach::kMonolithicFull:
@@ -37,15 +49,6 @@ Status SessionOptions::Validate() const {
   }
   if (high_quality < 0) {
     return Status::InvalidArgument("high_quality must be >= 0");
-  }
-  if (!(0 < budget_safety && budget_safety <= 1.0)) {
-    return Status::InvalidArgument("budget_safety must be in (0, 1]");
-  }
-  if (!(0 < feed_rate_hz && feed_rate_hz <= 1000)) {
-    return Status::InvalidArgument("feed rate out of range");
-  }
-  if (eval_frames_per_segment < 1) {
-    return Status::InvalidArgument("eval_frames_per_segment must be >= 1");
   }
   if (!(0 <= buffer_ahead_seconds && buffer_ahead_seconds <= 3600)) {
     return Status::InvalidArgument("buffer_ahead_seconds out of range");
@@ -246,7 +249,6 @@ ClientSession::ClientSession(StorageManager* storage,
       fps_(metadata_.fps()),
       media_duration_(metadata_.segments.back().start_frame / fps_ +
                       metadata_.segments.back().frame_count / fps_),
-      feed_dt_(1.0 / options.feed_rate_hz),
       psnr_min_(kInfinitePsnr) {
   if (options_.live != nullptr) {
     // Join at the live edge: the newest published segment. Media time is
@@ -383,8 +385,8 @@ Status ClientSession::Step(double now) {
 
   // Feed the predictor (and any shared popularity model) every orientation
   // report up to "now".
-  for (double t = (last_fed_ < 0 ? 0.0 : last_fed_ + feed_dt_);
-       t <= media_now; t += feed_dt_) {
+  for (double t = (last_fed_ < 0 ? 0.0 : last_fed_ + kFeedDt);
+       t <= media_now; t += kFeedDt) {
     Orientation seen = trace_.At(t, &feed_cursor_);
     predictor_->Observe(t, seen);
     if (options_.popularity_sink != nullptr) {
@@ -406,7 +408,7 @@ Status ClientSession::Step(double now) {
 
   double budget =
       SegmentByteBudget(estimator_.estimate_bps(), segment_seconds_,
-                        options_.budget_safety);
+                        kBudgetSafety);
   TileQualityPlan plan;
   {
     ScopedTimer plan_timer(plan_seconds_);
@@ -493,10 +495,9 @@ Status ClientSession::Step(double now) {
   // shared storage cache, so concurrent viewers contend for — and reuse —
   // the same buffer pool. With an I/O pool the segment's cells load as one
   // overlapped batch.
-  if (options_.fetch_cells && delivered) {
-    CellSource* source =
-        options_.cell_source != nullptr ? options_.cell_source : storage_;
-    VC_RETURN_IF_ERROR(source->ReadPlannedCells(metadata_, segment, plan));
+  if (options_.cell_source != nullptr && delivered) {
+    VC_RETURN_IF_ERROR(
+        options_.cell_source->ReadPlannedCells(metadata_, segment, plan));
   }
 
   // In-view quality bookkeeping: the rung the viewer actually sees (the
@@ -529,7 +530,7 @@ Status ClientSession::Step(double now) {
     VC_ASSIGN_OR_RETURN(
         dframes, ReconstructSegment(storage_, metadata_, segment, plan));
     int step = std::max(1, static_cast<int>(info.frame_count) /
-                               options_.eval_frames_per_segment);
+                               kEvalFramesPerSegment);
     for (int k = step / 2; k < static_cast<int>(info.frame_count); k += step) {
       int frame_index = static_cast<int>(info.start_frame) + k;
       double media_t = frame_index / fps_ - media_origin_;

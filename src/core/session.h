@@ -77,28 +77,22 @@ struct SessionOptions {
   double viewport_margin = 0.2;  ///< Extra tile-selection margin (radians).
   int high_quality = 0;          ///< Ladder rung for in-view tiles.
   bool adaptive = true;          ///< Degrade plans that exceed the budget.
-  double budget_safety = 0.85;   ///< Derating of the throughput estimate.
   /// Client buffer target: a segment's download starts no earlier than
   /// this long before its playback deadline. Pacing is what makes the
   /// system react to bandwidth changes mid-session instead of having
   /// prefetched everything at t=0.
   double buffer_ahead_seconds = 1.0;
-  double feed_rate_hz = 30.0;    ///< Orientation feedback cadence.
   /// When true (requires `reference`), decode what was delivered and
   /// measure in-viewport PSNR against the pristine source.
   bool evaluate_quality = false;
-  int eval_frames_per_segment = 2;
 
-  /// When true, every delivered cell is actually fetched through the
-  /// storage manager's cell cache (instead of only being accounted for in
-  /// bytes). A server sets this so concurrent viewers of the same video
-  /// exercise — and benefit from — the shared buffer cache.
-  bool fetch_cells = false;
-
-  /// Optional cell source (not owned) that `fetch_cells` reads route
-  /// through instead of the session's StorageManager — a sharded store's
-  /// per-node view, so the session's demand misses land in that node's
-  /// L1/L2 tiers. Quality evaluation still decodes via the StorageManager.
+  /// Optional cell source (not owned). When set, every delivered cell is
+  /// actually fetched through it (instead of only being accounted for in
+  /// bytes). A server points it at the node's cache-backed source so
+  /// concurrent viewers of the same video exercise — and benefit from —
+  /// the shared buffer cache; a sharded store's per-node view makes the
+  /// session's demand misses land in that node's L1/L2 tiers. Quality
+  /// evaluation still decodes via the StorageManager.
   CellSource* cell_source = nullptr;
 
   /// Optional cross-user popularity model (not owned). When set and the
@@ -222,7 +216,6 @@ class ClientSession {
   double segment_seconds_;
   double fps_;
   double media_duration_;
-  double feed_dt_;
 
   SessionStats stats_;
   int segment_ = 0;

@@ -9,9 +9,7 @@ TileQualityPlan AssignTileQualities(const VideoMetadata& metadata,
                                     const Orientation& predicted,
                                     const AssignmentOptions& options) {
   TileGrid grid = metadata.tile_grid();
-  int low = options.low_quality >= 0 ? options.low_quality
-                                     : metadata.quality_count() - 1;
-  low = Clamp(low, 0, metadata.quality_count() - 1);
+  const int low = std::max(0, metadata.quality_count() - 1);
   int high = Clamp(options.high_quality, 0, metadata.quality_count() - 1);
 
   TileQualityPlan plan(grid.tile_count(), low);

@@ -16,12 +16,11 @@ struct AssignmentOptions {
   /// absorbing prediction error (radians per axis).
   double margin = 0.2;
   int high_quality = 0;   ///< Ladder rung for predicted-visible tiles.
-  int low_quality = -1;   ///< Rung for the rest; -1 = lowest rung.
 };
 
 /// VisualCloud's core serving decision: tiles intersecting the predicted
-/// viewport (enlarged by `margin`) get `high_quality`, everything else
-/// `low_quality`.
+/// viewport (enlarged by `margin`) get `high_quality`, everything else the
+/// ladder's lowest rung.
 TileQualityPlan AssignTileQualities(const VideoMetadata& metadata,
                                     const Orientation& predicted,
                                     const AssignmentOptions& options);

@@ -29,9 +29,6 @@ Status IngestOptions::Validate() const {
       return Status::InvalidArgument("ladder QP out of range");
     }
   }
-  if (motion_range < 0 || motion_range > 127) {
-    return Status::InvalidArgument("motion_range out of range");
-  }
   return Status::OK();
 }
 
@@ -43,7 +40,6 @@ EncoderOptions IngestOptions::MakeEncoderOptions(int width, int height,
   encoder.fps = fps;
   encoder.gop_length = frames_per_segment;
   encoder.qp = ladder[quality].qp;
-  encoder.motion_range = motion_range;
   encoder.motion_constrained_tiles = motion_constrained_tiles;
   return encoder;
 }
@@ -81,7 +77,6 @@ VideoMetadata MakeLayoutMetadata(const std::string& name, int width,
   metadata.tile_rows = static_cast<uint8_t>(options.tile_rows);
   metadata.tile_cols = static_cast<uint8_t>(options.tile_cols);
   metadata.ladder = options.ladder;
-  metadata.spherical.stereo = options.stereo;
   return metadata;
 }
 

@@ -30,11 +30,6 @@ struct IngestOptions {
   int frames_per_segment = 30;  ///< Temporal partition (≈ 1 s GOPs).
   double fps = 30.0;
   QualityLadder ladder = DefaultQualityLadder();
-  /// Stereoscopic layout of the ingested frames. For kStereoTopBottom the
-  /// frames are width × 2·height packed panoramas (see image/stereo.h); the
-  /// layout is recorded in the sv3d metadata so clients unpack per eye.
-  StereoMode stereo = StereoMode::kMono;
-  int motion_range = 16;
   bool motion_constrained_tiles = true;
   /// Multi-rate analysis reuse: encode the ladder's first rung per
   /// (segment, tile) cell first, capture its per-block motion vectors and

@@ -7,6 +7,13 @@
 
 namespace vc {
 
+namespace {
+
+/// Seconds of trace between two accuracy evaluations.
+constexpr double kEvalInterval = 1.0;
+
+}  // namespace
+
 PredictionAccuracy EvaluatePredictor(Predictor* predictor,
                                      const HeadTrace& trace,
                                      const TileGrid& grid,
@@ -17,15 +24,15 @@ PredictionAccuracy EvaluatePredictor(Predictor* predictor,
 
   std::vector<double> errors;
   double hits = 0;
-  const double dt = 1.0 / options.feed_rate_hz;
-  double next_eval = options.eval_interval;
+  const double dt = 1.0 / kOrientationFeedHz;
+  double next_eval = kEvalInterval;
   const double end = trace.duration() - options.lookahead_seconds;
 
   size_t cursor = 0;
   for (double t = 0.0; t <= trace.duration() + 1e-9; t += dt) {
     predictor->Observe(t, trace.At(t, &cursor));
     if (t >= next_eval && t <= end) {
-      next_eval += options.eval_interval;
+      next_eval += kEvalInterval;
       Orientation predicted = predictor->Predict(options.lookahead_seconds);
       Orientation actual = trace.At(t + options.lookahead_seconds);
       errors.push_back(AngularDistance(predicted, actual));

@@ -19,14 +19,12 @@ struct PredictionAccuracy {
 /// Options for the accuracy evaluation loop.
 struct AccuracyOptions {
   double lookahead_seconds = 1.0;  ///< Prediction horizon (≈ segment length).
-  double feed_rate_hz = 30.0;      ///< Orientation report cadence.
-  double eval_interval = 1.0;      ///< Seconds between evaluations.
   double fov_yaw = DegToRad(100.0);
   double fov_pitch = DegToRad(90.0);
 };
 
-/// Replays `trace` into `predictor` at `feed_rate_hz` and, every
-/// `eval_interval`, compares Predict(lookahead) against the trace's actual
+/// Replays `trace` into `predictor` at `kOrientationFeedHz` and, every
+/// second, compares Predict(lookahead) against the trace's actual
 /// orientation at that future time. The predictor is Reset() first.
 PredictionAccuracy EvaluatePredictor(Predictor* predictor,
                                      const HeadTrace& trace,

@@ -11,6 +11,10 @@
 
 namespace vc {
 
+/// Cadence (Hz) of the orientation reports a viewer's predictor observes,
+/// both in a streaming session and in offline accuracy evaluation.
+inline constexpr double kOrientationFeedHz = 30.0;
+
 /// \brief Online head-orientation predictor.
 ///
 /// The streaming server feeds every client orientation report through

@@ -7,6 +7,20 @@
 
 namespace vc {
 
+namespace {
+
+/// Seed placing the regions of interest (the content-driven part of the
+/// model, shared by every viewer).
+constexpr uint64_t kContentSeed = 1234;
+/// Regions of interest saccades aim at.
+constexpr int kRoiCount = 3;
+/// OU mean-reversion rate of the yaw and pitch velocities (1/s).
+constexpr double kVelocityDamping = 2.0;
+/// Pull of pitch toward the equator (1/s).
+constexpr double kPitchReversion = 0.8;
+
+}  // namespace
+
 Status TraceSynthOptions::Validate() const {
   if (duration_seconds <= 0 || duration_seconds > 86400) {
     return Status::InvalidArgument("trace duration out of range");
@@ -14,9 +28,8 @@ Status TraceSynthOptions::Validate() const {
   if (sample_rate_hz <= 0 || sample_rate_hz > 1000) {
     return Status::InvalidArgument("trace sample rate out of range");
   }
-  if (yaw_volatility < 0 || pitch_volatility < 0 || velocity_damping < 0 ||
-      pitch_reversion < 0 || saccade_rate_hz < 0 || saccade_speed < 0 ||
-      roi_count < 0) {
+  if (yaw_volatility < 0 || pitch_volatility < 0 || saccade_rate_hz < 0 ||
+      saccade_speed < 0) {
     return Status::InvalidArgument("trace model parameters must be >= 0");
   }
   return Status::OK();
@@ -27,11 +40,10 @@ Result<HeadTrace> SynthesizeTrace(const TraceSynthOptions& options) {
   Random rng(options.seed);
 
   // Fixed regions of interest distributed on the equator band. Placed from
-  // the content seed: every viewer of the same video sees the same ROIs.
-  Random roi_rng(options.content_seed);
+  // the content seed: every viewer sees the same ROIs.
+  Random roi_rng(kContentSeed);
   std::vector<Orientation> rois;
-  int roi_count = static_cast<int>(options.roi_count);
-  for (int i = 0; i < roi_count; ++i) {
+  for (int i = 0; i < kRoiCount; ++i) {
     rois.push_back(Orientation{roi_rng.UniformDouble(0, kTwoPi),
                                kPi / 2 + roi_rng.UniformDouble(-0.4, 0.4)});
   }
@@ -57,10 +69,7 @@ Result<HeadTrace> SynthesizeTrace(const TraceSynthOptions& options) {
     if (saccade_left <= 0.0 &&
         rng.Bernoulli(options.saccade_rate_hz * dt)) {
       saccade_left = rng.UniformDouble(0.15, 0.5);
-      saccade_target = rois.empty()
-                           ? Orientation{rng.UniformDouble(0, kTwoPi),
-                                         rng.UniformDouble(0.6, kPi - 0.6)}
-                           : rois[rng.Uniform(rois.size())];
+      saccade_target = rois[rng.Uniform(rois.size())];
     }
 
     if (saccade_left > 0.0) {
@@ -83,12 +92,12 @@ Result<HeadTrace> SynthesizeTrace(const TraceSynthOptions& options) {
 
     // Smooth pursuit: OU velocities.
     double sqrt_dt = std::sqrt(dt);
-    vyaw += -options.velocity_damping * vyaw * dt +
+    vyaw += -kVelocityDamping * vyaw * dt +
             options.yaw_volatility * sqrt_dt * rng.NextGaussian();
-    vpitch += -options.velocity_damping * vpitch * dt +
+    vpitch += -kVelocityDamping * vpitch * dt +
               options.pitch_volatility * sqrt_dt * rng.NextGaussian();
     // Equator reversion on pitch.
-    vpitch += options.pitch_reversion * (kPi / 2 - pitch) * dt;
+    vpitch += kPitchReversion * (kPi / 2 - pitch) * dt;
     yaw = WrapYaw(yaw + vyaw * dt);
     pitch = ClampPitch(pitch + vpitch * dt);
   }

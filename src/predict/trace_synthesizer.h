@@ -18,24 +18,19 @@ namespace vc {
 /// *saccades*, rapid reorientations toward a region of interest that defeat
 /// extrapolation. Pitch additionally reverts toward the equator (viewers
 /// rarely stare at the poles for long).
+///
+/// Saccades aim at three fixed regions of interest whose positions depend
+/// on the content, not the viewer: every synthesized trace shares them, and
+/// that correlation is what cross-user popularity prediction exploits.
 struct TraceSynthOptions {
   double duration_seconds = 90.0;
   double sample_rate_hz = 30.0;
   uint64_t seed = 1;  ///< Per-viewer randomness (pursuit noise, saccades).
-  /// Seed for the *content-driven* part of the model: the positions of the
-  /// regions of interest saccades aim at. Viewers of the same video share
-  /// ROIs (attention is drawn by the content, not the viewer), so give all
-  /// traces of one video the same content_seed — that correlation is what
-  /// cross-user popularity prediction exploits.
-  uint64_t content_seed = 1234;
 
   double yaw_volatility = 0.8;     ///< OU noise σ for yaw velocity (rad/s/√s).
   double pitch_volatility = 0.3;   ///< OU noise σ for pitch velocity.
-  double velocity_damping = 2.0;   ///< OU mean-reversion rate for velocity.
-  double pitch_reversion = 0.8;    ///< Pull of pitch toward the equator (1/s).
   double saccade_rate_hz = 0.15;   ///< Poisson rate of saccades.
   double saccade_speed = 3.5;      ///< Peak angular speed during a saccade.
-  double roi_count = 3;            ///< Fixed ROIs saccades aim at.
 
   Status Validate() const;
 };

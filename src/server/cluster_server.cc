@@ -201,10 +201,8 @@ Result<ClusterStats> ClusterServer::RunInternal(
     node.stats.node_id = n;
     if (node_options.prefetch != PrefetchMode::kOff &&
         node.source->io_pool() != nullptr) {
-      PrefetcherOptions prefetch_options;
-      prefetch_options.mode = node_options.prefetch;
       node.prefetcher = std::make_unique<PredictivePrefetcher>(
-          node.source, prefetch_options);
+          node.source, node_options.prefetch);
     }
   }
 
@@ -288,7 +286,6 @@ Result<ClusterStats> ClusterServer::RunInternal(
     NodeState& node = nodes[node_id];
     int video = viewers[viewer].video;
     SessionOptions session_options = viewers[viewer].session;
-    session_options.fetch_cells = true;
     // A viewer's own cell source (e.g. an instrumenting decorator) wins.
     if (session_options.cell_source == nullptr) {
       session_options.cell_source = node.source;

@@ -8,9 +8,6 @@
 namespace vc {
 
 Status LiveFeedOptions::Validate() const {
-  if (start_seconds < 0) {
-    return Status::InvalidArgument("LiveFeedOptions.start_seconds must be >= 0");
-  }
   if (encode_seconds < 0) {
     return Status::InvalidArgument(
         "LiveFeedOptions.encode_seconds must be >= 0");
@@ -57,7 +54,7 @@ LiveFeed::LiveFeed(VisualCloud* db, std::string name,
   double prev_publish = 0.0;
   for (int s = 0; s < total_segments_; ++s) {
     int end_frame = std::min(frame_count_, (s + 1) * frames_per_segment_);
-    double arrival = options.start_seconds + end_frame / fps;
+    double arrival = end_frame / fps;
     double encode_start = (s == 0) ? arrival : std::max(arrival, prev_publish);
     auto override_it = options.encode_overrides.find(s);
     bool overridden = override_it != options.encode_overrides.end();

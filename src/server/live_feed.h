@@ -16,14 +16,12 @@ namespace vc {
 /// Timing model of a simulated live capture + encode pipeline.
 ///
 /// All values are simulated seconds on the same wall clock the server's
-/// event scheduler uses. The publish schedule is a pure function of these
-/// options (plus the segment layout), computed up front, so every run of
-/// the same feed publishes at identical instants regardless of host speed,
-/// node count, or prefetch settings — the encoding work itself happens at
-/// those instants but costs only host time.
+/// event scheduler uses; capture starts at t = 0. The publish schedule is a
+/// pure function of these options (plus the segment layout), computed up
+/// front, so every run of the same feed publishes at identical instants
+/// regardless of host speed, node count, or prefetch settings — the
+/// encoding work itself happens at those instants but costs only host time.
 struct LiveFeedOptions {
-  /// Wall-clock time capture starts (frame 0 begins at this instant).
-  double start_seconds = 0.0;
   /// Simulated encode latency of one segment (full ladder).
   double encode_seconds = 0.2;
   /// Simulated encode latency under the degraded (fast) preset the ingest

@@ -54,7 +54,7 @@ struct ServerOptions {
   /// degrades to kOff. Prefetching never changes a run's simulated
   /// outcome — served bytes, QoE, admission, and fault accounting are
   /// byte-identical with it on or off — only host wall time and cache
-  /// statistics move. The prefetcher runs with PrefetcherOptions' defaults.
+  /// statistics move.
   PrefetchMode prefetch = PrefetchMode::kOff;
 
   Status Validate() const;

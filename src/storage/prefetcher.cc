@@ -9,6 +9,18 @@ namespace vc {
 
 namespace {
 
+/// Pending (not yet dispatched) requests kept before eviction starts.
+constexpr size_t kMaxQueue = 512;
+/// Simulated seconds a hinted cell stays suppressed after it was accepted.
+constexpr double kDedupeTtlSeconds = 2.0;
+
+/// Speculative loads allowed in flight at once: bounds how much of the I/O
+/// pool speculation can occupy.
+int MaxInflight(const CellSource* storage) {
+  ThreadPool* pool = storage->io_pool();
+  return pool != nullptr ? 2 * static_cast<int>(pool->num_threads()) : 4;
+}
+
 Counter* CancelledCounter() {
   static Counter* counter =
       MetricRegistry::Global().GetCounter("prefetch.cancelled");
@@ -40,21 +52,14 @@ const char* PrefetchModeName(PrefetchMode mode) {
 }
 
 PredictivePrefetcher::PredictivePrefetcher(CellSource* storage,
-                                           const PrefetcherOptions& options)
-    : storage_(storage), options_(options) {
-  max_inflight_ = options.max_inflight;
-  if (max_inflight_ <= 0) {
-    ThreadPool* pool = storage->io_pool();
-    max_inflight_ =
-        pool != nullptr ? 2 * static_cast<int>(pool->num_threads()) : 4;
-  }
-}
+                                           PrefetchMode mode)
+    : storage_(storage), mode_(mode), max_inflight_(MaxInflight(storage)) {}
 
 void PredictivePrefetcher::EnqueueSegment(const VideoMetadata& metadata,
                                           const PrefetchHint& hint,
                                           const PopularityModel* popularity,
                                           double deadline) {
-  if (options_.mode == PrefetchMode::kOff || !hint.valid) return;
+  if (mode_ == PrefetchMode::kOff || !hint.valid) return;
   if (hint.segment < 0 || hint.segment >= metadata.segment_count()) return;
 
   const TileGrid grid = metadata.tile_grid();
@@ -83,7 +88,7 @@ void PredictivePrefetcher::EnqueueSegment(const VideoMetadata& metadata,
 
   // Cross-user popularity: tiles covering most of the historical gaze mass
   // are planned at high quality too (see PlanSegment), so warm them.
-  if (options_.mode == PrefetchMode::kPopularity && popularity != nullptr &&
+  if (mode_ == PrefetchMode::kPopularity && popularity != nullptr &&
       popularity->grid() == grid) {
     for (const TileId& tile :
          popularity->PopularTiles(hint.segment, hint.popularity_coverage)) {
@@ -116,27 +121,23 @@ void PredictivePrefetcher::Add(const VideoMetadata& metadata, CellKey cell,
     return;
   }
   PackedCellKey key = cell.Packed(metadata);
-  if (options_.dedupe_ttl_seconds > 0) {
-    auto it = recent_.find(key);
-    if (it != recent_.end() && it->second > now_) {
-      ++stats_.deduped;
-      DedupedCounter()->Add();
-      return;
-    }
+  auto recent = recent_.find(key);
+  if (recent != recent_.end() && recent->second > now_) {
+    ++stats_.deduped;
+    DedupedCounter()->Add();
+    return;
   }
   if (!pending_.insert(key).second) return;  // already queued or in flight
-  if (options_.dedupe_ttl_seconds > 0) {
-    recent_[key] = now_ + options_.dedupe_ttl_seconds;
-    // Lazy purge: once the memory far outgrows the queue bound, sweep
-    // expired entries in one pass (deterministic — depends only on `now_`).
-    if (recent_.size() > static_cast<size_t>(options_.max_queue) * 4 + 4096) {
-      for (auto it = recent_.begin(); it != recent_.end();) {
-        it = it->second <= now_ ? recent_.erase(it) : std::next(it);
-      }
+  recent_[key] = now_ + kDedupeTtlSeconds;
+  // Lazy purge: once the memory far outgrows the queue bound, sweep
+  // expired entries in one pass (deterministic — depends only on `now_`).
+  if (recent_.size() > kMaxQueue * 4 + 4096) {
+    for (auto it = recent_.begin(); it != recent_.end();) {
+      it = it->second <= now_ ? recent_.erase(it) : std::next(it);
     }
   }
 
-  if (static_cast<int>(queue_.size()) >= options_.max_queue) {
+  if (queue_.size() >= kMaxQueue) {
     // Popularity-ordered eviction: the lowest-scored pending request makes
     // room, unless the newcomer scores even lower.
     auto victim = std::min_element(

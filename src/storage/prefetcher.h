@@ -44,25 +44,6 @@ struct PrefetchHint {
   double popularity_coverage = 0.8;
 };
 
-/// Tuning of the speculative pipeline.
-struct PrefetcherOptions {
-  PrefetchMode mode = PrefetchMode::kPredict;
-  /// Pending (not yet dispatched) requests kept; when full, the
-  /// lowest-scored request is evicted — popularity-ordered eviction.
-  int max_queue = 512;
-  /// Speculative loads allowed in flight on the I/O pool at once; bounds
-  /// how much of the pool speculation can occupy. 0 derives 2× the pool's
-  /// worker count.
-  int max_inflight = 0;
-  /// Churn control: a cell hinted again within this many simulated seconds
-  /// of a previous accepted hint is suppressed (`deduped`), even after the
-  /// first request left the queue. Sessions pacing the same segment re-hint
-  /// the same cells every deadline; without a memory the queue refills with
-  /// work that the next Pump cancels again. 0 disables. Never affects
-  /// served bytes or outcomes — only which speculative loads are attempted.
-  double dedupe_ttl_seconds = 2.0;
-};
-
 /// Accounting of one prefetcher instance (cache-level issued/hit/wasted
 /// counts live in CacheStats; these cover the request queue itself).
 struct PrefetcherStats {
@@ -71,7 +52,12 @@ struct PrefetcherStats {
   /// Requests dropped before dispatch: stale (their playback deadline
   /// passed) or evicted by a fuller queue.
   uint64_t cancelled = 0;
-  /// Hints suppressed by the dedupe TTL (the cell was accepted recently).
+  /// Hints suppressed by the dedupe TTL: the cell was accepted within the
+  /// last 2 simulated seconds, even if that request has since left the
+  /// queue. Sessions pacing the same segment re-hint the same cells every
+  /// deadline; without a memory the queue refills with work that the next
+  /// Pump cancels again. Never affects served bytes or outcomes — only
+  /// which speculative loads are attempted.
   uint64_t deduped = 0;
   /// Hints refused at enqueue because their deadline had already passed —
   /// the next Pump would cancel them before any dispatch, so queueing them
@@ -93,9 +79,11 @@ struct PrefetcherStats {
 /// shared cross-user popularity model) names the (segment, tile, quality)
 /// cells the session is likely to request, and the prefetcher loads them
 /// through the shared LRU cache on the I/O pool's low-priority lane. Demand
-/// loads are never delayed: speculation is bounded (queue and in-flight
-/// caps), runs strictly below demand priority, and coalesces with demand
-/// reads through the cache's single-flight machinery.
+/// loads are never delayed: speculation is bounded, runs strictly below
+/// demand priority, and coalesces with demand reads through the cache's
+/// single-flight machinery. At most 512 requests wait in the queue (when
+/// full, the lowest-scored one is evicted — popularity-ordered eviction),
+/// and at most 2× the I/O pool's workers (4 without a pool) are in flight.
 ///
 /// Threading: EnqueueSegment/Pump/Drain must be called from one thread (the
 /// server's scheduler thread). The loads themselves run on the storage
@@ -113,7 +101,7 @@ class PredictivePrefetcher {
   /// (without one, dispatched loads run synchronously inside Pump, which
   /// still works but hides nothing). Any CellSource works: a plain
   /// StorageManager or one node of a sharded store.
-  PredictivePrefetcher(CellSource* storage, const PrefetcherOptions& options);
+  PredictivePrefetcher(CellSource* storage, PrefetchMode mode);
 
   /// Plans speculative loads for `hint.segment` of `metadata`, due at
   /// simulated time `deadline` (the session's pacing deadline — requests
@@ -133,7 +121,6 @@ class PredictivePrefetcher {
   void Drain();
 
   const PrefetcherStats& stats() const { return stats_; }
-  const PrefetcherOptions& options() const { return options_; }
 
  private:
   struct Request {
@@ -150,8 +137,8 @@ class PredictivePrefetcher {
   void DispatchPending();
 
   CellSource* storage_;
-  PrefetcherOptions options_;
-  int max_inflight_;
+  const PrefetchMode mode_;
+  const int max_inflight_;
   uint64_t seq_ = 0;
   /// Latest simulated time seen by Pump; the stale skip and dedupe TTL are
   /// measured on this clock.

@@ -5,6 +5,14 @@
 
 namespace vc {
 
+namespace {
+
+/// Ring points per shard: enough that each shard's arc share stays near
+/// 1/shard_count and a grow remaps close to the ideal 1/(N+1).
+constexpr int kVnodesPerShard = 64;
+
+}  // namespace
+
 uint64_t ShardMap::Mix(uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ull;
@@ -26,13 +34,12 @@ uint64_t ShardMap::Hash(const std::string& key) {
   return Mix(h);
 }
 
-ShardMap::ShardMap(int shard_count, int vnodes_per_shard)
+ShardMap::ShardMap(int shard_count)
     : shard_count_(shard_count < 1 ? 1 : shard_count) {
-  if (vnodes_per_shard < 1) vnodes_per_shard = 1;
-  ring_.reserve(static_cast<size_t>(shard_count_) * vnodes_per_shard);
+  ring_.reserve(static_cast<size_t>(shard_count_) * kVnodesPerShard);
   char point[32];
   for (int shard = 0; shard < shard_count_; ++shard) {
-    for (int vnode = 0; vnode < vnodes_per_shard; ++vnode) {
+    for (int vnode = 0; vnode < kVnodesPerShard; ++vnode) {
       std::snprintf(point, sizeof(point), "%d#%d", shard, vnode);
       ring_.emplace_back(Hash(point), shard);
     }

@@ -10,17 +10,17 @@ namespace vc {
 
 /// \brief Consistent-hash placement of cell keys onto storage shards.
 ///
-/// Each shard owns `vnodes_per_shard` points on a 64-bit hash ring; a key
+/// Each shard owns 64 virtual-node points on a 64-bit hash ring; a key
 /// belongs to the shard owning the first point at or after the key's hash
 /// (wrapping). Growing from N to N+1 shards therefore remaps only the keys
 /// whose ring arc the new shard's points capture — about 1/(N+1) of them —
 /// instead of rehashing everything, so a scale-out mostly preserves warm L2
-/// contents. The mapping is a pure function of (shard_count,
-/// vnodes_per_shard, key): every node of a cluster computes the same owner
-/// with no coordination, and reruns are byte-for-byte reproducible.
+/// contents. The mapping is a pure function of (shard_count, key): every
+/// node of a cluster computes the same owner with no coordination, and
+/// reruns are byte-for-byte reproducible.
 class ShardMap {
  public:
-  explicit ShardMap(int shard_count, int vnodes_per_shard = 64);
+  explicit ShardMap(int shard_count);
 
   /// The shard owning `key`, in [0, shard_count).
   int ShardFor(const std::string& key) const;

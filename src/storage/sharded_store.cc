@@ -12,10 +12,6 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
   if (options.shards < 1) {
     return Status::InvalidArgument("ShardedStoreOptions.shards must be >= 1");
   }
-  if (options.vnodes_per_shard < 1) {
-    return Status::InvalidArgument(
-        "ShardedStoreOptions.vnodes_per_shard must be >= 1");
-  }
   std::vector<std::unique_ptr<StorageManager>> shards;
   shards.reserve(options.shards);
   for (int i = 0; i < options.shards; ++i) {
@@ -34,7 +30,7 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
 ShardedStore::ShardedStore(const ShardedStoreOptions& options,
                            std::vector<std::unique_ptr<StorageManager>> shards)
     : options_(options),
-      shard_map_(options.shards, options.vnodes_per_shard),
+      shard_map_(options.shards),
       l2_(options.l2_capacity_bytes),
       shards_(std::move(shards)) {}
 

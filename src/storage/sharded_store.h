@@ -19,7 +19,6 @@ struct ShardedStoreOptions {
   /// own cache is forcibly disabled — caching happens in the tiers.
   StorageOptions backend;
   int shards = 1;
-  int vnodes_per_shard = 64;
   /// Cluster-shared L2 cache over all backends.
   size_t l2_capacity_bytes = 256ull << 20;
 };

@@ -17,6 +17,8 @@ constexpr char kMetadataPrefix[] = "metadata.v";
 constexpr char kMetadataSuffix[] = ".vcmf";
 
 /// Parses "metadata.v<N>.vcmf" into N; returns 0 for non-matching names.
+/// N must be canonical decimal (no sign, no leading zero) in [1, 2^32 - 1]:
+/// exactly the names MetadataPath writes, so a listed version always opens.
 uint32_t VersionFromMetadataName(const std::string& filename) {
   const size_t prefix_len = sizeof(kMetadataPrefix) - 1;
   const size_t suffix_len = sizeof(kMetadataSuffix) - 1;
@@ -26,12 +28,14 @@ uint32_t VersionFromMetadataName(const std::string& filename) {
                        kMetadataSuffix) != 0) {
     return 0;
   }
-  uint32_t version = 0;
+  if (filename[prefix_len] == '0') return 0;
+  uint64_t version = 0;
   for (size_t i = prefix_len; i < filename.size() - suffix_len; ++i) {
     if (filename[i] < '0' || filename[i] > '9') return 0;
-    version = version * 10 + (filename[i] - '0');
+    version = version * 10 + static_cast<uint64_t>(filename[i] - '0');
+    if (version > 0xffffffffull) return 0;
   }
-  return version;
+  return static_cast<uint32_t>(version);
 }
 
 }  // namespace
@@ -95,10 +99,15 @@ StorageManager::NewVideoWriter(VideoMetadata metadata) {
   VC_RETURN_IF_ERROR(probe.Validate());
 
   std::lock_guard<std::mutex> lock(writer_mu_);
+  // Only a video that is not there starts at version 1: any other listing
+  // failure must not be mistaken for "no versions", or the write would
+  // overwrite committed version 1 in place.
   uint32_t next_version = 1;
   auto versions = ListVersions(metadata.name);
-  if (versions.ok() && !versions->empty()) {
-    next_version = versions->back() + 1;
+  if (versions.ok()) {
+    if (!versions->empty()) next_version = versions->back() + 1;
+  } else if (!versions.status().IsNotFound()) {
+    return versions.status();
   }
   metadata.version = next_version;
   metadata.data_dir = "v" + std::to_string(next_version);
@@ -173,34 +182,17 @@ Result<uint32_t> StorageManager::VideoWriter::CommitCheckpoint() {
   return published;
 }
 
-Result<uint32_t> StorageManager::StoreVideo(
-    VideoMetadata metadata, const std::vector<std::vector<uint8_t>>& cells) {
-  std::vector<SegmentInfo> segments = std::move(metadata.segments);
-  metadata.segments.clear();
-  metadata.cells.clear();
-  size_t per_segment =
-      static_cast<size_t>(metadata.tile_count()) * metadata.quality_count();
-  if (cells.size() != per_segment * segments.size()) {
-    return Status::InvalidArgument("cell payload count mismatch");
-  }
-  std::unique_ptr<VideoWriter> writer;
-  VC_ASSIGN_OR_RETURN(writer, NewVideoWriter(std::move(metadata)));
-  for (size_t s = 0; s < segments.size(); ++s) {
-    std::vector<std::vector<uint8_t>> segment_cells(
-        cells.begin() + s * per_segment, cells.begin() + (s + 1) * per_segment);
-    VC_RETURN_IF_ERROR(writer->AddSegment(segments[s].frame_count,
-                                          segment_cells));
-  }
-  return writer->Commit();
-}
-
 Result<std::vector<std::string>> StorageManager::ListVideos() const {
   std::vector<std::string> names;
   VC_ASSIGN_OR_RETURN(names, options_.env->ListDir(options_.root));
   std::vector<std::string> videos;
   for (const std::string& name : names) {
     auto versions = ListVersions(name);
-    if (versions.ok() && !versions->empty()) videos.push_back(name);
+    if (versions.ok()) {
+      if (!versions->empty()) videos.push_back(name);
+    } else if (!versions.status().IsNotFound()) {
+      return versions.status();
+    }
   }
   std::sort(videos.begin(), videos.end());
   return videos;
@@ -210,6 +202,7 @@ Result<std::vector<uint32_t>> StorageManager::ListVersions(
     const std::string& name) const {
   auto entries = options_.env->ListDir(VideoDir(name));
   if (!entries.ok()) {
+    if (!entries.status().IsNotFound()) return entries.status();
     return Status::NotFound("video '" + name + "' not in catalog");
   }
   std::vector<uint32_t> versions;

@@ -86,11 +86,6 @@ class StorageManager : public CellSource {
   /// and `metadata.cells` must be empty; layout fields must validate.
   Result<std::unique_ptr<VideoWriter>> NewVideoWriter(VideoMetadata metadata);
 
-  /// One-shot store: metadata with segments filled in, plus all cell
-  /// payloads in metadata cell order. Returns the assigned version.
-  Result<uint32_t> StoreVideo(VideoMetadata metadata,
-                              const std::vector<std::vector<uint8_t>>& cells);
-
   /// Video names present in the catalog (sorted).
   Result<std::vector<std::string>> ListVideos() const;
 

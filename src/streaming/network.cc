@@ -3,11 +3,19 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/math_util.h"
 #include "common/random.h"
 #include "obs/metrics.h"
 
 namespace vc {
+
+namespace {
+
+/// Fault episodes are generated over [0, this) seconds of simulated time.
+constexpr double kFaultHorizonSeconds = 600.0;
+/// Bandwidth multiplier in effect for a transfer issued under a collapse.
+constexpr double kCollapseFactor = 0.1;
+
+}  // namespace
 
 Status FaultInjectionOptions::Validate() const {
   if (episodes_per_minute < 0 || episodes_per_minute > 600) {
@@ -16,12 +24,6 @@ Status FaultInjectionOptions::Validate() const {
   if (!enabled()) return Status::OK();
   if (episode_seconds <= 0 || episode_seconds > 60) {
     return Status::InvalidArgument("fault episode length out of (0, 60s]");
-  }
-  if (horizon_seconds <= 0 || horizon_seconds > 86400) {
-    return Status::InvalidArgument("fault horizon out of (0, 1 day]");
-  }
-  if (collapse_factor <= 0 || collapse_factor > 1.0) {
-    return Status::InvalidArgument("collapse factor out of (0, 1]");
   }
   if (timeout_seconds <= 0 || timeout_seconds > 60) {
     return Status::InvalidArgument("fault timeout out of (0, 60s]");
@@ -35,9 +37,6 @@ Status NetworkOptions::Validate() const {
   }
   if (latency_seconds < 0 || latency_seconds > 10) {
     return Status::InvalidArgument("latency out of range [0, 10s]");
-  }
-  if (jitter < 0 || jitter > 0.9) {
-    return Status::InvalidArgument("jitter out of range [0, 0.9]");
   }
   double last_t = -1;
   for (const auto& [t, bps] : bandwidth_trace) {
@@ -64,7 +63,7 @@ std::vector<FaultEpisode> GenerateEpisodes(const FaultInjectionOptions& f) {
     // Exponential inter-arrival; guard the log argument away from 0.
     double u = std::max(1e-12, 1.0 - rng.NextDouble());
     t += -mean_gap * std::log(u);
-    if (t >= f.horizon_seconds) break;
+    if (t >= kFaultHorizonSeconds) break;
     FaultEpisode episode;
     episode.start = t;
     episode.duration = f.episode_seconds * rng.UniformDouble(0.5, 1.5);
@@ -95,8 +94,7 @@ Result<NetworkSimulator> NetworkSimulator::Create(
 
 NetworkSimulator::NetworkSimulator(const NetworkOptions& options)
     : options_(options),
-      episodes_(GenerateEpisodes(options.faults)),
-      jitter_state_(options.seed) {}
+      episodes_(GenerateEpisodes(options.faults)) {}
 
 double NetworkSimulator::BandwidthAt(double t) const {
   double bps = options_.bandwidth_bps;
@@ -160,15 +158,9 @@ TransferResult NetworkSimulator::Transfer(double start, uint64_t bytes) {
   double remaining_bits = static_cast<double>(bytes) * 8.0;
 
   double rate_factor = 1.0;
-  if (options_.jitter > 0) {
-    Random rng(jitter_state_);
-    jitter_state_ = rng.Next();
-    rate_factor =
-        Clamp(1.0 + options_.jitter * rng.NextGaussian(), 0.1, 2.0);
-  }
   if (episode != nullptr && episode->kind == FaultKind::kCollapse) {
     fault_collapses->Add();
-    rate_factor *= options_.faults.collapse_factor;
+    rate_factor = kCollapseFactor;
   }
 
   // Integrate across stepwise bandwidth changes: walk each remaining trace

@@ -28,7 +28,7 @@ struct FaultEpisode {
 /// \brief Seeded fault-injection model for the network path.
 ///
 /// Episodes (drop / stall / bandwidth-collapse) are pre-generated from the
-/// seed over `[0, horizon_seconds)` with exponentially distributed gaps, so
+/// seed over the first 600 s with exponentially distributed gaps, so
 /// a given seed always produces the same fault schedule — degraded runs are
 /// as reproducible as clean ones. A request is classified by its issue
 /// time; episodes starting mid-transfer are ignored (the transfer was
@@ -36,8 +36,6 @@ struct FaultEpisode {
 struct FaultInjectionOptions {
   double episodes_per_minute = 0.0;  ///< Mean episode rate; 0 disables.
   double episode_seconds = 1.0;      ///< Mean episode duration.
-  double horizon_seconds = 600.0;    ///< Episodes generated over [0, this).
-  double collapse_factor = 0.1;      ///< Bandwidth multiplier under collapse.
   double timeout_seconds = 2.0;      ///< Dropped requests fail after this.
   uint64_t seed = 41;                ///< Episode-schedule RNG seed.
 
@@ -48,14 +46,15 @@ struct FaultInjectionOptions {
 /// \brief Parameters of the simulated client↔server network path.
 ///
 /// Replaces the HTTP/DASH path of the live demonstration with a
-/// deterministic model: a (possibly time-varying) bandwidth, a fixed
-/// per-request latency, and optional multiplicative jitter. Determinism
-/// makes every bandwidth number in EXPERIMENTS.md exactly reproducible.
+/// deterministic model: a (possibly time-varying) bandwidth and a fixed
+/// per-request latency. Determinism makes every bandwidth number in
+/// EXPERIMENTS.md exactly reproducible.
 struct NetworkOptions {
   double bandwidth_bps = 8e6;      ///< Steady-state bandwidth (bits/second).
   double latency_seconds = 0.030;  ///< Per-request one-way latency.
-  double jitter = 0.0;             ///< Stddev of per-transfer rate factor.
-  uint64_t seed = 7;               ///< Jitter RNG seed.
+  /// Names the path for callers that derive per-viewer seeds (for example
+  /// `faults.seed`) from it; the simulator itself draws nothing from it.
+  uint64_t seed = 7;
   /// Optional stepwise bandwidth trace: (start_time, bps) pairs sorted by
   /// time; overrides `bandwidth_bps` from each start time onward.
   std::vector<std::pair<double, double>> bandwidth_trace;
@@ -93,7 +92,7 @@ class NetworkSimulator {
   /// transfer statistics. A request issued inside a drop episode times out
   /// after `faults.timeout_seconds` with nothing delivered; a stall episode
   /// delays service until the episode ends; a collapse episode multiplies
-  /// the effective bandwidth by `faults.collapse_factor`.
+  /// the effective bandwidth by 0.1.
   TransferResult Transfer(double start, uint64_t bytes);
 
   /// Total bytes delivered so far (faulted requests deliver nothing).
@@ -113,7 +112,6 @@ class NetworkSimulator {
 
   NetworkOptions options_;
   std::vector<FaultEpisode> episodes_;
-  uint64_t jitter_state_;
   uint64_t total_bytes_ = 0;
   uint64_t request_count_ = 0;
   uint64_t fault_count_ = 0;

@@ -47,7 +47,10 @@ Result<ViewDefinition> ViewCatalog::Load(const std::string& name) const {
 Result<std::vector<std::string>> ViewCatalog::List() const {
   std::vector<std::string> names;
   Result<std::vector<std::string>> entries = env_->ListDir(dir_);
-  if (!entries.ok()) return names;  // no directory yet: empty catalog
+  if (!entries.ok()) {
+    if (entries.status().IsNotFound()) return names;  // no directory yet
+    return entries.status();
+  }
   for (const std::string& entry : *entries) {
     const size_t suffix_len = sizeof(kSuffix) - 1;
     if (entry.size() <= suffix_len ||

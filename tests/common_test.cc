@@ -664,6 +664,22 @@ TEST(PosixEnvTest, RoundTripInTempDir) {
   ASSERT_TRUE(env->RemoveDirRecursive(dir).ok());
 }
 
+TEST(PosixEnvTest, ListDirOfMissingDirectoryIsNotFound) {
+  // A missing directory must be told apart from a failed listing: the
+  // catalog assigns version 1 only when a video's directory is not there.
+  Env* env = Env::Default();
+  std::string dir = ::testing::TempDir() + "/vc_env_list_test";
+  ASSERT_TRUE(env->CreateDirs(dir).ok());
+  auto missing = env->ListDir(dir + "/absent");
+  EXPECT_TRUE(missing.status().IsNotFound()) << missing.status().ToString();
+  ASSERT_TRUE(env->WriteFile(dir + "/file", Slice("x", 1)).ok());
+  EXPECT_TRUE(env->ListDir(dir + "/file").status().IsNotFound());
+  auto present = env->ListDir(dir);
+  ASSERT_TRUE(present.ok()) << present.status().ToString();
+  EXPECT_EQ(*present, std::vector<std::string>{"file"});
+  ASSERT_TRUE(env->RemoveDirRecursive(dir).ok());
+}
+
 // ------------------------------------------------------------ ThreadPool
 
 TEST(ThreadPoolTest, RunsAllTasks) {

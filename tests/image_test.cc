@@ -3,7 +3,6 @@
 #include "image/frame.h"
 #include "image/metrics.h"
 #include "image/scene.h"
-#include "image/stereo.h"
 
 namespace vc {
 namespace {
@@ -220,56 +219,6 @@ TEST(SceneTest, MotionProfilesAreOrdered) {
   double timelapse = motion("timelapse");
   double coaster = motion("coaster");
   EXPECT_LT(timelapse, coaster);
-}
-
-// ----------------------------------------------------------------- Stereo
-
-TEST(StereoTest, PackedDimensionsAndNaming) {
-  SceneOptions options;
-  options.width = 128;
-  options.height = 64;
-  auto stereo = NewStereoScene(NewVeniceScene(options));
-  EXPECT_EQ(stereo->width(), 128);
-  EXPECT_EQ(stereo->height(), 128);  // 2x mono height
-  EXPECT_EQ(stereo->name(), "venice-stereo");
-  Frame packed = stereo->FrameAt(3);
-  EXPECT_EQ(packed.height(), 128);
-}
-
-TEST(StereoTest, EyesAreShiftedCopiesOfMono) {
-  SceneOptions options;
-  options.width = 128;
-  options.height = 64;
-  auto mono = NewVeniceScene(options);
-  auto stereo = NewStereoScene(NewVeniceScene(options), /*offset=*/0.2);
-  Frame packed = stereo->FrameAt(5);
-  auto left = ExtractEyeView(packed, Eye::kLeft);
-  auto right = ExtractEyeView(packed, Eye::kRight);
-  ASSERT_TRUE(left.ok());
-  ASSERT_TRUE(right.ok());
-  EXPECT_EQ(left->width(), 128);
-  EXPECT_EQ(left->height(), 64);
-  // Eyes differ from each other (parallax)…
-  auto eye_mse = LumaMse(*left, *right);
-  ASSERT_TRUE(eye_mse.ok());
-  EXPECT_GT(*eye_mse, 0.0);
-  // …but each eye is a pure column roll of the mono frame: rolling left by
-  // the known shift recovers the mono frame exactly at some columns. Check
-  // content statistics instead: same mean luma.
-  Frame mono_frame = mono->FrameAt(5);
-  auto mean = [](const Frame& f) {
-    double sum = 0;
-    for (uint8_t v : f.y_plane()) sum += v;
-    return sum / f.y_plane().size();
-  };
-  EXPECT_NEAR(mean(*left), mean(mono_frame), 0.5);
-  EXPECT_NEAR(mean(*right), mean(mono_frame), 0.5);
-}
-
-TEST(StereoTest, ExtractEyeValidation) {
-  Frame bad(16, 10);  // height not multiple of 4
-  EXPECT_FALSE(ExtractEyeView(bad, Eye::kLeft).ok());
-  EXPECT_FALSE(ExtractEyeView(Frame(), Eye::kLeft).ok());
 }
 
 TEST(SceneTest, RenderSceneProducesCount) {

@@ -9,6 +9,7 @@
 #include "predict/popularity.h"
 #include "predict/predictor.h"
 #include "predict/trace_synthesizer.h"
+#include "test_digest.h"
 
 namespace vc {
 namespace {
@@ -193,6 +194,27 @@ TEST(TraceSynthesizerTest, ArchetypesOrderedByActivity) {
   double frantic = total_motion("frantic");
   EXPECT_LT(calm, frantic);
   EXPECT_FALSE(ArchetypeOptions("zen", 1).ok());
+}
+
+TEST(TraceSynthesizerTest, SynthesizedTraceDigestIsPinned) {
+  // Every sample of every archetype at a fixed seed: holds the model's
+  // fixed parameters (content seed, ROI count, velocity damping, pitch
+  // reversion) to their exact output.
+  Fnv1a digest;
+  for (const std::string& archetype : ViewerArchetypes()) {
+    auto options = ArchetypeOptions(archetype, 11);
+    ASSERT_TRUE(options.ok());
+    options->duration_seconds = 60;
+    auto trace = SynthesizeTrace(*options);
+    ASSERT_TRUE(trace.ok());
+    for (const TraceSample& sample : trace->samples()) {
+      digest.Add(sample.t);
+      digest.Add(sample.orientation.yaw);
+      digest.Add(sample.orientation.pitch);
+    }
+  }
+  EXPECT_EQ(digest.value(), 0x288aab0a80732d2aull)
+      << std::hex << digest.value();
 }
 
 // -------------------------------------------------------------- Predictors

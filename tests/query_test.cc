@@ -224,9 +224,14 @@ TEST_F(QueryTest, ExplainCostAlternativesGolden) {
   m.tile_rows = 2;
   m.tile_cols = 2;
   m.ladder = {{"only", 30}};
-  m.segments = {{0, 8}, {8, 8}};
-  auto stored = storage()->StoreVideo(
-      m, std::vector<std::vector<uint8_t>>(8, std::vector<uint8_t>(1000, 7)));
+  auto writer = storage()->NewVideoWriter(m);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  const std::vector<std::vector<uint8_t>> cells(4,
+                                                std::vector<uint8_t>(1000, 7));
+  for (int segment = 0; segment < 2; ++segment) {
+    ASSERT_TRUE((*writer)->AddSegment(8, cells).ok());
+  }
+  auto stored = (*writer)->Commit();
   ASSERT_TRUE(stored.ok()) << stored.status().ToString();
 
   const CostModel pinned;

@@ -16,6 +16,7 @@
 #include "server/streaming_server.h"
 #include "storage/sharded_store.h"
 #include "streaming/manifest.h"
+#include "test_digest.h"
 
 namespace vc {
 namespace {
@@ -114,6 +115,77 @@ void ExpectSameStats(const SessionStats& a, const SessionStats& b) {
   EXPECT_EQ(a.transfer_faults, b.transfer_faults);
   EXPECT_EQ(a.transfer_retries, b.transfer_retries);
   EXPECT_EQ(a.segments_skipped, b.segments_skipped);
+}
+
+// ------------------------------------------------------------ Serve digest
+
+TEST_F(ServerTest, ServeOutcomeDigestIsPinned) {
+  // Eight synthesized viewers on two faulted, bandwidth-limited network
+  // profiles. The digest of every simulated outcome holds the session's
+  // defaults (orientation feed cadence, budget derating, out-of-view rung)
+  // and the network model's (fault horizon, collapse factor) to their exact
+  // effect on served bytes and QoE.
+  VideoMetadata metadata = Metadata();
+  const double top_bps =
+      8.0 * PlanBytes(metadata, 0, TileQualityPlan(metadata.tile_count(), 0)) /
+      metadata.segment_duration_seconds();
+  const std::vector<std::string>& archetypes = ViewerArchetypes();
+  std::vector<ViewerRequest> viewers;
+  for (int i = 0; i < 8; ++i) {
+    auto synth = ArchetypeOptions(archetypes[i % archetypes.size()], 50 + i);
+    ASSERT_TRUE(synth.ok());
+    synth->duration_seconds = 4.0;
+    auto trace = SynthesizeTrace(*synth);
+    ASSERT_TRUE(trace.ok());
+    ViewerRequest viewer;
+    viewer.trace = *trace;
+    viewer.session = BaseSession();
+    NetworkOptions& network = viewer.session.network;
+    network.seed = 300 + i;
+    if (i % 2 == 0) {
+      network.bandwidth_bps = 0.6 * top_bps;
+      network.faults.episodes_per_minute = 20.0;
+      network.faults.episode_seconds = 0.8;
+      network.faults.timeout_seconds = 0.5;
+    } else {
+      network.bandwidth_bps = 0.9 * top_bps;
+      network.bandwidth_trace = {{1.5, 0.3 * top_bps}, {3.0, top_bps}};
+      network.faults.episodes_per_minute = 30.0;
+      network.faults.timeout_seconds = 1.0;
+    }
+    network.faults.seed = 900 + i;
+    viewer.arrival_seconds = 0.05 * i;
+    viewers.push_back(std::move(viewer));
+  }
+  StreamingServer server(db_->storage(), ServerOptions{});
+  auto stats = server.Run(metadata, viewers);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->sessions.size(), 8u);
+  EXPECT_GT(stats->transfer_faults, 0);
+  EXPECT_GT(stats->transfer_retries, 0);
+
+  Fnv1a digest;
+  digest.Add(stats->bytes_sent);
+  digest.Add(stats->stall_seconds);
+  digest.Add(stats->stall_events);
+  digest.Add(stats->transfer_faults);
+  digest.Add(stats->transfer_retries);
+  digest.Add(stats->segments_skipped);
+  for (const SessionStats& session : stats->sessions) {
+    digest.Add(session.approach);
+    digest.Add(session.bytes_sent);
+    digest.Add(session.segments);
+    digest.Add(session.startup_delay);
+    digest.Add(session.stall_seconds);
+    digest.Add(session.stall_events);
+    digest.Add(session.duration_seconds);
+    digest.Add(session.mean_inview_quality);
+    digest.Add(session.transfer_faults);
+    digest.Add(session.transfer_retries);
+    digest.Add(session.segments_skipped);
+  }
+  EXPECT_EQ(digest.value(), 0x714ce2b195b23410ull)
+      << std::hex << digest.value();
 }
 
 // ------------------------------------------------------- ClientSession API
@@ -303,6 +375,7 @@ TEST_F(ServerTest, FaultedServerRunCompletes) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->sessions_completed, 6);
   EXPECT_GT(stats->transfer_faults, 0);
+  EXPECT_GT(stats->transfer_retries, 0);
   EXPECT_GT(stats->transfer_retries, 0);
 }
 

@@ -22,6 +22,7 @@
 #include "storage/sharded_store.h"
 #include "storage/storage_manager.h"
 #include "storage/tiered_cache.h"
+#include "test_env.h"
 
 namespace vc {
 namespace {
@@ -552,6 +553,79 @@ TEST_F(StorageManagerTest, VersionsIncrease) {
   EXPECT_EQ(latest->version, 3u);
 }
 
+TEST(StorageCatalogTest, ListingErrorNeverReassignsVersionOne) {
+  // Regression: every ListDir failure used to read as "no versions", so an
+  // I/O error while listing an existing video made NewVideoWriter assign
+  // version 1 again and rewrite committed v1 cells and metadata in place.
+  std::unique_ptr<Env> mem = NewMemEnv();
+  FailingListEnv env(mem.get());
+  StorageOptions options;
+  options.env = &env;
+  options.root = "/store";
+  options.cache_capacity_bytes = 0;  // every read below hits the files
+  auto store = StorageManager::Open(options);
+  ASSERT_TRUE(store.ok());
+  VideoMetadata layout;
+  layout.name = "video";
+  layout.width = 64;
+  layout.height = 32;
+  layout.frames_per_segment = 4;
+  layout.tile_rows = 1;
+  layout.tile_cols = 2;
+  layout.ladder = {{"high", 14}, {"low", 40}};
+  auto first = (*store)->NewVideoWriter(layout);
+  ASSERT_TRUE(first.ok());
+  std::vector<std::vector<uint8_t>> cells;
+  for (int i = 0; i < 4; ++i) cells.emplace_back(50 + i, uint8_t(i));
+  ASSERT_TRUE((*first)->AddSegment(4, cells).ok());
+  ASSERT_TRUE((*first)->Commit().ok());
+  auto v1 = (*store)->GetVideoVersion("video", 1);
+  ASSERT_TRUE(v1.ok());
+
+  env.armed = true;
+  EXPECT_TRUE((*store)->ListVersions("video").status().IsIOError());
+  EXPECT_TRUE((*store)->ListVideos().status().IsIOError());
+  auto second = (*store)->NewVideoWriter(layout);
+  EXPECT_TRUE(second.status().IsIOError()) << second.status().ToString();
+  if (second.ok()) {
+    // The defect: the writer got version 1 and now overwrites it.
+    for (auto& cell : cells) cell.assign(cell.size() + 7, 0xee);
+    (void)(*second)->AddSegment(4, cells);
+    (void)(*second)->Commit();
+  }
+  env.armed = false;
+
+  auto reread = (*store)->GetVideoVersion("video", 1);
+  ASSERT_TRUE(reread.ok());
+  EXPECT_EQ(reread->Serialize(), v1->Serialize());
+  for (int tile = 0; tile < v1->tile_count(); ++tile) {
+    for (int quality = 0; quality < v1->quality_count(); ++quality) {
+      auto cell = (*store)->ReadCell(*v1, 0, tile, quality);
+      EXPECT_TRUE(cell.ok()) << cell.status().ToString();
+    }
+  }
+}
+
+TEST_F(StorageManagerTest, NonCanonicalMetadataNamesAreIgnored) {
+  // Regression: "metadata.v09.vcmf" listed as version 9 (GetVideo then
+  // opened the missing metadata.v9.vcmf and the video failed to load), and
+  // "metadata.v4294967297.vcmf" wrapped around to version 1.
+  StoreSample("video", 1);
+  VideoMetadata latest = StoreSample("video", 2);
+  ASSERT_TRUE(
+      env_->WriteFile("/store/video/metadata.v09.vcmf", Slice("x", 1)).ok());
+  ASSERT_TRUE(env_->WriteFile("/store/video/metadata.v4294967297.vcmf",
+                              Slice("x", 1))
+                  .ok());
+  auto versions = store_->ListVersions("video");
+  ASSERT_TRUE(versions.ok());
+  EXPECT_EQ(*versions, (std::vector<uint32_t>{1, 2}));
+  auto video = store_->GetVideo("video");
+  ASSERT_TRUE(video.ok()) << video.status().ToString();
+  EXPECT_EQ(video->version, 2u);
+  EXPECT_EQ(video->Serialize(), latest.Serialize());
+}
+
 TEST_F(StorageManagerTest, SnapshotIsolationAcrossVersions) {
   VideoMetadata v1 = StoreSample("video", 1);
   VideoMetadata v2 = StoreSample("video", 2);
@@ -712,9 +786,7 @@ TEST_F(StorageManagerTest, PrefetcherWarmsPredictedCells) {
   auto store = StorageManager::Open(options);
   ASSERT_TRUE(store.ok());
 
-  PrefetcherOptions prefetch_options;
-  prefetch_options.mode = PrefetchMode::kPredict;
-  PredictivePrefetcher prefetcher(store->get(), prefetch_options);
+  PredictivePrefetcher prefetcher(store->get(), PrefetchMode::kPredict);
 
   PrefetchHint hint;
   hint.valid = true;
@@ -1237,9 +1309,7 @@ TEST_F(StorageManagerTest, PrefetcherDispatchesBestFirstIncludingLastElement) {
   ASSERT_GT(probs[hot], probs[cold]);
 
   RecordingCellSource source;
-  PrefetcherOptions options;
-  options.mode = PrefetchMode::kPredict;
-  PredictivePrefetcher prefetcher(&source, options);
+  PredictivePrefetcher prefetcher(&source, PrefetchMode::kPredict);
 
   PrefetchHint hint;
   hint.valid = true;
@@ -1268,9 +1338,7 @@ TEST_F(StorageManagerTest, PrefetcherDispatchesBestFirstIncludingLastElement) {
 TEST_F(StorageManagerTest, PrefetcherStaleCancelHandlesLastElement) {
   VideoMetadata m = StoreSample("video", 2);
   RecordingCellSource source;
-  PrefetcherOptions options;
-  options.mode = PrefetchMode::kPredict;
-  PredictivePrefetcher prefetcher(&source, options);
+  PredictivePrefetcher prefetcher(&source, PrefetchMode::kPredict);
 
   PrefetchHint hint;
   hint.valid = true;
@@ -1473,10 +1541,7 @@ TEST(CellKeyHashTest, UnifiedIndexHashesOncePerHit) {
 TEST_F(StorageManagerTest, PrefetcherDedupesRepeatHintsWithinTtl) {
   VideoMetadata m = StoreSample("video", 1);
   RecordingCellSource source;
-  PrefetcherOptions options;
-  options.mode = PrefetchMode::kPredict;
-  options.dedupe_ttl_seconds = 2.0;
-  PredictivePrefetcher prefetcher(&source, options);
+  PredictivePrefetcher prefetcher(&source, PrefetchMode::kPredict);
 
   PrefetchHint hint;
   hint.valid = true;
@@ -1502,7 +1567,7 @@ TEST_F(StorageManagerTest, PrefetcherDedupesRepeatHintsWithinTtl) {
   EXPECT_EQ(prefetcher.stats().enqueued, first);
   EXPECT_EQ(prefetcher.stats().deduped, 2 * first);
 
-  // Past the TTL the same cells are fair game again.
+  // Past the 2 s TTL the same cells are fair game again.
   prefetcher.Pump(/*now=*/3.0);
   prefetcher.EnqueueSegment(m, hint, nullptr, /*deadline=*/10.0);
   EXPECT_EQ(prefetcher.stats().enqueued, 2 * first);
@@ -1512,9 +1577,7 @@ TEST_F(StorageManagerTest, PrefetcherDedupesRepeatHintsWithinTtl) {
 TEST_F(StorageManagerTest, PrefetcherSkipsHintsAlreadyPastDeadline) {
   VideoMetadata m = StoreSample("video", 1);
   RecordingCellSource source;
-  PrefetcherOptions options;
-  options.mode = PrefetchMode::kPredict;
-  PredictivePrefetcher prefetcher(&source, options);
+  PredictivePrefetcher prefetcher(&source, PrefetchMode::kPredict);
 
   PrefetchHint hint;
   hint.valid = true;
@@ -1557,48 +1620,16 @@ TEST(ShardMapTest, PackedOverloadDeterministicAndSpreads) {
 
 /// Forwards to MemEnv, logging every ReadFile path in order: the cold-read
 /// sequence of a reader, which pins its miss and eviction order.
-class ReadLogEnv : public Env {
+class ReadLogEnv : public ForwardingEnv {
  public:
-  explicit ReadLogEnv(Env* base) : base_(base) {}
+  using ForwardingEnv::ForwardingEnv;
 
-  Status WriteFile(const std::string& path, Slice contents) override {
-    return base_->WriteFile(path, contents);
-  }
-  Status AppendFile(const std::string& path, Slice contents) override {
-    return base_->AppendFile(path, contents);
-  }
   Result<std::vector<uint8_t>> ReadFile(const std::string& path) override {
     {
       std::lock_guard<std::mutex> lock(mu_);
       reads_.push_back(path);
     }
-    return base_->ReadFile(path);
-  }
-  Result<std::vector<uint8_t>> ReadFileRange(const std::string& path,
-                                             uint64_t offset,
-                                             uint64_t length) override {
-    return base_->ReadFileRange(path, offset, length);
-  }
-  Result<uint64_t> FileSize(const std::string& path) override {
-    return base_->FileSize(path);
-  }
-  bool FileExists(const std::string& path) override {
-    return base_->FileExists(path);
-  }
-  Status DeleteFile(const std::string& path) override {
-    return base_->DeleteFile(path);
-  }
-  Status RenameFile(const std::string& from, const std::string& to) override {
-    return base_->RenameFile(from, to);
-  }
-  Status CreateDirs(const std::string& path) override {
-    return base_->CreateDirs(path);
-  }
-  Result<std::vector<std::string>> ListDir(const std::string& path) override {
-    return base_->ListDir(path);
-  }
-  Status RemoveDirRecursive(const std::string& path) override {
-    return base_->RemoveDirRecursive(path);
+    return ForwardingEnv::ReadFile(path);
   }
 
   std::vector<std::string> reads() const {
@@ -1607,7 +1638,6 @@ class ReadLogEnv : public Env {
   }
 
  private:
-  Env* base_;
   mutable std::mutex mu_;
   std::vector<std::string> reads_;
 };

@@ -12,6 +12,7 @@
 #include "view/catalog.h"
 #include "view/definition.h"
 #include "view/maintainer.h"
+#include "test_env.h"
 
 namespace vc {
 namespace {
@@ -194,6 +195,24 @@ TEST(ViewCatalogTest, SaveLoadListDrop) {
   list = catalog.List();
   ASSERT_TRUE(list.ok());
   EXPECT_EQ(*list, (std::vector<std::string>{"beta"}));
+}
+
+TEST(ViewCatalogTest, ListingErrorIsNotAnEmptyCatalog) {
+  // Only a missing views directory lists as empty; a failed listing of an
+  // existing one must not make every view silently disappear.
+  auto mem = NewMemEnv();
+  FailingListEnv env(mem.get());
+  ViewCatalog catalog(&env, "/store");
+  auto def =
+      MakeViewDefinition("alpha", Slice("scan(s) | encode | store(alpha)"));
+  ASSERT_TRUE(def.ok());
+  ASSERT_TRUE(catalog.Save(*def).ok());
+  env.armed = true;
+  EXPECT_TRUE(catalog.List().status().IsIOError());
+  env.armed = false;
+  auto list = catalog.List();
+  ASSERT_TRUE(list.ok());
+  EXPECT_EQ(*list, std::vector<std::string>{"alpha"});
 }
 
 // --- maintainer + candidates ----------------------------------------------
