@@ -55,6 +55,11 @@ tsan() {
     echo "-- tsan: $t"
     ./build-tsan/tests/"$t"
   done
+  # The in-memory catalog version set: four readers against a live session
+  # that commits a checkpoint per segment.
+  cmake --build build-tsan -j"$JOBS" --target core_test
+  echo "-- tsan: core_test (LiveCatalogTest)"
+  ./build-tsan/tests/core_test --gtest_filter='LiveCatalogTest.*'
 }
 
 simd() {

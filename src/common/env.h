@@ -25,7 +25,14 @@ class Env {
   /// Process-wide POSIX filesystem environment (not owned by caller).
   static Env* Default();
 
-  /// Atomically (best effort) replaces `path` with `contents`.
+  /// Replaces `path` with `contents`; a reader sees the old file or the
+  /// whole new one, never a prefix. What each Env guarantees:
+  /// - `Env::Default()` writes `<path>.tmp`, then renames it over `path`.
+  ///   The rename is atomic on POSIX filesystems; nothing is fsynced, so a
+  ///   power loss may lose a write that returned OK. A failed write can
+  ///   leave the `.tmp` file behind, never a torn `path`.
+  /// - `NewMemEnv()` swaps the contents under its lock.
+  /// The catalog's commit point is this call on `metadata.v<N>.vcmf`.
   virtual Status WriteFile(const std::string& path, Slice contents) = 0;
 
   /// Appends `contents` to `path`, creating it if absent.

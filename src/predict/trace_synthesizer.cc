@@ -18,15 +18,14 @@ constexpr int kRoiCount = 3;
 constexpr double kVelocityDamping = 2.0;
 /// Pull of pitch toward the equator (1/s).
 constexpr double kPitchReversion = 0.8;
+/// Trace sample rate (Hz).
+constexpr double kSampleRateHz = 30.0;
 
 }  // namespace
 
 Status TraceSynthOptions::Validate() const {
   if (duration_seconds <= 0 || duration_seconds > 86400) {
     return Status::InvalidArgument("trace duration out of range");
-  }
-  if (sample_rate_hz <= 0 || sample_rate_hz > 1000) {
-    return Status::InvalidArgument("trace sample rate out of range");
   }
   if (yaw_volatility < 0 || pitch_volatility < 0 || saccade_rate_hz < 0 ||
       saccade_speed < 0) {
@@ -48,9 +47,9 @@ Result<HeadTrace> SynthesizeTrace(const TraceSynthOptions& options) {
                                kPi / 2 + roi_rng.UniformDouble(-0.4, 0.4)});
   }
 
-  const double dt = 1.0 / options.sample_rate_hz;
+  const double dt = 1.0 / kSampleRateHz;
   const int count =
-      static_cast<int>(options.duration_seconds * options.sample_rate_hz) + 1;
+      static_cast<int>(options.duration_seconds * kSampleRateHz) + 1;
 
   double yaw = rng.UniformDouble(0, kTwoPi);
   double pitch = kPi / 2;

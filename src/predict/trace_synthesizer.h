@@ -23,8 +23,7 @@ namespace vc {
 /// on the content, not the viewer: every synthesized trace shares them, and
 /// that correlation is what cross-user popularity prediction exploits.
 struct TraceSynthOptions {
-  double duration_seconds = 90.0;
-  double sample_rate_hz = 30.0;
+  double duration_seconds = 90.0;  ///< Sampled at 30 Hz.
   uint64_t seed = 1;  ///< Per-viewer randomness (pursuit noise, saccades).
 
   double yaw_volatility = 0.8;     ///< OU noise σ for yaw velocity (rad/s/√s).

@@ -86,8 +86,9 @@ class ShardedStore {
   /// Drops the shared L2 (stats preserved).
   void ClearL2() { l2_.Clear(); }
 
-  /// Catalog reads — all backends share the root, so any shard resolves
-  /// them; shard 0 is the convention.
+  /// Catalog reads — every shard loaded the root's version set at Open,
+  /// so any shard resolves them; shard 0 is the convention. Commits made
+  /// after Open through another StorageManager are not seen.
   Result<VideoMetadata> GetVideo(const std::string& name) const {
     return shards_[0]->GetVideo(name);
   }

@@ -63,7 +63,40 @@ Result<std::unique_ptr<StorageManager>> StorageManager::Open(
         "StorageOptions.read_latency_seconds must be >= 0");
   }
   VC_RETURN_IF_ERROR(options.env->CreateDirs(options.root));
-  return std::unique_ptr<StorageManager>(new StorageManager(options));
+  std::unique_ptr<StorageManager> store(new StorageManager(options));
+  VC_RETURN_IF_ERROR(store->LoadCatalog());
+  return store;
+}
+
+Status StorageManager::LoadCatalog() {
+  std::vector<std::string> names;
+  VC_ASSIGN_OR_RETURN(names, options_.env->ListDir(options_.root));
+  for (const std::string& name : names) {
+    // A listing failure is returned, never read as "no versions": an empty
+    // entry would hand out version 1 again and overwrite committed cells.
+    auto entries = options_.env->ListDir(VideoDir(name));
+    if (!entries.ok()) {
+      if (entries.status().IsNotFound()) continue;  // a file, not a video
+      return entries.status();
+    }
+    std::vector<uint32_t> versions;
+    for (const std::string& entry : *entries) {
+      uint32_t version = VersionFromMetadataName(entry);
+      if (version > 0) versions.push_back(version);
+    }
+    if (versions.empty()) continue;
+    std::sort(versions.begin(), versions.end());
+    CatalogEntry& video = catalog_[name];
+    video.committed = std::move(versions);
+    auto latest = ReadVersion(name, video.committed.back());
+    if (latest.ok()) {
+      video.latest =
+          std::make_shared<const VideoMetadata>(*std::move(latest));
+    } else {
+      video.latest_status = latest.status();
+    }
+  }
+  return Status::OK();
 }
 
 std::string StorageManager::VideoDir(const std::string& name) const {
@@ -83,6 +116,28 @@ StorageManager::VideoWriter::VideoWriter(StorageManager* store,
       metadata_(std::move(metadata)),
       version_dir_(std::move(version_dir)) {}
 
+StorageManager::VideoWriter::~VideoWriter() {
+  if (!committed_) store_->ReleaseVersion(metadata_.name, metadata_.version);
+}
+
+uint32_t StorageManager::ReserveVersionLocked(CatalogEntry* entry) {
+  uint32_t version = entry->committed.empty() ? 0 : entry->committed.back();
+  for (uint32_t held : entry->reserved) version = std::max(version, held);
+  entry->reserved.push_back(version + 1);
+  return version + 1;
+}
+
+void StorageManager::ReleaseVersion(const std::string& name,
+                                    uint32_t version) {
+  std::lock_guard<std::mutex> lock(catalog_mu_);
+  auto it = catalog_.find(name);
+  if (it == catalog_.end()) return;
+  std::vector<uint32_t>& reserved = it->second.reserved;
+  reserved.erase(std::remove(reserved.begin(), reserved.end(), version),
+                 reserved.end());
+  if (reserved.empty() && it->second.committed.empty()) catalog_.erase(it);
+}
+
 Result<std::unique_ptr<StorageManager::VideoWriter>>
 StorageManager::NewVideoWriter(VideoMetadata metadata) {
   if (!metadata.segments.empty() || !metadata.cells.empty()) {
@@ -98,23 +153,18 @@ StorageManager::NewVideoWriter(VideoMetadata metadata) {
   probe.version = 1;
   VC_RETURN_IF_ERROR(probe.Validate());
 
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  // Only a video that is not there starts at version 1: any other listing
-  // failure must not be mistaken for "no versions", or the write would
-  // overwrite committed version 1 in place.
-  uint32_t next_version = 1;
-  auto versions = ListVersions(metadata.name);
-  if (versions.ok()) {
-    if (!versions->empty()) next_version = versions->back() + 1;
-  } else if (!versions.status().IsNotFound()) {
-    return versions.status();
+  {
+    std::lock_guard<std::mutex> lock(catalog_mu_);
+    metadata.version = ReserveVersionLocked(&catalog_[metadata.name]);
   }
-  metadata.version = next_version;
-  metadata.data_dir = "v" + std::to_string(next_version);
+  metadata.data_dir = "v" + std::to_string(metadata.version);
   std::string dir = VideoDir(metadata.name) + "/" + metadata.data_dir;
-  VC_RETURN_IF_ERROR(options_.env->CreateDirs(dir));
-  return std::unique_ptr<VideoWriter>(
+  // From here on the writer owns the reservation and releases it if it
+  // never commits, including when this function fails.
+  std::unique_ptr<VideoWriter> writer(
       new VideoWriter(this, std::move(metadata), std::move(dir)));
+  VC_RETURN_IF_ERROR(options_.env->CreateDirs(writer->version_dir_));
+  return writer;
 }
 
 Status StorageManager::VideoWriter::AddSegment(
@@ -159,10 +209,8 @@ Result<uint32_t> StorageManager::VideoWriter::Commit() {
   if (committed_) return Status::Aborted("writer already committed");
   metadata_.streaming = false;
   VC_RETURN_IF_ERROR(metadata_.Validate());
-  std::string path =
-      store_->MetadataPath(metadata_.name, metadata_.version);
-  auto bytes = metadata_.Serialize();
-  VC_RETURN_IF_ERROR(store_->options_.env->WriteFile(path, Slice(bytes)));
+  VC_RETURN_IF_ERROR(store_->Publish(metadata_, /*reserve_next=*/false)
+                         .status());
   committed_ = true;
   return metadata_.version;
 }
@@ -171,60 +219,96 @@ Result<uint32_t> StorageManager::VideoWriter::CommitCheckpoint() {
   if (committed_) return Status::Aborted("writer already committed");
   metadata_.streaming = true;
   VC_RETURN_IF_ERROR(metadata_.Validate());
-  std::string path =
-      store_->MetadataPath(metadata_.name, metadata_.version);
-  auto bytes = metadata_.Serialize();
-  VC_RETURN_IF_ERROR(store_->options_.env->WriteFile(path, Slice(bytes)));
   uint32_t published = metadata_.version;
   // Continue into the next version, reusing the same data directory so the
   // cells published so far are shared, not copied.
-  metadata_.version += 1;
+  VC_ASSIGN_OR_RETURN(metadata_.version,
+                      store_->Publish(metadata_, /*reserve_next=*/true));
   return published;
 }
 
-Result<std::vector<std::string>> StorageManager::ListVideos() const {
-  std::vector<std::string> names;
-  VC_ASSIGN_OR_RETURN(names, options_.env->ListDir(options_.root));
-  std::vector<std::string> videos;
-  for (const std::string& name : names) {
-    auto versions = ListVersions(name);
-    if (versions.ok()) {
-      if (!versions->empty()) videos.push_back(name);
-    } else if (!versions.status().IsNotFound()) {
-      return versions.status();
-    }
+Result<uint32_t> StorageManager::Publish(const VideoMetadata& metadata,
+                                         bool reserve_next) {
+  const std::vector<uint8_t> bytes = metadata.Serialize();
+  auto snapshot = std::make_shared<const VideoMetadata>(metadata);
+  std::lock_guard<std::mutex> lock(catalog_mu_);
+  // The commit point: the cells are written, and the version exists once
+  // its metadata file does. The set changes only after that write.
+  VC_RETURN_IF_ERROR(options_.env->WriteFile(
+      MetadataPath(metadata.name, metadata.version), Slice(bytes)));
+  CatalogEntry& entry = catalog_[metadata.name];
+  std::vector<uint32_t>& committed = entry.committed;
+  auto at = std::lower_bound(committed.begin(), committed.end(),
+                             metadata.version);
+  if (at == committed.end() || *at != metadata.version) {
+    committed.insert(at, metadata.version);
   }
-  std::sort(videos.begin(), videos.end());
+  if (committed.back() == metadata.version) {
+    entry.latest = std::move(snapshot);
+    entry.latest_status = Status::OK();
+  }
+  entry.reserved.erase(std::remove(entry.reserved.begin(),
+                                   entry.reserved.end(), metadata.version),
+                       entry.reserved.end());
+  return reserve_next ? ReserveVersionLocked(&entry) : 0;
+}
+
+Result<std::vector<std::string>> StorageManager::ListVideos() const {
+  std::vector<std::string> videos;
+  std::lock_guard<std::mutex> lock(catalog_mu_);
+  for (const auto& [name, entry] : catalog_) {
+    if (!entry.committed.empty()) videos.push_back(name);
+  }
   return videos;
 }
 
 Result<std::vector<uint32_t>> StorageManager::ListVersions(
     const std::string& name) const {
-  auto entries = options_.env->ListDir(VideoDir(name));
-  if (!entries.ok()) {
-    if (!entries.status().IsNotFound()) return entries.status();
+  std::lock_guard<std::mutex> lock(catalog_mu_);
+  auto it = catalog_.find(name);
+  if (it == catalog_.end() || it->second.committed.empty()) {
     return Status::NotFound("video '" + name + "' not in catalog");
   }
-  std::vector<uint32_t> versions;
-  for (const std::string& entry : *entries) {
-    uint32_t version = VersionFromMetadataName(entry);
-    if (version > 0) versions.push_back(version);
-  }
-  std::sort(versions.begin(), versions.end());
-  return versions;
+  return it->second.committed;
 }
 
 Result<VideoMetadata> StorageManager::GetVideo(const std::string& name) const {
-  std::vector<uint32_t> versions;
-  VC_ASSIGN_OR_RETURN(versions, ListVersions(name));
-  if (versions.empty()) {
-    return Status::NotFound("video '" + name + "' has no committed versions");
+  std::shared_ptr<const VideoMetadata> latest;
+  {
+    std::lock_guard<std::mutex> lock(catalog_mu_);
+    auto it = catalog_.find(name);
+    if (it == catalog_.end() || it->second.committed.empty()) {
+      return Status::NotFound("video '" + name + "' not in catalog");
+    }
+    if (!it->second.latest) return it->second.latest_status;
+    latest = it->second.latest;
   }
-  return GetVideoVersion(name, versions.back());
+  return *latest;
 }
 
 Result<VideoMetadata> StorageManager::GetVideoVersion(
     const std::string& name, uint32_t version) const {
+  {
+    std::lock_guard<std::mutex> lock(catalog_mu_);
+    auto it = catalog_.find(name);
+    const std::vector<uint32_t>* committed =
+        it == catalog_.end() ? nullptr : &it->second.committed;
+    if (committed == nullptr ||
+        !std::binary_search(committed->begin(), committed->end(), version)) {
+      return Status::NotFound("video '" + name + "' version " +
+                              std::to_string(version) + " not found");
+    }
+    if (version == committed->back()) {
+      if (!it->second.latest) return it->second.latest_status;
+      std::shared_ptr<const VideoMetadata> latest = it->second.latest;
+      return *latest;
+    }
+  }
+  return ReadVersion(name, version);
+}
+
+Result<VideoMetadata> StorageManager::ReadVersion(const std::string& name,
+                                                  uint32_t version) const {
   auto bytes = options_.env->ReadFile(MetadataPath(name, version));
   if (!bytes.ok()) {
     return Status::NotFound("video '" + name + "' version " +
@@ -297,11 +381,20 @@ Result<LruCache::AsyncHandle> StorageManager::ReadCellAsync(
 void StorageManager::ClearCache() { cache_.Clear(); }
 
 Status StorageManager::DropVideo(const std::string& name) {
-  auto versions = ListVersions(name);
-  if (!versions.ok() || versions->empty()) {
-    return Status::NotFound("video '" + name + "' not in catalog");
+  {
+    std::lock_guard<std::mutex> lock(catalog_mu_);
+    auto it = catalog_.find(name);
+    if (it == catalog_.end() || it->second.committed.empty()) {
+      return Status::NotFound("video '" + name + "' not in catalog");
+    }
+    VC_RETURN_IF_ERROR(options_.env->RemoveDirRecursive(VideoDir(name)));
+    if (it->second.reserved.empty()) {
+      catalog_.erase(it);
+    } else {
+      it->second.committed.clear();
+      it->second.latest.reset();
+    }
   }
-  VC_RETURN_IF_ERROR(options_.env->RemoveDirRecursive(VideoDir(name)));
   cache_.Clear();
   return Status::OK();
 }

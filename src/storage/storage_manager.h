@@ -1,6 +1,7 @@
 #ifndef VC_STORAGE_STORAGE_MANAGER_H_
 #define VC_STORAGE_STORAGE_MANAGER_H_
 
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -37,13 +38,23 @@ struct StorageOptions {
 ///     <root>/<video>/metadata.v<N>.vcmf    one per committed version
 ///     <root>/<video>/v<N>/s*_t*_q*.vcc     encoded cell streams
 ///
-/// Writes are copy-on-write: committing a video always creates version
-/// max+1; readers that opened version N keep seeing exactly N's files
+/// Writes are copy-on-write: committing a video always creates a new
+/// version; readers that opened version N keep seeing exactly N's files
 /// (snapshot isolation by immutability). Cell reads are checksum-verified
 /// and served through an LRU buffer cache at cell (≈GOP) granularity.
+///
+/// The committed version set — each video's committed versions and its
+/// latest version's metadata — lives in memory. It is loaded from disk once,
+/// by Open, and updated by each commit and DROP after its Env write
+/// succeeds; catalog reads never touch the Env except GetVideoVersion of a
+/// version older than the latest. Another StorageManager on the same root
+/// sees the commits made before its own Open (DESIGN.md, "Catalog commits").
 class StorageManager : public CellSource {
  public:
-  /// Opens (creating the root directory if needed).
+  /// Opens (creating the root directory if needed) and loads the committed
+  /// version set. A failure to list the store is returned; a video whose
+  /// latest metadata file cannot be read or parsed still opens, and
+  /// GetVideo reports that error for it.
   static Result<std::unique_ptr<StorageManager>> Open(
       const StorageOptions& options);
 
@@ -51,21 +62,30 @@ class StorageManager : public CellSource {
   ///
   /// Append segments in order, then Commit() to publish atomically. The
   /// version is invisible to readers until Commit writes the metadata file.
+  /// The writer holds its version number reserved until it commits or is
+  /// destroyed, so no other writer is handed the same number; it must not
+  /// outlive its store.
   class VideoWriter {
    public:
+    ~VideoWriter();
+    VideoWriter(const VideoWriter&) = delete;
+    VideoWriter& operator=(const VideoWriter&) = delete;
+
     /// Appends one segment: `cells` holds tile-major × quality-minor encoded
     /// streams (tile_count × quality_count entries).
     Status AddSegment(uint32_t frame_count,
                       const std::vector<std::vector<uint8_t>>& cells);
 
     /// Publishes the version; returns the assigned version number. The
-    /// writer must not be used afterwards.
+    /// writer must not be used afterwards. On error nothing is published
+    /// and the commit may be retried.
     Result<uint32_t> Commit();
 
     /// Live-ingest checkpoint: publishes the segments written so far as a
     /// new committed version (flagged `streaming`) and keeps the writer
-    /// open. Successive checkpoints produce successive versions that share
-    /// the same data directory — already-written cells are never copied.
+    /// open under the next version the store hands out. Successive
+    /// checkpoints produce versions that share the same data directory —
+    /// already-written cells are never copied.
     Result<uint32_t> CommitCheckpoint();
 
     /// The metadata accumulated so far (pre-commit: version already set).
@@ -82,20 +102,22 @@ class StorageManager : public CellSource {
     bool committed_ = false;
   };
 
-  /// Starts writing a new version of `metadata.name`. `metadata.segments`
-  /// and `metadata.cells` must be empty; layout fields must validate.
+  /// Starts writing a new version of `metadata.name`: one past every
+  /// version committed or held by a live writer. `metadata.segments` and
+  /// `metadata.cells` must be empty; layout fields must validate.
   Result<std::unique_ptr<VideoWriter>> NewVideoWriter(VideoMetadata metadata);
 
-  /// Video names present in the catalog (sorted).
+  /// Video names with a committed version (sorted).
   Result<std::vector<std::string>> ListVideos() const;
 
-  /// Committed versions of a video (ascending).
+  /// Committed versions of a video (ascending); NotFound when it has none.
   Result<std::vector<uint32_t>> ListVersions(const std::string& name) const;
 
   /// Latest committed version's metadata.
   Result<VideoMetadata> GetVideo(const std::string& name) const;
 
-  /// Specific version's metadata.
+  /// A committed version's metadata; only versions older than the latest
+  /// are read from disk.
   Result<VideoMetadata> GetVideoVersion(const std::string& name,
                                         uint32_t version) const;
 
@@ -115,7 +137,7 @@ class StorageManager : public CellSource {
       const VideoMetadata& metadata, int segment, int tile, int quality,
       LoadKind kind = LoadKind::kDemand) override;
 
-  /// Removes a video and all of its versions from disk and cache.
+  /// Removes a video and all of its versions from disk, catalog and cache.
   Status DropVideo(const std::string& name);
 
   /// Buffer-cache statistics.
@@ -143,15 +165,43 @@ class StorageManager : public CellSource {
  private:
   explicit StorageManager(const StorageOptions& options);
 
+  /// One video in the committed version set.
+  struct CatalogEntry {
+    std::vector<uint32_t> committed;  ///< ascending
+    std::vector<uint32_t> reserved;   ///< held by live writers
+    /// The latest committed version's metadata (null when `committed` is
+    /// empty or its load at Open failed with `latest_status`).
+    std::shared_ptr<const VideoMetadata> latest;
+    Status latest_status;
+  };
+
   std::string VideoDir(const std::string& name) const;
   std::string MetadataPath(const std::string& name, uint32_t version) const;
+
+  /// Builds the committed version set from disk: the only catalog code
+  /// that lists directories, and the only parse of latest versions.
+  Status LoadCatalog();
+  /// Reads and parses one version's metadata file.
+  Result<VideoMetadata> ReadVersion(const std::string& name,
+                                    uint32_t version) const;
+  /// Hands out max(committed ∪ reserved) + 1 and reserves it.
+  uint32_t ReserveVersionLocked(CatalogEntry* entry);
+  /// Drops a live writer's reservation.
+  void ReleaseVersion(const std::string& name, uint32_t version);
+  /// Writes `metadata`'s file and, once that succeeded, adds its version
+  /// to the set. With `reserve_next` the writer keeps going: returns the
+  /// next version reserved for it (0 otherwise).
+  Result<uint32_t> Publish(const VideoMetadata& metadata, bool reserve_next);
 
   StorageOptions options_;
   LruCache cache_;
   /// Declared after cache_: destroyed (shut down and joined) first, so no
   /// in-flight loader can touch a dead cache.
   std::unique_ptr<ThreadPool> io_pool_;
-  mutable std::mutex writer_mu_;  ///< serializes version assignment
+  /// Guards `catalog_` and serializes the metadata writes and DROPs that
+  /// change it, so the set and the files never disagree.
+  mutable std::mutex catalog_mu_;
+  std::map<std::string, CatalogEntry> catalog_;
 };
 
 /// \brief The backing-store read of one cell (`store`'s CellLoader) as a

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <random>
+#include <thread>
 #include <utility>
 
 #include "common/env.h"
@@ -1003,6 +1005,75 @@ TEST_F(CoreTest, PlanCacheServesUniformDash) {
   EXPECT_EQ(a->bytes_sent, b->bytes_sent) << "uniform plans are view-free";
   EXPECT_GE(cache.stats().hits,
             static_cast<uint64_t>(metadata->segment_count()));
+}
+
+TEST(LiveCatalogTest, CatalogReadsRaceLiveCheckpoints) {
+  // Four readers hammer the in-memory version set while a live session
+  // publishes a checkpoint per segment (CI runs this under ThreadSanitizer).
+  std::unique_ptr<Env> env = NewMemEnv();
+  VisualCloudOptions options;
+  options.storage.env = env.get();
+  options.storage.root = "/db";
+  auto db = VisualCloud::Open(options);
+  ASSERT_TRUE(db.ok());
+  StorageManager* storage = (*db)->storage();
+  SceneOptions scene_options;
+  scene_options.width = 64;
+  scene_options.height = 32;
+  auto scene = NewVeniceScene(scene_options);
+  LiveIngestOptions live_options;
+  live_options.ingest.tile_rows = 1;
+  live_options.ingest.tile_cols = 2;
+  live_options.ingest.frames_per_segment = 4;
+  live_options.ingest.fps = 8.0;
+  live_options.ingest.ladder = {{"high", 14}, {"low", 42}};
+  live_options.publish_segments = true;
+  auto live = (*db)->StartLiveIngest("feed", 64, 32, live_options);
+  ASSERT_TRUE(live.ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      uint32_t seen = 0;
+      while (!done.load()) {
+        EXPECT_TRUE(storage->ListVideos().ok());
+        auto versions = storage->ListVersions("feed");
+        if (versions.ok()) {
+          EXPECT_TRUE(std::is_sorted(versions->begin(), versions->end()));
+          EXPECT_GE(versions->back(), seen);
+        }
+        auto latest = storage->GetVideo("feed");
+        if (latest.ok()) {
+          EXPECT_TRUE(latest->Validate().ok());
+          EXPECT_GE(latest->version, seen);
+          seen = latest->version;
+        } else {
+          EXPECT_TRUE(latest.status().IsNotFound());
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+  Status appended;
+  for (int i = 0; i < 24 && appended.ok(); ++i) {
+    appended = (*live)->AppendFrame(scene->FrameAt(i));
+  }
+  auto final_version = (*live)->Close();
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+  ASSERT_TRUE(appended.ok()) << appended.ToString();
+  ASSERT_TRUE(final_version.ok()) << final_version.status().ToString();
+  EXPECT_EQ(*final_version, 7u);  // six checkpoints, then the archive
+  EXPECT_GT(reads.load(), 0);
+  auto versions = storage->ListVersions("feed");
+  ASSERT_TRUE(versions.ok());
+  EXPECT_EQ(*versions, (std::vector<uint32_t>{1, 2, 3, 4, 5, 6, 7}));
+  auto latest = storage->GetVideo("feed");
+  ASSERT_TRUE(latest.ok());
+  EXPECT_FALSE(latest->streaming);
+  EXPECT_EQ(latest->segment_count(), 6);
 }
 
 }  // namespace

@@ -132,7 +132,6 @@ TEST(HeadTraceTest, CsvRejectsGarbage) {
 TEST(TraceSynthesizerTest, ProducesRequestedShape) {
   TraceSynthOptions options;
   options.duration_seconds = 10;
-  options.sample_rate_hz = 30;
   auto trace = SynthesizeTrace(options);
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace->size(), 301u);
@@ -169,9 +168,6 @@ TEST(TraceSynthesizerTest, DeterministicPerSeed) {
 TEST(TraceSynthesizerTest, ValidatesOptions) {
   TraceSynthOptions options;
   options.duration_seconds = -1;
-  EXPECT_FALSE(SynthesizeTrace(options).ok());
-  options = TraceSynthOptions{};
-  options.sample_rate_hz = 0;
   EXPECT_FALSE(SynthesizeTrace(options).ok());
 }
 

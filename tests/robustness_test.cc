@@ -141,21 +141,43 @@ TEST(StorageRobustnessTest, CorruptMetadataFileSurfacesError) {
   auto store = *StorageManager::Open(options);
 
   VideoMetadata layout;
-  layout.name = "v";
   layout.width = 64;
   layout.height = 32;
   layout.frames_per_segment = 4;
   layout.ladder = {{"only", 30}};
-  auto writer = *store->NewVideoWriter(layout);
   std::vector<std::vector<uint8_t>> cells = {std::vector<uint8_t>(10, 1)};
-  ASSERT_TRUE(writer->AddSegment(4, cells).ok());
-  ASSERT_TRUE(writer->Commit().ok());
+  for (const char* name : {"v", "w"}) {
+    layout.name = name;
+    auto writer = *store->NewVideoWriter(layout);
+    ASSERT_TRUE(writer->AddSegment(4, cells).ok());
+    ASSERT_TRUE(writer->Commit().ok());
+  }
+  auto intact = store->GetVideo("w");
+  ASSERT_TRUE(intact.ok());
 
-  // Overwrite the metadata file with garbage: reads error, no crash.
-  ASSERT_TRUE(
-      env->WriteFile("/s/v/metadata.v1.vcmf", Slice("garbage", 7)).ok());
-  EXPECT_FALSE(store->GetVideo("v").ok());
-  EXPECT_FALSE(store->GetVideoVersion("v", 1).ok());
+  // Overwrite the metadata file with garbage, then reopen: the store still
+  // opens, reads of the garbled video error, no crash.
+  const Slice garbage("garbage", 7);
+  ASSERT_TRUE(env->WriteFile("/s/v/metadata.v1.vcmf", garbage).ok());
+  store.reset();
+  auto reopened = StorageManager::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const Status parse_error = VideoMetadata::Parse(garbage).status();
+  ASSERT_FALSE(parse_error.ok());
+  auto latest = (*reopened)->GetVideo("v");
+  ASSERT_FALSE(latest.ok());
+  EXPECT_EQ(latest.status().ToString(), parse_error.ToString());
+  auto version = (*reopened)->GetVideoVersion("v", 1);
+  ASSERT_FALSE(version.ok());
+  EXPECT_EQ(version.status().ToString(), parse_error.ToString());
+
+  // The other video is untouched.
+  auto other = (*reopened)->GetVideo("w");
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_EQ(other->Serialize(), intact->Serialize());
+  auto cell = (*reopened)->ReadCell(*other, 0, 0, 0);
+  ASSERT_TRUE(cell.ok()) << cell.status().ToString();
+  EXPECT_EQ(**cell, cells[0]);
 }
 
 TEST(StorageRobustnessTest, EveryCorruptedCellByteIsDetected) {

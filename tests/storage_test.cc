@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <random>
 #include <set>
@@ -557,6 +558,8 @@ TEST(StorageCatalogTest, ListingErrorNeverReassignsVersionOne) {
   // Regression: every ListDir failure used to read as "no versions", so an
   // I/O error while listing an existing video made NewVideoWriter assign
   // version 1 again and rewrite committed v1 cells and metadata in place.
+  // The version set is listed once, at Open: a listing error there must
+  // fail the Open, never yield an empty catalog.
   std::unique_ptr<Env> mem = NewMemEnv();
   FailingListEnv env(mem.get());
   StorageOptions options;
@@ -581,29 +584,266 @@ TEST(StorageCatalogTest, ListingErrorNeverReassignsVersionOne) {
   ASSERT_TRUE((*first)->Commit().ok());
   auto v1 = (*store)->GetVideoVersion("video", 1);
   ASSERT_TRUE(v1.ok());
+  first->reset();
+  store->reset();
 
   env.armed = true;
-  EXPECT_TRUE((*store)->ListVersions("video").status().IsIOError());
-  EXPECT_TRUE((*store)->ListVideos().status().IsIOError());
-  auto second = (*store)->NewVideoWriter(layout);
-  EXPECT_TRUE(second.status().IsIOError()) << second.status().ToString();
-  if (second.ok()) {
-    // The defect: the writer got version 1 and now overwrites it.
-    for (auto& cell : cells) cell.assign(cell.size() + 7, 0xee);
-    (void)(*second)->AddSegment(4, cells);
-    (void)(*second)->Commit();
+  auto failed = StorageManager::Open(options);
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  if (failed.ok()) {
+    // The defect: an empty catalog hands out version 1 again, and the
+    // writer overwrites it.
+    env.armed = false;
+    auto second = (*failed)->NewVideoWriter(layout);
+    if (second.ok()) {
+      std::vector<std::vector<uint8_t>> junk = cells;
+      for (auto& cell : junk) cell.assign(cell.size() + 7, 0xee);
+      (void)(*second)->AddSegment(4, junk);
+      (void)(*second)->Commit();
+    }
   }
   env.armed = false;
 
-  auto reread = (*store)->GetVideoVersion("video", 1);
+  auto reopened = StorageManager::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto next = (*reopened)->NewVideoWriter(layout);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ((*next)->metadata().version, 2u);
+  auto reread = (*reopened)->GetVideoVersion("video", 1);
   ASSERT_TRUE(reread.ok());
   EXPECT_EQ(reread->Serialize(), v1->Serialize());
   for (int tile = 0; tile < v1->tile_count(); ++tile) {
     for (int quality = 0; quality < v1->quality_count(); ++quality) {
-      auto cell = (*store)->ReadCell(*v1, 0, tile, quality);
-      EXPECT_TRUE(cell.ok()) << cell.status().ToString();
+      auto cell = (*reopened)->ReadCell(*v1, 0, tile, quality);
+      ASSERT_TRUE(cell.ok()) << cell.status().ToString();
+      EXPECT_EQ(**cell, cells[tile * v1->quality_count() + quality]);
     }
   }
+}
+
+/// A 1x2-tile, two-rung layout for the catalog tests.
+VideoMetadata CatalogLayout(const std::string& name) {
+  VideoMetadata layout;
+  layout.name = name;
+  layout.width = 64;
+  layout.height = 32;
+  layout.frames_per_segment = 4;
+  layout.tile_rows = 1;
+  layout.tile_cols = 2;
+  layout.ladder = {{"high", 14}, {"low", 40}};
+  return layout;
+}
+
+/// One segment's cells for CatalogLayout, every byte `fill`.
+std::vector<std::vector<uint8_t>> CatalogCells(uint8_t fill) {
+  std::vector<std::vector<uint8_t>> cells;
+  for (int i = 0; i < 4; ++i) cells.emplace_back(40 + i + fill % 8, fill);
+  return cells;
+}
+
+/// Every committed version of `name` reads back as the metadata its writer
+/// published, and its cells as the bytes that writer wrote.
+void ExpectPublished(StorageManager* store, const std::string& name,
+                     const std::map<uint32_t, VideoMetadata>& published,
+                     const std::map<uint32_t, uint8_t>& fills) {
+  auto versions = store->ListVersions(name);
+  ASSERT_TRUE(versions.ok()) << versions.status().ToString();
+  std::vector<uint32_t> expected;
+  for (const auto& [version, metadata] : published) expected.push_back(version);
+  EXPECT_EQ(*versions, expected);
+  for (const auto& [version, metadata] : published) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    auto stored = store->GetVideoVersion(name, version);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    EXPECT_EQ(stored->Serialize(), metadata.Serialize());
+    const int last = stored->segment_count() - 1;
+    for (int tile = 0; tile < stored->tile_count(); ++tile) {
+      auto cell = store->ReadCell(*stored, last, tile, 0);
+      ASSERT_TRUE(cell.ok()) << cell.status().ToString();
+      EXPECT_EQ((**cell)[0], fills.at(version));
+    }
+  }
+}
+
+TEST(StorageCatalogTest, ConcurrentWritersNeverShareAVersion) {
+  auto env = NewMemEnv();
+  StorageOptions options;
+  options.env = env.get();
+  options.root = "/store";
+  options.cache_capacity_bytes = 0;  // every read below hits the files
+  auto store = StorageManager::Open(options);
+  ASSERT_TRUE(store.ok());
+
+  // A live writer publishes v1 and keeps going; an offline writer opened
+  // meanwhile commits. The live writer's next checkpoint must not land on
+  // the offline writer's version.
+  std::map<uint32_t, VideoMetadata> published;
+  std::map<uint32_t, uint8_t> fills;
+  auto live = (*store)->NewVideoWriter(CatalogLayout("live"));
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE((*live)->AddSegment(4, CatalogCells(1)).ok());
+  auto first = (*live)->CommitCheckpoint();
+  ASSERT_TRUE(first.ok());
+  published[*first] = (*live)->metadata();
+  published[*first].version = *first;
+  fills[*first] = 1;
+
+  auto offline = (*store)->NewVideoWriter(CatalogLayout("live"));
+  ASSERT_TRUE(offline.ok());
+  ASSERT_TRUE((*offline)->AddSegment(4, CatalogCells(2)).ok());
+  auto taken = (*offline)->Commit();
+  ASSERT_TRUE(taken.ok());
+  published[*taken] = (*offline)->metadata();
+  fills[*taken] = 2;
+
+  ASSERT_TRUE((*live)->AddSegment(4, CatalogCells(3)).ok());
+  auto second = (*live)->CommitCheckpoint();
+  ASSERT_TRUE(second.ok());
+  EXPECT_NE(*second, *first);
+  EXPECT_NE(*second, *taken);
+  published[*second] = (*live)->metadata();
+  published[*second].version = *second;
+  fills[*second] = 3;
+  EXPECT_EQ(published.size(), 3u);
+  ExpectPublished(store->get(), "live", published, fills);
+
+  // Two offline writers opened on a new name before either commits get
+  // distinct versions and distinct cell directories.
+  auto a = (*store)->NewVideoWriter(CatalogLayout("fresh"));
+  auto b = (*store)->NewVideoWriter(CatalogLayout("fresh"));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_NE((*a)->metadata().version, (*b)->metadata().version);
+  EXPECT_NE((*a)->metadata().DataDir(), (*b)->metadata().DataDir());
+  ASSERT_TRUE((*a)->AddSegment(4, CatalogCells(4)).ok());
+  ASSERT_TRUE((*b)->AddSegment(4, CatalogCells(5)).ok());
+  // The later writer commits first.
+  ASSERT_TRUE((*b)->Commit().ok());
+  ASSERT_TRUE((*a)->Commit().ok());
+  std::map<uint32_t, VideoMetadata> fresh = {
+      {(*a)->metadata().version, (*a)->metadata()},
+      {(*b)->metadata().version, (*b)->metadata()}};
+  std::map<uint32_t, uint8_t> fresh_fills = {{(*a)->metadata().version, 4},
+                                             {(*b)->metadata().version, 5}};
+  ExpectPublished(store->get(), "fresh", fresh, fresh_fills);
+
+  // The same holds for a store opened on the result.
+  for (auto* writer : {&*live, &*offline, &*a, &*b}) writer->reset();
+  store->reset();
+  auto reopened = StorageManager::Open(options);
+  ASSERT_TRUE(reopened.ok());
+  ExpectPublished(reopened->get(), "live", published, fills);
+  ExpectPublished(reopened->get(), "fresh", fresh, fresh_fills);
+}
+
+TEST(StorageCatalogTest, FailedCommitLeavesTheSetUntouched) {
+  auto mem = NewMemEnv();
+  FailingMetadataWriteEnv env(mem.get());
+  StorageOptions options;
+  options.env = &env;
+  options.root = "/store";
+  auto store = StorageManager::Open(options);
+  ASSERT_TRUE(store.ok());
+  auto live = (*store)->NewVideoWriter(CatalogLayout("video"));
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE((*live)->AddSegment(4, CatalogCells(1)).ok());
+  ASSERT_TRUE((*live)->CommitCheckpoint().ok());
+
+  struct Snapshot {
+    std::vector<std::string> videos;
+    std::vector<uint32_t> versions;
+    std::vector<uint8_t> latest;
+  };
+  auto snapshot = [](StorageManager* s) {
+    Snapshot out;
+    auto videos = s->ListVideos();
+    auto versions = s->ListVersions("video");
+    auto latest = s->GetVideo("video");
+    EXPECT_TRUE(videos.ok() && versions.ok() && latest.ok());
+    if (videos.ok()) out.videos = *videos;
+    if (versions.ok()) out.versions = *versions;
+    if (latest.ok()) out.latest = latest->Serialize();
+    return out;
+  };
+  auto expect_same = [](const Snapshot& a, const Snapshot& b) {
+    EXPECT_EQ(a.videos, b.videos);
+    EXPECT_EQ(a.versions, b.versions);
+    EXPECT_EQ(a.latest, b.latest);
+  };
+  const Snapshot before = snapshot(store->get());
+  ASSERT_EQ(before.versions, std::vector<uint32_t>{1});
+
+  env.armed = true;
+  ASSERT_TRUE((*live)->AddSegment(4, CatalogCells(2)).ok());
+  auto checkpoint = (*live)->CommitCheckpoint();
+  EXPECT_TRUE(checkpoint.status().IsIOError()) << checkpoint.status().ToString();
+  auto offline = (*store)->NewVideoWriter(CatalogLayout("video"));
+  ASSERT_TRUE(offline.ok());
+  ASSERT_TRUE((*offline)->AddSegment(4, CatalogCells(3)).ok());
+  auto commit = (*offline)->Commit();
+  EXPECT_TRUE(commit.status().IsIOError()) << commit.status().ToString();
+  auto other = (*store)->NewVideoWriter(CatalogLayout("other"));
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE((*other)->AddSegment(4, CatalogCells(4)).ok());
+  EXPECT_TRUE((*other)->Commit().status().IsIOError());
+
+  expect_same(snapshot(store->get()), before);
+  {
+    auto reopened = StorageManager::Open(options);
+    ASSERT_TRUE(reopened.ok());
+    expect_same(snapshot(reopened->get()), before);
+  }
+
+  // Disarmed, the same writers commit.
+  env.armed = false;
+  checkpoint = (*live)->CommitCheckpoint();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  EXPECT_EQ(*checkpoint, 2u);
+  commit = (*offline)->Commit();
+  ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+  EXPECT_EQ(*commit, 3u);
+  ASSERT_TRUE((*other)->Commit().ok());
+  const Snapshot after = snapshot(store->get());
+  EXPECT_EQ(after.versions, (std::vector<uint32_t>{1, 2, 3}));
+  EXPECT_EQ(after.videos, (std::vector<std::string>{"other", "video"}));
+  auto reopened = StorageManager::Open(options);
+  ASSERT_TRUE(reopened.ok());
+  expect_same(snapshot(reopened->get()), after);
+}
+
+TEST(StorageCatalogTest, OpenIgnoresNonCanonicalMetadataNames) {
+  // The load at Open is where metadata file names are parsed: only the
+  // names a commit writes list as versions.
+  auto env = NewMemEnv();
+  StorageOptions options;
+  options.env = env.get();
+  options.root = "/store";
+  auto store = StorageManager::Open(options);
+  ASSERT_TRUE(store.ok());
+  auto writer = (*store)->NewVideoWriter(CatalogLayout("video"));
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->AddSegment(4, CatalogCells(1)).ok());
+  ASSERT_TRUE((*writer)->Commit().ok());
+  for (const char* junk : {"metadata.v09.vcmf", "metadata.v4294967297.vcmf",
+                           "metadata.v0.vcmf", "metadata.v2.vcmf.tmp",
+                           "metadata.v-3.vcmf"}) {
+    ASSERT_TRUE(
+        env->WriteFile(std::string("/store/video/") + junk, Slice("x", 1))
+            .ok());
+  }
+  ASSERT_TRUE(env->CreateDirs("/store/empty/v1").ok());
+  auto reopened = StorageManager::Open(options);
+  ASSERT_TRUE(reopened.ok());
+  auto versions = (*reopened)->ListVersions("video");
+  ASSERT_TRUE(versions.ok());
+  EXPECT_EQ(*versions, std::vector<uint32_t>{1});
+  auto videos = (*reopened)->ListVideos();
+  ASSERT_TRUE(videos.ok());
+  EXPECT_EQ(*videos, std::vector<std::string>{"video"});
+  auto video = (*reopened)->GetVideo("video");
+  ASSERT_TRUE(video.ok()) << video.status().ToString();
+  EXPECT_EQ(video->Serialize(), (*writer)->metadata().Serialize());
+  EXPECT_TRUE((*reopened)->ListVersions("empty").status().IsNotFound());
 }
 
 TEST_F(StorageManagerTest, NonCanonicalMetadataNamesAreIgnored) {

@@ -2,6 +2,7 @@
 #define VC_TESTS_TEST_ENV_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/env.h"
@@ -63,6 +64,27 @@ class FailingListEnv : public ForwardingEnv {
   Result<std::vector<std::string>> ListDir(const std::string& path) override {
     if (armed) return Status::IOError("list '" + path + "': injected");
     return ForwardingEnv::ListDir(path);
+  }
+
+  bool armed = false;
+};
+
+/// Fails every WriteFile of a catalog metadata file (`metadata.v*`) with
+/// IOError while armed — a commit whose cells landed but whose commit
+/// point did not.
+class FailingMetadataWriteEnv : public ForwardingEnv {
+ public:
+  using ForwardingEnv::ForwardingEnv;
+
+  Status WriteFile(const std::string& path, Slice contents) override {
+    const size_t slash = path.rfind('/');
+    const std::string_view file =
+        std::string_view(path).substr(slash == std::string::npos ? 0
+                                                                 : slash + 1);
+    if (armed && file.starts_with("metadata.v")) {
+      return Status::IOError("write '" + path + "': injected");
+    }
+    return ForwardingEnv::WriteFile(path, contents);
   }
 
   bool armed = false;

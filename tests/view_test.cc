@@ -519,5 +519,98 @@ TEST_F(ViewTest, StandingCatchUpOverArchivedVideoIsRepeatable) {
   }
 }
 
+
+// --- the catalog's in-memory version set ------------------------------------
+
+/// A store opened afresh on `storage`'s root sees exactly the version set
+/// the live store keeps in memory.
+void ExpectReopenRebuildsVersionSet(const StorageManager& storage) {
+  StorageOptions options;
+  options.env = storage.env();
+  options.root = storage.root();
+  auto reopened = StorageManager::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto videos = storage.ListVideos();
+  auto rebuilt = (*reopened)->ListVideos();
+  ASSERT_TRUE(videos.ok() && rebuilt.ok());
+  ASSERT_EQ(*rebuilt, *videos);
+  for (const std::string& name : *videos) {
+    SCOPED_TRACE(name);
+    auto versions = storage.ListVersions(name);
+    auto rebuilt_versions = (*reopened)->ListVersions(name);
+    ASSERT_TRUE(versions.ok() && rebuilt_versions.ok());
+    EXPECT_EQ(*rebuilt_versions, *versions);
+    auto latest = storage.GetVideo(name);
+    auto rebuilt_latest = (*reopened)->GetVideo(name);
+    ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+    ASSERT_TRUE(rebuilt_latest.ok()) << rebuilt_latest.status().ToString();
+    EXPECT_EQ(rebuilt_latest->Serialize(), latest->Serialize());
+  }
+}
+
+TEST(StorageCatalogTest, ReopenRebuildsTheSameVersionSet) {
+  std::unique_ptr<Env> env = NewMemEnv();
+  VisualCloudOptions options;
+  options.storage.env = env.get();
+  options.storage.root = "/db";
+  auto db = VisualCloud::Open(options);
+  ASSERT_TRUE(db.ok());
+  StorageManager* storage = (*db)->storage();
+  SceneOptions scene_options;
+  scene_options.width = 128;
+  scene_options.height = 64;
+  auto scene = NewVeniceScene(scene_options);
+  IngestOptions ingest;
+  ingest.tile_rows = 2;
+  ingest.tile_cols = 2;
+  ingest.frames_per_segment = 8;
+  ingest.fps = 8.0;
+  ingest.ladder = {{"high", 14}, {"low", 42}};
+
+  {
+    SCOPED_TRACE("offline ingest");
+    ASSERT_TRUE((*db)->IngestScene("offline", *scene, 16, ingest).ok());
+    ExpectReopenRebuildsVersionSet(*storage);
+  }
+  {
+    SCOPED_TRACE("live checkpoints and close");
+    LiveIngestOptions live_options;
+    live_options.ingest = ingest;
+    live_options.publish_segments = true;
+    auto live = (*db)->StartLiveIngest("live", 128, 64, live_options);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE((*live)->AppendFrame(scene->FrameAt(i)).ok());
+      if (i % 8 == 7) ExpectReopenRebuildsVersionSet(*storage);
+    }
+    ASSERT_TRUE((*live)->Close().ok());
+    ExpectReopenRebuildsVersionSet(*storage);
+    auto versions = storage->ListVersions("live");
+    ASSERT_TRUE(versions.ok());
+    EXPECT_EQ(*versions, (std::vector<uint32_t>{1, 2, 3, 4}));
+  }
+  {
+    SCOPED_TRACE("maintained view");
+    ViewMaintainer maintainer(db->get());
+    ASSERT_TRUE(maintainer
+                    .CreateView("offview",
+                                Slice("scan(offline) | quality(high) | "
+                                      "encode | store(offview)"))
+                    .ok());
+    ASSERT_TRUE(maintainer.Maintain("offview").ok());
+    ASSERT_TRUE(storage->GetVideo("offview").ok());
+    ExpectReopenRebuildsVersionSet(*storage);
+  }
+  {
+    SCOPED_TRACE("drop");
+    ASSERT_TRUE((*db)->Drop("live").ok());
+    EXPECT_TRUE(storage->GetVideo("live").status().IsNotFound());
+    ExpectReopenRebuildsVersionSet(*storage);
+    auto videos = storage->ListVideos();
+    ASSERT_TRUE(videos.ok());
+    EXPECT_EQ(*videos, (std::vector<std::string>{"offline", "offview"}));
+  }
+}
+
 }  // namespace
 }  // namespace vc
