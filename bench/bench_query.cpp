@@ -11,13 +11,17 @@
 // then discards out-of-plan pixels. The decoded frames must be
 // byte-identical — pruning may only remove work, never change the answer —
 // and the pruned run must touch at most half the cells the naive run does.
-// A transcode-elision leg exports a full-grid selection both ways: stored
-// bitstream stitching vs decode + re-encode.
+// A transcode-elision leg (E8b) exports a full-grid selection both ways:
+// stored bitstream stitching vs an explicit-quantizer decode + re-encode.
+// A smart-cut leg (E8c) serves a degrade-periphery window that starts and
+// ends mid-segment: whole mixed-rung segments stitched with per-tile QP
+// frames and the partial ends re-encoded, vs the same window re-encoded
+// whole at the same quantizer.
 //
 // E12 extends the claim to materialized views: a standing degrade-periphery
 // query is materialized once (maintenance cost reported per segment), then
-// the same query arriving fresh is served two ways — decode + re-encode
-// from the source vs the optimizer's view-matching rewrite stitching the
+// the same query arriving fresh is served two ways — stitched from the
+// source's cells vs the optimizer's view-matching rewrite stitching the
 // view's stored cells. The served streams must be byte-identical; the
 // view scan only moves host time.
 //
@@ -27,6 +31,7 @@
 #include <cstring>
 
 #include "bench_util.h"
+#include "codec/bitstream.h"
 #include "common/stopwatch.h"
 #include "query/executor.h"
 #include "query/parser.h"
@@ -155,30 +160,56 @@ int main(int argc, char** argv) {
   }
 
   // Transcode-elision leg: a whole-video single-rung export served as
-  // stitched stored bytes vs the same plan forced through decode+re-encode.
-  Query export_query = Query::Scan("venice").QualityFloor("medium").Encode();
-  PhysicalPlan export_plan =
-      CheckOk(Optimize(export_query, storage), "optimize export");
-  storage->ClearCache();
-  Stopwatch stitch_watch;
+  // stitched stored bytes vs the same selection re-encoded at the rung's
+  // own quantizer.
+  const int medium_qp = metadata.ladder[1].qp;
+  auto timed_run = [&](const Query& query, const char* what,
+                       double* ms) -> QueryResult {
+    PhysicalPlan plan = CheckOk(Optimize(query, storage), what);
+    storage->ClearCache();
+    Stopwatch watch;
+    QueryResult result = CheckOk(ExecutePlan(plan, storage), what);
+    *ms = watch.ElapsedMillis();
+    return result;
+  };
+  double stitch_ms = 0, transcode_ms = 0;
   QueryResult stitched =
-      CheckOk(ExecutePlan(export_plan, storage), "stitched export");
-  double stitch_ms = stitch_watch.ElapsedMillis();
-  storage->ClearCache();
-  ExecuteOptions transcode_options;
-  transcode_options.naive_full_scan = true;
-  Stopwatch transcode_watch;
-  QueryResult transcoded = CheckOk(
-      ExecutePlan(export_plan, storage, transcode_options), "transcoded");
-  double transcode_ms = transcode_watch.ElapsedMillis();
+      timed_run(Query::Scan("venice").QualityFloor("medium").Encode(),
+                "stitched export", &stitch_ms);
+  QueryResult transcoded = timed_run(
+      Query::Scan("venice").QualityFloor("medium").Encode(medium_qp),
+      "transcoded export", &transcode_ms);
 
   std::printf("\nE8b: transcode elision (full-grid medium export, %d "
               "segments)\n", metadata.segment_count());
   std::printf("  stitched:   %8.2f ms, %d segment merges, 0 transcodes\n",
               stitch_ms, stitched.transcodes_avoided);
-  std::printf("  transcoded: %8.2f ms, %d transcodes (%.2fx slower)\n",
-              transcode_ms, transcoded.transcodes,
+  std::printf("  transcoded: %8.2f ms, %d transcodes at qp %d (%.2fx "
+              "slower)\n", transcode_ms, transcoded.transcodes, medium_qp,
               stitch_ms > 0 ? transcode_ms / stitch_ms : 0.0);
+
+  // Smart-cut leg: a degrade-periphery window from mid-segment to
+  // mid-segment. Whole segments stitch at two rungs; the partial ends are
+  // re-encoded at the best served rung's quantizer, which the full
+  // re-encode uses everywhere.
+  Query window = Query::Scan("venice")
+                     .TimeSlice(0.5, 3.5)
+                     .Viewport(kPi / 2, kPi / 2, DegToRad(kFovYawDeg),
+                               DegToRad(kFovPitchDeg))
+                     .QualityFloor("high")
+                     .Degrade("low");
+  const int high_qp = metadata.ladder[0].qp;
+  double cut_ms = 0, full_ms = 0;
+  QueryResult cut = timed_run(window.Encode(), "smart cut", &cut_ms);
+  QueryResult full =
+      timed_run(window.Encode(high_qp), "full re-encode", &full_ms);
+  std::printf("\nE8c: smart cut (degrade window [0.5 s, 3.5 s))\n");
+  std::printf("  smart cut:  %8.2f ms, %d segments stitched, %d "
+              "re-encoded\n", cut_ms, cut.transcodes_avoided,
+              cut.transcodes);
+  std::printf("  re-encode:  %8.2f ms, %d segments re-encoded at qp %d "
+              "(%.2fx slower)\n", full_ms, full.transcodes, high_qp,
+              cut_ms > 0 ? full_ms / cut_ms : 0.0);
 
   // E12: materialized-view serving. Materialize the degrade-periphery
   // standing query, then serve a subsuming one-shot query both ways.
@@ -201,13 +232,17 @@ int main(int argc, char** argv) {
       emissions.empty() ? 0.0 : maintain_ms / emissions.size();
 
   Query serve_query = view_chain.Encode();
-  PhysicalPlan reencode_plan =
-      CheckOk(Optimize(serve_query, storage), "optimize re-encode");
-  storage->ClearCache();
-  Stopwatch reencode_watch;
-  QueryResult reencoded =
-      CheckOk(ExecutePlan(reencode_plan, storage), "re-encode run");
-  double reencode_ms = reencode_watch.ElapsedMillis();
+  double source_ms = 0;
+  QueryResult from_source =
+      timed_run(serve_query, "source stitch run", &source_ms);
+  // Share of the served bytes spent on per-tile QP bytes.
+  uint64_t qp_bytes = 0;
+  for (const EncodedFrame& frame : from_source.encoded.frames) {
+    if (frame.payload[1] == kPerTileQp) qp_bytes += metadata.tile_count();
+  }
+  const double qp_share =
+      static_cast<double>(qp_bytes) /
+      static_cast<double>(from_source.encoded.size_bytes());
 
   std::vector<MaterializedViewInfo> views =
       CheckOk(maintainer.catalog()->Candidates(*storage), "view candidates");
@@ -225,17 +260,18 @@ int main(int argc, char** argv) {
       CheckOk(ExecutePlan(view_plan, storage), "view-scan run");
   double view_ms = view_watch.ElapsedMillis();
   bool view_identical =
-      served.encoded.Serialize() == reencoded.encoded.Serialize();
+      served.encoded.Serialize() == from_source.encoded.Serialize();
 
   std::printf("\nE12: materialized view serving (degrade periphery, %zu "
               "segments materialized)\n", emissions.size());
   std::printf("  maintain:  %8.2f ms total, %.2f ms/segment\n", maintain_ms,
               maintain_per_segment_ms);
-  std::printf("  re-encode: %8.2f ms, %d transcodes\n", reencode_ms,
-              reencoded.transcodes);
-  std::printf("  view-scan: %8.2f ms, %d transcodes (%.2fx faster), "
-              "bytes %s\n", view_ms, served.transcodes,
-              view_ms > 0 ? reencode_ms / view_ms : 0.0,
+  std::printf("  source:    %8.2f ms, %d transcodes, per-tile QP bytes "
+              "%.3f%% of output\n", source_ms, from_source.transcodes,
+              100.0 * qp_share);
+  std::printf("  view-scan: %8.2f ms, %d transcodes (%.2fx), bytes %s\n",
+              view_ms, served.transcodes,
+              view_ms > 0 ? source_ms / view_ms : 0.0,
               view_identical ? "identical" : "DIVERGED");
   if (!view_identical) {
     std::fprintf(stderr, "bench: view-served bytes diverged from baseline\n");
@@ -270,7 +306,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  char tail[512];
+  char tail[768];
   std::snprintf(
       tail, sizeof(tail),
       " \"aggregate\": {\"cells_pruned_run\": %lld, "
@@ -278,20 +314,25 @@ int main(int argc, char** argv) {
       "\"identical\": %s},\n"
       " \"transcode_elision\": {\"stitched_ms\": %.3f, "
       "\"transcoded_ms\": %.3f, \"segment_merges\": %d, "
-      "\"transcodes\": %d}",
+      "\"transcodes\": %d, \"transcode_qp\": %d},\n"
+      " \"smart_cut\": {\"smart_cut_ms\": %.3f, \"reencode_ms\": %.3f, "
+      "\"segments_stitched\": %d, \"segments_reencoded\": %d, "
+      "\"full_reencodes\": %d}",
       scanned_pruned, scanned_naive, aggregate_pruned_fraction,
       all_equal ? "true" : "false", stitch_ms, transcode_ms,
-      stitched.transcodes_avoided, transcoded.transcodes);
+      stitched.transcodes_avoided, transcoded.transcodes, medium_qp, cut_ms,
+      full_ms, cut.transcodes_avoided, cut.transcodes, full.transcodes);
 
-  char e12[384];
+  char e12[448];
   std::snprintf(
       e12, sizeof(e12),
       " \"view_serving\": {\"maintain_ms\": %.3f, "
       "\"maintain_ms_per_segment\": %.3f, \"segments\": %zu, "
-      "\"reencode_ms\": %.3f, \"view_scan_ms\": %.3f, "
-      "\"speedup\": %.2f, \"identical\": %s}",
-      maintain_ms, maintain_per_segment_ms, emissions.size(), reencode_ms,
-      view_ms, view_ms > 0 ? reencode_ms / view_ms : 0.0,
+      "\"source_ms\": %.3f, \"view_scan_ms\": %.3f, "
+      "\"speedup\": %.2f, \"per_tile_qp_share\": %.5f, "
+      "\"identical\": %s}",
+      maintain_ms, maintain_per_segment_ms, emissions.size(), source_ms,
+      view_ms, view_ms > 0 ? source_ms / view_ms : 0.0, qp_share,
       view_identical ? "true" : "false");
 
   WriteBenchJson("BENCH_query.json",

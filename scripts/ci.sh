@@ -99,13 +99,16 @@ simd() {
   # loudly here. The geometry, predict and
   # core suites cover the session step's index arithmetic: the head-trace
   # cursor, the wrapped viewport column spans and the budget-fitting
-  # cursor. The storage suite parses on-disk catalog names and listings,
-  # and the streaming suite covers the network model's transfer arithmetic.
+  # cursor. The storage suite parses on-disk catalog names and listings
+  # (and destroys a store before its writers), and the streaming suite
+  # covers the network model's transfer arithmetic. The query and view
+  # suites run the executor's stitch/smart-cut slices and view maintenance
+  # over per-tile QP frames.
   cmake -B build-asan -S . -DVC_SANITIZE=address+undefined
   cmake --build build-asan -j"$JOBS" --target codec_fuzz_test codec_test \
     common_test manifest_fuzz_test container_fuzz_test query_fuzz_test \
     view_fuzz_test geometry_test predict_test core_test storage_test \
-    streaming_test bench_kernels
+    streaming_test query_test view_test bench_kernels
   ./build-asan/tests/codec_fuzz_test
   ./build-asan/tests/codec_test
   ./build-asan/tests/common_test
@@ -118,6 +121,8 @@ simd() {
   ./build-asan/tests/core_test
   ./build-asan/tests/storage_test
   ./build-asan/tests/streaming_test
+  ./build-asan/tests/query_test
+  ./build-asan/tests/view_test
   ./build-asan/bench/bench_kernels --smoke
 }
 

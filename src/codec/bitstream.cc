@@ -121,7 +121,17 @@ Result<int> ParseFrameQp(Slice frame_payload) {
     return Status::Corruption("frame payload missing qp");
   }
   uint8_t qp = frame_payload[1];
-  if (qp > kMaxQp) return Status::Corruption("frame qp out of range");
+  if (qp > kMaxQp && qp != kPerTileQp) {
+    return Status::Corruption("frame qp out of range");
+  }
+  return static_cast<int>(qp);
+}
+
+Result<int> SplitTileQp(Slice* tile_data) {
+  if (tile_data->empty()) return Status::Corruption("tile data missing qp");
+  uint8_t qp = (*tile_data)[0];
+  if (qp > kMaxQp) return Status::Corruption("tile qp out of range");
+  *tile_data = tile_data->Subslice(1, tile_data->size() - 1);
   return static_cast<int>(qp);
 }
 

@@ -50,13 +50,24 @@ struct SequenceHeader {
   static Result<SequenceHeader> Parse(Slice data);
 };
 
+/// Frame-QP byte of a frame whose tiles carry their own QPs: each tile's
+/// data then starts with that tile's QP byte. Only MergeTileStreams writes
+/// it, for tiles stitched from cells stored at different rungs. It is no
+/// legal QP (<= kMaxQp), and no single bit flip turns a legal QP into it.
+inline constexpr uint8_t kPerTileQp = 0xFF;
+
 /// \brief One encoded frame: its type plus the payload bytes.
 ///
 /// Payload layout: `[type:u8][qp:u8][tile offsets: u32 × T][tile data]`.
 /// The decoder dequantizes with the frame's own QP, not the sequence
 /// header's; the embedded tile-offset table lets individual tiles be
 /// located (and decoded, or byte-copied homomorphically) without parsing
-/// the rest.
+/// the rest. When the QP byte is kPerTileQp, every tile's data is
+/// `[qp:u8][tile bits]` and the offsets point at those QP bytes, so such a
+/// frame is exactly one byte per tile larger than the uniform layout. The
+/// marker lives in the frame, not the sequence header: stitched and
+/// re-encoded pieces still concatenate under one header, and every
+/// uniform-QP stream keeps its bytes.
 struct EncodedFrame {
   FrameType type = FrameType::kIntra;
   std::vector<uint8_t> payload;
@@ -72,8 +83,12 @@ Result<std::vector<std::pair<uint32_t, uint32_t>>> ParseTileOffsets(
 /// Reads the frame type from an encoded frame payload.
 Result<FrameType> ParseFrameType(Slice frame_payload);
 
-/// Reads the per-frame quantization parameter.
+/// Reads the per-frame quantization parameter: a QP in [0, kMaxQp], or
+/// kPerTileQp for a frame whose tiles carry their own.
 Result<int> ParseFrameQp(Slice frame_payload);
+
+/// Splits one tile's data of a kPerTileQp frame into its QP and its bits.
+Result<int> SplitTileQp(Slice* tile_data);
 
 /// \brief A fully encoded stream: header plus frames, with helpers to write
 /// to / read from a flat byte vector (frames are length-prefixed).

@@ -38,7 +38,8 @@ Result<Frame> Decoder::DecodeTiles(Slice frame_payload,
   VC_ASSIGN_OR_RETURN(type, ParseFrameType(frame_payload));
   int frame_qp;
   VC_ASSIGN_OR_RETURN(frame_qp, ParseFrameQp(frame_payload));
-  const double qstep = QStepForQp(frame_qp);
+  const bool per_tile_qp = frame_qp == kPerTileQp;
+  const double frame_qstep = per_tile_qp ? 0.0 : QStepForQp(frame_qp);
   TileGrid grid = header_.tile_grid();
   std::vector<std::pair<uint32_t, uint32_t>> ranges;
   VC_ASSIGN_OR_RETURN(ranges,
@@ -52,6 +53,12 @@ Result<Frame> Decoder::DecodeTiles(Slice frame_payload,
     int index = grid.IndexOf(tile);
     Slice payload =
         frame_payload.Subslice(ranges[index].first, ranges[index].second);
+    double qstep = frame_qstep;
+    if (per_tile_qp) {
+      int tile_qp;
+      VC_ASSIGN_OR_RETURN(tile_qp, SplitTileQp(&payload));
+      qstep = QStepForQp(tile_qp);
+    }
     VC_RETURN_IF_ERROR(
         DecodeTilePayload(payload, tile_rects_[index], type, qstep));
   }

@@ -1,8 +1,19 @@
 #include "codec/homomorphic.h"
 
-#include "codec/mb_common.h"
+#include "codec/transform.h"
 
 namespace vc {
+
+namespace {
+
+void PutU32(std::vector<uint8_t>* out, uint32_t v) {
+  out->push_back(static_cast<uint8_t>(v >> 24));
+  out->push_back(static_cast<uint8_t>((v >> 16) & 0xff));
+  out->push_back(static_cast<uint8_t>((v >> 8) & 0xff));
+  out->push_back(static_cast<uint8_t>(v & 0xff));
+}
+
+}  // namespace
 
 Result<EncodedVideo> ExtractTileStream(const EncodedVideo& tiled,
                                        TileId tile) {
@@ -35,16 +46,21 @@ Result<EncodedVideo> ExtractTileStream(const EncodedVideo& tiled,
     Slice tile_bytes =
         Slice(frame.payload).Subslice(ranges[index].first,
                                       ranges[index].second);
+    uint8_t qp = frame.payload[1];
+    if (qp == kPerTileQp) {
+      // A stitched mixed-QP frame: the tile's own QP moves back into the
+      // frame header, which restores the stored cell's bytes exactly.
+      int tile_qp;
+      VC_ASSIGN_OR_RETURN(tile_qp, SplitTileQp(&tile_bytes));
+      qp = static_cast<uint8_t>(tile_qp);
+      if (out.frames.empty()) out.header.qp = qp;
+    }
     EncodedFrame extracted;
     extracted.type = frame.type;
     auto& payload = extracted.payload;
     payload.push_back(frame.payload[0]);  // type
-    payload.push_back(frame.payload[1]);  // qp
-    uint32_t offset = 2 + 4;              // header + one-entry offset table
-    payload.push_back(static_cast<uint8_t>(offset >> 24));
-    payload.push_back(static_cast<uint8_t>((offset >> 16) & 0xff));
-    payload.push_back(static_cast<uint8_t>((offset >> 8) & 0xff));
-    payload.push_back(static_cast<uint8_t>(offset & 0xff));
+    payload.push_back(qp);
+    PutU32(&payload, 2 + 4);  // header + one-entry offset table
     payload.insert(payload.end(), tile_bytes.data(),
                    tile_bytes.data() + tile_bytes.size());
     out.frames.push_back(std::move(extracted));
@@ -94,37 +110,50 @@ Result<EncodedVideo> MergeTileStreams(const std::vector<EncodedVideo>& parts,
   out.header.tile_cols = static_cast<uint8_t>(cols);
   out.frames.reserve(first.frames.size());
 
+  std::vector<Slice> tile_bytes(parts.size());
   for (size_t f = 0; f < first.frames.size(); ++f) {
-    // Every part must agree on the frame's type and QP bytes.
+    // Every part must agree on the frame's type. Parts that also agree on
+    // its QP byte keep the uniform layout; otherwise each tile carries its
+    // own QP.
     uint8_t type = first.frames[f].payload[0];
     uint8_t qp = first.frames[f].payload[1];
-    std::vector<Slice> tile_bytes(parts.size());
+    bool uniform = true;
     for (size_t i = 0; i < parts.size(); ++i) {
       const auto& payload = parts[i].frames[f].payload;
-      if (payload.size() < 6 || payload[0] != type || payload[1] != qp) {
+      if (payload.size() < 6 || payload[0] != type) {
         return Status::InvalidArgument(
-            "parts disagree on frame type/QP at frame " + std::to_string(f));
+            "parts disagree on frame type at frame " + std::to_string(f));
       }
+      uniform = uniform && payload[1] == qp;
       std::vector<std::pair<uint32_t, uint32_t>> ranges;
       VC_ASSIGN_OR_RETURN(ranges, ParseTileOffsets(Slice(payload), 1));
       tile_bytes[i] = Slice(payload).Subslice(ranges[0].first,
                                               ranges[0].second);
     }
+    if (!uniform) {
+      for (const EncodedVideo& part : parts) {
+        if (part.frames[f].payload[1] > kMaxQp) {
+          return Status::InvalidArgument(
+              "part frame QP out of range at frame " + std::to_string(f));
+        }
+      }
+    }
+    const uint32_t qp_bytes = uniform ? 0 : 1;
     EncodedFrame merged;
     merged.type = static_cast<FrameType>(type);
     auto& payload = merged.payload;
     payload.push_back(type);
-    payload.push_back(qp);
+    payload.push_back(uniform ? qp : kPerTileQp);
     uint32_t offset = 2 + 4 * static_cast<uint32_t>(parts.size());
     for (const Slice& bytes : tile_bytes) {
-      payload.push_back(static_cast<uint8_t>(offset >> 24));
-      payload.push_back(static_cast<uint8_t>((offset >> 16) & 0xff));
-      payload.push_back(static_cast<uint8_t>((offset >> 8) & 0xff));
-      payload.push_back(static_cast<uint8_t>(offset & 0xff));
-      offset += static_cast<uint32_t>(bytes.size());
+      PutU32(&payload, offset);
+      offset += qp_bytes + static_cast<uint32_t>(bytes.size());
     }
-    for (const Slice& bytes : tile_bytes) {
-      payload.insert(payload.end(), bytes.data(), bytes.data() + bytes.size());
+    payload.reserve(offset);
+    for (size_t i = 0; i < parts.size(); ++i) {
+      if (!uniform) payload.push_back(parts[i].frames[f].payload[1]);
+      payload.insert(payload.end(), tile_bytes[i].data(),
+                     tile_bytes[i].data() + tile_bytes[i].size());
     }
     out.frames.push_back(std::move(merged));
   }

@@ -21,15 +21,21 @@ namespace vc {
 
 /// TILESELECT: extracts one tile of a tiled stream as a standalone
 /// single-tile stream whose frames decode to exactly the same pixels as a
-/// partial decode of that tile. Requires motion-constrained tiles.
+/// partial decode of that tile. Requires motion-constrained tiles. A tile
+/// of a per-tile-QP frame gets its own QP back in the frame header, so
+/// extracting a stitched tile returns the cell it was stitched from byte
+/// for byte.
 Result<EncodedVideo> ExtractTileStream(const EncodedVideo& tiled,
                                        TileId tile);
 
 /// TILEUNION: merges single-tile streams (tile-index order, one per cell of
 /// a `rows`×`cols` grid over a `width`×`height` frame) into one tiled
 /// stream — the inverse of ExtractTileStream. All parts must agree on
-/// frame count, per-frame type and QP, GOP length and fps, and their
-/// dimensions must match the grid's 16-aligned partition of the frame.
+/// frame count, per-frame type, GOP length, flags and fps, and their
+/// dimensions must match the grid's 16-aligned partition of the frame. A
+/// frame whose parts agree on its QP keeps the uniform layout; otherwise
+/// it is written as a kPerTileQp frame (bitstream.h), one byte per tile
+/// larger, so cells stored at different rungs stitch without a re-encode.
 Result<EncodedVideo> MergeTileStreams(const std::vector<EncodedVideo>& parts,
                                       int rows, int cols, int width,
                                       int height);

@@ -1,5 +1,6 @@
 #include "query/executor.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "codec/decoder.h"
@@ -106,8 +107,9 @@ Result<std::vector<FetchedCell>> FetchCells(
 }
 
 /// Decodes `cell` and pastes frames [first, last] (global indices) into
-/// `canvases` (canvases[0] is frame `first`). The whole stream is decoded —
-/// inter frames need their references — but only in-range frames land.
+/// `canvases` (canvases[0] is frame `first`). Frames before `first` are
+/// decoded too — inter frames need their references — but decoding stops
+/// at `last`: no frame references a later one.
 Status DecodeInto(const FetchedCell& cell, const TileGrid& grid,
                   const VideoMetadata& metadata, int segment, int first,
                   int last, std::vector<Frame>* canvases) {
@@ -118,12 +120,15 @@ Status DecodeInto(const FetchedCell& cell, const TileGrid& grid,
                       grid.PixelRectOf(grid.TileAt(cell.tile), metadata.width,
                                        metadata.height, 16));
   const int base = static_cast<int>(metadata.segments[segment].start_frame);
-  for (size_t i = 0; i < cell.video.frames.size(); ++i) {
+  const size_t end = std::min(
+      cell.video.frames.size(),
+      static_cast<size_t>(std::max(last - base + 1, 0)));
+  for (size_t i = 0; i < end; ++i) {
     Frame tile_frame;
     VC_ASSIGN_OR_RETURN(tile_frame,
                         decoder->Decode(Slice(cell.video.frames[i].payload)));
     int global = base + static_cast<int>(i);
-    if (global < first || global > last) continue;
+    if (global < first) continue;
     VC_RETURN_IF_ERROR(
         (*canvases)[global - first].Paste(tile_frame, rect.x, rect.y));
   }
@@ -143,14 +148,44 @@ int NaiveRung(const ScanPlan& scan) {
   return best < 0 ? 0 : best;
 }
 
-/// Materializes the plan's output frames, grouped per segment slice (the
-/// grouping the encode path needs — each group starts at a keyframe).
-/// Pruned mode touches only surviving cells; naive mode fetches and decodes
-/// every catalog cell of each scan, then discards out-of-plan pixels.
-Result<std::vector<std::vector<Frame>>> MaterializeSlices(
-    const PhysicalPlan& plan, StorageManager* storage, bool naive,
-    QueryResult* result) {
-  std::vector<std::vector<Frame>> groups;
+/// Homomorphic path for one slice: merges the fetched cells (tile order,
+/// full grid) into one tiled piece — no decode, no re-encode.
+Result<EncodedVideo> StitchCells(std::vector<FetchedCell> cells,
+                                 const VideoMetadata& metadata) {
+  std::vector<EncodedVideo> parts;
+  parts.reserve(cells.size());
+  for (FetchedCell& cell : cells) parts.push_back(std::move(cell.video));
+  Stopwatch stitch_watch;
+  EncodedVideo merged;
+  VC_ASSIGN_OR_RETURN(merged,
+                      MergeTileStreams(parts, metadata.tile_rows,
+                                       metadata.tile_cols, metadata.width,
+                                       metadata.height));
+  StitchPerCellHistogram()->Observe(stitch_watch.ElapsedSeconds() /
+                                    static_cast<double>(parts.size()));
+  return merged;
+}
+
+/// Runs every scan slice: a stitched slice becomes one piece; any other
+/// slice is decoded to frames, which an encode sink re-encodes into one
+/// piece (each piece starts at a keyframe) and a materialize sink returns.
+/// Pruned mode touches only surviving cells; naive mode also fetches every
+/// catalog cell the plan pruned, decodes the pruned tiles of its decoded
+/// slices, then discards their pixels — the output bytes are the same.
+Status RunSlices(const PhysicalPlan& plan, StorageManager* storage, bool naive,
+                 std::vector<EncodedVideo>* pieces, QueryResult* result) {
+  const bool encode_sink = plan.sink != SinkKind::kMaterialize;
+  EncoderOptions encode;
+  if (encode_sink) {
+    const VideoMetadata& lead = plan.scans[0].metadata;
+    encode.width = lead.width;
+    encode.height = lead.height;
+    encode.fps = lead.fps();
+    encode.gop_length = lead.frames_per_segment;
+    encode.qp = plan.encode_qp >= 0 ? plan.encode_qp : lead.ladder[0].qp;
+    encode.tile_rows = lead.tile_rows;
+    encode.tile_cols = lead.tile_cols;
+  }
   for (const ScanPlan& scan : plan.scans) {
     const VideoMetadata& metadata = scan.metadata;
     const TileGrid grid = metadata.tile_grid();
@@ -176,32 +211,32 @@ Result<std::vector<std::vector<Frame>>> MaterializeSlices(
       }
       if (tiles.empty() && slice == nullptr) continue;
 
-      int first = 0;
-      int last = -1;
-      if (slice != nullptr) {
-        first = slice->first_frame;
-        last = slice->last_frame;
-      }
-      std::vector<Frame> canvases(
-          slice != nullptr ? last - first + 1 : 0,
-          Frame(metadata.width, metadata.height));
-
       std::vector<FetchedCell> cells;
       VC_ASSIGN_OR_RETURN(cells,
                           FetchCells(storage, metadata, segment, tiles));
       result->cells_scanned += static_cast<int>(cells.size());
+      if (slice == nullptr) continue;  // naive read of a pruned segment
+      if (slice->stitch) {
+        EncodedVideo piece;
+        VC_ASSIGN_OR_RETURN(piece, StitchCells(std::move(cells), metadata));
+        pieces->push_back(std::move(piece));
+        ++result->transcodes_avoided;
+        continue;
+      }
+
+      const int first = slice->first_frame;
+      const int last = slice->last_frame;
+      std::vector<Frame> canvases(last - first + 1,
+                                  Frame(metadata.width, metadata.height));
       Stopwatch decode_watch;
       for (const FetchedCell& cell : cells) {
-        if (canvases.empty()) continue;  // naive read of a pruned segment
         VC_RETURN_IF_ERROR(DecodeInto(cell, grid, metadata, segment, first,
                                       last, &canvases));
       }
-      if (!cells.empty() && !canvases.empty()) {
+      if (!cells.empty()) {
         DecodePerCellHistogram()->Observe(decode_watch.ElapsedSeconds() /
                                           static_cast<double>(cells.size()));
       }
-      if (slice == nullptr) continue;
-
       if (naive) {
         // Filter-after-scan: out-of-plan tiles were decoded and pasted;
         // mask them back to the canvas fill so the output matches what the
@@ -218,47 +253,24 @@ Result<std::vector<std::vector<Frame>>> MaterializeSlices(
           }
         }
       }
-      groups.push_back(std::move(canvases));
+      if (!encode_sink) {
+        for (Frame& frame : canvases) {
+          result->frames.push_back(std::move(frame));
+        }
+        continue;
+      }
+      Stopwatch encode_watch;
+      EncodedVideo piece;
+      VC_ASSIGN_OR_RETURN(piece, EncodeVideo(canvases, encode));
+      EncodePerPixelHistogram()->Observe(
+          encode_watch.ElapsedSeconds() /
+          (static_cast<double>(encode.width) * encode.height *
+           static_cast<double>(canvases.size())));
+      pieces->push_back(std::move(piece));
+      ++result->transcodes;
     }
   }
-  return groups;
-}
-
-/// Homomorphic path: stitch stored cell bitstreams into one stream per
-/// slice — no decode, no re-encode.
-Result<std::vector<EncodedVideo>> StitchSlices(const PhysicalPlan& plan,
-                                               StorageManager* storage,
-                                               QueryResult* result) {
-  std::vector<EncodedVideo> pieces;
-  for (const ScanPlan& scan : plan.scans) {
-    const VideoMetadata& metadata = scan.metadata;
-    for (const SegmentSlice& slice : scan.slices) {
-      std::vector<std::pair<int, int>> tiles;
-      for (int tile = 0; tile < metadata.tile_count(); ++tile) {
-        tiles.emplace_back(tile, slice.tile_quality[tile]);
-      }
-      std::vector<FetchedCell> cells;
-      VC_ASSIGN_OR_RETURN(
-          cells, FetchCells(storage, metadata, slice.segment, tiles));
-      result->cells_scanned += static_cast<int>(cells.size());
-      std::vector<EncodedVideo> parts;
-      parts.reserve(cells.size());
-      for (FetchedCell& cell : cells) parts.push_back(std::move(cell.video));
-      Stopwatch stitch_watch;
-      EncodedVideo merged;
-      VC_ASSIGN_OR_RETURN(
-          merged, MergeTileStreams(parts, metadata.tile_rows,
-                                   metadata.tile_cols, metadata.width,
-                                   metadata.height));
-      if (!parts.empty()) {
-        StitchPerCellHistogram()->Observe(stitch_watch.ElapsedSeconds() /
-                                          static_cast<double>(parts.size()));
-      }
-      pieces.push_back(std::move(merged));
-      ++result->transcodes_avoided;
-    }
-  }
-  return pieces;
+  return Status::OK();
 }
 
 /// Commits `pieces` (one encoded stream per segment) as catalog video
@@ -302,9 +314,33 @@ VideoMetadata DerivedVideoMetadata(const std::string& name,
 
 QualityLadder StoreLadderFor(const PhysicalPlan& plan) {
   const VideoMetadata& lead = plan.scans[0].metadata;
-  if (plan.transcode_free) {
-    int rung = plan.scans[0].slices[0].tile_quality[0];
-    return {lead.ladder[rung]};
+  if (!plan.qp_explicit && plan.FullGrid()) {
+    // Stitched segments keep their stored rungs and re-encoded partial
+    // segments use the best of them, so the rungs the plan serves describe
+    // every cell: one rung as itself, several as "high+low" at the best QP.
+    std::vector<QualityLevel> served;
+    for (const ScanPlan& scan : plan.scans) {
+      for (const SegmentSlice& slice : scan.slices) {
+        for (int rung : slice.tile_quality) {
+          const QualityLevel& level = scan.metadata.ladder[rung];
+          if (std::find(served.begin(), served.end(), level) == served.end()) {
+            served.push_back(level);
+          }
+        }
+      }
+    }
+    std::sort(served.begin(), served.end(),
+              [](const QualityLevel& a, const QualityLevel& b) {
+                return a.qp < b.qp;
+              });
+    if (served.size() == 1) return {served[0]};
+    if (!served.empty()) {
+      QualityLevel mixed = served[0];
+      for (size_t i = 1; i < served.size(); ++i) {
+        mixed.name += "+" + served[i].name;
+      }
+      return {mixed};
+    }
   }
   int qp = plan.encode_qp >= 0 ? plan.encode_qp : lead.ladder[0].qp;
   return {{"q" + std::to_string(qp), qp}};
@@ -348,46 +384,8 @@ Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
   }
 
   std::vector<EncodedVideo> pieces;
-  if (encode_sink && plan.transcode_free && !options.naive_full_scan) {
-    VC_ASSIGN_OR_RETURN(pieces, StitchSlices(plan, storage, &result));
-  } else {
-    std::vector<std::vector<Frame>> groups;
-    VC_ASSIGN_OR_RETURN(
-        groups, MaterializeSlices(plan, storage, options.naive_full_scan,
-                                  &result));
-    if (!encode_sink) {
-      for (std::vector<Frame>& group : groups) {
-        for (Frame& frame : group) result.frames.push_back(std::move(frame));
-      }
-    } else {
-      if (groups.empty()) {
-        return Status::InvalidArgument(
-            "query selects no cells; nothing to encode");
-      }
-      EncoderOptions encode;
-      encode.width = lead.width;
-      encode.height = lead.height;
-      encode.fps = lead.fps();
-      encode.gop_length = lead.frames_per_segment;
-      encode.qp = plan.encode_qp >= 0 ? plan.encode_qp : lead.ladder[0].qp;
-      encode.tile_rows = lead.tile_rows;
-      encode.tile_cols = lead.tile_cols;
-      for (const std::vector<Frame>& group : groups) {
-        Stopwatch encode_watch;
-        EncodedVideo piece;
-        VC_ASSIGN_OR_RETURN(piece, EncodeVideo(group, encode));
-        const uint64_t group_pixels = static_cast<uint64_t>(lead.width) *
-                                      lead.height * group.size();
-        if (group_pixels > 0) {
-          EncodePerPixelHistogram()->Observe(
-              encode_watch.ElapsedSeconds() /
-              static_cast<double>(group_pixels));
-        }
-        pieces.push_back(std::move(piece));
-        ++result.transcodes;
-      }
-    }
-  }
+  VC_RETURN_IF_ERROR(
+      RunSlices(plan, storage, options.naive_full_scan, &pieces, &result));
 
   if (encode_sink) {
     if (pieces.empty()) {
@@ -407,17 +405,9 @@ Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
         break;
       }
       case SinkKind::kStore: {
-        QualityLadder ladder;
-        if (options.naive_full_scan && plan.transcode_free) {
-          // The naive baseline re-encodes even elided plans.
-          int qp = plan.encode_qp >= 0 ? plan.encode_qp : lead.ladder[0].qp;
-          ladder = {{"q" + std::to_string(qp), qp}};
-        } else {
-          ladder = StoreLadderFor(plan);
-        }
-        VC_ASSIGN_OR_RETURN(
-            result.stored_version,
-            StorePieces(storage, plan.target, lead, ladder, pieces));
+        VC_ASSIGN_OR_RETURN(result.stored_version,
+                            StorePieces(storage, plan.target, lead,
+                                        StoreLadderFor(plan), pieces));
         VC_ASSIGN_OR_RETURN(result.encoded, ConcatenateStreams(pieces));
         result.has_encoded = true;
         break;

@@ -19,8 +19,8 @@ namespace vc {
 //
 //   query.cells_scanned       cells fetched and decoded/stitched
 //   query.cells_pruned        catalog cells the optimizer eliminated
-//   query.transcodes          encode sinks served by decode + re-encode
-//   query.transcodes_avoided  segment slices served as stored bytes
+//   query.transcodes          segment slices decoded and re-encoded
+//   query.transcodes_avoided  segment slices stitched from stored bytes
 //   query.plan_seconds        Optimize() latency   (ExecuteQuery only)
 //   query.exec_seconds        ExecutePlan() latency
 //
@@ -29,12 +29,13 @@ namespace vc {
 // query.encode_seconds_per_pixel.
 
 struct ExecuteOptions {
-  /// Filter-after-scan baseline: fetch and decode every catalog cell of
-  /// each scan at one rung, paste everything, then discard what the plan
-  /// pruned (mask out-of-plan tiles back to black, drop out-of-range
-  /// frames). Decoded output is byte-identical to the pruned execution —
-  /// only the work differs. Benchmarks use this as the naive comparison;
-  /// transcode elision is disabled because the baseline always decodes.
+  /// Filter-after-scan baseline: fetch every catalog cell of each scan (at
+  /// the plan's rung where it keeps the tile, at one fallback rung where it
+  /// pruned it), decode and paste every fetched cell of the slices the plan
+  /// decodes, then discard what the plan pruned (mask out-of-plan tiles
+  /// back to black). It changes only what is read and decoded, never the
+  /// output bytes: stitched slices are stitched from the same cells.
+  /// Benchmarks use this as the naive comparison.
   bool naive_full_scan = false;
 };
 
@@ -78,9 +79,12 @@ VideoMetadata DerivedVideoMetadata(const std::string& name,
                                    const VideoMetadata& source,
                                    const QualityLadder& ladder);
 
-/// The single-rung ladder a kStore sink commits `plan`'s output at:
-/// transcode-free plans keep the served rung's identity, transcode plans
-/// get a synthetic "q<qp>" rung.
+/// The single-rung ladder a kStore sink commits `plan`'s output at. A
+/// full-grid plan without an explicit quantizer serves stored rungs (its
+/// re-encoded partial segments use the best of them): one rung keeps its
+/// identity, several become one rung named "<best>+...+<worst>" at the best
+/// rung's QP. Any other plan re-encodes everything and gets a synthetic
+/// "q<qp>" rung.
 QualityLadder StoreLadderFor(const PhysicalPlan& plan);
 
 /// Splits one encoded segment piece back into serialized per-tile cell

@@ -43,6 +43,17 @@ int PhysicalPlan::ScannedCells() const {
   return scanned;
 }
 
+bool PhysicalPlan::FullGrid() const {
+  for (const ScanPlan& scan : scans) {
+    for (const SegmentSlice& slice : scan.slices) {
+      for (int rung : slice.tile_quality) {
+        if (rung < 0) return false;
+      }
+    }
+  }
+  return true;
+}
+
 int PhysicalPlan::TotalCells() const {
   int total = 0;
   for (const ScanPlan& scan : scans) {
@@ -66,37 +77,40 @@ Counter* ViewHitCounter() {
   return counter;
 }
 
-/// Stored bytes of exactly the cells the plan scans (catalog statistics).
-uint64_t PlanStoredBytes(const PhysicalPlan& plan) {
+/// Operand volumes of a set of slices, from catalog statistics: stored
+/// bytes and count of the cells they scan, and the pixels they output.
+struct Volumes {
   uint64_t bytes = 0;
+  int cells = 0;
+  uint64_t pixels = 0;
+
+  std::string Describe() const {
+    return std::to_string(cells) + " cells, " + std::to_string(bytes) +
+           "B stored";
+  }
+};
+
+/// Volumes of the plan's slices whose `stitch` flag equals `stitched`.
+Volumes SliceVolumes(const PhysicalPlan& plan, bool stitched) {
+  Volumes v;
   for (const ScanPlan& scan : plan.scans) {
+    const VideoMetadata& m = scan.metadata;
     for (const SegmentSlice& slice : scan.slices) {
+      if (slice.stitch != stitched) continue;
       for (size_t tile = 0; tile < slice.tile_quality.size(); ++tile) {
         int rung = slice.tile_quality[tile];
         if (rung < 0) continue;
-        bytes += scan.metadata
-                     .cells[scan.metadata.CellIndex(slice.segment,
-                                                    static_cast<int>(tile),
-                                                    rung)]
-                     .byte_size;
+        v.bytes +=
+            m.cells[m.CellIndex(slice.segment, static_cast<int>(tile), rung)]
+                .byte_size;
+        ++v.cells;
       }
+      v.pixels += static_cast<uint64_t>(m.width) * m.height *
+                  static_cast<uint64_t>(slice.last_frame - slice.first_frame +
+                                        1);
     }
   }
-  return bytes;
-}
-
-/// Output pixels a transcode of the plan would re-encode.
-uint64_t PlanOutputPixels(const PhysicalPlan& plan) {
-  uint64_t pixels = 0;
-  for (const ScanPlan& scan : plan.scans) {
-    const uint64_t frame_pixels = static_cast<uint64_t>(scan.metadata.width) *
-                                  scan.metadata.height;
-    for (const SegmentSlice& slice : scan.slices) {
-      pixels += frame_pixels *
-                static_cast<uint64_t>(slice.last_frame - slice.first_frame + 1);
-    }
-  }
-  return pixels;
+  return v;
 }
 
 /// Predicates accumulated walking a chain top-down toward its Scan leaf.
@@ -365,61 +379,71 @@ class Planner {
     return Status::OK();
   }
 
-  /// Marks the plan transcode-free when the Encode sink can be served by
-  /// homomorphic bitstream stitching of stored cells.
+  /// Decides, per slice, whether an encode sink stitches stored cells or
+  /// re-encodes: a whole segment over the full tile grid stitches, a
+  /// partial segment at either end of a window is re-encoded alone at the
+  /// plan's quantizer (a smart cut). An explicit quantizer re-encodes all.
   void ApplyTranscodeElision() {
-    if (plan_.sink == SinkKind::kMaterialize) return;
+    if (plan_.sink == SinkKind::kMaterialize || plan_.scans.empty()) return;
     if (plan_.encode_qp >= 0) {
+      plan_.qp_explicit = true;
       Log("encode: explicit qp=" + std::to_string(plan_.encode_qp) +
           " forces a transcode");
       return;
     }
-    int uniform_rung = -1;
-    bool elidable = !plan_.scans.empty();
+    // All stitched streams must agree on geometry and cadence.
+    const VideoMetadata& m0 = plan_.scans[0].metadata;
+    bool geometry_agrees = true;
     for (const ScanPlan& scan : plan_.scans) {
-      // All stitched streams must agree on geometry and cadence.
-      const VideoMetadata& m0 = plan_.scans[0].metadata;
-      if (scan.metadata.width != m0.width ||
-          scan.metadata.height != m0.height ||
-          scan.metadata.fps_times_100 != m0.fps_times_100 ||
-          scan.metadata.tile_rows != m0.tile_rows ||
-          scan.metadata.tile_cols != m0.tile_cols) {
-        elidable = false;
-        break;
-      }
-      if (scan.slices.empty()) elidable = false;
-      for (const SegmentSlice& slice : scan.slices) {
-        if (!slice.WholeSegment(scan.metadata)) elidable = false;
-        for (int rung : slice.tile_quality) {
-          if (rung < 0) elidable = false;
-          if (uniform_rung < 0) uniform_rung = rung;
-          if (rung != uniform_rung) elidable = false;
-        }
-        if (!elidable) break;
-      }
-      if (!elidable) break;
+      geometry_agrees = geometry_agrees && scan.metadata.width == m0.width &&
+                        scan.metadata.height == m0.height &&
+                        scan.metadata.fps_times_100 == m0.fps_times_100 &&
+                        scan.metadata.tile_rows == m0.tile_rows &&
+                        scan.metadata.tile_cols == m0.tile_cols;
     }
-    if (elidable) {
+    int slices = 0, stitched = 0;
+    std::set<int> rungs;
+    for (ScanPlan& scan : plan_.scans) {
+      for (SegmentSlice& slice : scan.slices) {
+        bool full_grid = true;
+        for (int rung : slice.tile_quality) {
+          if (rung < 0) {
+            full_grid = false;
+            continue;
+          }
+          rungs.insert(rung);
+        }
+        slice.stitch = geometry_agrees && full_grid &&
+                       slice.WholeSegment(scan.metadata);
+        ++slices;
+        stitched += slice.stitch ? 1 : 0;
+      }
+    }
+    if (slices > 0 && stitched == slices) {
       plan_.transcode_free = true;
-      Log("transcode-elision: full grid of whole segments at rung " +
-          std::to_string(uniform_rung) +
+      std::string at = "rung " + std::to_string(*rungs.begin());
+      if (rungs.size() > 1) {
+        at = "rungs";
+        for (int rung : rungs) {
+          at += (rung == *rungs.begin() ? " " : ",") + std::to_string(rung);
+        }
+        at += " (per-tile QP frames)";
+      }
+      Log("transcode-elision: full grid of whole segments at " + at +
           " -> stitch stored bitstreams, no transcode");
       return;
     }
-    // The executor must re-encode; fix the quantizer now so the plan alone
+    // Some slice re-encodes; fix its quantizer now so the plan alone
     // determines the output bytes. Use the best rung the plan serves.
-    int best_rung = -1;
-    for (const ScanPlan& scan : plan_.scans) {
-      for (const SegmentSlice& slice : scan.slices) {
-        for (int rung : slice.tile_quality) {
-          if (rung >= 0 && (best_rung < 0 || rung < best_rung)) {
-            best_rung = rung;
-          }
-        }
-      }
-    }
-    if (!plan_.scans.empty() && best_rung >= 0) {
-      plan_.encode_qp = plan_.scans[0].metadata.ladder[best_rung].qp;
+    if (rungs.empty()) return;
+    const int best_rung = *rungs.begin();
+    plan_.encode_qp = m0.ladder[best_rung].qp;
+    if (stitched > 0) {
+      Log("smart-cut: stitch " + std::to_string(stitched) +
+          " whole segments, re-encode " + std::to_string(slices - stitched) +
+          " partial segments at qp=" + std::to_string(plan_.encode_qp) +
+          " (rung " + std::to_string(best_rung) + ")");
+    } else {
       Log("encode: partial plan, transcode at qp=" +
           std::to_string(plan_.encode_qp) + " (rung " +
           std::to_string(best_rung) + ")");
@@ -448,42 +472,47 @@ class Planner {
     const CostModel& model = options_.cost_model != nullptr
                                  ? *options_.cost_model
                                  : (model_storage = CostModel::Calibrated());
-    const uint64_t bytes = PlanStoredBytes(plan_);
-    const int cells = plan_.ScannedCells();
-    const uint64_t pixels = PlanOutputPixels(plan_);
-
-    const std::string volumes = std::to_string(cells) + " cells, " +
-                                std::to_string(bytes) + "B stored";
-    if (plan_.transcode_free) {
-      PlanAlternative stitch;
-      stitch.name = "stitch";
-      stitch.cost_seconds = model.StitchCost(bytes, cells);
-      stitch.detail = volumes;
-      plan_.alternatives.push_back(std::move(stitch));
-
-      PlanAlternative reencode;
-      reencode.name = "re-encode";
-      reencode.cost_seconds = model.TranscodeCost(bytes, cells, pixels);
+    const Volumes stitched = SliceVolumes(plan_, true);
+    const Volumes decoded = SliceVolumes(plan_, false);
+    Volumes all = stitched;
+    all.bytes += decoded.bytes;
+    all.cells += decoded.cells;
+    all.pixels += decoded.pixels;
+    PlanAlternative stitch;
+    stitch.name = "stitch";
+    stitch.cost_seconds = model.StitchCost(all.bytes, all.cells);
+    PlanAlternative reencode;
+    reencode.name = "re-encode";
+    reencode.cost_seconds =
+        model.TranscodeCost(all.bytes, all.cells, all.pixels);
+    if (stitched.cells > 0) {
+      // A smart cut also re-encodes its partial segments.
+      stitch.cost_seconds =
+          model.StitchCost(stitched.bytes, stitched.cells) +
+          model.TranscodeCost(decoded.bytes, decoded.cells, decoded.pixels);
+      stitch.detail = plan_.transcode_free
+                          ? all.Describe()
+                          : stitched.Describe() + " stitched + " +
+                                decoded.Describe() + " re-encoded, " +
+                                std::to_string(decoded.pixels) + "px out";
       reencode.feasible = false;
-      reencode.detail = "would change output bytes (re-quantizes elided plan)";
+      reencode.detail =
+          std::string("would change output bytes (re-quantizes ") +
+          (plan_.transcode_free ? "elided plan)" : "stitched segments)");
+      plan_.alternatives.push_back(std::move(stitch));
       plan_.alternatives.push_back(std::move(reencode));
     } else {
-      PlanAlternative reencode;
-      reencode.name = "re-encode";
-      reencode.cost_seconds = model.TranscodeCost(bytes, cells, pixels);
-      reencode.detail = volumes + ", " + std::to_string(pixels) + "px out";
-      plan_.alternatives.push_back(std::move(reencode));
-
-      PlanAlternative stitch;
-      stitch.name = "stitch";
-      stitch.cost_seconds = model.StitchCost(bytes, cells);
+      reencode.detail =
+          all.Describe() + ", " + std::to_string(all.pixels) + "px out";
       stitch.feasible = false;
-      stitch.detail = "plan not stitchable (partial coverage, mixed rungs, "
-                      "or explicit qp)";
+      stitch.detail = "plan not stitchable (pruned tiles, only partial "
+                      "segments, or explicit qp)";
+      plan_.alternatives.push_back(std::move(reencode));
       plan_.alternatives.push_back(std::move(stitch));
     }
 
     std::vector<ViewRewrite> rewrites;
+    const size_t first_view = plan_.alternatives.size();
     if ((plan_.sink == SinkKind::kEncode || plan_.sink == SinkKind::kToFile) &&
         options_.views != nullptr && plan_.scans.size() == 1) {
       for (const MaterializedViewInfo& view : *options_.views) {
@@ -491,12 +520,16 @@ class Planner {
       }
     }
 
+    // On equal estimated cost a view scan wins: its cells are the stored
+    // result, while the direct plan still has to assemble it.
     size_t best = plan_.alternatives.size();
     for (size_t i = 0; i < plan_.alternatives.size(); ++i) {
       const PlanAlternative& alt = plan_.alternatives[i];
       if (!alt.feasible) continue;
       if (best == plan_.alternatives.size() ||
-          alt.cost_seconds < plan_.alternatives[best].cost_seconds) {
+          alt.cost_seconds < plan_.alternatives[best].cost_seconds ||
+          (alt.cost_seconds == plan_.alternatives[best].cost_seconds &&
+           i >= first_view && best < first_view)) {
         best = i;
       }
     }
@@ -534,10 +567,7 @@ class Planner {
     if (defining->scans.size() != 1 || defining->sink != SinkKind::kStore) {
       return;
     }
-    if (defining->transcode_free != plan_.transcode_free) return;
-    if (!plan_.transcode_free && defining->encode_qp != plan_.encode_qp) {
-      return;
-    }
+    if (defining->encode_qp != plan_.encode_qp) return;
 
     // Map each incoming slice onto the defining plan's slice for the same
     // segment; both lists ascend by segment.
@@ -556,7 +586,8 @@ class Planner {
       const SegmentSlice& have = view_slices[vi];
       if (have.first_frame != wanted.first_frame ||
           have.last_frame != wanted.last_frame ||
-          have.tile_quality != wanted.tile_quality) {
+          have.tile_quality != wanted.tile_quality ||
+          have.stitch != wanted.stitch) {
         return;
       }
       if (static_cast<int>(vi) >= view.segments) return;  // not maintained
@@ -624,12 +655,14 @@ class Planner {
       slice.last_frame =
           static_cast<int>(info.start_frame + info.frame_count) - 1;
       slice.tile_quality.assign(view_tiles, 0);
+      slice.stitch = true;
       slices.push_back(std::move(slice));
     }
     scan.metadata = std::move(rewrite.metadata);
     scan.slices = std::move(slices);
     plan_.transcode_free = true;
     plan_.encode_qp = -1;
+    plan_.qp_explicit = false;
     plan_.view_served = rewrite.name;
     ViewHitCounter()->Add(1);
     Log("view-match: '" + rewrite.name + "' subsumes query over " + source +

@@ -27,10 +27,14 @@ namespace vc {
 //   - quality selection is pushed down to stored ladder rungs, so the
 //     executor serves stored bytes and only transcodes when an explicit
 //     quantizer forces it;
-//   - an Encode sink whose plan covers whole segments over the full tile
-//     grid at one uniform stored rung is marked transcode-free: the
-//     executor then stitches stored bitstreams homomorphically
-//     (MergeTileStreams + ConcatenateStreams) without touching pixels.
+//   - for an Encode sink without an explicit quantizer, every slice that
+//     covers a whole segment over the full tile grid is stitched: the
+//     executor merges its stored cell bitstreams homomorphically
+//     (MergeTileStreams, per-tile QP frames when the rungs differ) without
+//     touching pixels. A partial segment at either end of a time window is
+//     decoded and re-encoded alone at the plan's quantizer (a "smart cut"),
+//     and ConcatenateStreams joins the pieces. A plan whose every slice
+//     stitches is transcode-free.
 //
 // Every applied rule appends one line to `PhysicalPlan::rewrites`, and
 // `Explain()` renders the plan plus those lines deterministically.
@@ -73,6 +77,10 @@ struct SegmentSlice {
   int first_frame = 0;  ///< Global frame index, clamped into the segment.
   int last_frame = 0;   ///< Inclusive.
   std::vector<int> tile_quality;  ///< Ladder rung per tile; -1 = pruned.
+  /// Encode sinks: served by stitching the stored cells (a whole segment,
+  /// every tile at a stored rung, no explicit quantizer). Otherwise the
+  /// slice is decoded and re-encoded at the plan's `encode_qp`.
+  bool stitch = false;
 
   /// True when the slice covers every frame of the segment.
   bool WholeSegment(const VideoMetadata& metadata) const;
@@ -99,10 +107,12 @@ const char* SinkKindName(SinkKind kind);
 struct PhysicalPlan {
   std::vector<ScanPlan> scans;  ///< Union branches in playback order.
   SinkKind sink = SinkKind::kMaterialize;
-  int encode_qp = -1;        ///< >= 0 forces a transcode at this quantizer.
+  /// Quantizer of the slices that re-encode (-1 when none does).
+  int encode_qp = -1;
+  /// `encode_qp` came from an explicit encode(qp): every slice re-encodes.
+  bool qp_explicit = false;
   std::string target;        ///< Store name or file path.
-  /// Encode sink can be served by homomorphically stitching stored cell
-  /// bitstreams — no decode, no re-encode.
+  /// Every slice stitches stored cell bitstreams — no decode, no re-encode.
   bool transcode_free = false;
   std::vector<std::string> rewrites;  ///< One line per applied rule.
   /// Costed strategy alternatives for encode sinks (empty for materialize).
@@ -118,6 +128,8 @@ struct PhysicalPlan {
 
   /// Cells addressed by the scans' segment x tile lattice at one rung each.
   int ScannedCells() const;
+  /// True when every slice keeps every tile (at some rung).
+  bool FullGrid() const;
   /// Cells the same scans would touch without pruning (every tile of every
   /// catalog segment, at one rung).
   int TotalCells() const;

@@ -41,7 +41,9 @@ uint32_t VersionFromMetadataName(const std::string& filename) {
 }  // namespace
 
 StorageManager::StorageManager(const StorageOptions& options)
-    : options_(options), cache_(options.cache_capacity_bytes) {
+    : options_(options),
+      cache_(options.cache_capacity_bytes),
+      versions_(std::make_shared<VersionSet>()) {
   if (options.io_threads > 0) {
     io_pool_ = std::make_unique<ThreadPool>(options.io_threads);
   }
@@ -86,7 +88,7 @@ Status StorageManager::LoadCatalog() {
     }
     if (versions.empty()) continue;
     std::sort(versions.begin(), versions.end());
-    CatalogEntry& video = catalog_[name];
+    CatalogEntry& video = versions_->videos[name];
     video.committed = std::move(versions);
     auto latest = ReadVersion(name, video.committed.back());
     if (latest.ok()) {
@@ -113,29 +115,30 @@ StorageManager::VideoWriter::VideoWriter(StorageManager* store,
                                          VideoMetadata metadata,
                                          std::string version_dir)
     : store_(store),
+      versions_(store->versions_),
       metadata_(std::move(metadata)),
       version_dir_(std::move(version_dir)) {}
 
 StorageManager::VideoWriter::~VideoWriter() {
-  if (!committed_) store_->ReleaseVersion(metadata_.name, metadata_.version);
+  if (!committed_) versions_->Release(metadata_.name, metadata_.version);
 }
 
-uint32_t StorageManager::ReserveVersionLocked(CatalogEntry* entry) {
+uint32_t StorageManager::VersionSet::ReserveLocked(CatalogEntry* entry) {
   uint32_t version = entry->committed.empty() ? 0 : entry->committed.back();
   for (uint32_t held : entry->reserved) version = std::max(version, held);
   entry->reserved.push_back(version + 1);
   return version + 1;
 }
 
-void StorageManager::ReleaseVersion(const std::string& name,
-                                    uint32_t version) {
-  std::lock_guard<std::mutex> lock(catalog_mu_);
-  auto it = catalog_.find(name);
-  if (it == catalog_.end()) return;
+void StorageManager::VersionSet::Release(const std::string& name,
+                                         uint32_t version) {
+  std::lock_guard<std::mutex> lock(mu);
+  auto it = videos.find(name);
+  if (it == videos.end()) return;
   std::vector<uint32_t>& reserved = it->second.reserved;
   reserved.erase(std::remove(reserved.begin(), reserved.end(), version),
                  reserved.end());
-  if (reserved.empty() && it->second.committed.empty()) catalog_.erase(it);
+  if (reserved.empty() && it->second.committed.empty()) videos.erase(it);
 }
 
 Result<std::unique_ptr<StorageManager::VideoWriter>>
@@ -154,8 +157,9 @@ StorageManager::NewVideoWriter(VideoMetadata metadata) {
   VC_RETURN_IF_ERROR(probe.Validate());
 
   {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    metadata.version = ReserveVersionLocked(&catalog_[metadata.name]);
+    std::lock_guard<std::mutex> lock(versions_->mu);
+    metadata.version =
+        VersionSet::ReserveLocked(&versions_->videos[metadata.name]);
   }
   metadata.data_dir = "v" + std::to_string(metadata.version);
   std::string dir = VideoDir(metadata.name) + "/" + metadata.data_dir;
@@ -231,12 +235,12 @@ Result<uint32_t> StorageManager::Publish(const VideoMetadata& metadata,
                                          bool reserve_next) {
   const std::vector<uint8_t> bytes = metadata.Serialize();
   auto snapshot = std::make_shared<const VideoMetadata>(metadata);
-  std::lock_guard<std::mutex> lock(catalog_mu_);
+  std::lock_guard<std::mutex> lock(versions_->mu);
   // The commit point: the cells are written, and the version exists once
   // its metadata file does. The set changes only after that write.
   VC_RETURN_IF_ERROR(options_.env->WriteFile(
       MetadataPath(metadata.name, metadata.version), Slice(bytes)));
-  CatalogEntry& entry = catalog_[metadata.name];
+  CatalogEntry& entry = versions_->videos[metadata.name];
   std::vector<uint32_t>& committed = entry.committed;
   auto at = std::lower_bound(committed.begin(), committed.end(),
                              metadata.version);
@@ -250,13 +254,13 @@ Result<uint32_t> StorageManager::Publish(const VideoMetadata& metadata,
   entry.reserved.erase(std::remove(entry.reserved.begin(),
                                    entry.reserved.end(), metadata.version),
                        entry.reserved.end());
-  return reserve_next ? ReserveVersionLocked(&entry) : 0;
+  return reserve_next ? VersionSet::ReserveLocked(&entry) : 0;
 }
 
 Result<std::vector<std::string>> StorageManager::ListVideos() const {
   std::vector<std::string> videos;
-  std::lock_guard<std::mutex> lock(catalog_mu_);
-  for (const auto& [name, entry] : catalog_) {
+  std::lock_guard<std::mutex> lock(versions_->mu);
+  for (const auto& [name, entry] : versions_->videos) {
     if (!entry.committed.empty()) videos.push_back(name);
   }
   return videos;
@@ -264,9 +268,9 @@ Result<std::vector<std::string>> StorageManager::ListVideos() const {
 
 Result<std::vector<uint32_t>> StorageManager::ListVersions(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(catalog_mu_);
-  auto it = catalog_.find(name);
-  if (it == catalog_.end() || it->second.committed.empty()) {
+  std::lock_guard<std::mutex> lock(versions_->mu);
+  auto it = versions_->videos.find(name);
+  if (it == versions_->videos.end() || it->second.committed.empty()) {
     return Status::NotFound("video '" + name + "' not in catalog");
   }
   return it->second.committed;
@@ -275,9 +279,9 @@ Result<std::vector<uint32_t>> StorageManager::ListVersions(
 Result<VideoMetadata> StorageManager::GetVideo(const std::string& name) const {
   std::shared_ptr<const VideoMetadata> latest;
   {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    auto it = catalog_.find(name);
-    if (it == catalog_.end() || it->second.committed.empty()) {
+    std::lock_guard<std::mutex> lock(versions_->mu);
+    auto it = versions_->videos.find(name);
+    if (it == versions_->videos.end() || it->second.committed.empty()) {
       return Status::NotFound("video '" + name + "' not in catalog");
     }
     if (!it->second.latest) return it->second.latest_status;
@@ -289,10 +293,10 @@ Result<VideoMetadata> StorageManager::GetVideo(const std::string& name) const {
 Result<VideoMetadata> StorageManager::GetVideoVersion(
     const std::string& name, uint32_t version) const {
   {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    auto it = catalog_.find(name);
+    std::lock_guard<std::mutex> lock(versions_->mu);
+    auto it = versions_->videos.find(name);
     const std::vector<uint32_t>* committed =
-        it == catalog_.end() ? nullptr : &it->second.committed;
+        it == versions_->videos.end() ? nullptr : &it->second.committed;
     if (committed == nullptr ||
         !std::binary_search(committed->begin(), committed->end(), version)) {
       return Status::NotFound("video '" + name + "' version " +
@@ -382,14 +386,14 @@ void StorageManager::ClearCache() { cache_.Clear(); }
 
 Status StorageManager::DropVideo(const std::string& name) {
   {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    auto it = catalog_.find(name);
-    if (it == catalog_.end() || it->second.committed.empty()) {
+    std::lock_guard<std::mutex> lock(versions_->mu);
+    auto it = versions_->videos.find(name);
+    if (it == versions_->videos.end() || it->second.committed.empty()) {
       return Status::NotFound("video '" + name + "' not in catalog");
     }
     VC_RETURN_IF_ERROR(options_.env->RemoveDirRecursive(VideoDir(name)));
     if (it->second.reserved.empty()) {
-      catalog_.erase(it);
+      versions_->videos.erase(it);
     } else {
       it->second.committed.clear();
       it->second.latest.reset();

@@ -50,6 +50,8 @@ struct StorageOptions {
 /// version older than the latest. Another StorageManager on the same root
 /// sees the commits made before its own Open (DESIGN.md, "Catalog commits").
 class StorageManager : public CellSource {
+  struct VersionSet;
+
  public:
   /// Opens (creating the root directory if needed) and loads the committed
   /// version set. A failure to list the store is returned; a video whose
@@ -63,8 +65,10 @@ class StorageManager : public CellSource {
   /// Append segments in order, then Commit() to publish atomically. The
   /// version is invisible to readers until Commit writes the metadata file.
   /// The writer holds its version number reserved until it commits or is
-  /// destroyed, so no other writer is handed the same number; it must not
-  /// outlive its store.
+  /// destroyed, so no other writer is handed the same number. It shares
+  /// the store's version set, so it may be destroyed after its store (its
+  /// reservation then goes back to a set nobody reads); every other call
+  /// needs the store alive.
   class VideoWriter {
    public:
     ~VideoWriter();
@@ -97,6 +101,7 @@ class StorageManager : public CellSource {
                 std::string version_dir);
 
     StorageManager* store_;
+    std::shared_ptr<VersionSet> versions_;  ///< Outlives store_ if need be.
     VideoMetadata metadata_;
     std::string version_dir_;
     bool committed_ = false;
@@ -175,6 +180,19 @@ class StorageManager : public CellSource {
     Status latest_status;
   };
 
+  /// The committed version set, shared with the store's writers.
+  struct VersionSet {
+    /// Guards `videos` and serializes the metadata writes and DROPs that
+    /// change it, so the set and the files never disagree.
+    std::mutex mu;
+    std::map<std::string, CatalogEntry> videos;
+
+    /// Hands out max(committed ∪ reserved) + 1 and reserves it; needs mu.
+    static uint32_t ReserveLocked(CatalogEntry* entry);
+    /// Drops a writer's reservation.
+    void Release(const std::string& name, uint32_t version);
+  };
+
   std::string VideoDir(const std::string& name) const;
   std::string MetadataPath(const std::string& name, uint32_t version) const;
 
@@ -184,10 +202,6 @@ class StorageManager : public CellSource {
   /// Reads and parses one version's metadata file.
   Result<VideoMetadata> ReadVersion(const std::string& name,
                                     uint32_t version) const;
-  /// Hands out max(committed ∪ reserved) + 1 and reserves it.
-  uint32_t ReserveVersionLocked(CatalogEntry* entry);
-  /// Drops a live writer's reservation.
-  void ReleaseVersion(const std::string& name, uint32_t version);
   /// Writes `metadata`'s file and, once that succeeded, adds its version
   /// to the set. With `reserve_next` the writer keeps going: returns the
   /// next version reserved for it (0 otherwise).
@@ -198,10 +212,7 @@ class StorageManager : public CellSource {
   /// Declared after cache_: destroyed (shut down and joined) first, so no
   /// in-flight loader can touch a dead cache.
   std::unique_ptr<ThreadPool> io_pool_;
-  /// Guards `catalog_` and serializes the metadata writes and DROPs that
-  /// change it, so the set and the files never disagree.
-  mutable std::mutex catalog_mu_;
-  std::map<std::string, CatalogEntry> catalog_;
+  const std::shared_ptr<VersionSet> versions_;
 };
 
 /// \brief The backing-store read of one cell (`store`'s CellLoader) as a

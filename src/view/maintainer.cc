@@ -194,7 +194,8 @@ Status ViewMaintainer::MaintainLocked(Registration* reg) {
     piece_plan.scans.push_back(std::move(single));
     piece_plan.sink = SinkKind::kEncode;
     piece_plan.encode_qp = plan.encode_qp;
-    piece_plan.transcode_free = plan.transcode_free;
+    piece_plan.qp_explicit = plan.qp_explicit;
+    piece_plan.transcode_free = scan.slices[i].stitch;
     Result<QueryResult> result = ExecutePlan(piece_plan, storage);
     if (!result.ok()) return latch(result.status());
 

@@ -44,7 +44,8 @@ struct StandingQueryResult {
 /// A standing query whose inner chain sinks into `store(<name>)` is a
 /// *materialized view*: each emission's piece is split back into per-tile
 /// cells (homomorphically, so the view's cells are byte-identical to a
-/// full recompute) and appended to derived catalog video `<name>` — a
+/// full recompute, and a stitched segment's cells are byte copies of the
+/// source cells) and appended to derived catalog video `<name>` — a
 /// streaming checkpoint per maintenance batch while the source streams,
 /// an archived commit when the source closes. The definition and progress
 /// persist in the ViewCatalog, whose Candidates() feed the optimizer's

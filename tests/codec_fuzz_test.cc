@@ -6,6 +6,7 @@
 #include "codec/bitstream.h"
 #include "codec/decoder.h"
 #include "codec/encoder.h"
+#include "codec/homomorphic.h"
 #include "common/random.h"
 #include "image/scene.h"
 
@@ -38,6 +39,35 @@ std::vector<uint8_t> EncodeFixture(int tile_rows, int tile_cols) {
   auto video = EncodeVideo(frames, options);
   EXPECT_TRUE(video.ok());
   return video->Serialize();
+}
+
+/// A 2x2 stream stitched from cells encoded at two QPs (tiles 0 and 3 at
+/// 30, tiles 1 and 2 at 40): every frame carries per-tile QP bytes.
+std::vector<uint8_t> MixedQpFixture() {
+  SceneOptions scene_options;
+  scene_options.width = 64;
+  scene_options.height = 32;
+  auto scene = NewVeniceScene(scene_options);
+  auto frames = RenderScene(*scene, 4);
+
+  EncoderOptions options;
+  options.width = 64;
+  options.height = 32;
+  options.gop_length = 4;
+  options.tile_rows = 2;
+  options.tile_cols = 2;
+  std::vector<EncodedVideo> cells;
+  for (int i = 0; i < 4; ++i) {
+    options.qp = (i == 0 || i == 3) ? 30 : 40;
+    auto video = EncodeVideo(frames, options);
+    EXPECT_TRUE(video.ok());
+    auto cell = ExtractTileStream(*video, video->header.tile_grid().TileAt(i));
+    EXPECT_TRUE(cell.ok());
+    cells.push_back(std::move(*cell));
+  }
+  auto merged = MergeTileStreams(cells, 2, 2, 64, 32);
+  EXPECT_TRUE(merged.ok());
+  return merged->Serialize();
 }
 
 /// Parses and, when parsing succeeds, fully decodes every frame. Any return
@@ -154,6 +184,41 @@ TEST_F(FuzzTest, OutcomeDigestIsPinned) {
   }
   EXPECT_EQ(index, 664u);
   EXPECT_EQ(hash, 0x8ca6d3d7c1679133ull)
+      << std::hex << "actual digest 0x" << hash;
+}
+
+TEST_F(FuzzTest, MixedQpStreamsFailCleanly) {
+  // The same corpora over a stitched per-tile-QP stream. Each mutant must
+  // decode or fail with a Status, and so must extracting each of its tiles
+  // (the homomorphic path that reads the per-tile QP bytes too).
+  auto bytes = MixedQpFixture();
+  ASSERT_GT(bytes.size(), 64u);
+  for (const auto& corpus : {TruncationCorpus(bytes), BitFlipCorpus(bytes)}) {
+    for (const auto& mutant : corpus) {
+      DriveDecoder(mutant);
+      auto video = EncodedVideo::Parse(Slice(mutant));
+      if (!video.ok()) continue;
+      for (int i = 0; i < 4; ++i) {
+        auto tile = ExtractTileStream(*video, TileGrid(2, 2).TileAt(i));
+        if (tile.ok()) DriveDecoder(tile->Serialize());
+      }
+    }
+  }
+}
+
+TEST_F(FuzzTest, MixedQpOutcomeDigestIsPinned) {
+  // Which mutants of the per-tile-QP stream decode, to what, and with
+  // which error the rest stop.
+  auto bytes = MixedQpFixture();
+  uint64_t hash = 0xcbf29ce484222325ull;
+  uint64_t index = 0;
+  for (const auto& corpus : {TruncationCorpus(bytes), BitFlipCorpus(bytes)}) {
+    for (const auto& mutant : corpus) {
+      hash = HashOutcome(hash, index++, mutant);
+    }
+  }
+  EXPECT_EQ(index, 664u);
+  EXPECT_EQ(hash, 0x5497fc69c45b55a2ull)
       << std::hex << "actual digest 0x" << hash;
 }
 

@@ -590,6 +590,127 @@ TEST(HomomorphicTest, ConcatenateValidation) {
   EXPECT_FALSE(ConcatenateStreams({}).ok());
 }
 
+// ------------------------------------------- Mixed-QP TILEUNION (stitch)
+
+/// Single-tile cells of a 2x2 grid over the same frames, cut from two
+/// encodes: tiles 0 and 3 at `qp_a`, tiles 1 and 2 at `qp_b` — what a
+/// degrade query stitches from cells stored at different rungs.
+std::vector<EncodedVideo> MixedQpCells(int qp_a, int qp_b) {
+  EncoderOptions options = SmallOptions();
+  options.tile_rows = 2;
+  options.tile_cols = 2;
+  auto frames = TestFrames(6);
+  options.qp = qp_a;
+  auto a = EncodeVideo(frames, options);
+  options.qp = qp_b;
+  auto b = EncodeVideo(frames, options);
+  EXPECT_TRUE(a.ok() && b.ok());
+  std::vector<EncodedVideo> cells;
+  for (int i = 0; i < 4; ++i) {
+    const EncodedVideo& source = (i == 0 || i == 3) ? *a : *b;
+    auto cell = ExtractTileStream(source, source.header.tile_grid().TileAt(i));
+    EXPECT_TRUE(cell.ok());
+    cells.push_back(std::move(*cell));
+  }
+  return cells;
+}
+
+TEST(HomomorphicTest, MixedQpMergeDecodesToPerTileDecodes) {
+  const std::vector<EncodedVideo> cells = MixedQpCells(14, 42);
+  auto merged = MergeTileStreams(cells, 2, 2, 128, 64);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  for (const EncodedFrame& frame : merged->frames) {
+    EXPECT_EQ(frame.payload[1], kPerTileQp);
+  }
+  auto decoded = DecodeVideo(*merged);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const TileGrid grid(2, 2);
+  for (int i = 0; i < 4; ++i) {
+    auto rect = grid.PixelRectOf(grid.TileAt(i), 128, 64, 16);
+    ASSERT_TRUE(rect.ok());
+    auto reference = DecodeVideo(cells[i]);
+    ASSERT_TRUE(reference.ok());
+    ASSERT_EQ(reference->size(), decoded->size());
+    for (size_t f = 0; f < decoded->size(); ++f) {
+      auto crop = (*decoded)[f].Crop(rect->x, rect->y, rect->width,
+                                     rect->height);
+      ASSERT_TRUE(crop.ok());
+      EXPECT_EQ(crop->y_plane(), (*reference)[f].y_plane())
+          << "tile " << i << " frame " << f;
+      EXPECT_EQ(crop->u_plane(), (*reference)[f].u_plane());
+      EXPECT_EQ(crop->v_plane(), (*reference)[f].v_plane());
+    }
+  }
+}
+
+TEST(HomomorphicTest, ExtractOfMixedQpMergeRestoresEveryCell) {
+  const std::vector<EncodedVideo> cells = MixedQpCells(14, 42);
+  auto merged = MergeTileStreams(cells, 2, 2, 128, 64);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  const TileGrid grid(2, 2);
+  for (int i = 0; i < 4; ++i) {
+    auto extracted = ExtractTileStream(*merged, grid.TileAt(i));
+    ASSERT_TRUE(extracted.ok()) << extracted.status().ToString();
+    EXPECT_EQ(extracted->Serialize(), cells[i].Serialize()) << "tile " << i;
+  }
+}
+
+TEST(HomomorphicTest, MixedQpFrameIsOneBytePerTileLarger) {
+  // Same tile bits, laid out uniform ([type][qp][offsets][tiles]) vs with a
+  // QP byte in front of each tile.
+  const std::vector<EncodedVideo> cells = MixedQpCells(14, 42);
+  auto merged = MergeTileStreams(cells, 2, 2, 128, 64);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  for (size_t f = 0; f < merged->frames.size(); ++f) {
+    size_t uniform_layout = 2 + 4 * 4;
+    for (const EncodedVideo& cell : cells) {
+      uniform_layout += cell.frames[f].payload.size() - (2 + 4);
+    }
+    EXPECT_EQ(merged->frames[f].payload.size(), uniform_layout + 4)
+        << "frame " << f;
+  }
+}
+
+TEST(HomomorphicTest, UniformMergeDigestIsPinned) {
+  // Parts that agree on every frame QP keep the uniform layout: the merged
+  // stream's bytes are the ones the uniform-only merge produced.
+  auto merged = MergeTileStreams(MixedQpCells(28, 28), 2, 2, 128, 64);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  for (const EncodedFrame& frame : merged->frames) {
+    EXPECT_EQ(frame.payload[1], 28);
+  }
+  const std::vector<uint8_t> bytes = merged->Serialize();
+  uint64_t hash = 14695981039346656037ull;
+  for (uint8_t byte : bytes) hash = (hash ^ byte) * 1099511628211ull;
+  EXPECT_EQ(hash, 0x96101b8933b8a294ull)
+      << std::hex << "actual digest 0x" << hash;
+}
+
+TEST(HomomorphicTest, MixedQpValidation) {
+  std::vector<EncodedVideo> cells = MixedQpCells(14, 42);
+  // A part QP that cannot be written per tile.
+  std::vector<EncodedVideo> bad = cells;
+  bad[1].frames[2].payload[1] = 52;
+  EXPECT_TRUE(
+      MergeTileStreams(bad, 2, 2, 128, 64).status().IsInvalidArgument());
+
+  auto merged = MergeTileStreams(cells, 2, 2, 128, 64);
+  ASSERT_TRUE(merged.ok());
+  auto ranges = ParseTileOffsets(Slice(merged->frames[0].payload), 4);
+  ASSERT_TRUE(ranges.ok());
+  // An out-of-range tile QP fails the decode and the extraction cleanly.
+  EncodedVideo corrupt = *merged;
+  corrupt.frames[0].payload[(*ranges)[3].first] = 52;
+  auto decoder = Decoder::Create(corrupt.header);
+  ASSERT_TRUE(decoder.ok());
+  EXPECT_TRUE((*decoder)
+                  ->Decode(Slice(corrupt.frames[0].payload))
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(ExtractTileStream(corrupt, {1, 1}).status().IsCorruption());
+  EXPECT_TRUE(ExtractTileStream(corrupt, {0, 0}).ok());
+}
+
 // ---------------------------------------------------------------- Frame QP
 
 TEST(CodecTest, FramePayloadCarriesQp) {

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "codec/decoder.h"
+#include "codec/encoder.h"
 #include "common/env.h"
 #include "core/visualcloud.h"
 #include "obs/metrics.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "streaming/manifest.h"
+#include "test_digest.h"
 
 namespace vc {
 namespace {
@@ -346,6 +348,167 @@ TEST_F(QueryTest, TranscodeElisionOnFullGridExport) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->size(), 32u);
   EXPECT_EQ(b->size(), 32u);
+}
+
+TEST_F(QueryTest, DegradeWindowStitchesWholeSegmentsAndReencodesEnds) {
+  // [0.5s, 3.5s) = frames [4, 27]: a partial segment at each end, two whole
+  // mixed-rung segments in between.
+  Query chain = Query::Scan("venice")
+                    .TimeSlice(0.5, 3.5)
+                    .Viewport(kPi, kPi / 2, DegToRad(90), DegToRad(60))
+                    .QualityFloor("high")
+                    .Degrade("low");
+  auto plan = Optimize(chain.Encode(), storage());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_FALSE(plan->transcode_free);
+  EXPECT_EQ(plan->encode_qp, 14);
+  const std::vector<SegmentSlice>& slices = plan->scans[0].slices;
+  ASSERT_EQ(slices.size(), 4u);
+  EXPECT_FALSE(slices[0].stitch);
+  EXPECT_TRUE(slices[1].stitch);
+  EXPECT_TRUE(slices[2].stitch);
+  EXPECT_FALSE(slices[3].stitch);
+  ASSERT_EQ(plan->alternatives.size(), 2u);
+  EXPECT_EQ(plan->alternatives[0].name, "stitch");
+  EXPECT_TRUE(plan->alternatives[0].chosen);
+  EXPECT_FALSE(plan->alternatives[1].feasible);
+
+  auto result = ExecutePlan(*plan, storage());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->transcodes, 2);
+  EXPECT_EQ(result->transcodes_avoided, 2);
+  auto decoded = DecodeVideo(result->encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->size(), 24u);
+
+  // Stitched segments carry the stored pixels exactly; each partial end is
+  // its own re-encoded GOP of exactly those pixels.
+  auto frames = ExecuteQuery(chain, storage());
+  ASSERT_TRUE(frames.ok()) << frames.status().ToString();
+  ASSERT_EQ(frames->frames.size(), 24u);
+  std::vector<Frame> middle(decoded->begin() + 4, decoded->begin() + 20);
+  ExpectFramesEqual(middle, std::vector<Frame>(frames->frames.begin() + 4,
+                                               frames->frames.begin() + 20));
+  EncoderOptions encode;
+  encode.width = 128;
+  encode.height = 64;
+  encode.fps = 8.0;
+  encode.gop_length = 8;
+  encode.qp = 14;
+  encode.tile_rows = 4;
+  encode.tile_cols = 4;
+  for (int begin : {0, 20}) {
+    auto piece = EncodeVideo(
+        std::vector<Frame>(frames->frames.begin() + begin,
+                           frames->frames.begin() + begin + 4),
+        encode);
+    ASSERT_TRUE(piece.ok());
+    auto expected = DecodeVideo(*piece);
+    ASSERT_TRUE(expected.ok());
+    ExpectFramesEqual(std::vector<Frame>(decoded->begin() + begin,
+                                         decoded->begin() + begin + 4),
+                      *expected);
+  }
+
+  // The naive baseline emits the same bytes (a degrade keeps every tile
+  // and this window spans every segment, so it reads the same cells).
+  ExecuteOptions naive;
+  naive.naive_full_scan = true;
+  auto baseline = ExecutePlan(*plan, storage(), naive);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  EXPECT_EQ(baseline->cells_scanned, result->cells_scanned);
+  EXPECT_EQ(baseline->encoded.Serialize(), result->encoded.Serialize());
+}
+
+TEST_F(QueryTest, DecodeStopsAtTheLastNeededFrame) {
+  // 15-frame segments, as the benchmark stores them. Materialized windows
+  // ending at every frame offset of a segment match DecodeVideo of each
+  // cell pasted into place.
+  VisualCloud* db = db_;
+  SceneOptions scene_options;
+  scene_options.width = 128;
+  scene_options.height = 64;
+  auto scene = NewVeniceScene(scene_options);
+  IngestOptions ingest;
+  ingest.tile_rows = 2;
+  ingest.tile_cols = 2;
+  ingest.frames_per_segment = 15;
+  ingest.fps = 15.0;
+  ingest.ladder = {{"only", 28}};
+  ASSERT_TRUE(db->IngestScene("gop15", *scene, 30, ingest).ok());
+  auto metadata = db->Describe("gop15");
+  ASSERT_TRUE(metadata.ok());
+
+  std::vector<Frame> reference(30, Frame(128, 64));
+  const TileGrid grid = metadata->tile_grid();
+  for (int segment = 0; segment < 2; ++segment) {
+    for (int tile = 0; tile < 4; ++tile) {
+      auto bytes = storage()->ReadCell(*metadata, segment, tile, 0);
+      ASSERT_TRUE(bytes.ok());
+      auto cell = EncodedVideo::Parse(Slice(**bytes));
+      ASSERT_TRUE(cell.ok());
+      auto decoded = DecodeVideo(*cell);
+      ASSERT_TRUE(decoded.ok());
+      auto rect = grid.PixelRectOf(grid.TileAt(tile), 128, 64, 16);
+      ASSERT_TRUE(rect.ok());
+      for (int f = 0; f < 15; ++f) {
+        ASSERT_TRUE(
+            reference[segment * 15 + f].Paste((*decoded)[f], rect->x, rect->y)
+                .ok());
+      }
+    }
+  }
+  for (int first : {0, 5}) {
+    for (int offset = 0; offset < 15; ++offset) {
+      const int last = (first == 0 ? 0 : 15) + offset;
+      if (last < first) continue;
+      SCOPED_TRACE("frames [" + std::to_string(first) + "," +
+                   std::to_string(last) + "]");
+      auto window = ExecuteQuery(
+          Query::Scan("gop15").FrameSlice(first, last).QualityFloor("only"),
+          storage());
+      ASSERT_TRUE(window.ok()) << window.status().ToString();
+      ExpectFramesEqual(window->frames,
+                        std::vector<Frame>(reference.begin() + first,
+                                           reference.begin() + last + 1));
+    }
+  }
+}
+
+TEST_F(QueryTest, UnmovedOutputDigestIsPinned) {
+  // Window and union materializations and a uniform-rung full-grid export:
+  // outputs that per-tile QP stitching and the smart cut must leave
+  // byte-identical.
+  const char* texts[] = {
+      "scan(venice) | timeslice(0.5,2.5) | viewport(180,90,100,80) | "
+      "quality(high)",
+      "scan(venice) | timeslice(1.5,3.5) | viewport(20,80,110,70) | "
+      "quality(medium)",
+      "union(scan(venice) | timeslice(0.5,1.5) ; scan(venice) | "
+      "timeslice(2.25,3.5)) | viewport(300,100,100,80) | quality(low)",
+      "scan(venice) | timeslice(1,3) | quality(medium) | encode",
+  };
+  Fnv1a digest;
+  for (const char* text : texts) {
+    auto query = ParseQuery(Slice(text));
+    ASSERT_TRUE(query.ok()) << text;
+    auto result = ExecuteQuery(*query, storage());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    digest.Add(static_cast<uint64_t>(result->frames.size()));
+    for (const Frame& frame : result->frames) {
+      for (const auto* plane :
+           {&frame.y_plane(), &frame.u_plane(), &frame.v_plane()}) {
+        digest.AddBytes(plane->data(), plane->size());
+      }
+    }
+    const std::vector<uint8_t> bytes =
+        result->has_encoded ? result->encoded.Serialize()
+                            : std::vector<uint8_t>();
+    digest.Add(static_cast<uint64_t>(bytes.size()));
+    digest.AddBytes(bytes.data(), bytes.size());
+  }
+  EXPECT_EQ(digest.value(), 0x5cd8786c0a752537ull)
+      << std::hex << "actual digest 0x" << digest.value();
 }
 
 TEST_F(QueryTest, StoreSinkCreatesCatalogVideo) {

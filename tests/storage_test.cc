@@ -736,6 +736,38 @@ TEST(StorageCatalogTest, ConcurrentWritersNeverShareAVersion) {
   ExpectPublished(reopened->get(), "fresh", fresh, fresh_fills);
 }
 
+TEST(StorageCatalogTest, WriterMayBeDestroyedAfterItsStore) {
+  // A view registration keeps a checkpointing writer open between
+  // maintenance passes, so a store can go first. The writers' destructors
+  // then give their reservations back to the version set they share with
+  // the dead store (the ASan leg runs this suite).
+  auto env = NewMemEnv();
+  StorageOptions options;
+  options.env = env.get();
+  options.root = "/store";
+  auto store = StorageManager::Open(options);
+  ASSERT_TRUE(store.ok());
+  auto live = (*store)->NewVideoWriter(CatalogLayout("live"));
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE((*live)->AddSegment(4, CatalogCells(1)).ok());
+  auto checkpoint = (*live)->CommitCheckpoint();
+  ASSERT_TRUE(checkpoint.ok());
+  auto pending = (*store)->NewVideoWriter(CatalogLayout("pending"));
+  ASSERT_TRUE(pending.ok());
+  ASSERT_TRUE((*pending)->AddSegment(4, CatalogCells(2)).ok());
+
+  store->reset();
+  live->reset();
+  pending->reset();
+
+  auto reopened = StorageManager::Open(options);
+  ASSERT_TRUE(reopened.ok());
+  auto versions = (*reopened)->ListVersions("live");
+  ASSERT_TRUE(versions.ok()) << versions.status().ToString();
+  EXPECT_EQ(*versions, std::vector<uint32_t>{*checkpoint});
+  EXPECT_TRUE((*reopened)->ListVersions("pending").status().IsNotFound());
+}
+
 TEST(StorageCatalogTest, FailedCommitLeavesTheSetUntouched) {
   auto mem = NewMemEnv();
   FailingMetadataWriteEnv env(mem.get());

@@ -299,7 +299,9 @@ TEST_F(ViewTest, RegisterRejectsUnsupportedShapes) {
 // --- view-matching rewrite: served bytes are the baseline's bytes ----------
 
 TEST_F(ViewTest, SubsumedQueryServesFromViewByteIdentical) {
-  // A degrade plan mixes rungs, so the baseline must transcode.
+  // A degrade plan mixes rungs over whole segments: the baseline stitches
+  // per-tile QP frames, and the view's cells are byte copies of the source
+  // cells, so both routes cost the same and the view scan wins the tie.
   Query chain = Query::Scan("venice")
                     .Viewport(kPi, kPi / 2, DegToRad(90), DegToRad(60))
                     .QualityFloor("high")
@@ -308,7 +310,9 @@ TEST_F(ViewTest, SubsumedQueryServesFromViewByteIdentical) {
 
   ViewMaintainer maintainer(db_);
   ASSERT_TRUE(
-      maintainer.CreateView("periph", Slice(chain.Encode().Store("periph").ToString()))
+      maintainer
+          .CreateView("periph",
+                      Slice(chain.Encode().Store("periph").ToString()))
           .ok());
   ASSERT_TRUE(maintainer.Maintain("periph").ok());
 
@@ -317,12 +321,27 @@ TEST_F(ViewTest, SubsumedQueryServesFromViewByteIdentical) {
   plain.cost_model = &pinned;
   auto baseline_plan = Optimize(q, storage(), plain);
   ASSERT_TRUE(baseline_plan.ok()) << baseline_plan.status().ToString();
-  EXPECT_FALSE(baseline_plan->transcode_free);
+  EXPECT_TRUE(baseline_plan->transcode_free);
   EXPECT_TRUE(baseline_plan->view_served.empty());
   auto baseline = ExecutePlan(*baseline_plan, storage());
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   ASSERT_TRUE(baseline->has_encoded);
-  EXPECT_GT(baseline->transcodes, 0);
+  EXPECT_EQ(baseline->transcodes, 0);
+
+  auto view_md = storage()->GetVideo("periph");
+  ASSERT_TRUE(view_md.ok()) << view_md.status().ToString();
+  ASSERT_EQ(view_md->ladder.size(), 1u);
+  EXPECT_EQ(view_md->ladder[0].name, "high+low");
+  EXPECT_EQ(view_md->ladder[0].qp, 14);
+  const SegmentSlice& slice = baseline_plan->scans[0].slices[0];
+  const VideoMetadata& source = baseline_plan->scans[0].metadata;
+  for (int tile = 0; tile < source.tile_count(); ++tile) {
+    auto stored = storage()->ReadCell(source, 0, tile,
+                                      slice.tile_quality[tile]);
+    auto copied = storage()->ReadCell(*view_md, 0, tile, 0);
+    ASSERT_TRUE(stored.ok() && copied.ok());
+    EXPECT_EQ(**copied, **stored) << "tile " << tile;
+  }
 
   auto candidates = maintainer.catalog()->Candidates(*storage());
   ASSERT_TRUE(candidates.ok());
@@ -339,15 +358,19 @@ TEST_F(ViewTest, SubsumedQueryServesFromViewByteIdentical) {
   EXPECT_GT(after.counters["query.view_hits"],
             before.counters["query.view_hits"]);
 
-  // The costed alternatives name the view scan as chosen and keep the
-  // displaced transcode visible.
-  bool view_chosen = false, reencode_listed = false;
+  // The costed alternatives name the view scan as chosen, at exactly the
+  // displaced direct stitch's estimate.
+  const PlanAlternative* view_alt = nullptr;
+  const PlanAlternative* stitch_alt = nullptr;
   for (const PlanAlternative& alt : served_plan->alternatives) {
-    if (alt.name == "view-scan(periph)") view_chosen = alt.chosen;
-    if (alt.name == "re-encode") reencode_listed = !alt.chosen;
+    if (alt.name == "view-scan(periph)") view_alt = &alt;
+    if (alt.name == "stitch") stitch_alt = &alt;
   }
-  EXPECT_TRUE(view_chosen);
-  EXPECT_TRUE(reencode_listed);
+  ASSERT_TRUE(view_alt != nullptr && stitch_alt != nullptr);
+  EXPECT_TRUE(view_alt->chosen);
+  EXPECT_FALSE(stitch_alt->chosen);
+  EXPECT_TRUE(stitch_alt->feasible);
+  EXPECT_EQ(view_alt->cost_seconds, stitch_alt->cost_seconds);
 
   // Serving from the view changes the work, never the bytes.
   auto served = ExecutePlan(*served_plan, storage());
@@ -423,6 +446,84 @@ TEST_F(ViewTest, IncrementalMaintenanceMatchesFullRecompute) {
       auto b = storage()->ReadCell(*full_md, segment, tile, 0);
       ASSERT_TRUE(a.ok() && b.ok());
       EXPECT_EQ(**a, **b) << "segment " << segment << " tile " << tile;
+    }
+  }
+}
+
+TEST_F(ViewTest, IncrementalMixedRungViewMatchesFullRecompute) {
+  // A degrade view over a window with a partial segment at each end: the
+  // whole segments are stitched at two rungs, the ends re-encoded. Live
+  // checkpoints maintain it slice by slice; a refresh recomputes it.
+  ViewMaintainer maintainer(db_);
+  ASSERT_TRUE(maintainer
+                  .CreateView("mixview",
+                              Slice("scan(mixfeed) | timeslice(0.5,2.25) | "
+                                    "viewport(90,45,60,40) | quality(high) | "
+                                    "degrade(low) | encode | store(mixview)"))
+                  .ok());
+  LiveIngestOptions live_options;
+  live_options.ingest = Ingest22();
+  live_options.publish_segments = true;
+  auto live = db_->StartLiveIngest("mixfeed", 128, 64, live_options);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  auto scene = Scene();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE((*live)->AppendFrame(scene->FrameAt(i)).ok());
+  }
+  ASSERT_TRUE((*live)->Close().ok());
+  ASSERT_TRUE(maintainer.status().ok()) << maintainer.status().ToString();
+
+  // Frames [4, 17]: segment 0 from frame 4, segment 1 whole, segment 2
+  // (frames 16-19) through frame 17.
+  auto source = storage()->GetVideo("mixfeed");
+  ASSERT_TRUE(source.ok());
+  auto plan = Optimize(
+      *ParseQuery(Slice("scan(mixfeed) | timeslice(0.5,2.25) | "
+                        "viewport(90,45,60,40) | quality(high) | "
+                        "degrade(low) | encode")),
+      storage());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->scans[0].slices.size(), 3u);
+  EXPECT_FALSE(plan->scans[0].slices[0].stitch);
+  EXPECT_TRUE(plan->scans[0].slices[1].stitch);
+  EXPECT_FALSE(plan->scans[0].slices[2].stitch);
+
+  auto incremental = maintainer.Results("mixview");
+  ASSERT_TRUE(incremental.ok());
+  ASSERT_EQ(incremental->size(), 3u);
+  auto inc_md = storage()->GetVideo("mixview");
+  ASSERT_TRUE(inc_md.ok()) << inc_md.status().ToString();
+  ASSERT_EQ(inc_md->segment_count(), 3);
+  ASSERT_EQ(inc_md->ladder.size(), 1u);
+  EXPECT_EQ(inc_md->ladder[0].name, "high+low");
+
+  ASSERT_TRUE(maintainer.RefreshView("mixview").ok());
+  auto full_md = storage()->GetVideo("mixview");
+  ASSERT_TRUE(full_md.ok());
+  EXPECT_GT(full_md->version, inc_md->version);
+  EXPECT_EQ(full_md->ladder, inc_md->ladder);
+  auto full = maintainer.Results("mixview");
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->size(), incremental->size());
+  for (size_t i = 0; i < full->size(); ++i) {
+    EXPECT_EQ((*full)[i].bytes, (*incremental)[i].bytes) << "emission " << i;
+    EXPECT_EQ((*full)[i].checksum, (*incremental)[i].checksum)
+        << "emission " << i;
+  }
+  for (int segment = 0; segment < 3; ++segment) {
+    EXPECT_EQ(full_md->segments[segment].frame_count,
+              inc_md->segments[segment].frame_count);
+    for (int tile = 0; tile < inc_md->tile_count(); ++tile) {
+      auto a = storage()->ReadCell(*inc_md, segment, tile, 0);
+      auto b = storage()->ReadCell(*full_md, segment, tile, 0);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(**a, **b) << "segment " << segment << " tile " << tile;
+      if (segment != 1) continue;
+      // The stitched segment's view cells are the source's stored cells.
+      auto stored = storage()->ReadCell(
+          *source, 1, tile, plan->scans[0].slices[1].tile_quality[tile]);
+      ASSERT_TRUE(stored.ok());
+      EXPECT_EQ(**a, **stored) << "tile " << tile;
     }
   }
 }
