@@ -139,6 +139,7 @@ struct TransformData {
   std::vector<ResidualBlock> residuals;
   std::vector<CoeffBlock> coeffs;        // ForwardDct output
   std::vector<LevelBlock> levels;        // Quantize output
+  std::vector<uint64_t> nonzero_masks;   // Quantize's raster nonzero masks
   std::vector<CoeffBlock> dequantized;   // Dequantize output
   std::vector<int> nonzero;
   double qstep = 0.0;
@@ -151,6 +152,7 @@ TransformData MakeTransformData(int blocks) {
   data.residuals.resize(blocks);
   data.coeffs.resize(blocks);
   data.levels.resize(blocks);
+  data.nonzero_masks.resize(blocks);
   data.dequantized.resize(blocks);
   data.nonzero.resize(blocks);
   for (int i = 0; i < blocks; ++i) {
@@ -161,7 +163,8 @@ TransformData MakeTransformData(int blocks) {
           static_cast<int16_t>(base + static_cast<int>(rng.Uniform(25)) - 12);
     }
     ForwardDct(data.residuals[i], &data.coeffs[i]);
-    Quantize(data.coeffs[i], data.qstep, &data.levels[i]);
+    data.nonzero_masks[i] =
+        Quantize(data.coeffs[i], data.qstep, &data.levels[i]);
     int nonzero = 0;
     for (int32_t v : data.levels[i]) nonzero += v != 0;
     data.nonzero[i] = nonzero;
@@ -249,19 +252,6 @@ std::vector<KernelRow> BenchTransforms(const TransformData& data, int reps) {
     }
   }));
 
-  std::vector<CoeffBlock> deq_out(blocks);
-  CheckBlockwiseAgreement(
-      blocks, &deq_out,
-      [&](int i, CoeffBlock* out) {
-        Dequantize(data.levels[i], data.qstep, out);
-      },
-      "Dequantize scalar/SIMD");
-  rows.push_back(TimeKernel("dequant", bytes, reps, [&] {
-    for (int i = 0; i < blocks; ++i) {
-      Dequantize(data.levels[i], data.qstep, &deq_out[i]);
-    }
-  }));
-
   return rows;
 }
 
@@ -286,7 +276,7 @@ EntropyRow BenchExpGolomb(const TransformData& data, int reps) {
       if (data.nonzero[i] == 0) {
         writer.WriteUE(0);
       } else {
-        EncodeLevelBlock(data.levels[i], &writer);
+        EncodeLevelBlock(data.levels[i], data.nonzero_masks[i], &writer);
       }
     }
     eg_bytes = writer.Finish();

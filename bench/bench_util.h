@@ -248,6 +248,12 @@ inline void WriteBenchJsonKey(const std::string& filename,
     std::fclose(file);
   }
   std::string merged = MergeJsonKey(existing, key, value);
+  // The merge keeps the old file's tail; end with exactly one newline so
+  // repeated writes do not grow the file by a blank line each.
+  while (!merged.empty() &&
+         std::isspace(static_cast<unsigned char>(merged.back()))) {
+    merged.pop_back();
+  }
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
     std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());

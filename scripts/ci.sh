@@ -67,26 +67,33 @@ simd() {
   # Leg 1: widened baseline ISA (-msse4.1). The codec suite proves the
   # host's vector path (AVX2 transforms and SSE2 SAD/residual kernels on x86)
   # produces streams bit-identical to scalar, and the kernel micro-bench smoke
-  # re-verifies kernel-level agreement plus the Exp-Golomb round-trip.
+  # re-verifies kernel-level agreement plus the Exp-Golomb round-trip. The
+  # pinned ingest digest checks whole-segment encoder output bytes.
   cmake -B build-sse41 -S . -DCMAKE_CXX_FLAGS=-msse4.1
   cmake --build build-sse41 -j"$JOBS" --target codec_test codec_fuzz_test \
-    common_test bench_kernels
+    common_test core_test bench_kernels
   ./build-sse41/tests/codec_test
   ./build-sse41/tests/codec_fuzz_test
   ./build-sse41/tests/common_test
+  ./build-sse41/tests/core_test \
+    --gtest_filter=CoreTest.IngestOutputDigestIsPinned
   ./build-sse41/bench/bench_kernels --smoke
 
   # Leg 2: scalar-only build (-DVC_DISABLE_SIMD=ON removes every intrinsics
   # path at compile time). The same codec suite passing here pins the scalar
   # fallbacks as the reference the vector paths are measured against; the
-  # common suite re-checks the windowed bit reader and the sliced CRC against
-  # their bit- and byte-at-a-time references in this configuration too.
+  # common suite re-checks the windowed bit reader, the word writer and the
+  # sliced CRC against their bit- and byte-at-a-time references in this
+  # configuration too, and
+  # the pinned ingest digest holds with the scalar quantizer's nonzero mask.
   cmake -B build-scalar -S . -DVC_DISABLE_SIMD=ON
   cmake --build build-scalar -j"$JOBS" --target codec_test codec_fuzz_test \
-    common_test
+    common_test core_test
   ./build-scalar/tests/codec_test
   ./build-scalar/tests/codec_fuzz_test
   ./build-scalar/tests/common_test
+  ./build-scalar/tests/core_test \
+    --gtest_filter=CoreTest.IngestOutputDigestIsPinned
 
   # Leg 3: ASan + UBSan over the deterministic fuzz corpora — the codec
   # bitstream (truncated and bit-flipped streams), the VCMPD manifest

@@ -87,6 +87,7 @@ Encoder::Encoder(const EncoderOptions& options,
                  std::vector<TileGrid::PixelRect> tile_rects)
     : options_(options),
       tile_rects_(std::move(tile_rects)),
+      tile_offsets_(tile_rects_.size()),
       reuse_ok_(HintsCompatible(options.reuse_hints, options)),
       recon_(options.width, options.height),
       reference_(options.width, options.height) {}
@@ -132,14 +133,20 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
   frame_stats_ = AnalysisStats{};
   const uint64_t sad_evals_before = scratch_.sad_evals;
 
-  // Encode each tile into its own bit buffer, then assemble the payload:
-  // [type:u8][qp:u8][tile offsets:u32 × T][tile payloads].
-  std::vector<std::vector<uint8_t>> tile_payloads(tile_rects_.size());
-  for (size_t i = 0; i < tile_rects_.size(); ++i) {
-    BitWriter writer;
+  // One writer builds the payload [type:u8][qp:u8][tile offsets:u32 × T]
+  // [tile data]: the offset table is written as zeros and filled in once
+  // every tile, byte-aligned, has its start. Reserving a little more than
+  // the previous payload makes regrowth rare.
+  const size_t tile_count = tile_rects_.size();
+  BitWriter writer(last_payload_bytes_ + last_payload_bytes_ / 4);
+  writer.WriteBits(static_cast<uint64_t>(type), 8);
+  writer.WriteBits(static_cast<uint64_t>(options_.qp), 8);
+  for (size_t i = 0; i < tile_count; ++i) writer.WriteBits(0, 32);
+  for (size_t i = 0; i < tile_count; ++i) {
+    tile_offsets_[i] = static_cast<uint32_t>(writer.bit_count() / 8);
     EncodeTile(frame, tile_rects_[i], type, qstep, reuse_row, capture_row,
                &writer);
-    tile_payloads[i] = writer.Finish();
+    writer.AlignToByte();
   }
 
   {
@@ -165,21 +172,16 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
 
   EncodedFrame encoded;
   encoded.type = type;
-  auto& out = encoded.payload;
-  out.push_back(static_cast<uint8_t>(type));
-  out.push_back(static_cast<uint8_t>(options_.qp));
-  uint32_t offset =
-      2 + static_cast<uint32_t>(tile_payloads.size()) * 4;
-  for (const auto& payload : tile_payloads) {
-    out.push_back(static_cast<uint8_t>(offset >> 24));
-    out.push_back(static_cast<uint8_t>((offset >> 16) & 0xff));
-    out.push_back(static_cast<uint8_t>((offset >> 8) & 0xff));
-    out.push_back(static_cast<uint8_t>(offset & 0xff));
-    offset += static_cast<uint32_t>(payload.size());
+  encoded.payload = writer.Finish();
+  uint8_t* table = encoded.payload.data() + 2;
+  for (size_t i = 0; i < tile_count; ++i) {
+    const uint32_t offset = tile_offsets_[i];
+    table[4 * i] = static_cast<uint8_t>(offset >> 24);
+    table[4 * i + 1] = static_cast<uint8_t>((offset >> 16) & 0xff);
+    table[4 * i + 2] = static_cast<uint8_t>((offset >> 8) & 0xff);
+    table[4 * i + 3] = static_cast<uint8_t>(offset & 0xff);
   }
-  for (const auto& payload : tile_payloads) {
-    out.insert(out.end(), payload.begin(), payload.end());
-  }
+  last_payload_bytes_ = encoded.payload.size();
 
   ++frame_index_;
   return encoded;

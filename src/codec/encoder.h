@@ -138,6 +138,8 @@ class Encoder {
 
   const EncoderOptions options_;
   const std::vector<TileGrid::PixelRect> tile_rects_;
+  std::vector<uint32_t> tile_offsets_;  ///< Frame-payload offset per tile.
+  size_t last_payload_bytes_ = 0;       ///< Previous frame's payload size.
   const bool reuse_ok_;  ///< reuse_hints present and geometry-compatible.
   Frame recon_;      ///< reconstruction of the current frame (in progress)
   Frame reference_;  ///< reconstruction of the previous frame

@@ -1,29 +1,42 @@
 #include "codec/entropy.h"
 
+#include <bit>
+
 namespace vc {
 
-int EncodeLevelBlock(const LevelBlock& levels, BitWriter* writer) {
-  // The count is order-independent, so scan in raster order — no zigzag
-  // indirection, and the loop vectorizes.
+int EncodeLevelBlock(const LevelBlock& levels, uint64_t nonzero_mask,
+                     BitWriter* writer) {
+  // Move each raster bit to its zigzag rank, so the pairs below come out in
+  // scan order by walking set bits instead of all 64 positions. The count
+  // is taken in the same loop: without -mpopcnt, std::popcount is a libgcc
+  // call.
+  const auto& rank_of = ZigzagRank();
+  uint64_t ranks = 0;
   int nonzero = 0;
-#pragma omp simd reduction(+ : nonzero)
-  for (int i = 0; i < kBlockPixels; ++i) {
-    if (levels[i] != 0) ++nonzero;
+  for (uint64_t m = nonzero_mask; m != 0; m &= m - 1) {
+    ranks |= uint64_t{1} << rank_of[std::countr_zero(m)];
+    ++nonzero;
   }
   writer->WriteUE(static_cast<uint64_t>(nonzero));
   const auto& zigzag = ZigzagOrder();
-  int run = 0;
-  int remaining = nonzero;
-  for (int i = 0; i < kBlockPixels && remaining > 0; ++i) {
-    int32_t level = levels[zigzag[i]];
-    if (level == 0) {
-      ++run;
-      continue;
+  int next = 0;  // scan rank just past the previous nonzero level
+  for (; ranks != 0; ranks &= ranks - 1) {
+    const int rank = std::countr_zero(ranks);
+    const int32_t level = levels[zigzag[rank]];
+    // The UE codes of the run and of the SE-mapped level: value + 1 in a
+    // field of 2·width − 1 bits. Both in one write when they fit 32 bits.
+    const uint64_t run_code = static_cast<uint64_t>(rank - next) + 1;
+    const uint64_t level_code = BitWriter::UEFromSigned(level) + 1;
+    const int run_bits = 2 * (64 - std::countl_zero(run_code)) - 1;
+    const int level_bits = 2 * (64 - std::countl_zero(level_code)) - 1;
+    if (run_bits + level_bits <= 32) {
+      writer->WriteBits((run_code << level_bits) | level_code,
+                        run_bits + level_bits);
+    } else {
+      writer->WriteUE(run_code - 1);
+      writer->WriteUE(level_code - 1);
     }
-    writer->WriteUE(static_cast<uint64_t>(run));
-    writer->WriteSE(level);
-    run = 0;
-    --remaining;
+    next = rank + 1;
   }
   return nonzero;
 }

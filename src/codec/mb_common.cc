@@ -232,8 +232,8 @@ void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
       }
 
       ForwardDct(residual, &coeffs);
-      Quantize(coeffs, qstep, &levels);
-      const int nonzero = EncodeLevelBlock(levels, writer);
+      const uint64_t nonzero_mask = Quantize(coeffs, qstep, &levels);
+      const int nonzero = EncodeLevelBlock(levels, nonzero_mask, writer);
       // Reconstruct exactly as the decoder will, with the same all-zero /
       // sparse / dense inverse-transform dispatch so both reconstructions
       // stay bit-identical.

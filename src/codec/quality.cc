@@ -1,5 +1,8 @@
 #include "codec/quality.h"
 
+#include <string>
+#include <utility>
+
 #include "codec/transform.h"
 
 namespace vc {
@@ -16,7 +19,9 @@ Result<QualityLadder> MakeQualityLadder(int count, int hi_qp, int lo_qp) {
     int qp = count == 1
                  ? hi_qp
                  : hi_qp + (lo_qp - hi_qp) * i / (count - 1);
-    ladder.push_back({"q" + std::to_string(i), qp});
+    std::string name = "q";
+    name += std::to_string(i);
+    ladder.push_back({std::move(name), qp});
   }
   return ladder;
 }

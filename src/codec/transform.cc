@@ -140,13 +140,16 @@ void InverseDctSparseScalar(const CoeffBlock& input, int nonzero_count,
   }
 }
 
-void QuantizeScalar(const CoeffBlock& coeffs, double inv_qstep,
-                    double dead_zone, LevelBlock* levels) {
+uint64_t QuantizeScalar(const CoeffBlock& coeffs, double inv_qstep,
+                        double dead_zone, LevelBlock* levels) {
+  uint64_t nonzero_mask = 0;
   for (int i = 0; i < kBlockPixels; ++i) {
     double scaled = coeffs[i] * inv_qstep;
     auto magnitude = static_cast<int32_t>(std::abs(scaled) + dead_zone);
     (*levels)[i] = scaled < 0 ? -magnitude : magnitude;
+    nonzero_mask |= static_cast<uint64_t>(magnitude != 0) << i;
   }
+  return nonzero_mask;
 }
 
 #if defined(VC_SIMD_X86)
@@ -301,13 +304,15 @@ VC_AVX2_FN void InverseDctSparseAvx2(const CoeffBlock& input,
   }
 }
 
-VC_AVX2_FN void QuantizeAvx2(const CoeffBlock& coeffs, double inv_qstep,
-                             double dead_zone, LevelBlock* levels) {
+VC_AVX2_FN uint64_t QuantizeAvx2(const CoeffBlock& coeffs, double inv_qstep,
+                                 double dead_zone, LevelBlock* levels) {
   const __m256d inv = _mm256_set1_pd(inv_qstep);
   const __m256d dz = _mm256_set1_pd(dead_zone);
   const __m256d abs_mask =
       _mm256_castsi256_pd(_mm256_srli_epi64(_mm256_set1_epi32(-1), 1));
   const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  uint64_t nonzero_mask = 0;
   for (int i = 0; i < kBlockPixels; i += 4) {
     __m256d s = _mm256_mul_pd(_mm256_loadu_pd(&coeffs[i]), inv);
     __m256d m = _mm256_add_pd(_mm256_and_pd(s, abs_mask), dz);
@@ -321,7 +326,14 @@ VC_AVX2_FN void QuantizeAvx2(const CoeffBlock& coeffs, double inv_qstep,
                        _MM_SHUFFLE(2, 0, 2, 0)));
     __m128i level = _mm_sub_epi32(_mm_xor_si128(magnitude, neg), neg);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(&(*levels)[i]), level);
+    // A level is nonzero iff its magnitude truncates to nonzero, i.e.
+    // iff !(m < 1): one bit per lane, taken from the doubles so it does not
+    // wait for the conversion.
+    nonzero_mask |= static_cast<uint64_t>(_mm256_movemask_pd(
+                        _mm256_cmp_pd(m, one, _CMP_NLT_UQ)))
+                    << i;
   }
+  return nonzero_mask;
 }
 
 /// Whether the transform kernels should take their AVX2 variant.
@@ -380,7 +392,8 @@ double QStepForQp(int qp) {
   return 0.625 * std::pow(2.0, qp / 6.0);
 }
 
-void Quantize(const CoeffBlock& coeffs, double qstep, LevelBlock* levels) {
+uint64_t Quantize(const CoeffBlock& coeffs, double qstep,
+                  LevelBlock* levels) {
   // Dead-zone quantizer: slightly biases toward zero, which measurably
   // improves rate at equal distortion for residual statistics. One
   // reciprocal up front instead of 64 divides; floor of a non-negative
@@ -388,12 +401,9 @@ void Quantize(const CoeffBlock& coeffs, double qstep, LevelBlock* levels) {
   constexpr double kDeadZone = 0.4;
   const double inv_qstep = 1.0 / qstep;
 #if defined(VC_SIMD_X86)
-  if (UseAvx2()) {
-    QuantizeAvx2(coeffs, inv_qstep, kDeadZone, levels);
-    return;
-  }
+  if (UseAvx2()) return QuantizeAvx2(coeffs, inv_qstep, kDeadZone, levels);
 #endif
-  QuantizeScalar(coeffs, inv_qstep, kDeadZone, levels);
+  return QuantizeScalar(coeffs, inv_qstep, kDeadZone, levels);
 }
 
 void Dequantize(const LevelBlock& levels, double qstep, CoeffBlock* coeffs) {
@@ -405,33 +415,48 @@ void Dequantize(const LevelBlock& levels, double qstep, CoeffBlock* coeffs) {
   }
 }
 
-const std::array<int, kBlockPixels>& ZigzagOrder() {
-  static const std::array<int, kBlockPixels> order = [] {
-    std::array<int, kBlockPixels> o{};
-    int index = 0;
-    for (int s = 0; s < 2 * kBlockSize - 1; ++s) {
-      if (s % 2 == 0) {
-        // Walk up-right on even anti-diagonals.
-        int y = s < kBlockSize ? s : kBlockSize - 1;
-        int x = s - y;
-        while (y >= 0 && x < kBlockSize) {
-          o[index++] = y * kBlockSize + x;
-          --y;
-          ++x;
-        }
-      } else {
-        int x = s < kBlockSize ? s : kBlockSize - 1;
-        int y = s - x;
-        while (x >= 0 && y < kBlockSize) {
-          o[index++] = y * kBlockSize + x;
-          --x;
-          ++y;
-        }
+namespace {
+
+constexpr std::array<int, kBlockPixels> MakeZigzagOrder() {
+  std::array<int, kBlockPixels> o{};
+  int index = 0;
+  for (int s = 0; s < 2 * kBlockSize - 1; ++s) {
+    if (s % 2 == 0) {
+      // Walk up-right on even anti-diagonals.
+      int y = s < kBlockSize ? s : kBlockSize - 1;
+      int x = s - y;
+      while (y >= 0 && x < kBlockSize) {
+        o[index++] = y * kBlockSize + x;
+        --y;
+        ++x;
+      }
+    } else {
+      int x = s < kBlockSize ? s : kBlockSize - 1;
+      int y = s - x;
+      while (x >= 0 && y < kBlockSize) {
+        o[index++] = y * kBlockSize + x;
+        --x;
+        ++y;
       }
     }
-    return o;
-  }();
-  return order;
+  }
+  return o;
 }
+
+constexpr std::array<int, kBlockPixels> kZigzagOrder = MakeZigzagOrder();
+
+constexpr std::array<uint8_t, kBlockPixels> kZigzagRank = [] {
+  std::array<uint8_t, kBlockPixels> rank{};
+  for (int i = 0; i < kBlockPixels; ++i) {
+    rank[kZigzagOrder[i]] = static_cast<uint8_t>(i);
+  }
+  return rank;
+}();
+
+}  // namespace
+
+const std::array<int, kBlockPixels>& ZigzagOrder() { return kZigzagOrder; }
+
+const std::array<uint8_t, kBlockPixels>& ZigzagRank() { return kZigzagRank; }
 
 }  // namespace vc

@@ -43,8 +43,10 @@ double QStepForQp(int qp);
 /// Maximum supported quantization parameter.
 inline constexpr int kMaxQp = 51;
 
-/// Quantizes DCT coefficients to integer levels with a dead-zone.
-void Quantize(const CoeffBlock& coeffs, double qstep, LevelBlock* levels);
+/// Quantizes DCT coefficients to integer levels with a dead-zone. Returns
+/// the raster nonzero mask of the levels: bit i is set iff `(*levels)[i]`
+/// is nonzero.
+uint64_t Quantize(const CoeffBlock& coeffs, double qstep, LevelBlock* levels);
 
 /// Reconstructs coefficients from levels. Bit-exact mirror of the decoder.
 void Dequantize(const LevelBlock& levels, double qstep, CoeffBlock* coeffs);
@@ -52,6 +54,9 @@ void Dequantize(const LevelBlock& levels, double qstep, CoeffBlock* coeffs);
 /// Zigzag scan order for an 8×8 block (index i gives the raster position of
 /// the i-th scanned coefficient).
 const std::array<int, kBlockPixels>& ZigzagOrder();
+
+/// Inverse of ZigzagOrder: index p gives the scan rank of raster position p.
+const std::array<uint8_t, kBlockPixels>& ZigzagRank();
 
 }  // namespace vc
 

@@ -1,17 +1,42 @@
 #include "common/bitio.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace vc {
 
+void BitWriter::AlignToByte() {
+  const int pad = -acc_bits_ & 7;
+  acc_ <<= pad;
+  acc_bits_ += pad;
+  if (size_ + 4 > buffer_.size()) Grow(4);
+  while (acc_bits_ > 0) {
+    acc_bits_ -= 8;
+    buffer_[size_++] = static_cast<uint8_t>(acc_ >> acc_bits_);
+  }
+  acc_ = 0;
+}
+
 void BitWriter::WriteBytes(Slice bytes) {
   assert(aligned());
-  buffer_.insert(buffer_.end(), bytes.data(), bytes.data() + bytes.size());
+  AlignToByte();  // drains the pending whole bytes; no padding when aligned
+  if (size_ + bytes.size() > buffer_.size()) Grow(bytes.size());
+  if (!bytes.empty()) {
+    std::memcpy(buffer_.data() + size_, bytes.data(), bytes.size());
+  }
+  size_ += bytes.size();
 }
 
 std::vector<uint8_t> BitWriter::Finish() {
   AlignToByte();
-  return std::move(buffer_);
+  buffer_.resize(size_);
+  size_ = 0;
+  return std::exchange(buffer_, {});
+}
+
+void BitWriter::Grow(size_t bytes) {
+  buffer_.resize(std::max({size_ + bytes, 2 * buffer_.size(), size_t{64}}));
 }
 
 Status BitReader::ReadBitsChecked(int bits, uint64_t* value) {

@@ -18,13 +18,22 @@ namespace vc {
 /// Supports fixed-width fields, unsigned/signed Exp-Golomb codes (as in
 /// H.264/HEVC), and byte alignment. The writer owns its output buffer.
 ///
-/// Pending bits live in a 64-bit accumulator and drain to the byte buffer in
-/// whole bytes; the hot methods are header-inline because the entropy layer
-/// calls them on the order of 10⁵ times per encoded segment (at most
-/// 3 rungs × 15 frames × 128 macroblocks × 6 blocks = 34,560 level blocks).
+/// Pending bits live in a 64-bit accumulator. A write of at most 32 bits
+/// shifts in whole, which leaves up to 63 pending bits; whenever 32 or more
+/// are pending, the oldest 32 go out as one big-endian 4-byte store, so
+/// between calls 0–31 bits are pending (not necessarily a byte's worth or
+/// less). `AlignToByte`, `WriteBytes` and `Finish` drain the pending whole
+/// bytes. The output vector is sized ahead of the write position, so a
+/// store is a bounds check and a `memcpy`. The hot methods are
+/// header-inline because the entropy layer calls them on the order of 10⁵
+/// times per encoded segment (at most 3 rungs × 15 frames × 128 macroblocks
+/// × 6 blocks = 34,560 level blocks).
 class BitWriter {
  public:
   BitWriter() = default;
+
+  /// A writer whose buffer holds `reserve_bytes` before it first grows.
+  explicit BitWriter(size_t reserve_bytes) : buffer_(reserve_bytes) {}
 
   /// Appends the low `bits` bits of `value`, MSB first. `bits` in [0, 64].
   void WriteBits(uint64_t value, int bits) {
@@ -32,18 +41,18 @@ class BitWriter {
     if (bits < 64) {
       assert((bits == 0 && value == 0) || (value >> bits) == 0);
     }
-    if (bits > 56) {
-      // Split so the accumulator shift below stays < 64 even with up to 7
-      // pending bits.
+    if (bits > 32) {
+      // Split so that at most 31 pending plus 32 new bits share the
+      // accumulator.
       WriteBits(value >> 32, bits - 32);
       value &= 0xffffffffu;
       bits = 32;
     }
     acc_ = (acc_ << bits) | value;
     acc_bits_ += bits;
-    while (acc_bits_ >= 8) {
-      acc_bits_ -= 8;
-      buffer_.push_back(static_cast<uint8_t>(acc_ >> acc_bits_));
+    if (acc_bits_ >= 32) {
+      acc_bits_ -= 32;
+      StoreWord(static_cast<uint32_t>(acc_ >> acc_bits_));
     }
   }
 
@@ -65,40 +74,51 @@ class BitWriter {
   }
 
   /// Appends a signed Exp-Golomb code (0, 1, -1, 2, -2, ... mapping).
-  void WriteSE(int64_t value) {
-    uint64_t mapped = value > 0 ? static_cast<uint64_t>(value) * 2 - 1
-                                : static_cast<uint64_t>(-value) * 2;
-    WriteUE(mapped);
+  void WriteSE(int64_t value) { WriteUE(UEFromSigned(value)); }
+
+  /// Maps a signed value to the unsigned Exp-Golomb value WriteSE codes it
+  /// as (0, 1, -1, 2, -2, ... order); the inverse of
+  /// BitReader::SignedFromUE.
+  static uint64_t UEFromSigned(int64_t value) {
+    return value > 0 ? static_cast<uint64_t>(value) * 2 - 1
+                     : static_cast<uint64_t>(-value) * 2;
   }
 
-  /// Pads with zero bits to the next byte boundary.
-  void AlignToByte() {
-    if (acc_bits_ > 0) {
-      buffer_.push_back(static_cast<uint8_t>(acc_ << (8 - acc_bits_)));
-      acc_bits_ = 0;
-    }
-    acc_ = 0;
-  }
+  /// Pads with zero bits to the next byte boundary and drains the pending
+  /// bytes.
+  void AlignToByte();
 
   /// Appends raw bytes; requires byte alignment.
   void WriteBytes(Slice bytes);
 
   /// Number of bits written so far.
-  size_t bit_count() const { return buffer_.size() * 8 + acc_bits_; }
+  size_t bit_count() const { return size_ * 8 + acc_bits_; }
 
   /// Whether the stream is at a byte boundary.
-  bool aligned() const { return acc_bits_ == 0; }
+  bool aligned() const { return acc_bits_ % 8 == 0; }
 
-  /// Finalizes (byte-aligns) and returns the encoded bytes.
+  /// Finalizes (byte-aligns) and returns the encoded bytes. The writer is
+  /// empty afterwards.
   std::vector<uint8_t> Finish();
 
-  /// Read-only view of the bytes written so far (call after AlignToByte()).
-  const std::vector<uint8_t>& buffer() const { return buffer_; }
-
  private:
-  std::vector<uint8_t> buffer_;
+  /// Appends `word` as 4 big-endian bytes.
+  void StoreWord(uint32_t word) {
+    if (size_ + 4 > buffer_.size()) Grow(4);
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap32(word);
+    }
+    std::memcpy(buffer_.data() + size_, &word, sizeof(word));
+    size_ += 4;
+  }
+
+  /// Resizes the buffer so that at least `bytes` more fit past `size_`.
+  void Grow(size_t bytes);
+
+  std::vector<uint8_t> buffer_;  // bytes [0, size_) are written
+  size_t size_ = 0;
   uint64_t acc_ = 0;  // pending bits in the low `acc_bits_` positions
-  int acc_bits_ = 0;  // in [0, 7] between public calls
+  int acc_bits_ = 0;  // in [0, 31] between public calls
 };
 
 /// \brief MSB-first bit reader matching BitWriter.

@@ -343,7 +343,9 @@ QualityLadder StoreLadderFor(const PhysicalPlan& plan) {
     }
   }
   int qp = plan.encode_qp >= 0 ? plan.encode_qp : lead.ladder[0].qp;
-  return {{"q" + std::to_string(qp), qp}};
+  std::string name = "q";
+  name += std::to_string(qp);
+  return {{std::move(name), qp}};
 }
 
 Result<std::vector<std::vector<uint8_t>>> SplitPieceToCells(

@@ -707,7 +707,8 @@ std::string PhysicalPlan::Explain() const {
       bool any = false;
       for (size_t t = 0; t < slice.tile_quality.size(); ++t) {
         if (slice.tile_quality[t] < 0) continue;
-        out += (any ? "," : " ") + std::to_string(t) + "@" +
+        out += any ? "," : " ";
+        out += std::to_string(t) + "@" +
                std::to_string(slice.tile_quality[t]);
         any = true;
       }

@@ -95,7 +95,10 @@ struct VideoMetadata {
 
   /// The effective data directory ("v<version>" when unset).
   std::string DataDir() const {
-    return data_dir.empty() ? "v" + std::to_string(version) : data_dir;
+    if (!data_dir.empty()) return data_dir;
+    std::string dir = "v";
+    dir += std::to_string(version);
+    return dir;
   }
 
   /// Total stored bytes across all cells.

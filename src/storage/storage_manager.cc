@@ -161,7 +161,8 @@ StorageManager::NewVideoWriter(VideoMetadata metadata) {
     metadata.version =
         VersionSet::ReserveLocked(&versions_->videos[metadata.name]);
   }
-  metadata.data_dir = "v" + std::to_string(metadata.version);
+  metadata.data_dir = "v";
+  metadata.data_dir += std::to_string(metadata.version);
   std::string dir = VideoDir(metadata.name) + "/" + metadata.data_dir;
   // From here on the writer owns the reservation and releases it if it
   // never commits, including when this function fails.

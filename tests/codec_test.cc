@@ -87,9 +87,47 @@ TEST(TransformTest, ZigzagIsAPermutation) {
   EXPECT_EQ(order[3], 16);
   EXPECT_EQ(order[4], 9);
   EXPECT_EQ(order[5], 2);
+  const auto& rank = ZigzagRank();
+  for (int i = 0; i < kBlockPixels; ++i) EXPECT_EQ(rank[order[i]], i);
 }
 
 // ----------------------------------------------------------------- Entropy
+
+/// Bit i set iff `levels[i]` is nonzero: the mask Quantize returns.
+uint64_t RasterNonzeroMask(const LevelBlock& levels) {
+  uint64_t mask = 0;
+  for (int i = 0; i < kBlockPixels; ++i) {
+    if (levels[i] != 0) mask |= uint64_t{1} << i;
+  }
+  return mask;
+}
+
+/// The level-block coder as a plain 64-step zigzag scan with one WriteUE /
+/// WriteSE per code: the reference EncodeLevelBlock's mask walk and pair
+/// writes must reproduce bit for bit.
+int ScanReferenceEncodeLevelBlock(const LevelBlock& levels,
+                                  BitWriter* writer) {
+  int nonzero = 0;
+  for (int i = 0; i < kBlockPixels; ++i) {
+    if (levels[i] != 0) ++nonzero;
+  }
+  writer->WriteUE(static_cast<uint64_t>(nonzero));
+  const auto& zigzag = ZigzagOrder();
+  int run = 0;
+  int remaining = nonzero;
+  for (int i = 0; i < kBlockPixels && remaining > 0; ++i) {
+    int32_t level = levels[zigzag[i]];
+    if (level == 0) {
+      ++run;
+      continue;
+    }
+    writer->WriteUE(static_cast<uint64_t>(run));
+    writer->WriteSE(level);
+    run = 0;
+    --remaining;
+  }
+  return nonzero;
+}
 
 TEST(EntropyTest, LevelBlockRoundTrip) {
   Random rng(13);
@@ -102,7 +140,7 @@ TEST(EntropyTest, LevelBlockRoundTrip) {
       }
     }
     BitWriter writer;
-    EncodeLevelBlock(in, &writer);
+    EncodeLevelBlock(in, RasterNonzeroMask(in), &writer);
     auto bytes = writer.Finish();
     BitReader reader{Slice(bytes)};
     LevelBlock out;
@@ -111,10 +149,66 @@ TEST(EntropyTest, LevelBlockRoundTrip) {
   }
 }
 
+TEST(EntropyTest, LevelBlockMatchesScanReference) {
+  // Crafted blocks: all zero, all 64 nonzero, one level after a run of 63,
+  // one at each end of the scan, and magnitudes near 2^31 whose (run,
+  // level) pair no longer fits one 32-bit write.
+  std::vector<LevelBlock> blocks;
+  blocks.push_back(LevelBlock{});
+  LevelBlock block;
+  for (int i = 0; i < kBlockPixels; ++i) block[i] = i % 2 == 0 ? i + 1 : -i;
+  blocks.push_back(block);
+  const auto& zigzag = ZigzagOrder();
+  block = LevelBlock{};
+  block[zigzag[kBlockPixels - 1]] = -7;
+  blocks.push_back(block);
+  block[zigzag[0]] = 1;
+  blocks.push_back(block);
+  block = LevelBlock{};
+  block[zigzag[0]] = INT32_MAX;
+  block[zigzag[5]] = INT32_MIN;
+  block[zigzag[40]] = -INT32_MAX;
+  block[zigzag[63]] = 1 << 15;
+  blocks.push_back(block);
+  // Random blocks at densities from one level to every level, with
+  // magnitudes of 1 to 31 bits.
+  Random rng(2210);
+  for (int trial = 0; trial < 400; ++trial) {
+    const double density = 0.02 + 0.98 * rng.UniformDouble(0, 1);
+    const int width = 1 + static_cast<int>(rng.Uniform(31));
+    block = LevelBlock{};
+    for (auto& level : block) {
+      if (!rng.Bernoulli(density)) continue;
+      const auto magnitude =
+          static_cast<int32_t>(1 + (rng.Next() >> (64 - width)) % INT32_MAX);
+      level = rng.Uniform(2) ? magnitude : -magnitude;
+    }
+    blocks.push_back(block);
+  }
+  // All blocks go through one writer each, so every pair write lands at a
+  // different bit offset of the accumulator.
+  BitWriter writer, reference;
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    const int got =
+        EncodeLevelBlock(blocks[b], RasterNonzeroMask(blocks[b]), &writer);
+    const int want = ScanReferenceEncodeLevelBlock(blocks[b], &reference);
+    ASSERT_EQ(got, want) << "block " << b;
+    ASSERT_EQ(writer.bit_count(), reference.bit_count()) << "block " << b;
+  }
+  const std::vector<uint8_t> bytes = writer.Finish();
+  EXPECT_EQ(bytes, reference.Finish());
+  BitReader reader{Slice(bytes)};
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    LevelBlock out;
+    ASSERT_TRUE(DecodeLevelBlock(&reader, &out).ok()) << "block " << b;
+    ASSERT_EQ(out, blocks[b]) << "block " << b;
+  }
+}
+
 TEST(EntropyTest, AllZeroBlockIsOneBit) {
   LevelBlock zeros{};
   BitWriter writer;
-  EncodeLevelBlock(zeros, &writer);
+  EncodeLevelBlock(zeros, 0, &writer);
   EXPECT_EQ(writer.bit_count(), 1u);  // UE(0) == one bit
 }
 
@@ -123,7 +217,7 @@ TEST(EntropyTest, TruncatedStreamFails) {
   in[0] = 500;
   in[63] = -3;
   BitWriter writer;
-  EncodeLevelBlock(in, &writer);
+  EncodeLevelBlock(in, RasterNonzeroMask(in), &writer);
   auto bytes = writer.Finish();
   bytes.resize(bytes.size() / 2);
   BitReader reader{Slice(bytes)};
@@ -1092,12 +1186,13 @@ TEST(SimdTest, TransformKernelsMatchScalarBitExactly) {
 
     CoeffBlock coeffs_scalar;
     LevelBlock levels_scalar;
+    uint64_t mask_scalar = 0, mask_simd = 0;
     CoeffBlock dq_scalar;
     ResidualBlock out_scalar;
     {
       ScopedSimd off(false);
       ForwardDct(residual, &coeffs_scalar);
-      Quantize(coeffs_scalar, qstep, &levels_scalar);
+      mask_scalar = Quantize(coeffs_scalar, qstep, &levels_scalar);
       Dequantize(levels_scalar, qstep, &dq_scalar);
       InverseDct(dq_scalar, &out_scalar);
     }
@@ -1107,7 +1202,7 @@ TEST(SimdTest, TransformKernelsMatchScalarBitExactly) {
     {
       ScopedSimd on(true);
       ForwardDct(residual, &coeffs_simd);
-      Quantize(coeffs_simd, qstep, &levels_simd);
+      mask_simd = Quantize(coeffs_simd, qstep, &levels_simd);
       Dequantize(levels_simd, qstep, &dq_simd);
       InverseDct(dq_simd, &out_simd);
     }
@@ -1116,6 +1211,10 @@ TEST(SimdTest, TransformKernelsMatchScalarBitExactly) {
     const char* name = simd::LevelName(simd::ActiveLevel());
     ASSERT_EQ(coeffs_scalar, coeffs_simd) << "trial " << trial << " " << name;
     ASSERT_EQ(levels_scalar, levels_simd) << "trial " << trial << " " << name;
+    // Both paths return the raster nonzero set of the levels they wrote.
+    ASSERT_EQ(mask_scalar, mask_simd) << "trial " << trial << " " << name;
+    ASSERT_EQ(mask_scalar, RasterNonzeroMask(levels_scalar))
+        << "trial " << trial;
     ASSERT_EQ(dq_scalar, dq_simd) << "trial " << trial << " " << name;
     ASSERT_EQ(out_scalar, out_simd) << "trial " << trial << " " << name;
   }

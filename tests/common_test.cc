@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -524,6 +525,129 @@ TEST(BitIoTest, WindowReaderMatchesBitwiseReference) {
         if (HasFatalFailure()) return;
       }
     }
+  }
+}
+
+// The writer that BitWriter's word flushes replaced, one bit at a time: the
+// reference BitWriter must match after every call.
+class ReferenceBitWriter {
+ public:
+  void WriteBits(uint64_t value, int bits) {
+    for (int i = bits - 1; i >= 0; --i) PutBit(((value >> i) & 1) != 0);
+  }
+  void WriteUE(uint64_t value) {
+    const uint64_t v = value + 1;
+    const int width = 64 - std::countl_zero(v);
+    for (int i = 1; i < width; ++i) PutBit(false);
+    WriteBits(v, width);
+  }
+  void WriteSE(int64_t value) {
+    WriteUE(value > 0 ? static_cast<uint64_t>(value) * 2 - 1
+                      : static_cast<uint64_t>(-value) * 2);
+  }
+  void AlignToByte() {
+    while (bits_ % 8 != 0) PutBit(false);
+  }
+  void WriteBytes(const std::vector<uint8_t>& bytes) {
+    for (uint8_t byte : bytes) WriteBits(byte, 8);
+  }
+  size_t bit_count() const { return bits_; }
+  bool aligned() const { return bits_ % 8 == 0; }
+  // The bytes so far, the last one zero-padded.
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+
+ private:
+  void PutBit(bool bit) {
+    if (bits_ % 8 == 0) bytes_.push_back(0);
+    if (bit) bytes_.back() |= static_cast<uint8_t>(0x80u >> (bits_ % 8));
+    ++bits_;
+  }
+
+  std::vector<uint8_t> bytes_;
+  size_t bits_ = 0;
+};
+
+TEST(BitIoTest, WordWriterMatchesBitwiseReference) {
+  Random rng(20261018);
+  // Seeded mixes of every write. After each call the writer's bit count,
+  // alignment and finished bytes (of a copy, so the stream goes on) must be
+  // the reference's; the copies finish at every accumulator fill level.
+  for (int trial = 0; trial < 80; ++trial) {
+    BitWriter writer(rng.Uniform(3) == 0 ? rng.Uniform(16) : 0);
+    ReferenceBitWriter reference;
+    const int count = 1 + static_cast<int>(rng.Uniform(120));
+    for (int i = 0; i < count; ++i) {
+      const auto op = rng.Uniform(7);
+      switch (op) {
+        case 0: {
+          const int bits = static_cast<int>(rng.Uniform(65));
+          const uint64_t value = bits == 0 ? 0 : rng.Next() >> (64 - bits);
+          writer.WriteBits(value, bits);
+          reference.WriteBits(value, bits);
+          break;
+        }
+        case 1: {
+          const bool bit = rng.Uniform(2) == 1;
+          writer.WriteBit(bit);
+          reference.WriteBits(bit ? 1 : 0, 1);
+          break;
+        }
+        case 2: {
+          // Up to 63 bits: codes of 33+ significant bits take the split.
+          const uint64_t value =
+              RandomWidthValue(&rng, rng.Uniform(4) ? 20 : 63);
+          writer.WriteUE(value);
+          reference.WriteUE(value);
+          break;
+        }
+        case 3: {
+          const int64_t magnitude = static_cast<int64_t>(
+              RandomWidthValue(&rng, rng.Uniform(4) ? 20 : 62));
+          const int64_t value = rng.Uniform(2) ? magnitude : -magnitude;
+          writer.WriteSE(value);
+          reference.WriteSE(value);
+          break;
+        }
+        case 4:
+          writer.AlignToByte();
+          reference.AlignToByte();
+          break;
+        case 5: {
+          // Raw bytes need alignment; an aligned stream keeps its pending
+          // bytes until this call drains them.
+          if (!reference.aligned()) {
+            writer.AlignToByte();
+            reference.AlignToByte();
+          }
+          std::vector<uint8_t> bytes(rng.Uniform(12));
+          for (auto& byte : bytes) byte = static_cast<uint8_t>(rng.Next());
+          writer.WriteBytes(Slice(bytes));
+          reference.WriteBytes(bytes);
+          break;
+        }
+        case 6: {
+          // Whole bytes as 8-bit fields: aligned with bits still pending.
+          const int bytes = 1 + static_cast<int>(rng.Uniform(4));
+          for (int b = 0; b < bytes; ++b) {
+            const uint64_t value = rng.Uniform(256);
+            writer.WriteBits(value, 8);
+            reference.WriteBits(value, 8);
+          }
+          break;
+        }
+      }
+      SCOPED_TRACE("trial " + std::to_string(trial) + " op " +
+                   std::to_string(i) + " kind " + std::to_string(op));
+      ASSERT_EQ(writer.bit_count(), reference.bit_count());
+      ASSERT_EQ(writer.aligned(), reference.aligned());
+      BitWriter copy = writer;
+      ASSERT_EQ(copy.Finish(), reference.bytes());
+    }
+    // Finish empties the writer; it can start a new stream.
+    ASSERT_EQ(writer.Finish(), reference.bytes());
+    EXPECT_EQ(writer.bit_count(), 0u);
+    writer.WriteBits(0x5, 3);
+    EXPECT_EQ(writer.Finish(), std::vector<uint8_t>{0xa0});
   }
 }
 

@@ -1536,8 +1536,9 @@ TEST_F(StorageManagerTest, ShardedStoreNodesShareL2AndMatchDirectReads) {
 // for pinning the prefetcher's queue discipline.
 class RecordingCellSource : public CellSource {
  public:
-  Result<LruCache::Value> ReadCell(const VideoMetadata& metadata, int segment,
-                                   int tile, int quality) override {
+  Result<LruCache::Value> ReadCell(const VideoMetadata& /*metadata*/,
+                                   int segment, int tile,
+                                   int quality) override {
     loads.push_back(CellKey{segment, tile, quality});
     return Bytes(8, 0);
   }
@@ -1551,8 +1552,8 @@ class RecordingCellSource : public CellSource {
         []() -> Result<LruCache::Value> { return Bytes(8, 0); },
         /*pool=*/nullptr, kind);
   }
-  Status ReadPlannedCells(const VideoMetadata& metadata, int segment,
-                          const std::vector<int>& tile_qualities) override {
+  Status ReadPlannedCells(const VideoMetadata& /*metadata*/, int /*segment*/,
+                          const std::vector<int>& /*tile_qualities*/) override {
     return Status::OK();
   }
   ThreadPool* io_pool() const override { return nullptr; }
