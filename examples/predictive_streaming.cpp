@@ -111,8 +111,7 @@ int main() {
               dash_stalls);
 
   for (const char* predictor :
-       {"static", "dead_reckoning", "linear_regression", "ewma_velocity",
-        "kalman", "markov"}) {
+       {"static", "dead_reckoning", "linear_regression", "markov"}) {
     auto [bytes, stalls] = run(StreamingApproach::kVisualCloud, predictor);
     std::string label = std::string("visualcloud + ") + predictor;
     std::printf("%-32s %14lu %8.0f%% %7.2fs\n", label.c_str(),

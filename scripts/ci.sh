@@ -97,7 +97,7 @@ simd() {
 
   # Leg 3: ASan + UBSan over the deterministic fuzz corpora — the codec
   # bitstream (truncated and bit-flipped streams), the VCMPD manifest
-  # parser (plan + live overlays), the VCMF container box walker, the
+  # parser, the VCMF container box walker, the
   # query text parser (truncations, token surgery, integer-overflow
   # arguments), and the VCVIEW materialized-view definition parser — plus
   # the kernel/bit-IO suites and the kernel micro-bench smoke. Out-of-bounds

@@ -281,11 +281,9 @@ Status DecodeResidual(BitReader* reader, const uint8_t* pred, int size,
 
 void StoreBlock(const uint8_t* block, int size, uint8_t* plane, int stride,
                 int x, int y) {
-  for (int row = 0; row < size; ++row) {
-    uint8_t* dst = plane + static_cast<size_t>(y + row) * stride + x;
-    const uint8_t* src = block + static_cast<size_t>(row) * size;
-    std::memcpy(dst, src, static_cast<size_t>(size));
-  }
+  simd::CopyBlock(block, static_cast<size_t>(size),
+                  plane + static_cast<size_t>(y) * stride + x,
+                  static_cast<size_t>(stride), size);
 }
 
 }  // namespace codec_internal

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "codec/simd.h"
@@ -292,13 +291,11 @@ MotionVector RefineMotion(PlaneView current, PlaneView reference, int x, int y,
 
 void CompensateBlock(PlaneView reference, int x, int y, MotionVector mv,
                      int size, uint8_t* out) {
-  for (int row = 0; row < size; ++row) {
-    const uint8_t* src = reference.data +
-                         static_cast<size_t>(y + mv.dy + row) * reference.stride +
-                         (x + mv.dx);
-    uint8_t* dst = out + static_cast<size_t>(row) * size;
-    std::memcpy(dst, src, static_cast<size_t>(size));
-  }
+  simd::CopyBlock(reference.data +
+                      static_cast<size_t>(y + mv.dy) * reference.stride +
+                      (x + mv.dx),
+                  static_cast<size_t>(reference.stride), out,
+                  static_cast<size_t>(size), size);
 }
 
 }  // namespace vc

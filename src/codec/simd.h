@@ -23,6 +23,9 @@
 // reassociation). Tests enforce this; see codec_test.cc (SimdTest.*).
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #if !defined(VC_DISABLE_SIMD)
 #if defined(__x86_64__) || defined(__SSE2__)
@@ -71,6 +74,32 @@ inline bool Enabled() {
 /// Runtime kill-switch. Enabling is a no-op when the binary has no vector
 /// paths or the CPU fails the capability guard. Returns the resulting state.
 bool SetEnabled(bool enabled);
+
+/// Copies `rows` rows of N bytes; a fixed-size memcpy compiles to one
+/// register move per row instead of a libc call.
+template <int N>
+inline void CopyRows(const uint8_t* src, size_t src_stride, uint8_t* dst,
+                     size_t dst_stride, int rows) {
+  for (int row = 0; row < rows; ++row) {
+    std::memcpy(dst + row * dst_stride, src + row * src_stride, N);
+  }
+}
+
+/// Copies a `size`×`size` block between planes of the given strides. The
+/// codec's 16×16 luma and 8×8 chroma blocks take fixed-size row copies.
+inline void CopyBlock(const uint8_t* src, size_t src_stride, uint8_t* dst,
+                      size_t dst_stride, int size) {
+  if (size == 16) {
+    CopyRows<16>(src, src_stride, dst, dst_stride, 16);
+  } else if (size == 8) {
+    CopyRows<8>(src, src_stride, dst, dst_stride, 8);
+  } else {
+    for (int row = 0; row < size; ++row) {
+      std::memcpy(dst + row * dst_stride, src + row * src_stride,
+                  static_cast<size_t>(size));
+    }
+  }
+}
 
 #if defined(VC_SIMD_X86)
 

@@ -153,8 +153,8 @@ TileQualityPlan PlanSegment(const VideoMetadata& metadata, int segment,
   if (approach == StreamingApproach::kVisualCloud &&
       options.popularity != nullptr &&
       options.popularity->grid() == metadata.tile_grid()) {
-    for (const TileId& tile : options.popularity->PopularTiles(
-             segment, options.popularity_coverage)) {
+    for (const TileId& tile :
+         options.popularity->PopularTiles(segment, kPopularTileCoverage)) {
       popular.push_back(metadata.tile_grid().IndexOf(tile));
     }
   }
@@ -357,7 +357,6 @@ PrefetchHint ClientSession::NextPrefetchHint() const {
   hint.fov_pitch = options_.viewport.fov_pitch;
   hint.margin = options_.viewport_margin;
   hint.high_quality = options_.high_quality;
-  hint.popularity_coverage = options_.popularity_coverage;
   return hint;
 }
 

@@ -96,11 +96,10 @@ struct SessionOptions {
   CellSource* cell_source = nullptr;
 
   /// Optional cross-user popularity model (not owned). When set and the
-  /// approach is kVisualCloud, tiles covering `popularity_coverage` of the
+  /// approach is kVisualCloud, tiles covering kPopularTileCoverage of the
   /// historical gaze mass are also streamed at high quality — catching
   /// content-driven attention shifts individual motion prediction misses.
   const PopularityModel* popularity = nullptr;
-  double popularity_coverage = 0.8;
 
   /// Optional shared plan cache (not owned; one per video). Sessions with
   /// identical planning inputs (segment, predicted orientation, approach,

@@ -1,15 +1,11 @@
 #include "obs/export.h"
 
 #include <charconv>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 namespace vc {
 
 namespace {
-
-// ------------------------------------------------------------- Serialization
 
 /// Shortest decimal form that round-trips through a double.
 std::string FormatDouble(double value) {
@@ -48,140 +44,6 @@ void AppendHistogramJson(const HistogramSnapshot& h, std::string* out) {
   out->append(FormatDouble(h.sum));
   out->append("}");
 }
-
-// ------------------------------------------------------------------ Parsing
-
-/// Cursor over the JSON text with the micro-grammar MetricsToJson emits.
-struct Parser {
-  const char* p;
-  const char* end;
-  Status error = Status::OK();
-
-  void Fail(const std::string& what) {
-    if (error.ok()) error = Status::Corruption("metrics JSON: " + what);
-  }
-
-  void SkipWs() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    Fail(std::string("expected '") + c + "'");
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipWs();
-    return p < end && *p == c;
-  }
-
-  std::string ParseString() {
-    std::string out;
-    if (!Consume('"')) return out;
-    while (p < end && *p != '"') {
-      if (*p == '\\' && p + 1 < end) ++p;
-      out.push_back(*p++);
-    }
-    if (p >= end) {
-      Fail("unterminated string");
-      return out;
-    }
-    ++p;  // closing quote
-    return out;
-  }
-
-  double ParseDouble() {
-    SkipWs();
-    char* after = nullptr;
-    double value = std::strtod(p, &after);
-    if (after == p || after > end) {
-      Fail("malformed number");
-      return 0.0;
-    }
-    p = after;
-    return value;
-  }
-
-  uint64_t ParseUint() {
-    SkipWs();
-    uint64_t value = 0;
-    auto [after, ec] = std::from_chars(p, end, value);
-    if (ec != std::errc()) {
-      Fail("malformed integer");
-      return 0;
-    }
-    p = after;
-    return value;
-  }
-
-  /// Parses `"key": <value>` pairs of an object, invoking `field` per key.
-  /// `field` must consume the value.
-  template <typename Fn>
-  void ParseObject(Fn field) {
-    if (!Consume('{')) return;
-    if (Peek('}')) {
-      ++p;
-      return;
-    }
-    while (error.ok()) {
-      std::string key = ParseString();
-      if (!Consume(':')) return;
-      field(key);
-      if (Peek(',')) {
-        ++p;
-        continue;
-      }
-      Consume('}');
-      return;
-    }
-  }
-
-  template <typename Fn>
-  void ParseArray(Fn element) {
-    if (!Consume('[')) return;
-    if (Peek(']')) {
-      ++p;
-      return;
-    }
-    while (error.ok()) {
-      element();
-      if (Peek(',')) {
-        ++p;
-        continue;
-      }
-      Consume(']');
-      return;
-    }
-  }
-
-  HistogramSnapshot ParseHistogram() {
-    HistogramSnapshot h;
-    ParseObject([&](const std::string& key) {
-      if (key == "bounds") {
-        ParseArray([&] { h.bounds.push_back(ParseDouble()); });
-      } else if (key == "counts") {
-        ParseArray([&] { h.counts.push_back(ParseUint()); });
-      } else if (key == "count") {
-        h.count = ParseUint();
-      } else if (key == "sum") {
-        h.sum = ParseDouble();
-      } else {
-        Fail("unknown histogram field '" + key + "'");
-      }
-    });
-    if (h.counts.size() != h.bounds.size() + 1) {
-      Fail("histogram bucket count mismatch");
-    }
-    return h;
-  }
-};
 
 }  // namespace
 
@@ -233,37 +95,6 @@ std::string MetricsToCsv(const MetricsSnapshot& snapshot) {
                FormatDouble(h.Percentile(0.99)) + "\n");
   }
   return out;
-}
-
-Result<MetricsSnapshot> MetricsFromJson(Slice json) {
-  // strtod needs a NUL terminator; copy so the cursor can never run off the
-  // caller's buffer.
-  std::string text = json.ToString();
-  Parser parser{text.c_str(), text.c_str() + text.size()};
-  MetricsSnapshot snapshot;
-  parser.ParseObject([&](const std::string& section) {
-    if (section == "counters") {
-      parser.ParseObject([&](const std::string& name) {
-        snapshot.counters[name] = parser.ParseUint();
-      });
-    } else if (section == "gauges") {
-      parser.ParseObject([&](const std::string& name) {
-        snapshot.gauges[name] = parser.ParseDouble();
-      });
-    } else if (section == "histograms") {
-      parser.ParseObject([&](const std::string& name) {
-        snapshot.histograms[name] = parser.ParseHistogram();
-      });
-    } else {
-      parser.Fail("unknown section '" + section + "'");
-    }
-  });
-  parser.SkipWs();
-  if (parser.error.ok() && parser.p != parser.end) {
-    parser.Fail("trailing characters");
-  }
-  VC_RETURN_IF_ERROR(parser.error);
-  return snapshot;
 }
 
 }  // namespace vc

@@ -3,8 +3,6 @@
 
 #include <string>
 
-#include "common/result.h"
-#include "common/slice.h"
 #include "obs/metrics.h"
 
 namespace vc {
@@ -16,18 +14,14 @@ namespace vc {
 ///    "histograms": {"storage.read_seconds":
 ///        {"bounds": [...], "counts": [...], "count": 9, "sum": 0.004}, ...}}
 ///
-/// Numbers use shortest-round-trip formatting, so parsing the output yields
-/// exactly the snapshot that was serialized.
+/// Numbers use shortest-round-trip formatting, so a JSON reader recovers
+/// exactly the values that were serialized.
 std::string MetricsToJson(const MetricsSnapshot& snapshot);
 
 /// Serializes a snapshot as CSV rows `type,name,field,value` — counters and
 /// gauges one row each, histograms one row per aggregate (count, sum, mean,
 /// p50, p95, p99). Includes a header line.
 std::string MetricsToCsv(const MetricsSnapshot& snapshot);
-
-/// Parses the JSON produced by `MetricsToJson` (the metrics interchange
-/// format used in BENCH_*.json); not a general-purpose JSON parser.
-Result<MetricsSnapshot> MetricsFromJson(Slice json);
 
 }  // namespace vc
 

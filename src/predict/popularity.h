@@ -11,6 +11,11 @@
 
 namespace vc {
 
+/// Share of a segment's observed gaze mass the popular-tile overlay covers,
+/// wherever the serving path asks for it: kVisualCloud plans streaming
+/// those tiles at high quality, and the popularity prefetcher warming them.
+inline constexpr double kPopularTileCoverage = 0.8;
+
 /// \brief Cross-user tile-popularity model for one video.
 ///
 /// VisualCloud can predict not just from the *current* viewer's motion but

@@ -114,153 +114,6 @@ class LinearRegressionPredictor final : public HistoryBase {
   }
 };
 
-class EwmaVelocityPredictor final : public Predictor {
- public:
-  explicit EwmaVelocityPredictor(double alpha)
-      : name_("ewma_velocity"), alpha_(Clamp(alpha, 0.0, 1.0)) {}
-
-  const std::string& name() const override { return name_; }
-
-  void Observe(double t, const Orientation& orientation) override {
-    Orientation o = orientation.Normalized();
-    if (has_last_ && t > last_t_) {
-      double dt = t - last_t_;
-      double vyaw = YawDifference(o.yaw, last_.yaw) / dt;
-      double vpitch = (o.pitch - last_.pitch) / dt;
-      if (has_velocity_) {
-        vyaw_ = alpha_ * vyaw + (1 - alpha_) * vyaw_;
-        vpitch_ = alpha_ * vpitch + (1 - alpha_) * vpitch_;
-      } else {
-        vyaw_ = vyaw;
-        vpitch_ = vpitch;
-        has_velocity_ = true;
-      }
-    }
-    if (!has_last_ || t >= last_t_) {
-      last_ = o;
-      last_t_ = t;
-      has_last_ = true;
-    }
-  }
-
-  Orientation Predict(double lookahead) const override {
-    if (!has_last_) return Orientation{};
-    if (!has_velocity_) return last_;
-    return Orientation{WrapYaw(last_.yaw + vyaw_ * lookahead),
-                       ClampPitch(last_.pitch + vpitch_ * lookahead)};
-  }
-
-  void Reset() override {
-    has_last_ = has_velocity_ = false;
-    vyaw_ = vpitch_ = 0;
-  }
-
- private:
-  const std::string name_;
-  const double alpha_;
-  bool has_last_ = false;
-  bool has_velocity_ = false;
-  Orientation last_;
-  double last_t_ = 0;
-  double vyaw_ = 0, vpitch_ = 0;
-};
-
-/// One-dimensional constant-velocity Kalman filter.
-class Cv1dKalman {
- public:
-  Cv1dKalman(double q, double r) : q_(q), r_(r) {}
-
-  void Reset() { initialized_ = false; }
-
-  void Update(double dt, double measurement) {
-    if (!initialized_) {
-      pos_ = measurement;
-      vel_ = 0;
-      p00_ = r_;
-      p01_ = 0;
-      p11_ = 1.0;
-      initialized_ = true;
-      return;
-    }
-    // Predict: x' = F x with F = [1 dt; 0 1]; P' = F P Fᵀ + Q.
-    pos_ += vel_ * dt;
-    double dt2 = dt * dt, dt3 = dt2 * dt;
-    double p00 = p00_ + dt * (p01_ + p01_) + dt2 * p11_ + q_ * dt3 / 3.0;
-    double p01 = p01_ + dt * p11_ + q_ * dt2 / 2.0;
-    double p11 = p11_ + q_ * dt;
-    // Update with measurement of position.
-    double s = p00 + r_;
-    double k0 = p00 / s;
-    double k1 = p01 / s;
-    double innovation = measurement - pos_;
-    pos_ += k0 * innovation;
-    vel_ += k1 * innovation;
-    p00_ = (1 - k0) * p00;
-    p01_ = (1 - k0) * p01;
-    p11_ = p11 - k1 * p01;
-  }
-
-  double Extrapolate(double lookahead) const {
-    return pos_ + vel_ * lookahead;
-  }
-  bool initialized() const { return initialized_; }
-  double position() const { return pos_; }
-
- private:
-  const double q_;
-  const double r_;
-  bool initialized_ = false;
-  double pos_ = 0, vel_ = 0;
-  double p00_ = 1, p01_ = 0, p11_ = 1;
-};
-
-class KalmanPredictor final : public Predictor {
- public:
-  KalmanPredictor(double process_noise, double measurement_noise)
-      : name_("kalman"),
-        yaw_filter_(process_noise, measurement_noise),
-        pitch_filter_(process_noise, measurement_noise) {}
-
-  const std::string& name() const override { return name_; }
-
-  void Observe(double t, const Orientation& orientation) override {
-    Orientation o = orientation.Normalized();
-    if (has_last_ && t < last_t_) return;
-    double dt = has_last_ ? t - last_t_ : 0.0;
-    // Unwrap yaw against the filter's current estimate.
-    double unwrapped_yaw;
-    if (yaw_filter_.initialized()) {
-      double predicted = yaw_filter_.position();
-      unwrapped_yaw = predicted + YawDifference(o.yaw, WrapYaw(predicted));
-    } else {
-      unwrapped_yaw = o.yaw;
-    }
-    yaw_filter_.Update(dt, unwrapped_yaw);
-    pitch_filter_.Update(dt, o.pitch);
-    last_t_ = t;
-    has_last_ = true;
-  }
-
-  Orientation Predict(double lookahead) const override {
-    if (!has_last_) return Orientation{};
-    return Orientation{WrapYaw(yaw_filter_.Extrapolate(lookahead)),
-                       ClampPitch(pitch_filter_.Extrapolate(lookahead))};
-  }
-
-  void Reset() override {
-    yaw_filter_.Reset();
-    pitch_filter_.Reset();
-    has_last_ = false;
-  }
-
- private:
-  const std::string name_;
-  Cv1dKalman yaw_filter_;
-  Cv1dKalman pitch_filter_;
-  bool has_last_ = false;
-  double last_t_ = 0;
-};
-
 class MarkovPredictor final : public Predictor {
  public:
   MarkovPredictor(const TileGrid& grid, double step)
@@ -352,15 +205,6 @@ std::unique_ptr<Predictor> NewLinearRegressionPredictor(double window) {
   return std::make_unique<LinearRegressionPredictor>(window);
 }
 
-std::unique_ptr<Predictor> NewEwmaVelocityPredictor(double alpha) {
-  return std::make_unique<EwmaVelocityPredictor>(alpha);
-}
-
-std::unique_ptr<Predictor> NewKalmanPredictor(double process_noise,
-                                              double measurement_noise) {
-  return std::make_unique<KalmanPredictor>(process_noise, measurement_noise);
-}
-
 std::unique_ptr<Predictor> NewMarkovPredictor(const TileGrid& grid,
                                               double step) {
   return std::make_unique<MarkovPredictor>(grid, step);
@@ -371,8 +215,6 @@ std::vector<std::unique_ptr<Predictor>> AllPredictors(const TileGrid& grid) {
   predictors.push_back(NewStaticPredictor());
   predictors.push_back(NewDeadReckoningPredictor());
   predictors.push_back(NewLinearRegressionPredictor());
-  predictors.push_back(NewEwmaVelocityPredictor());
-  predictors.push_back(NewKalmanPredictor());
   predictors.push_back(NewMarkovPredictor(grid));
   return predictors;
 }
@@ -382,8 +224,6 @@ Result<std::unique_ptr<Predictor>> MakePredictor(const std::string& name,
   if (name == "static") return NewStaticPredictor();
   if (name == "dead_reckoning") return NewDeadReckoningPredictor();
   if (name == "linear_regression") return NewLinearRegressionPredictor();
-  if (name == "ewma_velocity") return NewEwmaVelocityPredictor();
-  if (name == "kalman") return NewKalmanPredictor();
   if (name == "markov") return NewMarkovPredictor(grid);
   return Status::InvalidArgument("unknown predictor '" + name + "'");
 }

@@ -55,18 +55,6 @@ std::unique_ptr<Predictor> NewDeadReckoningPredictor(
 /// corrupt the fit.
 std::unique_ptr<Predictor> NewLinearRegressionPredictor(double window = 1.0);
 
-/// Exponentially-weighted velocity extrapolation: smooths the instantaneous
-/// velocity with factor `alpha` per observation.
-std::unique_ptr<Predictor> NewEwmaVelocityPredictor(double alpha = 0.35);
-
-/// Constant-velocity Kalman filter, one independent filter per axis (yaw is
-/// unwrapped before filtering). `process_noise` is the white-noise
-/// acceleration spectral density (rad²/s³); `measurement_noise` the
-/// orientation-report variance (rad²). Smoother than dead reckoning on
-/// noisy reports, same asymptotics on clean ones.
-std::unique_ptr<Predictor> NewKalmanPredictor(double process_noise = 2.0,
-                                              double measurement_noise = 1e-3);
-
 /// First-order Markov model over the cells of `grid`: learns cell-to-cell
 /// transition counts at `step` second granularity from the observation
 /// stream and predicts by walking the maximum-likelihood chain. Falls back

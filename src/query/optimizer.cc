@@ -744,18 +744,6 @@ std::string PhysicalPlan::Explain() const {
   return out;
 }
 
-ManifestPlan ToManifestPlan(const ScanPlan& scan) {
-  ManifestPlan plan;
-  plan.entries.reserve(scan.slices.size());
-  for (const SegmentSlice& slice : scan.slices) {
-    ManifestPlan::Entry entry;
-    entry.segment = slice.segment;
-    entry.tile_quality = slice.tile_quality;
-    plan.entries.push_back(std::move(entry));
-  }
-  return plan;
-}
-
 Result<PhysicalPlan> Optimize(const Query& query, StorageManager* storage,
                               const OptimizeOptions& options) {
   return Planner(storage, options).Plan(query);

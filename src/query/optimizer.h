@@ -8,7 +8,6 @@
 #include "query/cost_model.h"
 #include "storage/metadata.h"
 #include "storage/storage_manager.h"
-#include "streaming/manifest.h"
 
 namespace vc {
 
@@ -137,10 +136,6 @@ struct PhysicalPlan {
   /// Deterministic multi-line rendering of the plan and its rewrite log.
   std::string Explain() const;
 };
-
-/// The manifest overlay for one optimized scan: what a server publishes so
-/// a client fetches exactly the plan-selected cells (streaming/manifest.h).
-ManifestPlan ToManifestPlan(const ScanPlan& scan);
 
 struct OptimizeOptions {
   /// When set, the (single) Scan leaf binds to this metadata instead of the

@@ -236,8 +236,7 @@ Result<ClusterStats> ClusterServer::RunInternal(
     int video = viewers[viewer].video;
     node.prefetcher->EnqueueSegment(
         video_of(video), sessions[viewer]->NextPrefetchHint(),
-        node_options.shared_popularity ? popularity[video].get() : nullptr,
-        deadline);
+        popularity[video].get(), deadline);
   };
 
   // Popularity-locality placement with a balance guard. Among nodes that
@@ -291,10 +290,8 @@ Result<ClusterStats> ClusterServer::RunInternal(
       session_options.cell_source = node.source;
     }
     session_options.live = live;
-    if (node_options.shared_popularity) {
-      session_options.popularity = popularity[video].get();
-      session_options.popularity_sink = popularity[video].get();
-    }
+    session_options.popularity = popularity[video].get();
+    session_options.popularity_sink = popularity[video].get();
     if (node_options.share_plans) {
       session_options.plan_cache = plan_caches[video].get();
     }

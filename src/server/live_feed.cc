@@ -1,7 +1,6 @@
 #include "server/live_feed.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/metrics.h"
 
@@ -38,8 +37,7 @@ LiveFeed::LiveFeed(VisualCloud* db, std::string name,
       frame_count_(frame_count),
       frames_per_segment_(session->metadata().frames_per_segment),
       session_(std::move(session)),
-      snapshot_(session_->metadata()),
-      builder_(session_->metadata()) {
+      snapshot_(session_->metadata()) {
   const double fps = snapshot_.fps();
   total_segments_ =
       (frame_count_ + frames_per_segment_ - 1) / frames_per_segment_;
@@ -154,24 +152,12 @@ Status LiveFeed::Publish(int segment) {
     return Status::Internal("live checkpoint segment count mismatch");
   }
 
-  const SegmentInfo& info = snapshot_.segments[segment];
-  size_t cell_base = snapshot_.CellIndex(segment, 0, 0);
-  size_t cell_count = static_cast<size_t>(snapshot_.tile_count()) *
-                      snapshot_.quality_count();
-  std::vector<CellInfo> cells(snapshot_.cells.begin() + cell_base,
-                              snapshot_.cells.begin() + cell_base + cell_count);
-  builder_.AppendSegment(info, cells,
-                         std::llround(publish_[segment] * 1000.0));
-
   ++published_;
-  if (published_ == total_segments_) builder_.SetComplete(true);
   published_counter->Add();
   if (degraded_[segment] != 0) degraded_counter->Add();
   lag_gauge->Set(LagOf(segment));
   return Status::OK();
 }
-
-std::string LiveFeed::Manifest() const { return builder_.Build(); }
 
 LiveFeedStats LiveFeed::stats() const {
   LiveFeedStats stats;

@@ -9,7 +9,6 @@
 #include "core/session.h"
 #include "core/visualcloud.h"
 #include "image/scene.h"
-#include "streaming/manifest.h"
 
 namespace vc {
 
@@ -97,10 +96,6 @@ class LiveFeed : public LiveAvailability {
   /// the final segment also commits the archived version.
   Status Publish(int segment);
 
-  /// Serialized manifest of the feed so far: static body plus the `live`
-  /// overlay (epoch = publishes so far, publish times, completeness).
-  std::string Manifest() const;
-
   const std::string& name() const { return name_; }
   /// Version of the archived commit; 0 until the final publish.
   uint32_t final_version() const { return final_version_; }
@@ -123,7 +118,6 @@ class LiveFeed : public LiveAvailability {
   /// publish. Stable address (sessions and prefetchers hold pointers to
   /// it); mutated append-only on the scheduler thread.
   VideoMetadata snapshot_;
-  ManifestBuilder builder_;
 
   // The precomputed schedule, indexed by segment.
   std::vector<double> arrival_;

@@ -34,11 +34,6 @@ struct ServerOptions {
   /// (it could never be admitted); others wait in the queue until enough
   /// bandwidth and a slot free up. 0 disables the budget.
   double bandwidth_budget_bps = 0.0;
-  /// Maintain one popularity model per run (per video under a cluster),
-  /// fed by every admitted session's live orientations and consulted by
-  /// every kVisualCloud plan — viewers teach each other where to look. Each
-  /// session's own SessionOptions::popularity_coverage applies.
-  bool shared_popularity = true;
 
   /// Maintain one PlanCache per run (per video under a cluster): sessions
   /// with identical planning inputs share one computed TileQualityPlan.
@@ -123,8 +118,8 @@ struct ServerStats {
 /// pure function of its inputs: identical viewer requests and seeds give
 /// bit-identical stats regardless of host timing. Admission control bounds
 /// concurrency (FIFO wait queue) and aggregate client bandwidth (reject),
-/// and an optional shared popularity model is fed live by every session
-/// and consulted by every plan.
+/// and a shared popularity model is fed live by every session and
+/// consulted by every kVisualCloud plan.
 class StreamingServer {
  public:
   StreamingServer(StorageManager* storage, const ServerOptions& options);

@@ -91,7 +91,7 @@ void PredictivePrefetcher::EnqueueSegment(const VideoMetadata& metadata,
   if (mode_ == PrefetchMode::kPopularity && popularity != nullptr &&
       popularity->grid() == grid) {
     for (const TileId& tile :
-         popularity->PopularTiles(hint.segment, hint.popularity_coverage)) {
+         popularity->PopularTiles(hint.segment, kPopularTileCoverage)) {
       int index = grid.IndexOf(tile);
       Add(metadata, CellKey{hint.segment, index, high},
           0.8 + probability(index), deadline);

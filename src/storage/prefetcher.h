@@ -41,7 +41,6 @@ struct PrefetchHint {
   double fov_pitch = 0.0;
   double margin = 0.0;      ///< Tile-selection margin (radians).
   int high_quality = 0;     ///< Ladder rung planned for in-view tiles.
-  double popularity_coverage = 0.8;
 };
 
 /// Accounting of one prefetcher instance (cache-level issued/hit/wasted

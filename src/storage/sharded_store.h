@@ -83,8 +83,6 @@ class ShardedStore {
   /// Shared-L2 statistics.
   CacheStats l2_stats() const { return l2_.stats(); }
   LruCache* l2() { return &l2_; }
-  /// Drops the shared L2 (stats preserved).
-  void ClearL2() { l2_.Clear(); }
 
   /// Catalog reads — every shard loaded the root's version set at Open,
   /// so any shard resolves them; shard 0 is the convention. Commits made

@@ -3,33 +3,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
+#include <vector>
 
 namespace vc {
 
-namespace {
-
-void AppendSegmentLines(std::string* out, int segment, const SegmentInfo& info,
-                        const CellInfo* cells, int tiles, int qualities) {
-  char line[160];
-  std::snprintf(line, sizeof(line), "segment %d %u %u\n", segment,
-                info.start_frame, info.frame_count);
-  out->append(line);
-  for (int tile = 0; tile < tiles; ++tile) {
-    for (int quality = 0; quality < qualities; ++quality) {
-      const CellInfo& cell = cells[static_cast<size_t>(tile) * qualities +
-                                   quality];
-      std::snprintf(line, sizeof(line), "cell %d %d %d %" PRIu64 " %u\n",
-                    segment, tile, quality, cell.byte_size, cell.crc32);
-      out->append(line);
-    }
-  }
-}
-
-}  // namespace
-
-ManifestBuilder::ManifestBuilder(const VideoMetadata& metadata,
-                                 const ManifestPlan* plan)
-    : tiles_(metadata.tile_count()), qualities_(metadata.quality_count()) {
+std::string GenerateManifest(const VideoMetadata& metadata) {
   std::ostringstream out;
   out << "VCMPD 1\n";
   out << "name " << metadata.name << "\n";
@@ -44,71 +22,25 @@ ManifestBuilder::ManifestBuilder(const VideoMetadata& metadata,
     out << "quality " << i << " " << metadata.ladder[i].name << " "
         << metadata.ladder[i].qp << "\n";
   }
-  header_ = out.str();
+  std::string text = out.str();
 
+  char line[160];
   for (int segment = 0; segment < metadata.segment_count(); ++segment) {
-    AppendSegmentLines(&body_, segment, metadata.segments[segment],
-                       &metadata.cells[metadata.CellIndex(segment, 0, 0)],
-                       tiles_, qualities_);
-    ++segments_;
-  }
-
-  if (plan != nullptr) {
-    std::ostringstream plan_out;
-    for (const ManifestPlan::Entry& entry : plan->entries) {
-      plan_out << "plan " << entry.segment;
-      for (int rung : entry.tile_quality) plan_out << " " << rung;
-      plan_out << "\n";
-    }
-    plan_ = plan_out.str();
-  }
-}
-
-std::string ManifestBuilder::AppendSegment(const SegmentInfo& segment,
-                                           const std::vector<CellInfo>& cells,
-                                           int64_t publish_ms) {
-  std::string delta;
-  AppendSegmentLines(&delta, segments_, segment, cells.data(), tiles_,
-                     qualities_);
-  body_ += delta;
-  if (publish_ms >= 0) {
-    char line[96];
-    std::snprintf(line, sizeof(line), "publish %d %" PRId64 "\n", segments_,
-                  publish_ms);
-    delta += line;
-    live_.publish_times_ms.push_back(publish_ms);
-    ++live_.epoch;
-  }
-  ++segments_;
-  return delta;
-}
-
-std::string ManifestBuilder::Build(const ManifestLive* live) const {
-  std::string out = header_ + body_ + plan_;
-  if (!view_.empty()) {
-    out += "view " + view_.source + " " +
-           std::to_string(view_.source_version) + " " + view_.query + "\n";
-  }
-  if (live != nullptr && !live->empty()) {
-    char line[96];
-    std::snprintf(line, sizeof(line), "live %u %d\n", live->epoch,
-                  live->complete ? 1 : 0);
-    out += line;
-    for (size_t i = 0; i < live->publish_times_ms.size(); ++i) {
-      std::snprintf(line, sizeof(line), "publish %zu %" PRId64 "\n", i,
-                    live->publish_times_ms[i]);
-      out += line;
+    const SegmentInfo& info = metadata.segments[segment];
+    std::snprintf(line, sizeof(line), "segment %d %u %u\n", segment,
+                  info.start_frame, info.frame_count);
+    text.append(line);
+    for (int tile = 0; tile < metadata.tile_count(); ++tile) {
+      for (int quality = 0; quality < metadata.quality_count(); ++quality) {
+        const CellInfo& cell =
+            metadata.cells[metadata.CellIndex(segment, tile, quality)];
+        std::snprintf(line, sizeof(line), "cell %d %d %d %" PRIu64 " %u\n",
+                      segment, tile, quality, cell.byte_size, cell.crc32);
+        text.append(line);
+      }
     }
   }
-  return out;
-}
-
-std::string GenerateManifest(const VideoMetadata& metadata,
-                             const ManifestPlan* plan, const ManifestLive* live,
-                             const ManifestView* view) {
-  ManifestBuilder builder(metadata, plan);
-  if (view != nullptr && !view->empty()) builder.SetView(*view);
-  return builder.Build(live);
+  return text;
 }
 
 namespace {
@@ -120,11 +52,7 @@ Status Malformed(size_t line_number, const std::string& what) {
 
 }  // namespace
 
-Result<VideoMetadata> ParseManifest(Slice text, ManifestPlan* plan,
-                                    ManifestLive* live, ManifestView* view) {
-  if (plan != nullptr) plan->entries.clear();
-  if (live != nullptr) *live = ManifestLive{};
-  if (view != nullptr) *view = ManifestView{};
+Result<VideoMetadata> ParseManifest(Slice text) {
   std::istringstream in(text.ToString());
   std::string line;
   size_t line_number = 0;
@@ -137,11 +65,6 @@ Result<VideoMetadata> ParseManifest(Slice text, ManifestPlan* plan,
     CellInfo info;
   };
   std::vector<CellEntry> cell_entries;
-  std::vector<ManifestPlan::Entry> plan_entries;
-  ManifestLive live_overlay;
-  bool saw_live = false;
-  ManifestView view_overlay;
-  bool saw_view = false;
 
   while (std::getline(in, line)) {
     ++line_number;
@@ -208,59 +131,6 @@ Result<VideoMetadata> ParseManifest(Slice text, ManifestPlan* plan,
           entry.info.byte_size >> entry.info.crc32;
       if (fields.fail()) return Malformed(line_number, "bad cell entry");
       cell_entries.push_back(entry);
-    } else if (keyword == "plan") {
-      ManifestPlan::Entry entry;
-      fields >> entry.segment;
-      if (fields.fail()) return Malformed(line_number, "bad plan entry");
-      int rung;
-      while (fields >> rung) entry.tile_quality.push_back(rung);
-      if (!fields.eof()) return Malformed(line_number, "bad plan entry");
-      fields.clear();  // the rung loop always ends in a fail/eof state
-      plan_entries.push_back(std::move(entry));
-    } else if (keyword == "view") {
-      if (saw_view) return Malformed(line_number, "duplicate view line");
-      saw_view = true;
-      int64_t source_version = -1;
-      fields >> view_overlay.source >> source_version;
-      if (fields.fail() || view_overlay.source.empty() || source_version < 1 ||
-          source_version > UINT32_MAX) {
-        return Malformed(line_number, "bad view entry");
-      }
-      view_overlay.source_version = static_cast<uint32_t>(source_version);
-      std::string query;
-      std::getline(fields, query);
-      size_t begin = query.find_first_not_of(" \t");
-      size_t end = query.find_last_not_of(" \t\r");
-      if (begin == std::string::npos) {
-        return Malformed(line_number, "view entry missing query text");
-      }
-      view_overlay.query = query.substr(begin, end - begin + 1);
-      fields.clear();  // getline to EOL leaves eof set
-    } else if (keyword == "live") {
-      if (saw_live) return Malformed(line_number, "duplicate live line");
-      saw_live = true;
-      int64_t epoch = -1;
-      int complete = -1;
-      fields >> epoch >> complete;
-      if (fields.fail() || epoch < 0 || epoch > UINT32_MAX || complete < 0 ||
-          complete > 1) {
-        return Malformed(line_number, "bad live entry");
-      }
-      live_overlay.epoch = static_cast<uint32_t>(epoch);
-      live_overlay.complete = complete == 1;
-    } else if (keyword == "publish") {
-      size_t index;
-      int64_t time_ms = -1;
-      fields >> index >> time_ms;
-      if (fields.fail() || index != live_overlay.publish_times_ms.size() ||
-          time_ms < 0) {
-        return Malformed(line_number, "publish entries must be dense");
-      }
-      if (!live_overlay.publish_times_ms.empty() &&
-          time_ms < live_overlay.publish_times_ms.back()) {
-        return Malformed(line_number, "publish times must be non-decreasing");
-      }
-      live_overlay.publish_times_ms.push_back(time_ms);
     } else {
       return Malformed(line_number, "unknown keyword '" + keyword + "'");
     }
@@ -290,37 +160,6 @@ Result<VideoMetadata> ParseManifest(Slice text, ManifestPlan* plan,
     metadata.cells[index] = entry.info;
   }
   VC_RETURN_IF_ERROR(metadata.Validate());
-
-  int last_plan_segment = -1;
-  for (const ManifestPlan::Entry& entry : plan_entries) {
-    if (entry.segment < 0 || entry.segment >= metadata.segment_count() ||
-        entry.segment <= last_plan_segment) {
-      return Status::Corruption("manifest plan segments out of order");
-    }
-    last_plan_segment = entry.segment;
-    if (static_cast<int>(entry.tile_quality.size()) !=
-        metadata.tile_count()) {
-      return Status::Corruption("manifest plan entry tile count mismatch");
-    }
-    for (int rung : entry.tile_quality) {
-      if (rung < -1 || rung >= metadata.quality_count()) {
-        return Status::Corruption("manifest plan rung out of range");
-      }
-    }
-  }
-
-  if (!live_overlay.publish_times_ms.empty() && !saw_live) {
-    return Status::Corruption("manifest publish entries without live line");
-  }
-  if (saw_live && live_overlay.publish_times_ms.size() !=
-                      static_cast<size_t>(metadata.segment_count())) {
-    return Status::Corruption(
-        "manifest live overlay must publish every segment");
-  }
-
-  if (plan != nullptr) plan->entries = std::move(plan_entries);
-  if (live != nullptr && saw_live) *live = std::move(live_overlay);
-  if (view != nullptr && saw_view) *view = std::move(view_overlay);
   return metadata;
 }
 

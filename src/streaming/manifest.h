@@ -1,9 +1,7 @@
 #ifndef VC_STREAMING_MANIFEST_H_
 #define VC_STREAMING_MANIFEST_H_
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "common/slice.h"
@@ -29,146 +27,18 @@ namespace vc {
 ///     quality <index> <name> <qp>          (one per rung)
 ///     segment <index> <start> <frames>     (one per segment, followed by
 ///     cell <seg> <tile> <quality> <bytes> <crc32>   its tile×quality cells)
-///     plan <seg> <rung per tile ...>       (optional query-plan overlay)
-///     view <source> <src_version> <query>  (optional materialized-view overlay)
-///     live <epoch> <complete 0|1>          (optional live overlay)
-///     publish <seg> <time_ms>              (one per segment when live)
 ///
 /// Segments are serialized grouped — each `segment` line followed by its
-/// own `cell` lines — so a growing (live) manifest is strictly append-only
-/// in its body: ManifestBuilder::AppendSegment returns exactly the lines
-/// the full manifest gains. ParseManifest is order-agnostic and still
-/// accepts the historical all-segments-then-all-cells layout.
+/// own `cell` lines. ParseManifest is order-agnostic and still accepts the
+/// historical all-segments-then-all-cells layout.
 ///
 /// GenerateManifest/ParseManifest round-trip every field, so a parsed
 /// manifest reconstructs the full VideoMetadata (sans data_dir, which is a
 /// server-side storage detail clients never see).
+std::string GenerateManifest(const VideoMetadata& metadata);
 
-/// \brief Optional per-tile rung selections published with a manifest: the
-/// result of optimizing a query (see query/optimizer.h) server-side, so a
-/// client fetches exactly the planned cells instead of re-deriving the
-/// choice. One entry per planned segment, `tile_quality[t]` the ladder rung
-/// tile t should be fetched at, -1 = pruned (tile not sent at all).
-struct ManifestPlan {
-  struct Entry {
-    int segment = 0;
-    std::vector<int> tile_quality;
-  };
-  std::vector<Entry> entries;  ///< Ascending by segment.
-
-  bool empty() const { return entries.empty(); }
-};
-
-/// \brief Optional materialized-view overlay: marks a published video as a
-/// derived video maintained by a standing query (see src/view).
-///
-/// `source`/`source_version` name the catalog video and version the view is
-/// maintained through (its freshness watermark), and `query` is the defining
-/// query's canonical text form (query/parser.h syntax — opaque at this
-/// layer; the view subsystem validates it). A client or operator reading
-/// the manifest can tell exactly what derived content the video holds and
-/// whether it is stale relative to its source.
-struct ManifestView {
-  std::string source;
-  uint32_t source_version = 0;
-  std::string query;  ///< Defining query text; single line, never empty.
-
-  bool empty() const {
-    return source.empty() && source_version == 0 && query.empty();
-  }
-};
-
-/// \brief Optional live overlay: the versioned "this stream is still
-/// growing" annotation of a manifest published mid-ingest.
-///
-/// `epoch` is the manifest revision — it increments every time the ingest
-/// pipeline publishes a segment, so a client polling the manifest can tell
-/// at a glance whether anything changed. `publish_times_ms` records, per
-/// listed segment, the server wall-clock millisecond at which that segment
-/// became fetchable — the client's live-edge clock. `complete` flips to
-/// true on the final (archived) manifest of a finished stream.
-struct ManifestLive {
-  uint32_t epoch = 0;
-  bool complete = false;
-  /// One entry per segment, ascending, non-decreasing times (ms).
-  std::vector<int64_t> publish_times_ms;
-
-  bool empty() const {
-    return epoch == 0 && !complete && publish_times_ms.empty();
-  }
-};
-
-/// \brief Incremental manifest assembly for the append-only catalog.
-///
-/// Constructed from a video's layout (and any segments it already has),
-/// the builder serializes the immutable header once and keeps the body as
-/// an append-only string: `AppendSegment` adds one segment's lines in O(1)
-/// relative to the segments already present and returns the serialized
-/// delta, while `Build` snapshots the full manifest. For a static video
-/// `ManifestBuilder(m).Build()` is byte-identical to `GenerateManifest(m)`
-/// (which is itself implemented on top of this builder).
-class ManifestBuilder {
- public:
-  /// Seeds the header from `metadata`'s layout fields and the body from any
-  /// segments/cells it already carries. `plan`, when non-null and
-  /// non-empty, is serialized after the body.
-  explicit ManifestBuilder(const VideoMetadata& metadata,
-                           const ManifestPlan* plan = nullptr);
-
-  /// Appends one segment — its SegmentInfo plus `cells` (tile-major ×
-  /// quality-minor, tile_count × quality_count entries) — and returns the
-  /// serialized delta: exactly the body lines Build() gains. When
-  /// `publish_ms >= 0` the segment is also recorded in the live overlay
-  /// (its `publish` line is part of the delta and the overlay epoch
-  /// increments).
-  std::string AppendSegment(const SegmentInfo& segment,
-                            const std::vector<CellInfo>& cells,
-                            int64_t publish_ms = -1);
-
-  /// Marks the stream finished; the overlay of subsequent Build() calls
-  /// carries `complete 1`.
-  void SetComplete(bool complete) { live_.complete = complete; }
-
-  /// Attaches (or updates) the materialized-view overlay; subsequent
-  /// Build() calls carry its `view` line. An empty overlay emits nothing.
-  void SetView(ManifestView view) { view_ = std::move(view); }
-
-  /// The live overlay accumulated from AppendSegment publish times.
-  const ManifestLive& live() const { return live_; }
-  int segment_count() const { return segments_; }
-
-  /// Full manifest with the builder's own live overlay (empty for a static
-  /// video — byte-identical to the historical whole-string generation).
-  std::string Build() const { return Build(&live_); }
-
-  /// Full manifest with an explicit live overlay (nullptr or empty = no
-  /// overlay lines).
-  std::string Build(const ManifestLive* live) const;
-
- private:
-  std::string header_;  ///< VCMPD magic through quality lines.
-  std::string body_;    ///< Append-only segment + cell lines.
-  std::string plan_;    ///< Serialized plan overlay (may be empty).
-  ManifestView view_;
-  ManifestLive live_;
-  int segments_ = 0;
-  int tiles_ = 0;
-  int qualities_ = 0;
-};
-
-/// `plan` / `live` / `view`, when non-null and non-empty, append their
-/// overlays.
-std::string GenerateManifest(const VideoMetadata& metadata,
-                             const ManifestPlan* plan = nullptr,
-                             const ManifestLive* live = nullptr,
-                             const ManifestView* view = nullptr);
-
-/// Parses a manifest back into metadata (validated). When `plan` / `live` /
-/// `view` are non-null they receive the matching overlay (cleared first;
-/// left empty when the manifest carries none).
-Result<VideoMetadata> ParseManifest(Slice text, ManifestPlan* plan = nullptr,
-                                    ManifestLive* live = nullptr,
-                                    ManifestView* view = nullptr);
+/// Parses a manifest back into metadata (validated).
+Result<VideoMetadata> ParseManifest(Slice text);
 
 }  // namespace vc
 

@@ -270,16 +270,6 @@ Status ViewMaintainer::Maintain(const std::string& name) {
   return MaintainLocked(reg);
 }
 
-Status ViewMaintainer::MaintainAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  Status first;
-  for (const auto& reg : registrations_) {
-    Status status = MaintainLocked(reg.get());
-    if (first.ok() && !status.ok()) first = status;
-  }
-  return first;
-}
-
 Status ViewMaintainer::RefreshView(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   Registration* reg = Find(name);

@@ -87,9 +87,6 @@ class ViewMaintainer : public CatalogObserver {
   /// Catch-up: processes every committed-but-unprocessed slice of `name`.
   Status Maintain(const std::string& name);
 
-  /// Catch-up for every registration; first error wins.
-  Status MaintainAll();
-
   /// Full recompute of view `name` from the view catalog: re-registers if
   /// needed, discards incremental progress, and re-derives every slice
   /// into a fresh view version. The result is byte-identical to what

@@ -5,11 +5,11 @@
 
 #include "common/random.h"
 #include "streaming/manifest.h"
+#include "test_digest.h"
 
 // Deterministic fuzzing of the VCMPD manifest parser (ROADMAP item 6): a
-// valid manifest — plan overlay and live overlay included — is truncated at
-// every length, peppered with seeded bit flips, rewritten line-by-line, and
-// pattern-filled, and every mutant goes through ParseManifest. The contract
+// valid manifest is truncated at every length, peppered with seeded bit
+// flips, rewritten line-by-line, and pattern-filled, and every mutant goes through ParseManifest. The contract
 // is totality: every input either parses or returns a clean error Status;
 // crashes, hangs, and out-of-bounds access (the ASan/UBSan CI leg runs this
 // suite) are the failures. Mutants that do parse must additionally
@@ -39,28 +39,21 @@ VideoMetadata FuzzSample() {
   return m;
 }
 
-std::string Fixture() {
-  VideoMetadata m = FuzzSample();
-  ManifestPlan plan;
-  plan.entries.push_back({0, std::vector<int>(8, 0)});
-  plan.entries.push_back({2, {0, 1, 0, 1, -1, 1, 0, 0}});
-  ManifestLive live;
-  live.epoch = 3;
-  live.complete = false;
-  live.publish_times_ms = {1250, 2250, 3333};
-  return GenerateManifest(m, &plan, &live);
-}
+std::string Fixture() { return GenerateManifest(FuzzSample()); }
 
 void DriveParser(const std::string& text) {
-  ManifestPlan plan;
-  ManifestLive live;
-  auto parsed = ParseManifest(Slice(text), &plan, &live);
+  auto parsed = ParseManifest(Slice(text));
   if (!parsed.ok()) return;
   // Whatever parsed was validated; its canonical regeneration must parse.
-  std::string out =
-      GenerateManifest(*parsed, &plan, live.empty() ? nullptr : &live);
-  EXPECT_TRUE(ParseManifest(Slice(out), &plan, &live).ok())
+  EXPECT_TRUE(ParseManifest(Slice(GenerateManifest(*parsed))).ok())
       << "regenerated manifest failed to re-parse";
+}
+
+TEST(ManifestFuzzTest, SampleDigestIsPinned) {
+  // The static manifest of the fuzz sample, byte for byte.
+  Fnv1a digest;
+  digest.Add(Fixture());
+  EXPECT_EQ(digest.value(), 0x63167ac15807bf40ull) << std::hex << digest.value();
 }
 
 TEST(ManifestFuzzTest, TruncationsFailCleanly) {

@@ -217,14 +217,14 @@ TEST(TraceSynthesizerTest, SynthesizedTraceDigestIsPinned) {
 
 TEST(PredictorTest, FactoryAndNames) {
   TileGrid grid(4, 4);
-  for (const char* name : {"static", "dead_reckoning", "linear_regression",
-                           "ewma_velocity", "kalman", "markov"}) {
+  for (const char* name :
+       {"static", "dead_reckoning", "linear_regression", "markov"}) {
     auto p = MakePredictor(name, grid);
     ASSERT_TRUE(p.ok()) << name;
     EXPECT_EQ((*p)->name(), name);
   }
   EXPECT_FALSE(MakePredictor("psychic", grid).ok());
-  EXPECT_EQ(AllPredictors(grid).size(), 6u);
+  EXPECT_EQ(AllPredictors(grid).size(), 4u);
 }
 
 TEST(PredictorTest, UnobservedPredictorsReturnDefault) {
@@ -278,15 +278,6 @@ TEST(PredictorTest, LinearRegressionFitsNoisyLine) {
   EXPECT_NEAR(o.pitch, expected_pitch, 0.02);
 }
 
-TEST(PredictorTest, EwmaTracksVelocityChanges) {
-  auto p = NewEwmaVelocityPredictor(0.5);
-  for (int i = 0; i <= 20; ++i) {
-    p->Observe(0.05 * i, {WrapYaw(0.05 * i * 0.8), kPi / 2});
-  }
-  Orientation o = p->Predict(1.0);
-  EXPECT_NEAR(o.yaw, WrapYaw(0.8 + 0.8), 0.1);
-}
-
 TEST(PredictorTest, MarkovLearnsDwellPattern) {
   TileGrid grid(2, 4);
   auto p = NewMarkovPredictor(grid, 0.25);
@@ -311,41 +302,6 @@ TEST(PredictorTest, MarkovLearnsCyclicMotion) {
   // steps ahead col 1.
   EXPECT_EQ(grid.TileFor(p->Predict(0.5)).col, 0);
   EXPECT_EQ(grid.TileFor(p->Predict(1.0)).col, 1);
-}
-
-TEST(PredictorTest, KalmanConvergesOnConstantVelocity) {
-  auto p = NewKalmanPredictor();
-  // yaw at +0.4 rad/s, pitch fixed.
-  for (int i = 0; i <= 60; ++i) {
-    p->Observe(i / 30.0, {WrapYaw(0.4 * i / 30.0), kPi / 2});
-  }
-  Orientation o = p->Predict(1.0);
-  EXPECT_NEAR(o.yaw, WrapYaw(0.8 + 0.4), 0.05);
-  EXPECT_NEAR(o.pitch, kPi / 2, 0.01);
-}
-
-TEST(PredictorTest, KalmanSmoothsNoisyMeasurements) {
-  // With deterministic zig-zag measurement noise of ±3°, the filtered
-  // velocity should stay near the true 0.5 rad/s instead of swinging with
-  // the per-sample differences (which dead reckoning over one step would).
-  // Filter tuned for the injected noise level (σ ≈ 3°).
-  auto kalman = NewKalmanPredictor(0.5, 3e-3);
-  for (int i = 0; i <= 90; ++i) {
-    double t = i / 30.0;
-    double noise = (i % 2 == 0 ? 1 : -1) * DegToRad(3.0);
-    kalman->Observe(t, {WrapYaw(0.5 * t + noise), kPi / 2});
-  }
-  Orientation o = kalman->Predict(1.0);
-  EXPECT_NEAR(o.yaw, WrapYaw(0.5 * 3.0 + 0.5), DegToRad(6.0));
-}
-
-TEST(PredictorTest, KalmanCrossesSeam) {
-  auto p = NewKalmanPredictor();
-  for (int i = 0; i <= 30; ++i) {
-    p->Observe(i / 30.0, {WrapYaw(kTwoPi - 0.3 + 0.6 * i / 30.0), kPi / 2});
-  }
-  Orientation o = p->Predict(0.5);
-  EXPECT_NEAR(o.yaw, WrapYaw(kTwoPi - 0.3 + 0.6 + 0.3), 0.05);
 }
 
 // -------------------------------------------------------------- Popularity

@@ -541,56 +541,23 @@ TEST_F(QueryTest, QueryCountersAreRegistered) {
   EXPECT_GT(snapshot.histograms["query.exec_seconds"].count, 0u);
 }
 
-// --- manifest plan overlay -------------------------------------------------
-
-TEST_F(QueryTest, ManifestCarriesPlanAndReserializesByteIdentical) {
-  Query q = Query::Scan("venice")
-                .TimeSlice(1.0, 3.0)
-                .Viewport(kPi, kPi / 2, DegToRad(100), DegToRad(70))
-                .QualityFloor("high")
-                .Degrade("low");
-  auto plan = Optimize(q, storage());
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ManifestPlan overlay = ToManifestPlan(plan->scans[0]);
-  ASSERT_EQ(overlay.entries.size(), plan->scans[0].slices.size());
-
-  // Full ladder + per-tile plan overlay must survive a parse round trip
-  // byte-identically.
-  const VideoMetadata& metadata = plan->scans[0].metadata;
-  std::string text = GenerateManifest(metadata, &overlay);
-  ManifestPlan reparsed_plan;
-  auto reparsed = ParseManifest(Slice(text), &reparsed_plan);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-  EXPECT_EQ(reparsed->quality_count(), 3);
-  ASSERT_EQ(reparsed_plan.entries.size(), overlay.entries.size());
-  for (size_t i = 0; i < overlay.entries.size(); ++i) {
-    EXPECT_EQ(reparsed_plan.entries[i].segment, overlay.entries[i].segment);
-    EXPECT_EQ(reparsed_plan.entries[i].tile_quality,
-              overlay.entries[i].tile_quality);
-  }
-  reparsed->data_dir = metadata.data_dir;  // server-side detail, not carried
-  EXPECT_EQ(GenerateManifest(*reparsed, &reparsed_plan), text);
-
-  // A manifest without an overlay leaves the out-param empty.
-  ManifestPlan none;
-  none.entries.push_back({0, {0}});
-  auto plain = ParseManifest(Slice(GenerateManifest(metadata)), &none);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_TRUE(none.empty());
-}
-
 TEST_F(QueryTest, ManifestRejectsMalformedPlan) {
+  // The manifest no longer carries a query plan: plan lines of any shape
+  // are unknown keywords and must be rejected.
   auto metadata = db_->Describe("venice");
   ASSERT_TRUE(metadata.ok());
   std::string text = GenerateManifest(*metadata);
 
-  ManifestPlan plan;
-  EXPECT_FALSE(ParseManifest(Slice(text + "plan 1 0 0\n"), &plan).ok())
+  EXPECT_FALSE(ParseManifest(Slice(text + "plan 1 0 0\n")).ok())
       << "tile count mismatch must be rejected";
   std::string full_row = "plan 9";
   for (int i = 0; i < metadata->tile_count(); ++i) full_row += " 0";
-  EXPECT_FALSE(ParseManifest(Slice(text + full_row + "\n"), &plan).ok())
+  EXPECT_FALSE(ParseManifest(Slice(text + full_row + "\n")).ok())
       << "out-of-range segment must be rejected";
+  std::string in_range_row = "plan 0";
+  for (int i = 0; i < metadata->tile_count(); ++i) in_range_row += " 0";
+  EXPECT_FALSE(ParseManifest(Slice(text + in_range_row + "\n")).ok())
+      << "a plan line is not a manifest keyword";
 }
 
 }  // namespace

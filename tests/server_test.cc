@@ -15,7 +15,6 @@
 #include "server/live_feed.h"
 #include "server/streaming_server.h"
 #include "storage/sharded_store.h"
-#include "streaming/manifest.h"
 #include "test_digest.h"
 
 namespace vc {
@@ -296,20 +295,25 @@ TEST_F(ServerTest, ServerRunIsDeterministic) {
 TEST_F(ServerTest, SessionStatsIndependentOfCohortSize) {
   // Scheduler interleaving must not leak between sessions: viewer 0's
   // stats are the same whether it streams alone or among five others.
-  // (Popularity sharing is disabled — that coupling is the one deliberate
-  // cross-session channel.)
+  // The viewers are oracles: the shared popularity model — the one
+  // deliberate cross-session channel — feeds only kVisualCloud plans.
   VideoMetadata metadata = Metadata();
-  ServerOptions options;
-  options.shared_popularity = false;
+  auto oracles = [](int count) {
+    std::vector<ViewerRequest> viewers = MakeViewers(count);
+    for (ViewerRequest& viewer : viewers) {
+      viewer.session.approach = StreamingApproach::kOracle;
+    }
+    return viewers;
+  };
 
   db_->storage()->ClearCache();
-  StreamingServer solo_server(db_->storage(), options);
-  auto solo = solo_server.Run(metadata, MakeViewers(1));
+  StreamingServer solo_server(db_->storage(), ServerOptions{});
+  auto solo = solo_server.Run(metadata, oracles(1));
   ASSERT_TRUE(solo.ok());
 
   db_->storage()->ClearCache();
-  StreamingServer cohort_server(db_->storage(), options);
-  auto cohort = cohort_server.Run(metadata, MakeViewers(6));
+  StreamingServer cohort_server(db_->storage(), ServerOptions{});
+  auto cohort = cohort_server.Run(metadata, oracles(6));
   ASSERT_TRUE(cohort.ok());
 
   ASSERT_EQ(solo->sessions.size(), 1u);
@@ -853,15 +857,6 @@ TEST_F(ServerTest, LiveViewersJoinAtTheLiveEdge) {
   ASSERT_TRUE(archived.ok()) << archived.status().ToString();
   EXPECT_FALSE(archived->streaming);
   EXPECT_EQ(archived->segment_count(), 4);
-  // ...and its manifest carries a complete, parseable live overlay.
-  ManifestLive overlay;
-  auto parsed =
-      ParseManifest(Slice((*feed)->Manifest()), nullptr, &overlay);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_TRUE(overlay.complete);
-  ASSERT_EQ(overlay.publish_times_ms.size(), 4u);
-  EXPECT_EQ(overlay.publish_times_ms[0], 1200);
-  EXPECT_EQ(overlay.publish_times_ms[3], 4200);
   ASSERT_TRUE(db_->Drop("live_edge_feed").ok());
 }
 

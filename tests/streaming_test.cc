@@ -5,6 +5,7 @@
 #include "streaming/manifest.h"
 #include "streaming/network.h"
 #include "streaming/qoe.h"
+#include "test_digest.h"
 
 namespace vc {
 namespace {
@@ -284,6 +285,19 @@ TEST(ManifestTest, RoundTripsAllFields) {
   }
 }
 
+TEST(ManifestTest, OutputDigestIsPinned) {
+  // The manifest text, byte for byte: the sample and its layout alone (a
+  // live video before its first segment is published).
+  VideoMetadata m = ManifestSample();
+  VideoMetadata layout = m;
+  layout.segments.clear();
+  layout.cells.clear();
+  Fnv1a digest;
+  digest.Add(GenerateManifest(m));
+  digest.Add(GenerateManifest(layout));
+  EXPECT_EQ(digest.value(), 0xa9716337a5631f79ull) << std::hex << digest.value();
+}
+
 TEST(ManifestTest, IgnoresCommentsAndBlankLines) {
   std::string text = GenerateManifest(ManifestSample());
   text = "# a comment\n\n" + text + "# trailing comment\n";
@@ -301,95 +315,25 @@ TEST(ManifestTest, RejectsMalformedInput) {
   // Duplicate a cell line.
   std::string duplicated = text + text.substr(last_cell);
   EXPECT_FALSE(ParseManifest(Slice(duplicated)).ok());
-  // Unknown keyword.
-  std::string unknown = text + "frobnicate 1\n";
-  EXPECT_FALSE(ParseManifest(Slice(unknown)).ok());
-}
-
-TEST(ManifestTest, BuilderMatchesGenerateManifest) {
-  // GenerateManifest is a thin wrapper over ManifestBuilder; the whole-
-  // string and incremental paths must be byte-identical for static videos.
-  VideoMetadata m = ManifestSample();
-  EXPECT_EQ(ManifestBuilder(m).Build(), GenerateManifest(m));
-  ManifestPlan plan;
-  plan.entries.push_back({0, std::vector<int>(8, 0)});
-  plan.entries.push_back({2, {0, 1, 0, 1, -1, 1, 0, 0}});
-  EXPECT_EQ(ManifestBuilder(m, &plan).Build(), GenerateManifest(m, &plan));
-}
-
-TEST(ManifestTest, BuilderGrowsIncrementally) {
-  // Appending segments to a layout-only builder reproduces, at every step,
-  // the canonical manifest of the video grown to that point — so a live
-  // manifest is always exactly what a cold regeneration would produce.
-  VideoMetadata full = ManifestSample();
-  VideoMetadata layout = full;
-  layout.segments.clear();
-  layout.cells.clear();
-  const size_t per_segment =
-      static_cast<size_t>(full.tile_count()) * full.quality_count();
-  ManifestBuilder builder(layout);
-  for (int s = 0; s < full.segment_count(); ++s) {
-    std::vector<CellInfo> cells(
-        full.cells.begin() + full.CellIndex(s, 0, 0),
-        full.cells.begin() + full.CellIndex(s, 0, 0) + per_segment);
-    std::string delta =
-        builder.AppendSegment(full.segments[s], cells, 1200 + s * 1000);
-    EXPECT_NE(delta.find("segment " + std::to_string(s)), std::string::npos);
-    EXPECT_NE(delta.find("publish " + std::to_string(s)), std::string::npos);
-    EXPECT_EQ(builder.segment_count(), s + 1);
-
-    VideoMetadata grown = full;
-    grown.segments.resize(s + 1);
-    grown.cells.resize((s + 1) * per_segment);
-    EXPECT_EQ(builder.Build(),
-              GenerateManifest(grown, nullptr, &builder.live()));
-
-    ManifestLive live;
-    auto parsed = ParseManifest(Slice(builder.Build()), nullptr, &live);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_EQ(parsed->segment_count(), s + 1);
-    EXPECT_EQ(live.epoch, static_cast<uint32_t>(s + 1));
-    ASSERT_EQ(live.publish_times_ms.size(), static_cast<size_t>(s + 1));
-    EXPECT_EQ(live.publish_times_ms[s], 1200 + s * 1000);
-    EXPECT_FALSE(live.complete);
+  // Unknown keywords, including the retired view overlay line.
+  for (const char* extra :
+       {"frobnicate 1\n", "view venice 3 scan(venice)\n"}) {
+    EXPECT_FALSE(ParseManifest(Slice(text + extra)).ok()) << extra;
   }
-  builder.SetComplete(true);
-  ManifestLive live;
-  ASSERT_TRUE(ParseManifest(Slice(builder.Build()), nullptr, &live).ok());
-  EXPECT_TRUE(live.complete);
-}
-
-TEST(ManifestTest, LiveOverlayRoundTripsByteIdentically) {
-  VideoMetadata m = ManifestSample();
-  ManifestLive live;
-  live.epoch = 3;
-  live.complete = true;
-  live.publish_times_ms = {1200, 2200, 3250};
-  std::string text = GenerateManifest(m, nullptr, &live);
-  ManifestLive parsed_live;
-  auto parsed = ParseManifest(Slice(text), nullptr, &parsed_live);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed_live.epoch, 3u);
-  EXPECT_TRUE(parsed_live.complete);
-  EXPECT_EQ(parsed_live.publish_times_ms, live.publish_times_ms);
-  EXPECT_EQ(GenerateManifest(*parsed, nullptr, &parsed_live), text);
-  // A static parse of the same text ignores the overlay without error.
-  EXPECT_TRUE(ParseManifest(Slice(text)).ok());
 }
 
 TEST(ManifestTest, RejectsBadLiveOverlay) {
+  // The live overlay is retired: live and publish lines are unknown
+  // keywords, so every overlay is rejected, well-formed or not.
   std::string base = GenerateManifest(ManifestSample());
-  // Publish entries require the live line.
   EXPECT_FALSE(ParseManifest(Slice(base + "publish 0 100\n")).ok());
-  // The overlay must publish every segment (the sample has 3).
+  EXPECT_FALSE(ParseManifest(Slice(base + "live 3 1\n")).ok());
   EXPECT_FALSE(
       ParseManifest(Slice(base + "live 1 0\npublish 0 100\n")).ok());
-  std::string good =
+  std::string formerly_good =
       base + "live 3 1\npublish 0 100\npublish 1 200\npublish 2 300\n";
-  EXPECT_TRUE(ParseManifest(Slice(good)).ok());
-  // Duplicate live line.
-  EXPECT_FALSE(ParseManifest(Slice(good + "live 3 1\n")).ok());
-  // Publish indices must be dense and times non-negative, non-decreasing.
+  EXPECT_FALSE(ParseManifest(Slice(formerly_good)).ok());
+  EXPECT_FALSE(ParseManifest(Slice(formerly_good + "live 3 1\n")).ok());
   EXPECT_FALSE(ParseManifest(Slice(
       base + "live 3 1\npublish 1 100\npublish 0 100\npublish 2 100\n"))
           .ok());
