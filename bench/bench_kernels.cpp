@@ -1,10 +1,13 @@
-// M1k — codec kernel microbenchmark: scalar vs SIMD throughput for each hot
-// kernel (SAD, forward/inverse DCT, quantization), plus the Exp-Golomb
-// residual coder's throughput and density and the cell CRC's throughput
-// against a byte-at-a-time reference.
+// M1k — codec kernel microbenchmark: scalar vs SIMD throughput for each of
+// six hot kernels (three SAD variants, forward/inverse integer DCT,
+// quantization), plus the Exp-Golomb residual coder's throughput and density
+// and the cell CRC's throughput against a byte-at-a-time reference. The
+// `speedup_geomean` in the JSON snapshot is over those six kernels. For the
+// transform kernels "scalar" is the build's baseline compilation of their one
+// plain C++ body and "SIMD" its AVX2 compilation.
 //
-// Expected shape: the SIMD columns are several-fold faster than scalar for
-// every vectorized kernel (the target is >=3x aggregate).
+// Expected shape: the SIMD columns are faster than scalar for every
+// vectorized kernel.
 //
 // Every lap re-verifies that the SIMD and scalar kernels produce identical
 // outputs (and that the entropy coder round-trips) before timing — a
@@ -142,12 +145,11 @@ struct TransformData {
   std::vector<uint64_t> nonzero_masks;   // Quantize's raster nonzero masks
   std::vector<CoeffBlock> dequantized;   // Dequantize output
   std::vector<int> nonzero;
-  double qstep = 0.0;
+  int qp = 28;
 };
 
 TransformData MakeTransformData(int blocks) {
   TransformData data;
-  data.qstep = QStepForQp(28);
   Random rng(7002);
   data.residuals.resize(blocks);
   data.coeffs.resize(blocks);
@@ -164,11 +166,11 @@ TransformData MakeTransformData(int blocks) {
     }
     ForwardDct(data.residuals[i], &data.coeffs[i]);
     data.nonzero_masks[i] =
-        Quantize(data.coeffs[i], data.qstep, &data.levels[i]);
+        Quantize(data.coeffs[i], data.qp, &data.levels[i]);
     int nonzero = 0;
     for (int32_t v : data.levels[i]) nonzero += v != 0;
     data.nonzero[i] = nonzero;
-    Dequantize(data.levels[i], data.qstep, &data.dequantized[i]);
+    Dequantize(data.levels[i], data.qp, &data.dequantized[i]);
   }
   return data;
 }
@@ -213,42 +215,16 @@ std::vector<KernelRow> BenchTransforms(const TransformData& data, int reps) {
     }
   }));
 
-  // Sparse IDCT on the blocks that actually take that path in the decoder.
-  std::vector<int> sparse;
-  for (int i = 0; i < blocks; ++i) {
-    if (data.nonzero[i] > 0 && data.nonzero[i] <= kInverseDctSparseThreshold) {
-      sparse.push_back(i);
-    }
-  }
-  if (!sparse.empty()) {
-    std::vector<ResidualBlock> sparse_out(sparse.size());
-    CheckBlockwiseAgreement(
-        static_cast<int>(sparse.size()), &sparse_out,
-        [&](int i, ResidualBlock* out) {
-          InverseDctSparse(data.dequantized[sparse[i]],
-                           data.nonzero[sparse[i]], out);
-        },
-        "InverseDctSparse scalar/SIMD");
-    rows.push_back(TimeKernel(
-        "idct_sparse", static_cast<double>(sparse.size()) * kBlockPixels,
-        reps, [&] {
-          for (size_t i = 0; i < sparse.size(); ++i) {
-            InverseDctSparse(data.dequantized[sparse[i]],
-                             data.nonzero[sparse[i]], &sparse_out[i]);
-          }
-        }));
-  }
-
   std::vector<LevelBlock> level_out(blocks);
   CheckBlockwiseAgreement(
       blocks, &level_out,
       [&](int i, LevelBlock* out) {
-        Quantize(data.coeffs[i], data.qstep, out);
+        Quantize(data.coeffs[i], data.qp, out);
       },
       "Quantize scalar/SIMD");
   rows.push_back(TimeKernel("quant", bytes, reps, [&] {
     for (int i = 0; i < blocks; ++i) {
-      Quantize(data.coeffs[i], data.qstep, &level_out[i]);
+      Quantize(data.coeffs[i], data.qp, &level_out[i]);
     }
   }));
 

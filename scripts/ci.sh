@@ -64,11 +64,13 @@ tsan() {
 
 simd() {
   echo "== simd: cross-ISA bit-exactness + memory-safety matrix =="
-  # Leg 1: widened baseline ISA (-msse4.1). The codec suite proves the
-  # host's vector path (AVX2 transforms and SSE2 SAD/residual kernels on x86)
-  # produces streams bit-identical to scalar, and the kernel micro-bench smoke
-  # re-verifies kernel-level agreement plus the Exp-Golomb round-trip. The
-  # pinned ingest digest checks whole-segment encoder output bytes.
+  # Leg 1: widened baseline ISA (-msse4.1). The integer transform is one
+  # plain C++ body compiled twice, for the baseline ISA and as an AVX2
+  # wrapper; the codec suite proves the host's vector paths (that AVX2
+  # compilation and the SSE2 SAD/residual kernels on x86) produce streams
+  # bit-identical to scalar, and the kernel micro-bench smoke re-verifies
+  # kernel-level agreement plus the Exp-Golomb round-trip. The pinned ingest
+  # digest checks whole-segment encoder output bytes.
   cmake -B build-sse41 -S . -DCMAKE_CXX_FLAGS=-msse4.1
   cmake --build build-sse41 -j"$JOBS" --target codec_test codec_fuzz_test \
     common_test core_test bench_kernels
@@ -80,12 +82,14 @@ simd() {
   ./build-sse41/bench/bench_kernels --smoke
 
   # Leg 2: scalar-only build (-DVC_DISABLE_SIMD=ON removes every intrinsics
-  # path at compile time). The same codec suite passing here pins the scalar
-  # fallbacks as the reference the vector paths are measured against; the
+  # path and the AVX2 compilation of the transform body at compile time).
+  # The same codec suite passing here pins the scalar fallbacks as the
+  # reference the vector paths are measured against; the
   # common suite re-checks the windowed bit reader, the word writer and the
   # sliced CRC against their bit- and byte-at-a-time references in this
   # configuration too, and
-  # the pinned ingest digest holds with the scalar quantizer's nonzero mask.
+  # the pinned ingest digest holds with the baseline compilation of the
+  # transform and quantizer.
   cmake -B build-scalar -S . -DVC_DISABLE_SIMD=ON
   cmake --build build-scalar -j"$JOBS" --target codec_test codec_fuzz_test \
     common_test core_test

@@ -39,7 +39,6 @@ Result<Frame> Decoder::DecodeTiles(Slice frame_payload,
   int frame_qp;
   VC_ASSIGN_OR_RETURN(frame_qp, ParseFrameQp(frame_payload));
   const bool per_tile_qp = frame_qp == kPerTileQp;
-  const double frame_qstep = per_tile_qp ? 0.0 : QStepForQp(frame_qp);
   TileGrid grid = header_.tile_grid();
   std::vector<std::pair<uint32_t, uint32_t>> ranges;
   VC_ASSIGN_OR_RETURN(ranges,
@@ -53,14 +52,12 @@ Result<Frame> Decoder::DecodeTiles(Slice frame_payload,
     int index = grid.IndexOf(tile);
     Slice payload =
         frame_payload.Subslice(ranges[index].first, ranges[index].second);
-    double qstep = frame_qstep;
+    int qp = frame_qp;
     if (per_tile_qp) {
-      int tile_qp;
-      VC_ASSIGN_OR_RETURN(tile_qp, SplitTileQp(&payload));
-      qstep = QStepForQp(tile_qp);
+      VC_ASSIGN_OR_RETURN(qp, SplitTileQp(&payload));
     }
     VC_RETURN_IF_ERROR(
-        DecodeTilePayload(payload, tile_rects_[index], type, qstep));
+        DecodeTilePayload(payload, tile_rects_[index], type, qp));
   }
   reference_ = recon_;
   return recon_;
@@ -68,7 +65,7 @@ Result<Frame> Decoder::DecodeTiles(Slice frame_payload,
 
 Status Decoder::DecodeTilePayload(Slice payload,
                                   const TileGrid::PixelRect& rect,
-                                  FrameType type, double qstep) {
+                                  FrameType type, int qp) {
   using namespace codec_internal;  // NOLINT
 
   const MotionBounds luma_bounds =
@@ -129,7 +126,7 @@ Status Decoder::DecodeTilePayload(Slice payload,
         IntraPredict(rec_y, lx, ly, kMbSize, intra_mode, tile_bounds, pred_y);
       }
       VC_RETURN_IF_ERROR(
-          DecodeResidual(&reader, pred_y, kMbSize, qstep, recon_y));
+          DecodeResidual(&reader, pred_y, kMbSize, qp, recon_y));
       StoreBlock(recon_y, kMbSize, recon_.y_plane().data(), recon_.width(), lx,
                  ly);
 
@@ -146,7 +143,7 @@ Status Decoder::DecodeTilePayload(Slice payload,
                        chroma_tile_bounds, pred_c);
         }
         VC_RETURN_IF_ERROR(
-            DecodeResidual(&reader, pred_c, kBlockSize, qstep, recon_c));
+            DecodeResidual(&reader, pred_c, kBlockSize, qp, recon_c));
         uint8_t* plane_data = plane == 0 ? recon_.u_plane().data()
                                          : recon_.v_plane().data();
         StoreBlock(recon_c, kBlockSize, plane_data, recon_.chroma_width(), cx,

@@ -42,7 +42,7 @@ class Decoder {
           std::vector<TileGrid::PixelRect> tile_rects);
 
   Status DecodeTilePayload(Slice payload, const TileGrid::PixelRect& rect,
-                           FrameType type, double qstep);
+                           FrameType type, int qp);
 
   const SequenceHeader header_;
   const std::vector<TileGrid::PixelRect> tile_rects_;

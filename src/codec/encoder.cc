@@ -101,8 +101,6 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
     type = FrameType::kIntra;
     force_keyframe_ = false;
   }
-  const double qstep = QStepForQp(options_.qp);
-
   // The previous frame's reconstruction becomes the reference by swapping
   // buffers: every tile rect is fully re-encoded below, so recon_ is
   // completely overwritten and a deep copy per frame would be pure waste.
@@ -144,8 +142,7 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
   for (size_t i = 0; i < tile_count; ++i) writer.WriteBits(0, 32);
   for (size_t i = 0; i < tile_count; ++i) {
     tile_offsets_[i] = static_cast<uint32_t>(writer.bit_count() / 8);
-    EncodeTile(frame, tile_rects_[i], type, qstep, reuse_row, capture_row,
-               &writer);
+    EncodeTile(frame, tile_rects_[i], type, reuse_row, capture_row, &writer);
     writer.AlignToByte();
   }
 
@@ -188,9 +185,8 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
 }
 
 void Encoder::EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
-                         FrameType type, double qstep,
-                         const BlockHint* reuse_row, BlockHint* capture_row,
-                         BitWriter* writer) {
+                         FrameType type, const BlockHint* reuse_row,
+                         BlockHint* capture_row, BitWriter* writer) {
   using namespace codec_internal;  // NOLINT
 
   const MotionBounds luma_bounds =
@@ -211,7 +207,7 @@ void Encoder::EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
   PlaneView rec_v{recon_.v_plane().data(), recon_.chroma_width()};
 
   // Lagrangian weight for motion-vector rate in the mode decision.
-  const double lambda = qstep;
+  const double lambda = QStepForQp(options_.qp);
 
   const int mb_cols = options_.width / kMbSize;
 
@@ -334,7 +330,8 @@ void Encoder::EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
         IntraPredict(rec_y, lx, ly, kMbSize, intra_mode, tile_bounds, pred_y);
       }
       EncodeResidual(cur_y.data + static_cast<size_t>(ly) * cur_y.stride + lx,
-                     cur_y.stride, pred_y, kMbSize, qstep, writer, recon_y);
+                     cur_y.stride, pred_y, kMbSize, options_.qp, writer,
+                     recon_y);
       StoreBlock(recon_y, kMbSize, recon_.y_plane().data(), recon_.width(), lx,
                  ly);
 
@@ -355,7 +352,7 @@ void Encoder::EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
         }
         EncodeResidual(
             cur_c.data + static_cast<size_t>(cy) * cur_c.stride + cx,
-            cur_c.stride, pred_c, kBlockSize, qstep, writer, recon_c);
+            cur_c.stride, pred_c, kBlockSize, options_.qp, writer, recon_c);
         uint8_t* plane_data = plane == 0 ? recon_.u_plane().data()
                                          : recon_.v_plane().data();
         StoreBlock(recon_c, kBlockSize, plane_data, recon_.chroma_width(), cx,

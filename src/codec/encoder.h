@@ -125,7 +125,7 @@ class Encoder {
   /// (indexed by global raster macroblock index); `capture_row` likewise
   /// receives this frame's decisions.
   void EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
-                  FrameType type, double qstep, const BlockHint* reuse_row,
+                  FrameType type, const BlockHint* reuse_row,
                   BlockHint* capture_row, BitWriter* writer);
 
   /// Per-frame analysis accounting, flushed to the metrics registry at the

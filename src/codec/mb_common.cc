@@ -196,23 +196,44 @@ inline void ReconstructBlock(const uint8_t* pred, int size, int bx, int by,
   }
 }
 
+/// Dequantizes one coded block with `nonzero` > 0 levels and adds its
+/// inverse transform to the prediction. The encoder and decoder both
+/// reconstruct through here, so their reconstructions stay bit-identical.
+/// A lone DC level, the most common sparse block at medium and high QP, is
+/// a constant fill.
+inline void ReconstructLevels(const LevelBlock& levels, int nonzero, int qp,
+                              const uint8_t* pred, int size, int bx, int by,
+                              uint8_t* recon) {
+  CoeffBlock coeffs;
+  ResidualBlock residual;
+  Dequantize(levels, qp, &coeffs);
+  if (nonzero == 1 && levels[0] != 0) {
+    residual.fill(InverseDctDc(coeffs[0]));
+  } else {
+    InverseDct(coeffs, &residual);
+  }
+  ReconstructBlock(pred, size, bx, by, residual, recon);
+}
+
 }  // namespace
 
 void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
-                    int size, double qstep, BitWriter* writer,
-                    uint8_t* recon) {
+                    int size, int qp, BitWriter* writer, uint8_t* recon) {
   ResidualBlock residual;
   CoeffBlock coeffs;
   LevelBlock levels;
-  // Every DCT coefficient's magnitude is bounded by the residual's L2 norm
-  // (Parseval; the basis is orthonormal), itself at most 8·max|residual|.
-  // When the bound stays strictly inside the quantizer dead zone
-  // (level = 0 iff |X| < 0.6·qstep), every level is provably zero: the
-  // block costs one codeword and reconstructs to the prediction, so the
-  // transform is skipped outright. A borderline disagreement with the
-  // quantizer's own rounding is harmless — both sides of the codec see the
-  // same all-zero block either way.
-  const double zero_bound = 0.6 * qstep;
+  // A coefficient of the integer transform is a bilinear form of two basis
+  // rows, each of squared norm at most 64²·8, with the residual; with the
+  // two rounding shifts it is bounded by 16·‖residual‖₂ + 1 (16× the
+  // orthonormal Parseval bound, plus one for rounding). A level is zero
+  // iff its coefficient is under 0.6 of the step, 16·0.6·qstep in the same
+  // scale. When the bound stays below that, every level is provably zero:
+  // the block costs one codeword and reconstructs to the prediction, so
+  // the transform is skipped outright. ‖residual‖₂ ≤ 8·max|residual| is the
+  // cheap first test. A borderline disagreement with the quantizer's own
+  // rounding is harmless — both sides of the codec see the same all-zero
+  // block either way.
+  const double zero_bound = 0.6 * QStepForQp(qp) - 1.0 / 16;
   for (int by = 0; by < size; by += kBlockSize) {
     for (int bx = 0; bx < size; bx += kBlockSize) {
       int max_abs =
@@ -220,7 +241,7 @@ void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
       bool provably_zero = 8.0 * max_abs < zero_bound;
       if (!provably_zero && max_abs < zero_bound) {
         // Cheap bound failed but the exact L2 bound might not: 64 integer
-        // multiplies against a 1024-flop transform.
+        // multiplies against a full transform.
         provably_zero =
             static_cast<double>(ResidualSsd(residual)) < zero_bound * zero_bound;
       }
@@ -232,48 +253,29 @@ void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
       }
 
       ForwardDct(residual, &coeffs);
-      const uint64_t nonzero_mask = Quantize(coeffs, qstep, &levels);
+      const uint64_t nonzero_mask = Quantize(coeffs, qp, &levels);
       const int nonzero = EncodeLevelBlock(levels, nonzero_mask, writer);
-      // Reconstruct exactly as the decoder will, with the same all-zero /
-      // sparse / dense inverse-transform dispatch so both reconstructions
-      // stay bit-identical.
       if (nonzero == 0) {
         CopyPredBlock(pred, size, bx, by, recon);
         continue;
       }
-      Dequantize(levels, qstep, &coeffs);
-      if (nonzero <= kInverseDctSparseThreshold) {
-        InverseDctSparse(coeffs, nonzero, &residual);
-      } else {
-        InverseDct(coeffs, &residual);
-      }
-      ReconstructBlock(pred, size, bx, by, residual, recon);
+      ReconstructLevels(levels, nonzero, qp, pred, size, bx, by, recon);
     }
   }
 }
 
 Status DecodeResidual(BitReader* reader, const uint8_t* pred, int size,
-                      double qstep, uint8_t* recon) {
-  ResidualBlock residual;
-  CoeffBlock coeffs;
+                      int qp, uint8_t* recon) {
   LevelBlock levels;
   for (int by = 0; by < size; by += kBlockSize) {
     for (int bx = 0; bx < size; bx += kBlockSize) {
-      // Mirror the encoder's all-zero / sparse / dense dispatch exactly so
-      // both reconstructions stay bit-identical.
       int nonzero = 0;
       VC_RETURN_IF_ERROR(DecodeLevelBlock(reader, &levels, &nonzero));
       if (nonzero == 0) {
         CopyPredBlock(pred, size, bx, by, recon);
         continue;
       }
-      Dequantize(levels, qstep, &coeffs);
-      if (nonzero <= kInverseDctSparseThreshold) {
-        InverseDctSparse(coeffs, nonzero, &residual);
-      } else {
-        InverseDct(coeffs, &residual);
-      }
-      ReconstructBlock(pred, size, bx, by, residual, recon);
+      ReconstructLevels(levels, nonzero, qp, pred, size, bx, by, recon);
     }
   }
   return Status::OK();

@@ -46,14 +46,14 @@ void IntraPredict(PlaneView plane, int x, int y, int size, IntraMode mode,
 /// Encodes the residual between `size`×`size` blocks `cur` (arbitrary
 /// stride) and `pred` (contiguous), writing levels to `writer` and the
 /// reconstruction (pred + dequantized residual, clamped) to `recon`
-/// (contiguous). Handles any size that is a multiple of 8 by iterating 8×8
+/// (contiguous), quantizing at `qp`. Handles any size that is a multiple of 8 by iterating 8×8
 /// transform blocks in raster order.
 void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
-                    int size, double qstep, BitWriter* writer, uint8_t* recon);
+                    int size, int qp, BitWriter* writer, uint8_t* recon);
 
 /// Decoder mirror of EncodeResidual: reads levels and reconstructs.
 Status DecodeResidual(BitReader* reader, const uint8_t* pred, int size,
-                      double qstep, uint8_t* recon);
+                      int qp, uint8_t* recon);
 
 /// Writes a contiguous `size`×`size` block into a frame plane.
 void StoreBlock(const uint8_t* block, int size, uint8_t* plane, int stride,

@@ -4,23 +4,24 @@
 // Portable-intrinsics layer for the codec hot kernels.
 //
 // Each kernel has one scalar reference and at most one vector path:
-//  - The transform family (ForwardDct, InverseDct, InverseDctSparse,
-//    Quantize) has an AVX2 path, compiled into every x86 build through
-//    per-function `target("avx2")` attributes and dispatched only when the
-//    host CPU reports AVX2. Any other host runs the scalar transforms.
+//  - The transform family (ForwardDct, InverseDct, Quantize, Dequantize) is
+//    integer code written once in plain C++, without intrinsics. x86 builds
+//    compile it a second time inside per-function `target("avx2")` wrappers
+//    (VC_AVX2_FN), dispatched only when the host CPU reports AVX2; any other
+//    host runs the baseline compilation.
 //  - The SAD and residual/reconstruction kernels have an SSE2 path on x86
 //    (architectural on x86-64) and a NEON path on aarch64.
 //
-// Building with -DVC_DISABLE_SIMD removes every intrinsics path outright,
-// leaving the scalar references — the configuration the CI `simd` leg uses
-// to prove both paths bit-identical. At run time the kill-switch
-// `SetEnabled(false)` lets one binary run either path, which is how the
-// bit-exactness tests and the scalar-vs-SIMD micro-benchmarks compare them.
+// Building with -DVC_DISABLE_SIMD removes every intrinsics path and the AVX2
+// compilation outright, leaving the scalar references — the configuration
+// the CI `simd` leg uses to prove both paths bit-identical. At run time the
+// kill-switch `SetEnabled(false)` lets one binary run either path, which is
+// how the bit-exactness tests and the scalar-vs-SIMD micro-benchmarks
+// compare them.
 //
-// Every vector kernel is *bit-identical* to its scalar reference: integer
-// kernels trivially so, floating-point kernels by performing the same
-// operations in the same per-element order (no FMA contraction, no
-// reassociation). Tests enforce this; see codec_test.cc (SimdTest.*).
+// Every vector kernel is *bit-identical* to its scalar reference: all of
+// them are integer code, whose results do not depend on the instructions
+// that compute them. Tests enforce this; see codec_test.cc (SimdTest.*).
 
 #include <atomic>
 #include <cstddef>
@@ -49,8 +50,9 @@ namespace simd {
 enum class Level { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };
 
 /// The best tier with code compiled into this binary: kAvx2 on x86 (the
-/// AVX2 transform variants are always compiled in and only dispatched to
-/// when the host CPU passes the capability probe), kNeon on aarch64.
+/// AVX2 compilation of the transform kernels is always compiled in and only
+/// dispatched to when the host CPU passes the capability probe), kNeon on
+/// aarch64.
 Level CompiledLevel();
 
 /// The tier kernels actually run at: `CompiledLevel()` clamped by the
@@ -107,39 +109,6 @@ inline void CopyBlock(const uint8_t* src, size_t src_stride, uint8_t* dst,
 inline uint32_t HorizontalSadSum(__m128i sad) {
   return static_cast<uint32_t>(
       _mm_cvtsi128_si32(_mm_add_epi32(sad, _mm_srli_si128(sad, 8))));
-}
-
-/// Transposes a 4x4 block of doubles held in four __m256d registers.
-VC_AVX2_FN inline void Transpose4x4(__m256d* r0, __m256d* r1, __m256d* r2,
-                                    __m256d* r3) {
-  __m256d t0 = _mm256_unpacklo_pd(*r0, *r1);
-  __m256d t1 = _mm256_unpackhi_pd(*r0, *r1);
-  __m256d t2 = _mm256_unpacklo_pd(*r2, *r3);
-  __m256d t3 = _mm256_unpackhi_pd(*r2, *r3);
-  *r0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-  *r1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-  *r2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-  *r3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-}
-
-/// Transposes an 8x8 block of doubles held as 8 rows x 2 __m256d registers
-/// (`m[r][c]` covers columns 4c..4c+3 of row r): transpose the two diagonal
-/// 4x4 tiles in place, swap-and-transpose the off-diagonal pair. Pure data
-/// movement, so it cannot perturb bit-exactness.
-VC_AVX2_FN inline void Transpose8x8(__m256d m[8][2]) {
-  Transpose4x4(&m[0][0], &m[1][0], &m[2][0], &m[3][0]);
-  Transpose4x4(&m[4][1], &m[5][1], &m[6][1], &m[7][1]);
-  __m256d b0 = m[0][1], b1 = m[1][1], b2 = m[2][1], b3 = m[3][1];
-  Transpose4x4(&b0, &b1, &b2, &b3);
-  m[0][1] = m[4][0];
-  m[1][1] = m[5][0];
-  m[2][1] = m[6][0];
-  m[3][1] = m[7][0];
-  Transpose4x4(&m[0][1], &m[1][1], &m[2][1], &m[3][1]);
-  m[4][0] = b0;
-  m[5][0] = b1;
-  m[6][0] = b2;
-  m[7][0] = b3;
 }
 
 #endif  // VC_SIMD_X86

@@ -21,9 +21,11 @@ namespace {
 
 // --------------------------------------------------------------- Transform
 
-TEST(TransformTest, DctRoundTripIsLossless) {
+TEST(TransformTest, DctRoundTripIsWithinTwo) {
+  // The HEVC basis is not exactly orthogonal (row norms 32,740 against
+  // 64²·8 = 32,768), so an integer round trip is close, not lossless.
   Random rng(11);
-  for (int trial = 0; trial < 20; ++trial) {
+  for (int trial = 0; trial < 2000; ++trial) {
     ResidualBlock in;
     for (auto& v : in) {
       v = static_cast<int16_t>(static_cast<int>(rng.Uniform(511)) - 255);
@@ -33,7 +35,7 @@ TEST(TransformTest, DctRoundTripIsLossless) {
     ResidualBlock out;
     InverseDct(coeffs, &out);
     for (int i = 0; i < kBlockPixels; ++i) {
-      EXPECT_EQ(in[i], out[i]) << "trial " << trial << " index " << i;
+      ASSERT_NEAR(in[i], out[i], 2) << "trial " << trial << " index " << i;
     }
   }
 }
@@ -43,11 +45,10 @@ TEST(TransformTest, DcCoefficientIsScaledMean) {
   in.fill(100);
   CoeffBlock coeffs;
   ForwardDct(in, &coeffs);
-  // Orthonormal DCT: DC = mean * 8 = 800 for a constant-100 block.
-  EXPECT_NEAR(coeffs[0], 800.0, 1e-6);
-  for (int i = 1; i < kBlockPixels; ++i) {
-    EXPECT_NEAR(coeffs[i], 0.0, 1e-9);
-  }
+  // 16× the orthonormal DCT, whose DC is mean · 8 = 800 for a constant-100
+  // block; the flat block has no AC energy at all.
+  EXPECT_EQ(coeffs[0], 12800);
+  for (int i = 1; i < kBlockPixels; ++i) EXPECT_EQ(coeffs[i], 0) << i;
 }
 
 TEST(TransformTest, QStepDoublesEverySixQp) {
@@ -58,16 +59,50 @@ TEST(TransformTest, QStepDoublesEverySixQp) {
 
 TEST(TransformTest, QuantizeDequantizeBoundsError) {
   Random rng(12);
-  double qstep = QStepForQp(20);
-  CoeffBlock coeffs;
-  for (auto& c : coeffs) c = rng.UniformDouble(-500, 500);
-  LevelBlock levels;
-  Quantize(coeffs, qstep, &levels);
-  CoeffBlock recon;
-  Dequantize(levels, qstep, &recon);
-  for (int i = 0; i < kBlockPixels; ++i) {
-    EXPECT_LE(std::abs(recon[i] - coeffs[i]), qstep)
-        << "reconstruction off by more than one step";
+  for (int qp : {0, 20, 37, kMaxQp}) {
+    // One step in the transform's 16× coefficient scale.
+    const double step = 16 * QStepForQp(qp);
+    CoeffBlock coeffs;
+    for (auto& c : coeffs) {
+      c = static_cast<int32_t>(rng.Uniform(16001)) - 8000;
+    }
+    LevelBlock levels;
+    Quantize(coeffs, qp, &levels);
+    CoeffBlock recon;
+    Dequantize(levels, qp, &recon);
+    for (int i = 0; i < kBlockPixels; ++i) {
+      EXPECT_LE(std::abs(recon[i] - coeffs[i]), step)
+          << "qp " << qp << ": reconstruction off by more than one step";
+    }
+  }
+}
+
+TEST(TransformTest, DcFillMatchesInverseDct) {
+  for (int32_t dc = -32768; dc <= 32767; ++dc) {
+    CoeffBlock coeffs{};
+    coeffs[0] = dc;
+    ResidualBlock dense;
+    InverseDct(coeffs, &dense);
+    const int16_t fill = InverseDctDc(dc);
+    for (int i = 0; i < kBlockPixels; ++i) {
+      ASSERT_EQ(dense[i], fill) << "dc " << dc << " index " << i;
+    }
+  }
+}
+
+TEST(TransformTest, DequantizeSaturatesExtremeLevels) {
+  LevelBlock levels{};
+  levels[0] = INT32_MAX;
+  levels[1] = INT32_MIN;
+  levels[2] = -INT32_MAX;
+  levels[3] = 1;
+  for (int qp : {0, 28, kMaxQp}) {
+    CoeffBlock coeffs;
+    Dequantize(levels, qp, &coeffs);
+    EXPECT_EQ(coeffs[0], 32767) << "qp " << qp;
+    EXPECT_EQ(coeffs[1], -32768) << "qp " << qp;
+    EXPECT_EQ(coeffs[2], -32768) << "qp " << qp;
+    EXPECT_GT(coeffs[3], 0) << "qp " << qp;
   }
 }
 
@@ -281,6 +316,12 @@ TEST(BitstreamTest, HeaderRejectsGarbage) {
   header.flags = 0x3;
   bytes = header.Serialize();
   EXPECT_TRUE(SequenceHeader::Parse(Slice(bytes)).status().IsCorruption());
+  // A well-formed header of the retired double-precision stream version.
+  header.flags = 0;
+  bytes = header.Serialize();
+  ASSERT_TRUE(SequenceHeader::Parse(Slice(bytes)).ok());
+  bytes[3] = '1';
+  EXPECT_TRUE(SequenceHeader::Parse(Slice(bytes)).status().IsCorruption());
 }
 
 // ------------------------------------------------------ Encode/decode E2E
@@ -300,6 +341,51 @@ std::vector<Frame> TestFrames(int count, int width = 128, int height = 64) {
   scene_options.height = height;
   auto scene = NewVeniceScene(scene_options);
   return RenderScene(*scene, count);
+}
+
+TEST(CodecTest, ExtremeLevelsDecodeWithoutOverflow) {
+  // A crafted one-macroblock intra frame whose levels reach the int32
+  // limits: a lone DC (the constant-fill path), a dense block of
+  // alternating extremes (the full inverse transform) and lone AC levels.
+  // It must decode to valid pixels or fail cleanly; the ASan+UBSan build
+  // reports any overflow on the way.
+  SequenceHeader header;
+  header.width = 16;
+  header.height = 16;
+  for (int qp : {0, 28, kMaxQp}) {
+    BitWriter tile;
+    tile.WriteBits(static_cast<uint64_t>(IntraMode::kDc), 2);
+    tile.WriteUE(1);  // luma block 0: lone DC
+    tile.WriteUE(0);
+    tile.WriteSE(INT32_MAX);
+    tile.WriteUE(kBlockPixels);  // luma block 1: all 64 levels
+    for (int i = 0; i < kBlockPixels; ++i) {
+      tile.WriteUE(0);
+      tile.WriteSE(i % 2 == 0 ? int64_t{INT32_MIN} : int64_t{INT32_MAX});
+    }
+    for (int block = 0; block < 2; ++block) {  // luma blocks 2, 3: one AC
+      tile.WriteUE(1);
+      tile.WriteUE(5);
+      tile.WriteSE(-int64_t{INT32_MAX});
+    }
+    tile.WriteUE(0);  // both chroma blocks empty
+    tile.WriteUE(0);
+    BitWriter frame;
+    frame.WriteBits(static_cast<uint64_t>(FrameType::kIntra), 8);
+    frame.WriteBits(static_cast<uint64_t>(qp), 8);
+    frame.WriteBits(6, 32);  // the one tile starts after the offset table
+    for (uint8_t byte : tile.Finish()) frame.WriteBits(byte, 8);
+    std::vector<uint8_t> payload = frame.Finish();
+
+    auto decoder = Decoder::Create(header);
+    ASSERT_TRUE(decoder.ok());
+    auto decoded = (*decoder)->Decode(Slice(payload));
+    ASSERT_TRUE(decoded.ok()) << "qp " << qp << ": "
+                              << decoded.status().ToString();
+    // Saturated coefficients still reconstruct to clamped pixels: the lone
+    // maximal DC fills its block with white.
+    EXPECT_EQ(decoded->y_plane()[0], 255) << "qp " << qp;
+  }
 }
 
 TEST(CodecTest, OptionsValidation) {
@@ -776,7 +862,7 @@ TEST(HomomorphicTest, UniformMergeDigestIsPinned) {
   const std::vector<uint8_t> bytes = merged->Serialize();
   uint64_t hash = 14695981039346656037ull;
   for (uint8_t byte : bytes) hash = (hash ^ byte) * 1099511628211ull;
-  EXPECT_EQ(hash, 0x96101b8933b8a294ull)
+  EXPECT_EQ(hash, 0x7590178c08b4058full)
       << std::hex << "actual digest 0x" << hash;
 }
 
@@ -947,33 +1033,6 @@ TEST(MotionTest, ScratchDoesNotChangeSearchResults) {
     EXPECT_EQ(plain_sad, memo_sad) << "trial " << trial;
   }
   EXPECT_GT(scratch.sad_evals, 0u);
-}
-
-TEST(TransformTest, InverseDctSparseMatchesDense) {
-  Random rng(24);
-  double qstep = QStepForQp(30);
-  for (int trial = 0; trial < 100; ++trial) {
-    // Production-shaped input: a few nonzero integer levels, dequantized.
-    LevelBlock levels{};
-    int nonzero = 1 + static_cast<int>(rng.Uniform(kInverseDctSparseThreshold));
-    for (int placed = 0; placed < nonzero;) {
-      int pos = static_cast<int>(rng.Uniform(kBlockPixels));
-      if (levels[pos] != 0) continue;
-      levels[pos] = static_cast<int32_t>(rng.Uniform(20)) - 10;
-      if (levels[pos] != 0) ++placed;
-    }
-    int count = 0;
-    for (int32_t level : levels) count += level != 0;
-    CoeffBlock coeffs;
-    Dequantize(levels, qstep, &coeffs);
-    ResidualBlock dense, sparse;
-    InverseDct(coeffs, &dense);
-    InverseDctSparse(coeffs, count, &sparse);
-    for (int i = 0; i < kBlockPixels; ++i) {
-      // Different float summation order: equal up to one rounding step.
-      EXPECT_NEAR(sparse[i], dense[i], 1) << "trial " << trial;
-    }
-  }
 }
 
 // ------------------------------------------------- Motion-analysis reuse
@@ -1182,7 +1241,7 @@ TEST(SimdTest, TransformKernelsMatchScalarBitExactly) {
         v = static_cast<int16_t>(static_cast<int>(rng.Uniform(511)) - 255);
       }
     }
-    const double qstep = QStepForQp(static_cast<int>(rng.Uniform(52)));
+    const int qp = static_cast<int>(rng.Uniform(kMaxQp + 1));
 
     CoeffBlock coeffs_scalar;
     LevelBlock levels_scalar;
@@ -1192,8 +1251,8 @@ TEST(SimdTest, TransformKernelsMatchScalarBitExactly) {
     {
       ScopedSimd off(false);
       ForwardDct(residual, &coeffs_scalar);
-      mask_scalar = Quantize(coeffs_scalar, qstep, &levels_scalar);
-      Dequantize(levels_scalar, qstep, &dq_scalar);
+      mask_scalar = Quantize(coeffs_scalar, qp, &levels_scalar);
+      Dequantize(levels_scalar, qp, &dq_scalar);
       InverseDct(dq_scalar, &out_scalar);
     }
     CoeffBlock coeffs_simd, dq_simd;
@@ -1202,12 +1261,11 @@ TEST(SimdTest, TransformKernelsMatchScalarBitExactly) {
     {
       ScopedSimd on(true);
       ForwardDct(residual, &coeffs_simd);
-      mask_simd = Quantize(coeffs_simd, qstep, &levels_simd);
-      Dequantize(levels_simd, qstep, &dq_simd);
+      mask_simd = Quantize(coeffs_simd, qp, &levels_simd);
+      Dequantize(levels_simd, qp, &dq_simd);
       InverseDct(dq_simd, &out_simd);
     }
-    // Exact equality, including on the doubles: the vector path performs
-    // the same IEEE operations in the same per-element order.
+    // Exact equality at every stage: one integer body, compiled twice.
     const char* name = simd::LevelName(simd::ActiveLevel());
     ASSERT_EQ(coeffs_scalar, coeffs_simd) << "trial " << trial << " " << name;
     ASSERT_EQ(levels_scalar, levels_simd) << "trial " << trial << " " << name;
@@ -1217,35 +1275,6 @@ TEST(SimdTest, TransformKernelsMatchScalarBitExactly) {
         << "trial " << trial;
     ASSERT_EQ(dq_scalar, dq_simd) << "trial " << trial << " " << name;
     ASSERT_EQ(out_scalar, out_simd) << "trial " << trial << " " << name;
-  }
-}
-
-TEST(SimdTest, SparseInverseDctMatchesScalarBitExactly) {
-  Random rng(502);
-  for (int trial = 0; trial < 200; ++trial) {
-    // Sparse blocks as the decoder sees them: a handful of nonzero levels.
-    LevelBlock levels{};
-    int nonzero = 1 + static_cast<int>(rng.Uniform(kInverseDctSparseThreshold));
-    for (int i = 0; i < nonzero; ++i) {
-      levels[rng.Uniform(kBlockPixels)] =
-          static_cast<int32_t>(rng.Uniform(400)) - 200;
-    }
-    const double qstep = QStepForQp(28);
-    CoeffBlock coeffs;
-    Dequantize(levels, qstep, &coeffs);
-
-    ResidualBlock out_scalar;
-    {
-      ScopedSimd off(false);
-      InverseDctSparse(coeffs, nonzero, &out_scalar);
-    }
-    ResidualBlock out_simd;
-    {
-      ScopedSimd on(true);
-      InverseDctSparse(coeffs, nonzero, &out_simd);
-    }
-    ASSERT_EQ(out_scalar, out_simd)
-        << "trial " << trial << " " << simd::LevelName(simd::ActiveLevel());
   }
 }
 

@@ -662,7 +662,7 @@ TEST_F(CoreTest, IngestOutputDigestIsPinned) {
       }
     }
   }
-  EXPECT_EQ(digest.value(), 0xabef5f795e9d9a33ull)
+  EXPECT_EQ(digest.value(), 0x732dfc6de87008bull)
       << std::hex << digest.value();
   ASSERT_TRUE(db_->Drop("digest").ok());
 }
