@@ -1278,6 +1278,27 @@ TEST(SimdTest, TransformKernelsMatchScalarBitExactly) {
   }
 }
 
+TEST(SimdTest, DcOnlyInverseDctMatchesScalarBitExactly) {
+  // DC-only blocks take InverseDctDc in the codec; both compiles of the
+  // dense InverseDct must agree with it, and with each other, on every DC.
+  for (int32_t dc = -32768; dc <= 32767; ++dc) {
+    CoeffBlock coeffs{};
+    coeffs[0] = dc;
+    ResidualBlock out_scalar, out_simd;
+    {
+      ScopedSimd off(false);
+      InverseDct(coeffs, &out_scalar);
+    }
+    {
+      ScopedSimd on(true);
+      InverseDct(coeffs, &out_simd);
+    }
+    ASSERT_EQ(out_scalar, out_simd)
+        << "dc " << dc << " " << simd::LevelName(simd::ActiveLevel());
+    ASSERT_EQ(out_simd[0], InverseDctDc(dc)) << "dc " << dc;
+  }
+}
+
 TEST(SimdTest, BlockSadMatchesScalarExactly) {
   Random rng(503);
   constexpr int kW = 64, kH = 48;
