@@ -114,12 +114,14 @@ simd() {
   # (and destroys a store before its writers), and the streaming suite
   # covers the network model's transfer arithmetic. The query and view
   # suites run the executor's stitch/smart-cut slices and view maintenance
-  # over per-tile QP frames.
+  # over per-tile QP frames. The server suite runs sessions that borrow
+  # their video metadata and head trace from the caller, so a session that
+  # outlives either reads freed memory here.
   cmake -B build-asan -S . -DVC_SANITIZE=address+undefined
   cmake --build build-asan -j"$JOBS" --target codec_fuzz_test codec_test \
     common_test manifest_fuzz_test container_fuzz_test query_fuzz_test \
     view_fuzz_test geometry_test predict_test core_test storage_test \
-    streaming_test query_test view_test bench_kernels
+    streaming_test query_test view_test server_test bench_kernels
   ./build-asan/tests/codec_fuzz_test
   ./build-asan/tests/codec_test
   ./build-asan/tests/common_test
@@ -134,6 +136,7 @@ simd() {
   ./build-asan/tests/streaming_test
   ./build-asan/tests/query_test
   ./build-asan/tests/view_test
+  ./build-asan/tests/server_test
   ./build-asan/bench/bench_kernels --smoke
 }
 

@@ -238,24 +238,25 @@ ClientSession::ClientSession(StorageManager* storage,
                              NetworkSimulator network,
                              std::unique_ptr<Predictor> predictor)
     : storage_(storage),
-      metadata_(metadata),
-      trace_(trace),
+      live_metadata_(options.live != nullptr ? metadata : VideoMetadata()),
+      metadata_(options.live != nullptr ? &live_metadata_ : &metadata),
+      trace_(&trace),
       options_(options),
       reference_(reference),
       network_(std::move(network)),
       estimator_(0.3, options.network.bandwidth_bps * 0.5),
       predictor_(std::move(predictor)),
-      segment_seconds_(metadata_.segment_duration_seconds()),
-      fps_(metadata_.fps()),
-      media_duration_(metadata_.segments.back().start_frame / fps_ +
-                      metadata_.segments.back().frame_count / fps_),
+      segment_seconds_(metadata_->segment_duration_seconds()),
+      fps_(metadata_->fps()),
+      media_duration_(metadata_->segments.back().start_frame / fps_ +
+                      metadata_->segments.back().frame_count / fps_),
       psnr_min_(kInfinitePsnr) {
   if (options_.live != nullptr) {
     // Join at the live edge: the newest published segment. Media time is
     // viewer-local from here on — the trace's t=0 is the join point.
-    start_segment_ = std::max(0, metadata_.segment_count() - 1);
+    start_segment_ = std::max(0, metadata_->segment_count() - 1);
     segment_ = start_segment_;
-    media_origin_ = metadata_.segments[start_segment_].start_frame / fps_;
+    media_origin_ = metadata_->segments[start_segment_].start_frame / fps_;
     media_duration_ -= media_origin_;
   }
   stats_.approach = ApproachName(options_.approach);
@@ -281,17 +282,17 @@ ClientSession::~ClientSession() = default;
 
 int ClientSession::FinalSegmentCount() const {
   return options_.live != nullptr ? options_.live->final_segment_count()
-                                  : metadata_.segment_count();
+                                  : metadata_->segment_count();
 }
 
 void ClientSession::RefreshLiveMetadata() {
   if (options_.live == nullptr) return;
-  if (segment_ < metadata_.segment_count()) return;
+  if (segment_ < metadata_->segment_count()) return;
   const VideoMetadata& snapshot = options_.live->snapshot();
-  if (snapshot.segment_count() <= metadata_.segment_count()) return;
-  metadata_ = snapshot;
-  media_duration_ = metadata_.segments.back().start_frame / fps_ +
-                    metadata_.segments.back().frame_count / fps_ -
+  if (snapshot.segment_count() <= metadata_->segment_count()) return;
+  live_metadata_ = snapshot;
+  media_duration_ = metadata_->segments.back().start_frame / fps_ +
+                    metadata_->segments.back().frame_count / fps_ -
                     media_origin_;
   stats_.duration_seconds = media_duration_;
 }
@@ -306,8 +307,8 @@ double ClientSession::NextDeadline() const {
     // known, else from the uniform layout (start_frame is always
     // segment × frames_per_segment — only the final frame_count varies).
     double media_start =
-        segment_ < metadata_.segment_count()
-            ? metadata_.segments[segment_].start_frame / fps_
+        segment_ < metadata_->segment_count()
+            ? metadata_->segments[segment_].start_frame / fps_
             : segment_ * segment_seconds_;
     double earliest = play_start_ + stall_total_ +
                       (media_start - media_origin_) -
@@ -328,7 +329,7 @@ PrefetchHint ClientSession::NextPrefetchHint() const {
   // At the live edge the next segment is not published yet: its cell files
   // do not exist, so there is nothing to warm — and speculatively touching
   // them would race the ingest pipeline. No hint until it lands.
-  if (options_.live != nullptr && segment_ >= metadata_.segment_count()) {
+  if (options_.live != nullptr && segment_ >= metadata_->segment_count()) {
     return hint;
   }
 
@@ -337,7 +338,7 @@ PrefetchHint ClientSession::NextPrefetchHint() const {
   // forecast is made with the orientations fed so far; by the time Step()
   // runs the predictor will have seen more — that gap is exactly the
   // uncertainty real prefetching lives with.
-  const SegmentInfo& info = metadata_.segments[segment_];
+  const SegmentInfo& info = metadata_->segments[segment_];
   const double media_start = info.start_frame / fps_ - media_origin_;
   const double media_mid = media_start + info.frame_count / fps_ / 2.0;
   double media_now = 0.0;
@@ -349,7 +350,7 @@ PrefetchHint ClientSession::NextPrefetchHint() const {
   hint.valid = true;
   hint.segment = segment_;
   if (options_.approach == StreamingApproach::kOracle) {
-    hint.predicted = trace_.At(media_mid);
+    hint.predicted = trace_->At(media_mid);
   } else {
     hint.predicted = predictor_->Predict(std::max(0.0, media_mid - media_now));
   }
@@ -364,12 +365,12 @@ Status ClientSession::Step(double now) {
   if (done_) return Status::Aborted("session already complete");
   if (now > wall_) wall_ = now;
   RefreshLiveMetadata();
-  if (segment_ >= metadata_.segment_count()) {
+  if (segment_ >= metadata_->segment_count()) {
     return Status::Aborted("segment not published yet");
   }
 
   const int segment = segment_;
-  const SegmentInfo& info = metadata_.segments[segment];
+  const SegmentInfo& info = metadata_->segments[segment];
   // Viewer-local media time (origin 0 offline, the join point live).
   const double media_start = info.start_frame / fps_ - media_origin_;
   const double media_mid = media_start + info.frame_count / fps_ / 2.0;
@@ -386,7 +387,7 @@ Status ClientSession::Step(double now) {
   // report up to "now".
   for (double t = (last_fed_ < 0 ? 0.0 : last_fed_ + kFeedDt);
        t <= media_now; t += kFeedDt) {
-    Orientation seen = trace_.At(t, &feed_cursor_);
+    Orientation seen = trace_->At(t, &feed_cursor_);
     predictor_->Observe(t, seen);
     if (options_.popularity_sink != nullptr) {
       // The shared model is indexed by stream media time, so mid-join
@@ -399,7 +400,7 @@ Status ClientSession::Step(double now) {
   // Orientation the plan is built around.
   Orientation predicted;
   if (options_.approach == StreamingApproach::kOracle) {
-    predicted = trace_.At(media_mid);
+    predicted = trace_->At(media_mid);
   } else {
     double lookahead = std::max(0.0, media_mid - media_now);
     predicted = predictor_->Predict(lookahead);
@@ -420,30 +421,30 @@ Status ClientSession::Step(double now) {
       assignment.fov_pitch = options_.viewport.fov_pitch;
       assignment.margin = 0.0;
       assignment.high_quality = options_.high_quality;
-      plan.assign(metadata_.tile_count(), metadata_.quality_count() - 1);
+      plan.assign(metadata_->tile_count(), metadata_->quality_count() - 1);
       for (double fraction : {0.0, 0.25, 0.5, 0.75, 1.0}) {
         double t = media_start + fraction * segment_seconds_;
         TileQualityPlan at_t =
-            AssignTileQualities(metadata_, trace_.At(t), assignment);
-        for (int i = 0; i < metadata_.tile_count(); ++i) {
+            AssignTileQualities(*metadata_, trace_->At(t), assignment);
+        for (int i = 0; i < metadata_->tile_count(); ++i) {
           plan[i] = std::min(plan[i], at_t[i]);
         }
       }
       if (options_.adaptive) {
         TileQualityPlan requested = plan;
-        plan = FitPlanToBudget(metadata_, segment, std::move(plan), predicted,
+        plan = FitPlanToBudget(*metadata_, segment, std::move(plan), predicted,
                                budget);
         DowngradeCounter()->Add(CountDowngrades(requested, plan));
       }
     } else {
-      plan = PlanSegment(metadata_, segment, options_.approach, predicted,
+      plan = PlanSegment(*metadata_, segment, options_.approach, predicted,
                          options_, budget);
     }
   }
   segments_streamed_->Add();
 
-  const int lowest = metadata_.quality_count() - 1;
-  uint64_t bytes = PlanBytes(metadata_, segment, plan);
+  const int lowest = metadata_->quality_count() - 1;
+  uint64_t bytes = PlanBytes(*metadata_, segment, plan);
   TransferResult transfer = network_.Transfer(wall_, bytes);
   bool delivered = true;
   bool skipped = false;
@@ -456,7 +457,7 @@ Status ClientSession::Step(double now) {
     transfer_faults_->Add();
     wall_ = transfer.completion_time;
     for (int& q : plan) q = std::min(q + 1, lowest);
-    bytes = PlanBytes(metadata_, segment, plan);
+    bytes = PlanBytes(*metadata_, segment, plan);
     ++stats_.transfer_retries;
     transfer_retries_->Add();
     transfer = network_.Transfer(wall_, bytes);
@@ -496,15 +497,15 @@ Status ClientSession::Step(double now) {
   // overlapped batch.
   if (options_.cell_source != nullptr && delivered) {
     VC_RETURN_IF_ERROR(
-        options_.cell_source->ReadPlannedCells(metadata_, segment, plan));
+        options_.cell_source->ReadPlannedCells(*metadata_, segment, plan));
   }
 
   // In-view quality bookkeeping: the rung the viewer actually sees (the
   // lowest rung when the segment was skipped — the player shows stale or
   // minimal detail).
   {
-    TileGrid grid = metadata_.tile_grid();
-    Orientation actual = trace_.At(media_mid);
+    TileGrid grid = metadata_->tile_grid();
+    Orientation actual = trace_->At(media_mid);
     grid.ForEachTileInViewport(
         actual, options_.viewport.fov_yaw, options_.viewport.fov_pitch,
         [&](TileId tile) {
@@ -527,13 +528,13 @@ Status ClientSession::Step(double now) {
   if (options_.evaluate_quality && delivered) {
     std::vector<Frame> dframes;
     VC_ASSIGN_OR_RETURN(
-        dframes, ReconstructSegment(storage_, metadata_, segment, plan));
+        dframes, ReconstructSegment(storage_, *metadata_, segment, plan));
     int step = std::max(1, static_cast<int>(info.frame_count) /
                                kEvalFramesPerSegment);
     for (int k = step / 2; k < static_cast<int>(info.frame_count); k += step) {
       int frame_index = static_cast<int>(info.start_frame) + k;
       double media_t = frame_index / fps_ - media_origin_;
-      Orientation actual = trace_.At(media_t);
+      Orientation actual = trace_->At(media_t);
       Frame original = reference_->FrameAt(frame_index);
       double psnr;
       VC_ASSIGN_OR_RETURN(

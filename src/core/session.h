@@ -145,9 +145,14 @@ struct SessionOptions {
 /// Not thread-safe; a server steps each session from its scheduler thread.
 class ClientSession {
  public:
-  /// Validates options and builds a session. `metadata` and `trace` are
-  /// copied; `storage` and `reference` (required only when
-  /// `options.evaluate_quality` is set) must outlive the session.
+  /// Validates options and builds a session. The session borrows its
+  /// inputs: `storage`, `metadata`, `trace` and `reference` (required only
+  /// when `options.evaluate_quality` is set) must outlive it, and
+  /// `metadata` and `trace` must not change while it runs — pass named
+  /// objects, never temporaries. A live session (`options.live` set) is
+  /// the one exception for `metadata`: it copies the feed's snapshot once
+  /// and refreshes that copy as the stream grows, because the snapshot
+  /// itself mutates.
   static Result<std::unique_ptr<ClientSession>> Create(
       StorageManager* storage, const VideoMetadata& metadata,
       const HeadTrace& trace, const SessionOptions& options,
@@ -180,12 +185,12 @@ class ClientSession {
   double wall_seconds() const { return wall_; }
   /// Index of the segment the next Step() will stream.
   int next_segment() const { return segment_; }
-  int segment_count() const { return metadata_.segment_count(); }
+  int segment_count() const { return metadata_->segment_count(); }
   /// The segment playback started at: 0 offline, the live-edge join point
   /// for a session created against a LiveAvailability.
   int start_segment() const { return start_segment_; }
   const SessionOptions& options() const { return options_; }
-  const VideoMetadata& metadata() const { return metadata_; }
+  const VideoMetadata& metadata() const { return *metadata_; }
 
  private:
   ClientSession(StorageManager* storage, const VideoMetadata& metadata,
@@ -204,8 +209,13 @@ class ClientSession {
   void Finalize();
 
   StorageManager* storage_;
-  VideoMetadata metadata_;
-  HeadTrace trace_;
+  /// A live session's own copy of the feed's snapshot, which
+  /// RefreshLiveMetadata replaces as segments publish; empty offline.
+  VideoMetadata live_metadata_;
+  /// The streamed video: the caller's metadata offline, `live_metadata_`
+  /// live.
+  const VideoMetadata* metadata_;
+  const HeadTrace* trace_;  ///< Borrowed from the caller.
   SessionOptions options_;
   const SceneGenerator* reference_;
   NetworkSimulator network_;

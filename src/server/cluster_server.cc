@@ -59,6 +59,7 @@ CacheStats Delta(const CacheStats& after, const CacheStats& before) {
   d.prefetch_issued -= before.prefetch_issued;
   d.prefetch_hits -= before.prefetch_hits;
   d.prefetch_wasted -= before.prefetch_wasted;
+  d.lookups -= before.lookups;
   return d;
 }
 
@@ -436,6 +437,7 @@ Result<ClusterStats> ClusterServer::RunInternal(
     totals.cache.prefetch_issued += l1.prefetch_issued;
     totals.cache.prefetch_hits += l1.prefetch_hits;
     totals.cache.prefetch_wasted += l1.prefetch_wasted;
+    totals.cache.lookups += l1.lookups;
     if (store_ != nullptr) {
       std::string prefix =
           "server.node." + std::to_string(node.stats.node_id);

@@ -1,5 +1,7 @@
 #include "storage/cache.h"
 
+#include <algorithm>
+
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
 
@@ -86,27 +88,32 @@ Result<LruCache::Value> LruCache::AsyncHandle::Wait() const {
   return state_->value;
 }
 
-LruCache::LruCache(size_t capacity_bytes) : capacity_bytes_(capacity_bytes) {}
+namespace {
+constexpr size_t kMinIndexSize = 16;
+}  // namespace
+
+LruCache::LruCache(size_t capacity_bytes)
+    : capacity_bytes_(capacity_bytes), index_(kMinIndexSize, kNil) {}
 
 LruCache::Value LruCache::Get(PackedCellKey key) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = table_.find(key);
-  if (it == table_.end() || !it->second.cached) {
+  const uint32_t id = index_[SearchLocked(key)];
+  if (id == kNil || !entries_[id].cached) {
     ++stats_.misses;
     MissCounter()->Add();
     return nullptr;
   }
   ++stats_.hits;
   HitCounter()->Add();
-  TouchLocked(&*it->second.entry);
-  lru_.splice(lru_.begin(), lru_, it->second.entry);
-  return it->second.entry->value;
+  TouchLocked(&entries_[id]);
+  MoveToFrontLocked(id);
+  return entries_[id].value;
 }
 
 void LruCache::Put(PackedCellKey key, Value value) {
   if (value == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
-  PutLocked(table_.try_emplace(key).first, std::move(value),
+  PutLocked(SearchOrInsertLocked(key), std::move(value),
             /*prefetched=*/false);
 }
 
@@ -118,19 +125,19 @@ Result<LruCache::Value> LruCache::GetOrCompute(PackedCellKey key,
   if (was_hit != nullptr) *was_hit = false;
   if (consumed_prefetch != nullptr) *consumed_prefetch = false;
   std::unique_lock<std::mutex> lock(mu_);
-  // One try_emplace covers every case with a single hash of the key: a hit
-  // (slot cached), a coalesce (slot in flight), or a miss that makes us the
-  // loader (slot freshly inserted — it doubles as the in-flight marker).
-  auto it = table_.try_emplace(key).first;
-  Slot& slot = it->second;
-  if (slot.cached) {
+  // One search covers every case: a hit (entry cached), a coalesce (entry
+  // in flight), or a miss that makes us the loader (entry freshly inserted
+  // — it doubles as the in-flight marker).
+  const uint32_t id = index_[SearchOrInsertLocked(key)];
+  Entry& entry = entries_[id];
+  if (entry.cached) {
     ++stats_.hits;
     HitCounter()->Add();
-    bool consumed = TouchLocked(&*slot.entry);
+    bool consumed = TouchLocked(&entry);
     if (consumed_prefetch != nullptr) *consumed_prefetch = consumed;
-    lru_.splice(lru_.begin(), lru_, slot.entry);
+    MoveToFrontLocked(id);
     if (was_hit != nullptr) *was_hit = true;
-    return slot.entry->value;
+    return entry.value;
   }
   ++stats_.misses;
   MissCounter()->Add();
@@ -140,9 +147,9 @@ Result<LruCache::Value> LruCache::GetOrCompute(PackedCellKey key,
     return outcome;
   };
 
-  if (slot.inflight != nullptr) {
+  if (entry.inflight != nullptr) {
     // Someone else is already loading this key: wait for their result.
-    std::shared_ptr<AsyncHandle::State> state = slot.inflight;
+    std::shared_ptr<AsyncHandle::State> state = entry.inflight;
     ++stats_.coalesced;
     CoalescedCounter()->Add();
     {
@@ -164,7 +171,7 @@ Result<LruCache::Value> LruCache::GetOrCompute(PackedCellKey key,
   // We are the loader for this key.
   auto state = std::make_shared<AsyncHandle::State>();
   state->demanded = true;
-  slot.inflight = state;
+  entry.inflight = state;
   lock.unlock();
   Result<Value> loaded = loader();
   Complete(key, state, loaded);
@@ -177,13 +184,10 @@ size_t LruCache::TouchCachedRun(const PackedCellKey* keys, size_t n,
   std::lock_guard<std::mutex> lock(mu_);
   size_t run = 0;
   for (; run < n; ++run) {
-    auto it = table_.find(keys[run]);
-    if (it == table_.end() || !it->second.cached ||
-        it->second.entry->prefetched) {
-      break;
-    }
-    lru_.splice(lru_.begin(), lru_, it->second.entry);
-    *bytes += it->second.entry->value->size();
+    const uint32_t id = index_[SearchLocked(keys[run])];
+    if (id == kNil || !entries_[id].cached || entries_[id].prefetched) break;
+    MoveToFrontLocked(id);
+    *bytes += entries_[id].bytes;
   }
   if (run > 0) {
     stats_.hits += run;
@@ -200,20 +204,20 @@ LruCache::AsyncHandle LruCache::GetOrComputeAsync(PackedCellKey key,
   const bool demand = kind == LoadKind::kDemand;
   if (consumed_prefetch != nullptr) *consumed_prefetch = false;
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = table_.try_emplace(key).first;
-  Slot& slot = it->second;
-  if (slot.cached) {
+  const uint32_t id = index_[SearchOrInsertLocked(key)];
+  Entry& entry = entries_[id];
+  if (entry.cached) {
     if (demand) {
       ++stats_.hits;
       HitCounter()->Add();
-      bool consumed = TouchLocked(&*slot.entry);
+      bool consumed = TouchLocked(&entry);
       if (consumed_prefetch != nullptr) *consumed_prefetch = consumed;
-      lru_.splice(lru_.begin(), lru_, slot.entry);
+      MoveToFrontLocked(id);
     }
     auto state = std::make_shared<AsyncHandle::State>();
     state->done = true;
     state->hit = true;
-    state->value = slot.entry->value;
+    state->value = entry.value;
     return AsyncHandle(std::move(state));
   }
   if (demand) {
@@ -221,8 +225,8 @@ LruCache::AsyncHandle LruCache::GetOrComputeAsync(PackedCellKey key,
     MissCounter()->Add();
   }
 
-  if (slot.inflight != nullptr) {
-    std::shared_ptr<AsyncHandle::State> state = slot.inflight;
+  if (entry.inflight != nullptr) {
+    std::shared_ptr<AsyncHandle::State> state = entry.inflight;
     if (demand) {
       ++stats_.coalesced;
       CoalescedCounter()->Add();
@@ -240,7 +244,7 @@ LruCache::AsyncHandle LruCache::GetOrComputeAsync(PackedCellKey key,
   auto state = std::make_shared<AsyncHandle::State>();
   state->prefetch_origin = !demand;
   state->demanded = demand;
-  slot.inflight = state;
+  entry.inflight = state;
   if (!demand) {
     ++stats_.prefetch_issued;
     PrefetchIssuedCounter()->Add();
@@ -268,18 +272,18 @@ void LruCache::Complete(PackedCellKey key,
                         Result<Value> loaded) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = table_.find(key);
     // Only the thread that registered `state` completes this key, and
-    // nothing else clears an in-flight marker, so the slot must still be
-    // here holding it.
-    it->second.inflight = nullptr;
+    // nothing else clears an in-flight marker, so the entry must still be
+    // live and holding it.
+    const size_t pos = SearchLocked(key);
+    entries_[index_[pos]].inflight = nullptr;
     std::lock_guard<std::mutex> state_lock(state->mu);
     state->done = true;
     if (loaded.ok()) {
       state->value = *loaded;
       // A prefetched value nobody demanded yet stays tagged so its eventual
       // consumption (or eviction) is attributed to the prefetcher.
-      PutLocked(it, std::move(*loaded),
+      PutLocked(pos, std::move(*loaded),
                 state->prefetch_origin && !state->demanded);
     } else {
       state->status = loaded.status();
@@ -290,7 +294,7 @@ void LruCache::Complete(PackedCellKey key,
         ++stats_.prefetch_wasted;
         PrefetchWastedCounter()->Add();
       }
-      EraseSlotIfEmptyLocked(it);
+      ReleaseIfEmptyLocked(pos);
     }
   }
   state->cv.notify_all();
@@ -306,47 +310,56 @@ bool LruCache::TouchLocked(Entry* entry) {
 
 void LruCache::CreditPrefetchConsumption(PackedCellKey key) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = table_.find(key);
-  if (it == table_.end() || !it->second.cached) return;
-  Entry& entry = *it->second.entry;
-  if (!entry.prefetched) return;
-  entry.prefetched = false;
-  ++stats_.prefetch_hits;
-  PrefetchHitCounter()->Add();
+  const uint32_t id = index_[SearchLocked(key)];
+  if (id == kNil || !entries_[id].cached) return;
+  TouchLocked(&entries_[id]);
 }
 
 void LruCache::Erase(PackedCellKey key) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = table_.find(key);
-  if (it == table_.end() || !it->second.cached) return;
-  if (it->second.entry->prefetched) {
+  const size_t pos = SearchLocked(key);
+  const uint32_t id = index_[pos];
+  if (id == kNil || !entries_[id].cached) return;
+  Entry& entry = entries_[id];
+  if (entry.prefetched) {
     ++stats_.prefetch_wasted;
     PrefetchWastedCounter()->Add();
   }
-  stats_.bytes_cached -= it->second.entry->value->size();
-  lru_.erase(it->second.entry);
-  it->second.cached = false;
-  EraseSlotIfEmptyLocked(it);
+  stats_.bytes_cached -= entry.bytes;
+  UnlinkLocked(id);
+  entry.cached = false;
+  entry.value = nullptr;
+  ReleaseIfEmptyLocked(pos);
 }
 
 void LruCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const Entry& entry : lru_) {
+  // Drop every cached value, most recent first, then rebuild the pool and
+  // index around the entries still in flight.
+  for (uint32_t id = head_; id != kNil; id = entries_[id].next) {
+    Entry& entry = entries_[id];
     if (entry.prefetched) {
       ++stats_.prefetch_wasted;
       PrefetchWastedCounter()->Add();
     }
+    entry.value = nullptr;
+    entry.cached = false;
   }
-  lru_.clear();
-  for (auto it = table_.begin(); it != table_.end();) {
-    it->second.cached = false;
-    if (it->second.inflight == nullptr) {
-      it = table_.erase(it);
+  head_ = tail_ = kNil;
+  stats_.bytes_cached = 0;
+  std::fill(index_.begin(), index_.end(), kNil);
+  free_ = kNil;
+  live_ = 0;
+  for (uint32_t id = static_cast<uint32_t>(entries_.size()); id-- > 0;) {
+    Entry& entry = entries_[id];
+    if (entry.inflight != nullptr) {
+      PlaceLocked(id);
+      ++live_;
     } else {
-      ++it;
+      entry.next = free_;
+      free_ = id;
     }
   }
-  stats_.bytes_cached = 0;
 }
 
 CacheStats LruCache::stats() const {
@@ -354,12 +367,12 @@ CacheStats LruCache::stats() const {
   return stats_;
 }
 
-void LruCache::PutLocked(Table::iterator it, Value value, bool prefetched) {
+void LruCache::PutLocked(size_t pos, Value value, bool prefetched) {
+  const uint32_t id = index_[pos];
   if (value == nullptr) {
-    EraseSlotIfEmptyLocked(it);
+    ReleaseIfEmptyLocked(pos);
     return;
   }
-  Slot& slot = it->second;
   if (value->size() > capacity_bytes_) {
     // Too big to ever fit: refuse to cache, but loudly. Waiters still get
     // the value (Complete resolves their state before calling us).
@@ -370,51 +383,149 @@ void LruCache::PutLocked(Table::iterator it, Value value, bool prefetched) {
       ++stats_.prefetch_wasted;
       PrefetchWastedCounter()->Add();
     }
-    EraseSlotIfEmptyLocked(it);
+    ReleaseIfEmptyLocked(pos);
     return;
   }
-  if (slot.cached) {
+  Entry& entry = entries_[id];
+  if (entry.cached) {
     // Displacing a still-unconsumed prefetched value closes its
     // attribution: nobody demanded it before it was overwritten.
-    if (slot.entry->prefetched && !prefetched) {
+    if (entry.prefetched && !prefetched) {
       ++stats_.prefetch_wasted;
       PrefetchWastedCounter()->Add();
     }
-    stats_.bytes_cached -= slot.entry->value->size();
-    slot.entry->value = std::move(value);
-    slot.entry->prefetched = prefetched;
-    stats_.bytes_cached += slot.entry->value->size();
-    lru_.splice(lru_.begin(), lru_, slot.entry);
+    stats_.bytes_cached -= entry.bytes;
+    MoveToFrontLocked(id);
   } else {
-    lru_.push_front(Entry{it->first, std::move(value), prefetched});
-    slot.entry = lru_.begin();
-    slot.cached = true;
-    stats_.bytes_cached += lru_.front().value->size();
+    entry.cached = true;
+    PushFrontLocked(id);
   }
+  entry.value = std::move(value);
+  entry.bytes = entry.value->size();
+  entry.prefetched = prefetched;
+  stats_.bytes_cached += entry.bytes;
   EvictIfNeededLocked();
 }
 
 void LruCache::EvictIfNeededLocked() {
-  while (stats_.bytes_cached > capacity_bytes_ && !lru_.empty()) {
-    const Entry& victim = lru_.back();
+  while (stats_.bytes_cached > capacity_bytes_ && tail_ != kNil) {
+    const uint32_t id = tail_;
+    const size_t pos = SearchLocked(entries_[id].key);
+    Entry& victim = entries_[id];
     if (victim.prefetched) {
       ++stats_.prefetch_wasted;
       PrefetchWastedCounter()->Add();
     }
-    auto it = table_.find(victim.key);
-    stats_.bytes_cached -= victim.value->size();
-    lru_.pop_back();
-    it->second.cached = false;
-    EraseSlotIfEmptyLocked(it);
+    stats_.bytes_cached -= victim.bytes;
+    UnlinkLocked(id);
+    victim.cached = false;
+    victim.value = nullptr;
+    ReleaseIfEmptyLocked(pos);
     ++stats_.evictions;
     EvictionCounter()->Add();
   }
 }
 
-void LruCache::EraseSlotIfEmptyLocked(Table::iterator it) {
-  if (!it->second.cached && it->second.inflight == nullptr) {
-    table_.erase(it);
+void LruCache::ReleaseIfEmptyLocked(size_t pos) {
+  const Entry& entry = entries_[index_[pos]];
+  if (!entry.cached && entry.inflight == nullptr) RemoveLocked(pos);
+}
+
+size_t LruCache::SearchLocked(PackedCellKey key) {
+  ++stats_.lookups;
+  const size_t mask = index_.size() - 1;
+  size_t pos = MixCellKey(key) & mask;
+  while (index_[pos] != kNil && entries_[index_[pos]].key != key) {
+    pos = (pos + 1) & mask;
   }
+  return pos;
+}
+
+size_t LruCache::SearchOrInsertLocked(PackedCellKey key) {
+  // Grow first so the position found stays valid: load stays at most 1/2.
+  if (2 * (static_cast<size_t>(live_) + 1) > index_.size()) GrowIndexLocked();
+  const size_t pos = SearchLocked(key);
+  if (index_[pos] != kNil) return pos;
+  uint32_t id = free_;
+  if (id != kNil) {
+    free_ = entries_[id].next;
+  } else {
+    id = static_cast<uint32_t>(entries_.size());
+    entries_.emplace_back();
+  }
+  entries_[id].key = key;
+  index_[pos] = id;
+  ++live_;
+  return pos;
+}
+
+void LruCache::RemoveLocked(size_t pos) {
+  const uint32_t id = index_[pos];
+  const size_t mask = index_.size() - 1;
+  // Backward shift: walk the cluster after the hole and move back into it
+  // every id whose home position is not in (hole, where the id sits], so
+  // no probe sequence ever crosses an empty position.
+  size_t hole = pos;
+  for (size_t next = (hole + 1) & mask; index_[next] != kNil;
+       next = (next + 1) & mask) {
+    const size_t home = MixCellKey(entries_[index_[next]].key) & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = kNil;
+  entries_[id].next = free_;
+  free_ = id;
+  --live_;
+}
+
+void LruCache::GrowIndexLocked() {
+  std::vector<uint32_t> old = std::move(index_);
+  index_.assign(old.size() * 2, kNil);
+  for (uint32_t id : old) {
+    if (id != kNil) PlaceLocked(id);
+  }
+}
+
+void LruCache::PlaceLocked(uint32_t id) {
+  const size_t mask = index_.size() - 1;
+  size_t pos = MixCellKey(entries_[id].key) & mask;
+  while (index_[pos] != kNil) pos = (pos + 1) & mask;
+  index_[pos] = id;
+}
+
+void LruCache::UnlinkLocked(uint32_t id) {
+  Entry& entry = entries_[id];
+  if (entry.prev != kNil) {
+    entries_[entry.prev].next = entry.next;
+  } else {
+    head_ = entry.next;
+  }
+  if (entry.next != kNil) {
+    entries_[entry.next].prev = entry.prev;
+  } else {
+    tail_ = entry.prev;
+  }
+  entry.prev = entry.next = kNil;
+}
+
+void LruCache::PushFrontLocked(uint32_t id) {
+  Entry& entry = entries_[id];
+  entry.prev = kNil;
+  entry.next = head_;
+  if (head_ != kNil) {
+    entries_[head_].prev = id;
+  } else {
+    tail_ = id;
+  }
+  head_ = id;
+}
+
+void LruCache::MoveToFrontLocked(uint32_t id) {
+  if (id == head_) return;
+  UnlinkLocked(id);
+  PushFrontLocked(id);
 }
 
 }  // namespace vc

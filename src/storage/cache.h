@@ -4,10 +4,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -52,6 +50,13 @@ struct CacheStats {
   /// holds once the cache is drained and cleared.
   uint64_t prefetch_wasted = 0;
 
+  /// Key searches of the cache's index: one per key an operation looks up
+  /// (hit, miss or coalesce), one per completed load publishing its
+  /// outcome, and one per evicted entry. A hit therefore costs exactly one,
+  /// a miss that runs the load two, and a warm planned segment one per
+  /// tile — the single-lookup property, counted per cache under its lock.
+  uint64_t lookups = 0;
+
   double HitRate() const {
     uint64_t total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) / total;
@@ -64,10 +69,12 @@ struct CacheStats {
 /// This is VisualCloud's buffer pool: the storage manager caches encoded
 /// segment cells at GOP granularity, which captures the temporal locality of
 /// streaming sessions (clients re-request neighbouring qualities and replay
-/// ranges). Keys are PackedCellKey (storage/cell_key.h); one unified slot
-/// table holds both the cached entry and any in-flight load for a key, so
-/// every lookup — hit, coalesce, or miss-become-loader — hashes exactly
-/// once. Thread-safe.
+/// ranges). Keys are PackedCellKey (storage/cell_key.h). One flat structure
+/// holds everything: a pool of entries — each a key's cached value and/or
+/// in-flight load — linked into the recency list by 32-bit index, and an
+/// open-addressed index of entry ids over it, so every lookup — hit,
+/// coalesce, or miss-become-loader — is one key search (counted in
+/// `CacheStats::lookups`). Thread-safe.
 class LruCache {
  public:
   using Value = std::shared_ptr<const std::vector<uint8_t>>;
@@ -153,7 +160,8 @@ class LruCache {
   /// its size to `*bytes`. Stops at the first key that is not such an entry
   /// (absent, in flight only, or prefetched) and returns the run length;
   /// the caller reads that key through the full GetOrCompute path, which
-  /// handles loading, coalescing and prefetch credit. One hash per key.
+  /// handles loading, coalescing and prefetch credit. One index search
+  /// per key examined.
   size_t TouchCachedRun(const PackedCellKey* keys, size_t n, uint64_t* bytes);
 
   /// Tier-promotion credit: a demand read consumed `key`'s copy held by
@@ -175,25 +183,32 @@ class LruCache {
   size_t capacity_bytes() const { return capacity_bytes_; }
 
  private:
+  friend class LruCacheTestPeer;
+
+  static constexpr uint32_t kNil = 0xffffffffu;
+
+  /// One key's pool entry: its cached value (when `cached`) and/or its
+  /// in-flight load. An entry is live iff at least one of the two is, so a
+  /// single key search learns everything about a key. A live entry keeps
+  /// its id; no `Entry&` is held across an insert, which may grow (and
+  /// reallocate) the pool.
   struct Entry {
     PackedCellKey key = 0;
     Value value;
-    /// Inserted by a prefetch load and not yet touched by any demand read.
+    std::shared_ptr<AsyncHandle::State> inflight;
+    /// value->size() while cached, so a hit never touches the Value.
+    uint64_t bytes = 0;
+    /// Recency neighbours while cached (prev toward the most recent);
+    /// `next` also links the free list while the entry is free.
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
+    bool cached = false;
+    /// Inserted by a prefetch load and not yet touched by any demand read
+    /// (read only while cached).
     bool prefetched = false;
   };
 
-  /// One key's slot in the unified table: the cached entry (when `cached`)
-  /// and/or the in-flight load. A slot exists iff at least one of the two
-  /// is live; lookups therefore hash the key exactly once to learn
-  /// everything about it.
-  struct Slot {
-    std::list<Entry>::iterator entry;
-    bool cached = false;
-    std::shared_ptr<AsyncHandle::State> inflight;
-  };
-  using Table = std::unordered_map<PackedCellKey, Slot, CellKeyHash>;
-
-  /// Resolves `state` with the loader's outcome: clears the slot's
+  /// Resolves `state` with the loader's outcome: clears the entry's
   /// in-flight marker, caches success, and wakes every waiter.
   void Complete(PackedCellKey key,
                 const std::shared_ptr<AsyncHandle::State>& state,
@@ -203,19 +218,43 @@ class LruCache {
   /// a prefetched value (cleared its tag).
   bool TouchLocked(Entry* entry);
 
-  /// Stores `value` into the slot at `it` (which must be in table_),
-  /// refusing oversize values; erases the slot when it ends up neither
-  /// cached nor in flight.
-  void PutLocked(Table::iterator it, Value value, bool prefetched);
+  /// Index position holding `key`'s entry id, or the empty position where
+  /// it would go. Counts one lookup.
+  size_t SearchLocked(PackedCellKey key);
+  /// Index position of `key`'s entry, inserting a fresh entry (neither
+  /// cached nor in flight) when the key is absent. May grow the pool.
+  size_t SearchOrInsertLocked(PackedCellKey key);
+  /// Stores `value` into the entry at index position `pos`, refusing
+  /// oversize values; frees the entry when it ends up neither cached nor
+  /// in flight.
+  void PutLocked(size_t pos, Value value, bool prefetched);
   void EvictIfNeededLocked();
-  /// Erases the slot when it holds neither a cached entry nor an in-flight
-  /// load.
-  void EraseSlotIfEmptyLocked(Table::iterator it);
+  /// Frees the entry at index position `pos` when it holds neither a cached
+  /// value nor an in-flight load.
+  void ReleaseIfEmptyLocked(size_t pos);
+  /// Removes index position `pos` (backward-shift deletion, so every probe
+  /// sequence stays unbroken) and returns its entry to the free list.
+  void RemoveLocked(size_t pos);
+  /// Doubles the index and re-places every live entry id.
+  void GrowIndexLocked();
+  /// Re-places entry `id` into the index (a key known to be absent).
+  void PlaceLocked(uint32_t id);
+
+  /// Recency list: unlink, and link at the most-recent end.
+  void UnlinkLocked(uint32_t id);
+  void PushFrontLocked(uint32_t id);
+  void MoveToFrontLocked(uint32_t id);
 
   const size_t capacity_bytes_;
   mutable std::mutex mu_;
-  std::list<Entry> lru_;  // front = most recent
-  Table table_;
+  std::vector<Entry> entries_;  ///< The pool; ids index it.
+  uint32_t free_ = kNil;        ///< Free-list head.
+  uint32_t live_ = 0;           ///< Entries cached and/or in flight.
+  uint32_t head_ = kNil;        ///< Most recently used cached entry.
+  uint32_t tail_ = kNil;        ///< Least recently used: the next victim.
+  /// Power-of-two open-addressed table of entry ids (kNil = empty),
+  /// linear probing from MixCellKey(key) & mask, load at most 1/2.
+  std::vector<uint32_t> index_;
   CacheStats stats_;
 };
 

@@ -6,8 +6,6 @@
 
 namespace vc {
 
-std::atomic<uint64_t> CellKeyHash::invocations{0};
-
 namespace {
 
 // Identity string a video's keyspace id is interned under: name + data

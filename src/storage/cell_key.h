@@ -1,7 +1,6 @@
 #ifndef VC_STORAGE_CELL_KEY_H_
 #define VC_STORAGE_CELL_KEY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -37,14 +36,9 @@ inline uint64_t MixCellKey(uint64_t x) {
   return x;
 }
 
-/// Hash functor for PackedCellKey-keyed tables. Counts invocations in a
-/// process-wide relaxed atomic so tests can assert the single-hash property
-/// of the unified cache index (one hash per lookup, hit or miss).
+/// Hash functor for PackedCellKey-keyed standard containers.
 struct CellKeyHash {
-  static std::atomic<uint64_t> invocations;
-
   size_t operator()(PackedCellKey key) const {
-    invocations.fetch_add(1, std::memory_order_relaxed);
     return static_cast<size_t>(MixCellKey(key));
   }
 };

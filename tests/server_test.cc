@@ -218,8 +218,9 @@ TEST_F(ServerTest, DeadlinePacingHoldsDownloads) {
   VideoMetadata metadata = Metadata();
   SessionOptions options = BaseSession();
   options.buffer_ahead_seconds = 0.5;
-  auto client =
-      ClientSession::Create(db_->storage(), metadata, MakeTrace(0.3), options);
+  // The session borrows its trace, so the trace outlives it as a local.
+  HeadTrace trace = MakeTrace(0.3);
+  auto client = ClientSession::Create(db_->storage(), metadata, trace, options);
   ASSERT_TRUE(client.ok());
 
   // Before playback starts the session is ready immediately.

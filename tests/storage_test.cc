@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
+#include <list>
 #include <map>
 #include <mutex>
 #include <random>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "codec/encoder.h"
@@ -1419,6 +1423,601 @@ TEST(LruCacheAsyncTest, PrefetchAttributionInvariantRandomized) {
             stats.prefetch_hits + stats.prefetch_wasted);
 }
 
+// ------------------------------------------- Differential cache test
+
+}  // namespace
+
+/// Reads the flat cache's pool and index sizes, which no public API exposes.
+class LruCacheTestPeer {
+ public:
+  static size_t PoolSize(const LruCache& cache) {
+    std::lock_guard<std::mutex> lock(cache.mu_);
+    return cache.entries_.size();
+  }
+  static size_t IndexSize(const LruCache& cache) {
+    std::lock_guard<std::mutex> lock(cache.mu_);
+    return cache.index_.size();
+  }
+};
+
+namespace {
+
+/// Reference model of LruCache's contract: the plain std::list recency
+/// order plus a std::map of slots (cached item and/or in-flight load),
+/// following every statistics and prefetch-attribution rule literally.
+/// Single-threaded: a load runs inline, and a synchronous demand for a key
+/// already in flight (which would wait on its own thread) is a test error.
+class CacheModel {
+ public:
+  using Value = LruCache::Value;
+  using Loader = LruCache::Loader;
+
+  struct Load {
+    bool done = false;
+    bool hit = false;
+    bool prefetch_origin = false;
+    bool demanded = false;
+    Status status = Status::OK();
+    Value value;
+  };
+
+  class AsyncHandle {
+   public:
+    explicit AsyncHandle(std::shared_ptr<Load> load) : load_(std::move(load)) {}
+    bool hit() const { return load_->hit; }
+    bool ready() const { return load_->done; }
+    Result<Value> Wait() const {
+      if (!load_->status.ok()) return load_->status;
+      return load_->value;
+    }
+
+   private:
+    std::shared_ptr<Load> load_;
+  };
+
+  explicit CacheModel(size_t capacity) : capacity_(capacity) {}
+
+  Value Get(PackedCellKey key) {
+    ++stats_.lookups;
+    auto it = slots_.find(key);
+    if (it == slots_.end() || !it->second.cached) {
+      ++stats_.misses;
+      return nullptr;
+    }
+    ++stats_.hits;
+    Touch(&*it->second.item);
+    lru_.splice(lru_.begin(), lru_, it->second.item);
+    return it->second.item->value;
+  }
+
+  void Put(PackedCellKey key, Value value) {
+    if (value == nullptr) return;
+    ++stats_.lookups;
+    PutIn(slots_.try_emplace(key).first, std::move(value), false);
+  }
+
+  Result<Value> GetOrCompute(PackedCellKey key, const Loader& loader,
+                             bool* was_hit, bool* consumed_prefetch) {
+    *was_hit = false;
+    *consumed_prefetch = false;
+    ++stats_.lookups;
+    Slot& slot = slots_[key];
+    if (slot.cached) {
+      ++stats_.hits;
+      *consumed_prefetch = Touch(&*slot.item);
+      lru_.splice(lru_.begin(), lru_, slot.item);
+      *was_hit = true;
+      return slot.item->value;
+    }
+    ++stats_.misses;
+    if (slot.inflight != nullptr) {
+      ADD_FAILURE() << "synchronous demand for an in-flight key";
+      return Status::Internal("would deadlock");
+    }
+    auto load = std::make_shared<Load>();
+    load->demanded = true;
+    slot.inflight = load;
+    Result<Value> loaded = loader();
+    Complete(key, load, loaded);
+    return loaded;
+  }
+
+  AsyncHandle GetOrComputeAsync(PackedCellKey key, Loader loader,
+                                ThreadPool* /*pool*/, LoadKind kind,
+                                bool* consumed_prefetch) {
+    const bool demand = kind == LoadKind::kDemand;
+    *consumed_prefetch = false;
+    ++stats_.lookups;
+    Slot& slot = slots_[key];
+    if (slot.cached) {
+      if (demand) {
+        ++stats_.hits;
+        *consumed_prefetch = Touch(&*slot.item);
+        lru_.splice(lru_.begin(), lru_, slot.item);
+      }
+      auto load = std::make_shared<Load>();
+      load->done = true;
+      load->hit = true;
+      load->value = slot.item->value;
+      return AsyncHandle(std::move(load));
+    }
+    if (demand) ++stats_.misses;
+    if (slot.inflight != nullptr) {
+      std::shared_ptr<Load> load = slot.inflight;
+      if (demand) {
+        ++stats_.coalesced;
+        if (load->prefetch_origin && !load->demanded) {
+          ++stats_.prefetch_hits;
+          *consumed_prefetch = true;
+        }
+        load->demanded = true;
+      }
+      return AsyncHandle(std::move(load));
+    }
+    auto load = std::make_shared<Load>();
+    load->prefetch_origin = !demand;
+    load->demanded = demand;
+    slot.inflight = load;
+    if (!demand) ++stats_.prefetch_issued;
+    Complete(key, load, loader());
+    return AsyncHandle(std::move(load));
+  }
+
+  size_t TouchCachedRun(const PackedCellKey* keys, size_t n,
+                        uint64_t* bytes) {
+    size_t run = 0;
+    for (; run < n; ++run) {
+      ++stats_.lookups;
+      auto it = slots_.find(keys[run]);
+      if (it == slots_.end() || !it->second.cached ||
+          it->second.item->prefetched) {
+        break;
+      }
+      lru_.splice(lru_.begin(), lru_, it->second.item);
+      *bytes += it->second.item->value->size();
+    }
+    stats_.hits += run;
+    return run;
+  }
+
+  void CreditPrefetchConsumption(PackedCellKey key) {
+    ++stats_.lookups;
+    auto it = slots_.find(key);
+    if (it != slots_.end() && it->second.cached) Touch(&*it->second.item);
+  }
+
+  void Erase(PackedCellKey key) {
+    ++stats_.lookups;
+    auto it = slots_.find(key);
+    if (it == slots_.end() || !it->second.cached) return;
+    if (it->second.item->prefetched) ++stats_.prefetch_wasted;
+    stats_.bytes_cached -= it->second.item->value->size();
+    lru_.erase(it->second.item);
+    it->second.cached = false;
+    EraseIfEmpty(it);
+  }
+
+  void Clear() {
+    while (!lru_.empty()) {
+      if (lru_.front().prefetched) ++stats_.prefetch_wasted;
+      lru_.pop_front();  // most recent first
+    }
+    for (auto it = slots_.begin(); it != slots_.end();) {
+      it->second.cached = false;
+      it = it->second.inflight == nullptr ? slots_.erase(it) : std::next(it);
+    }
+    stats_.bytes_cached = 0;
+  }
+
+  CacheStats stats() const { return stats_; }
+
+ private:
+  struct Item {
+    PackedCellKey key;
+    Value value;
+    bool prefetched;
+  };
+  struct Slot {
+    std::list<Item>::iterator item;
+    bool cached = false;
+    std::shared_ptr<Load> inflight;
+  };
+  using Slots = std::map<PackedCellKey, Slot>;
+
+  bool Touch(Item* item) {
+    if (!item->prefetched) return false;
+    item->prefetched = false;
+    ++stats_.prefetch_hits;
+    return true;
+  }
+
+  void Complete(PackedCellKey key, const std::shared_ptr<Load>& load,
+                Result<Value> loaded) {
+    ++stats_.lookups;
+    auto it = slots_.find(key);
+    it->second.inflight = nullptr;
+    load->done = true;
+    if (loaded.ok()) {
+      load->value = *loaded;
+      PutIn(it, std::move(*loaded), load->prefetch_origin && !load->demanded);
+    } else {
+      load->status = loaded.status();
+      if (load->prefetch_origin && !load->demanded) ++stats_.prefetch_wasted;
+      EraseIfEmpty(it);
+    }
+  }
+
+  void PutIn(Slots::iterator it, Value value, bool prefetched) {
+    if (value == nullptr) {
+      EraseIfEmpty(it);
+      return;
+    }
+    if (value->size() > capacity_) {
+      ++stats_.rejected_oversize;
+      if (prefetched) ++stats_.prefetch_wasted;
+      EraseIfEmpty(it);
+      return;
+    }
+    Slot& slot = it->second;
+    if (slot.cached) {
+      if (slot.item->prefetched && !prefetched) ++stats_.prefetch_wasted;
+      stats_.bytes_cached -= slot.item->value->size();
+      slot.item->value = std::move(value);
+      slot.item->prefetched = prefetched;
+      lru_.splice(lru_.begin(), lru_, slot.item);
+    } else {
+      lru_.push_front(Item{it->first, std::move(value), prefetched});
+      slot.item = lru_.begin();
+      slot.cached = true;
+    }
+    stats_.bytes_cached += slot.item->value->size();
+    while (stats_.bytes_cached > capacity_) {
+      Item& victim = lru_.back();
+      if (victim.prefetched) ++stats_.prefetch_wasted;
+      ++stats_.lookups;
+      auto victim_slot = slots_.find(victim.key);
+      stats_.bytes_cached -= victim.value->size();
+      lru_.pop_back();
+      victim_slot->second.cached = false;
+      EraseIfEmpty(victim_slot);
+      ++stats_.evictions;
+    }
+  }
+
+  void EraseIfEmpty(Slots::iterator it) {
+    if (!it->second.cached && it->second.inflight == nullptr) slots_.erase(it);
+  }
+
+  const size_t capacity_;
+  std::list<Item> lru_;  // front = most recent
+  Slots slots_;
+  CacheStats stats_;
+};
+
+/// One generated cache operation. Load operations (GetOrCompute and the
+/// two async kinds) run `nested` inside their loader, while `key` is in
+/// flight.
+struct CacheOp {
+  enum Kind {
+    kGet,
+    kPut,
+    kGetOrCompute,
+    kAsyncDemand,
+    kAsyncPrefetch,
+    kTouchRun,
+    kCredit,
+    kErase,
+    kClear,
+  };
+  Kind kind = kGet;
+  PackedCellKey key = 0;
+  std::vector<PackedCellKey> run;  ///< kTouchRun's keys.
+  uint64_t serial = 0;             ///< Of the value put or loaded.
+  size_t size = 0;
+  bool fail = false;  ///< The load returns an error.
+  std::vector<CacheOp> nested;
+};
+
+std::string StatsString(const CacheStats& s) {
+  std::ostringstream out;
+  out << "hits=" << s.hits << " misses=" << s.misses
+      << " evictions=" << s.evictions << " bytes=" << s.bytes_cached
+      << " coalesced=" << s.coalesced << " oversize=" << s.rejected_oversize
+      << " pf_issued=" << s.prefetch_issued << " pf_hits=" << s.prefetch_hits
+      << " pf_wasted=" << s.prefetch_wasted << " lookups=" << s.lookups;
+  return out.str();
+}
+
+/// Runs CacheOps against `Cache` (LruCache or CacheModel) and records, after
+/// every operation (nested ones included), what it returned, every
+/// statistic, and the serials of the values the cache let go of since the
+/// previous record — in order, so eviction order is compared too.
+template <typename Cache>
+class CacheOpDriver {
+ public:
+  explicit CacheOpDriver(size_t capacity) : cache_(capacity) {}
+
+  void Run(const CacheOp& op) {
+    std::ostringstream out;
+    out << "op" << op.kind << " key=" << op.key << " -> ";
+    auto loader = [this, &op]() -> Result<LruCache::Value> {
+      for (const CacheOp& inner : op.nested) Run(inner);
+      if (op.fail) return Status::IOError("injected load failure");
+      return Tagged(op.serial, op.size);
+    };
+    switch (op.kind) {
+      case CacheOp::kGet:
+        out << Describe(cache_.Get(op.key));
+        break;
+      case CacheOp::kPut:
+        cache_.Put(op.key, Tagged(op.serial, op.size));
+        break;
+      case CacheOp::kGetOrCompute: {
+        bool was_hit = false;
+        bool consumed = false;
+        auto value = cache_.GetOrCompute(op.key, loader, &was_hit, &consumed);
+        out << Describe(value) << " hit=" << was_hit
+            << " consumed=" << consumed;
+        break;
+      }
+      case CacheOp::kAsyncDemand:
+      case CacheOp::kAsyncPrefetch: {
+        bool consumed = false;
+        auto handle = cache_.GetOrComputeAsync(
+            op.key, loader, nullptr,
+            op.kind == CacheOp::kAsyncDemand ? LoadKind::kDemand
+                                             : LoadKind::kPrefetch,
+            &consumed);
+        out << "hit=" << handle.hit() << " ready=" << handle.ready()
+            << " consumed=" << consumed;
+        if (handle.ready()) {
+          out << " " << Describe(handle.Wait());
+        } else {
+          pending_.push_back(std::move(handle));  // coalesced: resolved later
+        }
+        break;
+      }
+      case CacheOp::kTouchRun: {
+        uint64_t bytes = 0;
+        size_t run =
+            cache_.TouchCachedRun(op.run.data(), op.run.size(), &bytes);
+        out << "run=" << run << " bytes=" << bytes;
+        break;
+      }
+      case CacheOp::kCredit:
+        cache_.CreditPrefetchConsumption(op.key);
+        break;
+      case CacheOp::kErase:
+        cache_.Erase(op.key);
+        break;
+      case CacheOp::kClear:
+        cache_.Clear();
+        break;
+    }
+    Record(out.str());
+  }
+
+  /// Resolves the handles of loads that were still in flight when issued.
+  void DrainPending() {
+    for (const auto& handle : pending_) {
+      Record("pending -> ready=" + std::to_string(handle.ready()) + " " +
+             Describe(handle.Wait()));
+    }
+    pending_.clear();
+    Record("drained");
+  }
+
+  /// Checks each record against `expected`'s as it is made, so the first
+  /// divergence is reported at the operation that caused it, before
+  /// anything it leads to (a lost in-flight entry ends in a crash).
+  void CheckAgainst(const std::vector<std::string>* expected) {
+    expected_ = expected;
+  }
+  bool diverged() const { return diverged_; }
+
+  const std::vector<std::string>& records() const { return records_; }
+  Cache& cache() { return cache_; }
+
+ private:
+  LruCache::Value Tagged(uint64_t serial, size_t size) {
+    auto* bytes = new std::vector<uint8_t>(size);
+    std::memcpy(bytes->data(), &serial, sizeof(serial));
+    std::vector<uint64_t>* released = &released_;
+    return LruCache::Value(bytes, [serial, released](
+                                      const std::vector<uint8_t>* doomed) {
+      released->push_back(serial);
+      delete doomed;
+    });
+  }
+
+  static std::string Describe(const Result<LruCache::Value>& value) {
+    if (!value.ok()) return "error";
+    if (*value == nullptr) return "null";
+    uint64_t serial = 0;
+    std::memcpy(&serial, (*value)->data(), sizeof(serial));
+    return "value#" + std::to_string(serial) + "/" +
+           std::to_string((*value)->size());
+  }
+
+  void Record(const std::string& what) {
+    std::ostringstream out;
+    out << what << " | " << StatsString(cache_.stats()) << " | released";
+    for (; reported_ < released_.size(); ++reported_) {
+      out << " " << released_[reported_];
+    }
+    records_.push_back(out.str());
+    if (expected_ == nullptr || diverged_) return;
+    const size_t i = records_.size() - 1;
+    if (i >= expected_->size() || (*expected_)[i] != records_[i]) {
+      diverged_ = true;
+      ADD_FAILURE() << "record " << i << "\n  got:      " << records_[i]
+                    << "\n  expected: "
+                    << (i < expected_->size() ? (*expected_)[i] : "(none)");
+    }
+  }
+
+  std::vector<uint64_t> released_;  // declared first: outlives cache_
+  size_t reported_ = 0;             // released_ entries already recorded
+  Cache cache_;
+  std::vector<typename Cache::AsyncHandle> pending_;
+  std::vector<std::string> records_;
+  const std::vector<std::string>* expected_ = nullptr;
+  bool diverged_ = false;
+};
+
+/// Keys whose index home positions collide: `collide_high` keys all hash to
+/// the last position of any index up to 256 wide (so their probes wrap),
+/// `collide_low` keys to position 0 (where the wrapped probes land), plus
+/// `spread` keys anywhere.
+std::vector<PackedCellKey> CollidingKeys(int collide_high, int collide_low,
+                                         int spread) {
+  std::vector<PackedCellKey> keys;
+  for (PackedCellKey key = 1; collide_high + collide_low + spread > 0; ++key) {
+    const uint64_t low = MixCellKey(key) & 0xff;
+    if (low == 0xff && collide_high > 0) {
+      --collide_high;
+    } else if (low == 0 && collide_low > 0) {
+      --collide_low;
+    } else if (low != 0 && low != 0xff && key % 97 == 0 && spread > 0) {
+      --spread;
+    } else {
+      continue;
+    }
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+class CacheOpGenerator {
+ public:
+  CacheOpGenerator(uint64_t seed, size_t capacity)
+      : rng_(seed), capacity_(capacity), keys_(CollidingKeys(12, 6, 6)) {}
+
+  CacheOp Next() {
+    std::vector<PackedCellKey> in_flight;
+    return Make(0, &in_flight);
+  }
+
+ private:
+  CacheOp Make(int depth, std::vector<PackedCellKey>* in_flight) {
+    CacheOp op;
+    const int roll = Uniform(100);
+    op.kind = roll < 14   ? CacheOp::kGet
+              : roll < 30 ? CacheOp::kPut
+              : roll < 45 ? CacheOp::kGetOrCompute
+              : roll < 58 ? CacheOp::kAsyncDemand
+              : roll < 70 ? CacheOp::kAsyncPrefetch
+              : roll < 81 ? CacheOp::kTouchRun
+              : roll < 88 ? CacheOp::kCredit
+              : roll < 97 ? CacheOp::kErase
+                          : CacheOp::kClear;
+    // Inside a load, favour the keys in flight so the operations meet
+    // them: puts over a loading key, coalescing async demands, erases.
+    op.key = !in_flight->empty() && Uniform(100) < 40
+                 ? (*in_flight)[Uniform(in_flight->size())]
+                 : keys_[Uniform(keys_.size())];
+    const bool key_in_flight =
+        std::find(in_flight->begin(), in_flight->end(), op.key) !=
+        in_flight->end();
+    // A synchronous demand for an in-flight key would wait on itself.
+    if (op.kind == CacheOp::kGetOrCompute && key_in_flight) {
+      op.kind = CacheOp::kAsyncDemand;
+    }
+    op.serial = ++serial_;
+    const int size_roll = Uniform(100);
+    op.size = size_roll < 4   ? capacity_ + 1 + Uniform(64)  // oversize
+              : size_roll < 6 ? capacity_                    // fills it all
+                              : 8 + Uniform(160);
+    op.fail = Uniform(100) < 8;
+    if (op.kind == CacheOp::kTouchRun) {
+      const int n = 1 + Uniform(6);
+      for (int i = 0; i < n; ++i) {
+        op.run.push_back(keys_[Uniform(keys_.size())]);
+      }
+    }
+    const bool loads = op.kind == CacheOp::kGetOrCompute ||
+                       op.kind == CacheOp::kAsyncDemand ||
+                       op.kind == CacheOp::kAsyncPrefetch;
+    if (loads && depth < 2 && Uniform(100) < 30) {
+      in_flight->push_back(op.key);
+      const int n = 1 + Uniform(4);
+      for (int i = 0; i < n; ++i) {
+        op.nested.push_back(Make(depth + 1, in_flight));
+      }
+      in_flight->pop_back();
+    }
+    return op;
+  }
+
+  size_t Uniform(size_t n) { return static_cast<size_t>(rng_() % n); }
+
+  std::mt19937_64 rng_;
+  const size_t capacity_;
+  const std::vector<PackedCellKey> keys_;
+  uint64_t serial_ = 0;
+};
+
+TEST(LruCacheDifferentialTest, MatchesReferenceModelAfterEveryOperation) {
+  constexpr size_t kCapacity = 1200;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    CacheOpGenerator generator(seed, kCapacity);
+    CacheOpDriver<LruCache> real(kCapacity);
+    CacheOpDriver<CacheModel> model(kCapacity);
+    real.CheckAgainst(&model.records());
+    for (int step = 0; step < 3000; ++step) {
+      const CacheOp op = generator.Next();
+      model.Run(op);
+      model.DrainPending();
+      real.Run(op);
+      real.DrainPending();
+      ASSERT_FALSE(real.diverged()) << "step " << step;
+      ASSERT_EQ(real.records().size(), model.records().size())
+          << "step " << step;
+    }
+    // The run really exercised every path the model describes.
+    const CacheStats stats = real.cache().stats();
+    EXPECT_GT(stats.evictions, 100u);
+    EXPECT_GT(stats.coalesced, 0u);
+    EXPECT_GT(stats.rejected_oversize, 0u);
+    EXPECT_GT(stats.prefetch_hits, 0u);
+    EXPECT_GT(stats.prefetch_wasted, 0u);
+    EXPECT_GT(LruCacheTestPeer::IndexSize(real.cache()), 16u);
+  }
+}
+
+TEST(LruCacheDifferentialTest, ChurnKeepsPoolAndIndexBounded) {
+  // 100k distinct keys through a cache that holds 64 values: every insert
+  // past the first 64 evicts one entry. Freed entries are reused and the
+  // index never outgrows the peak live count, so memory stays flat.
+  constexpr size_t kResident = 64;
+  constexpr size_t kValueBytes = 16;
+  LruCache cache(kResident * kValueBytes);
+  const LruCache::Value value = Bytes(kValueBytes, 7);
+  for (PackedCellKey key = 1; key <= 100000; ++key) {
+    if (key % 3 == 0) {
+      ASSERT_TRUE(cache
+                      .GetOrCompute(key, [&value]() -> Result<LruCache::Value> {
+                        return value;
+                      })
+                      .ok());
+    } else {
+      cache.Put(key, value);
+    }
+    if (key % 7 == 0) cache.Erase(key - 1);
+  }
+  // At most kResident cached plus the one being inserted are ever live;
+  // the index keeps load at most 1/2 in a power of two.
+  EXPECT_LE(LruCacheTestPeer::PoolSize(cache), kResident + 1);
+  EXPECT_LE(LruCacheTestPeer::IndexSize(cache), 4 * (kResident + 1));
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.bytes_cached, kResident * kValueBytes);
+  EXPECT_GT(stats.evictions, 80000u);
+  cache.Clear();
+  EXPECT_LE(LruCacheTestPeer::PoolSize(cache), kResident + 1);
+  EXPECT_EQ(cache.Get(100000), nullptr);
+}
+
 TEST(TieredCacheTest, L1OverL2ServesAndAccountsBothTiers) {
   LruCache l2(1 << 20);
   TieredCache node_a(1 << 16, &l2);
@@ -1782,31 +2381,32 @@ TEST(PackedCellKeyTest, OverflowingCoordinatesUseExactEscapePath) {
 }
 
 TEST(CellKeyHashTest, UnifiedIndexHashesOncePerHit) {
-  // The point of collapsing the cache's dual string-keyed maps into one
-  // integer-keyed slot table: a lookup — hit, coalesce, or miss-becomes-
-  // loader — hashes the key exactly once.
+  // The point of one flat entry index holding both cached values and
+  // in-flight loads: a lookup — hit, coalesce, or miss-becomes-loader —
+  // searches the index for the key exactly once. The cache counts its own
+  // searches (CacheStats::lookups).
   LruCache cache(1 << 16);
   cache.Put(42, Bytes(64, 1));
 
-  uint64_t before = CellKeyHash::invocations.load();
+  uint64_t before = cache.stats().lookups;
   EXPECT_NE(cache.Get(42), nullptr);
-  EXPECT_EQ(CellKeyHash::invocations.load() - before, 1u);
+  EXPECT_EQ(cache.stats().lookups - before, 1u);
 
-  before = CellKeyHash::invocations.load();
+  before = cache.stats().lookups;
   auto hit = cache.GetOrCompute(42, []() -> Result<LruCache::Value> {
     ADD_FAILURE() << "cached key must not reload";
     return Status::Internal("unexpected");
   });
   ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(CellKeyHash::invocations.load() - before, 1u);
+  EXPECT_EQ(cache.stats().lookups - before, 1u);
 
-  // A miss hashes twice in total: the slot lookup and the completion that
-  // publishes the loaded value back into the slot.
-  before = CellKeyHash::invocations.load();
+  // A miss searches twice in total: the entry claim and the completion
+  // that publishes the loaded value back into the entry.
+  before = cache.stats().lookups;
   auto miss = cache.GetOrCompute(
       43, []() -> Result<LruCache::Value> { return Bytes(64, 2); });
   ASSERT_TRUE(miss.ok());
-  EXPECT_EQ(CellKeyHash::invocations.load() - before, 2u);
+  EXPECT_EQ(cache.stats().lookups - before, 2u);
 }
 
 // ------------------------------------------------------- Prefetch churn
@@ -2133,11 +2733,11 @@ TEST_F(PlannedReadTest, WarmSegmentHashesOncePerTileAndIsNotTimed) {
     std::vector<int> plan = {0, 1, 0, 1, 1, 0};
     ASSERT_TRUE(source->ReadPlannedCells(metadata_, 2, plan).ok());
 
-    const uint64_t hashes = CellKeyHash::invocations.load();
+    const uint64_t lookups = source->cache_stats().lookups;
     const ReadCounters before = ReadCounters::Now();
     ASSERT_TRUE(source->ReadPlannedCells(metadata_, 2, plan).ok());
     const ReadCounters delta = ReadCounters::Now() - before;
-    EXPECT_EQ(CellKeyHash::invocations.load() - hashes,
+    EXPECT_EQ(source->cache_stats().lookups - lookups,
               static_cast<uint64_t>(metadata_.tile_count()));
     EXPECT_EQ(delta.cache_hits, static_cast<uint64_t>(metadata_.tile_count()));
     EXPECT_EQ(delta.cell_reads, static_cast<uint64_t>(metadata_.tile_count()));
