@@ -1,18 +1,21 @@
 // M1k — codec kernel microbenchmark: scalar vs SIMD throughput for each of
-// six hot kernels (three SAD variants, forward/inverse integer DCT,
-// quantization), plus the Exp-Golomb residual coder's throughput and density
-// and the cell CRC's throughput against a byte-at-a-time reference. The
-// `speedup_geomean` in the JSON snapshot is over those six kernels. For the
-// transform kernels "scalar" is the build's baseline compilation of their one
-// plain C++ body and "SIMD" its AVX2 compilation.
+// eight hot kernels (three SAD variants, forward/inverse integer DCT,
+// quantization, and the two stage pairs the codec calls once per block:
+// transform+quantize and dequantize+inverse), plus the Exp-Golomb residual
+// coder's throughput and density and the cell CRC's throughput against a
+// byte-at-a-time reference. The `speedup_geomean` in the JSON snapshot is
+// over those eight kernels. For the transform kernels "scalar" is the build's
+// baseline compilation of their one plain C++ body and "SIMD" its AVX2
+// compilation.
 //
 // Expected shape: the SIMD columns are faster than scalar for every
 // vectorized kernel.
 //
 // Every lap re-verifies that the SIMD and scalar kernels produce identical
 // outputs (and that the entropy coder round-trips) before timing — a
-// throughput number for a wrong kernel is worse than none. The CRC row checks
-// the sliced Crc32 against the byte-loop reference on every timed lap.
+// throughput number for a wrong kernel is worse than none. Each fused stage
+// pair must also equal its two stages run one after the other. The CRC row
+// checks the sliced Crc32 against the byte-loop reference on every timed lap.
 // `--smoke` runs the verification on shrunk workloads and skips the JSON
 // snapshot; CI registers it so the agreement checks run on every build.
 
@@ -225,6 +228,36 @@ std::vector<KernelRow> BenchTransforms(const TransformData& data, int reps) {
   rows.push_back(TimeKernel("quant", bytes, reps, [&] {
     for (int i = 0; i < blocks; ++i) {
       Quantize(data.coeffs[i], data.qp, &level_out[i]);
+    }
+  }));
+
+  CheckBlockwiseAgreement(
+      blocks, &level_out,
+      [&](int i, LevelBlock* out) {
+        const uint64_t mask =
+            ForwardDctQuantize(data.residuals[i], data.qp, out);
+        Check(mask == data.nonzero_masks[i] && *out == data.levels[i],
+              "ForwardDctQuantize/stagewise");
+      },
+      "ForwardDctQuantize scalar/SIMD");
+  rows.push_back(TimeKernel("fdct_quant", bytes, reps, [&] {
+    for (int i = 0; i < blocks; ++i) {
+      ForwardDctQuantize(data.residuals[i], data.qp, &level_out[i]);
+    }
+  }));
+
+  CheckBlockwiseAgreement(
+      blocks, &res_out,
+      [&](int i, ResidualBlock* out) {
+        ResidualBlock stagewise;
+        InverseDct(data.dequantized[i], &stagewise);
+        DequantizeInverseDct(data.levels[i], data.qp, out);
+        Check(*out == stagewise, "DequantizeInverseDct/stagewise");
+      },
+      "DequantizeInverseDct scalar/SIMD");
+  rows.push_back(TimeKernel("dequant_idct", bytes, reps, [&] {
+    for (int i = 0; i < blocks; ++i) {
+      DequantizeInverseDct(data.levels[i], data.qp, &res_out[i]);
     }
   }));
 

@@ -89,15 +89,18 @@ simd() {
   # sliced CRC against their bit- and byte-at-a-time references in this
   # configuration too, and
   # the pinned ingest digest holds with the baseline compilation of the
-  # transform and quantizer.
+  # transform and quantizer. The kernel micro-bench smoke checks the
+  # baseline compilation of the fused stage pairs (transform+quantize,
+  # dequantize+inverse) against their stages run one after the other.
   cmake -B build-scalar -S . -DVC_DISABLE_SIMD=ON
   cmake --build build-scalar -j"$JOBS" --target codec_test codec_fuzz_test \
-    common_test core_test
+    common_test core_test bench_kernels
   ./build-scalar/tests/codec_test
   ./build-scalar/tests/codec_fuzz_test
   ./build-scalar/tests/common_test
   ./build-scalar/tests/core_test \
     --gtest_filter=CoreTest.IngestOutputDigestIsPinned
+  ./build-scalar/bench/bench_kernels --smoke
 
   # Leg 3: ASan + UBSan over the deterministic fuzz corpora — the codec
   # bitstream (truncated and bit-flipped streams), the VCMPD manifest

@@ -17,24 +17,33 @@ int EncodeLevelBlock(const LevelBlock& levels, uint64_t nonzero_mask,
     ranks |= uint64_t{1} << rank_of[std::countr_zero(m)];
     ++nonzero;
   }
-  writer->WriteUE(static_cast<uint64_t>(nonzero));
+  // The pending bits stay in locals for the whole block; written through
+  // the writer, each pair would store them back and reload them.
+  BitWriter::ScopedAccumulator out(writer);
+  out.WriteUE(static_cast<uint64_t>(nonzero));
   const auto& zigzag = ZigzagOrder();
   int next = 0;  // scan rank just past the previous nonzero level
   for (; ranks != 0; ranks &= ranks - 1) {
     const int rank = std::countr_zero(ranks);
     const int32_t level = levels[zigzag[rank]];
     // The UE codes of the run and of the SE-mapped level: value + 1 in a
-    // field of 2·width − 1 bits. Both in one write when they fit 32 bits.
+    // field of 2·width − 1 bits. SE maps v > 0 to 2v − 1 and v ≤ 0 to −2v,
+    // so the level's value + 1 is 2|v| plus the sign bit. |v| is taken in
+    // uint32_t, where INT32_MIN's magnitude 2^31 is representable, and
+    // without a branch on the sign. Both codes in one write when they fit
+    // 32 bits.
+    const uint32_t sign = 0u - static_cast<uint32_t>(level < 0);
+    const uint32_t magnitude = (static_cast<uint32_t>(level) ^ sign) - sign;
+    const uint64_t level_code = (uint64_t{magnitude} << 1) | (sign & 1);
     const uint64_t run_code = static_cast<uint64_t>(rank - next) + 1;
-    const uint64_t level_code = BitWriter::UEFromSigned(level) + 1;
     const int run_bits = 2 * (64 - std::countl_zero(run_code)) - 1;
     const int level_bits = 2 * (64 - std::countl_zero(level_code)) - 1;
     if (run_bits + level_bits <= 32) {
-      writer->WriteBits((run_code << level_bits) | level_code,
-                        run_bits + level_bits);
+      out.WriteBits((run_code << level_bits) | level_code,
+                    run_bits + level_bits);
     } else {
-      writer->WriteUE(run_code - 1);
-      writer->WriteUE(level_code - 1);
+      out.WriteUE(run_code - 1);
+      out.WriteUE(level_code - 1);
     }
     next = rank + 1;
   }

@@ -200,17 +200,15 @@ inline void ReconstructBlock(const uint8_t* pred, int size, int bx, int by,
 /// inverse transform to the prediction. The encoder and decoder both
 /// reconstruct through here, so their reconstructions stay bit-identical.
 /// A lone DC level, the most common sparse block at medium and high QP, is
-/// a constant fill.
+/// a constant fill from that one level.
 inline void ReconstructLevels(const LevelBlock& levels, int nonzero, int qp,
                               const uint8_t* pred, int size, int bx, int by,
                               uint8_t* recon) {
-  CoeffBlock coeffs;
   ResidualBlock residual;
-  Dequantize(levels, qp, &coeffs);
   if (nonzero == 1 && levels[0] != 0) {
-    residual.fill(InverseDctDc(coeffs[0]));
+    residual.fill(DequantizeInverseDctDc(levels[0], qp));
   } else {
-    InverseDct(coeffs, &residual);
+    DequantizeInverseDct(levels, qp, &residual);
   }
   ReconstructBlock(pred, size, bx, by, residual, recon);
 }
@@ -220,7 +218,6 @@ inline void ReconstructLevels(const LevelBlock& levels, int nonzero, int qp,
 void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
                     int size, int qp, BitWriter* writer, uint8_t* recon) {
   ResidualBlock residual;
-  CoeffBlock coeffs;
   LevelBlock levels;
   // A coefficient of the integer transform is a bilinear form of two basis
   // rows, each of squared norm at most 64²·8, with the residual; with the
@@ -252,8 +249,7 @@ void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
         continue;
       }
 
-      ForwardDct(residual, &coeffs);
-      const uint64_t nonzero_mask = Quantize(coeffs, qp, &levels);
+      const uint64_t nonzero_mask = ForwardDctQuantize(residual, qp, &levels);
       const int nonzero = EncodeLevelBlock(levels, nonzero_mask, writer);
       if (nonzero == 0) {
         CopyPredBlock(pred, size, bx, by, recon);

@@ -8,7 +8,11 @@
 //    integer code written once in plain C++, without intrinsics. x86 builds
 //    compile it a second time inside per-function `target("avx2")` wrappers
 //    (VC_AVX2_FN), dispatched only when the host CPU reports AVX2; any other
-//    host runs the baseline compilation.
+//    host runs the baseline compilation. The codec calls the stages in
+//    pairs, one dispatch per pair: ForwardDctQuantize and
+//    DequantizeInverseDct inline the same stage bodies into one function
+//    per compilation. A DC-only block skips both: DequantizeInverseDctDc
+//    dequantizes its one level and fills.
 //  - The SAD and residual/reconstruction kernels have an SSE2 path on x86
 //    (architectural on x86-64) and a NEON path on aarch64.
 //

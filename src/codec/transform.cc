@@ -163,15 +163,43 @@ inline uint64_t PackByteFlags(const uint8_t* flags) {
   return PackByteFlags(nonzero);
 }
 
+/// The dequantizer's step at `qp` ∈ [0, kMaxQp], in 1/64 coefficient units.
+inline int32_t DequantScale(int qp) {
+  return kDequantScale[qp % 6] << (qp / 6);
+}
+
+/// One level's reconstructed coefficient at a DequantScale step.
+[[gnu::always_inline]] inline int32_t DequantizeLevel(int32_t level,
+                                                      int32_t scale) {
+  level = Clamp(level, -kMaxDequantLevel, kMaxDequantLevel);
+  return Clip16((level * scale + 32) >> 6);
+}
+
 [[gnu::always_inline]] inline void DequantizeBody(const LevelBlock& levels,
                                                   int qp, CoeffBlock* coeffs) {
-  const int32_t scale = kDequantScale[qp % 6] << (qp / 6);
+  const int32_t scale = DequantScale(qp);
 #pragma omp simd
   for (int i = 0; i < kBlockPixels; ++i) {
-    const int32_t level =
-        Clamp(levels[i], -kMaxDequantLevel, kMaxDequantLevel);
-    (*coeffs)[i] = Clip16((level * scale + 32) >> 6);
+    (*coeffs)[i] = DequantizeLevel(levels[i], scale);
   }
+}
+
+// The stage pairs the codec runs per block, each stage inlined from its one
+// body above: the coefficients pass from one stage to the next inside one
+// function instead of through a CoeffBlock between two dispatched calls.
+
+[[gnu::always_inline]] inline uint64_t ForwardDctQuantizeBody(
+    const ResidualBlock& residual, int qp, LevelBlock* levels) {
+  CoeffBlock coeffs;
+  ForwardDctBody(residual, &coeffs);
+  return QuantizeBody(coeffs, qp, levels);
+}
+
+[[gnu::always_inline]] inline void DequantizeInverseDctBody(
+    const LevelBlock& levels, int qp, ResidualBlock* residual) {
+  CoeffBlock coeffs;
+  DequantizeBody(levels, qp, &coeffs);
+  InverseDctBody(coeffs, residual);
 }
 
 #if defined(VC_SIMD_X86)
@@ -194,6 +222,16 @@ VC_AVX2_FN uint64_t QuantizeAvx2(const CoeffBlock& coeffs, int qp,
 VC_AVX2_FN void DequantizeAvx2(const LevelBlock& levels, int qp,
                                CoeffBlock* coeffs) {
   DequantizeBody(levels, qp, coeffs);
+}
+
+VC_AVX2_FN uint64_t ForwardDctQuantizeAvx2(const ResidualBlock& residual,
+                                           int qp, LevelBlock* levels) {
+  return ForwardDctQuantizeBody(residual, qp, levels);
+}
+
+VC_AVX2_FN void DequantizeInverseDctAvx2(const LevelBlock& levels, int qp,
+                                         ResidualBlock* residual) {
+  DequantizeInverseDctBody(levels, qp, residual);
 }
 
 /// Whether the transform kernels should take their AVX2 compilation.
@@ -225,8 +263,16 @@ int16_t InverseDctDc(int32_t dc) {
 }
 
 double QStepForQp(int qp) {
-  qp = Clamp(qp, 0, kMaxQp);
-  return 0.625 * std::pow(2.0, qp / 6.0);
+  // Computed once by the expression the steps are defined by, so every
+  // caller sees the same bits a per-call std::pow returns.
+  static const std::array<double, kMaxQp + 1> kSteps = [] {
+    std::array<double, kMaxQp + 1> steps{};
+    for (int q = 0; q <= kMaxQp; ++q) {
+      steps[q] = 0.625 * std::pow(2.0, q / 6.0);
+    }
+    return steps;
+  }();
+  return kSteps[Clamp(qp, 0, kMaxQp)];
 }
 
 uint64_t Quantize(const CoeffBlock& coeffs, int qp, LevelBlock* levels) {
@@ -241,6 +287,26 @@ void Dequantize(const LevelBlock& levels, int qp, CoeffBlock* coeffs) {
   if (UseAvx2()) return DequantizeAvx2(levels, qp, coeffs);
 #endif
   DequantizeBody(levels, qp, coeffs);
+}
+
+uint64_t ForwardDctQuantize(const ResidualBlock& residual, int qp,
+                            LevelBlock* levels) {
+#if defined(VC_SIMD_X86)
+  if (UseAvx2()) return ForwardDctQuantizeAvx2(residual, qp, levels);
+#endif
+  return ForwardDctQuantizeBody(residual, qp, levels);
+}
+
+void DequantizeInverseDct(const LevelBlock& levels, int qp,
+                          ResidualBlock* residual) {
+#if defined(VC_SIMD_X86)
+  if (UseAvx2()) return DequantizeInverseDctAvx2(levels, qp, residual);
+#endif
+  DequantizeInverseDctBody(levels, qp, residual);
+}
+
+int16_t DequantizeInverseDctDc(int32_t level, int qp) {
+  return InverseDctDc(DequantizeLevel(level, DequantScale(qp)));
 }
 
 namespace {

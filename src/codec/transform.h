@@ -34,8 +34,9 @@ void InverseDct(const CoeffBlock& input, ResidualBlock* output);
 /// without the other 63 coefficients.
 int16_t InverseDctDc(int32_t dc);
 
-/// Quantizer step size for quantization parameter `qp` ∈ [0, 51] in
-/// orthonormal-DCT units; doubles every 6 QP steps, as in H.264/HEVC.
+/// Quantizer step size for quantization parameter `qp` in orthonormal-DCT
+/// units, 0.625 · 2^(qp/6) read from a 52-entry table; doubles every 6 QP
+/// steps, as in H.264/HEVC. `qp` is clamped to [0, kMaxQp].
 /// Quantize/Dequantize realize this step in integer arithmetic; the encoder
 /// uses it for its Lagrangian and its zero-block bound.
 double QStepForQp(int qp);
@@ -51,6 +52,21 @@ uint64_t Quantize(const CoeffBlock& coeffs, int qp, LevelBlock* levels);
 /// Reconstructs coefficients from levels of any magnitude at `qp` ∈
 /// [0, kMaxQp], saturated to int16 range.
 void Dequantize(const LevelBlock& levels, int qp, CoeffBlock* coeffs);
+
+/// Quantize(ForwardDct(residual)) in one dispatched call, the coefficients
+/// never leaving it: the encoder's forward path for one block.
+uint64_t ForwardDctQuantize(const ResidualBlock& residual, int qp,
+                            LevelBlock* levels);
+
+/// InverseDct(Dequantize(levels)) in one dispatched call: the encoder's and
+/// decoder's reconstruction of one block.
+void DequantizeInverseDct(const LevelBlock& levels, int qp,
+                          ResidualBlock* residual);
+
+/// The constant sample DequantizeInverseDct produces for a block whose only
+/// nonzero level is the DC `level`: that one level dequantized, then
+/// InverseDctDc.
+int16_t DequantizeInverseDctDc(int32_t level, int qp);
 
 /// Zigzag scan order for an 8×8 block (index i gives the raster position of
 /// the i-th scanned coefficient).

@@ -35,43 +35,84 @@ class BitWriter {
   /// A writer whose buffer holds `reserve_bytes` before it first grows.
   explicit BitWriter(size_t reserve_bytes) : buffer_(reserve_bytes) {}
 
+  /// \brief A writer's pending bits held in locals for a run of writes.
+  ///
+  /// A store into the `uint8_t` output buffer may alias any object, so
+  /// between two writes made through the writer the compiler stores the
+  /// pending bits back and reloads them. A ScopedAccumulator copies them
+  /// into itself, a local whose address nothing else holds, so they stay in
+  /// registers across the writes made through it; it stores them back into
+  /// the writer once, when it goes out of scope. Use the writer itself only
+  /// after that. Every BitWriter write runs through a short-lived
+  /// accumulator, so both produce the same bits.
+  class ScopedAccumulator {
+   public:
+    explicit ScopedAccumulator(BitWriter* writer)
+        : writer_(writer), acc_(writer->acc_), acc_bits_(writer->acc_bits_) {}
+    ~ScopedAccumulator() {
+      writer_->acc_ = acc_;
+      writer_->acc_bits_ = acc_bits_;
+    }
+    ScopedAccumulator(const ScopedAccumulator&) = delete;
+    ScopedAccumulator& operator=(const ScopedAccumulator&) = delete;
+
+    /// As BitWriter::WriteBits.
+    void WriteBits(uint64_t value, int bits) {
+      assert(bits >= 0 && bits <= 64);
+      if (bits < 64) {
+        assert((bits == 0 && value == 0) || (value >> bits) == 0);
+      }
+      if (bits > 32) {
+        // Split so that at most 31 pending plus 32 new bits share the
+        // accumulator.
+        Push(value >> 32, bits - 32);
+        value &= 0xffffffffu;
+        bits = 32;
+      }
+      Push(value, bits);
+    }
+
+    /// As BitWriter::WriteUE.
+    void WriteUE(uint64_t value) {
+      // Exp-Golomb: value+1 has N significant bits; the code is N-1 zeros
+      // then those N bits — i.e. value+1 written in a 2N-1 bit field.
+      uint64_t v = value + 1;
+      int bits = 64 - std::countl_zero(v);
+      if (bits <= 32) {
+        WriteBits(v, 2 * bits - 1);
+      } else {
+        WriteBits(0, bits - 1);
+        WriteBits(v, bits);
+      }
+    }
+
+   private:
+    /// Shifts in at most 32 bits; once 32 or more are pending, the oldest 32
+    /// go out as one word.
+    void Push(uint64_t value, int bits) {
+      acc_ = (acc_ << bits) | value;
+      acc_bits_ += bits;
+      if (acc_bits_ >= 32) {
+        acc_bits_ -= 32;
+        writer_->StoreWord(static_cast<uint32_t>(acc_ >> acc_bits_));
+      }
+    }
+
+    BitWriter* writer_;
+    uint64_t acc_;
+    int acc_bits_;
+  };
+
   /// Appends the low `bits` bits of `value`, MSB first. `bits` in [0, 64].
   void WriteBits(uint64_t value, int bits) {
-    assert(bits >= 0 && bits <= 64);
-    if (bits < 64) {
-      assert((bits == 0 && value == 0) || (value >> bits) == 0);
-    }
-    if (bits > 32) {
-      // Split so that at most 31 pending plus 32 new bits share the
-      // accumulator.
-      WriteBits(value >> 32, bits - 32);
-      value &= 0xffffffffu;
-      bits = 32;
-    }
-    acc_ = (acc_ << bits) | value;
-    acc_bits_ += bits;
-    if (acc_bits_ >= 32) {
-      acc_bits_ -= 32;
-      StoreWord(static_cast<uint32_t>(acc_ >> acc_bits_));
-    }
+    ScopedAccumulator(this).WriteBits(value, bits);
   }
 
   /// Appends a single bit.
   void WriteBit(bool bit) { WriteBits(bit ? 1 : 0, 1); }
 
   /// Appends an order-0 unsigned Exp-Golomb code for `value`.
-  void WriteUE(uint64_t value) {
-    // Exp-Golomb: value+1 has N significant bits; the code is N-1 zeros then
-    // those N bits — i.e. value+1 written in a 2N-1 bit field.
-    uint64_t v = value + 1;
-    int bits = 64 - std::countl_zero(v);
-    if (bits <= 32) {
-      WriteBits(v, 2 * bits - 1);
-    } else {
-      WriteBits(0, bits - 1);
-      WriteBits(v, bits);
-    }
-  }
+  void WriteUE(uint64_t value) { ScopedAccumulator(this).WriteUE(value); }
 
   /// Appends a signed Exp-Golomb code (0, 1, -1, 2, -2, ... mapping).
   void WriteSE(int64_t value) { WriteUE(UEFromSigned(value)); }
@@ -130,14 +171,16 @@ class BitWriter {
 /// caller that checks status only at a coarser granularity can never consume
 /// phantom data from a truncated stream.
 ///
-/// The hot reads are header-inline and work on a 64-bit window: while at
-/// least 8 bytes remain from the current byte, those bytes are loaded
-/// big-endian and shifted left by the bit offset, which leaves at least
-/// `kWindowBits` valid bits at the top. A field or Exp-Golomb code that fits
-/// in them decodes with one count-leading-zeros and one shift. Everything
-/// else — the last 7 bytes of the slice, longer codes, an out-of-range bit
-/// count, a failed reader — takes the checked bit loop in bitio.cc, which is
-/// the only code that produces errors. Both paths return the same values.
+/// The hot reads are header-inline and work on a 64-bit window: the bytes
+/// from the current one on, loaded big-endian and shifted left by the bit
+/// offset — eight bytes while that many remain, else the slice's last bytes,
+/// zero-padded — along with how many of its top bits are stream bits. A
+/// field or Exp-Golomb code that fits in those decodes with one
+/// count-leading-zeros and one shift, at the end of a slice too. Everything
+/// else — codes that run past the end or past the window, an out-of-range
+/// bit count, a failed reader — takes the checked bit loop in bitio.cc,
+/// which is the only code that produces errors. Both paths return the same
+/// values.
 class BitReader {
  public:
   explicit BitReader(Slice data) : data_(data) {}
@@ -145,7 +188,7 @@ class BitReader {
   /// Reads `bits` bits (MSB-first) into `*value`. `bits` in [0, 64].
   Status ReadBits(int bits, uint64_t* value) {
     uint64_t window;
-    if (bits >= 1 && bits <= kWindowBits && Window(&window)) {
+    if (bits >= 1 && bits <= Window(&window)) {
       *value = window >> (64 - bits);
       bit_pos_ += static_cast<size_t>(bits);
       return Status::OK();
@@ -164,14 +207,13 @@ class BitReader {
   /// Reads an order-0 unsigned Exp-Golomb code.
   Status ReadUE(uint64_t* value) {
     uint64_t window;
-    if (Window(&window)) {
-      const int zeros = std::countl_zero(window);
-      if (zeros <= kMaxWindowZeros) {
-        const int length = 2 * zeros + 1;
-        *value = (window >> (64 - length)) - 1;
-        bit_pos_ += static_cast<size_t>(length);
-        return Status::OK();
-      }
+    const int valid = Window(&window);
+    // Padding and an empty window count as zeros, making the code too long.
+    const int length = 2 * std::countl_zero(window) + 1;
+    if (length <= valid) {
+      *value = (window >> (64 - length)) - 1;
+      bit_pos_ += static_cast<size_t>(length);
+      return Status::OK();
     }
     return ReadUEChecked(value);
   }
@@ -185,18 +227,19 @@ class BitReader {
   }
 
   /// Reads two consecutive unsigned Exp-Golomb codes from one window. Returns
-  /// false and consumes nothing when the pair does not fit wholly inside a
-  /// full window (or the reader has failed); the caller then makes two
-  /// ReadUE calls, which yield the same values or the error.
+  /// false and consumes nothing when the pair does not fit wholly inside the
+  /// window's stream bits (or the reader has failed); the caller then makes
+  /// two ReadUE calls, which yield the same values or the error.
   bool ReadUEPair(uint64_t* first, uint64_t* second) {
     uint64_t window;
-    if (!Window(&window)) return false;
-    const int zeros1 = std::countl_zero(window);
-    if (zeros1 > kMaxWindowZeros) return false;
-    const int length1 = 2 * zeros1 + 1;
+    const int valid = Window(&window);
+    const int length1 = 2 * std::countl_zero(window) + 1;
+    // The second code needs at least one stream bit, and the shift below
+    // must stay under 64.
+    if (length1 >= valid) return false;
     const uint64_t rest = window << length1;
     const int length2 = 2 * std::countl_zero(rest) + 1;
-    if (length1 + length2 > kWindowBits) return false;
+    if (length1 + length2 > valid) return false;
     *first = (window >> (64 - length1)) - 1;
     *second = (rest >> (64 - length2)) - 1;
     bit_pos_ += static_cast<size_t>(length1 + length2);
@@ -228,24 +271,31 @@ class BitReader {
   bool failed() const { return failed_; }
 
  private:
-  /// Valid bits a window always holds: 64 minus the largest bit offset.
-  static constexpr int kWindowBits = 57;
-  /// Longest Exp-Golomb prefix whose whole code (2 * zeros + 1 bits) fits.
-  static constexpr int kMaxWindowZeros = (kWindowBits - 1) / 2;
-
-  /// Loads the 64 bits starting at the current byte, MSB-first, shifted so
-  /// the next unread bit is the top bit. False when fewer than 8 bytes remain
-  /// or the reader has failed.
-  bool Window(uint64_t* window) const {
+  /// Loads the window at the current bit into `*window`, its next unread
+  /// bit on top, and returns how many of its top bits are stream bits: 64
+  /// minus the bit offset while 8 bytes remain from the current byte, fewer
+  /// within the slice's last 7 bytes, which are loaded one at a time, never
+  /// past the end, and zero-padded. Returns 0, with a zero window, when no
+  /// bit remains or the reader has failed.
+  int Window(uint64_t* window) const {
+    *window = 0;
     const size_t byte = bit_pos_ / 8;
-    if (failed_ || byte + 8 > data_.size()) return false;
-    uint64_t word;
-    std::memcpy(&word, data_.data() + byte, sizeof(word));
-    if constexpr (std::endian::native == std::endian::little) {
-      word = __builtin_bswap64(word);
+    if (failed_ || byte >= data_.size()) return 0;
+    const size_t left = data_.size() - byte;
+    uint64_t word = 0;
+    if (left >= 8) {
+      std::memcpy(&word, data_.data() + byte, sizeof(word));
+      if constexpr (std::endian::native == std::endian::little) {
+        word = __builtin_bswap64(word);
+      }
+    } else {
+      for (size_t i = 0; i < left; ++i) {
+        word |= uint64_t{data_[byte + i]} << (56 - 8 * i);
+      }
     }
-    *window = word << (bit_pos_ % 8);
-    return true;
+    const int offset = static_cast<int>(bit_pos_ % 8);
+    *window = word << offset;
+    return (left >= 8 ? 64 : 8 * static_cast<int>(left)) - offset;
   }
 
   // The checked bit-at-a-time paths: end of stream, long codes, bad counts

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 #include <ostream>
+#include <string>
 
 #include "codec/bitstream.h"
 #include "codec/decoder.h"
@@ -55,6 +57,31 @@ TEST(TransformTest, QStepDoublesEverySixQp) {
   EXPECT_NEAR(QStepForQp(6) / QStepForQp(0), 2.0, 1e-9);
   EXPECT_NEAR(QStepForQp(24) / QStepForQp(18), 2.0, 1e-9);
   EXPECT_GT(QStepForQp(51), QStepForQp(0));
+}
+
+TEST(TransformTest, QStepTableMatchesPowAndClamps) {
+  // The encoder's zero-block bound and Lagrangian read these bits: the table
+  // must hold exactly what the defining expression computes.
+  for (int qp = 0; qp <= kMaxQp; ++qp) {
+    EXPECT_EQ(QStepForQp(qp), 0.625 * std::pow(2.0, qp / 6.0)) << "qp " << qp;
+  }
+  EXPECT_EQ(QStepForQp(-1), QStepForQp(0));
+  EXPECT_EQ(QStepForQp(60), QStepForQp(kMaxQp));
+}
+
+TEST(TransformTest, DcOnlyDequantizeMatchesDequantizeThenInverseDctDc) {
+  // A lone DC level reconstructs from that one level; it must equal
+  // dequantizing the whole block and filling with the DC's inverse.
+  for (int qp = 0; qp <= kMaxQp; ++qp) {
+    for (int32_t level = -5000; level <= 5000; ++level) {
+      LevelBlock levels{};
+      levels[0] = level;
+      CoeffBlock coeffs;
+      Dequantize(levels, qp, &coeffs);
+      ASSERT_EQ(DequantizeInverseDctDc(level, qp), InverseDctDc(coeffs[0]))
+          << "qp " << qp << " level " << level;
+    }
+  }
 }
 
 TEST(TransformTest, QuantizeDequantizeBoundsError) {
@@ -237,6 +264,47 @@ TEST(EntropyTest, LevelBlockMatchesScanReference) {
     LevelBlock out;
     ASSERT_TRUE(DecodeLevelBlock(&reader, &out).ok()) << "block " << b;
     ASSERT_EQ(out, blocks[b]) << "block " << b;
+  }
+
+  // A pair longer than 32 bits, which leaves the one-write path mid-block,
+  // after pairs that leave every accumulator fill from 0 to 31. Before it a
+  // block writes 13 bits: its count UE(4) and the pairs (0, 1) and (0, −1);
+  // a pad field ahead of the block sets the fill they end on.
+  BitWriter long_writer, long_reference;
+  std::vector<LevelBlock> long_blocks;
+  std::vector<int> pads;
+  for (int fill = 0; fill < 32; ++fill) {
+    block = LevelBlock{};
+    block[zigzag[0]] = 1;
+    block[zigzag[1]] = -1;
+    const int32_t long_levels[3] = {INT32_MIN, -(1 << 20) - fill,
+                                    (1 << 16) + fill};
+    block[zigzag[2]] = long_levels[fill % 3];
+    block[zigzag[5]] = 3;
+    const int pad =
+        (fill - 13 - static_cast<int>(long_writer.bit_count() % 32) + 64) % 32;
+    const uint64_t pad_bits = pad == 0 ? 0 : rng.Next() >> (64 - pad);
+    long_writer.WriteBits(pad_bits, pad);
+    long_reference.WriteBits(pad_bits, pad);
+    ASSERT_EQ((long_writer.bit_count() + 13) % 32, static_cast<size_t>(fill));
+    const int got =
+        EncodeLevelBlock(block, RasterNonzeroMask(block), &long_writer);
+    const int want = ScanReferenceEncodeLevelBlock(block, &long_reference);
+    ASSERT_EQ(got, want) << "fill " << fill;
+    ASSERT_EQ(long_writer.bit_count(), long_reference.bit_count())
+        << "fill " << fill;
+    long_blocks.push_back(block);
+    pads.push_back(pad);
+  }
+  const std::vector<uint8_t> long_bytes = long_writer.Finish();
+  EXPECT_EQ(long_bytes, long_reference.Finish());
+  BitReader long_reader{Slice(long_bytes)};
+  for (size_t b = 0; b < long_blocks.size(); ++b) {
+    uint64_t pad_bits;
+    ASSERT_TRUE(long_reader.ReadBits(pads[b], &pad_bits).ok());
+    LevelBlock out;
+    ASSERT_TRUE(DecodeLevelBlock(&long_reader, &out).ok()) << "fill " << b;
+    ASSERT_EQ(out, long_blocks[b]) << "fill " << b;
   }
 }
 
@@ -1275,6 +1343,75 @@ TEST(SimdTest, TransformKernelsMatchScalarBitExactly) {
         << "trial " << trial;
     ASSERT_EQ(dq_scalar, dq_simd) << "trial " << trial << " " << name;
     ASSERT_EQ(out_scalar, out_simd) << "trial " << trial << " " << name;
+  }
+}
+
+TEST(SimdTest, FusedKernelsMatchStagewiseInBothCompiles) {
+  // ForwardDctQuantize and DequantizeInverseDct inline the stage bodies:
+  // in the baseline and the AVX2 compilation each must equal its two stages
+  // run one after the other, mask included, at every QP.
+  std::vector<ResidualBlock> residuals;
+  for (int16_t v : {int16_t{255}, int16_t{-255}}) {
+    ResidualBlock block;
+    block.fill(v);
+    residuals.push_back(block);
+    // A ±255 checkerboard puts the largest magnitudes into the AC corner.
+    for (int i = 0; i < kBlockPixels; ++i) {
+      block[i] = (i / kBlockSize + i % kBlockSize) % 2 == 0 ? v : -v;
+    }
+    residuals.push_back(block);
+  }
+  Random rng(505);
+  for (int trial = 0; trial < 40; ++trial) {
+    ResidualBlock block;
+    const int spread = 1 + static_cast<int>(rng.Uniform(255));
+    for (auto& v : block) {
+      v = static_cast<int16_t>(
+          static_cast<int>(rng.Uniform(2 * spread + 1)) - spread);
+    }
+    residuals.push_back(block);
+  }
+  // Level blocks past the int16 saturation of Dequantize, and the int32
+  // edges its clamp guards.
+  std::vector<LevelBlock> extremes;
+  LevelBlock edge{};
+  edge[0] = INT32_MAX;
+  edge[1] = INT32_MIN;
+  edge[9] = -INT32_MAX;
+  edge[63] = 4097;
+  extremes.push_back(edge);
+  for (int trial = 0; trial < 8; ++trial) {
+    LevelBlock levels;
+    for (auto& level : levels) {
+      level = static_cast<int32_t>(rng.Uniform(20001)) - 10000;
+    }
+    extremes.push_back(levels);
+  }
+  for (bool vector : {false, true}) {
+    ScopedSimd scope(vector);
+    const std::string name = simd::LevelName(simd::ActiveLevel());
+    for (int qp = 0; qp <= kMaxQp; ++qp) {
+      std::vector<LevelBlock> level_blocks = extremes;
+      for (size_t b = 0; b < residuals.size(); ++b) {
+        CoeffBlock coeffs;
+        LevelBlock want, got;
+        ForwardDct(residuals[b], &coeffs);
+        const uint64_t want_mask = Quantize(coeffs, qp, &want);
+        const uint64_t got_mask = ForwardDctQuantize(residuals[b], qp, &got);
+        ASSERT_EQ(got, want) << name << " qp " << qp << " block " << b;
+        ASSERT_EQ(got_mask, want_mask)
+            << name << " qp " << qp << " block " << b;
+        level_blocks.push_back(got);
+      }
+      for (size_t b = 0; b < level_blocks.size(); ++b) {
+        CoeffBlock coeffs;
+        ResidualBlock want, got;
+        Dequantize(level_blocks[b], qp, &coeffs);
+        InverseDct(coeffs, &want);
+        DequantizeInverseDct(level_blocks[b], qp, &got);
+        ASSERT_EQ(got, want) << name << " qp " << qp << " levels " << b;
+      }
+    }
   }
 }
 

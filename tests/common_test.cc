@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <condition_variable>
 #include <cstdint>
@@ -494,14 +495,14 @@ TEST(BitIoTest, WindowReaderMatchesBitwiseReference) {
   }
 
   // Crafted codes: a `prefix`-bit field puts the code at every bit offset;
-  // the first code has 0–64 leading zeros (28 is the longest one window
-  // decodes, 29+ and 57+ take the checked path, 64 is corrupt), so codes
-  // end on, just before and just after the window edge; a second code
-  // makes the pair read straddle the edge too. Every truncation then moves
-  // the codes into the last 7 bytes.
+  // the first code has 0–64 leading zeros (28 to 31, by bit offset, is the
+  // longest one full window decodes, longer ones take the checked path, 64
+  // is corrupt), so codes end on, just before and just after the window
+  // edge; a second code makes the pair read straddle the edge too. Every
+  // truncation then moves the codes into the last 7 bytes.
   for (int prefix = 0; prefix < 16; ++prefix) {
     for (int zeros1 = 0; zeros1 <= 64; ++zeros1) {
-      for (int zeros2 : {0, 1, 13, 26, 27, 28, 29, 30}) {
+      for (int zeros2 : {0, 1, 13, 26, 27, 28, 29, 30, 31, 32}) {
         BitWriter writer;
         writer.WriteBits(prefix == 0 ? 0 : rng.Next() >> (64 - prefix),
                          prefix);
@@ -522,6 +523,44 @@ TEST(BitIoTest, WindowReaderMatchesBitwiseReference) {
             bytes, {field, {ReadOp::kPair}, {ReadOp::kBits, 57}});
         ExpectReadersAgreeOnEveryTruncation(
             bytes, {field, {ReadOp::kSE}, {ReadOp::kBit}, {ReadOp::kBits, 64}});
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+
+  // Short slices, as tile payloads are: 1–8 bytes, a field that puts the
+  // next read at every bit offset, then reads that the zero-padded tail
+  // window decodes or declines — codes ending on, before and past the
+  // slice's last bit. Contents: noise, a run of small codes, all zero bits
+  // (every code too long) and all one bits (every code UE(0)).
+  for (size_t length = 1; length <= 8; ++length) {
+    for (int content = 0; content < 4; ++content) {
+      std::vector<uint8_t> bytes(length);
+      if (content == 0) {
+        for (auto& byte : bytes) byte = static_cast<uint8_t>(rng.Uniform(256));
+      } else if (content == 1) {
+        BitWriter writer;
+        while (writer.bit_count() < 8 * length) {
+          writer.WriteUE(RandomWidthValue(&rng, 3));
+        }
+        const std::vector<uint8_t> codes = writer.Finish();
+        std::copy(codes.begin(), codes.begin() + length, bytes.begin());
+      } else {
+        std::fill(bytes.begin(), bytes.end(), content == 2 ? 0x00 : 0xff);
+      }
+      const int slice_bits = static_cast<int>(8 * length);
+      for (int offset = 0; offset <= slice_bits; ++offset) {
+        const ReadOp field{ReadOp::kBits, offset};
+        const Slice slice(bytes.data(), bytes.size());
+        ExpectReadersAgree(slice, {field, {ReadOp::kUE}, {ReadOp::kUE},
+                                   {ReadOp::kUE}, {ReadOp::kBits, 3}});
+        ExpectReadersAgree(slice, {field, {ReadOp::kPair}, {ReadOp::kPair},
+                                   {ReadOp::kBit}});
+        ExpectReadersAgree(slice, {field, {ReadOp::kSE}, {ReadOp::kSE}});
+        for (int bits = 1; bits <= slice_bits - offset + 1; ++bits) {
+          ExpectReadersAgree(slice, {field, {ReadOp::kBits, bits},
+                                     {ReadOp::kBit}});
+        }
         if (HasFatalFailure()) return;
       }
     }
