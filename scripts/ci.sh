@@ -43,9 +43,10 @@ tsan() {
   cmake -B build-tsan -S . -DVC_SANITIZE=thread
   cmake --build build-tsan -j"$JOBS" \
     --target server_test storage_test query_test obs_test common_test
-  # Where races would live: the single-flight/async cache loader (including
-  # oversize rejection and prefetch attribution under concurrency), the
-  # planned-read hit runs under the cache lock (storage_test's
+  # Where races would live: the single-flight cache loader, the one read
+  # path every cell read takes (including oversize rejection and prefetch
+  # attribution under concurrency), the planned-read hit runs under the
+  # cache lock (storage_test's
   # PlannedReadTest.ConcurrentPlannedReadsOverAHalfSizeCache: 8 readers
   # over a cache holding half the working set), the
   # tiered L1/L2 path through the sharded store, the prefetcher, the
@@ -55,6 +56,12 @@ tsan() {
     echo "-- tsan: $t"
     ./build-tsan/tests/"$t"
   done
+  # Reads on the caller's thread and reads on the I/O pool share that one
+  # single-flight core, so its suites run again, repeated, for more
+  # interleavings.
+  echo "-- tsan: storage_test (cache, tiers, planned reads) x20"
+  ./build-tsan/tests/storage_test \
+    --gtest_filter='LruCache*:TieredCache*:PlannedRead*' --gtest_repeat=20
   # The in-memory catalog version set: four readers against a live session
   # that commits a checkpoint per segment.
   cmake --build build-tsan -j"$JOBS" --target core_test

@@ -109,18 +109,17 @@ PlannedSegment ComputePlan(const VideoMetadata& metadata, int segment,
                         : Clamp(options.high_quality, 0, lowest);
       return {TileQualityPlan(metadata.tile_count(), quality), 0};
     }
-    case StreamingApproach::kVisualCloud:
-    case StreamingApproach::kOracle: {
+    case StreamingApproach::kOracle:
+      break;  // Step plans the oracle from the trace, never through here.
+    case StreamingApproach::kVisualCloud: {
       AssignmentOptions assignment;
       assignment.fov_yaw = options.viewport.fov_yaw;
       assignment.fov_pitch = options.viewport.fov_pitch;
-      // The oracle knows exactly where the viewer looks; no margin needed.
-      assignment.margin =
-          approach == StreamingApproach::kOracle ? 0.0 : options.viewport_margin;
+      assignment.margin = options.viewport_margin;
       assignment.high_quality = options.high_quality;
       TileQualityPlan plan =
           AssignTileQualities(metadata, predicted, assignment);
-      if (approach == StreamingApproach::kVisualCloud && !popular.empty()) {
+      if (!popular.empty()) {
         int high = Clamp(options.high_quality, 0, lowest);
         for (int index : popular) plan[index] = high;
       }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/stopwatch.h"
 #include "obs/metrics.h"
 
 namespace vc {
@@ -53,7 +52,7 @@ Counter* RejectedOversizeCounter() {
 
 }  // namespace
 
-/// Shared state of one asynchronous (or coalesced synchronous) load.
+/// Shared state of one load and of every request that shares it.
 ///
 /// Lock order: when both are held, the cache-wide `LruCache::mu_` is
 /// acquired before `mu`. Waiters never hold the cache lock while blocking
@@ -65,6 +64,8 @@ struct LruCache::AsyncHandle::State {
   bool hit = false;              ///< Served from cache at request time.
   bool prefetch_origin = false;  ///< Load was started by a prefetch.
   bool demanded = false;         ///< A demand caller shares this load.
+  /// The loading entry's id, held until Complete clears its marker.
+  uint32_t entry = LruCache::kNil;
   Status status = Status::OK();
   Value value;
 };
@@ -95,89 +96,6 @@ constexpr size_t kMinIndexSize = 16;
 LruCache::LruCache(size_t capacity_bytes)
     : capacity_bytes_(capacity_bytes), index_(kMinIndexSize, kNil) {}
 
-LruCache::Value LruCache::Get(PackedCellKey key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint32_t id = index_[SearchLocked(key)];
-  if (id == kNil || !entries_[id].cached) {
-    ++stats_.misses;
-    MissCounter()->Add();
-    return nullptr;
-  }
-  ++stats_.hits;
-  HitCounter()->Add();
-  TouchLocked(&entries_[id]);
-  MoveToFrontLocked(id);
-  return entries_[id].value;
-}
-
-void LruCache::Put(PackedCellKey key, Value value) {
-  if (value == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  PutLocked(SearchOrInsertLocked(key), std::move(value),
-            /*prefetched=*/false);
-}
-
-Result<LruCache::Value> LruCache::GetOrCompute(PackedCellKey key,
-                                               const Loader& loader,
-                                               bool* was_hit,
-                                               bool* consumed_prefetch,
-                                               double* miss_seconds) {
-  if (was_hit != nullptr) *was_hit = false;
-  if (consumed_prefetch != nullptr) *consumed_prefetch = false;
-  std::unique_lock<std::mutex> lock(mu_);
-  // One search covers every case: a hit (entry cached), a coalesce (entry
-  // in flight), or a miss that makes us the loader (entry freshly inserted
-  // — it doubles as the in-flight marker).
-  const uint32_t id = index_[SearchOrInsertLocked(key)];
-  Entry& entry = entries_[id];
-  if (entry.cached) {
-    ++stats_.hits;
-    HitCounter()->Add();
-    bool consumed = TouchLocked(&entry);
-    if (consumed_prefetch != nullptr) *consumed_prefetch = consumed;
-    MoveToFrontLocked(id);
-    if (was_hit != nullptr) *was_hit = true;
-    return entry.value;
-  }
-  ++stats_.misses;
-  MissCounter()->Add();
-  Stopwatch stopwatch;
-  auto finish = [&](Result<Value> outcome) {
-    if (miss_seconds != nullptr) *miss_seconds = stopwatch.ElapsedSeconds();
-    return outcome;
-  };
-
-  if (entry.inflight != nullptr) {
-    // Someone else is already loading this key: wait for their result.
-    std::shared_ptr<AsyncHandle::State> state = entry.inflight;
-    ++stats_.coalesced;
-    CoalescedCounter()->Add();
-    {
-      std::lock_guard<std::mutex> state_lock(state->mu);
-      if (state->prefetch_origin && !state->demanded) {
-        ++stats_.prefetch_hits;
-        PrefetchHitCounter()->Add();
-        if (consumed_prefetch != nullptr) *consumed_prefetch = true;
-      }
-      state->demanded = true;
-    }
-    lock.unlock();
-    std::unique_lock<std::mutex> state_lock(state->mu);
-    state->cv.wait(state_lock, [&state] { return state->done; });
-    if (!state->status.ok()) return finish(state->status);
-    return finish(state->value);
-  }
-
-  // We are the loader for this key.
-  auto state = std::make_shared<AsyncHandle::State>();
-  state->demanded = true;
-  entry.inflight = state;
-  lock.unlock();
-  Result<Value> loaded = loader();
-  Complete(key, state, loaded);
-  return finish(std::move(loaded));
-}
-
 size_t LruCache::TouchCachedRun(const PackedCellKey* keys, size_t n,
                                 uint64_t* bytes) {
   if (n == 0) return 0;
@@ -204,7 +122,10 @@ LruCache::AsyncHandle LruCache::GetOrComputeAsync(PackedCellKey key,
   const bool demand = kind == LoadKind::kDemand;
   if (consumed_prefetch != nullptr) *consumed_prefetch = false;
   std::unique_lock<std::mutex> lock(mu_);
-  const uint32_t id = index_[SearchOrInsertLocked(key)];
+  // One search covers every case: a hit (entry cached), a coalesce (entry
+  // in flight), or a miss that makes us the loader (entry freshly inserted
+  // — it doubles as the in-flight marker).
+  const uint32_t id = SearchOrInsertLocked(key);
   Entry& entry = entries_[id];
   if (entry.cached) {
     if (demand) {
@@ -244,6 +165,7 @@ LruCache::AsyncHandle LruCache::GetOrComputeAsync(PackedCellKey key,
   auto state = std::make_shared<AsyncHandle::State>();
   state->prefetch_origin = !demand;
   state->demanded = demand;
+  state->entry = id;
   entry.inflight = state;
   if (!demand) {
     ++stats_.prefetch_issued;
@@ -252,38 +174,36 @@ LruCache::AsyncHandle LruCache::GetOrComputeAsync(PackedCellKey key,
   lock.unlock();
 
   if (pool == nullptr) {
-    Complete(key, state, loader());
+    Complete(state, loader());
     return AsyncHandle(std::move(state));
   }
   bool accepted = pool->Submit(
-      [this, key, loader = std::move(loader), state] {
-        Complete(key, state, loader());
+      [this, loader = std::move(loader), state] {
+        Complete(state, loader());
       },
       demand ? TaskPriority::kHigh : TaskPriority::kLow);
   if (!accepted) {
     // Pool shut down: resolve the handle so no waiter hangs, cache nothing.
-    Complete(key, state, Status::Aborted("I/O pool shut down"));
+    Complete(state, Status::Aborted("I/O pool shut down"));
   }
   return AsyncHandle(std::move(state));
 }
 
-void LruCache::Complete(PackedCellKey key,
-                        const std::shared_ptr<AsyncHandle::State>& state,
+void LruCache::Complete(const std::shared_ptr<AsyncHandle::State>& state,
                         Result<Value> loaded) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Only the thread that registered `state` completes this key, and
-    // nothing else clears an in-flight marker, so the entry must still be
-    // live and holding it.
-    const size_t pos = SearchLocked(key);
-    entries_[index_[pos]].inflight = nullptr;
+    // Only the load that registered `state` completes its entry, nothing
+    // else clears an in-flight marker, and Clear keeps in-flight entries
+    // under their ids: the entry is still live, holding `state`.
+    entries_[state->entry].inflight = nullptr;
     std::lock_guard<std::mutex> state_lock(state->mu);
     state->done = true;
     if (loaded.ok()) {
       state->value = *loaded;
       // A prefetched value nobody demanded yet stays tagged so its eventual
       // consumption (or eviction) is attributed to the prefetcher.
-      PutLocked(pos, std::move(*loaded),
+      PutLocked(state->entry, std::move(*loaded),
                 state->prefetch_origin && !state->demanded);
     } else {
       state->status = loaded.status();
@@ -294,7 +214,7 @@ void LruCache::Complete(PackedCellKey key,
         ++stats_.prefetch_wasted;
         PrefetchWastedCounter()->Add();
       }
-      ReleaseIfEmptyLocked(pos);
+      RemoveLocked(state->entry);
     }
   }
   state->cv.notify_all();
@@ -313,23 +233,6 @@ void LruCache::CreditPrefetchConsumption(PackedCellKey key) {
   const uint32_t id = index_[SearchLocked(key)];
   if (id == kNil || !entries_[id].cached) return;
   TouchLocked(&entries_[id]);
-}
-
-void LruCache::Erase(PackedCellKey key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t pos = SearchLocked(key);
-  const uint32_t id = index_[pos];
-  if (id == kNil || !entries_[id].cached) return;
-  Entry& entry = entries_[id];
-  if (entry.prefetched) {
-    ++stats_.prefetch_wasted;
-    PrefetchWastedCounter()->Add();
-  }
-  stats_.bytes_cached -= entry.bytes;
-  UnlinkLocked(id);
-  entry.cached = false;
-  entry.value = nullptr;
-  ReleaseIfEmptyLocked(pos);
 }
 
 void LruCache::Clear() {
@@ -367,10 +270,9 @@ CacheStats LruCache::stats() const {
   return stats_;
 }
 
-void LruCache::PutLocked(size_t pos, Value value, bool prefetched) {
-  const uint32_t id = index_[pos];
+void LruCache::PutLocked(uint32_t id, Value value, bool prefetched) {
   if (value == nullptr) {
-    ReleaseIfEmptyLocked(pos);
+    RemoveLocked(id);
     return;
   }
   if (value->size() > capacity_bytes_) {
@@ -383,34 +285,22 @@ void LruCache::PutLocked(size_t pos, Value value, bool prefetched) {
       ++stats_.prefetch_wasted;
       PrefetchWastedCounter()->Add();
     }
-    ReleaseIfEmptyLocked(pos);
+    RemoveLocked(id);
     return;
   }
   Entry& entry = entries_[id];
-  if (entry.cached) {
-    // Displacing a still-unconsumed prefetched value closes its
-    // attribution: nobody demanded it before it was overwritten.
-    if (entry.prefetched && !prefetched) {
-      ++stats_.prefetch_wasted;
-      PrefetchWastedCounter()->Add();
-    }
-    stats_.bytes_cached -= entry.bytes;
-    MoveToFrontLocked(id);
-  } else {
-    entry.cached = true;
-    PushFrontLocked(id);
-  }
+  entry.cached = true;
   entry.value = std::move(value);
   entry.bytes = entry.value->size();
   entry.prefetched = prefetched;
   stats_.bytes_cached += entry.bytes;
+  PushFrontLocked(id);
   EvictIfNeededLocked();
 }
 
 void LruCache::EvictIfNeededLocked() {
   while (stats_.bytes_cached > capacity_bytes_ && tail_ != kNil) {
     const uint32_t id = tail_;
-    const size_t pos = SearchLocked(entries_[id].key);
     Entry& victim = entries_[id];
     if (victim.prefetched) {
       ++stats_.prefetch_wasted;
@@ -420,15 +310,10 @@ void LruCache::EvictIfNeededLocked() {
     UnlinkLocked(id);
     victim.cached = false;
     victim.value = nullptr;
-    ReleaseIfEmptyLocked(pos);
+    RemoveLocked(id);
     ++stats_.evictions;
     EvictionCounter()->Add();
   }
-}
-
-void LruCache::ReleaseIfEmptyLocked(size_t pos) {
-  const Entry& entry = entries_[index_[pos]];
-  if (!entry.cached && entry.inflight == nullptr) RemoveLocked(pos);
 }
 
 size_t LruCache::SearchLocked(PackedCellKey key) {
@@ -441,11 +326,11 @@ size_t LruCache::SearchLocked(PackedCellKey key) {
   return pos;
 }
 
-size_t LruCache::SearchOrInsertLocked(PackedCellKey key) {
+uint32_t LruCache::SearchOrInsertLocked(PackedCellKey key) {
   // Grow first so the position found stays valid: load stays at most 1/2.
   if (2 * (static_cast<size_t>(live_) + 1) > index_.size()) GrowIndexLocked();
   const size_t pos = SearchLocked(key);
-  if (index_[pos] != kNil) return pos;
+  if (index_[pos] != kNil) return index_[pos];
   uint32_t id = free_;
   if (id != kNil) {
     free_ = entries_[id].next;
@@ -456,11 +341,11 @@ size_t LruCache::SearchOrInsertLocked(PackedCellKey key) {
   entries_[id].key = key;
   index_[pos] = id;
   ++live_;
-  return pos;
+  return id;
 }
 
-void LruCache::RemoveLocked(size_t pos) {
-  const uint32_t id = index_[pos];
+void LruCache::RemoveLocked(uint32_t id) {
+  const size_t pos = SearchLocked(entries_[id].key);
   const size_t mask = index_.size() - 1;
   // Backward shift: walk the cluster after the hole and move back into it
   // every id whose home position is not in (hole, where the id sits], so

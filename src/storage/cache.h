@@ -26,8 +26,8 @@ struct CacheStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t bytes_cached = 0;
-  /// GetOrCompute callers that found another caller already loading the
-  /// same key and waited for its result instead of loading again.
+  /// Demand requests that found another request already loading the same
+  /// key and shared its result instead of loading again.
   uint64_t coalesced = 0;
 
   /// Values larger than the whole cache that PutLocked refused to admit.
@@ -42,19 +42,20 @@ struct CacheStats {
   /// reads that coalesced with a still-running prefetch load, and tier
   /// promotions credited via CreditPrefetchConsumption.
   uint64_t prefetch_hits = 0;
-  /// Prefetched values that never served a demand read: evicted, erased,
-  /// dropped by Clear, displaced by a later Put, rejected as oversize, or
-  /// failed to load. Every issued prefetch eventually lands in exactly one
-  /// of hits/wasted (or is still cached/in flight), so
+  /// Prefetched values that never served a demand read: evicted, dropped
+  /// by Clear, rejected as oversize, or failed to load. Every issued
+  /// prefetch eventually lands in exactly one of hits/wasted (or is still
+  /// cached/in flight), so
   ///   prefetch_issued == prefetch_hits + prefetch_wasted
   /// holds once the cache is drained and cleared.
   uint64_t prefetch_wasted = 0;
 
   /// Key searches of the cache's index: one per key an operation looks up
-  /// (hit, miss or coalesce), one per completed load publishing its
-  /// outcome, and one per evicted entry. A hit therefore costs exactly one,
-  /// a miss that runs the load two, and a warm planned segment one per
-  /// tile — the single-lookup property, counted per cache under its lock.
+  /// (hit, miss or coalesce) and one per entry removed from the index (an
+  /// eviction, or a load that failed or was refused). A hit, and a miss
+  /// whose load is cached, therefore cost exactly one, and a warm planned
+  /// segment one per tile — the single-lookup property, counted per cache
+  /// under its lock.
   uint64_t lookups = 0;
 
   double HitRate() const {
@@ -109,57 +110,34 @@ class LruCache {
   /// `capacity_bytes` of zero disables caching entirely.
   explicit LruCache(size_t capacity_bytes);
 
-  /// Returns the cached value or nullptr, updating recency and stats.
-  Value Get(PackedCellKey key);
-
-  /// Inserts (or replaces) a value, evicting LRU entries over capacity.
-  /// Values larger than the whole capacity are not cached (counted in
-  /// `rejected_oversize`).
-  void Put(PackedCellKey key, Value value);
-
-  /// Returns the cached value for `key`, or runs `loader` to produce (and
-  /// cache) it. Single-flight: when several threads miss on the same key
-  /// concurrently, exactly one runs the loader — the rest block and share
-  /// its outcome (value or error), so a popular segment cell is read from
-  /// the backing store once, not once per waiting session. The loader runs
-  /// without the cache lock held; loading the same key recursively from
-  /// inside a loader deadlocks. Errors are not cached — the next caller
-  /// retries the load. Also coalesces with loads started by
-  /// GetOrComputeAsync. When `was_hit` is non-null it is set to whether the
-  /// value was served from cache without waiting on any load. When
-  /// `consumed_prefetch` is non-null it is set to whether this call was the
-  /// first demand touch of a prefetched value (tiered callers use this to
-  /// credit the copy in the other tier via CreditPrefetchConsumption). When
-  /// `miss_seconds` is non-null and the call was not a hit, it is set to
-  /// the host time from the miss to the outcome (this caller's load, or its
-  /// wait on another's); a hit leaves it untouched and reads no clock.
-  Result<Value> GetOrCompute(PackedCellKey key, const Loader& loader,
-                             bool* was_hit = nullptr,
-                             bool* consumed_prefetch = nullptr,
-                             double* miss_seconds = nullptr);
-
-  /// Asynchronous GetOrCompute: the load is dispatched to `pool` (demand
-  /// loads on the high-priority lane, prefetch loads on the low lane) and a
-  /// handle to its eventual outcome is returned immediately. Single-flight
-  /// is shared with GetOrCompute: concurrent sync and async requests for
-  /// one key run a single loader. If the pool refuses the task (shutdown),
-  /// the handle resolves to an Aborted error and nothing is cached; a null
-  /// `pool` runs the loader synchronously on the calling thread and returns
-  /// an already-resolved handle. `kind` selects statistics: kPrefetch loads
-  /// never touch hit/miss counters and tag the cached value so later demand
-  /// consumption (or eviction without it) is attributed to prefetching.
-  /// `consumed_prefetch` is as in GetOrCompute (only a demand `kind` ever
-  /// sets it).
+  /// The one read: returns a handle to `key`'s value, resolved at once when
+  /// it is cached, otherwise the outcome of `loader`, dispatched to `pool`
+  /// (demand loads on the high-priority lane, prefetch loads on the low
+  /// lane). Single-flight: requests that miss on a key while its load runs
+  /// share that load and its outcome (value or error), so a popular cell is
+  /// read from the backing store once, not once per waiting session.
+  /// Errors are not cached — the next request retries the load. If the
+  /// pool refuses the task (shutdown), the handle resolves to an Aborted
+  /// error and nothing is cached; a null `pool` runs the loader on the
+  /// calling thread, without the cache lock, and returns a resolved handle
+  /// (waiting on the same key from inside that loader deadlocks). `kind`
+  /// selects statistics: kPrefetch loads never touch hit/miss counters and
+  /// tag the cached value so later demand consumption (or eviction without
+  /// it) is attributed to prefetching. When `consumed_prefetch` is non-null
+  /// it is set to whether this request was the first demand touch of a
+  /// prefetched value (tiered callers use this to credit the copy in the
+  /// other tier via CreditPrefetchConsumption); only a demand `kind` ever
+  /// sets it.
   AsyncHandle GetOrComputeAsync(PackedCellKey key, Loader loader,
                                 ThreadPool* pool, LoadKind kind,
                                 bool* consumed_prefetch = nullptr);
 
   /// Serves a run of demand hits under one lock: walks `keys[0..n)` in
   /// order and, for each key cached and not tagged as prefetched, gives it
-  /// exactly the recency and statistics a GetOrCompute hit would, adding
-  /// its size to `*bytes`. Stops at the first key that is not such an entry
-  /// (absent, in flight only, or prefetched) and returns the run length;
-  /// the caller reads that key through the full GetOrCompute path, which
+  /// exactly the recency and statistics a demand GetOrComputeAsync hit
+  /// would, adding its size to `*bytes`. Stops at the first key that is not
+  /// such an entry (absent, in flight, or prefetched) and returns the run
+  /// length; the caller reads that key through GetOrComputeAsync, which
   /// handles loading, coalescing and prefetch credit. One index search
   /// per key examined.
   size_t TouchCachedRun(const PackedCellKey* keys, size_t n, uint64_t* bytes);
@@ -173,25 +151,23 @@ class LruCache {
   /// No-op when the key is absent or already consumed.
   void CreditPrefetchConsumption(PackedCellKey key);
 
-  /// Removes one key if present (in-flight loads are unaffected).
-  void Erase(PackedCellKey key);
-
   /// Drops everything cached (stats and in-flight loads are preserved).
   void Clear();
 
   CacheStats stats() const;
-  size_t capacity_bytes() const { return capacity_bytes_; }
 
  private:
   friend class LruCacheTestPeer;
 
   static constexpr uint32_t kNil = 0xffffffffu;
 
-  /// One key's pool entry: its cached value (when `cached`) and/or its
-  /// in-flight load. An entry is live iff at least one of the two is, so a
-  /// single key search learns everything about a key. A live entry keeps
-  /// its id; no `Entry&` is held across an insert, which may grow (and
-  /// reallocate) the pool.
+  /// One key's pool entry: its cached value (when `cached`) or its
+  /// in-flight load. A live entry holds exactly one of the two — a load
+  /// starts only on a miss, and its completion clears the marker before
+  /// caching the value — so a single key search learns everything about a
+  /// key. A live entry keeps its id (an in-flight load's handle state
+  /// records it); no `Entry&` is held across an insert, which may grow
+  /// (and reallocate) the pool.
   struct Entry {
     PackedCellKey key = 0;
     Value value;
@@ -208,10 +184,9 @@ class LruCache {
     bool prefetched = false;
   };
 
-  /// Resolves `state` with the loader's outcome: clears the entry's
+  /// Resolves `state` with the loader's outcome: clears its entry's
   /// in-flight marker, caches success, and wakes every waiter.
-  void Complete(PackedCellKey key,
-                const std::shared_ptr<AsyncHandle::State>& state,
+  void Complete(const std::shared_ptr<AsyncHandle::State>& state,
                 Result<Value> loaded);
   /// Marks a demand touch of `entry`, crediting the prefetcher when it was
   /// the one that brought the value in. Returns whether this touch consumed
@@ -221,20 +196,17 @@ class LruCache {
   /// Index position holding `key`'s entry id, or the empty position where
   /// it would go. Counts one lookup.
   size_t SearchLocked(PackedCellKey key);
-  /// Index position of `key`'s entry, inserting a fresh entry (neither
-  /// cached nor in flight) when the key is absent. May grow the pool.
-  size_t SearchOrInsertLocked(PackedCellKey key);
-  /// Stores `value` into the entry at index position `pos`, refusing
-  /// oversize values; frees the entry when it ends up neither cached nor
-  /// in flight.
-  void PutLocked(size_t pos, Value value, bool prefetched);
+  /// Id of `key`'s entry, inserting a fresh entry (neither cached nor in
+  /// flight) when the key is absent. May grow the pool.
+  uint32_t SearchOrInsertLocked(PackedCellKey key);
+  /// Caches `value` in entry `id`, whose load just completed; frees the
+  /// entry instead when `value` is null or larger than the whole cache.
+  void PutLocked(uint32_t id, Value value, bool prefetched);
   void EvictIfNeededLocked();
-  /// Frees the entry at index position `pos` when it holds neither a cached
-  /// value nor an in-flight load.
-  void ReleaseIfEmptyLocked(size_t pos);
-  /// Removes index position `pos` (backward-shift deletion, so every probe
-  /// sequence stays unbroken) and returns its entry to the free list.
-  void RemoveLocked(size_t pos);
+  /// Finds entry `id`'s index position (one lookup), removes it
+  /// (backward-shift deletion, so every probe sequence stays unbroken) and
+  /// returns the entry to the free list.
+  void RemoveLocked(uint32_t id);
   /// Doubles the index and re-places every live entry id.
   void GrowIndexLocked();
   /// Re-places entry `id` into the index (a key known to be absent).

@@ -24,6 +24,19 @@ void CellReadMetrics::Record(const Result<LruCache::Value>& value,
   if (value.ok()) read_bytes->Add((*value)->size());
 }
 
+Result<LruCache::Value> CellSource::ReadCell(const VideoMetadata& metadata,
+                                             int segment, int tile,
+                                             int quality) {
+  Stopwatch stopwatch;
+  Result<LruCache::AsyncHandle> handle =
+      ReadCellAsync(metadata, segment, tile, quality, LoadKind::kDemand);
+  if (!handle.ok()) return handle.status();
+  Result<LruCache::Value> value = handle->Wait();
+  CellReadMetrics::Get().Record(
+      value, handle->hit() ? -1.0 : stopwatch.ElapsedSeconds());
+  return value;
+}
+
 Status CellSource::ReadPlannedCells(const VideoMetadata& metadata,
                                     int segment,
                                     const std::vector<int>& tile_qualities) {
@@ -32,69 +45,77 @@ Status CellSource::ReadPlannedCells(const VideoMetadata& metadata,
   }
   const CellReadMetrics& metrics = CellReadMetrics::Get();
   const int tiles = metadata.tile_count();
-  if (io_pool() == nullptr) {
-    LruCache* cache = nearest_cache();
-    // Keys are packed a chunk at a time into a stack buffer, so a segment
-    // of any size is read without allocating.
-    constexpr int kChunk = 64;
-    PackedCellKey keys[kChunk];
-    for (int begin = 0; begin < tiles;) {
-      // Pack up to the first out-of-range cell: it ends every run, so
-      // ReadCell reports it in tile order. Without a cache nothing is
-      // packed and every run is empty.
-      const int limit = std::min(kChunk, tiles - begin);
-      int packed = 0;
-      for (; cache != nullptr && packed < limit; ++packed) {
-        CellKey cell{segment, begin + packed, tile_qualities[begin + packed]};
-        if (!cell.InRange(metadata)) break;
-        keys[packed] = cell.Packed(metadata);
-      }
-      // Alternate a run of hits with one ReadCell where the run stopped,
-      // until the chunk's packed keys are used up. Tile `begin + packed`,
-      // when inside the chunk, was never packed and is read last.
-      int done = 0;
-      for (;;) {
-        if (done < packed) {
-          uint64_t bytes = 0;
-          size_t run = cache->TouchCachedRun(keys + done, packed - done,
-                                             &bytes);
-          if (run > 0) {
-            metrics.reads->Add(run);
-            metrics.read_bytes->Add(bytes);
-            done += static_cast<int>(run);
-          }
-        }
-        if (done == limit) break;
-        const int tile = begin + done;
-        auto cell = ReadCell(metadata, segment, tile, tile_qualities[tile]);
-        if (!cell.ok()) return cell.status();
-        if (done++ == packed) break;
-      }
-      begin += done;
-    }
-    return Status::OK();
-  }
-  std::vector<LruCache::AsyncHandle> handles;
-  handles.reserve(tile_qualities.size());
-  for (int tile = 0; tile < tiles; ++tile) {
-    auto handle = ReadCellAsync(metadata, segment, tile, tile_qualities[tile],
-                                LoadKind::kDemand);
-    if (!handle.ok()) return handle.status();
-    handles.push_back(std::move(*handle));
-  }
+  LruCache* cache = nearest_cache();
+  // Loads still running when their tile was issued, in tile order; only an
+  // I/O pool (or another thread's load of the same cell) leaves any.
+  std::vector<LruCache::AsyncHandle> pending;
   Status first_error = Status::OK();
-  for (const LruCache::AsyncHandle& handle : handles) {
-    if (handle.hit()) {
-      // Resolved from the cache at issue time: counted, not timed.
-      metrics.Record(handle.Wait(), -1.0);
-      continue;
+  // Keys are packed a chunk at a time into a stack buffer, so a warm
+  // segment of any size is read without allocating.
+  constexpr int kChunk = 64;
+  PackedCellKey keys[kChunk];
+  for (int begin = 0; begin < tiles && first_error.ok();) {
+    // Pack up to the first out-of-range cell: it ends every run, so
+    // ReadCellAsync reports it in tile order. Without a cache nothing is
+    // packed and every run is empty.
+    const int limit = std::min(kChunk, tiles - begin);
+    int packed = 0;
+    for (; cache != nullptr && packed < limit; ++packed) {
+      CellKey cell{segment, begin + packed, tile_qualities[begin + packed]};
+      if (!cell.InRange(metadata)) break;
+      keys[packed] = cell.Packed(metadata);
     }
+    // Alternate a run of hits with one ReadCellAsync where the run stopped,
+    // until the chunk's packed keys are used up. Tile `begin + packed`,
+    // when inside the chunk, was never packed and is read last.
+    int done = 0;
+    for (;;) {
+      if (done < packed) {
+        uint64_t bytes = 0;
+        size_t run = cache->TouchCachedRun(keys + done, packed - done,
+                                           &bytes);
+        if (run > 0) {
+          metrics.reads->Add(run);
+          metrics.read_bytes->Add(bytes);
+          done += static_cast<int>(run);
+        }
+      }
+      if (done == limit) break;
+      const int tile = begin + done;
+      Stopwatch stopwatch;
+      auto handle = ReadCellAsync(metadata, segment, tile,
+                                  tile_qualities[tile], LoadKind::kDemand);
+      if (!handle.ok()) {
+        first_error = handle.status();
+        break;
+      }
+      if (!handle->ready()) {
+        pending.push_back(*std::move(handle));
+      } else {
+        // Resolved at issue: a hit (counted, not timed) or a load that ran
+        // on this thread, timed from the request.
+        Result<LruCache::Value> value = handle->Wait();
+        metrics.Record(value,
+                       handle->hit() ? -1.0 : stopwatch.ElapsedSeconds());
+        if (!value.ok()) {
+          first_error = value.status();
+          break;
+        }
+      }
+      if (done++ == packed) break;
+    }
+    begin += done;
+  }
+  // Every pending tile precedes the one that failed at issue, if any, so
+  // its error comes first. A pending read is timed for the wait only.
+  Status pending_error = Status::OK();
+  for (const LruCache::AsyncHandle& handle : pending) {
     Stopwatch stopwatch;
     Result<LruCache::Value> value = handle.Wait();
     metrics.Record(value, stopwatch.ElapsedSeconds());
-    if (!value.ok() && first_error.ok()) first_error = value.status();
+    if (!value.ok() && pending_error.ok()) pending_error = value.status();
   }
-  return first_error;
+  return pending_error.ok() ? first_error : pending_error;
 }
 
 }  // namespace vc

@@ -40,35 +40,40 @@ class CellSource {
  public:
   virtual ~CellSource() = default;
 
-  /// Reads one encoded cell stream (checksum-verified, cached).
-  virtual Result<LruCache::Value> ReadCell(const VideoMetadata& metadata,
-                                           int segment, int tile,
-                                           int quality) = 0;
-
-  /// Asynchronous ReadCell: hands the load to the I/O pool and returns a
-  /// handle to its eventual outcome. kPrefetch loads run on the low lane
-  /// and stay invisible to demand hit/miss statistics. Synchronous when
-  /// there is no I/O pool.
+  /// The one cell read: returns a handle to one encoded cell stream
+  /// (checksum-verified, cached), handing a miss's load to the I/O pool.
+  /// kPrefetch loads run on the low lane and stay invisible to demand
+  /// hit/miss statistics. Without an I/O pool the load runs on the calling
+  /// thread and the handle is resolved on return, unless it shares another
+  /// thread's load of the same cell.
   virtual Result<LruCache::AsyncHandle> ReadCellAsync(
       const VideoMetadata& metadata, int segment, int tile, int quality,
       LoadKind kind = LoadKind::kDemand) = 0;
 
+  /// Demand-reads one cell and waits for it: ReadCellAsync, then Wait,
+  /// recorded in CellReadMetrics (a miss is timed from the request to its
+  /// outcome).
+  virtual Result<LruCache::Value> ReadCell(const VideoMetadata& metadata,
+                                           int segment, int tile,
+                                           int quality);
+
   /// Demand-reads one cell per tile of `segment` at the planned qualities
-  /// (`tile_qualities[t]` is tile t's ladder rung). Without an I/O pool the
-  /// tiles are read in order as runs of consecutive hits in nearest_cache(),
-  /// each run under one cache lock (LruCache::TouchCachedRun), with
-  /// ReadCell called only on the tile where a run stops: a miss, an entry
-  /// still tagged as prefetched, or an out-of-range cell. With a pool,
-  /// every tile's load is issued first (cold tiles overlap on the pool),
-  /// then awaited in tile order. Either way the first error in tile order
-  /// wins and no later tile is read.
+  /// (`tile_qualities[t]` is tile t's ladder rung). Tiles are read in order
+  /// as runs of consecutive hits in nearest_cache(), each run under one
+  /// cache lock (LruCache::TouchCachedRun), with ReadCellAsync called only
+  /// on the tile where a run stops: a miss, an entry still tagged as
+  /// prefetched, or an out-of-range cell. A handle that is not yet resolved
+  /// (its load runs on the I/O pool, so cold tiles overlap) is awaited in
+  /// tile order after the last tile is issued. The first error in tile
+  /// order wins; an error known when its tile is issued stops the loop, so
+  /// no later tile is read.
   virtual Status ReadPlannedCells(const VideoMetadata& metadata, int segment,
                                   const std::vector<int>& tile_qualities);
 
   /// The cache closest to this reader in which a hit is a complete demand
   /// read (nothing left to load, credit or promote): ReadPlannedCells
   /// serves runs of such hits straight from it. The default, nullptr,
-  /// sends every tile through ReadCell.
+  /// sends every tile through ReadCellAsync.
   virtual LruCache* nearest_cache() { return nullptr; }
 
   /// The async cell-load pool, or nullptr when every read is synchronous.

@@ -36,34 +36,14 @@ ShardedStore::ShardedStore(const ShardedStoreOptions& options,
 
 std::unique_ptr<ShardedStore::Node> ShardedStore::CreateNode(
     size_t l1_capacity_bytes) {
-  return std::unique_ptr<Node>(
-      new Node(this, next_node_id_++, l1_capacity_bytes));
+  return std::unique_ptr<Node>(new Node(this, l1_capacity_bytes));
 }
 
-ShardedStore::Node::Node(ShardedStore* store, int node_id,
-                         size_t l1_capacity_bytes)
-    : store_(store), node_id_(node_id), tiers_(l1_capacity_bytes, store->l2()) {}
+ShardedStore::Node::Node(ShardedStore* store, size_t l1_capacity_bytes)
+    : store_(store), tiers_(l1_capacity_bytes, store->l2()) {}
 
 ThreadPool* ShardedStore::Node::io_pool() const {
   return store_->shards_[0]->io_pool();
-}
-
-Result<LruCache::Value> ShardedStore::Node::ReadCell(
-    const VideoMetadata& metadata, int segment, int tile, int quality) {
-  CellKey cell{segment, tile, quality};
-  if (!cell.InRange(metadata)) {
-    return Status::InvalidArgument("cell coordinates out of range");
-  }
-  const CellReadMetrics& metrics = CellReadMetrics::Get();
-  metrics.reads->Add();
-  PackedCellKey key = cell.Packed(metadata);
-  StorageManager* backend = store_->shard(store_->shard_map_.ShardFor(key));
-  CellLoad load{backend, metadata, segment, tile, quality};
-  double miss_seconds = -1.0;
-  Result<LruCache::Value> value = tiers_.GetOrCompute(
-      key, [&load] { return load(); }, nullptr, &miss_seconds);
-  metrics.Record(value, miss_seconds);
-  return value;
 }
 
 Result<LruCache::AsyncHandle> ShardedStore::Node::ReadCellAsync(

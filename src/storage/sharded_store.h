@@ -43,9 +43,6 @@ class ShardedStore {
   /// Create one per simulated server node; destroy before the store.
   class Node : public CellSource {
    public:
-    Result<LruCache::Value> ReadCell(const VideoMetadata& metadata,
-                                     int segment, int tile,
-                                     int quality) override;
     Result<LruCache::AsyncHandle> ReadCellAsync(
         const VideoMetadata& metadata, int segment, int tile, int quality,
         LoadKind kind = LoadKind::kDemand) override;
@@ -60,16 +57,11 @@ class ShardedStore {
     /// LruCache::TouchCachedRun stops at exactly those.
     LruCache* nearest_cache() override { return tiers_.l1(); }
 
-    int node_id() const { return node_id_; }
-    /// Drops the node's L1 (stats preserved).
-    void ClearL1() { tiers_.ClearL1(); }
-
    private:
     friend class ShardedStore;
-    Node(ShardedStore* store, int node_id, size_t l1_capacity_bytes);
+    Node(ShardedStore* store, size_t l1_capacity_bytes);
 
     ShardedStore* store_;
-    int node_id_;
     TieredCache tiers_;
   };
 
@@ -78,7 +70,6 @@ class ShardedStore {
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
   StorageManager* shard(int i) { return shards_[i].get(); }
-  const ShardMap& shard_map() const { return shard_map_; }
 
   /// Shared-L2 statistics.
   CacheStats l2_stats() const { return l2_.stats(); }
@@ -102,7 +93,6 @@ class ShardedStore {
   ShardMap shard_map_;
   LruCache l2_;
   std::vector<std::unique_ptr<StorageManager>> shards_;
-  int next_node_id_ = 0;
 };
 
 }  // namespace vc

@@ -346,27 +346,6 @@ LruCache::Loader StorageManager::CellLoader(const VideoMetadata& metadata,
   };
 }
 
-Result<LruCache::Value> StorageManager::ReadCell(
-    const VideoMetadata& metadata, int segment, int tile, int quality) {
-  CellKey cell{segment, tile, quality};
-  if (!cell.InRange(metadata)) {
-    return Status::InvalidArgument("cell coordinates out of range");
-  }
-  const CellReadMetrics& metrics = CellReadMetrics::Get();
-  metrics.reads->Add();
-  // Single-flight through the cache: when many concurrent sessions miss on
-  // the same popular cell, exactly one hits the filesystem; the rest share
-  // its result. The packed cache key is three shifts and an OR; the file
-  // path and the clock are only touched on misses.
-  CellLoad load{this, metadata, segment, tile, quality};
-  double miss_seconds = -1.0;
-  Result<LruCache::Value> value =
-      cache_.GetOrCompute(cell.Packed(metadata), [&load] { return load(); },
-                          nullptr, nullptr, &miss_seconds);
-  metrics.Record(value, miss_seconds);
-  return value;
-}
-
 Result<LruCache::AsyncHandle> StorageManager::ReadCellAsync(
     const VideoMetadata& metadata, int segment, int tile, int quality,
     LoadKind kind) {

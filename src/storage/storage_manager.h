@@ -19,9 +19,9 @@ struct StorageOptions {
   Env* env = Env::Default();          ///< Filesystem (not owned).
   std::string root;                   ///< Store root directory.
   size_t cache_capacity_bytes = 64ull << 20;  ///< Segment cell cache.
-  /// Workers in the dedicated cell-load I/O pool. 0 (the default) keeps
-  /// every read synchronous on the caller's thread — the historical
-  /// behaviour; > 0 enables ReadCellAsync and overlapped batch reads.
+  /// Workers in the dedicated cell-load I/O pool. 0 (the default) runs
+  /// every load on the caller's thread; > 0 runs loads on the pool, so a
+  /// planned segment's cold cells are read concurrently.
   int io_threads = 0;
   /// Simulated per-load backing-store latency (seconds): every cold cell
   /// read sleeps this long before touching the filesystem, modelling a
@@ -126,18 +126,14 @@ class StorageManager : public CellSource {
   Result<VideoMetadata> GetVideoVersion(const std::string& name,
                                         uint32_t version) const;
 
-  /// Reads one encoded cell stream (checksum-verified, cached).
-  Result<LruCache::Value> ReadCell(const VideoMetadata& metadata, int segment,
-                                   int tile, int quality) override;
-
-  /// Asynchronous ReadCell: validates coordinates, then hands the load to
-  /// the I/O pool and returns a handle to its eventual outcome. Demand
-  /// loads run on the pool's high-priority lane; kPrefetch loads run on the
-  /// low lane and stay invisible to the cache's hit/miss statistics.
-  /// Single-flight with every other sync/async read of the same cell. When
-  /// the store was opened with `io_threads == 0` the load runs
-  /// synchronously on the caller's thread and an already-resolved handle is
-  /// returned.
+  /// Reads one encoded cell (checksum-verified, cached): validates
+  /// coordinates, then hands a cache miss's load to the I/O pool and
+  /// returns a handle to its eventual outcome. Demand loads run on the
+  /// pool's high-priority lane; kPrefetch loads run on the low lane and
+  /// stay invisible to the cache's hit/miss statistics. Single-flight with
+  /// every other read of the same cell. When the store was opened with
+  /// `io_threads == 0` the load runs on the caller's thread and a resolved
+  /// handle is returned.
   Result<LruCache::AsyncHandle> ReadCellAsync(
       const VideoMetadata& metadata, int segment, int tile, int quality,
       LoadKind kind = LoadKind::kDemand) override;
@@ -213,25 +209,6 @@ class StorageManager : public CellSource {
   /// in-flight loader can touch a dead cache.
   std::unique_ptr<ThreadPool> io_pool_;
   const std::shared_ptr<VersionSet> versions_;
-};
-
-/// \brief The backing-store read of one cell (`store`'s CellLoader) as a
-/// synchronous cache loader.
-///
-/// Hand it to a cache through a lambda that captures only a reference to
-/// it: std::function stores such a lambda inline, so a read that turns out
-/// to be a hit allocates nothing, and the loader and file path are built
-/// only by the read that runs the load.
-struct CellLoad {
-  const StorageManager* store;
-  const VideoMetadata& metadata;
-  int segment;
-  int tile;
-  int quality;
-
-  Result<LruCache::Value> operator()() const {
-    return store->CellLoader(metadata, segment, tile, quality)();
-  }
 };
 
 }  // namespace vc

@@ -38,77 +38,78 @@ std::shared_ptr<const std::vector<uint8_t>> Bytes(size_t n, uint8_t fill) {
   return std::make_shared<const std::vector<uint8_t>>(n, fill);
 }
 
+LruCache::Loader Returning(LruCache::Value value) {
+  return [value]() -> Result<LruCache::Value> { return value; };
+}
+
+LruCache::Loader Failing() {
+  return []() -> Result<LruCache::Value> {
+    return Status::IOError("backing store down");
+  };
+}
+
+/// A demand read that runs any load on this thread (null pool) and waits.
+Result<LruCache::Value> Read(LruCache& cache, PackedCellKey key,
+                             LruCache::Loader loader) {
+  return cache
+      .GetOrComputeAsync(key, std::move(loader), nullptr, LoadKind::kDemand)
+      .Wait();
+}
+
+/// Whether `key` is cached, probed by a demand read whose load fails (so it
+/// moves recency and hit/miss statistics like any demand read, and caches
+/// nothing).
+bool Cached(LruCache& cache, PackedCellKey key) {
+  return cache.GetOrComputeAsync(key, Failing(), nullptr, LoadKind::kDemand)
+      .hit();
+}
+
 TEST(LruCacheTest, HitAndMiss) {
   LruCache cache(1024);
-  EXPECT_EQ(cache.Get(1), nullptr);
-  cache.Put(1, Bytes(100, 1));
-  auto v = cache.Get(1);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->size(), 100u);
+  EXPECT_FALSE(Cached(cache, 1));
+  ASSERT_TRUE(Read(cache, 1, Returning(Bytes(100, 1))).ok());
+  auto v = Read(cache, 1, Failing());
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ((*v)->size(), 100u);
   CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.bytes_cached, 100u);
-  EXPECT_NEAR(stats.HitRate(), 0.5, 1e-9);
+  EXPECT_NEAR(stats.HitRate(), 1.0 / 3.0, 1e-9);
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
   LruCache cache(250);
-  cache.Put(1, Bytes(100, 1));
-  cache.Put(2, Bytes(100, 2));
-  EXPECT_NE(cache.Get(1), nullptr);  // refresh a
-  cache.Put(3, Bytes(100, 3));       // evicts b
-  EXPECT_NE(cache.Get(1), nullptr);
-  EXPECT_EQ(cache.Get(2), nullptr);
-  EXPECT_NE(cache.Get(3), nullptr);
+  ASSERT_TRUE(Read(cache, 1, Returning(Bytes(100, 1))).ok());
+  ASSERT_TRUE(Read(cache, 2, Returning(Bytes(100, 2))).ok());
+  EXPECT_TRUE(Cached(cache, 1));  // refresh 1
+  ASSERT_TRUE(Read(cache, 3, Returning(Bytes(100, 3))).ok());  // evicts 2
+  EXPECT_TRUE(Cached(cache, 1));
+  EXPECT_FALSE(Cached(cache, 2));
+  EXPECT_TRUE(Cached(cache, 3));
   EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().bytes_cached, 200u);
+
+  // Near capacity the accounting stays exact and eviction follows strict
+  // LRU order, never the value just loaded: 1 and 3 are refreshed in that
+  // order, so a 150-byte value evicts 1 (the older), leaving 3 and itself.
+  EXPECT_TRUE(Cached(cache, 1));
+  EXPECT_TRUE(Cached(cache, 3));
+  ASSERT_TRUE(Read(cache, 4, Returning(Bytes(150, 4))).ok());
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_EQ(cache.stats().bytes_cached, 250u);
+  EXPECT_FALSE(Cached(cache, 1));
+  EXPECT_TRUE(Cached(cache, 3));
+  EXPECT_TRUE(Cached(cache, 4));
 }
 
 TEST(LruCacheTest, OversizedValueNotCached) {
   LruCache cache(50);
-  cache.Put(5, Bytes(100, 1));
-  EXPECT_EQ(cache.Get(5), nullptr);
+  auto value = Read(cache, 5, Returning(Bytes(100, 1)));
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ((*value)->size(), 100u);
+  EXPECT_FALSE(Cached(cache, 5));
   EXPECT_EQ(cache.stats().bytes_cached, 0u);
-}
-
-TEST(LruCacheTest, ReplaceUpdatesBytes) {
-  LruCache cache(1000);
-  cache.Put(4, Bytes(100, 1));
-  cache.Put(4, Bytes(300, 2));
-  EXPECT_EQ(cache.stats().bytes_cached, 300u);
-  auto v = cache.Get(4);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ((*v)[0], 2);
-}
-
-TEST(LruCacheTest, ReplaceNearCapacityKeepsAccountingExact) {
-  // Regression guard: replacing an existing key near capacity must account
-  // bytes_cached exactly (old size out, new size in) and evict in strict
-  // LRU order — never the just-replaced key.
-  LruCache cache(300);
-  cache.Put(1, Bytes(100, 1));
-  cache.Put(2, Bytes(100, 2));
-  cache.Put(1, Bytes(180, 3));  // grows a: 280 bytes, still under capacity
-  EXPECT_EQ(cache.stats().bytes_cached, 280u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_NE(cache.Get(2), nullptr);
-
-  // Replacing a again pushes the total over capacity; the LRU victim is a's
-  // neighbour b (a was just touched), and the accounting lands exactly on
-  // the new value's size.
-  cache.Put(1, Bytes(250, 4));
-  EXPECT_EQ(cache.stats().bytes_cached, 250u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.Get(2), nullptr);
-  auto v = cache.Get(1);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->size(), 250u);
-  EXPECT_EQ((*v)[0], 4);
-
-  // Shrinking replacement: bytes_cached falls, nothing evicted.
-  cache.Put(1, Bytes(10, 5));
-  EXPECT_EQ(cache.stats().bytes_cached, 10u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(LruCacheTest, GetOrComputeCachesAndServesHits) {
@@ -118,10 +119,10 @@ TEST(LruCacheTest, GetOrComputeCachesAndServesHits) {
     ++loads;
     return Bytes(64, 7);
   };
-  auto first = cache.GetOrCompute(4, loader);
+  auto first = Read(cache, 4, loader);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(loads, 1);
-  auto second = cache.GetOrCompute(4, loader);
+  auto second = Read(cache, 4, loader);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(loads, 1) << "second call must be served from cache";
   EXPECT_EQ(*first, *second);  // same shared buffer
@@ -136,15 +137,16 @@ TEST(LruCacheTest, GetOrComputeErrorsAreNotCached) {
     ++loads;
     return Status::IOError("backing store down");
   };
-  EXPECT_FALSE(cache.GetOrCompute(4, failing).ok());
-  EXPECT_FALSE(cache.GetOrCompute(4, failing).ok());
+  EXPECT_FALSE(Read(cache, 4, failing).ok());
+  EXPECT_FALSE(Read(cache, 4, failing).ok());
   EXPECT_EQ(loads, 2) << "errors must not be cached";
   EXPECT_EQ(cache.stats().bytes_cached, 0u);
 }
 
 TEST(LruCacheTest, GetOrComputeSingleFlight) {
-  // Thundering herd: many threads miss on one key at once; the loader must
-  // run exactly once and every caller must receive the same buffer.
+  // Thundering herd: many threads miss on one key at once, each running a
+  // load on its own thread; the loader must run exactly once and every
+  // caller must receive the same buffer.
   LruCache cache(1 << 20);
   std::atomic<int> loads{0};
   std::atomic<int> in_loader{0};
@@ -153,15 +155,14 @@ TEST(LruCacheTest, GetOrComputeSingleFlight) {
   std::vector<LruCache::Value> values(kThreads);
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
-      auto result = cache.GetOrCompute(
-          8, [&]() -> Result<LruCache::Value> {
-            in_loader.fetch_add(1);
-            loads.fetch_add(1);
-            // Hold the load open long enough for the herd to pile up.
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            in_loader.fetch_sub(1);
-            return Bytes(128, 9);
-          });
+      auto result = Read(cache, 8, [&]() -> Result<LruCache::Value> {
+        in_loader.fetch_add(1);
+        loads.fetch_add(1);
+        // Hold the load open long enough for the herd to pile up.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        in_loader.fetch_sub(1);
+        return Bytes(128, 9);
+      });
       ASSERT_TRUE(result.ok());
       values[i] = *result;
     });
@@ -180,15 +181,15 @@ TEST(LruCacheTest, GetOrComputeSingleFlight) {
             static_cast<uint64_t>(kThreads));
 }
 
-TEST(LruCacheTest, EraseAndClear) {
+TEST(LruCacheTest, ClearDropsCachedValues) {
   LruCache cache(1000);
-  cache.Put(1, Bytes(10, 1));
-  cache.Put(2, Bytes(10, 1));
-  cache.Erase(1);
-  EXPECT_EQ(cache.Get(1), nullptr);
+  ASSERT_TRUE(Read(cache, 1, Returning(Bytes(10, 1))).ok());
+  ASSERT_TRUE(Read(cache, 2, Returning(Bytes(10, 1))).ok());
   cache.Clear();
-  EXPECT_EQ(cache.Get(2), nullptr);
   EXPECT_EQ(cache.stats().bytes_cached, 0u);
+  EXPECT_FALSE(Cached(cache, 1));
+  EXPECT_FALSE(Cached(cache, 2));
+  EXPECT_EQ(cache.stats().misses, 4u) << "statistics survive Clear";
 }
 
 // ------------------------------------------------------- Async cache loads
@@ -235,7 +236,7 @@ TEST(LruCacheAsyncTest, NullPoolRunsInline) {
   EXPECT_TRUE(handle.ready());
   EXPECT_EQ(loads, 1);
   ASSERT_TRUE(handle.Wait().ok());
-  EXPECT_NE(cache.Get(4), nullptr);
+  EXPECT_TRUE(Cached(cache, 4));
 }
 
 TEST(LruCacheAsyncTest, PrefetchAttributionHitAndWasted) {
@@ -254,16 +255,17 @@ TEST(LruCacheAsyncTest, PrefetchAttributionHitAndWasted) {
   EXPECT_EQ(stats.misses, 0u);
 
   // Demand consumption of the prefetched value credits the prefetcher.
-  bool was_hit = false;
-  auto value = cache.GetOrCompute(
+  bool consumed = false;
+  auto demand = cache.GetOrComputeAsync(
       9,
       []() -> Result<LruCache::Value> {
         ADD_FAILURE() << "prefetched key must not reload";
         return Status::Internal("unexpected load");
       },
-      &was_hit);
-  ASSERT_TRUE(value.ok());
-  EXPECT_TRUE(was_hit);
+      &pool, LoadKind::kDemand, &consumed);
+  EXPECT_TRUE(demand.hit());
+  ASSERT_TRUE(demand.Wait().ok());
+  EXPECT_TRUE(consumed);
   EXPECT_EQ(cache.stats().prefetch_hits, 1u);
 
   // A prefetched value dropped without any demand touch is wasted work —
@@ -296,7 +298,7 @@ TEST(LruCacheAsyncTest, DemandCoalescesWithInflightPrefetch) {
   // A demand read arriving while the prefetch is still loading must
   // coalesce onto it (crediting the prefetcher), not start a second load.
   std::thread demander([&cache] {
-    auto value = cache.GetOrCompute(4, []() -> Result<LruCache::Value> {
+    auto value = Read(cache, 4, []() -> Result<LruCache::Value> {
       ADD_FAILURE() << "demand must coalesce with the in-flight prefetch";
       return Status::Internal("unexpected load");
     });
@@ -332,11 +334,7 @@ TEST(LruCacheAsyncTest, ErrorsResolveHandleAndAreNotCached) {
   EXPECT_TRUE(handle.Wait().status().IsIOError());
 
   // The failure poisoned nothing: the next load runs fresh and succeeds.
-  auto retry =
-      cache.GetOrCompute(4, []() -> Result<LruCache::Value> {
-        return Bytes(64, 2);
-      });
-  ASSERT_TRUE(retry.ok());
+  ASSERT_TRUE(Read(cache, 4, Returning(Bytes(64, 2))).ok());
   EXPECT_EQ(cache.stats().bytes_cached, 64u);
 }
 
@@ -351,17 +349,16 @@ TEST(LruCacheAsyncTest, PoolShutdownResolvesHandles) {
   EXPECT_TRUE(handle.Wait().status().IsAborted());
   EXPECT_EQ(cache.stats().bytes_cached, 0u);
 
-  // The key is not stuck in flight: a synchronous load still works.
-  auto value = cache.GetOrCompute(
-      4, []() -> Result<LruCache::Value> { return Bytes(16, 1); });
-  EXPECT_TRUE(value.ok());
+  // The key is not stuck in flight: a load on this thread still works.
+  EXPECT_TRUE(Read(cache, 4, Returning(Bytes(16, 1))).ok());
 }
 
 TEST(LruCacheAsyncTest, MixedDemandPrefetchHammer) {
-  // Thread-sanitizer target: demand reads, prefetch probes, coalesced
-  // waits, failing loaders, and cache clears all race over a small key
-  // space. Every handle must resolve, values must match their key's
-  // loader, and error loads must never land in the cache.
+  // Thread-sanitizer target: demand reads (loading on the caller's thread
+  // or on the pool), prefetch probes, coalesced waits, failing loaders, and
+  // cache clears all race over a small key space. Every handle must
+  // resolve, values must match their key's loader, and error loads must
+  // never land in the cache.
   LruCache cache(1 << 16);
   ThreadPool pool(4);
   constexpr int kKeys = 8;
@@ -387,7 +384,7 @@ TEST(LruCacheAsyncTest, MixedDemandPrefetchHammer) {
         PackedCellKey name = 900 + key;
         int op = (t + i) % 3;
         if (op == 0) {
-          auto value = cache.GetOrCompute(name, loader_for(key));
+          auto value = Read(cache, name, loader_for(key));
           if (value.ok() && (**value)[0] != key) bad_values.fetch_add(1);
         } else if (op == 1) {
           auto handle = cache.GetOrComputeAsync(name, loader_for(key), &pool,
@@ -400,7 +397,6 @@ TEST(LruCacheAsyncTest, MixedDemandPrefetchHammer) {
                                   LoadKind::kPrefetch);
         }
         if (i % 64 == 63) cache.Clear();
-        if (i % 97 == 96) cache.Erase(name);
       }
     });
   }
@@ -409,7 +405,7 @@ TEST(LruCacheAsyncTest, MixedDemandPrefetchHammer) {
 
   EXPECT_EQ(bad_values.load(), 0);
   for (int key = 3; key < kKeys; key += 4) {
-    EXPECT_EQ(cache.Get(900 + key), nullptr)
+    EXPECT_FALSE(Cached(cache, 900 + key))
         << "error loads must never be cached";
   }
   CacheStats stats = cache.stats();
@@ -982,8 +978,8 @@ TEST_F(StorageManagerTest, AsyncReadsMatchSyncReads) {
 
 TEST_F(StorageManagerTest, ReadPlannedCellsLoadsEveryTile) {
   // CellSource's one ReadPlannedCells, through both topologies and both
-  // I/O modes: tile-by-tile ReadCell without a pool, batched async handles
-  // with one.
+  // I/O modes: cold tiles load on the caller's thread without a pool, and
+  // overlap on the pool with one.
   VideoMetadata m = StoreSample("video", 2);
   std::vector<int> plan(m.tile_count(), 0);
   plan[1] = 1;
@@ -1220,16 +1216,16 @@ TEST(LruCacheTest, ConcurrentAccessIsSafe) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < kOps; ++i) {
         PackedCellKey key = 100 + (t * 7 + i) % 50;
-        if (i % 3 == 0) {
-          cache.Put(key, Bytes(100, static_cast<uint8_t>(i)));
-        } else if (i % 7 == 0) {
-          cache.Erase(key);
-        } else {
-          auto v = cache.Get(key);
-          if (v) {
-            // Values are immutable snapshots; size always intact.
-            EXPECT_EQ(v->size(), 100u);
-          }
+        if (i % 500 == 499) {
+          cache.Clear();
+          continue;
+        }
+        // Every third read may load; the rest only take what is cached.
+        auto v = Read(cache, key,
+                      i % 3 == 0 ? Returning(Bytes(100, i % 256)) : Failing());
+        if (v.ok()) {
+          // Values are immutable snapshots; size always intact.
+          EXPECT_EQ((*v)->size(), 100u);
         }
       }
     });
@@ -1287,15 +1283,16 @@ TEST(ShardMapTest, GrowingRemapsOnlyAFraction) {
 
 TEST(LruCacheTest, OversizeRejectionCountsAndStillDeliversSync) {
   // Regression: a value larger than the whole cache used to be dropped
-  // silently. It must be counted — and GetOrCompute must still hand the
-  // loaded value to the caller even though it cannot be cached.
+  // silently. It must be counted — and a load on the caller's thread must
+  // still hand the loaded value to the caller even though it cannot be
+  // cached.
   LruCache cache(50);
   int loads = 0;
   auto loader = [&loads]() -> Result<LruCache::Value> {
     ++loads;
     return Bytes(100, 9);
   };
-  auto value = cache.GetOrCompute(5, loader);
+  auto value = Read(cache, 5, loader);
   ASSERT_TRUE(value.ok());
   EXPECT_EQ((*value)->size(), 100u);
   CacheStats stats = cache.stats();
@@ -1303,14 +1300,10 @@ TEST(LruCacheTest, OversizeRejectionCountsAndStillDeliversSync) {
   EXPECT_EQ(stats.bytes_cached, 0u);
 
   // Not cached, so the demand path visibly re-loads (and re-counts).
-  value = cache.GetOrCompute(5, loader);
+  value = Read(cache, 5, loader);
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(loads, 2);
   EXPECT_EQ(cache.stats().rejected_oversize, 2u);
-
-  // Put() rejections count too.
-  cache.Put(6, Bytes(200, 1));
-  EXPECT_EQ(cache.stats().rejected_oversize, 3u);
 }
 
 TEST(LruCacheAsyncTest, OversizeRejectionStillDeliversToAsyncWaiters) {
@@ -1359,28 +1352,9 @@ TEST(LruCacheAsyncTest, FailedPrefetchCountsWasted) {
   EXPECT_EQ(stats.prefetch_hits, 0u);
 }
 
-TEST(LruCacheAsyncTest, PutDisplacingPrefetchedEntryCountsWasted) {
-  LruCache cache(1 << 16);
-  // Null pool: the prefetch resolves inline, leaving a tagged entry.
-  ASSERT_TRUE(cache
-                  .GetOrComputeAsync(
-                      4,
-                      []() -> Result<LruCache::Value> { return Bytes(64, 1); },
-                      nullptr, LoadKind::kPrefetch)
-                  .Wait()
-                  .ok());
-  // A direct Put replaces the never-consumed speculation: wasted, once.
-  cache.Put(4, Bytes(64, 2));
-  CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.prefetch_wasted, 1u);
-  cache.Clear();
-  EXPECT_EQ(cache.stats().prefetch_wasted, 1u) << "must not double-count";
-  EXPECT_EQ(cache.stats().prefetch_issued, 1u);
-}
-
 TEST(LruCacheAsyncTest, PrefetchAttributionInvariantRandomized) {
   // Satellite audit: over a randomized mix of demand reads, prefetch
-  // probes, failing loads, oversize values, erases, and clears, every
+  // probes, failing loads, oversize values, tier credits, and clears, every
   // issued prefetch must end up as exactly one of {hit, wasted} once the
   // pipeline is drained and the cache cleared.
   std::mt19937 rng(20260808u);
@@ -1398,7 +1372,7 @@ TEST(LruCacheAsyncTest, PrefetchAttributionInvariantRandomized) {
     };
     switch (rng() % 6) {
       case 0:
-        cache.GetOrCompute(name, loader);
+        Read(cache, name, loader);
         break;
       case 1:
         cache.GetOrComputeAsync(name, loader, &pool, LoadKind::kDemand);
@@ -1408,7 +1382,7 @@ TEST(LruCacheAsyncTest, PrefetchAttributionInvariantRandomized) {
         cache.GetOrComputeAsync(name, loader, &pool, LoadKind::kPrefetch);
         break;
       case 4:
-        cache.Erase(name);
+        cache.CreditPrefetchConsumption(name);
         break;
       default:
         if (rng() % 16 == 0) cache.Clear();
@@ -1443,10 +1417,9 @@ class LruCacheTestPeer {
 namespace {
 
 /// Reference model of LruCache's contract: the plain std::list recency
-/// order plus a std::map of slots (cached item and/or in-flight load),
+/// order plus a std::map of slots (cached item or in-flight load),
 /// following every statistics and prefetch-attribution rule literally.
-/// Single-threaded: a load runs inline, and a synchronous demand for a key
-/// already in flight (which would wait on its own thread) is a test error.
+/// Single-threaded: a load runs inline, as with a null pool.
 class CacheModel {
  public:
   using Value = LruCache::Value;
@@ -1476,51 +1449,6 @@ class CacheModel {
   };
 
   explicit CacheModel(size_t capacity) : capacity_(capacity) {}
-
-  Value Get(PackedCellKey key) {
-    ++stats_.lookups;
-    auto it = slots_.find(key);
-    if (it == slots_.end() || !it->second.cached) {
-      ++stats_.misses;
-      return nullptr;
-    }
-    ++stats_.hits;
-    Touch(&*it->second.item);
-    lru_.splice(lru_.begin(), lru_, it->second.item);
-    return it->second.item->value;
-  }
-
-  void Put(PackedCellKey key, Value value) {
-    if (value == nullptr) return;
-    ++stats_.lookups;
-    PutIn(slots_.try_emplace(key).first, std::move(value), false);
-  }
-
-  Result<Value> GetOrCompute(PackedCellKey key, const Loader& loader,
-                             bool* was_hit, bool* consumed_prefetch) {
-    *was_hit = false;
-    *consumed_prefetch = false;
-    ++stats_.lookups;
-    Slot& slot = slots_[key];
-    if (slot.cached) {
-      ++stats_.hits;
-      *consumed_prefetch = Touch(&*slot.item);
-      lru_.splice(lru_.begin(), lru_, slot.item);
-      *was_hit = true;
-      return slot.item->value;
-    }
-    ++stats_.misses;
-    if (slot.inflight != nullptr) {
-      ADD_FAILURE() << "synchronous demand for an in-flight key";
-      return Status::Internal("would deadlock");
-    }
-    auto load = std::make_shared<Load>();
-    load->demanded = true;
-    slot.inflight = load;
-    Result<Value> loaded = loader();
-    Complete(key, load, loaded);
-    return loaded;
-  }
 
   AsyncHandle GetOrComputeAsync(PackedCellKey key, Loader loader,
                                 ThreadPool* /*pool*/, LoadKind kind,
@@ -1586,17 +1514,6 @@ class CacheModel {
     if (it != slots_.end() && it->second.cached) Touch(&*it->second.item);
   }
 
-  void Erase(PackedCellKey key) {
-    ++stats_.lookups;
-    auto it = slots_.find(key);
-    if (it == slots_.end() || !it->second.cached) return;
-    if (it->second.item->prefetched) ++stats_.prefetch_wasted;
-    stats_.bytes_cached -= it->second.item->value->size();
-    lru_.erase(it->second.item);
-    it->second.cached = false;
-    EraseIfEmpty(it);
-  }
-
   void Clear() {
     while (!lru_.empty()) {
       if (lru_.front().prefetched) ++stats_.prefetch_wasted;
@@ -1631,9 +1548,10 @@ class CacheModel {
     return true;
   }
 
+  /// The load already knows its slot: publishing its outcome searches
+  /// nothing, unless the slot is then removed.
   void Complete(PackedCellKey key, const std::shared_ptr<Load>& load,
                 Result<Value> loaded) {
-    ++stats_.lookups;
     auto it = slots_.find(key);
     it->second.inflight = nullptr;
     load->done = true;
@@ -1643,49 +1561,41 @@ class CacheModel {
     } else {
       load->status = loaded.status();
       if (load->prefetch_origin && !load->demanded) ++stats_.prefetch_wasted;
-      EraseIfEmpty(it);
+      Remove(it);
     }
   }
 
+  /// Caches a completed load's value in its (uncached) slot.
   void PutIn(Slots::iterator it, Value value, bool prefetched) {
     if (value == nullptr) {
-      EraseIfEmpty(it);
+      Remove(it);
       return;
     }
     if (value->size() > capacity_) {
       ++stats_.rejected_oversize;
       if (prefetched) ++stats_.prefetch_wasted;
-      EraseIfEmpty(it);
+      Remove(it);
       return;
     }
-    Slot& slot = it->second;
-    if (slot.cached) {
-      if (slot.item->prefetched && !prefetched) ++stats_.prefetch_wasted;
-      stats_.bytes_cached -= slot.item->value->size();
-      slot.item->value = std::move(value);
-      slot.item->prefetched = prefetched;
-      lru_.splice(lru_.begin(), lru_, slot.item);
-    } else {
-      lru_.push_front(Item{it->first, std::move(value), prefetched});
-      slot.item = lru_.begin();
-      slot.cached = true;
-    }
-    stats_.bytes_cached += slot.item->value->size();
+    lru_.push_front(Item{it->first, std::move(value), prefetched});
+    it->second.item = lru_.begin();
+    it->second.cached = true;
+    stats_.bytes_cached += lru_.front().value->size();
     while (stats_.bytes_cached > capacity_) {
       Item& victim = lru_.back();
       if (victim.prefetched) ++stats_.prefetch_wasted;
-      ++stats_.lookups;
-      auto victim_slot = slots_.find(victim.key);
       stats_.bytes_cached -= victim.value->size();
+      auto victim_slot = slots_.find(victim.key);
       lru_.pop_back();
-      victim_slot->second.cached = false;
-      EraseIfEmpty(victim_slot);
+      Remove(victim_slot);
       ++stats_.evictions;
     }
   }
 
-  void EraseIfEmpty(Slots::iterator it) {
-    if (!it->second.cached && it->second.inflight == nullptr) slots_.erase(it);
+  /// Removing a slot from the index searches for it once.
+  void Remove(Slots::iterator it) {
+    ++stats_.lookups;
+    slots_.erase(it);
   }
 
   const size_t capacity_;
@@ -1694,25 +1604,20 @@ class CacheModel {
   CacheStats stats_;
 };
 
-/// One generated cache operation. Load operations (GetOrCompute and the
-/// two async kinds) run `nested` inside their loader, while `key` is in
-/// flight.
+/// One generated cache operation. The two load kinds run `nested` inside
+/// their loader, while `key` is in flight.
 struct CacheOp {
   enum Kind {
-    kGet,
-    kPut,
-    kGetOrCompute,
     kAsyncDemand,
     kAsyncPrefetch,
     kTouchRun,
     kCredit,
-    kErase,
     kClear,
   };
-  Kind kind = kGet;
+  Kind kind = kAsyncDemand;
   PackedCellKey key = 0;
   std::vector<PackedCellKey> run;  ///< kTouchRun's keys.
-  uint64_t serial = 0;             ///< Of the value put or loaded.
+  uint64_t serial = 0;             ///< Of the value loaded.
   size_t size = 0;
   bool fail = false;  ///< The load returns an error.
   std::vector<CacheOp> nested;
@@ -1746,20 +1651,6 @@ class CacheOpDriver {
       return Tagged(op.serial, op.size);
     };
     switch (op.kind) {
-      case CacheOp::kGet:
-        out << Describe(cache_.Get(op.key));
-        break;
-      case CacheOp::kPut:
-        cache_.Put(op.key, Tagged(op.serial, op.size));
-        break;
-      case CacheOp::kGetOrCompute: {
-        bool was_hit = false;
-        bool consumed = false;
-        auto value = cache_.GetOrCompute(op.key, loader, &was_hit, &consumed);
-        out << Describe(value) << " hit=" << was_hit
-            << " consumed=" << consumed;
-        break;
-      }
       case CacheOp::kAsyncDemand:
       case CacheOp::kAsyncPrefetch: {
         bool consumed = false;
@@ -1786,9 +1677,6 @@ class CacheOpDriver {
       }
       case CacheOp::kCredit:
         cache_.CreditPrefetchConsumption(op.key);
-        break;
-      case CacheOp::kErase:
-        cache_.Erase(op.key);
         break;
       case CacheOp::kClear:
         cache_.Clear();
@@ -1902,27 +1790,16 @@ class CacheOpGenerator {
   CacheOp Make(int depth, std::vector<PackedCellKey>* in_flight) {
     CacheOp op;
     const int roll = Uniform(100);
-    op.kind = roll < 14   ? CacheOp::kGet
-              : roll < 30 ? CacheOp::kPut
-              : roll < 45 ? CacheOp::kGetOrCompute
-              : roll < 58 ? CacheOp::kAsyncDemand
-              : roll < 70 ? CacheOp::kAsyncPrefetch
-              : roll < 81 ? CacheOp::kTouchRun
-              : roll < 88 ? CacheOp::kCredit
-              : roll < 97 ? CacheOp::kErase
+    op.kind = roll < 40   ? CacheOp::kAsyncDemand
+              : roll < 62 ? CacheOp::kAsyncPrefetch
+              : roll < 82 ? CacheOp::kTouchRun
+              : roll < 97 ? CacheOp::kCredit
                           : CacheOp::kClear;
     // Inside a load, favour the keys in flight so the operations meet
-    // them: puts over a loading key, coalescing async demands, erases.
+    // them: coalescing demands and prefetches, credits of a loading key.
     op.key = !in_flight->empty() && Uniform(100) < 40
                  ? (*in_flight)[Uniform(in_flight->size())]
                  : keys_[Uniform(keys_.size())];
-    const bool key_in_flight =
-        std::find(in_flight->begin(), in_flight->end(), op.key) !=
-        in_flight->end();
-    // A synchronous demand for an in-flight key would wait on itself.
-    if (op.kind == CacheOp::kGetOrCompute && key_in_flight) {
-      op.kind = CacheOp::kAsyncDemand;
-    }
     op.serial = ++serial_;
     const int size_roll = Uniform(100);
     op.size = size_roll < 4   ? capacity_ + 1 + Uniform(64)  // oversize
@@ -1935,8 +1812,7 @@ class CacheOpGenerator {
         op.run.push_back(keys_[Uniform(keys_.size())]);
       }
     }
-    const bool loads = op.kind == CacheOp::kGetOrCompute ||
-                       op.kind == CacheOp::kAsyncDemand ||
+    const bool loads = op.kind == CacheOp::kAsyncDemand ||
                        op.kind == CacheOp::kAsyncPrefetch;
     if (loads && depth < 2 && Uniform(100) < 30) {
       in_flight->push_back(op.key);
@@ -1988,23 +1864,23 @@ TEST(LruCacheDifferentialTest, MatchesReferenceModelAfterEveryOperation) {
 
 TEST(LruCacheDifferentialTest, ChurnKeepsPoolAndIndexBounded) {
   // 100k distinct keys through a cache that holds 64 values: every insert
-  // past the first 64 evicts one entry. Freed entries are reused and the
-  // index never outgrows the peak live count, so memory stays flat.
+  // past the first 64 evicts one entry, and every seventh key also has a
+  // failed load that frees its entry at once. Freed entries are reused and
+  // the index never outgrows the peak live count, so memory stays flat.
   constexpr size_t kResident = 64;
   constexpr size_t kValueBytes = 16;
   LruCache cache(kResident * kValueBytes);
   const LruCache::Value value = Bytes(kValueBytes, 7);
   for (PackedCellKey key = 1; key <= 100000; ++key) {
-    if (key % 3 == 0) {
-      ASSERT_TRUE(cache
-                      .GetOrCompute(key, [&value]() -> Result<LruCache::Value> {
-                        return value;
-                      })
-                      .ok());
-    } else {
-      cache.Put(key, value);
+    ASSERT_TRUE(cache
+                    .GetOrComputeAsync(key, Returning(value), nullptr,
+                                       key % 3 == 0 ? LoadKind::kPrefetch
+                                                    : LoadKind::kDemand)
+                    .Wait()
+                    .ok());
+    if (key % 7 == 0) {
+      EXPECT_FALSE(Cached(cache, key + 1'000'000));
     }
-    if (key % 7 == 0) cache.Erase(key - 1);
   }
   // At most kResident cached plus the one being inserted are ever live;
   // the index keeps load at most 1/2 in a power of two.
@@ -2015,7 +1891,7 @@ TEST(LruCacheDifferentialTest, ChurnKeepsPoolAndIndexBounded) {
   EXPECT_GT(stats.evictions, 80000u);
   cache.Clear();
   EXPECT_LE(LruCacheTestPeer::PoolSize(cache), kResident + 1);
-  EXPECT_EQ(cache.Get(100000), nullptr);
+  EXPECT_FALSE(Cached(cache, 100000));
 }
 
 TEST(TieredCacheTest, L1OverL2ServesAndAccountsBothTiers) {
@@ -2028,22 +1904,29 @@ TEST(TieredCacheTest, L1OverL2ServesAndAccountsBothTiers) {
     return Bytes(256, 7);
   };
 
+  // Reads resolve inline (null pool); hit() reports a node-local L1 hit.
+  auto read = [&loader](TieredCache& node) {
+    return node.GetOrComputeAsync(11, loader, nullptr, LoadKind::kDemand);
+  };
+
   // Cold read on node A: misses both tiers, runs the loader once.
-  bool was_hit = true;
-  ASSERT_TRUE(node_a.GetOrCompute(11, loader, &was_hit).ok());
-  EXPECT_FALSE(was_hit);
+  LruCache::AsyncHandle handle = read(node_a);
+  ASSERT_TRUE(handle.Wait().ok());
+  EXPECT_FALSE(handle.hit());
   EXPECT_EQ(loads, 1);
 
   // Warm on node A: pure L1 hit, the L2 is not consulted.
-  ASSERT_TRUE(node_a.GetOrCompute(11, loader, &was_hit).ok());
-  EXPECT_TRUE(was_hit);
+  handle = read(node_a);
+  ASSERT_TRUE(handle.Wait().ok());
+  EXPECT_TRUE(handle.hit());
   EXPECT_EQ(loads, 1);
   EXPECT_EQ(node_a.l1_stats().hits, 1u);
 
   // Cold on node B: its private L1 misses, but the shared L2 has it — the
   // backend loader does not run again. Cross-node sharing via the L2.
-  ASSERT_TRUE(node_b.GetOrCompute(11, loader, &was_hit).ok());
-  EXPECT_FALSE(was_hit) << "hit means node-local L1";
+  handle = read(node_b);
+  ASSERT_TRUE(handle.Wait().ok());
+  EXPECT_FALSE(handle.hit()) << "hit means node-local L1";
   EXPECT_EQ(loads, 1);
   EXPECT_EQ(node_b.l1_stats().misses, 1u);
   EXPECT_EQ(l2.stats().hits, 1u);
@@ -2064,19 +1947,18 @@ TEST(TieredCacheTest, PromotionCreditsL2PrefetchNotWasted) {
   EXPECT_EQ(node.l1_stats().prefetch_issued, 1u);
   EXPECT_EQ(l2.stats().prefetch_issued, 1u);
 
-  bool was_hit = false;
-  ASSERT_TRUE(node.GetOrCompute(
-                      11,
-                      []() -> Result<LruCache::Value> {
-                        ADD_FAILURE() << "prefetched cell must not reload";
-                        return Status::Internal("unexpected load");
-                      },
-                      &was_hit)
-                  .ok());
-  EXPECT_TRUE(was_hit);
+  auto demand = node.GetOrComputeAsync(
+      11,
+      []() -> Result<LruCache::Value> {
+        ADD_FAILURE() << "prefetched cell must not reload";
+        return Status::Internal("unexpected load");
+      },
+      /*pool=*/nullptr, LoadKind::kDemand);
+  ASSERT_TRUE(demand.Wait().ok());
+  EXPECT_TRUE(demand.hit());
 
   // Drop everything: neither tier may call the consumed speculation wasted.
-  node.ClearL1();
+  node.l1()->Clear();
   l2.Clear();
   EXPECT_EQ(node.l1_stats().prefetch_hits, 1u);
   EXPECT_EQ(node.l1_stats().prefetch_wasted, 0u);
@@ -2135,12 +2017,6 @@ TEST_F(StorageManagerTest, ShardedStoreNodesShareL2AndMatchDirectReads) {
 // for pinning the prefetcher's queue discipline.
 class RecordingCellSource : public CellSource {
  public:
-  Result<LruCache::Value> ReadCell(const VideoMetadata& /*metadata*/,
-                                   int segment, int tile,
-                                   int quality) override {
-    loads.push_back(CellKey{segment, tile, quality});
-    return Bytes(8, 0);
-  }
   Result<LruCache::AsyncHandle> ReadCellAsync(const VideoMetadata& metadata,
                                               int segment, int tile,
                                               int quality,
@@ -2383,30 +2259,42 @@ TEST(PackedCellKeyTest, OverflowingCoordinatesUseExactEscapePath) {
 TEST(CellKeyHashTest, UnifiedIndexHashesOncePerHit) {
   // The point of one flat entry index holding both cached values and
   // in-flight loads: a lookup — hit, coalesce, or miss-becomes-loader —
-  // searches the index for the key exactly once. The cache counts its own
-  // searches (CacheStats::lookups).
+  // searches the index for the key exactly once, and the load's completion
+  // finds its entry by the id it holds. The cache counts its own searches
+  // (CacheStats::lookups).
   LruCache cache(1 << 16);
-  cache.Put(42, Bytes(64, 1));
+  ThreadPool pool(1);
+  auto lookups_of = [&cache](const std::function<void()>& op) {
+    const uint64_t before = cache.stats().lookups;
+    op();
+    return cache.stats().lookups - before;
+  };
 
-  uint64_t before = cache.stats().lookups;
-  EXPECT_NE(cache.Get(42), nullptr);
-  EXPECT_EQ(cache.stats().lookups - before, 1u);
+  // A miss whose load is cached: one search, inline or on the pool.
+  EXPECT_EQ(lookups_of([&] {
+              ASSERT_TRUE(Read(cache, 42, Returning(Bytes(64, 1))).ok());
+            }),
+            1u);
+  EXPECT_EQ(lookups_of([&] {
+              ASSERT_TRUE(cache
+                              .GetOrComputeAsync(43, Returning(Bytes(64, 2)),
+                                                 &pool, LoadKind::kDemand)
+                              .Wait()
+                              .ok());
+            }),
+            1u);
 
-  before = cache.stats().lookups;
-  auto hit = cache.GetOrCompute(42, []() -> Result<LruCache::Value> {
-    ADD_FAILURE() << "cached key must not reload";
-    return Status::Internal("unexpected");
-  });
-  ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(cache.stats().lookups - before, 1u);
+  // A hit: one search, through either read.
+  EXPECT_EQ(lookups_of([&] { EXPECT_TRUE(Cached(cache, 42)); }), 1u);
+  const PackedCellKey warm[] = {42, 43};
+  uint64_t bytes = 0;
+  EXPECT_EQ(lookups_of([&] {
+              EXPECT_EQ(cache.TouchCachedRun(warm, 2, &bytes), 2u);
+            }),
+            2u);
 
-  // A miss searches twice in total: the entry claim and the completion
-  // that publishes the loaded value back into the entry.
-  before = cache.stats().lookups;
-  auto miss = cache.GetOrCompute(
-      43, []() -> Result<LruCache::Value> { return Bytes(64, 2); });
-  ASSERT_TRUE(miss.ok());
-  EXPECT_EQ(cache.stats().lookups - before, 2u);
+  // A failed load searches once more, to free its entry.
+  EXPECT_EQ(lookups_of([&] { EXPECT_FALSE(Cached(cache, 44)); }), 2u);
 }
 
 // ------------------------------------------------------- Prefetch churn
@@ -2548,8 +2436,8 @@ void ExpectSameStats(const CacheStats& a, const CacheStats& b) {
   EXPECT_EQ(a.prefetch_wasted, b.prefetch_wasted);
 }
 
-/// Reads a planned segment the way ReadPlannedCells did before hit runs:
-/// ReadCell tile by tile, stopping at the first error.
+/// Reads a planned segment without hit runs: ReadCell tile by tile,
+/// stopping at the first error.
 Status ReadCellByCell(CellSource* source, const VideoMetadata& metadata,
                       int segment, const std::vector<int>& plan) {
   for (int tile = 0; tile < metadata.tile_count(); ++tile) {
@@ -2621,90 +2509,120 @@ class PlannedReadTest : public ::testing::Test {
 };
 
 TEST_F(PlannedReadTest, HitRunsMatchCellByCellReads) {
-  // Drive a tight cache through a seeded mix of warm, cold and evicting
-  // segments (plus a few synchronous prefetches) twice per topology: once
-  // through ReadPlannedCells' hit runs, once through a per-tile ReadCell
-  // loop. Statistics, process counters and the cold-read sequence (which
-  // pins the eviction order) must agree exactly.
-  const size_t tight = WorkingSetBytes() * 3 / 10;
-  for (bool sharded : {false, true}) {
-    SCOPED_TRACE(sharded ? "ShardedStore::Node" : "StorageManager");
-    struct Outcome {
-      CacheStats nearest;
-      CacheStats l2;
-      ReadCounters counters{};
-      std::vector<std::string> cold_reads;
-    };
-    Outcome outcomes[2];
-    for (int batched = 0; batched < 2; ++batched) {
-      std::unique_ptr<StorageManager> storage;
-      std::unique_ptr<ShardedStore> store;
-      std::unique_ptr<ShardedStore::Node> node;
-      CellSource* source = nullptr;
-      if (sharded) {
-        ShardedStoreOptions options;
-        options.backend = ReaderOptions(0);
-        options.shards = 2;
-        options.l2_capacity_bytes = tight * 2;
-        auto opened = ShardedStore::Open(options);
-        ASSERT_TRUE(opened.ok());
-        store = std::move(*opened);
-        node = store->CreateNode(tight);
-        source = node.get();
-      } else {
-        auto opened = StorageManager::Open(ReaderOptions(tight));
-        ASSERT_TRUE(opened.ok());
-        storage = std::move(*opened);
-        source = storage.get();
-      }
-      ASSERT_EQ(source->io_pool(), nullptr);
-      const size_t log_start = env_->reads().size();
-      const ReadCounters before = ReadCounters::Now();
-      std::mt19937 rng(20171);
-      for (int step = 0; step < 200; ++step) {
-        // Mostly revisit segments 0-1 (warm runs), sometimes jump to 2-3
-        // (cold tiles that evict).
-        int segment = rng() % 10 < 7 ? rng() % 2 : 2 + rng() % 2;
-        std::vector<int> plan(metadata_.tile_count());
-        for (int& quality : plan) quality = rng() % 4 == 0 ? 1 : 0;
-        if (step % 17 == 5) {
-          int tile = rng() % metadata_.tile_count();
-          auto handle = source->ReadCellAsync(metadata_, (segment + 1) % 4,
-                                              tile, 0, LoadKind::kPrefetch);
-          ASSERT_TRUE(handle.ok());
-          ASSERT_TRUE(handle->Wait().ok());
+  // Drive a cache through a seeded mix of warm segments, cold tiles in
+  // the middle of warm ones, prefetched entries and plans with an
+  // out-of-range tile, twice per topology and pool mode: once through
+  // ReadPlannedCells' one loop, once through a per-tile ReadCell loop.
+  // Statuses, statistics, process counters and the cold reads must agree
+  // exactly. Without a pool the cache is tight, so the segments evict and
+  // the cold reads are compared in order (which pins the eviction order).
+  // With one, loads finish in any order, so the cache holds the whole
+  // video and the cold reads are compared as a set.
+  for (int io_threads : {0, 2}) {
+    const size_t capacity =
+        io_threads == 0 ? WorkingSetBytes() * 3 / 10 : WorkingSetBytes();
+    for (bool sharded : {false, true}) {
+      SCOPED_TRACE(std::string(sharded ? "ShardedStore::Node" :
+                                         "StorageManager") +
+                   " io_threads=" + std::to_string(io_threads));
+      struct Outcome {
+        CacheStats nearest;
+        CacheStats l2;
+        ReadCounters counters{};
+        std::vector<std::string> statuses;
+        std::vector<std::string> cold_reads;
+        uint64_t tiles_before_error = 0;  ///< Tiles a plan reads in full.
+      };
+      Outcome outcomes[2];
+      for (int batched = 0; batched < 2; ++batched) {
+        StorageOptions reader = ReaderOptions(sharded ? 0 : capacity);
+        reader.io_threads = io_threads;
+        std::unique_ptr<StorageManager> storage;
+        std::unique_ptr<ShardedStore> store;
+        std::unique_ptr<ShardedStore::Node> node;
+        CellSource* source = nullptr;
+        if (sharded) {
+          ShardedStoreOptions options;
+          options.backend = reader;
+          options.shards = 2;
+          options.l2_capacity_bytes = capacity * 2;
+          auto opened = ShardedStore::Open(options);
+          ASSERT_TRUE(opened.ok());
+          store = std::move(*opened);
+          node = store->CreateNode(capacity);
+          source = node.get();
+        } else {
+          auto opened = StorageManager::Open(reader);
+          ASSERT_TRUE(opened.ok());
+          storage = std::move(*opened);
+          source = storage.get();
         }
-        Status status = batched
-                            ? source->ReadPlannedCells(metadata_, segment, plan)
-                            : ReadCellByCell(source, metadata_, segment, plan);
-        ASSERT_TRUE(status.ok()) << status.ToString();
+        ASSERT_EQ(source->io_pool() != nullptr, io_threads > 0);
+        const size_t log_start = env_->reads().size();
+        const ReadCounters before = ReadCounters::Now();
+        std::mt19937 rng(20171);
+        Outcome& outcome = outcomes[batched];
+        for (int step = 0; step < 200; ++step) {
+          // Mostly revisit segments 0-1 (warm runs), sometimes jump to 2-3
+          // (cold tiles that evict).
+          int segment = rng() % 10 < 7 ? rng() % 2 : 2 + rng() % 2;
+          std::vector<int> plan(metadata_.tile_count());
+          for (int& quality : plan) quality = rng() % 4 == 0 ? 1 : 0;
+          int bad = -1;
+          if (step % 13 == 7) {
+            bad = rng() % plan.size();
+            plan[bad] = kQualities;
+          }
+          outcome.tiles_before_error += bad < 0 ? plan.size() : bad;
+          if (step % 17 == 5) {
+            int tile = rng() % metadata_.tile_count();
+            auto handle = source->ReadCellAsync(metadata_, (segment + 1) % 4,
+                                                tile, 0, LoadKind::kPrefetch);
+            ASSERT_TRUE(handle.ok());
+            ASSERT_TRUE(handle->Wait().ok());
+          }
+          Status status =
+              batched ? source->ReadPlannedCells(metadata_, segment, plan)
+                      : ReadCellByCell(source, metadata_, segment, plan);
+          ASSERT_TRUE(status.ok() || status.IsInvalidArgument())
+              << status.ToString();
+          outcome.statuses.push_back(status.ToString());
+        }
+        outcome.counters = ReadCounters::Now() - before;
+        outcome.nearest = source->cache_stats();
+        if (store != nullptr) outcome.l2 = store->l2_stats();
+        std::vector<std::string> reads = env_->reads();
+        outcome.cold_reads.assign(reads.begin() + log_start, reads.end());
+        if (io_threads > 0) {
+          std::sort(outcome.cold_reads.begin(), outcome.cold_reads.end());
+        }
       }
-      Outcome& outcome = outcomes[batched];
-      outcome.counters = ReadCounters::Now() - before;
-      outcome.nearest = source->cache_stats();
-      if (store != nullptr) outcome.l2 = store->l2_stats();
-      std::vector<std::string> reads = env_->reads();
-      outcome.cold_reads.assign(reads.begin() + log_start, reads.end());
+      const Outcome& per_tile = outcomes[0];
+      const Outcome& runs = outcomes[1];
+      // The workload really mixed hits, misses, prefetches, out-of-range
+      // tiles and, without a pool, evictions.
+      EXPECT_GT(per_tile.nearest.hits, 0u);
+      EXPECT_GT(per_tile.nearest.misses, 0u);
+      EXPECT_EQ(per_tile.nearest.evictions > 0, io_threads == 0);
+      EXPECT_GT(per_tile.nearest.prefetch_hits, 0u);
+      EXPECT_EQ(std::count(per_tile.statuses.begin(), per_tile.statuses.end(),
+                           Status::OK().ToString()),
+                200 - 15);
+      EXPECT_EQ(runs.statuses, per_tile.statuses);
+      ExpectSameStats(runs.nearest, per_tile.nearest);
+      ExpectSameStats(runs.l2, per_tile.l2);
+      EXPECT_EQ(runs.counters.cache_hits, per_tile.counters.cache_hits);
+      EXPECT_EQ(runs.counters.cell_reads, per_tile.counters.cell_reads);
+      // Every tile before the first error is read, none after it.
+      EXPECT_EQ(runs.counters.cell_reads, per_tile.tiles_before_error);
+      EXPECT_EQ(runs.counters.cell_read_bytes,
+                per_tile.counters.cell_read_bytes);
+      EXPECT_EQ(runs.cold_reads, per_tile.cold_reads);
+      // Only misses of the nearest cache are timed.
+      EXPECT_EQ(runs.counters.read_seconds_count,
+                per_tile.counters.read_seconds_count);
+      EXPECT_EQ(runs.counters.read_seconds_count, per_tile.nearest.misses);
     }
-    const Outcome& per_tile = outcomes[0];
-    const Outcome& runs = outcomes[1];
-    // The workload really mixed hits, misses, evictions and prefetches.
-    EXPECT_GT(per_tile.nearest.hits, 0u);
-    EXPECT_GT(per_tile.nearest.misses, 0u);
-    EXPECT_GT(per_tile.nearest.evictions, 0u);
-    EXPECT_GT(per_tile.nearest.prefetch_hits, 0u);
-    ExpectSameStats(runs.nearest, per_tile.nearest);
-    ExpectSameStats(runs.l2, per_tile.l2);
-    EXPECT_EQ(runs.counters.cache_hits, per_tile.counters.cache_hits);
-    EXPECT_EQ(runs.counters.cell_reads, per_tile.counters.cell_reads);
-    EXPECT_EQ(runs.counters.cell_reads, 200u * metadata_.tile_count());
-    EXPECT_EQ(runs.counters.cell_read_bytes,
-              per_tile.counters.cell_read_bytes);
-    EXPECT_EQ(runs.cold_reads, per_tile.cold_reads);
-    // Only misses of the nearest cache are timed.
-    EXPECT_EQ(runs.counters.read_seconds_count,
-              per_tile.counters.read_seconds_count);
-    EXPECT_EQ(runs.counters.read_seconds_count, per_tile.nearest.misses);
   }
 }
 
@@ -2828,12 +2746,35 @@ TEST_F(PlannedReadTest, CorruptTileStopsTheSegment) {
   }
   EXPECT_EQ((*store)->cache_stats().hits, hits + corrupt);
 
-  // An out-of-range quality ends a hit run the same way: ReadCell reports
-  // it, in tile order.
+  // An out-of-range quality ends a hit run the same way: ReadCellAsync
+  // reports it, in tile order.
   std::vector<int> bad = plan;
   bad[1] = kQualities;
   EXPECT_TRUE(
       (*store)->ReadPlannedCells(metadata_, 0, bad).IsInvalidArgument());
+
+  // With a pool the corrupt tile's load may still be running when a later
+  // out-of-range tile stops the loop; its error still comes first, and
+  // every issued tile is awaited (and counted) before the read returns.
+  StorageOptions pooled = ReaderOptions(1 << 20);
+  pooled.io_threads = 2;
+  auto pool_store = StorageManager::Open(pooled);
+  ASSERT_TRUE(pool_store.ok());
+  bad = plan;
+  bad[corrupt + 1] = kQualities;
+  const ReadCounters pool_before = ReadCounters::Now();
+  status = (*pool_store)->ReadPlannedCells(metadata_, 0, bad);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  const ReadCounters pool_delta = ReadCounters::Now() - pool_before;
+  EXPECT_EQ(pool_delta.cell_reads, static_cast<uint64_t>(corrupt + 1));
+  EXPECT_EQ(pool_delta.read_seconds_count, pool_delta.cell_reads);
+  // The tiles before the corrupt one loaded; none after it was read.
+  uint64_t loaded_bytes = 0;
+  for (int tile = 0; tile < corrupt; ++tile) {
+    loaded_bytes +=
+        metadata_.cells[metadata_.CellIndex(0, tile, plan[tile])].byte_size;
+  }
+  EXPECT_EQ((*pool_store)->cache_stats().bytes_cached, loaded_bytes);
 }
 
 TEST_F(PlannedReadTest, ConcurrentPlannedReadsOverAHalfSizeCache) {
