@@ -291,19 +291,20 @@ EntropyRow BenchExpGolomb(const TransformData& data, int reps) {
     eg_bytes = writer.Finish();
   }) / 1e6;
   eg.bits_per_block = static_cast<double>(eg_bytes.size()) * 8 / blocks;
-  LevelBlock scratch;
+  LevelBlock scratch{};
+  uint64_t scratch_mask = 0;
   eg.decode_mbs = bytes / BestSeconds(reps, [&] {
     BitReader reader{Slice(eg_bytes)};
     for (int i = 0; i < blocks; ++i) {
-      CheckOk(DecodeLevelBlock(&reader, &scratch), "eg decode");
+      CheckOk(DecodeLevelBlock(&reader, &scratch, &scratch_mask),
+              "eg decode");
     }
   }) / 1e6;
   // Round-trip check on the last lap's state.
   BitReader reader{Slice(eg_bytes)};
   for (int i = 0; i < blocks; ++i) {
-    int nonzero = -1;
-    CheckOk(DecodeLevelBlock(&reader, &scratch, &nonzero), "eg decode");
-    Check(nonzero == data.nonzero[i] && scratch == data.levels[i],
+    CheckOk(DecodeLevelBlock(&reader, &scratch, &scratch_mask), "eg decode");
+    Check(scratch_mask == data.nonzero_masks[i] && scratch == data.levels[i],
           "Exp-Golomb round-trip");
   }
   return eg;

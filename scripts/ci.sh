@@ -67,6 +67,12 @@ tsan() {
   cmake --build build-tsan -j"$JOBS" --target core_test
   echo "-- tsan: core_test (LiveCatalogTest)"
   ./build-tsan/tests/core_test --gtest_filter='LiveCatalogTest.*'
+  # View maintenance runs the executor's async cell path from catalog
+  # commits; its fetched cells borrow the cache's bytes while other
+  # readers evict them.
+  cmake --build build-tsan -j"$JOBS" --target view_test
+  echo "-- tsan: view_test"
+  ./build-tsan/tests/view_test
 }
 
 simd() {

@@ -81,15 +81,14 @@ Result<SequenceHeader> SequenceHeader::Parse(Slice data) {
   return header;
 }
 
-Result<std::vector<std::pair<uint32_t, uint32_t>>> ParseTileOffsets(
-    Slice frame_payload, int tile_count) {
+Status ParseTileOffsets(Slice frame_payload, int tile_count,
+                        std::vector<TileRange>* ranges) {
   // Frame payload layout: [type:u8][qp:u8][tile_count × offset:u32][data].
+  ranges->clear();
   size_t table_end = 2 + static_cast<size_t>(tile_count) * 4;
   if (frame_payload.size() < table_end) {
     return Status::Corruption("frame payload shorter than tile table");
   }
-  std::vector<std::pair<uint32_t, uint32_t>> ranges;
-  ranges.reserve(tile_count);
   uint32_t previous = static_cast<uint32_t>(table_end);
   for (int i = 0; i < tile_count; ++i) {
     uint32_t offset = GetU32(frame_payload.data() + 2 + i * 4);
@@ -101,10 +100,10 @@ Result<std::vector<std::pair<uint32_t, uint32_t>>> ParseTileOffsets(
         next > frame_payload.size()) {
       return Status::Corruption("tile offset table inconsistent");
     }
-    ranges.emplace_back(offset, next - offset);
+    ranges->emplace_back(offset, next - offset);
     previous = offset;
   }
-  return ranges;
+  return Status::OK();
 }
 
 Result<FrameType> ParseFrameType(Slice frame_payload) {
@@ -151,8 +150,8 @@ std::vector<uint8_t> EncodedVideo::Serialize() const {
   return out;
 }
 
-Result<EncodedVideo> EncodedVideo::Parse(Slice data) {
-  EncodedVideo video;
+Result<EncodedVideoView> EncodedVideoView::Parse(Slice data) {
+  EncodedVideoView video;
   VC_ASSIGN_OR_RETURN(video.header, SequenceHeader::Parse(data));
   size_t pos = SequenceHeader::kSerializedSize;
   while (pos < data.size()) {
@@ -164,13 +163,23 @@ Result<EncodedVideo> EncodedVideo::Parse(Slice data) {
     if (pos + length > data.size()) {
       return Status::Corruption("truncated frame payload");
     }
-    EncodedFrame frame;
-    frame.payload.assign(data.data() + pos, data.data() + pos + length);
-    FrameType type;
-    VC_ASSIGN_OR_RETURN(type, ParseFrameType(Slice(frame.payload)));
-    frame.type = type;
-    video.frames.push_back(std::move(frame));
+    Slice payload = data.Subslice(pos, length);
+    VC_RETURN_IF_ERROR(ParseFrameType(payload).status());
+    video.frames.push_back(payload);
     pos += length;
+  }
+  return video;
+}
+
+Result<EncodedVideo> EncodedVideo::Parse(Slice data) {
+  EncodedVideoView view;
+  VC_ASSIGN_OR_RETURN(view, EncodedVideoView::Parse(data));
+  EncodedVideo video;
+  video.header = view.header;
+  video.frames.resize(view.frames.size());
+  for (size_t i = 0; i < view.frames.size(); ++i) {
+    video.frames[i].type = static_cast<FrameType>(view.frames[i][0]);
+    video.frames[i].payload = view.frames[i].ToVector();
   }
   return video;
 }

@@ -77,10 +77,15 @@ struct EncodedFrame {
   size_t size_bytes() const { return payload.size(); }
 };
 
-/// Locates the per-tile payload ranges inside an encoded frame.
-/// Returns `tile_count` (offset, length) pairs relative to the payload start.
-Result<std::vector<std::pair<uint32_t, uint32_t>>> ParseTileOffsets(
-    Slice frame_payload, int tile_count);
+/// One tile's data inside a frame payload: (offset, length) relative to
+/// the payload start.
+using TileRange = std::pair<uint32_t, uint32_t>;
+
+/// Locates the per-tile payload ranges inside an encoded frame: replaces
+/// `*ranges` with `tile_count` TileRanges. The caller owns the vector and
+/// reuses it from frame to frame, so a frame loop allocates nothing here.
+Status ParseTileOffsets(Slice frame_payload, int tile_count,
+                        std::vector<TileRange>* ranges);
 
 /// Reads the frame type from an encoded frame payload.
 Result<FrameType> ParseFrameType(Slice frame_payload);
@@ -91,6 +96,20 @@ Result<int> ParseFrameQp(Slice frame_payload);
 
 /// Splits one tile's data of a kPerTileQp frame into its QP and its bits.
 Result<int> SplitTileQp(Slice* tile_data);
+
+/// \brief A parsed stream that borrows its bytes: the header plus one Slice
+/// per frame payload, pointing into the buffer it was parsed from (or into
+/// an EncodedVideo's payloads). It is valid only while those bytes live;
+/// the query executor keeps the cache's shared value beside each view.
+/// Every frame's type byte has been checked; the type is `frames[i][0]`.
+struct EncodedVideoView {
+  SequenceHeader header;
+  std::vector<Slice> frames;
+
+  /// The one stream parser: reads a stream produced by
+  /// EncodedVideo::Serialize without copying a payload.
+  static Result<EncodedVideoView> Parse(Slice data);
+};
 
 /// \brief A fully encoded stream: header plus frames, with helpers to write
 /// to / read from a flat byte vector (frames are length-prefixed).
@@ -104,7 +123,8 @@ struct EncodedVideo {
   /// Flattens to a self-contained byte stream.
   std::vector<uint8_t> Serialize() const;
 
-  /// Parses a stream produced by Serialize.
+  /// Parses a stream produced by Serialize: EncodedVideoView::Parse, then a
+  /// copy of each payload.
   static Result<EncodedVideo> Parse(Slice data);
 };
 

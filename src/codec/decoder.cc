@@ -1,6 +1,8 @@
 #include "codec/decoder.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "codec/mb_common.h"
 #include "codec/motion.h"
@@ -20,53 +22,105 @@ Result<std::unique_ptr<Decoder>> Decoder::Create(
 Decoder::Decoder(const SequenceHeader& header,
                  std::vector<TileGrid::PixelRect> tile_rects)
     : header_(header),
+      grid_(header.tile_grid()),
       tile_rects_(std::move(tile_rects)),
       recon_(header.width, header.height),
-      reference_(header.width, header.height) {}
+      reference_(header.width, header.height),
+      touched_(tile_rects_.size(), 0) {}
+
+namespace {
+
+/// Copies the luma rect `rect` and its chroma rects from `src` to `dst`, two
+/// frames of one size.
+void CopyRect(const Frame& src, const TileGrid::PixelRect& rect, Frame* dst) {
+  for (int row = rect.y; row < rect.y + rect.height; ++row) {
+    const size_t at = static_cast<size_t>(row) * src.width() + rect.x;
+    std::copy_n(src.y_plane().data() + at, rect.width,
+                dst->y_plane().data() + at);
+  }
+  const int cw = src.chroma_width();
+  for (int row = rect.y / 2; row < (rect.y + rect.height) / 2; ++row) {
+    const size_t at = static_cast<size_t>(row) * cw + rect.x / 2;
+    std::copy_n(src.u_plane().data() + at, rect.width / 2,
+                dst->u_plane().data() + at);
+    std::copy_n(src.v_plane().data() + at, rect.width / 2,
+                dst->v_plane().data() + at);
+  }
+}
+
+}  // namespace
+
+Status Decoder::DecodeInPlace(Slice frame_payload) {
+  return DecodeFrame(frame_payload, nullptr);
+}
+
+Status Decoder::DecodeTilesInPlace(Slice frame_payload,
+                                   const std::vector<TileId>& tiles) {
+  return DecodeFrame(frame_payload, &tiles);
+}
 
 Result<Frame> Decoder::Decode(Slice frame_payload) {
-  std::vector<TileId> all;
-  TileGrid grid = header_.tile_grid();
-  all.reserve(grid.tile_count());
-  for (int i = 0; i < grid.tile_count(); ++i) all.push_back(grid.TileAt(i));
-  return DecodeTiles(frame_payload, all);
+  VC_RETURN_IF_ERROR(DecodeInPlace(frame_payload));
+  return recon_;
 }
 
 Result<Frame> Decoder::DecodeTiles(Slice frame_payload,
                                    const std::vector<TileId>& tiles) {
+  VC_RETURN_IF_ERROR(DecodeTilesInPlace(frame_payload, tiles));
+  return recon_;
+}
+
+Status Decoder::DecodeFrame(Slice frame_payload,
+                            const std::vector<TileId>* tiles) {
   FrameType type;
   VC_ASSIGN_OR_RETURN(type, ParseFrameType(frame_payload));
   int frame_qp;
   VC_ASSIGN_OR_RETURN(frame_qp, ParseFrameQp(frame_payload));
-  const bool per_tile_qp = frame_qp == kPerTileQp;
-  TileGrid grid = header_.tile_grid();
-  std::vector<std::pair<uint32_t, uint32_t>> ranges;
-  VC_ASSIGN_OR_RETURN(ranges,
-                      ParseTileOffsets(frame_payload, grid.tile_count()));
-
-  for (const TileId& tile : tiles) {
-    if (tile.row < 0 || tile.row >= grid.rows() || tile.col < 0 ||
-        tile.col >= grid.cols()) {
-      return Status::InvalidArgument("tile id outside stream grid");
+  VC_RETURN_IF_ERROR(
+      ParseTileOffsets(frame_payload, grid_.tile_count(), &ranges_));
+  if (tiles != nullptr) {
+    for (const TileId& tile : *tiles) {
+      if (tile.row < 0 || tile.row >= grid_.rows() || tile.col < 0 ||
+          tile.col >= grid_.cols()) {
+        return Status::InvalidArgument("tile id outside stream grid");
+      }
     }
-    int index = grid.IndexOf(tile);
-    Slice payload =
-        frame_payload.Subslice(ranges[index].first, ranges[index].second);
-    int qp = frame_qp;
-    if (per_tile_qp) {
-      VC_ASSIGN_OR_RETURN(qp, SplitTileQp(&payload));
-    }
-    VC_RETURN_IF_ERROR(
-        DecodeTilePayload(payload, tile_rects_[index], type, qp));
   }
-  reference_ = recon_;
-  return recon_;
+
+  // The last frame becomes the reference, and the new frame is written
+  // over the one before it. A subset decode first restores the tiles it
+  // will not touch from the last frame.
+  std::swap(reference_, recon_);
+  if (tiles != nullptr) {
+    for (const TileId& tile : *tiles) touched_[grid_.IndexOf(tile)] = 1;
+    for (size_t i = 0; i < tile_rects_.size(); ++i) {
+      if (touched_[i] == 0) CopyRect(reference_, tile_rects_[i], &recon_);
+      touched_[i] = 0;
+    }
+  }
+  const size_t count =
+      tiles != nullptr ? tiles->size() : static_cast<size_t>(grid_.tile_count());
+  Status status;
+  for (size_t i = 0; i < count && status.ok(); ++i) {
+    const int index = tiles != nullptr ? grid_.IndexOf((*tiles)[i])
+                                       : static_cast<int>(i);
+    status = DecodeTilePayload(
+        frame_payload.Subslice(ranges_[index].first, ranges_[index].second),
+        tile_rects_[index], type, frame_qp);
+  }
+  // After an error the last good frame stays the reconstruction, and the
+  // next frame predicts from it.
+  if (!status.ok()) std::swap(reference_, recon_);
+  return status;
 }
 
 Status Decoder::DecodeTilePayload(Slice payload,
                                   const TileGrid::PixelRect& rect,
                                   FrameType type, int qp) {
   using namespace codec_internal;  // NOLINT
+  if (qp == kPerTileQp) {
+    VC_ASSIGN_OR_RETURN(qp, SplitTileQp(&payload));
+  }
 
   const MotionBounds luma_bounds =
       header_.motion_constrained_tiles()
@@ -83,6 +137,7 @@ Status Decoder::DecodeTilePayload(Slice payload,
   PlaneView rec_v{recon_.v_plane().data(), recon_.chroma_width()};
 
   BitReader reader(payload);
+  LevelScratch levels;
   uint8_t pred_y[kMbSize * kMbSize];
   uint8_t pred_c[kBlockSize * kBlockSize];
   uint8_t recon_y[kMbSize * kMbSize];
@@ -126,7 +181,7 @@ Status Decoder::DecodeTilePayload(Slice payload,
         IntraPredict(rec_y, lx, ly, kMbSize, intra_mode, tile_bounds, pred_y);
       }
       VC_RETURN_IF_ERROR(
-          DecodeResidual(&reader, pred_y, kMbSize, qp, recon_y));
+          DecodeResidual(&reader, pred_y, kMbSize, qp, &levels, recon_y));
       StoreBlock(recon_y, kMbSize, recon_.y_plane().data(), recon_.width(), lx,
                  ly);
 
@@ -143,7 +198,8 @@ Status Decoder::DecodeTilePayload(Slice payload,
                        chroma_tile_bounds, pred_c);
         }
         VC_RETURN_IF_ERROR(
-            DecodeResidual(&reader, pred_c, kBlockSize, qp, recon_c));
+            DecodeResidual(&reader, pred_c, kBlockSize, qp, &levels,
+                           recon_c));
         uint8_t* plane_data = plane == 0 ? recon_.u_plane().data()
                                          : recon_.v_plane().data();
         StoreBlock(recon_c, kBlockSize, plane_data, recon_.chroma_width(), cx,

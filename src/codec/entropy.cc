@@ -10,22 +10,20 @@ int EncodeLevelBlock(const LevelBlock& levels, uint64_t nonzero_mask,
   // scan order by walking set bits instead of all 64 positions. The count
   // is taken in the same loop: without -mpopcnt, std::popcount is a libgcc
   // call.
-  const auto& rank_of = ZigzagRank();
   uint64_t ranks = 0;
   int nonzero = 0;
   for (uint64_t m = nonzero_mask; m != 0; m &= m - 1) {
-    ranks |= uint64_t{1} << rank_of[std::countr_zero(m)];
+    ranks |= uint64_t{1} << kZigzagRank[std::countr_zero(m)];
     ++nonzero;
   }
   // The pending bits stay in locals for the whole block; written through
   // the writer, each pair would store them back and reload them.
   BitWriter::ScopedAccumulator out(writer);
   out.WriteUE(static_cast<uint64_t>(nonzero));
-  const auto& zigzag = ZigzagOrder();
   int next = 0;  // scan rank just past the previous nonzero level
   for (; ranks != 0; ranks &= ranks - 1) {
     const int rank = std::countr_zero(ranks);
-    const int32_t level = levels[zigzag[rank]];
+    const int32_t level = levels[kZigzagOrder[rank]];
     // The UE codes of the run and of the SE-mapped level: value + 1 in a
     // field of 2·width − 1 bits. SE maps v > 0 to 2v − 1 and v ≤ 0 to −2v,
     // so the level's value + 1 is 2|v| plus the sign bit. |v| is taken in
@@ -51,9 +49,13 @@ int EncodeLevelBlock(const LevelBlock& levels, uint64_t nonzero_mask,
 }
 
 Status DecodeLevelBlock(BitReader* reader, LevelBlock* levels,
-                        int* nonzero_count) {
-  levels->fill(0);
-  const auto& zigzag = ZigzagOrder();
+                        uint64_t* nonzero_mask) {
+  // Clear only what the previous block left: a handful of positions, where
+  // a 256-byte fill costs a string store per block.
+  for (uint64_t m = *nonzero_mask; m != 0; m &= m - 1) {
+    (*levels)[std::countr_zero(m)] = 0;
+  }
+  *nonzero_mask = 0;
   uint64_t nonzero;
   VC_RETURN_IF_ERROR(reader->ReadUE(&nonzero));
   if (nonzero > kBlockPixels) {
@@ -77,10 +79,11 @@ Status DecodeLevelBlock(BitReader* reader, LevelBlock* levels,
     if (level < INT32_MIN || level > INT32_MAX) {
       return Status::Corruption("level magnitude out of range");
     }
-    (*levels)[zigzag[position]] = static_cast<int32_t>(level);
+    const int raster = kZigzagOrder[position];
+    (*levels)[raster] = static_cast<int32_t>(level);
+    *nonzero_mask |= uint64_t{1} << raster;
     ++position;
   }
-  if (nonzero_count != nullptr) *nonzero_count = static_cast<int>(nonzero);
   return Status::OK();
 }
 

@@ -18,11 +18,15 @@ namespace vc {
 int EncodeLevelBlock(const LevelBlock& levels, uint64_t nonzero_mask,
                      BitWriter* writer);
 
-/// Decodes one block written by EncodeLevelBlock. If `nonzero_count` is
-/// non-null it receives the number of nonzero levels (from the stream, so the
-/// caller avoids a rescan).
+/// Decodes one block written by EncodeLevelBlock into `levels`, which a
+/// decoder keeps across blocks. On entry `*nonzero_mask` names the raster
+/// positions where `levels` may be nonzero (all others must be zero; start
+/// from a zeroed block and a zero mask): only those are cleared, so a block
+/// costs its own levels, not a 64-level fill. On return, success or not,
+/// `*nonzero_mask` again names every position written: for a decoded block
+/// it is the raster nonzero mask, as Quantize returned it to the encoder.
 Status DecodeLevelBlock(BitReader* reader, LevelBlock* levels,
-                        int* nonzero_count = nullptr);
+                        uint64_t* nonzero_mask);
 
 }  // namespace vc
 

@@ -1,5 +1,9 @@
 #include "codec/homomorphic.h"
 
+#include <algorithm>
+#include <iterator>
+#include <string>
+
 #include "codec/transform.h"
 
 namespace vc {
@@ -39,10 +43,10 @@ Result<EncodedVideo> ExtractTileStream(const EncodedVideo& tiled,
   out.header.tile_cols = 1;
   out.frames.reserve(tiled.frames.size());
 
+  std::vector<TileRange> ranges;
   for (const EncodedFrame& frame : tiled.frames) {
-    std::vector<std::pair<uint32_t, uint32_t>> ranges;
-    VC_ASSIGN_OR_RETURN(
-        ranges, ParseTileOffsets(Slice(frame.payload), grid.tile_count()));
+    VC_RETURN_IF_ERROR(
+        ParseTileOffsets(Slice(frame.payload), grid.tile_count(), &ranges));
     Slice tile_bytes =
         Slice(frame.payload).Subslice(ranges[index].first,
                                       ranges[index].second);
@@ -68,14 +72,14 @@ Result<EncodedVideo> ExtractTileStream(const EncodedVideo& tiled,
   return out;
 }
 
-Result<EncodedVideo> MergeTileStreams(const std::vector<EncodedVideo>& parts,
-                                      int rows, int cols, int width,
-                                      int height) {
+Result<EncodedVideo> MergeTileStreams(
+    const std::vector<EncodedVideoView>& parts, int rows, int cols, int width,
+    int height) {
   TileGrid grid(rows, cols);
   if (parts.size() != static_cast<size_t>(grid.tile_count())) {
     return Status::InvalidArgument("need exactly one part per grid tile");
   }
-  const EncodedVideo& first = parts[0];
+  const EncodedVideoView& first = parts[0];
   for (size_t i = 0; i < parts.size(); ++i) {
     const SequenceHeader& h = parts[i].header;
     if (h.tile_rows != 1 || h.tile_cols != 1) {
@@ -108,40 +112,46 @@ Result<EncodedVideo> MergeTileStreams(const std::vector<EncodedVideo>& parts,
   out.header.height = static_cast<uint16_t>(height);
   out.header.tile_rows = static_cast<uint8_t>(rows);
   out.header.tile_cols = static_cast<uint8_t>(cols);
-  out.frames.reserve(first.frames.size());
+  out.frames.resize(first.frames.size());
 
   std::vector<Slice> tile_bytes(parts.size());
+  std::vector<TileRange> ranges;
   for (size_t f = 0; f < first.frames.size(); ++f) {
     // Every part must agree on the frame's type. Parts that also agree on
     // its QP byte keep the uniform layout; otherwise each tile carries its
     // own QP.
-    uint8_t type = first.frames[f].payload[0];
-    uint8_t qp = first.frames[f].payload[1];
+    const auto frame_type_error = [f] {
+      return Status::InvalidArgument("parts disagree on frame type at frame " +
+                                     std::to_string(f));
+    };
+    if (first.frames[f].size() < 6) return frame_type_error();
+    const uint8_t type = first.frames[f][0];
+    const uint8_t qp = first.frames[f][1];
     bool uniform = true;
+    // The merged payload: type, QP, offset table, then every tile's data.
+    size_t size = 2 + 4 * parts.size();
     for (size_t i = 0; i < parts.size(); ++i) {
-      const auto& payload = parts[i].frames[f].payload;
-      if (payload.size() < 6 || payload[0] != type) {
-        return Status::InvalidArgument(
-            "parts disagree on frame type at frame " + std::to_string(f));
-      }
+      const Slice payload = parts[i].frames[f];
+      if (payload.size() < 6 || payload[0] != type) return frame_type_error();
       uniform = uniform && payload[1] == qp;
-      std::vector<std::pair<uint32_t, uint32_t>> ranges;
-      VC_ASSIGN_OR_RETURN(ranges, ParseTileOffsets(Slice(payload), 1));
-      tile_bytes[i] = Slice(payload).Subslice(ranges[0].first,
-                                              ranges[0].second);
+      VC_RETURN_IF_ERROR(ParseTileOffsets(payload, 1, &ranges));
+      tile_bytes[i] = payload.Subslice(ranges[0].first, ranges[0].second);
+      size += tile_bytes[i].size();
     }
     if (!uniform) {
-      for (const EncodedVideo& part : parts) {
-        if (part.frames[f].payload[1] > kMaxQp) {
+      for (const EncodedVideoView& part : parts) {
+        if (part.frames[f][1] > kMaxQp) {
           return Status::InvalidArgument(
               "part frame QP out of range at frame " + std::to_string(f));
         }
       }
+      size += parts.size();
     }
     const uint32_t qp_bytes = uniform ? 0 : 1;
-    EncodedFrame merged;
+    EncodedFrame& merged = out.frames[f];
     merged.type = static_cast<FrameType>(type);
     auto& payload = merged.payload;
+    payload.reserve(size);
     payload.push_back(type);
     payload.push_back(uniform ? qp : kPerTileQp);
     uint32_t offset = 2 + 4 * static_cast<uint32_t>(parts.size());
@@ -149,25 +159,34 @@ Result<EncodedVideo> MergeTileStreams(const std::vector<EncodedVideo>& parts,
       PutU32(&payload, offset);
       offset += qp_bytes + static_cast<uint32_t>(bytes.size());
     }
-    payload.reserve(offset);
     for (size_t i = 0; i < parts.size(); ++i) {
-      if (!uniform) payload.push_back(parts[i].frames[f].payload[1]);
+      if (!uniform) payload.push_back(parts[i].frames[f][1]);
       payload.insert(payload.end(), tile_bytes[i].data(),
                      tile_bytes[i].data() + tile_bytes[i].size());
     }
-    out.frames.push_back(std::move(merged));
   }
   return out;
 }
 
-Result<EncodedVideo> ConcatenateStreams(
-    const std::vector<EncodedVideo>& parts) {
+Result<EncodedVideo> MergeTileStreams(const std::vector<EncodedVideo>& parts,
+                                      int rows, int cols, int width,
+                                      int height) {
+  std::vector<EncodedVideoView> views(parts.size());
+  for (size_t i = 0; i < parts.size(); ++i) {
+    views[i].header = parts[i].header;
+    for (const EncodedFrame& frame : parts[i].frames) {
+      views[i].frames.emplace_back(frame.payload);
+    }
+  }
+  return MergeTileStreams(views, rows, cols, width, height);
+}
+
+Result<EncodedVideo> ConcatenateStreams(std::vector<EncodedVideo> parts) {
   if (parts.empty()) {
     return Status::InvalidArgument("nothing to concatenate");
   }
   const SequenceHeader& first = parts[0].header;
-  EncodedVideo out;
-  out.header = first;
+  size_t frames = 0;
   for (const EncodedVideo& part : parts) {
     const SequenceHeader& h = part.header;
     if (h.width != first.width || h.height != first.height ||
@@ -179,8 +198,15 @@ Result<EncodedVideo> ConcatenateStreams(
       return Status::InvalidArgument(
           "each part must start with a keyframe to concatenate");
     }
-    out.frames.insert(out.frames.end(), part.frames.begin(),
-                      part.frames.end());
+    frames += part.frames.size();
+  }
+  // The frames move: their payloads are never copied.
+  EncodedVideo out;
+  out.header = first;
+  out.frames.reserve(frames);
+  for (EncodedVideo& part : parts) {
+    std::move(part.frames.begin(), part.frames.end(),
+              std::back_inserter(out.frames));
   }
   return out;
 }

@@ -36,15 +36,22 @@ Result<EncodedVideo> ExtractTileStream(const EncodedVideo& tiled,
 /// frame whose parts agree on its QP keeps the uniform layout; otherwise
 /// it is written as a kPerTileQp frame (bitstream.h), one byte per tile
 /// larger, so cells stored at different rungs stitch without a re-encode.
+/// The parts are views (bitstream.h), typically over cached cell bytes:
+/// each merged payload is sized once and written straight from them.
+Result<EncodedVideo> MergeTileStreams(
+    const std::vector<EncodedVideoView>& parts, int rows, int cols, int width,
+    int height);
+
+/// MergeTileStreams over owned parts: views them and merges the views.
 Result<EncodedVideo> MergeTileStreams(const std::vector<EncodedVideo>& parts,
                                       int rows, int cols, int width,
                                       int height);
 
 /// GOPUNION: temporal concatenation of streams with identical coding
 /// parameters, each starting with a keyframe (true of every stored segment
-/// cell). The result plays the parts back to back.
-Result<EncodedVideo> ConcatenateStreams(
-    const std::vector<EncodedVideo>& parts);
+/// cell). The result plays the parts back to back. The parts' frames move
+/// into the result; pass an rvalue to avoid copying them.
+Result<EncodedVideo> ConcatenateStreams(std::vector<EncodedVideo> parts);
 
 }  // namespace vc
 

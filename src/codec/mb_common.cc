@@ -196,16 +196,17 @@ inline void ReconstructBlock(const uint8_t* pred, int size, int bx, int by,
   }
 }
 
-/// Dequantizes one coded block with `nonzero` > 0 levels and adds its
-/// inverse transform to the prediction. The encoder and decoder both
-/// reconstruct through here, so their reconstructions stay bit-identical.
-/// A lone DC level, the most common sparse block at medium and high QP, is
-/// a constant fill from that one level.
-inline void ReconstructLevels(const LevelBlock& levels, int nonzero, int qp,
-                              const uint8_t* pred, int size, int bx, int by,
-                              uint8_t* recon) {
+/// Dequantizes one coded block with nonzero levels at the raster positions
+/// of `nonzero_mask` (not zero) and adds its inverse transform to the
+/// prediction. The encoder and decoder both reconstruct through here, so
+/// their reconstructions stay bit-identical. A lone DC level, the most
+/// common sparse block at medium and high QP, is a constant fill from that
+/// one level.
+inline void ReconstructLevels(const LevelBlock& levels, uint64_t nonzero_mask,
+                              int qp, const uint8_t* pred, int size, int bx,
+                              int by, uint8_t* recon) {
   ResidualBlock residual;
-  if (nonzero == 1 && levels[0] != 0) {
+  if (nonzero_mask == 1) {
     residual.fill(DequantizeInverseDctDc(levels[0], qp));
   } else {
     DequantizeInverseDct(levels, qp, &residual);
@@ -250,28 +251,28 @@ void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
       }
 
       const uint64_t nonzero_mask = ForwardDctQuantize(residual, qp, &levels);
-      const int nonzero = EncodeLevelBlock(levels, nonzero_mask, writer);
-      if (nonzero == 0) {
+      EncodeLevelBlock(levels, nonzero_mask, writer);
+      if (nonzero_mask == 0) {
         CopyPredBlock(pred, size, bx, by, recon);
         continue;
       }
-      ReconstructLevels(levels, nonzero, qp, pred, size, bx, by, recon);
+      ReconstructLevels(levels, nonzero_mask, qp, pred, size, bx, by, recon);
     }
   }
 }
 
 Status DecodeResidual(BitReader* reader, const uint8_t* pred, int size,
-                      int qp, uint8_t* recon) {
-  LevelBlock levels;
+                      int qp, LevelScratch* scratch, uint8_t* recon) {
   for (int by = 0; by < size; by += kBlockSize) {
     for (int bx = 0; bx < size; bx += kBlockSize) {
-      int nonzero = 0;
-      VC_RETURN_IF_ERROR(DecodeLevelBlock(reader, &levels, &nonzero));
-      if (nonzero == 0) {
+      VC_RETURN_IF_ERROR(
+          DecodeLevelBlock(reader, &scratch->levels, &scratch->nonzero_mask));
+      if (scratch->nonzero_mask == 0) {
         CopyPredBlock(pred, size, bx, by, recon);
         continue;
       }
-      ReconstructLevels(levels, nonzero, qp, pred, size, bx, by, recon);
+      ReconstructLevels(scratch->levels, scratch->nonzero_mask, qp, pred,
+                        size, bx, by, recon);
     }
   }
   return Status::OK();

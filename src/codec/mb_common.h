@@ -51,9 +51,18 @@ void IntraPredict(PlaneView plane, int x, int y, int size, IntraMode mode,
 void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
                     int size, int qp, BitWriter* writer, uint8_t* recon);
 
-/// Decoder mirror of EncodeResidual: reads levels and reconstructs.
+/// The decoder's level block with the positions it may hold nonzero levels
+/// at (DecodeLevelBlock's contract). A decoder keeps one for a whole tile,
+/// so each block clears only what the block before it wrote.
+struct LevelScratch {
+  LevelBlock levels{};
+  uint64_t nonzero_mask = 0;
+};
+
+/// Decoder mirror of EncodeResidual: reads levels into `scratch` and
+/// reconstructs.
 Status DecodeResidual(BitReader* reader, const uint8_t* pred, int size,
-                      int qp, uint8_t* recon);
+                      int qp, LevelScratch* scratch, uint8_t* recon);
 
 /// Writes a contiguous `size`×`size` block into a frame plane.
 void StoreBlock(const uint8_t* block, int size, uint8_t* plane, int stride,

@@ -29,19 +29,15 @@ Level DetectHostLevel() {
 #endif
 }
 
-// Evaluated once; SetEnabled(true) may not exceed this.
-const Level g_host_level = DetectHostLevel();
-const bool g_usable = g_host_level > Level::kScalar;
-
 }  // namespace
 
 namespace internal {
-std::atomic<bool> g_enabled{g_usable};
+// Evaluated once; SetEnabled(true) may not exceed this.
+const Level g_host_level = DetectHostLevel();
+std::atomic<bool> g_enabled{g_host_level > Level::kScalar};
 }  // namespace internal
 
 Level CompiledLevel() { return DetectCompiledLevel(); }
-
-Level ActiveLevel() { return Enabled() ? g_host_level : Level::kScalar; }
 
 const char* LevelName(Level level) {
   switch (level) {
@@ -58,7 +54,7 @@ const char* LevelName(Level level) {
 }
 
 bool SetEnabled(bool enabled) {
-  const bool value = enabled && g_usable;
+  const bool value = enabled && internal::g_host_level > Level::kScalar;
   internal::g_enabled.store(value, std::memory_order_relaxed);
   return value;
 }

@@ -59,22 +59,28 @@ enum class Level { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };
 /// aarch64.
 Level CompiledLevel();
 
-/// The tier kernels actually run at: `CompiledLevel()` clamped by the
-/// runtime capability guard (an x86 CPU without AVX2 runs at kSse2 rather
-/// than fault) and by the `SetEnabled` kill-switch.
-Level ActiveLevel();
-
 /// Human-readable tier name ("scalar", "sse2", "avx2", "neon").
 const char* LevelName(Level level);
 
 namespace internal {
 extern std::atomic<bool> g_enabled;
+/// The strongest compiled-in tier this host can execute, probed once.
+extern const Level g_host_level;
 }  // namespace internal
 
 /// Whether vector kernels are active. Inline and branch-predictable: the
 /// codec checks it once per kernel invocation.
 inline bool Enabled() {
   return internal::g_enabled.load(std::memory_order_relaxed);
+}
+
+/// The tier kernels actually run at: `CompiledLevel()` clamped by the
+/// runtime capability guard (an x86 CPU without AVX2 runs at kSse2 rather
+/// than fault) and by the `SetEnabled` kill-switch. Inline, like Enabled():
+/// the transform dispatch reads it once per block, and a SetEnabled call
+/// takes effect on the next read.
+inline Level ActiveLevel() {
+  return Enabled() ? internal::g_host_level : Level::kScalar;
 }
 
 /// Runtime kill-switch. Enabling is a no-op when the binary has no vector

@@ -309,48 +309,4 @@ int16_t DequantizeInverseDctDc(int32_t level, int qp) {
   return InverseDctDc(DequantizeLevel(level, DequantScale(qp)));
 }
 
-namespace {
-
-constexpr std::array<int, kBlockPixels> MakeZigzagOrder() {
-  std::array<int, kBlockPixels> o{};
-  int index = 0;
-  for (int s = 0; s < 2 * kBlockSize - 1; ++s) {
-    if (s % 2 == 0) {
-      // Walk up-right on even anti-diagonals.
-      int y = s < kBlockSize ? s : kBlockSize - 1;
-      int x = s - y;
-      while (y >= 0 && x < kBlockSize) {
-        o[index++] = y * kBlockSize + x;
-        --y;
-        ++x;
-      }
-    } else {
-      int x = s < kBlockSize ? s : kBlockSize - 1;
-      int y = s - x;
-      while (x >= 0 && y < kBlockSize) {
-        o[index++] = y * kBlockSize + x;
-        --x;
-        ++y;
-      }
-    }
-  }
-  return o;
-}
-
-constexpr std::array<int, kBlockPixels> kZigzagOrder = MakeZigzagOrder();
-
-constexpr std::array<uint8_t, kBlockPixels> kZigzagRank = [] {
-  std::array<uint8_t, kBlockPixels> rank{};
-  for (int i = 0; i < kBlockPixels; ++i) {
-    rank[kZigzagOrder[i]] = static_cast<uint8_t>(i);
-  }
-  return rank;
-}();
-
-}  // namespace
-
-const std::array<int, kBlockPixels>& ZigzagOrder() { return kZigzagOrder; }
-
-const std::array<uint8_t, kBlockPixels>& ZigzagRank() { return kZigzagRank; }
-
 }  // namespace vc

@@ -69,11 +69,31 @@ void DequantizeInverseDct(const LevelBlock& levels, int qp,
 int16_t DequantizeInverseDctDc(int32_t level, int qp);
 
 /// Zigzag scan order for an 8×8 block (index i gives the raster position of
-/// the i-th scanned coefficient).
-const std::array<int, kBlockPixels>& ZigzagOrder();
+/// the i-th scanned coefficient). A header constant, so the level coders
+/// index it inline.
+inline constexpr std::array<uint8_t, kBlockPixels> kZigzagOrder = [] {
+  std::array<uint8_t, kBlockPixels> order{};
+  int index = 0;
+  for (int s = 0; s < 2 * kBlockSize - 1; ++s) {
+    // Walk up-right on even anti-diagonals, down-left on odd ones.
+    const int major = s < kBlockSize ? s : kBlockSize - 1;
+    for (int a = major, b = s - major; a >= 0 && b < kBlockSize; --a, ++b) {
+      const int y = s % 2 == 0 ? a : b;
+      const int x = s % 2 == 0 ? b : a;
+      order[index++] = static_cast<uint8_t>(y * kBlockSize + x);
+    }
+  }
+  return order;
+}();
 
-/// Inverse of ZigzagOrder: index p gives the scan rank of raster position p.
-const std::array<uint8_t, kBlockPixels>& ZigzagRank();
+/// Inverse of kZigzagOrder: index p gives the scan rank of raster position p.
+inline constexpr std::array<uint8_t, kBlockPixels> kZigzagRank = [] {
+  std::array<uint8_t, kBlockPixels> rank{};
+  for (int i = 0; i < kBlockPixels; ++i) {
+    rank[kZigzagOrder[i]] = static_cast<uint8_t>(i);
+  }
+  return rank;
+}();
 
 }  // namespace vc
 

@@ -69,15 +69,18 @@ Histogram* EncodePerPixelHistogram() {
   return histogram;
 }
 
-/// One fetched-and-parsed cell stream.
+/// One fetched cell: the cache's shared bytes and a parsed view into them.
+/// Holding `bytes` keeps the view valid even after the cache evicts the
+/// cell, until the slice that fetched it has been stitched or decoded.
 struct FetchedCell {
   int tile = 0;
-  EncodedVideo video;
+  LruCache::Value bytes;
+  EncodedVideoView video;
 };
 
 /// Issues async demand reads for `tiles` of one segment (issue first, wait
 /// after, so the loads overlap on the storage I/O pool), then parses each
-/// stream. `tiles` holds (tile, rung) pairs.
+/// stream in place. `tiles` holds (tile, rung) pairs.
 Result<std::vector<FetchedCell>> FetchCells(
     StorageManager* storage, const VideoMetadata& metadata, int segment,
     const std::vector<std::pair<int, int>>& tiles) {
@@ -92,11 +95,11 @@ Result<std::vector<FetchedCell>> FetchCells(
   std::vector<FetchedCell> out;
   out.reserve(tiles.size());
   for (size_t i = 0; i < tiles.size(); ++i) {
-    LruCache::Value bytes;
-    VC_ASSIGN_OR_RETURN(bytes, handles[i].Wait());
     FetchedCell cell;
     cell.tile = tiles[i].first;
-    VC_ASSIGN_OR_RETURN(cell.video, EncodedVideo::Parse(Slice(*bytes)));
+    VC_ASSIGN_OR_RETURN(cell.bytes, handles[i].Wait());
+    VC_ASSIGN_OR_RETURN(cell.video,
+                        EncodedVideoView::Parse(Slice(*cell.bytes)));
     const SegmentInfo& info = metadata.segments[segment];
     if (cell.video.frames.size() != info.frame_count) {
       return Status::Corruption("cell frame count mismatch");
@@ -124,13 +127,11 @@ Status DecodeInto(const FetchedCell& cell, const TileGrid& grid,
       cell.video.frames.size(),
       static_cast<size_t>(std::max(last - base + 1, 0)));
   for (size_t i = 0; i < end; ++i) {
-    Frame tile_frame;
-    VC_ASSIGN_OR_RETURN(tile_frame,
-                        decoder->Decode(Slice(cell.video.frames[i].payload)));
+    VC_RETURN_IF_ERROR(decoder->DecodeInPlace(cell.video.frames[i]));
     int global = base + static_cast<int>(i);
     if (global < first) continue;
-    VC_RETURN_IF_ERROR(
-        (*canvases)[global - first].Paste(tile_frame, rect.x, rect.y));
+    VC_RETURN_IF_ERROR((*canvases)[global - first].Paste(
+        decoder->reconstructed(), rect.x, rect.y));
   }
   return Status::OK();
 }
@@ -149,10 +150,11 @@ int NaiveRung(const ScanPlan& scan) {
 }
 
 /// Homomorphic path for one slice: merges the fetched cells (tile order,
-/// full grid) into one tiled piece — no decode, no re-encode.
+/// full grid) into one tiled piece — no decode, no re-encode. The merge
+/// reads the cached bytes the cells hold.
 Result<EncodedVideo> StitchCells(std::vector<FetchedCell> cells,
                                  const VideoMetadata& metadata) {
-  std::vector<EncodedVideo> parts;
+  std::vector<EncodedVideoView> parts;
   parts.reserve(cells.size());
   for (FetchedCell& cell : cells) parts.push_back(std::move(cell.video));
   Stopwatch stitch_watch;
@@ -397,7 +399,8 @@ Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
     switch (plan.sink) {
       case SinkKind::kEncode:
       case SinkKind::kToFile: {
-        VC_ASSIGN_OR_RETURN(result.encoded, ConcatenateStreams(pieces));
+        VC_ASSIGN_OR_RETURN(result.encoded,
+                            ConcatenateStreams(std::move(pieces)));
         result.has_encoded = true;
         if (plan.sink == SinkKind::kToFile) {
           std::vector<uint8_t> bytes = result.encoded.Serialize();
@@ -410,7 +413,8 @@ Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
         VC_ASSIGN_OR_RETURN(result.stored_version,
                             StorePieces(storage, plan.target, lead,
                                         StoreLadderFor(plan), pieces));
-        VC_ASSIGN_OR_RETURN(result.encoded, ConcatenateStreams(pieces));
+        VC_ASSIGN_OR_RETURN(result.encoded,
+                            ConcatenateStreams(std::move(pieces)));
         result.has_encoded = true;
         break;
       }

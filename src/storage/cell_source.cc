@@ -46,8 +46,13 @@ Status CellSource::ReadPlannedCells(const VideoMetadata& metadata,
   const CellReadMetrics& metrics = CellReadMetrics::Get();
   const int tiles = metadata.tile_count();
   LruCache* cache = nearest_cache();
-  // Loads still running when their tile was issued, in tile order; only an
-  // I/O pool (or another thread's load of the same cell) leaves any.
+  // With an I/O pool every load joins `pending`, whether or not it has
+  // finished by the time its tile is issued: a failed load then never
+  // stops the loop, so which later tiles are read does not depend on how
+  // fast the pool ran it.
+  const bool pooled = io_pool() != nullptr;
+  // Loads awaited after the last tile is issued, in tile order: the pool's
+  // loads, and without a pool only a load shared with another thread.
   std::vector<LruCache::AsyncHandle> pending;
   Status first_error = Status::OK();
   // Keys are packed a chunk at a time into a stack buffer, so a warm
@@ -89,11 +94,12 @@ Status CellSource::ReadPlannedCells(const VideoMetadata& metadata,
         first_error = handle.status();
         break;
       }
-      if (!handle->ready()) {
+      if (!handle->ready() || (pooled && !handle->hit())) {
         pending.push_back(*std::move(handle));
       } else {
-        // Resolved at issue: a hit (counted, not timed) or a load that ran
-        // on this thread, timed from the request.
+        // Resolved at issue: a hit (counted, not timed) or, without a pool,
+        // a load that ran on this thread, timed from the request; only
+        // such a load's failure stops the loop.
         Result<LruCache::Value> value = handle->Wait();
         metrics.Record(value,
                        handle->hit() ? -1.0 : stopwatch.ElapsedSeconds());

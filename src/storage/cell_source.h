@@ -62,11 +62,13 @@ class CellSource {
   /// as runs of consecutive hits in nearest_cache(), each run under one
   /// cache lock (LruCache::TouchCachedRun), with ReadCellAsync called only
   /// on the tile where a run stops: a miss, an entry still tagged as
-  /// prefetched, or an out-of-range cell. A handle that is not yet resolved
-  /// (its load runs on the I/O pool, so cold tiles overlap) is awaited in
-  /// tile order after the last tile is issued. The first error in tile
-  /// order wins; an error known when its tile is issued stops the loop, so
-  /// no later tile is read.
+  /// prefetched, or an out-of-range cell. With an I/O pool every load, done
+  /// or not when its tile is issued, is awaited in tile order after the
+  /// last tile is issued (so cold tiles overlap); without one, only a load
+  /// shared with another thread is. The first error in tile order wins. An
+  /// error known at issue — a cell out of range, or a failed load that ran
+  /// on the calling thread — stops the loop, so no later tile is read; a
+  /// pooled load's failure never does, so every later tile is read.
   virtual Status ReadPlannedCells(const VideoMetadata& metadata, int segment,
                                   const std::vector<int>& tile_qualities);
 

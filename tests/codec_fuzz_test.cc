@@ -222,6 +222,40 @@ TEST_F(FuzzTest, MixedQpOutcomeDigestIsPinned) {
       << std::hex << "actual digest 0x" << hash;
 }
 
+TEST_F(FuzzTest, ViewParseMatchesOwnedParse) {
+  // The query path parses cached cells as views that borrow their bytes;
+  // the owned parse copies each payload. Over every truncation and bit-flip
+  // mutant of both fixtures the two must accept the same streams, with the
+  // same header and frame bytes, and reject the rest with the same status.
+  for (const auto& bytes : {EncodeFixture(2, 2), MixedQpFixture()}) {
+    for (const auto& corpus : {TruncationCorpus(bytes), BitFlipCorpus(bytes)}) {
+      for (size_t m = 0; m < corpus.size(); ++m) {
+        const std::vector<uint8_t>& mutant = corpus[m];
+        auto owned = EncodedVideo::Parse(Slice(mutant));
+        auto view = EncodedVideoView::Parse(Slice(mutant));
+        ASSERT_EQ(owned.ok(), view.ok()) << "mutant " << m;
+        if (!owned.ok()) {
+          EXPECT_EQ(owned.status().ToString(), view.status().ToString())
+              << "mutant " << m;
+          continue;
+        }
+        EXPECT_EQ(owned->header.Serialize(), view->header.Serialize())
+            << "mutant " << m;
+        ASSERT_EQ(owned->frames.size(), view->frames.size()) << "mutant " << m;
+        for (size_t f = 0; f < view->frames.size(); ++f) {
+          const Slice frame = view->frames[f];
+          EXPECT_TRUE(Slice(owned->frames[f].payload) == frame)
+              << "mutant " << m << " frame " << f;
+          EXPECT_EQ(static_cast<uint8_t>(owned->frames[f].type), frame[0]);
+          // Borrowed: the view points into the parsed buffer.
+          EXPECT_GE(frame.data(), mutant.data());
+          EXPECT_LE(frame.data() + frame.size(), mutant.data() + mutant.size());
+        }
+      }
+    }
+  }
+}
+
 TEST_F(FuzzTest, MutatedTilePayloadsFailCleanly) {
   // Mutations aimed past the container framing, straight at tile payloads:
   // parse the valid stream once, corrupt frame payload bytes after the tile

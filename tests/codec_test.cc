@@ -134,7 +134,7 @@ TEST(TransformTest, DequantizeSaturatesExtremeLevels) {
 }
 
 TEST(TransformTest, ZigzagIsAPermutation) {
-  const auto& order = ZigzagOrder();
+  const auto& order = kZigzagOrder;
   std::array<int, kBlockPixels> seen{};
   for (int i : order) {
     ASSERT_GE(i, 0);
@@ -149,7 +149,7 @@ TEST(TransformTest, ZigzagIsAPermutation) {
   EXPECT_EQ(order[3], 16);
   EXPECT_EQ(order[4], 9);
   EXPECT_EQ(order[5], 2);
-  const auto& rank = ZigzagRank();
+  const auto& rank = kZigzagRank;
   for (int i = 0; i < kBlockPixels; ++i) EXPECT_EQ(rank[order[i]], i);
 }
 
@@ -174,7 +174,7 @@ int ScanReferenceEncodeLevelBlock(const LevelBlock& levels,
     if (levels[i] != 0) ++nonzero;
   }
   writer->WriteUE(static_cast<uint64_t>(nonzero));
-  const auto& zigzag = ZigzagOrder();
+  const auto& zigzag = kZigzagOrder;
   int run = 0;
   int remaining = nonzero;
   for (int i = 0; i < kBlockPixels && remaining > 0; ++i) {
@@ -205,9 +205,11 @@ TEST(EntropyTest, LevelBlockRoundTrip) {
     EncodeLevelBlock(in, RasterNonzeroMask(in), &writer);
     auto bytes = writer.Finish();
     BitReader reader{Slice(bytes)};
-    LevelBlock out;
-    ASSERT_TRUE(DecodeLevelBlock(&reader, &out).ok());
+    LevelBlock out{};
+    uint64_t mask = 0;
+    ASSERT_TRUE(DecodeLevelBlock(&reader, &out, &mask).ok());
     EXPECT_EQ(in, out);
+    EXPECT_EQ(mask, RasterNonzeroMask(in));
   }
 }
 
@@ -220,7 +222,7 @@ TEST(EntropyTest, LevelBlockMatchesScanReference) {
   LevelBlock block;
   for (int i = 0; i < kBlockPixels; ++i) block[i] = i % 2 == 0 ? i + 1 : -i;
   blocks.push_back(block);
-  const auto& zigzag = ZigzagOrder();
+  const auto& zigzag = kZigzagOrder;
   block = LevelBlock{};
   block[zigzag[kBlockPixels - 1]] = -7;
   blocks.push_back(block);
@@ -259,11 +261,15 @@ TEST(EntropyTest, LevelBlockMatchesScanReference) {
   }
   const std::vector<uint8_t> bytes = writer.Finish();
   EXPECT_EQ(bytes, reference.Finish());
+  // One block and mask decode the whole sequence, as a decoder keeps them
+  // for a tile: each block clears only what the block before it wrote.
   BitReader reader{Slice(bytes)};
+  LevelBlock out{};
+  uint64_t mask = 0;
   for (size_t b = 0; b < blocks.size(); ++b) {
-    LevelBlock out;
-    ASSERT_TRUE(DecodeLevelBlock(&reader, &out).ok()) << "block " << b;
+    ASSERT_TRUE(DecodeLevelBlock(&reader, &out, &mask).ok()) << "block " << b;
     ASSERT_EQ(out, blocks[b]) << "block " << b;
+    ASSERT_EQ(mask, RasterNonzeroMask(blocks[b])) << "block " << b;
   }
 
   // A pair longer than 32 bits, which leaves the one-write path mid-block,
@@ -302,8 +308,8 @@ TEST(EntropyTest, LevelBlockMatchesScanReference) {
   for (size_t b = 0; b < long_blocks.size(); ++b) {
     uint64_t pad_bits;
     ASSERT_TRUE(long_reader.ReadBits(pads[b], &pad_bits).ok());
-    LevelBlock out;
-    ASSERT_TRUE(DecodeLevelBlock(&long_reader, &out).ok()) << "fill " << b;
+    ASSERT_TRUE(DecodeLevelBlock(&long_reader, &out, &mask).ok())
+        << "fill " << b;
     ASSERT_EQ(out, long_blocks[b]) << "fill " << b;
   }
 }
@@ -324,8 +330,11 @@ TEST(EntropyTest, TruncatedStreamFails) {
   auto bytes = writer.Finish();
   bytes.resize(bytes.size() / 2);
   BitReader reader{Slice(bytes)};
-  LevelBlock out;
-  EXPECT_FALSE(DecodeLevelBlock(&reader, &out).ok());
+  LevelBlock out{};
+  uint64_t mask = 0;
+  EXPECT_FALSE(DecodeLevelBlock(&reader, &out, &mask).ok());
+  // The mask still names every position the failed decode wrote.
+  EXPECT_EQ(mask, RasterNonzeroMask(out));
 }
 
 TEST(EntropyTest, HugeRunIsCorruptionNotOverflow) {
@@ -339,8 +348,10 @@ TEST(EntropyTest, HugeRunIsCorruptionNotOverflow) {
   writer.WriteSE(1);
   auto bytes = writer.Finish();
   BitReader reader{Slice(bytes)};
-  LevelBlock out;
-  EXPECT_TRUE(DecodeLevelBlock(&reader, &out).IsCorruption());
+  LevelBlock out{};
+  uint64_t mask = 0;
+  EXPECT_TRUE(DecodeLevelBlock(&reader, &out, &mask).IsCorruption());
+  EXPECT_EQ(mask, RasterNonzeroMask(out));
 }
 
 // --------------------------------------------------------------- Bitstream
@@ -622,11 +633,12 @@ TEST(CodecTest, TileOffsetsParse) {
   auto frames = TestFrames(1);
   auto video = EncodeVideo(frames, options);
   ASSERT_TRUE(video.ok());
-  auto ranges = ParseTileOffsets(Slice(video->frames[0].payload), 4);
-  ASSERT_TRUE(ranges.ok());
-  ASSERT_EQ(ranges->size(), 4u);
+  std::vector<TileRange> ranges;
+  ASSERT_TRUE(
+      ParseTileOffsets(Slice(video->frames[0].payload), 4, &ranges).ok());
+  ASSERT_EQ(ranges.size(), 4u);
   size_t total = 2 + 4 * 4;  // type + qp bytes + offset table
-  for (auto [offset, length] : *ranges) {
+  for (auto [offset, length] : ranges) {
     EXPECT_EQ(offset, total);
     total += length;
   }
@@ -666,6 +678,98 @@ TEST(CodecTest, PartialTileDecodeMatchesFullDecode) {
             << "tile pixels diverge at " << x << "," << y;
       }
     }
+  }
+}
+
+/// Whether the `rect` pixels of `a` and `b` (luma and both chroma planes)
+/// are equal.
+bool SameRect(const Frame& a, const Frame& b, const TileGrid::PixelRect& r) {
+  for (int y = r.y; y < r.y + r.height; ++y) {
+    for (int x = r.x; x < r.x + r.width; ++x) {
+      if (a.y(x, y) != b.y(x, y)) return false;
+    }
+  }
+  for (int y = r.y / 2; y < (r.y + r.height) / 2; ++y) {
+    for (int x = r.x / 2; x < (r.x + r.width) / 2; ++x) {
+      if (a.u(x, y) != b.u(x, y) || a.v(x, y) != b.v(x, y)) return false;
+    }
+  }
+  return true;
+}
+
+TEST(CodecTest, SubsetDecodeKeepsUntouchedTilesFromTheLastDecode) {
+  // The decoder reconstructs each frame over the buffer of the frame before
+  // the last one. A subset decode must still show every tile it skips as
+  // that tile looked after the last frame that decoded it, not as it
+  // looked two frames ago.
+  EncoderOptions options = SmallOptions();
+  options.tile_rows = 2;
+  options.tile_cols = 2;
+  auto frames = TestFrames(12);
+  auto video = EncodeVideo(frames, options);
+  ASSERT_TRUE(video.ok());
+  ASSERT_EQ(video->frames.size(), 12u);
+  const TileGrid grid = video->header.tile_grid();
+  std::vector<TileGrid::PixelRect> rects;
+  for (int i = 0; i < grid.tile_count(); ++i) {
+    auto rect = grid.PixelRectOf(grid.TileAt(i), options.width,
+                                 options.height, 16);
+    ASSERT_TRUE(rect.ok());
+    rects.push_back(*rect);
+  }
+
+  auto full_decoder = Decoder::Create(video->header);
+  auto decoder = Decoder::Create(video->header);
+  ASSERT_TRUE(full_decoder.ok());
+  ASSERT_TRUE(decoder.ok());
+  // Tile 0 is decoded on every frame; tiles 1 and 3 on even frames, tile 2
+  // on odd ones; every third frame decodes tile 0 alone.
+  const std::vector<std::vector<TileId>> subsets = {
+      {{0, 0}, {0, 1}, {1, 1}}, {{1, 0}, {0, 0}}, {{0, 0}}};
+  std::vector<Frame> last(grid.tile_count(),
+                          Frame(options.width, options.height));
+  for (size_t f = 0; f < video->frames.size(); ++f) {
+    const Slice payload(video->frames[f].payload);
+    auto full = (*full_decoder)->Decode(payload);
+    ASSERT_TRUE(full.ok());
+    const std::vector<TileId>& subset =
+        f % 3 == 2 ? subsets[2] : subsets[f % 2];
+    ASSERT_TRUE((*decoder)->DecodeTilesInPlace(payload, subset).ok());
+    const Frame& recon = (*decoder)->reconstructed();
+    std::vector<bool> touched(grid.tile_count(), false);
+    for (const TileId& tile : subset) touched[grid.IndexOf(tile)] = true;
+    for (int i = 0; i < grid.tile_count(); ++i) {
+      if (touched[i]) {
+        last[i] = recon;
+      } else {
+        EXPECT_TRUE(SameRect(recon, last[i], rects[i]))
+            << "frame " << f << ": untouched tile " << i
+            << " is not its last decode";
+      }
+    }
+    // Tile 0, decoded on every frame, matches the full decode.
+    EXPECT_TRUE(SameRect(recon, *full, rects[0])) << "frame " << f;
+  }
+
+  // A failed decode, full or partial, leaves the last good frame. The
+  // corrupt frame's last tile is zeroed: its first residual code never
+  // ends, so a full decode fails after writing the other three tiles.
+  const Frame good = (*decoder)->reconstructed();
+  std::vector<uint8_t> corrupt = video->frames[1].payload;
+  std::vector<TileRange> ranges;
+  ASSERT_TRUE(ParseTileOffsets(Slice(corrupt), 4, &ranges).ok());
+  std::fill_n(corrupt.begin() + ranges[3].first, ranges[3].second, 0);
+  EXPECT_TRUE((*decoder)->DecodeInPlace(Slice(corrupt)).IsCorruption());
+  EXPECT_TRUE((*decoder)
+                  ->DecodeTilesInPlace(Slice(corrupt), {{0, 0}, {1, 1}})
+                  .IsCorruption());
+  EXPECT_FALSE((*decoder)
+                   ->DecodeTilesInPlace(Slice(video->frames[1].payload),
+                                        {{0, 0}, {2, 0}})
+                   .ok());
+  for (int i = 0; i < grid.tile_count(); ++i) {
+    EXPECT_TRUE(SameRect((*decoder)->reconstructed(), good, rects[i]))
+        << "tile " << i << " changed by a failed decode";
   }
 }
 
@@ -944,11 +1048,12 @@ TEST(HomomorphicTest, MixedQpValidation) {
 
   auto merged = MergeTileStreams(cells, 2, 2, 128, 64);
   ASSERT_TRUE(merged.ok());
-  auto ranges = ParseTileOffsets(Slice(merged->frames[0].payload), 4);
-  ASSERT_TRUE(ranges.ok());
+  std::vector<TileRange> ranges;
+  ASSERT_TRUE(
+      ParseTileOffsets(Slice(merged->frames[0].payload), 4, &ranges).ok());
   // An out-of-range tile QP fails the decode and the extraction cleanly.
   EncodedVideo corrupt = *merged;
-  corrupt.frames[0].payload[(*ranges)[3].first] = 52;
+  corrupt.frames[0].payload[ranges[3].first] = 52;
   auto decoder = Decoder::Create(corrupt.header);
   ASSERT_TRUE(decoder.ok());
   EXPECT_TRUE((*decoder)

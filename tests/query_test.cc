@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "codec/decoder.h"
 #include "codec/encoder.h"
 #include "common/env.h"
@@ -509,6 +511,70 @@ TEST_F(QueryTest, UnmovedOutputDigestIsPinned) {
   }
   EXPECT_EQ(digest.value(), 0x5bf1428b6f38287cull)
       << std::hex << "actual digest 0x" << digest.value();
+}
+
+TEST_F(QueryTest, BorrowedCellsOutliveTheirEviction) {
+  // The executor parses each fetched cell as a view into the cache's bytes
+  // and holds the cell's shared value until its slice is stitched or
+  // decoded. Over a cache smaller than any segment, every
+  // fetch evicts cells whose slice is still being stitched or decoded; the
+  // outputs must equal the suite's large-cache outputs (the ASan leg turns
+  // a read of freed bytes into a failure).
+  auto metadata = storage()->GetVideo("venice");
+  ASSERT_TRUE(metadata.ok());
+  size_t largest = 0;
+  for (const CellInfo& cell : metadata->cells) {
+    largest = std::max<size_t>(largest, cell.byte_size);
+  }
+  size_t smallest_segment = SIZE_MAX;
+  for (int segment = 0; segment < metadata->segment_count(); ++segment) {
+    for (size_t rung = 0; rung < metadata->ladder.size(); ++rung) {
+      size_t bytes = 0;
+      for (int tile = 0; tile < metadata->tile_count(); ++tile) {
+        bytes += metadata->cells[metadata->CellIndex(
+                                     segment, tile, static_cast<int>(rung))]
+                     .byte_size;
+      }
+      smallest_segment = std::min(smallest_segment, bytes);
+    }
+  }
+  // Room for the largest cell, so every cell is cached and then evicted.
+  StorageOptions options;
+  options.env = env_;
+  options.root = "/vcdb";
+  options.cache_capacity_bytes = largest;
+  ASSERT_LT(options.cache_capacity_bytes, smallest_segment);
+
+  const char* texts[] = {
+      "scan(venice) | timeslice(0.5,2.5) | viewport(180,90,100,80) | "
+      "quality(high)",
+      "scan(venice) | quality(medium) | encode",
+      "scan(venice) | timeslice(0.5,3.5) | viewport(180,90,90,60) | "
+      "quality(high) | degrade(low) | encode",
+      "union(scan(venice) | timeslice(0.5,1.5) ; scan(venice) | "
+      "timeslice(2.25,3.5)) | viewport(300,100,100,80) | quality(low)",
+  };
+  for (int io_threads : {0, 2}) {
+    options.io_threads = io_threads;
+    auto small = StorageManager::Open(options);
+    ASSERT_TRUE(small.ok());
+    for (const char* text : texts) {
+      auto query = ParseQuery(Slice(text));
+      ASSERT_TRUE(query.ok()) << text;
+      auto want = ExecuteQuery(*query, storage());
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      auto got = ExecuteQuery(*query, small->get());
+      ASSERT_TRUE(got.ok()) << text << ": " << got.status().ToString();
+      ExpectFramesEqual(got->frames, want->frames);
+      ASSERT_EQ(got->has_encoded, want->has_encoded) << text;
+      if (want->has_encoded) {
+        EXPECT_EQ(got->encoded.Serialize(), want->encoded.Serialize())
+            << text;
+      }
+    }
+    EXPECT_GT((*small)->cache_stats().evictions, 0u)
+        << "io_threads " << io_threads;
+  }
 }
 
 TEST_F(QueryTest, StoreSinkCreatesCatalogVideo) {

@@ -2777,6 +2777,57 @@ TEST_F(PlannedReadTest, CorruptTileStopsTheSegment) {
   EXPECT_EQ((*pool_store)->cache_stats().bytes_cached, loaded_bytes);
 }
 
+TEST_F(PlannedReadTest, PooledFailedLoadReadsEveryLaterTile) {
+  // With an I/O pool a failed load never stops the loop, however fast the
+  // pool ran it: every later tile is read, the first error in tile order
+  // wins, and the cache ends up the same on every run. Tile 3 and tile 5
+  // are corrupt; tile 4, between them, is valid.
+  std::vector<int> plan(metadata_.tile_count(), 1);
+  ASSERT_EQ(metadata_.tile_count(), 6);
+  const int corrupt[] = {3, 5};
+  for (int tile : corrupt) {
+    std::string path =
+        "/store/video/v1/" + metadata_.CellFileName(0, tile, plan[tile]);
+    auto bytes = mem_->ReadFile(path);
+    ASSERT_TRUE(bytes.ok());
+    (*bytes)[7] ^= 0x5a;
+    ASSERT_TRUE(mem_->WriteFile(path, Slice(*bytes)).ok());
+  }
+  uint64_t valid_bytes = 0;
+  for (int tile = 0; tile < metadata_.tile_count(); ++tile) {
+    if (tile == corrupt[0] || tile == corrupt[1]) continue;
+    valid_bytes +=
+        metadata_.cells[metadata_.CellIndex(0, tile, plan[tile])].byte_size;
+  }
+  const std::string first_path =
+      "/store/video/v1/" + metadata_.CellFileName(0, corrupt[0], plan[corrupt[0]]);
+
+  for (int run = 0; run < 50; ++run) {
+    StorageOptions pooled = ReaderOptions(1 << 20);
+    pooled.io_threads = 2;
+    auto store = StorageManager::Open(pooled);
+    ASSERT_TRUE(store.ok());
+    const ReadCounters before = ReadCounters::Now();
+    Status status = (*store)->ReadPlannedCells(metadata_, 0, plan);
+    ASSERT_TRUE(status.IsCorruption()) << "run " << run << ": "
+                                       << status.ToString();
+    EXPECT_NE(status.message().find(first_path), std::string::npos)
+        << "run " << run << ": " << status.ToString();
+    const ReadCounters delta = ReadCounters::Now() - before;
+    EXPECT_EQ(delta.cell_reads, static_cast<uint64_t>(plan.size()))
+        << "run " << run;
+    // Every valid tile, before and after the corrupt ones, is cached.
+    EXPECT_EQ((*store)->cache_stats().bytes_cached, valid_bytes)
+        << "run " << run;
+    const uint64_t hits = (*store)->cache_stats().hits;
+    for (int tile = 0; tile < metadata_.tile_count(); ++tile) {
+      if (tile == corrupt[0] || tile == corrupt[1]) continue;
+      ASSERT_TRUE((*store)->ReadCell(metadata_, 0, tile, plan[tile]).ok());
+    }
+    EXPECT_EQ((*store)->cache_stats().hits, hits + 4) << "run " << run;
+  }
+}
+
 TEST_F(PlannedReadTest, ConcurrentPlannedReadsOverAHalfSizeCache) {
   // Run under TSan (scripts/ci.sh tsan): eight readers share one store
   // whose cache holds about half the working set, so hit runs, misses,
