@@ -22,8 +22,9 @@
 //   vcctl help
 //
 // Global flags (any command): --io-threads N sizes the store's async cell
-// I/O pool; --prefetch {off,predict,popularity} turns on speculative cell
-// loading in serve-sim (needs --io-threads > 0); --nodes N runs serve-sim
+// I/O pool; --prefetch {off,predict} turns on speculative cell loading in
+// serve-sim (needs --io-threads > 0): each viewer's plan for its next
+// segment is warmed ahead of its deadline; --nodes N runs serve-sim
 // as an N-node cluster over a consistent-hash sharded store, with
 // --l1-bytes sizing each node's private cache and --l2-bytes the shared
 // second tier.
@@ -107,8 +108,9 @@ void PrintUsage(std::FILE* out) {
       "global flags:\n"
       "  --io-threads N                async cell-load I/O pool size (default\n"
       "                                0: synchronous reads)\n"
-      "  --prefetch {off,predict,popularity}\n"
-      "                                speculative cell loading in serve-sim\n"
+      "  --prefetch {off,predict}      speculative cell loading in serve-sim:\n"
+      "                                warm each viewer's planned cells for\n"
+      "                                its next segment ahead of its deadline\n"
       "                                (needs --io-threads > 0)\n"
       "  --nodes N                     run serve-sim as an N-node cluster over\n"
       "                                a consistent-hash sharded store (one\n"
@@ -816,12 +818,9 @@ int main(int argc, char** argv) {
         prefetch = PrefetchMode::kOff;
       } else if (mode == "predict") {
         prefetch = PrefetchMode::kPredict;
-      } else if (mode == "popularity") {
-        prefetch = PrefetchMode::kPopularity;
       } else {
         std::fprintf(stderr,
-                     "vcctl: unknown --prefetch mode '%s' (off, predict, "
-                     "popularity)\n",
+                     "vcctl: unknown --prefetch mode '%s' (off, predict)\n",
                      mode.c_str());
         PrintUsage(stderr);
         return 2;

@@ -73,6 +73,15 @@ tsan() {
   cmake --build build-tsan -j"$JOBS" --target view_test
   echo "-- tsan: view_test"
   ./build-tsan/tests/view_test
+  # The prefetcher warms each session's own plan on the I/O pool while the
+  # scheduler steps sessions: the async-pipeline and prefetch server runs,
+  # and the prefetcher's queue tests, repeated for more interleavings.
+  echo "-- tsan: server_test (async pipeline, prefetch) x10"
+  ./build-tsan/tests/server_test \
+    --gtest_filter='*AsyncPipeline*:*Prefetch*' --gtest_repeat=10
+  echo "-- tsan: storage_test (prefetcher) x10"
+  ./build-tsan/tests/storage_test --gtest_filter='*Prefetcher*' \
+    --gtest_repeat=10
 }
 
 simd() {

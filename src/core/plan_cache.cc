@@ -43,8 +43,7 @@ size_t PlanKeyHash::operator()(const PlanKey& key) const {
   constexpr double kBudgetBucket = 4096.0;
   uint64_t h = Mix(static_cast<uint64_t>(key.segment) * 0x9e3779b97f4a7c15ULL +
                    static_cast<uint64_t>(key.approach));
-  h = Mix(h ^ ((static_cast<uint64_t>(key.adaptive) << 32) +
-               static_cast<uint64_t>(key.high_quality)));
+  h = Mix(h ^ static_cast<uint64_t>(key.high_quality));
   h = Mix(h ^ Bucket(key.fov_yaw, kAngleBucket));
   h = Mix(h ^ Bucket(key.fov_pitch, kAngleBucket));
   h = Mix(h ^ Bucket(key.margin, kAngleBucket));

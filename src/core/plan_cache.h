@@ -28,7 +28,6 @@ namespace vc {
 struct PlanKey {
   int segment = 0;
   int approach = 0;  ///< static_cast<int>(StreamingApproach).
-  bool adaptive = false;
   int high_quality = 0;
   double fov_yaw = 0.0;
   double fov_pitch = 0.0;

@@ -75,130 +75,6 @@ Counter* DowngradeCounter() {
   return counter;
 }
 
-/// A computed plan plus its budget-fitting downgrade count (0 when fitting
-/// did not run) — what the plan cache memoizes.
-struct PlannedSegment {
-  TileQualityPlan plan;
-  int downgrades = 0;
-};
-
-/// Computes the segment's per-tile qualities for the chosen approach.
-/// `popular` is the popularity overlay as grid indices (already resolved by
-/// the caller so it can also key the plan cache); only kVisualCloud applies
-/// it. Pure function of its arguments — the property the plan cache rests
-/// on.
-PlannedSegment ComputePlan(const VideoMetadata& metadata, int segment,
-                           StreamingApproach approach,
-                           const Orientation& predicted,
-                           const SessionOptions& options, double budget_bytes,
-                           const std::vector<int>& popular) {
-  const int lowest = metadata.quality_count() - 1;
-  switch (approach) {
-    case StreamingApproach::kMonolithicFull: {
-      return {TileQualityPlan(metadata.tile_count(),
-                              Clamp(options.high_quality, 0, lowest)),
-              0};
-    }
-    case StreamingApproach::kUniformDash: {
-      std::vector<uint64_t> sizes(metadata.quality_count());
-      for (int q = 0; q < metadata.quality_count(); ++q) {
-        sizes[q] = metadata.SegmentBytesAtQuality(segment, q);
-      }
-      int quality = options.adaptive
-                        ? PickQualityForBudget(sizes, budget_bytes)
-                        : Clamp(options.high_quality, 0, lowest);
-      return {TileQualityPlan(metadata.tile_count(), quality), 0};
-    }
-    case StreamingApproach::kOracle:
-      break;  // Step plans the oracle from the trace, never through here.
-    case StreamingApproach::kVisualCloud: {
-      AssignmentOptions assignment;
-      assignment.fov_yaw = options.viewport.fov_yaw;
-      assignment.fov_pitch = options.viewport.fov_pitch;
-      assignment.margin = options.viewport_margin;
-      assignment.high_quality = options.high_quality;
-      TileQualityPlan plan =
-          AssignTileQualities(metadata, predicted, assignment);
-      if (!popular.empty()) {
-        int high = Clamp(options.high_quality, 0, lowest);
-        for (int index : popular) plan[index] = high;
-      }
-      int downgrades = 0;
-      if (options.adaptive) {
-        TileQualityPlan requested = plan;
-        plan = FitPlanToBudget(metadata, segment, std::move(plan), predicted,
-                               budget_bytes);
-        downgrades = CountDowngrades(requested, plan);
-      }
-      return {std::move(plan), downgrades};
-    }
-  }
-  return {TileQualityPlan(metadata.tile_count(), lowest), 0};
-}
-
-/// Plans the segment's per-tile qualities, memoizing through
-/// `options.plan_cache` when one is wired in. The cached entry replays the
-/// downgrade metric, so observability is identical on a hit.
-TileQualityPlan PlanSegment(const VideoMetadata& metadata, int segment,
-                            StreamingApproach approach,
-                            const Orientation& predicted,
-                            const SessionOptions& options,
-                            double budget_bytes) {
-  // The popularity overlay is resolved once, up front: it both keys the
-  // cache (the overlay is a plan input that changes as the shared model
-  // learns) and feeds the computation, so PopularTiles runs once per plan
-  // either way.
-  std::vector<int> popular;
-  if (approach == StreamingApproach::kVisualCloud &&
-      options.popularity != nullptr &&
-      options.popularity->grid() == metadata.tile_grid()) {
-    for (const TileId& tile :
-         options.popularity->PopularTiles(segment, kPopularTileCoverage)) {
-      popular.push_back(metadata.tile_grid().IndexOf(tile));
-    }
-  }
-
-  const bool cacheable = options.plan_cache != nullptr &&
-                         (approach == StreamingApproach::kVisualCloud ||
-                          approach == StreamingApproach::kUniformDash);
-  if (cacheable) {
-    PlanKey key;
-    key.segment = segment;
-    key.approach = static_cast<int>(approach);
-    key.adaptive = options.adaptive;
-    key.high_quality = options.high_quality;
-    if (approach == StreamingApproach::kVisualCloud) {
-      // View-dependent inputs, exactly as used by the computation.
-      key.fov_yaw = options.viewport.fov_yaw;
-      key.fov_pitch = options.viewport.fov_pitch;
-      key.margin = options.viewport_margin;
-      key.yaw = predicted.yaw;
-      key.pitch = predicted.pitch;
-      key.popular = popular;
-    }
-    // kUniformDash is view-agnostic: zeroed orientation fields let every
-    // session at the same budget tier share one entry per segment.
-    key.budget_bytes = options.adaptive ? budget_bytes : 0.0;
-
-    PlanCache::Entry entry;
-    if (options.plan_cache->Lookup(key, &entry)) {
-      DowngradeCounter()->Add(entry.downgrades);
-      return entry.plan;
-    }
-    PlannedSegment planned = ComputePlan(metadata, segment, approach,
-                                         predicted, options, budget_bytes,
-                                         popular);
-    DowngradeCounter()->Add(planned.downgrades);
-    options.plan_cache->Insert(key, {planned.plan, planned.downgrades});
-    return std::move(planned.plan);
-  }
-
-  PlannedSegment planned = ComputePlan(metadata, segment, approach, predicted,
-                                       options, budget_bytes, popular);
-  DowngradeCounter()->Add(planned.downgrades);
-  return std::move(planned.plan);
-}
-
 }  // namespace
 
 Result<std::unique_ptr<ClientSession>> ClientSession::Create(
@@ -322,6 +198,138 @@ double ClientSession::NextDeadline() const {
   return deadline;
 }
 
+double ClientSession::MediaStart(int segment) const {
+  return metadata_->segments[segment].start_frame / fps_ - media_origin_;
+}
+
+double ClientSession::MediaNow() const {
+  if (play_start_ < 0.0) return 0.0;
+  return Clamp(wall_ - play_start_ - stall_total_, 0.0, media_duration_);
+}
+
+Orientation ClientSession::PredictedGaze(int segment) const {
+  const double media_mid =
+      MediaStart(segment) +
+      metadata_->segments[segment].frame_count / fps_ / 2.0;
+  if (options_.approach == StreamingApproach::kOracle) {
+    return trace_->At(media_mid);
+  }
+  return predictor_->Predict(std::max(0.0, media_mid - MediaNow()));
+}
+
+std::vector<int> ClientSession::PopularOverlay(int segment) const {
+  std::vector<int> popular;
+  if (options_.approach == StreamingApproach::kVisualCloud &&
+      options_.popularity != nullptr &&
+      options_.popularity->grid() == metadata_->tile_grid()) {
+    for (const TileId& tile :
+         options_.popularity->PopularTiles(segment, kPopularTileCoverage)) {
+      popular.push_back(metadata_->tile_grid().IndexOf(tile));
+    }
+  }
+  return popular;
+}
+
+double ClientSession::BudgetBytes() const {
+  return SegmentByteBudget(estimator_.estimate_bps(), segment_seconds_,
+                           kBudgetSafety);
+}
+
+PlanCache::Entry ClientSession::PlanTiles(
+    int segment, const Orientation& predicted, double budget_bytes,
+    const std::vector<int>& popular) const {
+  const VideoMetadata& metadata = *metadata_;
+  const int lowest = metadata.quality_count() - 1;
+  const int high = Clamp(options_.high_quality, 0, lowest);
+  if (options_.approach == StreamingApproach::kMonolithicFull) {
+    return {TileQualityPlan(metadata.tile_count(), high), 0};
+  }
+  if (options_.approach == StreamingApproach::kUniformDash) {
+    std::vector<uint64_t> sizes(metadata.quality_count());
+    for (int q = 0; q < metadata.quality_count(); ++q) {
+      sizes[q] = metadata.SegmentBytesAtQuality(segment, q);
+    }
+    return {TileQualityPlan(metadata.tile_count(),
+                            PickQualityForBudget(sizes, budget_bytes)),
+            0};
+  }
+
+  AssignmentOptions assignment;
+  assignment.fov_yaw = options_.viewport.fov_yaw;
+  assignment.fov_pitch = options_.viewport.fov_pitch;
+  assignment.margin = options_.viewport_margin;
+  assignment.high_quality = options_.high_quality;
+  TileQualityPlan plan;
+  if (options_.approach == StreamingApproach::kOracle) {
+    // The oracle knows the viewer's entire path through the segment: the
+    // high-quality set is the union of the viewports along it, with no
+    // margin. This is the true upper bound a predictor can approach.
+    assignment.margin = 0.0;
+    plan.assign(metadata.tile_count(), lowest);
+    const double media_start = MediaStart(segment);
+    for (double fraction : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+      double t = media_start + fraction * segment_seconds_;
+      TileQualityPlan at_t =
+          AssignTileQualities(metadata, trace_->At(t), assignment);
+      for (int i = 0; i < metadata.tile_count(); ++i) {
+        plan[i] = std::min(plan[i], at_t[i]);
+      }
+    }
+  } else {
+    plan = AssignTileQualities(metadata, predicted, assignment);
+    for (int index : popular) plan[index] = high;
+  }
+  TileQualityPlan fitted =
+      FitPlanToBudget(metadata, segment, plan, predicted, budget_bytes);
+  const int downgrades = CountDowngrades(plan, fitted);
+  return {std::move(fitted), downgrades};
+}
+
+TileQualityPlan ClientSession::PlanSegment(int segment,
+                                           const Orientation& predicted) {
+  const double budget = BudgetBytes();
+  // The popularity overlay is resolved once, up front: it both keys the
+  // cache (the overlay is a plan input that changes as the shared model
+  // learns) and feeds the computation.
+  std::vector<int> popular = PopularOverlay(segment);
+  // The oracle plans from the trace path, which no key carries;
+  // monolithic plans are already trivial.
+  const bool cacheable =
+      options_.plan_cache != nullptr &&
+      (options_.approach == StreamingApproach::kVisualCloud ||
+       options_.approach == StreamingApproach::kUniformDash);
+  if (!cacheable) {
+    PlanCache::Entry planned = PlanTiles(segment, predicted, budget, popular);
+    DowngradeCounter()->Add(planned.downgrades);
+    return std::move(planned.plan);
+  }
+
+  PlanKey key;
+  key.segment = segment;
+  key.approach = static_cast<int>(options_.approach);
+  key.high_quality = options_.high_quality;
+  if (options_.approach == StreamingApproach::kVisualCloud) {
+    // View-dependent inputs, exactly as used by the computation.
+    key.fov_yaw = options_.viewport.fov_yaw;
+    key.fov_pitch = options_.viewport.fov_pitch;
+    key.margin = options_.viewport_margin;
+    key.yaw = predicted.yaw;
+    key.pitch = predicted.pitch;
+    key.popular = popular;
+  }
+  // kUniformDash is view-agnostic: zeroed orientation fields let every
+  // session at the same budget tier share one entry per segment.
+  key.budget_bytes = budget;
+
+  PlanCache::Entry entry;
+  if (!options_.plan_cache->Lookup(key, &entry)) {
+    entry = PlanTiles(segment, predicted, budget, popular);
+    options_.plan_cache->Insert(key, entry);
+  }
+  DowngradeCounter()->Add(entry.downgrades);
+  return std::move(entry.plan);
+}
+
 PrefetchHint ClientSession::NextPrefetchHint() const {
   PrefetchHint hint;
   if (done_) return hint;
@@ -331,32 +339,14 @@ PrefetchHint ClientSession::NextPrefetchHint() const {
   if (options_.live != nullptr && segment_ >= metadata_->segment_count()) {
     return hint;
   }
-
-  // Mirror Step()'s prediction inputs without mutating anything: the same
-  // playback position, the same lookahead to the segment midpoint. The
-  // forecast is made with the orientations fed so far; by the time Step()
-  // runs the predictor will have seen more — that gap is exactly the
+  // The plan Step would make with what the session knows now. By the time
+  // Step runs the predictor will have seen more — that gap is exactly the
   // uncertainty real prefetching lives with.
-  const SegmentInfo& info = metadata_->segments[segment_];
-  const double media_start = info.start_frame / fps_ - media_origin_;
-  const double media_mid = media_start + info.frame_count / fps_ / 2.0;
-  double media_now = 0.0;
-  if (play_start_ >= 0.0) {
-    media_now =
-        Clamp(wall_ - play_start_ - stall_total_, 0.0, media_duration_);
-  }
-
   hint.valid = true;
   hint.segment = segment_;
-  if (options_.approach == StreamingApproach::kOracle) {
-    hint.predicted = trace_->At(media_mid);
-  } else {
-    hint.predicted = predictor_->Predict(std::max(0.0, media_mid - media_now));
-  }
-  hint.fov_yaw = options_.viewport.fov_yaw;
-  hint.fov_pitch = options_.viewport.fov_pitch;
-  hint.margin = options_.viewport_margin;
-  hint.high_quality = options_.high_quality;
+  hint.tile_qualities = PlanTiles(segment_, PredictedGaze(segment_),
+                                  BudgetBytes(), PopularOverlay(segment_))
+                            .plan;
   return hint;
 }
 
@@ -371,19 +361,12 @@ Status ClientSession::Step(double now) {
   const int segment = segment_;
   const SegmentInfo& info = metadata_->segments[segment];
   // Viewer-local media time (origin 0 offline, the join point live).
-  const double media_start = info.start_frame / fps_ - media_origin_;
+  const double media_start = MediaStart(segment);
   const double media_mid = media_start + info.frame_count / fps_ / 2.0;
 
-  // The viewer's current playback position: media advances in wall time
-  // once playback starts, minus accumulated stalls.
-  double media_now = 0.0;
-  if (play_start_ >= 0.0) {
-    media_now =
-        Clamp(wall_ - play_start_ - stall_total_, 0.0, media_duration_);
-  }
-
   // Feed the predictor (and any shared popularity model) every orientation
-  // report up to "now".
+  // report up to the viewer's current playback position.
+  const double media_now = MediaNow();
   for (double t = (last_fed_ < 0 ? 0.0 : last_fed_ + kFeedDt);
        t <= media_now; t += kFeedDt) {
     Orientation seen = trace_->At(t, &feed_cursor_);
@@ -397,48 +380,11 @@ Status ClientSession::Step(double now) {
   }
 
   // Orientation the plan is built around.
-  Orientation predicted;
-  if (options_.approach == StreamingApproach::kOracle) {
-    predicted = trace_->At(media_mid);
-  } else {
-    double lookahead = std::max(0.0, media_mid - media_now);
-    predicted = predictor_->Predict(lookahead);
-  }
-
-  double budget =
-      SegmentByteBudget(estimator_.estimate_bps(), segment_seconds_,
-                        kBudgetSafety);
+  const Orientation predicted = PredictedGaze(segment);
   TileQualityPlan plan;
   {
     ScopedTimer plan_timer(plan_seconds_);
-    if (options_.approach == StreamingApproach::kOracle) {
-      // The oracle knows the viewer's entire path through the segment: the
-      // high-quality set is the union of the viewports along it. This is
-      // the true upper bound a predictor can approach.
-      AssignmentOptions assignment;
-      assignment.fov_yaw = options_.viewport.fov_yaw;
-      assignment.fov_pitch = options_.viewport.fov_pitch;
-      assignment.margin = 0.0;
-      assignment.high_quality = options_.high_quality;
-      plan.assign(metadata_->tile_count(), metadata_->quality_count() - 1);
-      for (double fraction : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-        double t = media_start + fraction * segment_seconds_;
-        TileQualityPlan at_t =
-            AssignTileQualities(*metadata_, trace_->At(t), assignment);
-        for (int i = 0; i < metadata_->tile_count(); ++i) {
-          plan[i] = std::min(plan[i], at_t[i]);
-        }
-      }
-      if (options_.adaptive) {
-        TileQualityPlan requested = plan;
-        plan = FitPlanToBudget(*metadata_, segment, std::move(plan), predicted,
-                               budget);
-        DowngradeCounter()->Add(CountDowngrades(requested, plan));
-      }
-    } else {
-      plan = PlanSegment(*metadata_, segment, options_.approach, predicted,
-                         options_, budget);
-    }
+    plan = PlanSegment(segment, predicted);
   }
   segments_streamed_->Add();
 

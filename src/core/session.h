@@ -76,7 +76,6 @@ struct SessionOptions {
   ViewportSpec viewport;         ///< HMD FOV and render size.
   double viewport_margin = 0.2;  ///< Extra tile-selection margin (radians).
   int high_quality = 0;          ///< Ladder rung for in-view tiles.
-  bool adaptive = true;          ///< Degrade plans that exceed the budget.
   /// Client buffer target: a segment's download starts no earlier than
   /// this long before its playback deadline. Pacing is what makes the
   /// system react to bandwidth changes mid-session instead of having
@@ -172,11 +171,14 @@ class ClientSession {
   Status Step(double now);
 
   /// Forecast of the segment the next Step() will stream: its index and the
-  /// predictor's orientation estimate for its midpoint, plus the viewport
-  /// and ladder parameters a prefetcher needs to turn that into cells. A
-  /// pure read — calling it does not advance the predictor or any session
-  /// accounting, so servers may consult it (or not) without changing the
-  /// session's behaviour. Invalid once done().
+  /// per-tile rungs the session would plan for it now — PlanTiles on the
+  /// predictor's current estimate, budget and popularity overlay. Step
+  /// plans the same way after feeding the predictor the orientations seen
+  /// since, so the two differ only where newer evidence (the viewer's gaze,
+  /// or what a shared popularity model learned meanwhile) moves the
+  /// prediction or the overlay. A pure read: it skips the plan cache and
+  /// touches no predictor state or metric, so servers may consult it (or
+  /// not) without changing the session's behaviour. Invalid once done().
   PrefetchHint NextPrefetchHint() const;
 
   bool done() const { return done_; }
@@ -207,6 +209,35 @@ class ClientSession {
   int FinalSegmentCount() const;
 
   void Finalize();
+
+  /// Viewer-local media seconds at which `segment` starts.
+  double MediaStart(int segment) const;
+  /// The viewer's playback position at the current wall clock: media
+  /// advances in wall time once playback starts, minus accumulated stalls.
+  double MediaNow() const;
+  /// The gaze a plan for `segment` is built around: the predictor's
+  /// estimate for the segment midpoint from the playback position (the
+  /// trace itself for the oracle).
+  Orientation PredictedGaze(int segment) const;
+  /// Popularity-overlay tiles (grid indices) forced to the high rung for
+  /// `segment`; empty unless the approach is kVisualCloud with a model.
+  std::vector<int> PopularOverlay(int segment) const;
+  /// Byte budget for the next segment from the throughput estimate.
+  double BudgetBytes() const;
+
+  /// The serving decision, and the only code that picks tile rungs: the
+  /// per-tile rungs of `segment` for the session's approach, planned
+  /// around `predicted` with the `popular` overlay and fitted to
+  /// `budget_bytes`, plus how many tiles the fitting lowered. A pure
+  /// function of its arguments and the session's options, metadata and
+  /// trace.
+  PlanCache::Entry PlanTiles(int segment, const Orientation& predicted,
+                             double budget_bytes,
+                             const std::vector<int>& popular) const;
+  /// Step's route to PlanTiles: memoized through `options_.plan_cache`
+  /// when one is wired in, and recorded in the downgrade metric (replayed
+  /// on a cache hit, so observability is identical either way).
+  TileQualityPlan PlanSegment(int segment, const Orientation& predicted);
 
   StorageManager* storage_;
   /// A live session's own copy of the feed's snapshot, which

@@ -40,7 +40,6 @@ EncoderOptions IngestOptions::MakeEncoderOptions(int width, int height,
   encoder.fps = fps;
   encoder.gop_length = frames_per_segment;
   encoder.qp = ladder[quality].qp;
-  encoder.motion_constrained_tiles = motion_constrained_tiles;
   return encoder;
 }
 

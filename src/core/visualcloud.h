@@ -30,7 +30,6 @@ struct IngestOptions {
   int frames_per_segment = 30;  ///< Temporal partition (≈ 1 s GOPs).
   double fps = 30.0;
   QualityLadder ladder = DefaultQualityLadder();
-  bool motion_constrained_tiles = true;
   /// Multi-rate analysis reuse: encode the ladder's first rung per
   /// (segment, tile) cell first, capture its per-block motion vectors and
   /// mode decisions, and seed the remaining rungs from them — a short

@@ -47,22 +47,6 @@ struct EventLater {
   }
 };
 
-/// `after - before` for every counter; bytes_cached is a level, so the
-/// delta keeps `after`'s value.
-CacheStats Delta(const CacheStats& after, const CacheStats& before) {
-  CacheStats d = after;
-  d.hits -= before.hits;
-  d.misses -= before.misses;
-  d.evictions -= before.evictions;
-  d.coalesced -= before.coalesced;
-  d.rejected_oversize -= before.rejected_oversize;
-  d.prefetch_issued -= before.prefetch_issued;
-  d.prefetch_hits -= before.prefetch_hits;
-  d.prefetch_wasted -= before.prefetch_wasted;
-  d.lookups -= before.lookups;
-  return d;
-}
-
 /// Mutable per-node serving state.
 struct NodeState {
   /// The node's L1-over-L2 read path; null on a one-node run, whose node
@@ -368,7 +352,7 @@ Result<ClusterStats> ClusterServer::RunInternal(
     VC_RETURN_IF_ERROR(stepped);
     if (!session->done()) {
       // The session just told us when it will want its next segment; start
-      // warming the cells its predictor expects it to ask for.
+      // warming the cells it plans to ask for.
       double deadline = session->NextDeadline();
       events.push(Event{deadline, seq++, EventKind::kStep, event.viewer});
       enqueue_prefetch(node, event.viewer, deadline);
@@ -420,24 +404,11 @@ Result<ClusterStats> ClusterServer::RunInternal(
     if (node.prefetcher != nullptr) {
       node.prefetcher->Drain();
       node.stats.prefetch = node.prefetcher->stats();
-      totals.prefetch.enqueued += node.stats.prefetch.enqueued;
-      totals.prefetch.dispatched += node.stats.prefetch.dispatched;
-      totals.prefetch.cancelled += node.stats.prefetch.cancelled;
-      totals.prefetch.deduped += node.stats.prefetch.deduped;
-      totals.prefetch.stale_skipped += node.stats.prefetch.stale_skipped;
+      totals.prefetch += node.stats.prefetch;
     }
-    node.stats.l1 = Delta(node.source->cache_stats(), node.cache_before);
+    node.stats.l1 = node.source->cache_stats() - node.cache_before;
     const CacheStats& l1 = node.stats.l1;
-    totals.cache.hits += l1.hits;
-    totals.cache.misses += l1.misses;
-    totals.cache.evictions += l1.evictions;
-    totals.cache.coalesced += l1.coalesced;
-    totals.cache.rejected_oversize += l1.rejected_oversize;
-    totals.cache.bytes_cached += l1.bytes_cached;
-    totals.cache.prefetch_issued += l1.prefetch_issued;
-    totals.cache.prefetch_hits += l1.prefetch_hits;
-    totals.cache.prefetch_wasted += l1.prefetch_wasted;
-    totals.cache.lookups += l1.lookups;
+    totals.cache += l1;
     if (store_ != nullptr) {
       std::string prefix =
           "server.node." + std::to_string(node.stats.node_id);
@@ -447,7 +418,7 @@ Result<ClusterStats> ClusterServer::RunInternal(
     }
     stats.nodes.push_back(node.stats);
   }
-  if (store_ != nullptr) stats.l2 = Delta(store_->l2_stats(), l2_before);
+  if (store_ != nullptr) stats.l2 = store_->l2_stats() - l2_before;
 
   for (const std::unique_ptr<PlanCache>& cache : plan_caches) {
     PlanCache::Stats plan = cache->stats();

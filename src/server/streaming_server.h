@@ -42,8 +42,8 @@ struct ServerOptions {
   bool share_plans = true;
 
   /// Speculative cell loading: ahead of each session's pacing deadline,
-  /// its orientation prediction (and, under kPopularity, the shared
-  /// popularity model) warms the storage cache on the I/O pool's
+  /// the session's plan for its next segment (ClientSession::
+  /// NextPrefetchHint) warms the storage cache on the I/O pool's
   /// low-priority lane. Requires the storage manager to have an I/O pool
   /// (StorageOptions::io_threads > 0); without one the mode silently
   /// degrades to kOff. Prefetching never changes a run's simulated

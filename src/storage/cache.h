@@ -62,6 +62,42 @@ struct CacheStats {
     uint64_t total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) / total;
   }
+
+  /// Sums every field, bytes_cached included (the bytes held by a set of
+  /// caches).
+  CacheStats& operator+=(const CacheStats& other) {
+    ForEachCounter(other, [](uint64_t& mine, uint64_t theirs) {
+      mine += theirs;
+    });
+    bytes_cached += other.bytes_cached;
+    return *this;
+  }
+
+  /// Counter deltas since `before`; bytes_cached is a level, so it keeps
+  /// this (the later) value.
+  CacheStats operator-(const CacheStats& before) const {
+    CacheStats delta = *this;
+    delta.ForEachCounter(before, [](uint64_t& mine, uint64_t theirs) {
+      mine -= theirs;
+    });
+    return delta;
+  }
+
+ private:
+  /// Applies `op(this field, other's field)` to every counter — the one
+  /// list of fields the arithmetic above is written over.
+  template <typename Op>
+  void ForEachCounter(const CacheStats& other, Op op) {
+    op(hits, other.hits);
+    op(misses, other.misses);
+    op(evictions, other.evictions);
+    op(coalesced, other.coalesced);
+    op(rejected_oversize, other.rejected_oversize);
+    op(prefetch_issued, other.prefetch_issued);
+    op(prefetch_hits, other.prefetch_hits);
+    op(prefetch_wasted, other.prefetch_wasted);
+    op(lookups, other.lookups);
+  }
 };
 
 /// \brief Byte-bounded LRU cache from packed 64-bit cell keys to immutable

@@ -45,8 +45,6 @@ const char* PrefetchModeName(PrefetchMode mode) {
       return "off";
     case PrefetchMode::kPredict:
       return "predict";
-    case PrefetchMode::kPopularity:
-      return "popularity";
   }
   return "unknown";
 }
@@ -61,50 +59,22 @@ void PredictivePrefetcher::EnqueueSegment(const VideoMetadata& metadata,
                                           double deadline) {
   if (mode_ == PrefetchMode::kOff || !hint.valid) return;
   if (hint.segment < 0 || hint.segment >= metadata.segment_count()) return;
-
-  const TileGrid grid = metadata.tile_grid();
-  const int lowest = metadata.quality_count() - 1;
-  const int high = std::min(std::max(hint.high_quality, 0), lowest);
+  if (static_cast<int>(hint.tile_qualities.size()) != metadata.tile_count()) {
+    return;
+  }
 
   std::vector<double> probabilities;
-  if (popularity != nullptr && popularity->grid() == grid) {
+  if (popularity != nullptr && popularity->grid() == metadata.tile_grid()) {
     probabilities = popularity->TileProbabilities(hint.segment);
   }
-  auto probability = [&probabilities](int tile) {
-    return tile < static_cast<int>(probabilities.size())
-               ? probabilities[tile]
-               : 0.0;
-  };
-
-  // The predicted viewport (with the session's selection margin) at the
-  // session's high rung — what the plan will most likely request.
-  for (const TileId& tile : grid.TilesInViewport(
-           hint.predicted, hint.fov_yaw + 2 * hint.margin,
-           hint.fov_pitch + 2 * hint.margin)) {
-    int index = grid.IndexOf(tile);
-    Add(metadata, CellKey{hint.segment, index, high},
-        1.0 + probability(index), deadline);
-  }
-
-  // Cross-user popularity: tiles covering most of the historical gaze mass
-  // are planned at high quality too (see PlanSegment), so warm them.
-  if (mode_ == PrefetchMode::kPopularity && popularity != nullptr &&
-      popularity->grid() == grid) {
-    for (const TileId& tile :
-         popularity->PopularTiles(hint.segment, kPopularTileCoverage)) {
-      int index = grid.IndexOf(tile);
-      Add(metadata, CellKey{hint.segment, index, high},
-          0.8 + probability(index), deadline);
+  const int lowest = metadata.quality_count() - 1;
+  for (int tile = 0; tile < metadata.tile_count(); ++tile) {
+    const int quality = hint.tile_qualities[tile];
+    double score = quality < lowest ? 1.0 : 0.0;
+    if (tile < static_cast<int>(probabilities.size())) {
+      score += probabilities[tile];
     }
-  }
-
-  // Every remaining tile streams at the lowest rung; backfill those at low
-  // score so they fill otherwise-idle I/O capacity.
-  if (lowest != high) {
-    for (int index = 0; index < grid.tile_count(); ++index) {
-      Add(metadata, CellKey{hint.segment, index, lowest},
-          0.05 + 0.05 * probability(index), deadline);
-    }
+    Add(metadata, CellKey{hint.segment, tile, quality}, score, deadline);
   }
 }
 

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "geometry/orientation.h"
 #include "predict/popularity.h"
 #include "storage/cell_key.h"
 #include "storage/cell_source.h"
@@ -17,30 +16,24 @@ namespace vc {
 /// What the prefetcher speculates on.
 enum class PrefetchMode {
   kOff,
-  /// Per-session orientation prediction: the predicted viewport's tiles at
-  /// the session's high rung, every other tile at the lowest rung.
+  /// Each session's own plan for its next segment, made on its current
+  /// orientation prediction: every tile at the rung the plan names.
   kPredict,
-  /// kPredict plus the shared popularity model's hot tiles — cross-user
-  /// attention the motion predictor cannot see.
-  kPopularity,
 };
 
-/// Stable flag name ("off", "predict", "popularity").
+/// Stable flag name ("off", "predict").
 const char* PrefetchModeName(PrefetchMode mode);
 
 /// One session's forecast of its next segment, produced by
-/// `ClientSession::NextPrefetchHint()` on the scheduler thread. Carries
-/// everything the prefetcher needs to turn a predicted orientation into
-/// concrete (segment, tile, quality) cells without reaching back into the
-/// session.
+/// `ClientSession::NextPrefetchHint()` on the scheduler thread: the rungs
+/// the session's planner picks for that segment with what it knows now.
+/// The prefetcher warms exactly those cells, so it follows whatever rule
+/// the planner applies without a copy of it.
 struct PrefetchHint {
   bool valid = false;
-  int segment = 0;          ///< Segment the session will stream next.
-  Orientation predicted;    ///< Predicted gaze at that segment's midpoint.
-  double fov_yaw = 0.0;     ///< Viewport extents (radians).
-  double fov_pitch = 0.0;
-  double margin = 0.0;      ///< Tile-selection margin (radians).
-  int high_quality = 0;     ///< Ladder rung planned for in-view tiles.
+  int segment = 0;  ///< Segment the session will stream next.
+  /// Planned ladder rung per tile (grid index order).
+  std::vector<int> tile_qualities;
 };
 
 /// Accounting of one prefetcher instance (cache-level issued/hit/wasted
@@ -68,26 +61,35 @@ struct PrefetcherStats {
   double CancellationRatio() const {
     return enqueued == 0 ? 0.0 : static_cast<double>(cancelled) / enqueued;
   }
+
+  PrefetcherStats& operator+=(const PrefetcherStats& other) {
+    enqueued += other.enqueued;
+    dispatched += other.dispatched;
+    cancelled += other.cancelled;
+    deduped += other.deduped;
+    stale_skipped += other.stale_skipped;
+    return *this;
+  }
 };
 
 /// \brief Prediction-driven cell prefetcher: VisualCloud's "do the work
 /// before the viewer needs it" half, applied to storage.
 ///
 /// The streaming server calls `EnqueueSegment` one pacing deadline ahead of
-/// each session — the session's orientation predictor (and optionally the
-/// shared cross-user popularity model) names the (segment, tile, quality)
-/// cells the session is likely to request, and the prefetcher loads them
-/// through the shared LRU cache on the I/O pool's low-priority lane. Demand
-/// loads are never delayed: speculation is bounded, runs strictly below
-/// demand priority, and coalesces with demand reads through the cache's
-/// single-flight machinery. At most 512 requests wait in the queue (when
-/// full, the lowest-scored one is evicted — popularity-ordered eviction),
-/// and at most 2× the I/O pool's workers (4 without a pool) are in flight.
+/// each session — the session's plan for its next segment names the
+/// (segment, tile, quality) cells it is likely to request, and the
+/// prefetcher loads them through the shared LRU cache on the I/O pool's
+/// low-priority lane. Demand loads are never delayed: speculation is
+/// bounded, runs strictly below demand priority, and coalesces with demand
+/// reads through the cache's single-flight machinery. At most 512 requests
+/// wait in the queue (when full, the lowest-scored one is evicted —
+/// popularity-ordered eviction), and at most 2× the I/O pool's workers (4
+/// without a pool) are in flight.
 ///
 /// Threading: EnqueueSegment/Pump/Drain must be called from one thread (the
 /// server's scheduler thread). The loads themselves run on the storage
-/// manager's I/O pool. Requests hold pointers to the caller's VideoMetadata
-/// and PopularityModel, which must outlive the prefetcher.
+/// manager's I/O pool. Requests hold pointers to the caller's VideoMetadata,
+/// which must outlive the prefetcher.
 ///
 /// Determinism: the prefetcher only warms the cache. It never touches the
 /// predictor, the popularity model (read-only), or any session accounting,
@@ -102,10 +104,14 @@ class PredictivePrefetcher {
   /// StorageManager or one node of a sharded store.
   PredictivePrefetcher(CellSource* storage, PrefetchMode mode);
 
-  /// Plans speculative loads for `hint.segment` of `metadata`, due at
-  /// simulated time `deadline` (the session's pacing deadline — requests
-  /// still queued past it are stale and get cancelled). `popularity` may be
-  /// null; it is consulted synchronously on the calling thread.
+  /// Queues one speculative load per tile of `hint.segment` of `metadata`,
+  /// at the tile's planned rung, due at simulated time `deadline` (the
+  /// session's pacing deadline — requests still queued past it are stale
+  /// and get cancelled). A request scores `popularity`'s probability for
+  /// its tile, plus 1 when the tile is planned above the lowest rung, so
+  /// the high-rung tiles of a plan dispatch first and are evicted last.
+  /// `popularity` may be null; it is consulted synchronously on the
+  /// calling thread.
   void EnqueueSegment(const VideoMetadata& metadata, const PrefetchHint& hint,
                       const PopularityModel* popularity, double deadline);
 

@@ -904,7 +904,6 @@ TEST(PlanCacheTest, ExactMemoizationHitsAndMisses) {
   PlanKey key;
   key.segment = 3;
   key.approach = static_cast<int>(StreamingApproach::kVisualCloud);
-  key.adaptive = true;
   key.high_quality = 0;
   key.yaw = 1.25;
   key.pitch = 0.5;
@@ -1005,6 +1004,63 @@ TEST_F(CoreTest, PlanCacheServesUniformDash) {
   EXPECT_EQ(a->bytes_sent, b->bytes_sent) << "uniform plans are view-free";
   EXPECT_GE(cache.stats().hits,
             static_cast<uint64_t>(metadata->segment_count()));
+}
+
+// A CellSource that records every segment plan a session delivers and
+// loads nothing (bytes are accounted by the session; only the plan matters).
+class RecordingCellSource : public CellSource {
+ public:
+  Result<LruCache::AsyncHandle> ReadCellAsync(const VideoMetadata&, int, int,
+                                              int, LoadKind) override {
+    return Status::NotSupported("recording source serves no cells");
+  }
+  Status ReadPlannedCells(const VideoMetadata& /*metadata*/, int segment,
+                          const std::vector<int>& tile_qualities) override {
+    plans.emplace_back(segment, tile_qualities);
+    return Status::OK();
+  }
+  ThreadPool* io_pool() const override { return nullptr; }
+  CacheStats cache_stats() const override { return {}; }
+
+  std::vector<std::pair<int, std::vector<int>>> plans;
+};
+
+TEST_F(CoreTest, PrefetchHintIsTheStepPlan) {
+  auto metadata = db_->Describe("venice");
+  ASSERT_TRUE(metadata.ok());
+  // A constant gaze: the predictor's estimate cannot move between the hint
+  // and the step, so the prefetcher's cells must be exactly the step's.
+  std::vector<TraceSample> samples;
+  for (int i = 0; i <= 32; ++i) samples.push_back({i / 8.0, Orientation{}});
+  HeadTrace trace = *HeadTrace::FromSamples(std::move(samples));
+
+  for (StreamingApproach approach :
+       {StreamingApproach::kMonolithicFull, StreamingApproach::kUniformDash,
+        StreamingApproach::kVisualCloud, StreamingApproach::kOracle}) {
+    SCOPED_TRACE(ApproachName(approach));
+    RecordingCellSource source;
+    SessionOptions options = BaseSession(approach);
+    // Starved enough that DASH picks a middle rung and budget fitting
+    // lowers VisualCloud's and the oracle's in-view tiles.
+    options.network.bandwidth_bps = 60e3;
+    options.cell_source = &source;
+    auto session =
+        ClientSession::Create(db_->storage(), *metadata, trace, options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    while (!(*session)->done()) {
+      PrefetchHint hint = (*session)->NextPrefetchHint();
+      ASSERT_TRUE(hint.valid);
+      ASSERT_EQ(hint.segment, (*session)->next_segment());
+      ASSERT_TRUE((*session)->Step((*session)->NextDeadline()).ok());
+      ASSERT_FALSE(source.plans.empty());
+      EXPECT_EQ(source.plans.back().first, hint.segment);
+      EXPECT_EQ(source.plans.back().second, hint.tile_qualities)
+          << "segment " << hint.segment;
+    }
+    EXPECT_EQ(source.plans.size(),
+              static_cast<size_t>(metadata->segment_count()));
+    EXPECT_FALSE((*session)->NextPrefetchHint().valid);
+  }
 }
 
 TEST(LiveCatalogTest, CatalogReadsRaceLiveCheckpoints) {

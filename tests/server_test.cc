@@ -424,8 +424,7 @@ TEST_F(ServerTest, AsyncPipelinePreservesSimulatedOutcome) {
   };
   for (const Config& config :
        {Config{1, PrefetchMode::kOff}, Config{1, PrefetchMode::kPredict},
-        Config{4, PrefetchMode::kPredict},
-        Config{4, PrefetchMode::kPopularity}}) {
+        Config{4, PrefetchMode::kPredict}}) {
     ServerStats stats = run_config(config.io_threads, config.prefetch);
     EXPECT_EQ(stats.bytes_sent, baseline.bytes_sent);
     EXPECT_EQ(stats.wall_seconds, baseline.wall_seconds);
@@ -666,7 +665,7 @@ TEST_F(ServerTest, ShardedClusterPreservesSimulatedOutcome) {
        {Config{1, 1, 0, PrefetchMode::kOff},
         Config{2, 2, 0, PrefetchMode::kOff},
         Config{2, 4, 2, PrefetchMode::kPredict},
-        Config{4, 2, 2, PrefetchMode::kPopularity}}) {
+        Config{4, 2, 2, PrefetchMode::kPredict}}) {
     SCOPED_TRACE("nodes=" + std::to_string(config.nodes) +
                  " shards=" + std::to_string(config.shards) +
                  " io_threads=" + std::to_string(config.io_threads));
@@ -1012,7 +1011,7 @@ TEST_F(ServerTest, LiveOutcomeInvariantAcrossRerunsNodesAndPrefetch) {
   for (const Config& config :
        {Config{1, 1, 0, PrefetchMode::kOff},
         Config{3, 2, 2, PrefetchMode::kPredict},
-        Config{2, 1, 2, PrefetchMode::kPopularity}}) {
+        Config{2, 1, 2, PrefetchMode::kPredict}}) {
     SCOPED_TRACE("nodes=" + std::to_string(config.nodes) +
                  " shards=" + std::to_string(config.shards) +
                  " io_threads=" + std::to_string(config.io_threads));

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <iterator>
 #include <list>
 #include <map>
 #include <mutex>
@@ -62,6 +63,57 @@ Result<LruCache::Value> Read(LruCache& cache, PackedCellKey key,
 bool Cached(LruCache& cache, PackedCellKey key) {
   return cache.GetOrComputeAsync(key, Failing(), nullptr, LoadKind::kDemand)
       .hit();
+}
+
+// Every field of the two stats structs, in one list each. The size checks
+// fail to compile when a field is added without being listed here, so a
+// new field cannot silently skip the arithmetic below.
+constexpr uint64_t CacheStats::*kCacheStatsFields[] = {
+    &CacheStats::hits,           &CacheStats::misses,
+    &CacheStats::evictions,      &CacheStats::bytes_cached,
+    &CacheStats::coalesced,      &CacheStats::rejected_oversize,
+    &CacheStats::prefetch_issued, &CacheStats::prefetch_hits,
+    &CacheStats::prefetch_wasted, &CacheStats::lookups};
+static_assert(sizeof(CacheStats) ==
+              std::size(kCacheStatsFields) * sizeof(uint64_t));
+constexpr uint64_t PrefetcherStats::*kPrefetcherStatsFields[] = {
+    &PrefetcherStats::enqueued, &PrefetcherStats::dispatched,
+    &PrefetcherStats::cancelled, &PrefetcherStats::deduped,
+    &PrefetcherStats::stale_skipped};
+static_assert(sizeof(PrefetcherStats) ==
+              std::size(kPrefetcherStatsFields) * sizeof(uint64_t));
+
+TEST(StatsArithmeticTest, EveryFieldTakesPart) {
+  // Distinct values per field, so a field summed into (or subtracted from)
+  // the wrong one shows up too.
+  CacheStats later, earlier;
+  for (size_t i = 0; i < std::size(kCacheStatsFields); ++i) {
+    later.*kCacheStatsFields[i] = 1000 + 100 * i;
+    earlier.*kCacheStatsFields[i] = 1 + i;
+  }
+  CacheStats sum = later;
+  sum += earlier;
+  const CacheStats delta = later - earlier;
+  for (size_t i = 0; i < std::size(kCacheStatsFields); ++i) {
+    SCOPED_TRACE("CacheStats field " + std::to_string(i));
+    uint64_t CacheStats::*field = kCacheStatsFields[i];
+    EXPECT_EQ(sum.*field, 1001 + 101 * i);
+    // bytes_cached is a level: the delta keeps the later value.
+    EXPECT_EQ(delta.*field, field == &CacheStats::bytes_cached
+                                ? 1000 + 100 * i
+                                : 999 + 99 * i);
+  }
+
+  PrefetcherStats total, node;
+  for (size_t i = 0; i < std::size(kPrefetcherStatsFields); ++i) {
+    total.*kPrefetcherStatsFields[i] = 1000 + 100 * i;
+    node.*kPrefetcherStatsFields[i] = 1 + i;
+  }
+  total += node;
+  for (size_t i = 0; i < std::size(kPrefetcherStatsFields); ++i) {
+    SCOPED_TRACE("PrefetcherStats field " + std::to_string(i));
+    EXPECT_EQ(total.*kPrefetcherStatsFields[i], 1001 + 101 * i);
+  }
 }
 
 TEST(LruCacheTest, HitAndMiss) {
@@ -533,6 +585,15 @@ class StorageManagerTest : public ::testing::Test {
   std::unique_ptr<Env> env_;
   std::unique_ptr<StorageManager> store_;
 };
+
+/// A session's prefetch hint: `segment` planned at `rungs`, one per tile.
+PrefetchHint PlanHint(int segment, std::vector<int> rungs) {
+  PrefetchHint hint;
+  hint.valid = true;
+  hint.segment = segment;
+  hint.tile_qualities = std::move(rungs);
+  return hint;
+}
 
 TEST_F(StorageManagerTest, StoreAndList) {
   StoreSample("alpha");
@@ -1060,24 +1121,19 @@ TEST_F(StorageManagerTest, PrefetcherWarmsPredictedCells) {
 
   PredictivePrefetcher prefetcher(store->get(), PrefetchMode::kPredict);
 
-  PrefetchHint hint;
-  hint.valid = true;
-  hint.segment = 0;
-  hint.fov_yaw = 2 * kPi;  // whole panorama in view: every tile qualifies
-  hint.fov_pitch = kPi;
-  hint.high_quality = 0;
-  prefetcher.EnqueueSegment(m, hint, /*popularity=*/nullptr,
+  // The plan: tile 0 at the high rung, tile 1 at the low rung.
+  prefetcher.EnqueueSegment(m, PlanHint(0, {0, 1}), /*popularity=*/nullptr,
                             /*deadline=*/10.0);
-  // 2 viewport tiles at the high rung + 2 backfill tiles at the low rung.
-  EXPECT_EQ(prefetcher.stats().enqueued, 4u);
+  // One request per tile, at its planned rung.
+  EXPECT_EQ(prefetcher.stats().enqueued, 2u);
   prefetcher.Pump(/*now=*/0.0);
   prefetcher.Drain();
-  EXPECT_EQ(prefetcher.stats().dispatched, 4u);
+  EXPECT_EQ(prefetcher.stats().dispatched, 2u);
 
-  // The speculative loads landed: demand reads are now pure hits credited
-  // to the prefetcher.
+  // The speculative loads landed: demand reads of the plan are now pure
+  // hits credited to the prefetcher.
   CacheStats stats = (*store)->cache_stats();
-  EXPECT_EQ(stats.prefetch_issued, 4u);
+  EXPECT_EQ(stats.prefetch_issued, 2u);
   ASSERT_TRUE((*store)->ReadCell(m, 0, 0, 0).ok());
   ASSERT_TRUE((*store)->ReadCell(m, 0, 1, 1).ok());
   stats = (*store)->cache_stats();
@@ -1086,11 +1142,11 @@ TEST_F(StorageManagerTest, PrefetcherWarmsPredictedCells) {
   EXPECT_EQ(stats.prefetch_hits, 2u);
 
   // Hints past their deadline are cancelled, not dispatched.
-  hint.segment = 1;
-  prefetcher.EnqueueSegment(m, hint, nullptr, /*deadline=*/1.0);
+  prefetcher.EnqueueSegment(m, PlanHint(1, {0, 1}), nullptr,
+                            /*deadline=*/1.0);
   prefetcher.Pump(/*now=*/2.0);
-  EXPECT_EQ(prefetcher.stats().dispatched, 4u);
-  EXPECT_EQ(prefetcher.stats().cancelled, 4u);
+  EXPECT_EQ(prefetcher.stats().dispatched, 2u);
+  EXPECT_EQ(prefetcher.stats().cancelled, 2u);
   prefetcher.Drain();
 }
 
@@ -2043,30 +2099,33 @@ class RecordingCellSource : public CellSource {
 TEST_F(StorageManagerTest, PrefetcherDispatchesBestFirstIncludingLastElement) {
   VideoMetadata m = StoreSample("video", 1);
 
-  // Teach the popularity model to love exactly one tile, so the two
-  // viewport candidates get distinct scores and the dispatch order is
-  // forced — regardless of the order they were enqueued in.
+  // Teach the popularity model to favour one tile three gazes to one, so
+  // the two tiles get distinct scores and the dispatch order is forced —
+  // regardless of the order they were enqueued in.
   PopularityModel popularity(m.tile_grid(), m.segment_duration_seconds(),
                              m.segment_count());
-  popularity.Observe(0.05, Orientation{});
+  popularity.Observe(0.01, Orientation{});
+  popularity.Observe(0.02, Orientation{});
+  popularity.Observe(0.03, Orientation{});
+  popularity.Observe(0.04, Orientation{1.5 * kPi, kPi / 2});
   popularity.EndViewer();
   std::vector<double> probs = popularity.TileProbabilities(0);
   ASSERT_EQ(probs.size(), 2u);
   int hot = probs[0] > probs[1] ? 0 : 1;
   int cold = 1 - hot;
   ASSERT_GT(probs[hot], probs[cold]);
+  ASSERT_GT(probs[cold], 0.0);
 
   RecordingCellSource source;
   PredictivePrefetcher prefetcher(&source, PrefetchMode::kPredict);
 
-  PrefetchHint hint;
-  hint.valid = true;
-  hint.segment = 0;
-  hint.fov_yaw = 2 * kPi;  // whole panorama: both tiles are candidates
-  hint.fov_pitch = kPi;
-  hint.high_quality = 0;
-  prefetcher.EnqueueSegment(m, hint, &popularity, /*deadline=*/10.0);
-  ASSERT_EQ(prefetcher.stats().enqueued, 4u);  // 2 viewport + 2 backfill
+  // Two plans for the segment, queued together: every tile at the lowest
+  // rung first, then every tile at the high rung.
+  prefetcher.EnqueueSegment(m, PlanHint(0, {1, 1}), &popularity,
+                            /*deadline=*/10.0);
+  prefetcher.EnqueueSegment(m, PlanHint(0, {0, 0}), &popularity,
+                            /*deadline=*/10.0);
+  ASSERT_EQ(prefetcher.stats().enqueued, 4u);
 
   // Inline handles resolve immediately, so one Pump dispatches the whole
   // queue — including the selection where the best request is the last
@@ -2074,8 +2133,9 @@ TEST_F(StorageManagerTest, PrefetcherDispatchesBestFirstIncludingLastElement) {
   prefetcher.Pump(/*now=*/0.0);
   EXPECT_EQ(prefetcher.stats().dispatched, 4u);
   ASSERT_EQ(source.loads.size(), 4u);
-  // Strictly score-descending: hot viewport tile, cold viewport tile, then
-  // the backfill pair in the same popularity order.
+  // Strictly score-descending, whatever the enqueue order: a tile planned
+  // above the lowest rung outranks every lowest-rung tile, and popularity
+  // orders each group — hot high, cold high, hot low, cold low.
   EXPECT_EQ(source.loads[0], (CellKey{0, hot, 0}));
   EXPECT_EQ(source.loads[1], (CellKey{0, cold, 0}));
   EXPECT_EQ(source.loads[2], (CellKey{0, hot, 1}));
@@ -2088,34 +2148,50 @@ TEST_F(StorageManagerTest, PrefetcherStaleCancelHandlesLastElement) {
   RecordingCellSource source;
   PredictivePrefetcher prefetcher(&source, PrefetchMode::kPredict);
 
-  PrefetchHint hint;
-  hint.valid = true;
-  hint.segment = 0;
-  hint.fov_yaw = 2 * kPi;
-  hint.fov_pitch = kPi;
-  hint.high_quality = 0;
-  // Two batches with distinct deadlines; the stale sweep removes the first
-  // batch, repeatedly compacting against the queue's back — including the
-  // step where the victim *is* the back (the guarded self-move).
-  prefetcher.EnqueueSegment(m, hint, nullptr, /*deadline=*/1.0);
-  hint.segment = 1;
-  prefetcher.EnqueueSegment(m, hint, nullptr, /*deadline=*/5.0);
-  ASSERT_EQ(prefetcher.stats().enqueued, 8u);
+  // Two batches with distinct deadlines, the stale one queued last: the
+  // stale sweep removes it by compacting against the queue's back — and
+  // ends on the step where the victim *is* the back (the guarded
+  // self-move).
+  prefetcher.EnqueueSegment(m, PlanHint(1, {0, 1}), nullptr,
+                            /*deadline=*/5.0);
+  prefetcher.EnqueueSegment(m, PlanHint(0, {0, 1}), nullptr,
+                            /*deadline=*/1.0);
+  ASSERT_EQ(prefetcher.stats().enqueued, 4u);
 
-  prefetcher.Pump(/*now=*/2.0);  // past batch 1's deadline, before batch 2's
-  EXPECT_EQ(prefetcher.stats().cancelled, 4u);
-  EXPECT_EQ(prefetcher.stats().dispatched, 4u);
+  prefetcher.Pump(/*now=*/2.0);  // past batch 2's deadline, before batch 1's
+  EXPECT_EQ(prefetcher.stats().cancelled, 2u);
+  EXPECT_EQ(prefetcher.stats().dispatched, 2u);
   for (const CellKey& cell : source.loads) {
     EXPECT_EQ(cell.segment, 1) << "stale segment-0 requests must not load";
   }
 
   // Cancelling cleared the dedupe set: the same cells can be re-requested.
-  hint.segment = 0;
-  prefetcher.EnqueueSegment(m, hint, nullptr, /*deadline=*/5.0);
-  EXPECT_EQ(prefetcher.stats().enqueued, 12u);
+  prefetcher.EnqueueSegment(m, PlanHint(0, {0, 1}), nullptr,
+                            /*deadline=*/5.0);
+  EXPECT_EQ(prefetcher.stats().enqueued, 6u);
   prefetcher.Pump(/*now=*/3.0);
-  EXPECT_EQ(prefetcher.stats().dispatched, 8u);
+  EXPECT_EQ(prefetcher.stats().dispatched, 4u);
   prefetcher.Drain();
+}
+
+TEST_F(StorageManagerTest, PrefetcherRequestsOnlyPlannedCells) {
+  VideoMetadata m = StoreSample("video", 1);
+  RecordingCellSource source;
+  PredictivePrefetcher prefetcher(&source, PrefetchMode::kPredict);
+
+  // Tile 0 planned at the lowest rung, tile 1 at the high rung: exactly
+  // those two cells load, high first. No other rung of either tile (an
+  // in-view tile's lowest rung, a backfill) is requested.
+  prefetcher.EnqueueSegment(m, PlanHint(0, {1, 0}), nullptr,
+                            /*deadline=*/10.0);
+  prefetcher.Pump(/*now=*/0.0);
+  prefetcher.Drain();
+  EXPECT_EQ(source.loads,
+            (std::vector<CellKey>{CellKey{0, 1, 0}, CellKey{0, 0, 1}}));
+
+  // A hint whose plan does not cover the video's tiles names no cells.
+  prefetcher.EnqueueSegment(m, PlanHint(0, {0}), nullptr, /*deadline=*/10.0);
+  EXPECT_EQ(prefetcher.stats().enqueued, 2u);
 }
 
 // ------------------------------------------------------- Live checkpoints
@@ -2304,15 +2380,10 @@ TEST_F(StorageManagerTest, PrefetcherDedupesRepeatHintsWithinTtl) {
   RecordingCellSource source;
   PredictivePrefetcher prefetcher(&source, PrefetchMode::kPredict);
 
-  PrefetchHint hint;
-  hint.valid = true;
-  hint.segment = 0;
-  hint.fov_yaw = 2 * kPi;
-  hint.fov_pitch = kPi;
-  hint.high_quality = 0;
+  const PrefetchHint hint = PlanHint(0, {0, 1});
   prefetcher.EnqueueSegment(m, hint, nullptr, /*deadline=*/10.0);
   uint64_t first = prefetcher.stats().enqueued;
-  ASSERT_GT(first, 0u);
+  ASSERT_EQ(first, 2u);
 
   // The same hint again (the 10k-viewer cohort case: many sessions aimed
   // at one segment) adds nothing — every cell is suppressed by the TTL.
@@ -2340,19 +2411,13 @@ TEST_F(StorageManagerTest, PrefetcherSkipsHintsAlreadyPastDeadline) {
   RecordingCellSource source;
   PredictivePrefetcher prefetcher(&source, PrefetchMode::kPredict);
 
-  PrefetchHint hint;
-  hint.valid = true;
-  hint.segment = 0;
-  hint.fov_yaw = 2 * kPi;
-  hint.fov_pitch = kPi;
-  hint.high_quality = 0;
-
   // Time has moved past the deadline: enqueueing would only create work
   // for the stale sweep to cancel, so the hint is dropped at the door.
   prefetcher.Pump(/*now=*/5.0);
-  prefetcher.EnqueueSegment(m, hint, nullptr, /*deadline=*/4.0);
+  prefetcher.EnqueueSegment(m, PlanHint(0, {0, 1}), nullptr,
+                            /*deadline=*/4.0);
   EXPECT_EQ(prefetcher.stats().enqueued, 0u);
-  EXPECT_GT(prefetcher.stats().stale_skipped, 0u);
+  EXPECT_EQ(prefetcher.stats().stale_skipped, 2u);
   EXPECT_EQ(prefetcher.stats().CancellationRatio(), 0.0);
   prefetcher.Drain();
   EXPECT_TRUE(source.loads.empty());
