@@ -1,12 +1,12 @@
 // M1k — codec kernel microbenchmark: scalar vs SIMD throughput for each of
-// eight hot kernels (three SAD variants, forward/inverse integer DCT,
-// quantization, and the two stage pairs the codec calls once per block:
-// transform+quantize and dequantize+inverse), plus the Exp-Golomb residual
-// coder's throughput and density and the cell CRC's throughput against a
-// byte-at-a-time reference. The `speedup_geomean` in the JSON snapshot is
-// over those eight kernels. For the transform kernels "scalar" is the build's
-// baseline compilation of their one plain C++ body and "SIMD" its AVX2
-// compilation.
+// five hot kernels (three SAD variants and the two transform stage pairs the
+// codec calls once per block: transform+quantize and dequantize+inverse),
+// plus the Exp-Golomb residual coder's throughput and density and the cell
+// CRC's throughput against a byte-at-a-time reference. The
+// `speedup_geomean` in the JSON snapshot is over those five kernels. For the
+// stage pairs "scalar" is their plain C++ body and "SIMD" their AVX2
+// kernels. The single stages (ForwardDct, Quantize, Dequantize, InverseDct)
+// have no vector path and no row; they compute the stagewise reference.
 //
 // Expected shape: the SIMD columns are faster than scalar for every
 // vectorized kernel.
@@ -139,7 +139,7 @@ KernelRow BenchSad(int size, bool bounded, int blocks, int reps) {
   return row;
 }
 
-// ------------------------------------------------- transform/quant kernels
+// --------------------------------------------------- transform stage pairs
 
 struct TransformData {
   std::vector<ResidualBlock> residuals;
@@ -196,41 +196,7 @@ std::vector<KernelRow> BenchTransforms(const TransformData& data, int reps) {
   const double bytes = static_cast<double>(blocks) * kBlockPixels;
   std::vector<KernelRow> rows;
 
-  std::vector<CoeffBlock> coeff_out(blocks);
-  CheckBlockwiseAgreement(
-      blocks, &coeff_out,
-      [&](int i, CoeffBlock* out) { ForwardDct(data.residuals[i], out); },
-      "ForwardDct scalar/SIMD");
-  rows.push_back(TimeKernel("fdct", bytes, reps, [&] {
-    for (int i = 0; i < blocks; ++i) {
-      ForwardDct(data.residuals[i], &coeff_out[i]);
-    }
-  }));
-
-  std::vector<ResidualBlock> res_out(blocks);
-  CheckBlockwiseAgreement(
-      blocks, &res_out,
-      [&](int i, ResidualBlock* out) { InverseDct(data.dequantized[i], out); },
-      "InverseDct scalar/SIMD");
-  rows.push_back(TimeKernel("idct", bytes, reps, [&] {
-    for (int i = 0; i < blocks; ++i) {
-      InverseDct(data.dequantized[i], &res_out[i]);
-    }
-  }));
-
   std::vector<LevelBlock> level_out(blocks);
-  CheckBlockwiseAgreement(
-      blocks, &level_out,
-      [&](int i, LevelBlock* out) {
-        Quantize(data.coeffs[i], data.qp, out);
-      },
-      "Quantize scalar/SIMD");
-  rows.push_back(TimeKernel("quant", bytes, reps, [&] {
-    for (int i = 0; i < blocks; ++i) {
-      Quantize(data.coeffs[i], data.qp, &level_out[i]);
-    }
-  }));
-
   CheckBlockwiseAgreement(
       blocks, &level_out,
       [&](int i, LevelBlock* out) {
@@ -246,6 +212,7 @@ std::vector<KernelRow> BenchTransforms(const TransformData& data, int reps) {
     }
   }));
 
+  std::vector<ResidualBlock> res_out(blocks);
   CheckBlockwiseAgreement(
       blocks, &res_out,
       [&](int i, ResidualBlock* out) {

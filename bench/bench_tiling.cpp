@@ -9,6 +9,7 @@
 // per grid with motion-analysis reuse off and on: the encode cost of finer
 // grids and how much of it the hints claw back.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,13 @@ using namespace vc::bench;
 
 namespace {
 
+/// The middle element of an odd-length sample.
+double Median(std::vector<double> samples) {
+  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                   samples.end());
+  return samples[samples.size() / 2];
+}
+
 struct GridCase {
   int rows, cols;
 };
@@ -28,30 +36,26 @@ struct GridCase {
 const std::vector<GridCase> kGrids = {{1, 1}, {2, 2}, {2, 4},
                                       {4, 4}, {4, 8}, {8, 8}};
 
-/// Times one ladder ingest of `frames` at `grid` (fresh db per lap, best of
-/// `reps`); returns the fastest wall seconds and the SAD evals per search of
-/// the final lap.
+/// Times one ladder ingest of `frames` at `grid` into a fresh db; returns
+/// its wall seconds and SAD evals per search.
 struct IngestTiming {
   double seconds = 0.0;
   double sad_evals_per_search = 0.0;
 };
 
 IngestTiming TimeIngest(const std::vector<Frame>& frames,
-                        const GridCase& grid, bool reuse, int reps) {
+                        const GridCase& grid, bool reuse) {
   IngestOptions ingest = CanonicalIngest();
   ingest.tile_rows = grid.rows;
   ingest.tile_cols = grid.cols;
   ingest.reuse_motion_analysis = reuse;
 
   IngestTiming timing;
-  for (int rep = 0; rep < reps; ++rep) {
-    BenchDb bench = OpenBenchDb();
-    MetricRegistry::Global().Reset();
-    Stopwatch watch;
-    CheckOk(bench.db->Ingest("clip", frames, ingest).status(), "ingest");
-    double seconds = watch.ElapsedSeconds();
-    if (rep == 0 || seconds < timing.seconds) timing.seconds = seconds;
-  }
+  BenchDb bench = OpenBenchDb();
+  MetricRegistry::Global().Reset();
+  Stopwatch watch;
+  CheckOk(bench.db->Ingest("clip", frames, ingest).status(), "ingest");
+  timing.seconds = watch.ElapsedSeconds();
   MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
   double searches = SnapshotCounter(snapshot, "codec.search_full") +
                     SnapshotCounter(snapshot, "codec.search_hinted");
@@ -132,7 +136,8 @@ int main() {
          "pay per-tile overhead; hints recover most per-rung analysis");
 
   constexpr int kIngestSeconds = 4;
-  constexpr int kReps = 3;
+  // Laps per mode; the table reports each mode's median lap.
+  constexpr int kLaps = 7;
   auto frames = RenderScene(*CanonicalScene("coaster"), kIngestSeconds * kFps);
 
   std::printf("\n%-7s %14s %14s %9s %16s %16s\n", "grid", "unhinted(s)",
@@ -141,14 +146,15 @@ int main() {
   for (const GridCase& grid_case : kGrids) {
     // Interleave modes so machine-load drift hits both equally.
     IngestTiming unhinted, hinted;
-    for (int rep = 0; rep < kReps; ++rep) {
-      IngestTiming u = TimeIngest(frames, grid_case, /*reuse=*/false, 1);
-      IngestTiming h = TimeIngest(frames, grid_case, /*reuse=*/true, 1);
-      if (rep == 0 || u.seconds < unhinted.seconds) unhinted.seconds = u.seconds;
-      if (rep == 0 || h.seconds < hinted.seconds) hinted.seconds = h.seconds;
-      unhinted.sad_evals_per_search = u.sad_evals_per_search;
-      hinted.sad_evals_per_search = h.sad_evals_per_search;
+    std::vector<double> unhinted_laps, hinted_laps;
+    for (int lap = 0; lap < kLaps; ++lap) {
+      unhinted = TimeIngest(frames, grid_case, /*reuse=*/false);
+      hinted = TimeIngest(frames, grid_case, /*reuse=*/true);
+      unhinted_laps.push_back(unhinted.seconds);
+      hinted_laps.push_back(hinted.seconds);
     }
+    unhinted.seconds = Median(unhinted_laps);
+    hinted.seconds = Median(hinted_laps);
     double speedup = unhinted.seconds / hinted.seconds;
     std::printf("%d x %-3d %14.3f %14.3f %8.2fx %16.1f %16.1f\n",
                 grid_case.rows, grid_case.cols, unhinted.seconds,

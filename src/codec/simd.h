@@ -4,28 +4,34 @@
 // Portable-intrinsics layer for the codec hot kernels.
 //
 // Each kernel has one scalar reference and at most one vector path:
-//  - The transform family (ForwardDct, InverseDct, Quantize, Dequantize) is
-//    integer code written once in plain C++, without intrinsics. x86 builds
-//    compile it a second time inside per-function `target("avx2")` wrappers
-//    (VC_AVX2_FN), dispatched only when the host CPU reports AVX2; any other
-//    host runs the baseline compilation. The codec calls the stages in
-//    pairs, one dispatch per pair: ForwardDctQuantize and
-//    DequantizeInverseDct inline the same stage bodies into one function
-//    per compilation. A DC-only block skips both: DequantizeInverseDctDc
-//    dequantizes its one level and fills.
+//  - The codec runs the integer transform in two stage pairs, one dispatch
+//    per block each: ForwardDctQuantize (transform, then quantize) and
+//    DequantizeInverseDct (dequantize, then inverse). Their scalar
+//    reference inlines the plain C++ stage bodies; x86 builds add one AVX2
+//    kernel per pair, in a per-function `target("avx2")` (VC_AVX2_FN),
+//    dispatched only when the host CPU reports AVX2. The kernels multiply
+//    16-bit sample pairs by 16-bit basis pairs (`vpmaddwd`) and need no
+//    transpose; they are exact because the residuals lie in [−255, 255]
+//    and the inverse clips to int16 (transform.cc gives the bounds). The
+//    single stages (ForwardDct, InverseDct, Quantize, Dequantize) have no
+//    vector path: only tests and benchmarks call them, as the stagewise
+//    reference. A DC-only block skips the inverse pair:
+//    DequantizeInverseDctDc dequantizes its one level and fills.
 //  - The SAD and residual/reconstruction kernels have an SSE2 path on x86
 //    (architectural on x86-64) and a NEON path on aarch64.
 //
 // Building with -DVC_DISABLE_SIMD removes every intrinsics path and the AVX2
-// compilation outright, leaving the scalar references — the configuration
-// the CI `simd` leg uses to prove both paths bit-identical. At run time the
+// kernels outright, leaving the scalar references — the configuration the
+// CI `simd` leg uses to prove both paths bit-identical. At run time the
 // kill-switch `SetEnabled(false)` lets one binary run either path, which is
 // how the bit-exactness tests and the scalar-vs-SIMD micro-benchmarks
 // compare them.
 //
 // Every vector kernel is *bit-identical* to its scalar reference: all of
-// them are integer code, whose results do not depend on the instructions
-// that compute them. Tests enforce this; see codec_test.cc (SimdTest.*).
+// them are integer code, and none lets an intermediate leave the range of
+// its lanes, so their results do not depend on the instructions that
+// compute them. Tests enforce this, including the inputs at the edges of
+// those ranges; see codec_test.cc (SimdTest.*).
 
 #include <atomic>
 #include <cstddef>
@@ -54,9 +60,8 @@ namespace simd {
 enum class Level { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };
 
 /// The best tier with code compiled into this binary: kAvx2 on x86 (the
-/// AVX2 compilation of the transform kernels is always compiled in and only
-/// dispatched to when the host CPU passes the capability probe), kNeon on
-/// aarch64.
+/// AVX2 transform kernels are always compiled in and only dispatched to
+/// when the host CPU passes the capability probe), kNeon on aarch64.
 Level CompiledLevel();
 
 /// Human-readable tier name ("scalar", "sse2", "avx2", "neon").

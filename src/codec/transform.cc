@@ -1,6 +1,8 @@
 #include "codec/transform.h"
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 
@@ -22,11 +24,11 @@ constexpr int32_t kOdd[4][4] = {{89, 75, 50, 18},
 
 inline int32_t Clip16(int32_t v) { return Clamp(v, -32768, 32767); }
 
-// The kernel bodies below are plain C++ written once and compiled twice:
-// inlined into the public functions for the build's baseline ISA and, on
-// x86, into AVX2-targeted wrappers dispatched on the host CPU. Integer
-// arithmetic has one result whatever instructions compute it, so the two
-// compilations agree bit for bit by construction.
+// The stage bodies below are plain C++: the scalar reference, and what a
+// pre-AVX2 host or a VC_DISABLE_SIMD build runs. On x86 the two stage pairs
+// also have AVX2 kernels (further down), dispatched on the host CPU; both
+// are integer arithmetic whose intermediates never leave their lanes'
+// range, so they agree bit for bit.
 //
 // A pass runs one 8-point butterfly on all eight lines of a block at once:
 // `in[k * 8 + line]` is sample k of a line, so every step is one operation
@@ -184,9 +186,8 @@ inline int32_t DequantScale(int qp) {
   }
 }
 
-// The stage pairs the codec runs per block, each stage inlined from its one
-// body above: the coefficients pass from one stage to the next inside one
-// function instead of through a CoeffBlock between two dispatched calls.
+// The stage pairs the codec runs per block, each stage inlined from its
+// body above: the scalar reference of the AVX2 kernels below.
 
 [[gnu::always_inline]] inline uint64_t ForwardDctQuantizeBody(
     const ResidualBlock& residual, int qp, LevelBlock* levels) {
@@ -204,37 +205,172 @@ inline int32_t DequantScale(int qp) {
 
 #if defined(VC_SIMD_X86)
 
-VC_AVX2_FN void ForwardDctAvx2(const ResidualBlock& input,
-                               CoeffBlock* output) {
-  ForwardDctBody(input, output);
+// The AVX2 stage pairs compute the same integers in matrix form on 16-bit
+// pairs, with no transpose: `_mm256_madd_epi16` returns a0·b0 + a1·b1 per
+// int32 lane. Forward is X·Tᵀ, then T·Z; inverse is Tᵀ·D, then A·T. Every
+// int16 operand is exact: residuals in [−255, 255] bound the forward row
+// pass to (255·512 + 2) >> 2 = 32,640, the inverse clips both passes to
+// int16, which is exactly the saturation of `_mm256_packs_epi32`, and no
+// row sum exceeds 512·32,768 < 2³¹. The loops are unrolled at every
+// optimization level, so their rows stay in registers.
+
+// HEVC's basis as a matrix: T[u][k] weighs sample k in output u.
+constexpr int16_t kBasis[kBlockSize][kBlockSize] = {
+    {64, 64, 64, 64, 64, 64, 64, 64},
+    {89, 75, 50, 18, -18, -50, -75, -89},
+    {83, 36, -36, -83, -83, -36, 36, 83},
+    {75, -18, -89, -50, 50, 89, 18, -75},
+    {64, -64, -64, 64, 64, -64, -64, 64},
+    {50, -89, 18, 75, -75, -18, 89, -50},
+    {36, -83, 83, -36, -36, 83, -83, 36},
+    {18, -50, 75, -89, 89, -75, 50, -18}};
+
+/// M = T or Tᵀ in the two shapes the passes read: its rows, and for Y·Mᵀ
+/// on two rows at once, half_columns[h][p] holding (M[4h+i][2p],
+/// M[4h+i][2p+1]) in lane i of each 128-bit half.
+struct PairMatrix {
+  int16_t rows[kBlockSize][kBlockSize];
+  alignas(32) int16_t half_columns[2][4][2 * kBlockSize];
+};
+
+constexpr PairMatrix MakePairMatrix(bool transpose) {
+  PairMatrix m{};
+  for (int i = 0; i < kBlockSize; ++i) {
+    for (int k = 0; k < kBlockSize; ++k) {
+      const int16_t w = transpose ? kBasis[k][i] : kBasis[i][k];
+      m.rows[i][k] = w;
+      for (int half = 0; half < 2; ++half) {
+        m.half_columns[i / 4][k / 2][8 * half + 2 * (i % 4) + k % 2] = w;
+      }
+    }
+  }
+  return m;
 }
 
-VC_AVX2_FN void InverseDctAvx2(const CoeffBlock& input,
-                               ResidualBlock* output) {
-  InverseDctBody(input, output);
+constexpr PairMatrix kForwardMatrix = MakePairMatrix(false);
+constexpr PairMatrix kInverseMatrix = MakePairMatrix(true);
+
+template <int kShift>
+[[gnu::always_inline]] VC_AVX2_FN inline __m256i RoundShift(__m256i v) {
+  const __m256i round = _mm256_set1_epi32(1 << (kShift - 1));
+  return _mm256_srai_epi32(_mm256_add_epi32(v, round), kShift);
 }
 
-VC_AVX2_FN uint64_t QuantizeAvx2(const CoeffBlock& coeffs, int qp,
-                                 LevelBlock* levels) {
-  return QuantizeBody(coeffs, qp, levels);
+/// Y·Mᵀ for rows n and n+1 of Y, held as int16 in the low and high half of
+/// `rows`: the two output rows, rounded, shifted by kShift and saturated to
+/// int16, in the same layout.
+template <int kShift>
+[[gnu::always_inline]] VC_AVX2_FN inline __m256i RowPairPass(
+    __m256i rows, const PairMatrix& m) {
+  const __m256i pairs[4] = {
+      _mm256_shuffle_epi32(rows, 0x00), _mm256_shuffle_epi32(rows, 0x55),
+      _mm256_shuffle_epi32(rows, 0xAA), _mm256_shuffle_epi32(rows, 0xFF)};
+  const auto* columns = reinterpret_cast<const __m256i*>(m.half_columns);
+  __m256i lo = _mm256_setzero_si256();  // outputs 0..3 of each row
+  __m256i hi = _mm256_setzero_si256();  // outputs 4..7
+#pragma GCC unroll 4
+  for (int p = 0; p < 4; ++p) {
+    lo = _mm256_add_epi32(lo, _mm256_madd_epi16(pairs[p], columns[p]));
+    hi = _mm256_add_epi32(hi, _mm256_madd_epi16(pairs[p], columns[4 + p]));
+  }
+  return _mm256_packs_epi32(RoundShift<kShift>(lo), RoundShift<kShift>(hi));
 }
 
-VC_AVX2_FN void DequantizeAvx2(const LevelBlock& levels, int qp,
-                               CoeffBlock* coeffs) {
-  DequantizeBody(levels, qp, coeffs);
+/// Row v of M·Y, rounded and shifted by kShift; pairs[p] holds rows 2p and
+/// 2p+1 of Y interleaved.
+template <int kShift>
+[[gnu::always_inline]] VC_AVX2_FN inline __m256i PairPass(
+    const __m256i pairs[4], const int16_t* m_row) {
+  __m256i sum = _mm256_setzero_si256();
+#pragma GCC unroll 4
+  for (int p = 0; p < 4; ++p) {
+    int32_t weights;
+    std::memcpy(&weights, m_row + 2 * p, sizeof(weights));
+    sum = _mm256_add_epi32(
+        sum, _mm256_madd_epi16(pairs[p], _mm256_set1_epi32(weights)));
+  }
+  return RoundShift<kShift>(sum);
+}
+
+/// Two rows as (a_i, b_i) pairs in lane i, from the int16 layout a
+/// saturating pack of them leaves: (a0..a3, b0..b3 | a4..a7, b4..b7).
+[[gnu::always_inline]] VC_AVX2_FN inline __m256i PairUp(__m256i packed) {
+  const __m256i order = _mm256_setr_epi8(
+      0, 1, 8, 9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15,  //
+      0, 1, 8, 9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15);
+  return _mm256_shuffle_epi8(packed, order);
 }
 
 VC_AVX2_FN uint64_t ForwardDctQuantizeAvx2(const ResidualBlock& residual,
                                            int qp, LevelBlock* levels) {
-  return ForwardDctQuantizeBody(residual, qp, levels);
+  __m256i pairs[4];  // Z = X·Tᵀ, rows 2p and 2p+1 paired up
+#pragma GCC unroll 4
+  for (int p = 0; p < 4; ++p) {
+    const __m256i z = RowPairPass<2>(
+        _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(&residual[2 * p * kBlockSize])),
+        kForwardMatrix);
+    pairs[p] = PairUp(_mm256_permute4x64_epi64(z, 0xD8));
+  }
+  // C = T·Z, quantized in registers: |c| ≤ 32,640 and the scale are both
+  // below 2¹⁵, so one madd against (scale, 0) is |c|·scale.
+  const int shift = 18 + qp / 6;
+  const __m256i scale = _mm256_set1_epi32(kQuantScale[qp % 6]);
+  const __m256i dead_zone = _mm256_set1_epi32((2 << shift) / 5);
+  const __m128i shift_count = _mm_cvtsi32_si128(shift);
+  uint64_t mask = 0;
+#pragma GCC unroll 8
+  for (int v = 0; v < kBlockSize; ++v) {
+    const __m256i c = PairPass<9>(pairs, kForwardMatrix.rows[v]);
+    const __m256i magnitude = _mm256_srl_epi32(
+        _mm256_add_epi32(_mm256_madd_epi16(_mm256_abs_epi32(c), scale),
+                         dead_zone),
+        shift_count);
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(&(*levels)[v * kBlockSize]),
+        _mm256_sign_epi32(magnitude, c));
+    const __m256i nonzero =
+        _mm256_cmpgt_epi32(magnitude, _mm256_setzero_si256());
+    mask |= static_cast<uint64_t>(
+                _mm256_movemask_ps(_mm256_castsi256_ps(nonzero)))
+            << (8 * v);
+  }
+  return mask;
 }
 
 VC_AVX2_FN void DequantizeInverseDctAvx2(const LevelBlock& levels, int qp,
                                          ResidualBlock* residual) {
-  DequantizeInverseDctBody(levels, qp, residual);
+  const __m256i scale = _mm256_set1_epi32(DequantScale(qp));
+  const __m256i max_level = _mm256_set1_epi32(kMaxDequantLevel);
+  const __m256i min_level = _mm256_set1_epi32(-kMaxDequantLevel);
+  __m256i coeffs[kBlockSize];
+#pragma GCC unroll 8
+  for (int v = 0; v < kBlockSize; ++v) {
+    const __m256i level = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(&levels[v * kBlockSize]));
+    coeffs[v] = RoundShift<6>(_mm256_mullo_epi32(
+        _mm256_max_epi32(_mm256_min_epi32(level, max_level), min_level),
+        scale));
+  }
+  __m256i pairs[4];  // D, the pack being its Clip16
+#pragma GCC unroll 4
+  for (int p = 0; p < 4; ++p) {
+    pairs[p] = PairUp(_mm256_packs_epi32(coeffs[2 * p], coeffs[2 * p + 1]));
+  }
+  // A = Tᵀ·D and R = A·T, two rows at a time; each pack is a Clip16.
+#pragma GCC unroll 4
+  for (int n = 0; n < kBlockSize; n += 2) {
+    const __m256i a = _mm256_permute4x64_epi64(
+        _mm256_packs_epi32(PairPass<7>(pairs, kInverseMatrix.rows[n]),
+                           PairPass<7>(pairs, kInverseMatrix.rows[n + 1])),
+        0xD8);
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(&(*residual)[n * kBlockSize]),
+        RowPairPass<12>(a, kInverseMatrix));
+  }
 }
 
-/// Whether the transform kernels should take their AVX2 compilation.
+/// Whether the stage pairs should take their AVX2 kernels.
 inline bool UseAvx2() { return simd::ActiveLevel() == simd::Level::kAvx2; }
 
 #endif  // VC_SIMD_X86
@@ -242,16 +378,10 @@ inline bool UseAvx2() { return simd::ActiveLevel() == simd::Level::kAvx2; }
 }  // namespace
 
 void ForwardDct(const ResidualBlock& input, CoeffBlock* output) {
-#if defined(VC_SIMD_X86)
-  if (UseAvx2()) return ForwardDctAvx2(input, output);
-#endif
   ForwardDctBody(input, output);
 }
 
 void InverseDct(const CoeffBlock& input, ResidualBlock* output) {
-#if defined(VC_SIMD_X86)
-  if (UseAvx2()) return InverseDctAvx2(input, output);
-#endif
   InverseDctBody(input, output);
 }
 
@@ -276,21 +406,17 @@ double QStepForQp(int qp) {
 }
 
 uint64_t Quantize(const CoeffBlock& coeffs, int qp, LevelBlock* levels) {
-#if defined(VC_SIMD_X86)
-  if (UseAvx2()) return QuantizeAvx2(coeffs, qp, levels);
-#endif
   return QuantizeBody(coeffs, qp, levels);
 }
 
 void Dequantize(const LevelBlock& levels, int qp, CoeffBlock* coeffs) {
-#if defined(VC_SIMD_X86)
-  if (UseAvx2()) return DequantizeAvx2(levels, qp, coeffs);
-#endif
   DequantizeBody(levels, qp, coeffs);
 }
 
 uint64_t ForwardDctQuantize(const ResidualBlock& residual, int qp,
                             LevelBlock* levels) {
+  assert(std::all_of(residual.begin(), residual.end(),
+                     [](int16_t v) { return v >= -255 && v <= 255; }));
 #if defined(VC_SIMD_X86)
   if (UseAvx2()) return ForwardDctQuantizeAvx2(residual, qp, levels);
 #endif

@@ -18,9 +18,12 @@ using CoeffBlock = std::array<int32_t, kBlockPixels>;
 /// A quantized-level block (what the entropy coder sees).
 using LevelBlock = std::array<int32_t, kBlockPixels>;
 
-/// Forward 8×8 integer DCT (the HEVC partial butterfly) of a residual block
-/// whose samples lie in [−255, 255]. Coefficients come out at 16× the
-/// orthonormal DCT-II: a constant block of value v has DC 128·v and no AC.
+/// Forward 8×8 integer DCT (the HEVC partial butterfly) of a residual block.
+/// Requires every sample in [−255, 255], the difference of two 8-bit
+/// planes: it bounds the first pass's outputs to int16, which the AVX2
+/// ForwardDctQuantize holds in 16-bit lanes. Coefficients come out at 16×
+/// the orthonormal DCT-II: a constant block of value v has DC 128·v and no
+/// AC.
 void ForwardDct(const ResidualBlock& input, CoeffBlock* output);
 
 /// Inverse 8×8 integer DCT of coefficients in int16 range. Integer
@@ -54,7 +57,10 @@ uint64_t Quantize(const CoeffBlock& coeffs, int qp, LevelBlock* levels);
 void Dequantize(const LevelBlock& levels, int qp, CoeffBlock* coeffs);
 
 /// Quantize(ForwardDct(residual)) in one dispatched call, the coefficients
-/// never leaving it: the encoder's forward path for one block.
+/// never leaving it: the encoder's forward path for one block. Requires
+/// every sample in [−255, 255] like ForwardDct: the AVX2 kernel holds the
+/// first pass in int16 lanes, so a sample outside that range would make it
+/// disagree with the scalar reference. Debug builds assert the range.
 uint64_t ForwardDctQuantize(const ResidualBlock& residual, int qp,
                             LevelBlock* levels);
 

@@ -14,6 +14,7 @@
 #include "codec/quality.h"
 #include "codec/simd.h"
 #include "codec/transform.h"
+#include "common/math_util.h"
 #include "common/random.h"
 #include "image/metrics.h"
 #include "image/scene.h"
@@ -1429,17 +1430,24 @@ TEST(SimdTest, TransformKernelsMatchScalarBitExactly) {
       InverseDct(dq_scalar, &out_scalar);
     }
     CoeffBlock coeffs_simd, dq_simd;
-    LevelBlock levels_simd;
-    ResidualBlock out_simd;
+    LevelBlock levels_simd, levels_pair;
+    ResidualBlock out_simd, out_pair;
+    uint64_t mask_pair = 0;
     {
       ScopedSimd on(true);
       ForwardDct(residual, &coeffs_simd);
       mask_simd = Quantize(coeffs_simd, qp, &levels_simd);
       Dequantize(levels_simd, qp, &dq_simd);
       InverseDct(dq_simd, &out_simd);
+      // The codec's path: the stage pairs, on the vector path.
+      mask_pair = ForwardDctQuantize(residual, qp, &levels_pair);
+      DequantizeInverseDct(levels_pair, qp, &out_pair);
     }
-    // Exact equality at every stage: one integer body, compiled twice.
+    // Exact equality at every stage and through the stage pairs.
     const char* name = simd::LevelName(simd::ActiveLevel());
+    ASSERT_EQ(levels_scalar, levels_pair) << "trial " << trial << " " << name;
+    ASSERT_EQ(mask_scalar, mask_pair) << "trial " << trial << " " << name;
+    ASSERT_EQ(out_scalar, out_pair) << "trial " << trial << " " << name;
     ASSERT_EQ(coeffs_scalar, coeffs_simd) << "trial " << trial << " " << name;
     ASSERT_EQ(levels_scalar, levels_simd) << "trial " << trial << " " << name;
     // Both paths return the raster nonzero set of the levels they wrote.
@@ -1452,9 +1460,11 @@ TEST(SimdTest, TransformKernelsMatchScalarBitExactly) {
 }
 
 TEST(SimdTest, FusedKernelsMatchStagewiseInBothCompiles) {
-  // ForwardDctQuantize and DequantizeInverseDct inline the stage bodies:
-  // in the baseline and the AVX2 compilation each must equal its two stages
-  // run one after the other, mask included, at every QP.
+  // ForwardDctQuantize and DequantizeInverseDct have a scalar body and, on
+  // x86, AVX2 kernels that hold intermediates in 16-bit lanes. With the
+  // vector path off and on, each must equal the scalar stages run one after
+  // the other, mask included, at every QP, on the blocks that reach the
+  // edges of those lanes.
   std::vector<ResidualBlock> residuals;
   for (int16_t v : {int16_t{255}, int16_t{-255}}) {
     ResidualBlock block;
@@ -1465,6 +1475,31 @@ TEST(SimdTest, FusedKernelsMatchStagewiseInBothCompiles) {
       block[i] = (i / kBlockSize + i % kBlockSize) % 2 == 0 ? v : -v;
     }
     residuals.push_back(block);
+    // An impulse at each position: every basis pair and every lane of the
+    // kernels' packs and shuffles.
+    for (int i = 0; i < kBlockPixels; ++i) {
+      block.fill(0);
+      block[i] = v;
+      residuals.push_back(block);
+    }
+    // Blocks following the signs of basis function u along their rows or
+    // down their columns. Column-constant ones drive every row-pass output
+    // u to its extreme, ±32,640 for u = 0 and 4, at the 16-bit pack;
+    // row-constant ones drive the row pass's DC to ±32,640 in every row and
+    // the column pass's output u to its extreme.
+    for (int u = 0; u < kBlockSize; ++u) {
+      const auto sign = [u](int k) {
+        return std::cos((2 * k + 1) * u * kPi / 16) > 0 ? 1 : -1;
+      };
+      for (int i = 0; i < kBlockPixels; ++i) {
+        block[i] = static_cast<int16_t>(v * sign(i % kBlockSize));
+      }
+      residuals.push_back(block);
+      for (int i = 0; i < kBlockPixels; ++i) {
+        block[i] = static_cast<int16_t>(v * sign(i / kBlockSize));
+      }
+      residuals.push_back(block);
+    }
   }
   Random rng(505);
   for (int trial = 0; trial < 40; ++trial) {
@@ -1477,7 +1512,8 @@ TEST(SimdTest, FusedKernelsMatchStagewiseInBothCompiles) {
     residuals.push_back(block);
   }
   // Level blocks past the int16 saturation of Dequantize, and the int32
-  // edges its clamp guards.
+  // edges its clamp guards: each edge value alone at every position and
+  // filling a block.
   std::vector<LevelBlock> extremes;
   LevelBlock edge{};
   edge[0] = INT32_MAX;
@@ -1485,6 +1521,17 @@ TEST(SimdTest, FusedKernelsMatchStagewiseInBothCompiles) {
   edge[9] = -INT32_MAX;
   edge[63] = 4097;
   extremes.push_back(edge);
+  for (int32_t level : {4095, -4095, 4096, -4096, 4097, -4097, INT32_MIN,
+                        INT32_MAX}) {
+    LevelBlock levels;
+    levels.fill(level);
+    extremes.push_back(levels);
+    for (int i = 0; i < kBlockPixels; ++i) {
+      levels.fill(0);
+      levels[i] = level;
+      extremes.push_back(levels);
+    }
+  }
   for (int trial = 0; trial < 8; ++trial) {
     LevelBlock levels;
     for (auto& level : levels) {
@@ -1492,37 +1539,50 @@ TEST(SimdTest, FusedKernelsMatchStagewiseInBothCompiles) {
     }
     extremes.push_back(levels);
   }
-  for (bool vector : {false, true}) {
-    ScopedSimd scope(vector);
-    const std::string name = simd::LevelName(simd::ActiveLevel());
-    for (int qp = 0; qp <= kMaxQp; ++qp) {
-      std::vector<LevelBlock> level_blocks = extremes;
+  for (int qp = 0; qp <= kMaxQp; ++qp) {
+    // The scalar stagewise reference.
+    std::vector<LevelBlock> want_levels(residuals.size());
+    std::vector<uint64_t> want_masks(residuals.size());
+    std::vector<LevelBlock> level_blocks = extremes;
+    std::vector<ResidualBlock> want_residuals;
+    {
+      ScopedSimd off(false);
       for (size_t b = 0; b < residuals.size(); ++b) {
         CoeffBlock coeffs;
-        LevelBlock want, got;
         ForwardDct(residuals[b], &coeffs);
-        const uint64_t want_mask = Quantize(coeffs, qp, &want);
+        want_masks[b] = Quantize(coeffs, qp, &want_levels[b]);
+        level_blocks.push_back(want_levels[b]);
+      }
+      for (const LevelBlock& levels : level_blocks) {
+        CoeffBlock coeffs;
+        Dequantize(levels, qp, &coeffs);
+        InverseDct(coeffs, &want_residuals.emplace_back());
+      }
+    }
+    for (bool vector : {false, true}) {
+      ScopedSimd scope(vector);
+      const std::string name = simd::LevelName(simd::ActiveLevel());
+      for (size_t b = 0; b < residuals.size(); ++b) {
+        LevelBlock got;
         const uint64_t got_mask = ForwardDctQuantize(residuals[b], qp, &got);
-        ASSERT_EQ(got, want) << name << " qp " << qp << " block " << b;
-        ASSERT_EQ(got_mask, want_mask)
+        ASSERT_EQ(got, want_levels[b]) << name << " qp " << qp << " block "
+                                       << b;
+        ASSERT_EQ(got_mask, want_masks[b])
             << name << " qp " << qp << " block " << b;
-        level_blocks.push_back(got);
       }
       for (size_t b = 0; b < level_blocks.size(); ++b) {
-        CoeffBlock coeffs;
-        ResidualBlock want, got;
-        Dequantize(level_blocks[b], qp, &coeffs);
-        InverseDct(coeffs, &want);
+        ResidualBlock got;
         DequantizeInverseDct(level_blocks[b], qp, &got);
-        ASSERT_EQ(got, want) << name << " qp " << qp << " levels " << b;
+        ASSERT_EQ(got, want_residuals[b])
+            << name << " qp " << qp << " levels " << b;
       }
     }
   }
 }
 
 TEST(SimdTest, DcOnlyInverseDctMatchesScalarBitExactly) {
-  // DC-only blocks take InverseDctDc in the codec; both compiles of the
-  // dense InverseDct must agree with it, and with each other, on every DC.
+  // DC-only blocks take InverseDctDc in the codec; the dense InverseDct
+  // must agree with it, with the vector path off and on, on every DC.
   for (int32_t dc = -32768; dc <= 32767; ++dc) {
     CoeffBlock coeffs{};
     coeffs[0] = dc;
@@ -1538,6 +1598,24 @@ TEST(SimdTest, DcOnlyInverseDctMatchesScalarBitExactly) {
     ASSERT_EQ(out_scalar, out_simd)
         << "dc " << dc << " " << simd::LevelName(simd::ActiveLevel());
     ASSERT_EQ(out_simd[0], InverseDctDc(dc)) << "dc " << dc;
+  }
+  // So must DequantizeInverseDct on the vector path (its scalar body is
+  // Dequantize and InverseDct, checked against the fill in TransformTest)
+  // for every level up to past the clamp, at every QP.
+  ScopedSimd on(true);
+  for (int qp = 0; qp <= kMaxQp; ++qp) {
+    for (int32_t level = -5000; level <= 5000; ++level) {
+      LevelBlock levels{};
+      levels[0] = level;
+      ResidualBlock dense;
+      DequantizeInverseDct(levels, qp, &dense);
+      const int16_t fill = DequantizeInverseDctDc(level, qp);
+      for (int i = 0; i < kBlockPixels; ++i) {
+        ASSERT_EQ(dense[i], fill) << simd::LevelName(simd::ActiveLevel())
+                                  << " qp " << qp << " level " << level
+                                  << " index " << i;
+      }
+    }
   }
 }
 
