@@ -1,14 +1,13 @@
 // M1 — codec microbenchmark: rate-distortion table plus encode/decode
-// throughput (google-benchmark), including the motion-constrained-tiles
-// ablation.
+// throughput (the median of interleaved laps), including the
+// motion-constrained-tiles ablation.
 //
 // Expected shape: bitrate falls monotonically with QP while PSNR falls;
 // high-motion content costs more bits at equal QP; constraining motion to
 // tiles costs a few percent of bitrate (the price of independent
 // decodability); encode is slower than decode (motion search).
 
-#include <benchmark/benchmark.h>
-
+#include <functional>
 #include <string>
 
 #include "bench_util.h"
@@ -135,7 +134,7 @@ void CollectIngestStats(BenchDb& bench, const std::vector<Frame>& frames,
 /// Runs the unhinted and hinted ladder ingests back to back. Encoding is
 /// deterministic, so repeats only differ by scheduling noise: laps of the
 /// two modes are interleaved (so slow machine-load drift hits both equally
-/// instead of biasing the ratio) and each mode keeps its fastest lap.
+/// instead of biasing the ratio) and each mode reports its median lap.
 std::pair<IngestRun, IngestRun> RunLadderIngestPair(
     const std::vector<Frame>& frames, int tile_rows, int tile_cols) {
   IngestOptions modes[2];
@@ -146,17 +145,17 @@ std::pair<IngestRun, IngestRun> RunLadderIngestPair(
     modes[m].reuse_motion_analysis = m == 1;
   }
 
-  constexpr int kReps = 5;
+  constexpr int kLaps = 7;
   IngestRun runs[2];
-  for (int rep = 0; rep < kReps; ++rep) {
+  std::vector<double> laps[2];
+  for (int lap = 0; lap < kLaps; ++lap) {
     for (int m = 0; m < 2; ++m) {
       BenchDb bench = OpenBenchDb();
       MetricRegistry::Global().Reset();
       Stopwatch watch;
       CheckOk(bench.db->Ingest("clip", frames, modes[m]).status(), "ingest");
-      double seconds = watch.ElapsedSeconds();
-      if (rep == 0 || seconds < runs[m].seconds) runs[m].seconds = seconds;
-      if (rep == kReps - 1) {
+      laps[m].push_back(watch.ElapsedSeconds());
+      if (lap == kLaps - 1) {
         // Metrics and decoded output are identical across laps; read them
         // off the final one.
         CollectIngestStats(bench, frames,
@@ -165,6 +164,7 @@ std::pair<IngestRun, IngestRun> RunLadderIngestPair(
       }
     }
   }
+  for (int m = 0; m < 2; ++m) runs[m].seconds = Median(laps[m]);
   return {runs[0], runs[1]};
 }
 
@@ -181,12 +181,14 @@ std::string PsnrJsonArray(const std::vector<double>& psnr) {
 
 void PrintIngestReuseTable() {
   // Wall time on the default encode pool (one worker per core). Hints
-  // halve the SAD evaluations per search, but the reference rung must finish
-  // before the hinted rungs start, which idles workers on coarse grids; the
-  // CPU saving shows on a one-worker pool (perfbench ingest).
+  // halve the SAD evaluations per search, but a tile's hinted rungs wait for
+  // its reference rung, which idles workers on coarse grids (on 1x1, two of
+  // three rungs wait for the one cell); the CPU saving shows on a one-worker
+  // pool (perfbench ingest).
   Banner("M1b: multi-rate analysis reuse on the ingest encode path",
          "expect: hints cut SAD evaluations per search ~2x at PSNR within "
-         "0.1 dB per rung; wall time 0.6-1.0x on a multi-worker pool");
+         "0.1 dB per rung; wall time about 1x or better on multi-tile "
+         "grids, below 1x on 1x1");
   constexpr int kSeconds = 4;
 
   // Sweep scenes × tile grids: reuse pays in proportion to how much work
@@ -362,72 +364,106 @@ void PrintSimdSegmentTable() {
   WriteBenchJsonKey("BENCH_codec.json", "simd_segment", json);
 }
 
-// ------------------------------------------------------- google-benchmark
+// ------------------------------------------------------------- throughput
 
-void BM_EncodeFrame(benchmark::State& state) {
-  int qp = static_cast<int>(state.range(0));
-  auto frames = SceneFrames("venice", 8);
-  auto encoder = CheckOk(Encoder::Create(BaseOptions(qp)), "encoder");
-  size_t i = 0;
-  for (auto _ : state) {
-    auto encoded = encoder->Encode(frames[i++ % frames.size()]);
-    benchmark::DoNotOptimize(encoded);
-  }
-  state.counters["fps"] =
-      benchmark::Counter(static_cast<double>(state.iterations()),
-                         benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EncodeFrame)->Arg(14)->Arg(28)->Arg(42);
+/// Encode, full decode and one-tile decode of a 30-frame venice clip at
+/// QP 14, 28 and 42, on one thread. Each lap runs every row once, in
+/// order, so machine-load drift hits the rows alike; a row's rate is its
+/// frames over its median lap.
+void PrintThroughputTable() {
+  Banner("M1: codec throughput",
+         "expect: encode slower than decode (motion search); one-tile "
+         "decode of a 4x8 stream several times the full-frame rate");
+  constexpr int kLaps = 15;
+  constexpr int kClipFrames = 30;
+  const auto frames = SceneFrames("venice", kClipFrames);
 
-void BM_DecodeFrame(benchmark::State& state) {
-  int qp = static_cast<int>(state.range(0));
-  auto frames = SceneFrames("venice", 8);
-  auto video = CheckOk(EncodeVideo(frames, BaseOptions(qp)), "encode");
-  auto decoder = CheckOk(Decoder::Create(video.header), "decoder");
-  size_t i = 0;
-  for (auto _ : state) {
-    // Stay within one GOP chain: restart at the keyframe each lap.
-    auto decoded = decoder->Decode(Slice(video.frames[i].payload));
-    benchmark::DoNotOptimize(decoded);
-    i = (i + 1) % video.frames.size();
+  struct Row {
+    std::string name;
+    std::function<void()> lap;
+  };
+  std::vector<Row> rows;
+  const int qps[] = {14, 28, 42};
+  std::vector<EncodedVideo> videos;
+  for (int qp : qps) {
+    videos.push_back(CheckOk(EncodeVideo(frames, BaseOptions(qp)), "encode"));
+    rows.push_back({"encode qp " + std::to_string(qp), [&frames, qp] {
+                      auto encoder = CheckOk(Encoder::Create(BaseOptions(qp)),
+                                             "encoder");
+                      for (const Frame& frame : frames) {
+                        CheckOk(encoder->Encode(frame).status(), "encode");
+                      }
+                    }});
   }
-  state.counters["fps"] =
-      benchmark::Counter(static_cast<double>(state.iterations()),
-                         benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_DecodeFrame)->Arg(14)->Arg(28)->Arg(42);
+  for (size_t i = 0; i < videos.size(); ++i) {
+    const EncodedVideo* video = &videos[i];
+    rows.push_back({"decode qp " + std::to_string(qps[i]), [video] {
+                      auto decoder =
+                          CheckOk(Decoder::Create(video->header), "decoder");
+                      for (const EncodedFrame& frame : video->frames) {
+                        CheckOk(decoder->Decode(Slice(frame.payload)).status(),
+                                "decode");
+                      }
+                    }});
+  }
+  // The tile index at work: one tile of a 4x8-tiled stream, every other
+  // tile never even parsed.
+  EncoderOptions tiled = BaseOptions(28);
+  tiled.tile_rows = 4;
+  tiled.tile_cols = 8;
+  const EncodedVideo tiled_video =
+      CheckOk(EncodeVideo(frames, tiled), "encode");
+  rows.push_back({"1 tile of 4x8 qp 28", [&tiled_video] {
+                    auto decoder = CheckOk(
+                        Decoder::Create(tiled_video.header), "decoder");
+                    const std::vector<TileId> one_tile = {TileId{1, 3}};
+                    for (const EncodedFrame& frame : tiled_video.frames) {
+                      CheckOk(
+                          decoder->DecodeTiles(Slice(frame.payload), one_tile)
+                              .status(),
+                          "decode tile");
+                    }
+                  }});
 
-void BM_DecodeSingleTile(benchmark::State& state) {
-  // Partial decode of 1 tile of a 4x8-tiled stream vs the full frame:
-  // the tile-index benefit at decode time.
-  auto frames = SceneFrames("venice", 8);
-  EncoderOptions options = BaseOptions(28);
-  options.tile_rows = 4;
-  options.tile_cols = 8;
-  auto video = CheckOk(EncodeVideo(frames, options), "encode");
-  auto decoder = CheckOk(Decoder::Create(video.header), "decoder");
-  std::vector<TileId> one_tile = {TileId{1, 3}};
-  size_t i = 0;
-  for (auto _ : state) {
-    auto decoded =
-        decoder->DecodeTiles(Slice(video.frames[i].payload), one_tile);
-    benchmark::DoNotOptimize(decoded);
-    i = (i + 1) % video.frames.size();
+  std::vector<std::vector<double>> laps(rows.size());
+  for (int lap = 0; lap < kLaps; ++lap) {
+    for (size_t r = 0; r < rows.size(); ++r) {
+      Stopwatch watch;
+      rows[r].lap();
+      laps[r].push_back(watch.ElapsedSeconds());
+    }
   }
-  state.counters["fps"] =
-      benchmark::Counter(static_cast<double>(state.iterations()),
-                         benchmark::Counter::kIsRate);
+
+  std::printf("\n%-20s %12s %10s\n", "row", "median ms", "fps");
+  std::string json;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const Row& row = rows[r];
+    const double seconds = Median(laps[r]);
+    const double fps = kClipFrames / seconds;
+    std::printf("%-20s %12.3f %10.0f\n", row.name.c_str(), 1e3 * seconds,
+                fps);
+    char entry[160];
+    std::snprintf(entry, sizeof(entry),
+                  "%s   {\"row\": \"%s\", \"median_seconds\": %.6f, "
+                  "\"fps\": %.1f}",
+                  json.empty() ? "" : ",\n", row.name.c_str(), seconds, fps);
+    json += entry;
+  }
+  std::printf("\n");
+  WriteBenchJsonKey("BENCH_codec.json", "throughput",
+                    "{\n  \"scene\": \"venice\", \"frames\": " +
+                        std::to_string(kClipFrames) +
+                        ", \"laps\": " + std::to_string(kLaps) +
+                        ",\n  \"rows\": [\n" + json + "\n ]}");
 }
-BENCHMARK(BM_DecodeSingleTile);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintRdTable();
   PrintIngestReuseTable();
   PrintSimdSegmentTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  PrintThroughputTable();
   EmitMetricsSnapshot("M1");
   return 0;
 }

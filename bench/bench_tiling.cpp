@@ -22,13 +22,6 @@ using namespace vc::bench;
 
 namespace {
 
-/// The middle element of an odd-length sample.
-double Median(std::vector<double> samples) {
-  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
-                   samples.end());
-  return samples[samples.size() / 2];
-}
-
 struct GridCase {
   int rows, cols;
 };

@@ -5,6 +5,7 @@
 // regenerates one table/figure of EXPERIMENTS.md; they share this canonical
 // workload so numbers are comparable across experiments.
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -127,6 +128,14 @@ inline std::vector<HeadTrace> ViewerPopulation(int seeds_per, double seconds) {
     }
   }
   return traces;
+}
+
+/// The middle element of an odd-length sample: the timing benches report
+/// the median of interleaved laps.
+inline double Median(std::vector<double> samples) {
+  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                   samples.end());
+  return samples[samples.size() / 2];
 }
 
 /// Prints the standard experiment banner.

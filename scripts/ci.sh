@@ -67,6 +67,13 @@ tsan() {
   cmake --build build-tsan -j"$JOBS" --target core_test
   echo "-- tsan: core_test (LiveCatalogTest)"
   ./build-tsan/tests/core_test --gtest_filter='LiveCatalogTest.*'
+  # Ingest lends encoders to cell tasks from a mutex-guarded free list, and
+  # the task that finishes a tile's reference rung submits that tile's
+  # hinted rungs: the ingest tests and the encoder-reuse suite (1, 2 and 4
+  # encode threads), repeated for more interleavings.
+  echo "-- tsan: core_test (ingest, encoder reuse) x5"
+  ./build-tsan/tests/core_test \
+    --gtest_filter='CoreTest.*Ingest*:IngestReuseTest.*' --gtest_repeat=5
   # View maintenance runs the executor's async cell path from catalog
   # commits; its fetched cells borrow the cache's bytes while other
   # readers evict them.
@@ -140,12 +147,15 @@ simd() {
   # suites run the executor's stitch/smart-cut slices and view maintenance
   # over per-tile QP frames. The server suite runs sessions that borrow
   # their video metadata and head trace from the caller, so a session that
-  # outlives either reads freed memory here.
+  # outlives either reads freed memory here. The allocation test encodes
+  # cells from views into the segment frames on reused encoders and
+  # writers, so a view or a reused buffer read past its end fails here.
   cmake -B build-asan -S . -DVC_SANITIZE=address+undefined
   cmake --build build-asan -j"$JOBS" --target codec_fuzz_test codec_test \
     common_test manifest_fuzz_test container_fuzz_test query_fuzz_test \
     view_fuzz_test geometry_test predict_test core_test storage_test \
-    streaming_test query_test view_test server_test bench_kernels
+    streaming_test query_test view_test server_test bench_kernels \
+    ingest_alloc_test
   ./build-asan/tests/codec_fuzz_test
   ./build-asan/tests/codec_test
   ./build-asan/tests/common_test
@@ -161,6 +171,7 @@ simd() {
   ./build-asan/tests/query_test
   ./build-asan/tests/view_test
   ./build-asan/tests/server_test
+  ./build-asan/tests/ingest_alloc_test
   ./build-asan/bench/bench_kernels --smoke
 }
 

@@ -10,11 +10,6 @@ namespace {
 
 constexpr char kMagic[4] = {'V', 'C', 'C', '2'};
 
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v & 0xff));
-}
-
 void PutU32(std::vector<uint8_t>* out, uint32_t v) {
   out->push_back(static_cast<uint8_t>(v >> 24));
   out->push_back(static_cast<uint8_t>((v >> 16) & 0xff));
@@ -34,19 +29,29 @@ uint32_t GetU32(const uint8_t* p) {
 
 }  // namespace
 
+std::array<uint8_t, SequenceHeader::kSerializedSize> SequenceHeader::Bytes()
+    const {
+  return {static_cast<uint8_t>(kMagic[0]),
+          static_cast<uint8_t>(kMagic[1]),
+          static_cast<uint8_t>(kMagic[2]),
+          static_cast<uint8_t>(kMagic[3]),
+          static_cast<uint8_t>(width >> 8),
+          static_cast<uint8_t>(width & 0xff),
+          static_cast<uint8_t>(height >> 8),
+          static_cast<uint8_t>(height & 0xff),
+          static_cast<uint8_t>(fps_times_100 >> 8),
+          static_cast<uint8_t>(fps_times_100 & 0xff),
+          static_cast<uint8_t>(gop_length >> 8),
+          static_cast<uint8_t>(gop_length & 0xff),
+          qp,
+          tile_rows,
+          tile_cols,
+          flags};
+}
+
 std::vector<uint8_t> SequenceHeader::Serialize() const {
-  std::vector<uint8_t> out;
-  out.reserve(kSerializedSize);
-  out.insert(out.end(), kMagic, kMagic + 4);
-  PutU16(&out, width);
-  PutU16(&out, height);
-  PutU16(&out, fps_times_100);
-  PutU16(&out, gop_length);
-  out.push_back(qp);
-  out.push_back(tile_rows);
-  out.push_back(tile_cols);
-  out.push_back(flags);
-  return out;
+  const auto bytes = Bytes();
+  return std::vector<uint8_t>(bytes.begin(), bytes.end());
 }
 
 Result<SequenceHeader> SequenceHeader::Parse(Slice data) {

@@ -1,6 +1,7 @@
 #ifndef VC_CODEC_BITSTREAM_H_
 #define VC_CODEC_BITSTREAM_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,7 +46,10 @@ struct SequenceHeader {
   /// Serialized size in bytes (fixed).
   static constexpr size_t kSerializedSize = 4 + 2 * 4 + 4;
 
-  /// Writes the 16-byte header (magic "VCC2" + fields).
+  /// The 16-byte header (magic "VCC2" + fields).
+  std::array<uint8_t, kSerializedSize> Bytes() const;
+
+  /// Bytes() as a vector.
   std::vector<uint8_t> Serialize() const;
 
   /// Parses and validates a header; `data` must start with the magic.

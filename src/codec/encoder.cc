@@ -1,5 +1,6 @@
 #include "codec/encoder.h"
 
+#include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <utility>
@@ -68,34 +69,117 @@ SequenceHeader EncoderOptions::ToHeader() const {
   return header;
 }
 
+void MotionHints::BeginCapture(int stream_width, int stream_height,
+                               int stream_gop) {
+  width = stream_width;
+  height = stream_height;
+  gop_length = stream_gop;
+  // Newest rows last, so AddFrame hands frame 0 the buffer frame 0 had.
+  while (!frames.empty()) {
+    spare_rows_.push_back(std::move(frames.back()));
+    frames.pop_back();
+  }
+}
+
+BlockHint* MotionHints::AddFrame(size_t blocks) {
+  if (spare_rows_.empty()) {
+    frames.emplace_back(blocks);
+    // Room for every row, so the next BeginCapture does not allocate.
+    spare_rows_.reserve(frames.capacity());
+  } else {
+    frames.push_back(std::move(spare_rows_.back()));
+    spare_rows_.pop_back();
+    frames.back().resize(blocks);
+  }
+  return frames.back().data();
+}
+
+SourceView SourceView::Of(const Frame& frame, int x, int y) {
+  const int chroma_width = frame.chroma_width();
+  const size_t chroma_offset =
+      static_cast<size_t>(y / 2) * chroma_width + x / 2;
+  return SourceView{
+      PlaneView{frame.y_plane().data() +
+                    static_cast<size_t>(y) * frame.width() + x,
+                frame.width()},
+      PlaneView{frame.u_plane().data() + chroma_offset, chroma_width},
+      PlaneView{frame.v_plane().data() + chroma_offset, chroma_width}};
+}
+
 Result<std::unique_ptr<Encoder>> Encoder::Create(
     const EncoderOptions& options) {
+  std::unique_ptr<Encoder> encoder(new Encoder());
+  VC_RETURN_IF_ERROR(encoder->Reset(options));
+  return encoder;
+}
+
+Status Encoder::Reset(const EncoderOptions& options) {
   VC_RETURN_IF_ERROR(options.Validate());
-  std::vector<TileGrid::PixelRect> rects;
-  VC_ASSIGN_OR_RETURN(rects,
-                      codec_internal::ComputeTileRects(options.ToHeader()));
-  if (options.reuse_hints != nullptr &&
-      !HintsCompatible(options.reuse_hints, options)) {
+  // The rects depend on the frame size and the grid only; cells of one
+  // size in a row keep theirs.
+  if (tile_rects_.empty() || options.width != options_.width ||
+      options.height != options_.height ||
+      options.tile_rows != options_.tile_rows ||
+      options.tile_cols != options_.tile_cols) {
+    VC_ASSIGN_OR_RETURN(tile_rects_,
+                        codec_internal::ComputeTileRects(options.ToHeader()));
+  }
+  reuse_ok_ = HintsCompatible(options.reuse_hints, options);
+  if (options.reuse_hints != nullptr && !reuse_ok_) {
     static Counter* rejects =
         MetricRegistry::Global().GetCounter("codec.hint_geometry_rejects");
     rejects->Add(1);
   }
-  return std::unique_ptr<Encoder>(new Encoder(options, std::move(rects)));
+  options_ = options;
+  tile_offsets_.resize(tile_rects_.size());
+  last_payload_bytes_ = 0;
+  recon_.Reset(options.width, options.height);
+  reference_.Reset(options.width, options.height);
+  frame_index_ = 0;
+  force_keyframe_ = false;
+  // scratch_ carries over: its memo is generation-stamped per search and
+  // its SAD count is read as a difference, so neither changes a result.
+  return Status::OK();
 }
-
-Encoder::Encoder(const EncoderOptions& options,
-                 std::vector<TileGrid::PixelRect> tile_rects)
-    : options_(options),
-      tile_rects_(std::move(tile_rects)),
-      tile_offsets_(tile_rects_.size()),
-      reuse_ok_(HintsCompatible(options.reuse_hints, options)),
-      recon_(options.width, options.height),
-      reference_(options.width, options.height) {}
 
 Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
   if (frame.width() != options_.width || frame.height() != options_.height) {
     return Status::InvalidArgument("frame size does not match encoder");
   }
+  // Reserving a little more than the previous payload makes regrowth rare.
+  BitWriter writer(last_payload_bytes_ + last_payload_bytes_ / 4);
+  EncodedFrame encoded;
+  encoded.type = EncodePayload(SourceView::Of(frame), &writer);
+  encoded.payload = writer.Finish();
+  return encoded;
+}
+
+Status Encoder::EncodeStream(std::span<const Frame> frames,
+                             const TileGrid::PixelRect& rect, BitWriter* out) {
+  if (rect.width != options_.width || rect.height != options_.height ||
+      rect.x < 0 || rect.y < 0 || rect.x % 2 != 0 || rect.y % 2 != 0) {
+    return Status::InvalidArgument("stream rect does not match encoder");
+  }
+  for (const Frame& frame : frames) {
+    if (rect.x + rect.width > frame.width() ||
+        rect.y + rect.height > frame.height()) {
+      return Status::InvalidArgument("stream rect outside the frame");
+    }
+  }
+  const auto header_bytes = header().Bytes();
+  out->WriteBytes(Slice(header_bytes.data(), header_bytes.size()));
+  for (const Frame& frame : frames) {
+    const size_t length_at = out->bit_count() / 8;
+    out->WriteBits(0, 32);
+    EncodePayload(SourceView::Of(frame, rect.x, rect.y), out);
+    out->PatchU32(length_at, static_cast<uint32_t>(out->bit_count() / 8 -
+                                                   length_at - 4));
+  }
+  return Status::OK();
+}
+
+FrameType Encoder::EncodePayload(const SourceView& source, BitWriter* out) {
+  assert(out->aligned());
   FrameType type = FrameType::kInter;
   if (frame_index_ % options_.gop_length == 0 || force_keyframe_) {
     type = FrameType::kIntra;
@@ -112,13 +196,10 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
   if (options_.capture_hints != nullptr) {
     MotionHints* hints = options_.capture_hints;
     if (frame_index_ == 0) {
-      hints->Clear();
-      hints->width = options_.width;
-      hints->height = options_.height;
-      hints->gop_length = options_.gop_length;
+      hints->BeginCapture(options_.width, options_.height,
+                          options_.gop_length);
     }
-    hints->frames.emplace_back(mb_count);
-    capture_row = hints->frames.back().data();
+    capture_row = hints->AddFrame(static_cast<size_t>(mb_count));
   }
   const BlockHint* reuse_row = nullptr;
   if (reuse_ok_) {
@@ -131,20 +212,23 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
   frame_stats_ = AnalysisStats{};
   const uint64_t sad_evals_before = scratch_.sad_evals;
 
-  // One writer builds the payload [type:u8][qp:u8][tile offsets:u32 × T]
-  // [tile data]: the offset table is written as zeros and filled in once
-  // every tile, byte-aligned, has its start. Reserving a little more than
-  // the previous payload makes regrowth rare.
+  // The payload is [type:u8][qp:u8][tile offsets:u32 × T][tile data]: the
+  // offset table is written as zeros and filled in once every tile,
+  // byte-aligned, has its start.
+  const size_t start = out->bit_count() / 8;
   const size_t tile_count = tile_rects_.size();
-  BitWriter writer(last_payload_bytes_ + last_payload_bytes_ / 4);
-  writer.WriteBits(static_cast<uint64_t>(type), 8);
-  writer.WriteBits(static_cast<uint64_t>(options_.qp), 8);
-  for (size_t i = 0; i < tile_count; ++i) writer.WriteBits(0, 32);
+  out->WriteBits(static_cast<uint64_t>(type), 8);
+  out->WriteBits(static_cast<uint64_t>(options_.qp), 8);
+  for (size_t i = 0; i < tile_count; ++i) out->WriteBits(0, 32);
   for (size_t i = 0; i < tile_count; ++i) {
-    tile_offsets_[i] = static_cast<uint32_t>(writer.bit_count() / 8);
-    EncodeTile(frame, tile_rects_[i], type, reuse_row, capture_row, &writer);
-    writer.AlignToByte();
+    tile_offsets_[i] = static_cast<uint32_t>(out->bit_count() / 8 - start);
+    EncodeTile(source, tile_rects_[i], type, reuse_row, capture_row, out);
+    out->AlignToByte();
   }
+  for (size_t i = 0; i < tile_count; ++i) {
+    out->PatchU32(start + 2 + 4 * i, tile_offsets_[i]);
+  }
+  last_payload_bytes_ = out->bit_count() / 8 - start;
 
   {
     static Counter* sad_evals =
@@ -167,24 +251,12 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
     }
   }
 
-  EncodedFrame encoded;
-  encoded.type = type;
-  encoded.payload = writer.Finish();
-  uint8_t* table = encoded.payload.data() + 2;
-  for (size_t i = 0; i < tile_count; ++i) {
-    const uint32_t offset = tile_offsets_[i];
-    table[4 * i] = static_cast<uint8_t>(offset >> 24);
-    table[4 * i + 1] = static_cast<uint8_t>((offset >> 16) & 0xff);
-    table[4 * i + 2] = static_cast<uint8_t>((offset >> 8) & 0xff);
-    table[4 * i + 3] = static_cast<uint8_t>(offset & 0xff);
-  }
-  last_payload_bytes_ = encoded.payload.size();
-
   ++frame_index_;
-  return encoded;
+  return type;
 }
 
-void Encoder::EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
+void Encoder::EncodeTile(const SourceView& source,
+                         const TileGrid::PixelRect& rect,
                          FrameType type, const BlockHint* reuse_row,
                          BlockHint* capture_row, BitWriter* writer) {
   using namespace codec_internal;  // NOLINT
@@ -196,9 +268,9 @@ void Encoder::EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
   const MotionBounds tile_bounds = BoundsOf(rect);
   const MotionBounds chroma_tile_bounds = ChromaBounds(tile_bounds);
 
-  PlaneView cur_y{frame.y_plane().data(), frame.width()};
-  PlaneView cur_u{frame.u_plane().data(), frame.chroma_width()};
-  PlaneView cur_v{frame.v_plane().data(), frame.chroma_width()};
+  const PlaneView cur_y = source.y;
+  const PlaneView cur_u = source.u;
+  const PlaneView cur_v = source.v;
   PlaneView ref_y{reference_.y_plane().data(), reference_.width()};
   PlaneView ref_u{reference_.u_plane().data(), reference_.chroma_width()};
   PlaneView ref_v{reference_.v_plane().data(), reference_.chroma_width()};

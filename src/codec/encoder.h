@@ -2,6 +2,7 @@
 #define VC_CODEC_ENCODER_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "codec/bitstream.h"
@@ -39,6 +40,9 @@ struct BlockHint {
 /// from; an encoder handed hints with mismatched geometry ignores them and
 /// falls back to the full search (per block, frames beyond
 /// `frames.size()` likewise fall back).
+///
+/// A capture replaces the whole content but keeps the rows' buffers, so
+/// one MotionHints captured into segment after segment stops allocating.
 struct MotionHints {
   int width = 0;         ///< Luma width of the captured stream.
   int height = 0;        ///< Luma height.
@@ -47,10 +51,29 @@ struct MotionHints {
   /// ((height/16) × (width/16) entries).
   std::vector<std::vector<BlockHint>> frames;
 
-  void Clear() {
-    width = height = gop_length = 0;
-    frames.clear();
-  }
+  /// Starts a capture of a stream of this shape: `frames` becomes empty,
+  /// and its rows' buffers are kept for AddFrame.
+  void BeginCapture(int stream_width, int stream_height, int stream_gop);
+
+  /// Appends the next frame's row of `blocks` hints, reusing a kept buffer
+  /// when there is one. The caller fills every entry.
+  BlockHint* AddFrame(size_t blocks);
+
+ private:
+  std::vector<std::vector<BlockHint>> spare_rows_;  ///< Kept row buffers.
+};
+
+/// \brief The three planes of the picture an encoder reads, in place.
+///
+/// A view of one tile of a larger frame points at the tile's top-left
+/// sample and keeps the frame's strides, so ingest encodes each
+/// (segment, tile) cell straight from the segment frames.
+struct SourceView {
+  PlaneView y, u, v;
+
+  /// The picture whose top-left luma sample is (x, y) of `frame`; x and y
+  /// are even and inside the frame.
+  static SourceView Of(const Frame& frame, int x = 0, int y = 0);
 };
 
 /// \brief Configuration of an encoding session.
@@ -93,11 +116,35 @@ struct EncoderOptions {
 /// of every GOP (and any frame after ForceKeyframe) is coded intra.
 class Encoder {
  public:
-  /// Validates `options` and creates an encoder.
+  /// Validates `options` and creates an encoder: an empty encoder, Reset.
   static Result<std::unique_ptr<Encoder>> Create(const EncoderOptions& options);
 
+  /// Puts the encoder in exactly the state Create(options) gives (black
+  /// reference, frame 0, no forced keyframe, the hint compatibility check
+  /// and its `codec.hint_geometry_rejects` count) while keeping every
+  /// buffer, so an encoder reused for cell after cell does not allocate.
+  /// On error the encoder is unchanged.
+  Status Reset(const EncoderOptions& options);
+
   /// Encodes the next frame. `frame` dimensions must match the options.
+  /// A wrapper over EncodePayload.
   Result<EncodedFrame> Encode(const Frame& frame);
+
+  /// Encodes the next frame, read through `source` (which must be
+  /// options().width × options().height), and appends its payload to
+  /// `out`, which must be byte-aligned; leaves `out` byte-aligned. Returns
+  /// the frame's type. The payload's tile-offset table is written as zeros
+  /// and back-patched once every tile has its start.
+  FrameType EncodePayload(const SourceView& source, BitWriter* out);
+
+  /// Encodes the `rect` of each of `frames`, in order, and appends them to
+  /// `out` (byte-aligned) as one serialized stream: the header, then per
+  /// frame a 4-byte length, back-patched after the payload, and the
+  /// payload. The bytes equal EncodedVideo::Serialize of Encode on cropped
+  /// frames. `rect` must have the encoder's size and lie inside the frames
+  /// at even offsets; the encoder should be fresh (Create or Reset).
+  Status EncodeStream(std::span<const Frame> frames,
+                      const TileGrid::PixelRect& rect, BitWriter* out);
 
   /// Forces the next frame to be a keyframe (used at segment boundaries of
   /// live ingest).
@@ -115,8 +162,7 @@ class Encoder {
   int frame_count() const { return frame_index_; }
 
  private:
-  Encoder(const EncoderOptions& options,
-          std::vector<TileGrid::PixelRect> tile_rects);
+  Encoder() = default;
 
   /// Analyzes one tile and writes its mode/motion syntax and Exp-Golomb
   /// residuals to `writer` in a single pass, building the reconstruction as
@@ -124,7 +170,7 @@ class Encoder {
   /// `reuse_row`, when non-null, points at this frame's per-macroblock hints
   /// (indexed by global raster macroblock index); `capture_row` likewise
   /// receives this frame's decisions.
-  void EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
+  void EncodeTile(const SourceView& source, const TileGrid::PixelRect& rect,
                   FrameType type, const BlockHint* reuse_row,
                   BlockHint* capture_row, BitWriter* writer);
 
@@ -136,11 +182,11 @@ class Encoder {
     uint64_t hints_accepted = 0;   ///< Hinted blocks that kept the hinted mode.
   };
 
-  const EncoderOptions options_;
-  const std::vector<TileGrid::PixelRect> tile_rects_;
+  EncoderOptions options_;
+  std::vector<TileGrid::PixelRect> tile_rects_;
   std::vector<uint32_t> tile_offsets_;  ///< Frame-payload offset per tile.
   size_t last_payload_bytes_ = 0;       ///< Previous frame's payload size.
-  const bool reuse_ok_;  ///< reuse_hints present and geometry-compatible.
+  bool reuse_ok_ = false;  ///< reuse_hints present and geometry-compatible.
   Frame recon_;      ///< reconstruction of the current frame (in progress)
   Frame reference_;  ///< reconstruction of the previous frame
   int frame_index_ = 0;

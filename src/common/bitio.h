@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/slice.h"
@@ -34,6 +35,10 @@ class BitWriter {
 
   /// A writer whose buffer holds `reserve_bytes` before it first grows.
   explicit BitWriter(size_t reserve_bytes) : buffer_(reserve_bytes) {}
+
+  /// A writer that writes into `buffer`, from its start; its size is the
+  /// room before the writer first grows.
+  explicit BitWriter(std::vector<uint8_t> buffer) : buffer_(std::move(buffer)) {}
 
   /// \brief A writer's pending bits held in locals for a run of writes.
   ///
@@ -131,6 +136,18 @@ class BitWriter {
 
   /// Appends raw bytes; requires byte alignment.
   void WriteBytes(Slice bytes);
+
+  /// Overwrites the 4 written bytes at `byte_offset` with `value`,
+  /// big-endian: a length or offset field written as zeros and filled in
+  /// once it is known. The bytes must have been drained (by AlignToByte,
+  /// say): `byte_offset + 4 <= bit_count() / 8` while aligned.
+  void PatchU32(size_t byte_offset, uint32_t value) {
+    assert(byte_offset + 4 <= size_);
+    if constexpr (std::endian::native == std::endian::little) {
+      value = __builtin_bswap32(value);
+    }
+    std::memcpy(buffer_.data() + byte_offset, &value, sizeof(value));
+  }
 
   /// Number of bits written so far.
   size_t bit_count() const { return size_ * 8 + acc_bits_; }

@@ -1,5 +1,6 @@
 #include "core/visualcloud.h"
 
+#include <algorithm>
 #include <thread>
 
 #include "codec/decoder.h"
@@ -96,9 +97,42 @@ Status CheckIngestFrames(const std::vector<Frame>& frames, int width,
 
 }  // namespace
 
+Result<std::unique_ptr<Encoder>> VisualCloud::BorrowEncoder(
+    const EncoderOptions& options) {
+  std::unique_ptr<Encoder> encoder;
+  {
+    std::lock_guard<std::mutex> lock(scratch_mu_);
+    if (!free_encoders_.empty()) {
+      encoder = std::move(free_encoders_.back());
+      free_encoders_.pop_back();
+    }
+  }
+  if (encoder == nullptr) return Encoder::Create(options);
+  VC_RETURN_IF_ERROR(encoder->Reset(options));
+  return encoder;
+}
+
+void VisualCloud::ReturnEncoder(std::unique_ptr<Encoder> encoder) {
+  std::lock_guard<std::mutex> lock(scratch_mu_);
+  free_encoders_.push_back(std::move(encoder));
+}
+
+std::vector<MotionHints> VisualCloud::BorrowHints() {
+  std::lock_guard<std::mutex> lock(scratch_mu_);
+  if (free_hints_.empty()) return {};
+  std::vector<MotionHints> hints = std::move(free_hints_.back());
+  free_hints_.pop_back();
+  return hints;
+}
+
+void VisualCloud::ReturnHints(std::vector<MotionHints> hints) {
+  std::lock_guard<std::mutex> lock(scratch_mu_);
+  free_hints_.push_back(std::move(hints));
+}
+
 Result<std::vector<std::vector<uint8_t>>> VisualCloud::EncodeSegment(
-    const std::vector<Frame>& segment_frames, const IngestOptions& options,
-    int width, int height) {
+    std::span<const Frame> frames, const IngestOptions& options, int width,
+    int height, std::vector<size_t>* cell_bytes) {
   static Counter* segments_encoded =
       MetricRegistry::Global().GetCounter("ingest.segments");
   static Counter* cells_encoded =
@@ -109,93 +143,104 @@ Result<std::vector<std::vector<uint8_t>>> VisualCloud::EncodeSegment(
   TileGrid grid(options.tile_rows, options.tile_cols);
   const int tiles = grid.tile_count();
   const int qualities = static_cast<int>(options.ladder.size());
-
-  // Crop each frame once per tile. A 1×1 grid covers the whole frame, so
-  // the ingest frames are used in place instead of deep-copying every frame
-  // into a single "tile".
-  std::vector<std::vector<Frame>> cropped(tiles);
-  std::vector<const std::vector<Frame>*> tile_frames(tiles);
-  if (tiles == 1) {
-    tile_frames[0] = &segment_frames;
-  } else {
-    for (int tile = 0; tile < tiles; ++tile) {
-      TileGrid::PixelRect rect;
-      VC_ASSIGN_OR_RETURN(
-          rect, grid.PixelRectOf(grid.TileAt(tile), width, height, 16));
-      cropped[tile].reserve(segment_frames.size());
-      for (const Frame& frame : segment_frames) {
-        Frame crop;
-        VC_ASSIGN_OR_RETURN(
-            crop, frame.Crop(rect.x, rect.y, rect.width, rect.height));
-        cropped[tile].push_back(std::move(crop));
-      }
-      tile_frames[tile] = &cropped[tile];
-    }
+  std::vector<TileGrid::PixelRect> rects(tiles);
+  for (int tile = 0; tile < tiles; ++tile) {
+    VC_ASSIGN_OR_RETURN(
+        rects[tile], grid.PixelRectOf(grid.TileAt(tile), width, height, 16));
   }
+  const size_t cell_count = static_cast<size_t>(tiles) * qualities;
+  cell_bytes->resize(cell_count);
+  std::vector<MotionHints> hints = BorrowHints();
+  hints.resize(tiles);
 
-  std::vector<std::vector<uint8_t>> cells(
-      static_cast<size_t>(tiles) * qualities);
-  std::vector<Status> statuses(cells.size());
+  // The segment's cells, shared by its tasks. Each task captures a pointer
+  // and a cell index, which std::function holds without allocating.
+  struct Cells {
+    VisualCloud* db;
+    std::span<const Frame> frames;
+    const IngestOptions& options;
+    const std::vector<TileGrid::PixelRect>& rects;
+    std::vector<MotionHints>& hints;
+    std::vector<size_t>& cell_bytes;
+    int qualities;
+    bool reuse;
+    std::vector<std::vector<uint8_t>> bytes;
+    std::vector<Status> statuses;
 
-  // Encodes one (tile, quality) cell, optionally capturing or reusing the
-  // tile's motion analysis.
-  auto encode_cell = [&](int tile, int quality, MotionHints* capture,
-                         const MotionHints* reuse) {
-    ScopedTimer timer(cell_seconds);
-    size_t index = static_cast<size_t>(tile) * qualities + quality;
-    const std::vector<Frame>& frames = *tile_frames[tile];
-    EncoderOptions encoder_options = options.MakeEncoderOptions(
-        frames[0].width(), frames[0].height(), quality);
-    encoder_options.capture_hints = capture;
-    encoder_options.reuse_hints = reuse;
-    auto video = EncodeVideo(frames, encoder_options);
-    if (!video.ok()) {
-      statuses[index] = video.status();
-      return;
+    // Encodes cell `index` (tile-major × quality-minor). With reuse, rung 0
+    // captures its tile's hints, the other rungs read them, and a rung 0
+    // that succeeds submits its tile's other rungs.
+    void Encode(int index) {
+      ScopedTimer timer(cell_seconds);
+      const int tile = index / qualities;
+      const int quality = index % qualities;
+      const TileGrid::PixelRect& rect = rects[tile];
+      EncoderOptions encoder_options =
+          options.MakeEncoderOptions(rect.width, rect.height, quality);
+      if (reuse && quality == 0) {
+        encoder_options.capture_hints = &hints[tile];
+      } else if (reuse) {
+        encoder_options.reuse_hints = &hints[tile];
+      }
+      auto encoder = db->BorrowEncoder(encoder_options);
+      if (!encoder.ok()) {
+        statuses[index] = encoder.status();
+        return;
+      }
+      BitWriter writer(std::move(bytes[index]));
+      Status status = (*encoder)->EncodeStream(frames, rect, &writer);
+      db->ReturnEncoder(*std::move(encoder));
+      if (!status.ok()) {
+        statuses[index] = status;
+        return;
+      }
+      bytes[index] = writer.Finish();
+      cell_bytes[index] = bytes[index].size();
+      cells_encoded->Add(1);
+      if (reuse && quality == 0) {
+        // The pool's mutex orders this task's hint writes before the
+        // sibling rungs' reads.
+        for (int next = index + 1; next < index + qualities; ++next) {
+          db->encode_pool_.Submit([this, next] { Encode(next); });
+        }
+      }
     }
-    cells[index] = video->Serialize();
-    cells_encoded->Add(1);
   };
-
-  const bool reuse = options.reuse_motion_analysis && qualities > 1;
-  if (!reuse) {
-    for (int tile = 0; tile < tiles; ++tile) {
-      for (int quality = 0; quality < qualities; ++quality) {
-        encode_pool_.Submit(
-            [&encode_cell, tile, quality] { encode_cell(tile, quality, nullptr, nullptr); });
-      }
-    }
-    encode_pool_.WaitIdle();
-  } else {
-    // Wave 1: the reference rung (ladder index 0, the highest quality and
-    // thus the cleanest analysis) of every tile in parallel, each capturing
-    // its per-block decisions.
-    std::vector<MotionHints> hints(tiles);
-    for (int tile = 0; tile < tiles; ++tile) {
-      encode_pool_.Submit([&encode_cell, &hints, tile] {
-        encode_cell(tile, /*quality=*/0, &hints[tile], nullptr);
-      });
-    }
-    // WaitIdle is both the schedule barrier and the publication point: the
-    // pool's mutex orders the wave-1 writes to hints before wave 2 reads.
-    encode_pool_.WaitIdle();
-    // Wave 2: every remaining rung in parallel, seeded from its tile's
-    // hints.
-    for (int tile = 0; tile < tiles; ++tile) {
-      for (int quality = 1; quality < qualities; ++quality) {
-        encode_pool_.Submit([&encode_cell, &hints, tile, quality] {
-          encode_cell(tile, quality, nullptr, &hints[tile]);
-        });
-      }
-    }
-    encode_pool_.WaitIdle();
+  // Each cell's buffer, sized 1.25× the cell in the previous segment: one
+  // allocation per cell unless the cell outgrows it. The calling thread
+  // allocates them, so the transient cell bytes come from its malloc arena;
+  // allocated on a worker, they shared an arena with the worker's
+  // long-lived encoders and hint rows, which kept its freed space from
+  // being trimmed and raised peak RSS.
+  std::vector<std::vector<uint8_t>> bytes(cell_count);
+  for (size_t i = 0; i < cell_count; ++i) {
+    bytes[i].resize((*cell_bytes)[i] + (*cell_bytes)[i] / 4);
   }
+  Cells cells{this,
+              frames,
+              options,
+              rects,
+              hints,
+              *cell_bytes,
+              qualities,
+              options.reuse_motion_analysis && qualities > 1,
+              std::move(bytes),
+              std::vector<Status>(cell_count)};
+  // Without reuse every cell starts at once; with it, each tile's reference
+  // rung (ladder index 0, the highest quality and so the cleanest analysis)
+  // starts its siblings.
+  const int step = cells.reuse ? qualities : 1;
+  for (int index = 0; index < static_cast<int>(cell_count); index += step) {
+    encode_pool_.Submit([&cells, index] { cells.Encode(index); });
+  }
+  encode_pool_.WaitIdle();
+  ReturnHints(std::move(hints));
 
-  for (const Status& status : statuses) {
+  for (const Status& status : cells.statuses) {
     VC_RETURN_IF_ERROR(status);
   }
   segments_encoded->Add(1);
-  return cells;
+  return std::move(cells.bytes);
 }
 
 Result<uint32_t> VisualCloud::Ingest(const std::string& name,
@@ -286,12 +331,17 @@ const VideoMetadata& LiveIngestSession::metadata() const {
 
 Status LiveIngestSession::FlushSegment() {
   if (pending_.empty()) return Status::OK();
-  std::vector<std::vector<uint8_t>> cells;
-  VC_ASSIGN_OR_RETURN(
-      cells, db_->EncodeSegment(pending_, options_.ingest, width_, height_));
-  VC_RETURN_IF_ERROR(
-      writer_->AddSegment(static_cast<uint32_t>(pending_.size()), cells));
+  VC_RETURN_IF_ERROR(WriteSegment(pending_));
   pending_.clear();
+  return Status::OK();
+}
+
+Status LiveIngestSession::WriteSegment(std::span<const Frame> frames) {
+  std::vector<std::vector<uint8_t>> cells;
+  VC_ASSIGN_OR_RETURN(cells, db_->EncodeSegment(frames, options_.ingest,
+                                                width_, height_, &cell_bytes_));
+  VC_RETURN_IF_ERROR(
+      writer_->AddSegment(static_cast<uint32_t>(frames.size()), cells));
   if (options_.publish_segments) {
     uint32_t version;
     VC_ASSIGN_OR_RETURN(version, writer_->CommitCheckpoint());
@@ -315,8 +365,26 @@ Status LiveIngestSession::AppendFrame(const Frame& frame) {
 }
 
 Status LiveIngestSession::AppendFrames(const std::vector<Frame>& frames) {
-  for (const Frame& frame : frames) {
-    VC_RETURN_IF_ERROR(AppendFrame(frame));
+  const size_t segment_frames =
+      static_cast<size_t>(options_.ingest.frames_per_segment);
+  size_t next = 0;
+  while (next < frames.size()) {
+    // A whole segment with nothing buffered encodes straight from the
+    // caller's frames instead of being copied into pending_. Anything else,
+    // a frame of the wrong size included, goes through AppendFrame.
+    std::span<const Frame> run(frames.data() + next,
+                               std::min(segment_frames, frames.size() - next));
+    const bool whole_segment =
+        !closed_ && pending_.empty() && run.size() == segment_frames &&
+        std::all_of(run.begin(), run.end(), [this](const Frame& frame) {
+          return frame.width() == width_ && frame.height() == height_;
+        });
+    if (whole_segment) {
+      VC_RETURN_IF_ERROR(WriteSegment(run));
+      next += segment_frames;
+    } else {
+      VC_RETURN_IF_ERROR(AppendFrame(frames[next++]));
+    }
   }
   return Status::OK();
 }

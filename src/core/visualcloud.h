@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -129,14 +130,23 @@ class LiveIngestSession {
                     std::unique_ptr<StorageManager::VideoWriter> writer,
                     LiveIngestOptions options, int width, int height);
 
+  /// Encodes and writes the buffered partial or full segment.
   Status FlushSegment();
+  /// Encodes `frames` as the next segment, writes it and, with
+  /// publish_segments, publishes it.
+  Status WriteSegment(std::span<const Frame> frames);
 
   VisualCloud* db_;
   std::unique_ptr<StorageManager::VideoWriter> writer_;
   const LiveIngestOptions options_;
   const int width_;
   const int height_;
+  /// Frames appended one at a time. Whole segments appended with nothing
+  /// buffered encode straight from the caller's frames instead.
   std::vector<Frame> pending_;
+  /// Each cell's size in the previous segment (tile-major), from which its
+  /// writer reserves. The cells' bytes themselves are not kept.
+  std::vector<size_t> cell_bytes_;
   uint32_t last_published_ = 0;
   bool closed_ = false;
 };
@@ -206,14 +216,27 @@ class VisualCloud {
   /// calling thread.
   void NotifyCommit(const std::string& name, uint32_t version, bool final);
 
-  /// Encodes one segment's worth of tile frames into cell payloads
-  /// (tile-major × quality-minor) on the long-lived pool. With analysis
-  /// reuse enabled the schedule runs in two waves: every tile's reference
-  /// rung in parallel (capturing motion hints), then every remaining
-  /// (tile, rung) cell in parallel seeded from its tile's hints.
+  /// Encodes one segment's frames into cell streams (tile-major ×
+  /// quality-minor) on the long-lived pool, each cell straight from its
+  /// tile of the frames into its container bytes. With analysis reuse
+  /// enabled every tile's reference rung runs first, capturing the tile's
+  /// motion hints, and the task that finishes it submits that tile's other
+  /// rungs, seeded from those hints; tiles never wait for each other.
+  /// `cell_bytes` holds each cell's size in the previous segment on entry
+  /// and in this one on return.
   Result<std::vector<std::vector<uint8_t>>> EncodeSegment(
-      const std::vector<Frame>& segment_frames, const IngestOptions& options,
-      int width, int height);
+      std::span<const Frame> frames, const IngestOptions& options, int width,
+      int height, std::vector<size_t>* cell_bytes);
+
+  /// Lends a cell task an encoder Reset to `options`: one from the free
+  /// list, with the buffers of its earlier cells, or a new one.
+  Result<std::unique_ptr<Encoder>> BorrowEncoder(const EncoderOptions& options);
+  /// Puts a borrowed encoder back on the free list.
+  void ReturnEncoder(std::unique_ptr<Encoder> encoder);
+  /// Lends a segment encode per-tile hint records whose row buffers earlier
+  /// segments, of any session, filled; ReturnHints takes them back.
+  std::vector<MotionHints> BorrowHints();
+  void ReturnHints(std::vector<MotionHints> hints);
 
   std::unique_ptr<StorageManager> storage_;
   /// Commit observers, in registration order. Guarded by observers_mu_;
@@ -221,10 +244,19 @@ class VisualCloud {
   /// observer may remove itself (but not others) during a callback.
   mutable std::mutex observers_mu_;
   std::vector<CatalogObserver*> observers_;
+  /// Encoders not lent out (at most one per pool worker) and hint records
+  /// not lent out (one per segment encoding at once). Guarded by
+  /// scratch_mu_. Hint rows are scratch within one segment, so sessions
+  /// share them instead of each keeping its own.
+  std::mutex scratch_mu_;
+  std::vector<std::unique_ptr<Encoder>> free_encoders_;
+  std::vector<std::vector<MotionHints>> free_hints_;
   /// Long-lived encode pool: live ingest encodes a segment every second,
   /// and spinning up / joining a pool per segment costs more than encoding
-  /// small segments. EncodeSegment is the only submitter and drains the
-  /// pool (WaitIdle) before returning.
+  /// small segments. EncodeSegment and the cell tasks it starts are the
+  /// only submitters; EncodeSegment drains the pool (WaitIdle) before
+  /// returning. Declared last: its workers are joined before the encoders
+  /// they borrow are freed.
   ThreadPool encode_pool_;
 };
 

@@ -7,7 +7,9 @@
 
 namespace vc {
 
-Frame::Frame(int width, int height) : width_(width), height_(height) {
+void Frame::Reset(int width, int height) {
+  width_ = width;
+  height_ = height;
   y_.assign(static_cast<size_t>(width) * height, 16);
   u_.assign(static_cast<size_t>(width / 2) * (height / 2), 128);
   v_.assign(static_cast<size_t>(width / 2) * (height / 2), 128);

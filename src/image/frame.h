@@ -18,7 +18,7 @@ namespace vc {
 class Frame {
  public:
   /// Creates a frame filled with black (Y=16, U=V=128).
-  Frame(int width, int height);
+  Frame(int width, int height) { Reset(width, height); }
 
   /// Creates an empty 0x0 frame.
   Frame() : Frame(0, 0) {}
@@ -47,6 +47,11 @@ class Frame {
   const std::vector<uint8_t>& y_plane() const { return y_; }
   const std::vector<uint8_t>& u_plane() const { return u_; }
   const std::vector<uint8_t>& v_plane() const { return v_; }
+
+  /// Makes this a black `width`×`height` frame, exactly as the constructor
+  /// does, keeping the planes' buffers: a frame reshaped to any size it has
+  /// held before does not allocate.
+  void Reset(int width, int height);
 
   /// Fills the whole frame with a constant YUV color.
   void Fill(uint8_t y, uint8_t u, uint8_t v);

@@ -56,10 +56,17 @@ Status UnpackVchd(const Box& box, VideoMetadata* m) {
 
 std::string VideoMetadata::CellFileName(int segment, int tile,
                                         int quality) const {
+  std::string name;
+  AppendCellFileName(segment, tile, quality, &name);
+  return name;
+}
+
+void VideoMetadata::AppendCellFileName(int segment, int tile, int quality,
+                                       std::string* out) const {
   char buffer[48];
   std::snprintf(buffer, sizeof(buffer), "s%05d_t%03d_q%02d.vcc", segment, tile,
                 quality);
-  return buffer;
+  out->append(buffer);
 }
 
 uint64_t VideoMetadata::TotalBytes() const {

@@ -93,6 +93,11 @@ struct VideoMetadata {
   /// Relative file name of a cell within the data directory.
   std::string CellFileName(int segment, int tile, int quality) const;
 
+  /// Appends CellFileName(segment, tile, quality) to `*out`, so a reused
+  /// path string allocates only when it must grow.
+  void AppendCellFileName(int segment, int tile, int quality,
+                          std::string* out) const;
+
   /// The effective data directory ("v<version>" when unset).
   std::string DataDir() const {
     if (!data_dir.empty()) return data_dir;

@@ -191,15 +191,18 @@ Status StorageManager::VideoWriter::AddSegment(
             metadata_.segments.back().frame_count;
   }
   int segment = metadata_.segment_count();
+  cell_path_.assign(version_dir_);
+  cell_path_ += '/';
+  const size_t dir_length = cell_path_.size();
   for (int tile = 0; tile < metadata_.tile_count(); ++tile) {
     for (int quality = 0; quality < metadata_.quality_count(); ++quality) {
       const auto& payload =
           cells[static_cast<size_t>(tile) * metadata_.quality_count() +
                 quality];
-      std::string path = version_dir_ + "/" +
-                         metadata_.CellFileName(segment, tile, quality);
+      cell_path_.resize(dir_length);
+      metadata_.AppendCellFileName(segment, tile, quality, &cell_path_);
       VC_RETURN_IF_ERROR(
-          store_->options_.env->WriteFile(path, Slice(payload)));
+          store_->options_.env->WriteFile(cell_path_, Slice(payload)));
       CellInfo info;
       info.byte_size = payload.size();
       info.crc32 = Crc32(Slice(payload));

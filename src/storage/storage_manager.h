@@ -104,6 +104,7 @@ class StorageManager : public CellSource {
     std::shared_ptr<VersionSet> versions_;  ///< Outlives store_ if need be.
     VideoMetadata metadata_;
     std::string version_dir_;
+    std::string cell_path_;  ///< Reused by AddSegment for every cell path.
     bool committed_ = false;
   };
 

@@ -18,6 +18,7 @@
 #include "common/random.h"
 #include "image/metrics.h"
 #include "image/scene.h"
+#include "obs/metrics.h"
 
 namespace vc {
 namespace {
@@ -1327,6 +1328,154 @@ TEST(CodecTest, ShortHintsFallBackPerFrame) {
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded->y_plane(), (*encoder)->reconstructed().y_plane());
   }
+}
+
+// ------------------------------------------ Payload writes and encoder reuse
+
+TEST(CodecTest, EncodeStreamEqualsSerializedEncodeVideo) {
+  // A stream built from EncodePayload straight into one writer, read in
+  // place from a rect of larger frames, equals cropping those frames and
+  // serializing EncodeVideo's frames; the whole-frame rect equals the
+  // uncropped encode.
+  auto frames = TestFrames(10, 128, 64);
+  for (TileGrid::PixelRect rect :
+       {TileGrid::PixelRect{32, 16, 64, 32}, TileGrid::PixelRect{0, 0, 128, 64},
+        TileGrid::PixelRect{96, 48, 32, 16}}) {
+    EncoderOptions options = SmallOptions();
+    options.width = rect.width;
+    options.height = rect.height;
+    options.tile_rows = rect.height / 16;
+    options.tile_cols = 2;
+    std::vector<Frame> cropped;
+    for (const Frame& frame : frames) {
+      auto crop = frame.Crop(rect.x, rect.y, rect.width, rect.height);
+      ASSERT_TRUE(crop.ok());
+      cropped.push_back(*std::move(crop));
+    }
+    auto video = EncodeVideo(cropped, options);
+    ASSERT_TRUE(video.ok());
+
+    auto encoder = Encoder::Create(options);
+    ASSERT_TRUE(encoder.ok());
+    BitWriter writer;
+    ASSERT_TRUE((*encoder)->EncodeStream(frames, rect, &writer).ok());
+    EXPECT_EQ(writer.Finish(), video->Serialize())
+        << rect.x << "," << rect.y << " " << rect.width << "x" << rect.height;
+  }
+
+  // A rect off the encoder's size or outside the frames is refused.
+  auto encoder = Encoder::Create(SmallOptions());
+  ASSERT_TRUE(encoder.ok());
+  BitWriter writer;
+  EXPECT_TRUE((*encoder)
+                  ->EncodeStream(frames, TileGrid::PixelRect{16, 0, 128, 64},
+                                 &writer)
+                  .IsInvalidArgument());
+  EXPECT_TRUE((*encoder)
+                  ->EncodeStream(frames, TileGrid::PixelRect{0, 0, 64, 64},
+                                 &writer)
+                  .IsInvalidArgument());
+}
+
+TEST(CodecTest, ResetAfterADifferentCellEqualsAFreshEncoder) {
+  // An encoder Reset after a cell of another size, QP, grid and hint role
+  // writes the bytes a fresh encoder writes, captures the same hints and
+  // counts a geometry reject exactly as Create does.
+  auto big_frames = TestFrames(9, 128, 64);
+  auto small_frames = TestFrames(7, 64, 32);
+  MotionHints big_hints;
+  EncoderOptions big = SmallOptions();
+  big.qp = 14;
+  big.tile_rows = 2;
+  big.tile_cols = 2;
+  big.capture_hints = &big_hints;
+
+  MotionHints fresh_hints, reused_hints;
+  EncoderOptions small = SmallOptions();
+  small.width = 64;
+  small.height = 32;
+  small.qp = 35;
+  small.gop_length = 4;
+
+  auto reused = Encoder::Create(big);
+  ASSERT_TRUE(reused.ok());
+  for (const Frame& frame : big_frames) {
+    ASSERT_TRUE((*reused)->Encode(frame).ok());
+  }
+  (*reused)->ForceKeyframe();
+
+  // Each round first captures hints, then reuses them, then is handed the
+  // big cell's hints, whose geometry does not match.
+  Counter* rejects =
+      MetricRegistry::Global().GetCounter("codec.hint_geometry_rejects");
+  for (int round = 0; round < 3; ++round) {
+    EncoderOptions fresh_options = small;
+    EncoderOptions reused_options = small;
+    if (round == 0) {
+      fresh_options.capture_hints = &fresh_hints;
+      reused_options.capture_hints = &reused_hints;
+    } else {
+      fresh_options.reuse_hints = round == 1 ? &fresh_hints : &big_hints;
+      reused_options.reuse_hints = round == 1 ? &reused_hints : &big_hints;
+    }
+    const uint64_t rejects_before = rejects->Value();
+    auto fresh = Encoder::Create(fresh_options);
+    ASSERT_TRUE(fresh.ok());
+    const uint64_t fresh_rejects = rejects->Value() - rejects_before;
+    ASSERT_TRUE((*reused)->Reset(reused_options).ok());
+    EXPECT_EQ(rejects->Value() - rejects_before, 2 * fresh_rejects);
+    EXPECT_EQ(fresh_rejects, round == 2 ? 1u : 0u);
+    EXPECT_EQ((*reused)->frame_count(), 0);
+    EXPECT_EQ((*reused)->reconstructed().y_plane(),
+              (*fresh)->reconstructed().y_plane());
+
+    for (size_t i = 0; i < small_frames.size(); ++i) {
+      auto want = (*fresh)->Encode(small_frames[i]);
+      auto got = (*reused)->Encode(small_frames[i]);
+      ASSERT_TRUE(want.ok());
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->type, want->type) << "round " << round << ", frame " << i;
+      EXPECT_EQ(got->payload, want->payload)
+          << "round " << round << ", frame " << i;
+    }
+    if (round == 0) {
+      ASSERT_EQ(reused_hints.frames.size(), small_frames.size());
+      for (size_t i = 0; i < small_frames.size(); ++i) {
+        ASSERT_EQ(reused_hints.frames[i].size(),
+                  fresh_hints.frames[i].size());
+        for (size_t b = 0; b < fresh_hints.frames[i].size(); ++b) {
+          EXPECT_EQ(reused_hints.frames[i][b].mv.dx,
+                    fresh_hints.frames[i][b].mv.dx);
+          EXPECT_EQ(reused_hints.frames[i][b].mv.dy,
+                    fresh_hints.frames[i][b].mv.dy);
+          EXPECT_EQ(reused_hints.frames[i][b].sad,
+                    fresh_hints.frames[i][b].sad);
+        }
+      }
+    }
+  }
+
+  // A rejected Reset leaves the encoder as it was.
+  EncoderOptions invalid = small;
+  invalid.qp = 99;
+  EXPECT_TRUE((*reused)->Reset(invalid).IsInvalidArgument());
+  EXPECT_EQ((*reused)->options().qp, small.qp);
+}
+
+TEST(CodecTest, RecapturedHintsKeepOnlyTheirOwnFrames) {
+  // A MotionHints captured again by a shorter encode holds only that
+  // encode's frames, although it keeps the longer one's row buffers.
+  auto frames = TestFrames(8);
+  MotionHints hints;
+  EncoderOptions options = SmallOptions();
+  options.capture_hints = &hints;
+  ASSERT_TRUE(EncodeVideo(frames, options).ok());
+  ASSERT_EQ(hints.frames.size(), 8u);
+  frames.resize(3);
+  ASSERT_TRUE(EncodeVideo(frames, options).ok());
+  EXPECT_EQ(hints.frames.size(), 3u);
+  EXPECT_EQ(hints.width, 128);
+  EXPECT_EQ(hints.gop_length, 8);
 }
 
 // ----------------------------------------- Parameterized RD property sweep

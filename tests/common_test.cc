@@ -178,6 +178,31 @@ TEST(BitIoTest, AlignmentAndBytes) {
   EXPECT_EQ(out, raw);
 }
 
+TEST(BitIoTest, AdoptedBufferAndPatchedFields) {
+  // A writer over a caller's buffer starts at its first byte whatever the
+  // buffer held, grows past it, and PatchU32 fills a zeroed field in place,
+  // big-endian; the bytes equal a fresh writer's with the field written
+  // directly.
+  for (size_t room : {0u, 3u, 64u}) {
+    BitWriter adopted(std::vector<uint8_t>(room, 0xEE));
+    BitWriter fresh;
+    adopted.WriteBits(0x5, 3);
+    fresh.WriteBits(0x5, 3);
+    adopted.AlignToByte();
+    fresh.AlignToByte();
+    const size_t field = adopted.bit_count() / 8;
+    adopted.WriteBits(0, 32);
+    fresh.WriteBits(0x0A0B0C0D, 32);
+    for (int i = 0; i < 40; ++i) {
+      adopted.WriteUE(static_cast<uint64_t>(i) * 37);
+      fresh.WriteUE(static_cast<uint64_t>(i) * 37);
+    }
+    adopted.AlignToByte();
+    adopted.PatchU32(field, 0x0A0B0C0D);
+    EXPECT_EQ(adopted.Finish(), fresh.Finish()) << room << " bytes of room";
+  }
+}
+
 TEST(BitIoTest, ReadPastEndFails) {
   std::vector<uint8_t> one = {0xff};
   BitReader reader{Slice(one)};

@@ -1132,5 +1132,141 @@ TEST(LiveCatalogTest, CatalogReadsRaceLiveCheckpoints) {
   EXPECT_EQ(latest->segment_count(), 6);
 }
 
+// ------------------------------------------- Encoder and buffer reuse
+
+/// A VisualCloud over its own in-memory Env.
+struct IngestReuseDb {
+  std::unique_ptr<Env> env = NewMemEnv();
+  std::unique_ptr<VisualCloud> db;
+
+  explicit IngestReuseDb(int encode_threads) {
+    VisualCloudOptions options;
+    options.storage.env = env.get();
+    options.storage.root = "/reuse";
+    options.encode_threads = encode_threads;
+    auto opened = VisualCloud::Open(options);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    if (opened.ok()) db = *std::move(opened);
+  }
+};
+
+IngestOptions ReuseIngestOptions() {
+  IngestOptions ingest;
+  ingest.tile_rows = 3;
+  ingest.tile_cols = 4;
+  ingest.frames_per_segment = 6;
+  ingest.fps = 6.0;
+  return ingest;
+}
+
+std::vector<Frame> ReuseFrames(int first, int count, int width = 128,
+                               int height = 64) {
+  SceneOptions scene_options;
+  scene_options.width = width;
+  scene_options.height = height;
+  auto scene = NewCoasterScene(scene_options);
+  std::vector<Frame> frames;
+  for (int i = first; i < first + count; ++i) {
+    frames.push_back(scene->FrameAt(i));
+  }
+  return frames;
+}
+
+/// (byte size, CRC) of every cell of `segment`, in catalog order.
+std::vector<std::pair<uint64_t, uint32_t>> SegmentCells(
+    const VideoMetadata& metadata, int segment) {
+  std::vector<std::pair<uint64_t, uint32_t>> cells;
+  for (int tile = 0; tile < metadata.tile_count(); ++tile) {
+    for (int quality = 0; quality < metadata.quality_count(); ++quality) {
+      const CellInfo& info =
+          metadata.cells[metadata.CellIndex(segment, tile, quality)];
+      cells.emplace_back(info.byte_size, info.crc32);
+    }
+  }
+  return cells;
+}
+
+/// The serialized metadata of `name` after ingesting `frames` into `db`.
+std::vector<uint8_t> IngestedMetadata(VisualCloud* db, const std::string& name,
+                                      const std::vector<Frame>& frames) {
+  auto version = db->Ingest(name, frames, ReuseIngestOptions());
+  EXPECT_TRUE(version.ok()) << version.status().ToString();
+  auto metadata = db->Describe(name);
+  EXPECT_TRUE(metadata.ok()) << metadata.status().ToString();
+  return metadata.ok() ? metadata->Serialize() : std::vector<uint8_t>{};
+}
+
+TEST(IngestReuseTest, CellsAreEqualAcrossEncodeThreads) {
+  // Per-tile scheduling and the encoder free list change which worker
+  // encodes a cell, and after which other cell, not a byte of it.
+  const std::vector<Frame> frames = ReuseFrames(0, 15);
+  std::vector<uint8_t> reference;
+  for (int threads : {1, 2, 4}) {
+    IngestReuseDb reuse(threads);
+    ASSERT_NE(reuse.db, nullptr);
+    const std::vector<uint8_t> metadata =
+        IngestedMetadata(reuse.db.get(), "clip", frames);
+    ASSERT_FALSE(metadata.empty());
+    if (reference.empty()) {
+      reference = metadata;
+    } else {
+      EXPECT_EQ(metadata, reference) << threads << " encode threads";
+    }
+  }
+}
+
+TEST(IngestReuseTest, ReusedEncodersMatchAFreshInstance) {
+  // An instance whose encoders, hint rows and cell reservations last held
+  // cells of another frame size and grid writes the same catalog as a fresh
+  // one.
+  const std::vector<Frame> frames = ReuseFrames(0, 12);
+  IngestReuseDb fresh(2);
+  IngestReuseDb reused(2);
+  ASSERT_NE(fresh.db, nullptr);
+  ASSERT_NE(reused.db, nullptr);
+  IngestOptions other = ReuseIngestOptions();
+  other.tile_rows = 2;
+  other.tile_cols = 2;
+  other.frames_per_segment = 5;
+  ASSERT_TRUE(
+      reused.db->Ingest("other", ReuseFrames(3, 10, 192, 96), other).ok());
+  EXPECT_EQ(IngestedMetadata(reused.db.get(), "clip", frames),
+            IngestedMetadata(fresh.db.get(), "clip", frames));
+}
+
+TEST(IngestReuseTest, ShortSegmentAfterFullOnesMatchesAFreshSession) {
+  // A FinishSegment segment shorter than the ones before it, and a full
+  // segment after it, equal the same frames ingested by fresh sessions:
+  // no hint row or reservation of a longer segment leaks into them.
+  IngestReuseDb reuse(2);
+  ASSERT_NE(reuse.db, nullptr);
+  const IngestOptions ingest = ReuseIngestOptions();
+  auto live = reuse.db->StartLiveIngest("live", 128, 64, ingest);
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE((*live)->AppendFrames(ReuseFrames(0, 12)).ok());
+  const std::vector<Frame> short_frames = ReuseFrames(12, 2);
+  ASSERT_TRUE((*live)->AppendFrames(short_frames).ok());
+  ASSERT_TRUE((*live)->FinishSegment().ok());
+  const std::vector<Frame> full_frames = ReuseFrames(14, 6);
+  ASSERT_TRUE((*live)->AppendFrames(full_frames).ok());
+  ASSERT_TRUE((*live)->Close().ok());
+  auto metadata = reuse.db->Describe("live");
+  ASSERT_TRUE(metadata.ok());
+  ASSERT_EQ(metadata->segment_count(), 4);
+
+  int index = 0;
+  for (const std::vector<Frame>* frames : {&short_frames, &full_frames}) {
+    IngestReuseDb fresh(2);
+    ASSERT_NE(fresh.db, nullptr);
+    ASSERT_TRUE(fresh.db->Ingest("alone", *frames, ingest).ok());
+    auto alone = fresh.db->Describe("alone");
+    ASSERT_TRUE(alone.ok());
+    ASSERT_EQ(alone->segment_count(), 1);
+    EXPECT_EQ(SegmentCells(*metadata, 2 + index), SegmentCells(*alone, 0))
+        << "segment " << 2 + index;
+    ++index;
+  }
+}
+
 }  // namespace
 }  // namespace vc
